@@ -51,6 +51,12 @@ impl ShmemCtx {
         assert!(index < var.len(), "atomic index out of bounds");
         let off = self.go(pe, var.elem_offset(index));
         assert_eq!(off % std::mem::size_of::<T>(), 0, "unaligned atomic target");
+        off
+    }
+
+    /// [`Self::atomic_off`] for an operation that always completes.
+    fn counted_off<T: Bits>(&self, var: &Sym<T>, index: usize, pe: usize) -> usize {
+        let off = self.atomic_off(var, index, pe);
         self.stats.borrow_mut().atomics += 1;
         off
     }
@@ -58,7 +64,7 @@ impl ShmemCtx {
     /// `shmem_swap`: unconditionally replace `var[index]` on `pe`;
     /// returns the old value.
     pub fn swap<T: AtomicInt>(&self, var: &Sym<T>, index: usize, value: T, pe: usize) -> T {
-        let off = self.atomic_off(var, index, pe);
+        let off = self.counted_off(var, index, pe);
         T::from_word(self.fab.arena_rmw(off, RmwOp::Swap, value.to_word(), T::WIDTH))
     }
 
@@ -66,12 +72,19 @@ impl ShmemCtx {
     /// `cond`; returns the old value.
     pub fn cswap<T: AtomicInt>(&self, var: &Sym<T>, index: usize, cond: T, value: T, pe: usize) -> T {
         let off = self.atomic_off(var, index, pe);
-        T::from_word(self.fab.arena_cswap(off, cond.to_word(), value.to_word(), T::WIDTH))
+        let old = self.fab.arena_cswap(off, cond.to_word(), value.to_word(), T::WIDTH);
+        let mut stats = self.stats.borrow_mut();
+        if old == cond.to_word() {
+            stats.atomics += 1;
+        } else {
+            stats.cswap_retries += 1;
+        }
+        T::from_word(old)
     }
 
     /// `shmem_fadd`: fetch-and-add; returns the old value.
     pub fn fadd<T: AtomicInt>(&self, var: &Sym<T>, index: usize, value: T, pe: usize) -> T {
-        let off = self.atomic_off(var, index, pe);
+        let off = self.counted_off(var, index, pe);
         T::from_word(self.fab.arena_rmw(off, RmwOp::Add, value.to_word(), T::WIDTH))
     }
 
@@ -93,7 +106,7 @@ impl ShmemCtx {
     /// `shmem_float_swap` / `shmem_double_swap`: atomic swap of a
     /// floating-point value (bit-pattern swap).
     pub fn swap_f32(&self, var: &Sym<f32>, index: usize, value: f32, pe: usize) -> f32 {
-        let off = self.atomic_off(var, index, pe);
+        let off = self.counted_off(var, index, pe);
         f32::from_bits(
             self.fab
                 .arena_rmw(off, RmwOp::Swap, value.to_bits() as u64, RmwWidth::W32) as u32,
@@ -102,14 +115,14 @@ impl ShmemCtx {
 
     /// Double-precision swap.
     pub fn swap_f64(&self, var: &Sym<f64>, index: usize, value: f64, pe: usize) -> f64 {
-        let off = self.atomic_off(var, index, pe);
+        let off = self.counted_off(var, index, pe);
         f64::from_bits(self.fab.arena_rmw(off, RmwOp::Swap, value.to_bits(), RmwWidth::W64))
     }
 
     /// Atomic fetch-add on a float via a CAS loop (an extension; useful
     /// for histogram-style kernels).
     pub fn fadd_f64(&self, var: &Sym<f64>, index: usize, value: f64, pe: usize) -> f64 {
-        let off = self.atomic_off(var, index, pe);
+        let off = self.counted_off(var, index, pe);
         let mut attempt = 0u32;
         loop {
             let cur = self.fab.arena_read_u64(off);

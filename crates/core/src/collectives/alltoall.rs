@@ -30,7 +30,7 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
-        self.barrier(set); // peers' source buffers are ready after this
+        self.sync_set(set); // peers' source buffers are ready after this
         if nelems > 0 {
             for i in 0..set.size {
                 let peer_rank = (rank + i) % set.size;
@@ -45,7 +45,7 @@ impl ShmemCtx {
             }
             self.quiet();
         }
-        self.barrier(set); // everyone's dest rows have landed
+        self.sync_set(set); // everyone's dest rows have landed
     }
 
     /// `shmem_alltoalls`: strided all-to-all. Element `k` of the block
@@ -73,7 +73,7 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
-        self.barrier(set);
+        self.sync_set(set);
         if nelems > 0 {
             for i in 0..set.size {
                 let peer_rank = (rank + i) % set.size;
@@ -94,6 +94,6 @@ impl ShmemCtx {
             }
             self.quiet();
         }
-        self.barrier(set);
+        self.sync_set(set);
     }
 }

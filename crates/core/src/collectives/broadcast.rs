@@ -58,7 +58,7 @@ impl ShmemCtx {
             assert!(nelems <= dest.len(), "broadcast dest too small");
             self.get_sym(dest, 0, source, 0, nelems, root_pe);
         }
-        self.barrier(set);
+        self.sync_set(set);
     }
 
     /// Push-based broadcast (explicit, for the Figure 9 bench).
@@ -81,7 +81,7 @@ impl ShmemCtx {
                 assert!(nelems <= dest.len(), "broadcast dest too small");
                 self.put_sym(dest, 0, source, 0, nelems, set.pe_at(r));
             }
-            self.quiet();
+            self.complete_puts();
             for r in 0..set.size {
                 if r != root_rank {
                     let dest_pe = set.pe_at(r);
@@ -134,21 +134,33 @@ impl ShmemCtx {
                     let child_pe = set.pe_at((child_vr + root_rank) % n);
                     assert!(nelems <= dest.len(), "broadcast dest too small");
                     self.put_sym(dest, 0, &from, 0, nelems, child_pe);
-                    self.quiet();
+                    self.complete_puts();
                     let seq = self.next_seq(SEQ_PT2PT, child_pe, self.my_pe());
                     // Doubled convention — see the parent-side wait.
                     self.flag_set(child_pe, self.layout.pt2pt_flags, self.my_pe(), 2 * seq);
                 }
-            } else if vr < 2 * span {
-                // We joined the senders after receiving in round k.
             }
             k += 1;
         }
-        self.barrier(set);
+        self.sync_set(set);
     }
 
     /// Shared entry validation + barrier; returns this PE's rank.
     pub(crate) fn collective_entry<T: Bits>(
+        &self,
+        source: &Sym<T>,
+        nelems: usize,
+        root_rank: usize,
+        set: ActiveSet,
+    ) -> usize {
+        let rank = self.collective_checks(source, nelems, root_rank, set);
+        self.sync_set(set);
+        rank
+    }
+
+    /// Entry validation and the `collectives` count, without the entry
+    /// barrier (the cell pass brings its own); returns this PE's rank.
+    pub(crate) fn collective_checks<T: Bits>(
         &self,
         source: &Sym<T>,
         nelems: usize,
@@ -162,7 +174,6 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
-        self.barrier(set);
         rank
     }
 }

@@ -11,6 +11,7 @@
 //! exactly the effect Figure 11 shows.
 
 use crate::active_set::ActiveSet;
+use crate::collectives::hier;
 use crate::ctx::{ShmemCtx, SEQ_BCAST, SEQ_COLLECT_OFF, SEQ_COLLECT_TOTAL, SEQ_GATHER};
 use crate::fabric::{ProtoMsg, Q_COLLECT};
 use crate::symm::{Bits, Sym};
@@ -40,7 +41,16 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
-        self.barrier(set);
+        // Past the flat range on shard-aligned clusters the leaders
+        // assemble and hand out the concatenation (hier.rs); the root
+        // gather below stays for everything else.
+        if set.size > hier::FLAT_MAX {
+            let cl = self.cluster_for(set, rank, None);
+            if cl.aligned {
+                return self.fcollect_cells(dest, source, nelems, &cl);
+            }
+        }
+        self.sync_set(set);
         self.gather_and_redistribute(dest, source, rank * nelems, nelems, set.size * nelems, set, rank);
     }
 
@@ -60,7 +70,7 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
-        self.barrier(set);
+        self.sync_set(set);
 
         // Exclusive scan of contribution sizes, passed linearly.
         let id = set.ident();
@@ -94,8 +104,7 @@ impl ShmemCtx {
             off
         };
 
-        // Total: the last rank knows it; distribute through the root.
-        let root_pe = set.pe_at(0);
+        // Total: the last rank knows it and tells everyone.
         let last = set.pe_at(set.size - 1);
         let total = if set.size == 1 {
             my_nelems
@@ -122,7 +131,6 @@ impl ShmemCtx {
             m.payload[2] as usize
         };
         assert!(total <= dest.len(), "collect dest too small for {total} elements");
-        let _ = root_pe;
         self.gather_and_redistribute(dest, source, my_off, my_nelems, total, set, rank);
         total
     }
@@ -146,7 +154,7 @@ impl ShmemCtx {
         if my_nelems > 0 {
             self.put_sym(dest, my_elem_off, source, 0, my_nelems, root_pe);
         }
-        self.quiet();
+        self.complete_puts();
         let seq = self.next_seq(SEQ_GATHER, root_pe, me);
         self.flag_set(root_pe, self.layout.gather_flags, me, seq);
 
@@ -171,6 +179,6 @@ impl ShmemCtx {
             self.flag_wait_ge(self.layout.bcast_flags, root_pe, bseq);
             self.get_sym(dest, 0, dest, 0, total_elems, root_pe);
         }
-        self.barrier(set);
+        self.sync_set(set);
     }
 }

@@ -3,13 +3,24 @@
 //! M:N coop engine runs 256–1024 PEs, where every flat algorithm's
 //! serial root or O(n·log n) message volume collapses).
 //!
-//! Shape shared by barrier, reduce, and broadcast: ranks are grouped
-//! into clusters of [`CLUSTER`] consecutive ranks; rank `c·CLUSTER` is
-//! cluster `c`'s leader. An intra-cluster binomial tree funnels into the
-//! leader, the leaders run a flat log-depth exchange (dissemination for
-//! the barrier, recursive doubling for reduce, binomial for broadcast),
-//! and a binomial tree fans back down. Message volume drops from
-//! `n·⌈log₂ n⌉` to roughly `2n + nc·⌈log₂ nc⌉` with `nc = ⌈n/CLUSTER⌉`.
+//! Ranks are grouped into clusters of consecutive ranks; the first rank
+//! of cluster `c` is its leader ([`Cluster`]). Every collective here is
+//! gather → leaders → release over that grouping, on one of two
+//! transports:
+//!
+//! * **The counter-cell pass** ([`ShmemCtx::cell_pass`]) when clusters
+//!   coincide with the coop engine's worker shards. Members fetch-add
+//!   their leader's cell and park; the leader, alone awake in its
+//!   shard, does the whole cluster's work by direct copies, exchanges
+//!   with the other leaders, writes every member's result and releases
+//!   the cluster with one epoch bump. The barrier is the payload-free
+//!   instance; reduce, broadcast and `fcollect` hand it a closure.
+//! * **Message trees** everywhere else (native/timed/multichip engines,
+//!   strided or unaligned sets, locality off): an intra-cluster binomial
+//!   tree funnels into the leader, the leaders run a flat log-depth
+//!   exchange, and a binomial tree fans back down, bracketed by two
+//!   barriers. Message volume drops from `n·⌈log₂ n⌉` to roughly
+//!   `2n + nc·⌈log₂ nc⌉` with `nc = ⌈n/cs⌉`.
 //!
 //! Every point-to-point completion flag here lives on the pairwise
 //! `SEQ_PT2PT` counters, which are **shared** with recursive-doubling
@@ -84,34 +95,160 @@ pub(crate) fn diss_rounds(n: usize) -> u32 {
     usize::BITS - (n - 1).leading_zeros()
 }
 
-impl ShmemCtx {
-    /// The cluster width a hierarchical collective over `set` should
-    /// use: the backend's PE→worker block when the engine publishes a
-    /// topology hint and the set's geometry lines up with it (stride 1,
-    /// start on a block boundary) — cluster boundaries then coincide
-    /// with the coop engine's worker shards, so every intra-cluster
-    /// tree edge is a same-worker handoff and every leader sits on its
-    /// own worker. Falls back to the span-≤[`CLUSTER`] default
-    /// otherwise (native/timed/multichip engines, strided sets,
-    /// locality knob off).
-    pub(crate) fn cluster_width(&self, set: &ActiveSet) -> usize {
-        match self.fab.topology_block() {
-            Some(b) if set.log2_stride == 0 && set.start.is_multiple_of(b) => b,
-            _ => CLUSTER,
+/// Arrival-counter and release-epoch words of a leader's sync cell.
+const ARRIVALS: usize = 0;
+const EPOCH: usize = 1;
+
+/// One rank's place in the clustering of `set` at width `cs`.
+#[derive(Clone, Copy)]
+pub(crate) struct Cluster {
+    pub set: ActiveSet,
+    pub cs: usize,
+    /// This rank's cluster and its rank inside it (0 = the leader).
+    pub c: usize,
+    pub lr: usize,
+    /// Members in this cluster (the last may be short); clusters in all.
+    pub m: usize,
+    pub nc: usize,
+    /// Clusters are whole worker shards: the collective runs on
+    /// [`ShmemCtx::cell_pass`] instead of the message trees.
+    pub aligned: bool,
+}
+
+impl Cluster {
+    fn new(set: ActiveSet, rank: usize, cs: usize, aligned: bool) -> Self {
+        assert!(cs > 0, "cluster width must be positive");
+        let c = rank / cs;
+        Self {
+            set,
+            cs,
+            c,
+            lr: rank % cs,
+            m: cluster_size(c, cs, set.size),
+            nc: n_clusters(set.size, cs),
+            aligned,
         }
     }
 
-    /// Whether clusters of width `cs` over `set` coincide exactly with
-    /// the engine's worker shards — i.e. `cs` *is* the published
-    /// topology block and the set's geometry lines up with it, so every
-    /// member of a cluster (including a short trailing one) shares its
-    /// leader's worker. This is the precondition for the counter-cell
-    /// barrier transport; an explicit `cs` that merely equals 32 on a
-    /// non-topology engine stays on the message path.
-    pub(crate) fn shard_aligned(&self, set: &ActiveSet, cs: usize) -> bool {
-        self.fab.topology_block() == Some(cs)
-            && set.log2_stride == 0
-            && set.start.is_multiple_of(cs)
+    /// This rank's position in the set.
+    pub fn rank(&self) -> usize {
+        self.c * self.cs + self.lr
+    }
+
+    /// PE of cluster `c`'s leader.
+    pub fn leader_pe(&self, c: usize) -> usize {
+        self.set.pe_at(c * self.cs)
+    }
+
+    /// PEs of this cluster's non-leader members, in rank order.
+    pub fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        (1..self.m).map(|lr| self.set.pe_at(self.c * self.cs + lr))
+    }
+}
+
+impl ShmemCtx {
+    /// `rank`'s place in the clustering a hierarchical collective over
+    /// `set` uses: the one geometry-and-transport decision, taken once
+    /// per call. When the engine publishes a PE→worker block and the
+    /// set covers whole shards (stride 1, start on a block boundary,
+    /// end on a block boundary or at the job's last PE), clusters are
+    /// the worker shards themselves: every member of a cluster
+    /// (including the job's short trailing one) shares its leader's
+    /// worker, every leader sits on its own, and — what makes the
+    /// shared cells safe — any two such sets that share a leader share
+    /// that leader's whole cluster, so their passes are ordered by the
+    /// members' common program order. A set that stops inside a shard
+    /// would share the cell with PEs it does not contain, so it stays,
+    /// like native/timed/multichip engines, strided sets and locality
+    /// off, on the message trees at the span-≤[`CLUSTER`] default. An
+    /// explicit `width` is aligned only if it *is* the aligned width.
+    pub(crate) fn cluster_for(&self, set: ActiveSet, rank: usize, width: Option<usize>) -> Cluster {
+        let end = set.start + set.size;
+        let shard = self.fab.topology_block().filter(|&b| {
+            set.log2_stride == 0
+                && set.start.is_multiple_of(b)
+                && (end.is_multiple_of(b) || end == self.n_pes())
+        });
+        let cs = width.or(shard).unwrap_or(CLUSTER);
+        Cluster::new(set, rank, cs, shard == Some(cs))
+    }
+
+    /// One gather → leaders → release pass over a shard-aligned
+    /// clustering: the single transport of every default collective
+    /// past [`FLAT_MAX`] on the coop engine.
+    ///
+    /// A member fetch-adds its leader's arrival cell (the arrival that
+    /// completes the gather wakes the leader) and parks on the release
+    /// epoch with its gate released. The leader consumes its `m - 1`
+    /// arrivals, disseminates with the other leaders — after which
+    /// **every** rank of the set has entered this call and every
+    /// non-leader is parked — runs `lead`, then bumps the epoch and
+    /// requeues its cluster with one notify. The barrier passes an
+    /// empty `lead`.
+    ///
+    /// What `lead` may touch (DESIGN.md §6): the user buffers of its
+    /// own parked members, which nobody else reads or writes between
+    /// their arrival and their release; and, because the dissemination
+    /// is behind it, the buffers of other *leaders* — each of which
+    /// answers for its own use of them until it releases.
+    ///
+    /// Cell reuse across instances: a member reads the epoch *before*
+    /// adding its arrival, so a release between those two points still
+    /// satisfies its wait; the leader subtracts the arrivals it
+    /// consumed *before* releasing, and no member can start a later
+    /// pass (and re-add) until it is released from this one — so counts
+    /// from successive instances never mix. Counts from different
+    /// *sets* never mix because every set that parks on this cell
+    /// contains this leader's whole shard
+    /// ([`ShmemCtx::cluster_for`]): all of them have the same `m - 1`
+    /// members here, and those members call them in one order.
+    /// Ordering is AcqRel through the cells (see
+    /// [`crate::fabric::Fabric::sync_cell_add`]), giving the same
+    /// all-prior-writes-visible guarantee the message barrier gets from
+    /// channel edges. Every arrival and release is a counted op and
+    /// parked waiters publish
+    /// [`BlockedOn::CellWait`](crate::fabric::BlockedOn::CellWait), so
+    /// the stall watchdog both sees the pass progressing and can name
+    /// the cell a wedged member is stuck on.
+    pub(crate) fn cell_pass(&self, cl: &Cluster, lead: impl FnOnce()) {
+        let leader = cl.leader_pe(cl.c);
+        if cl.lr > 0 {
+            let e0 = self.fab.sync_cell_load(leader, EPOCH);
+            self.cell_signal(leader, cl.m - 1);
+            self.fab.sync_cell_wait_change(leader, EPOCH, e0);
+            return;
+        }
+        self.cell_await(cl.m - 1);
+        self.leader_dissemination(cl);
+        lead();
+        self.fab.sync_cell_add(leader, EPOCH, 1);
+        self.fab.sync_cell_notify(leader, EPOCH);
+    }
+
+    /// Add one arrival to `leader`'s cell; the one that completes
+    /// `count` wakes the leader (intermediate arrivals change the count
+    /// without a notify, which `sync_cell_wait_change` permits). Used
+    /// by members during the gather and by leaders telling each other
+    /// "my copy into/out of your buffers is done" inside `lead` — the
+    /// two never overlap on one cell, since a leader inside `lead` has
+    /// consumed its gather and its members stay parked.
+    fn cell_signal(&self, leader: usize, count: usize) {
+        if self.fab.sync_cell_add(leader, ARRIVALS, 1) as usize + 1 == count {
+            self.fab.sync_cell_notify(leader, ARRIVALS);
+        }
+    }
+
+    /// Leader side of [`ShmemCtx::cell_signal`]: park until `count`
+    /// arrivals are in, then consume exactly those (wrapping add of the
+    /// negation), restoring the cell before anyone is released into its
+    /// next use.
+    fn cell_await(&self, count: usize) {
+        let me = self.my_pe();
+        let mut cur = self.fab.sync_cell_load(me, ARRIVALS);
+        while (cur as usize) < count {
+            cur = self.fab.sync_cell_wait_change(me, ARRIVALS, cur);
+        }
+        self.fab.sync_cell_add(me, ARRIVALS, (count as u64).wrapping_neg());
     }
 
     /// Hierarchical reduction with the topology-aligned cluster width
@@ -126,8 +263,7 @@ impl ShmemCtx {
         set: ActiveSet,
         rank: usize,
     ) {
-        let cs = self.cluster_width(&set);
-        self.reduce_hier_with(op, dest, source, nreduce, set, rank, cs);
+        self.reduce_clustered(op, dest, source, nreduce, &self.cluster_for(set, rank, None));
     }
 
     /// [`ShmemCtx::reduce_hier`] with an explicit cluster width, so the
@@ -145,16 +281,38 @@ impl ShmemCtx {
         rank: usize,
         cs: usize,
     ) {
-        assert!(cs > 0, "cluster width must be positive");
-        self.barrier(set);
-        let n = set.size;
+        self.reduce_clustered(op, dest, source, nreduce, &self.cluster_for(set, rank, Some(cs)));
+    }
+
+    fn reduce_clustered<T: Reducible>(
+        &self,
+        op: ReduceOp,
+        dest: &Sym<T>,
+        source: &Sym<T>,
+        nreduce: usize,
+        cl: &Cluster,
+    ) {
         let me = self.my_pe();
+        if cl.aligned {
+            // The leader folds its parked members' `source` straight
+            // into its own `dest`, reduces across the leaders, and
+            // hands every member the result.
+            self.complete_puts();
+            return self.cell_pass(cl, || {
+                self.put_sym(dest, 0, source, 0, nreduce, me);
+                for pe in cl.members() {
+                    self.fold_peer_source(op, dest, source, nreduce, pe);
+                }
+                self.leaders_recursive_doubling(op, dest, nreduce, cl);
+                for pe in cl.members() {
+                    self.put_sym(dest, 0, dest, 0, nreduce, pe);
+                }
+            });
+        }
+        let Cluster { set, cs, c, lr, m, .. } = *cl;
+        self.sync_set(set);
         // Seed the accumulator with our own contribution.
         self.put_sym(dest, 0, source, 0, nreduce, me);
-        let c = rank / cs;
-        let lr = rank % cs;
-        let m = cluster_size(c, cs, n);
-        let nc = n_clusters(n, cs);
 
         // Phase 1: binomial fold into the cluster leader. In round k a
         // node whose low k+1 bits read 10…0 pushes its accumulator to
@@ -172,35 +330,9 @@ impl ShmemCtx {
             span <<= 1;
         }
 
-        // Phase 2: recursive doubling across the leaders, with the
-        // non-power-of-two excess folded into the power-of-two core
-        // first (the same scheme as the flat RD reduce — audited at
-        // nc = 3 and 24 by the unit tests below).
-        if lr == 0 && nc > 1 {
-            let p2 = largest_pow2_le(nc);
-            if c >= p2 {
-                let partner = set.pe_at((c - p2) * cs);
-                self.fold_into(dest, nreduce, partner);
-                let seq = self.next_seq(SEQ_PT2PT, partner, me);
-                // Doubled convention — see the module docs.
-                self.flag_wait_ge(self.layout.pt2pt_flags, partner, 2 * seq);
-            } else {
-                if c + p2 < nc {
-                    self.fold_from(op, dest, nreduce, set.pe_at((c + p2) * cs));
-                }
-                let mut k = 1usize;
-                while k < p2 {
-                    self.exchange_combine(op, dest, nreduce, set.pe_at((c ^ k) * cs));
-                    k <<= 1;
-                }
-                if c + p2 < nc {
-                    let partner = set.pe_at((c + p2) * cs);
-                    self.put_sym(dest, 0, dest, 0, nreduce, partner);
-                    self.quiet();
-                    let seq = self.next_seq(SEQ_PT2PT, partner, me);
-                    self.flag_set(partner, self.layout.pt2pt_flags, me, 2 * seq);
-                }
-            }
+        // Phase 2: across the leaders.
+        if lr == 0 {
+            self.leaders_recursive_doubling(op, dest, nreduce, cl);
         }
 
         // Phase 3: binomial push-down of the finished result inside each
@@ -217,13 +349,85 @@ impl ShmemCtx {
             if lr < span && lr + span < m {
                 let child_pe = set.pe_at(c * cs + lr + span);
                 self.put_sym(dest, 0, dest, 0, nreduce, child_pe);
-                self.quiet();
+                self.complete_puts();
                 let seq = self.next_seq(SEQ_PT2PT, child_pe, me);
                 self.flag_set(child_pe, self.layout.pt2pt_flags, me, 2 * seq);
             }
             span <<= 1;
         }
-        self.barrier(set);
+        self.sync_set(set);
+    }
+
+    /// `dest[i] = op(dest[i], source[i] on pe)` on this PE's copy of
+    /// `dest`, in place. `pe` is a member of our shard parked in
+    /// [`ShmemCtx::cell_pass`], so its `source` is directly addressable
+    /// and nobody writes it until we release.
+    fn fold_peer_source<T: Reducible>(
+        &self,
+        op: ReduceOp,
+        dest: &Sym<T>,
+        source: &Sym<T>,
+        nreduce: usize,
+        pe: usize,
+    ) {
+        if nreduce == 0 {
+            return;
+        }
+        let theirs = self
+            .ptr(&source.slice(0, nreduce), pe)
+            .expect("reduce operands are dynamic symmetric objects");
+        assert_eq!(theirs as usize % std::mem::align_of::<T>(), 0, "unaligned symmetric data");
+        self.with_local_mut(&dest.slice(0, nreduce), |acc| {
+            // SAFETY: `ptr` bounds-checked `nreduce` elements inside
+            // `pe`'s partition, which is disjoint from ours (`acc`),
+            // and alignment is asserted above; the owner is parked
+            // until we release it, and its arrival on the cell (AcqRel)
+            // published what it wrote.
+            let theirs = unsafe { std::slice::from_raw_parts(theirs.cast_const(), nreduce) };
+            for (a, b) in acc.iter_mut().zip(theirs) {
+                *a = T::reduce(op, *a, *b);
+            }
+        });
+    }
+
+    /// Recursive doubling of `dest` across the cluster leaders (called
+    /// by leaders only), with the non-power-of-two excess folded into
+    /// the power-of-two core first — the same scheme as the flat RD
+    /// reduce, audited at `nc` = 3 and 24 by the unit tests below. Data
+    /// moves through the per-sender temp slots under the `2*seq` /
+    /// `2*seq + 1` handshake, chunked when `nreduce` exceeds a slot.
+    fn leaders_recursive_doubling<T: Reducible>(
+        &self,
+        op: ReduceOp,
+        dest: &Sym<T>,
+        nreduce: usize,
+        cl: &Cluster,
+    ) {
+        let (c, nc, me) = (cl.c, cl.nc, self.my_pe());
+        let p2 = largest_pow2_le(nc);
+        if c >= p2 {
+            let partner = cl.leader_pe(c - p2);
+            self.fold_into(dest, nreduce, partner);
+            let seq = self.next_seq(SEQ_PT2PT, partner, me);
+            // Doubled convention — see the module docs.
+            self.flag_wait_ge(self.layout.pt2pt_flags, partner, 2 * seq);
+            return;
+        }
+        if c + p2 < nc {
+            self.fold_from(op, dest, nreduce, cl.leader_pe(c + p2));
+        }
+        let mut k = 1usize;
+        while k < p2 {
+            self.exchange_combine(op, dest, nreduce, cl.leader_pe(c ^ k));
+            k <<= 1;
+        }
+        if c + p2 < nc {
+            let partner = cl.leader_pe(c + p2);
+            self.put_sym(dest, 0, dest, 0, nreduce, partner);
+            self.complete_puts();
+            let seq = self.next_seq(SEQ_PT2PT, partner, me);
+            self.flag_set(partner, self.layout.pt2pt_flags, me, 2 * seq);
+        }
     }
 
     /// Hierarchical broadcast with the topology-aligned cluster width.
@@ -235,16 +439,17 @@ impl ShmemCtx {
         root_rank: usize,
         set: ActiveSet,
     ) {
-        let cs = self.cluster_width(&set);
-        self.broadcast_hier_with(dest, source, nelems, root_rank, set, cs);
+        let rank = self.collective_checks(source, nelems, root_rank, set);
+        self.broadcast_clustered(dest, source, nelems, root_rank, &self.cluster_for(set, rank, None));
     }
 
     /// [`ShmemCtx::broadcast_hier`] with an explicit cluster width.
     ///
-    /// Ranks are rotated so the root is virtual rank 0 — the leader of
-    /// cluster 0 and the root of both tree levels. Per the OpenSHMEM
-    /// spec the root's `dest` is never written: virtual rank 0 has no
-    /// parent in either tree and forwards straight from `source`.
+    /// On the message trees ranks are rotated so the root is virtual
+    /// rank 0 — the leader of cluster 0 and the root of both tree
+    /// levels. Per the OpenSHMEM spec the root's `dest` is never
+    /// written: virtual rank 0 has no parent in either tree and
+    /// forwards straight from `source`.
     #[doc(hidden)]
     pub fn broadcast_hier_with<T: Bits>(
         &self,
@@ -255,8 +460,24 @@ impl ShmemCtx {
         set: ActiveSet,
         cs: usize,
     ) {
-        assert!(cs > 0, "cluster width must be positive");
-        let rank = self.collective_entry(source, nelems, root_rank, set);
+        let rank = self.collective_checks(source, nelems, root_rank, set);
+        self.broadcast_clustered(dest, source, nelems, root_rank, &self.cluster_for(set, rank, Some(cs)));
+    }
+
+    fn broadcast_clustered<T: Bits>(
+        &self,
+        dest: &Sym<T>,
+        source: &Sym<T>,
+        nelems: usize,
+        root_rank: usize,
+        cl: &Cluster,
+    ) {
+        if cl.aligned {
+            return self.broadcast_cells(dest, source, nelems, root_rank, cl);
+        }
+        let Cluster { set, cs, .. } = *cl;
+        let rank = cl.rank();
+        self.sync_set(set);
         let n = set.size;
         let me = self.my_pe();
         let vr = (rank + n - root_rank) % n;
@@ -282,7 +503,7 @@ impl ShmemCtx {
                     let child_pe = pe_of_v((c + span) * cs);
                     assert!(nelems <= dest.len(), "broadcast dest too small");
                     self.put_sym(dest, 0, &from, 0, nelems, child_pe);
-                    self.quiet();
+                    self.complete_puts();
                     let seq = self.next_seq(SEQ_PT2PT, child_pe, me);
                     self.flag_set(child_pe, self.layout.pt2pt_flags, me, 2 * seq);
                 }
@@ -302,13 +523,83 @@ impl ShmemCtx {
                 let child_pe = pe_of_v(c * cs + lvr + span);
                 assert!(nelems <= dest.len(), "broadcast dest too small");
                 self.put_sym(dest, 0, &from, 0, nelems, child_pe);
-                self.quiet();
+                self.complete_puts();
                 let seq = self.next_seq(SEQ_PT2PT, child_pe, me);
                 self.flag_set(child_pe, self.layout.pt2pt_flags, me, 2 * seq);
             }
             span <<= 1;
         }
-        self.barrier(set);
+        self.sync_set(set);
+    }
+
+    /// Broadcast on the cell pass: every leader pulls the root's
+    /// `source` once and copies it into each of its members' `dest`.
+    /// The root may overwrite `source` the moment it is released, so
+    /// its leader releases only after every other leader has signalled
+    /// that its pull is done. The root's own `dest` is never written.
+    fn broadcast_cells<T: Bits>(
+        &self,
+        dest: &Sym<T>,
+        source: &Sym<T>,
+        nelems: usize,
+        root_rank: usize,
+        cl: &Cluster,
+    ) {
+        self.complete_puts();
+        self.cell_pass(cl, || {
+            let me = self.my_pe();
+            let root_pe = cl.set.pe_at(root_rank);
+            let root_leader = cl.leader_pe(root_rank / cl.cs);
+            let from = if me == root_pe {
+                *source
+            } else {
+                self.get_sym(dest, 0, source, 0, nelems, root_pe);
+                *dest
+            };
+            if me != root_leader {
+                self.cell_signal(root_leader, cl.nc - 1);
+            }
+            for pe in cl.members().filter(|&pe| pe != root_pe) {
+                self.put_sym(dest, 0, &from, 0, nelems, pe);
+            }
+            if me == root_leader {
+                self.cell_await(cl.nc - 1);
+            }
+        });
+    }
+
+    /// `fcollect` on the cell pass: each leader assembles its cluster's
+    /// contiguous range in its own `dest`, pushes that range into every
+    /// other leader's `dest` and signals it, waits for the `nc - 1`
+    /// ranges it is owed, and copies the finished concatenation into
+    /// each member's `dest`.
+    pub(crate) fn fcollect_cells<T: Bits>(
+        &self,
+        dest: &Sym<T>,
+        source: &Sym<T>,
+        nelems: usize,
+        cl: &Cluster,
+    ) {
+        self.complete_puts();
+        self.cell_pass(cl, || {
+            let me = self.my_pe();
+            let first = cl.c * cl.cs * nelems;
+            self.put_sym(dest, first, source, 0, nelems, me);
+            for (i, pe) in cl.members().enumerate() {
+                self.get_sym(dest, first + (i + 1) * nelems, source, 0, nelems, pe);
+            }
+            // Start at our successor so the leaders do not all write
+            // into leader 0 first.
+            for d in 1..cl.nc {
+                let peer = cl.leader_pe((cl.c + d) % cl.nc);
+                self.put_sym(dest, first, dest, first, cl.m * nelems, peer);
+                self.cell_signal(peer, cl.nc - 1);
+            }
+            self.cell_await(cl.nc - 1);
+            for pe in cl.members() {
+                self.put_sym(dest, 0, dest, 0, cl.set.size * nelems, pe);
+            }
+        });
     }
 }
 

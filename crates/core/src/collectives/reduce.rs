@@ -64,7 +64,7 @@ impl ShmemCtx {
         set: ActiveSet,
         rank: usize,
     ) {
-        self.barrier(set);
+        self.sync_set(set);
         let root_pe = set.pe_at(0);
         if rank == 0 {
             // Fold every remote contribution into a local accumulator.
@@ -78,7 +78,7 @@ impl ShmemCtx {
                 self.compute(nreduce as f64 * REDUCE_CYCLES_PER_ELEMENT);
             }
             self.local_write(dest, 0, &acc);
-            self.quiet();
+            self.complete_puts();
             for r in 1..set.size {
                 let dest_pe = set.pe_at(r);
                 let bseq = self.next_seq(SEQ_BCAST, root_pe, dest_pe);
@@ -89,7 +89,7 @@ impl ShmemCtx {
             self.flag_wait_ge(self.layout.bcast_flags, root_pe, bseq);
             self.get_sym(dest, 0, dest, 0, nreduce, root_pe);
         }
-        self.barrier(set);
+        self.sync_set(set);
     }
 
     /// Recursive-doubling reduction (extension; Section IV-E future
@@ -104,7 +104,7 @@ impl ShmemCtx {
         set: ActiveSet,
         rank: usize,
     ) {
-        self.barrier(set);
+        self.sync_set(set);
         let n = set.size;
         let p2 = crate::collectives::hier::largest_pow2_le(n);
         // Start with our own contribution in dest.
@@ -135,12 +135,12 @@ impl ShmemCtx {
                 // Return the final result to the excess partner.
                 let partner = set.pe_at(rank + p2);
                 self.put_sym(dest, 0, dest, 0, nreduce, partner);
-                self.quiet();
+                self.complete_puts();
                 let seq = self.next_seq(SEQ_PT2PT, partner, self.my_pe());
                 self.flag_set(partner, self.layout.pt2pt_flags, me, 2 * seq);
             }
         }
-        self.barrier(set);
+        self.sync_set(set);
     }
 
     /// Per-sender slot inside a partition's temp region. Recursive
@@ -177,7 +177,7 @@ impl ShmemCtx {
             let n = (nreduce - done).min(cap);
             let seq = self.next_seq(SEQ_PT2PT, partner, self.my_pe());
             self.put_sym(&temp, 0, &dest.slice(done, n), 0, n, partner);
-            self.quiet();
+            self.complete_puts();
             self.flag_set(partner, self.layout.pt2pt_flags, me, 2 * seq);
             self.flag_wait_ge(self.layout.pt2pt_flags, partner, 2 * seq + 1);
             done += n;
@@ -225,7 +225,7 @@ impl ShmemCtx {
             let n = (nreduce - done).min(cap);
             let seq = self.next_seq(SEQ_PT2PT, partner, self.my_pe());
             self.put_sym(&my_slot, 0, &dest.slice(done, n), 0, n, partner);
-            self.quiet();
+            self.complete_puts();
             self.flag_set(partner, self.layout.pt2pt_flags, me, 2 * seq);
             self.flag_wait_ge(self.layout.pt2pt_flags, partner, 2 * seq);
             self.combine_from_temp(op, dest, done, n, &partner_slot);

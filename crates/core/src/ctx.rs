@@ -143,9 +143,20 @@ pub struct Stats {
     pub get_bytes: u64,
     /// Operations redirected through the interrupt service.
     pub redirected: u64,
+    /// Explicit barrier calls (`barrier`/`barrier_all`, including the
+    /// one inside `shmalloc`/`shfree`). The synchronisation a collective
+    /// does on its own behalf is not counted, so the number does not
+    /// depend on which transport carried the collective.
     pub barriers: u64,
     pub collectives: u64,
+    /// Atomic operations that completed. A `cswap` whose comparison
+    /// failed is a retry of its caller's claim loop, not an operation:
+    /// it counts in `cswap_retries`, so this stays schedule-independent.
     pub atomics: u64,
+    /// `cswap` calls that found another value than `cond` — as many as
+    /// the schedule made a claim loop spin, so never compared across
+    /// runs.
+    pub cswap_retries: u64,
     /// Non-blocking puts issued (`shmem_put_nbi` family).
     pub nbi_puts: u64,
     /// Non-blocking gets issued (`shmem_get_nbi` family).

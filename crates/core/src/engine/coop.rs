@@ -26,6 +26,9 @@
 //!   [`BlockedOn::Descheduled`]: runnable, just not scheduled. The
 //!   wall-clock watchdog must not treat that as a livelock symptom —
 //!   see [`crate::watch`] and `JobWatch::oversubscription`.
+//! * A context parked on a [`SyncCell`] is in no gate rotation at all;
+//!   the notify that satisfies it queues it on its gate on its behalf,
+//!   so it is woken exactly once, by its admission.
 //!
 //! The symmetric heap is sharded **per worker** ([`ShardedArena`]): one
 //! arena allocation per worker covering its PEs' partitions, located by
@@ -148,21 +151,23 @@ impl ShardedArena {
     }
 }
 
-/// One cache line of locality-barrier state, indexed by (leader) PE:
-/// word 0 counts member arrivals, word 1 is the release epoch. Backs
-/// the counter transport of the shard-aligned hierarchical barrier
+/// One cache line of locality-collective state, indexed by (leader)
+/// PE: word 0 counts arrivals, word 1 is the release epoch. Backs the
+/// counter-cell pass of the shard-aligned collectives
 /// (`Fabric::sync_cell_add` / `sync_cell_wait_change`); padded to a
 /// line so neighboring leaders' cells never false-share. `waiters`
 /// holds contexts parked in `sync_cell_wait_change` with their gate
-/// released — `sync_cell_notify` unparks them all in one sweep, so a
-/// 511-member cluster release costs one broadcast, not 511 messages.
+/// released — `sync_cell_notify` moves them onto their worker's gate
+/// FIFO, so the wake-up a waiter parks for *is* its gate grant: one
+/// park and one wake per member per pass, and a released cluster never
+/// stampedes the context that released it.
 #[repr(align(64))]
 pub struct SyncCell {
     pub words: [AtomicU64; 2],
-    /// Parked waiters per word — separate lists so the last-arrival
-    /// notify aimed at the leader (word 0) does not spuriously wake a
-    /// cluster of members parked on the epoch (word 1).
-    waiters: [Mutex<Vec<std::thread::Thread>>; 2],
+    /// Parked waiters `(context id, thread)` per word — separate lists
+    /// so the last-arrival notify aimed at the leader (word 0) does not
+    /// requeue a cluster of members parked on the epoch (word 1).
+    waiters: [Mutex<Vec<(usize, Thread)>>; 2],
 }
 
 impl Default for SyncCell {
@@ -281,6 +286,30 @@ impl CoopShared {
             self.granted[c].store(true, Ordering::Release);
             t.unpark();
         }
+    }
+
+    /// Queue parked context `ctx` for admission on its worker's gate on
+    /// its behalf (the notify half of a cell wait): it joins the FIFO
+    /// tail exactly as if it had called [`Self::gate_acquire`] now, so
+    /// admission order, one-holder exclusivity and the Release/Acquire
+    /// handoff are the gate's own. From here on the context is runnable
+    /// but unscheduled, which is what its probe must say.
+    fn gate_requeue(&self, ctx: usize, thread: Thread) {
+        let probes = if ctx < self.npes { &self.probes } else { &self.service_probes };
+        probes[ctx % self.npes].set_blocked(BlockedOn::Descheduled);
+        let g = &self.gates[self.worker_of(ctx)];
+        {
+            let mut inner = g.inner.lock();
+            if inner.held {
+                inner.queue.push_back((ctx, thread));
+                g.waiters.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            // Only a notifier on another worker finds the gate free.
+            inner.held = true;
+        }
+        self.granted[ctx].store(true, Ordering::Release);
+        thread.unpark();
     }
 
     /// Queued siblings on `ctx`'s worker gate.
@@ -787,47 +816,68 @@ impl Fabric for CoopFabric {
 
     fn sync_cell_wait_change(&self, pe: usize, word: usize, old: u64) -> u64 {
         let cell = &self.shared.sync_cells[pe];
-        // One yield-free check, then park. Gate-yielding "just in case"
-        // polls are a net loss here: a waiter that yields re-enters the
-        // FIFO and must be scheduled again merely to park, doubling its
-        // share of the rotation, while the change it hopes to catch
-        // (all siblings arriving plus the inter-leader exchange) is
-        // almost never one rotation away.
-        let cur = cell.words[word].load(Ordering::Acquire);
-        if cur != old {
-            return cur;
-        }
-        // Park with the gate released, exactly like the channel receive
-        // slow path: a parked waiter costs its worker nothing — it
-        // drops out of the gate rotation entirely until notified. The
-        // timeout bounds abort-detection latency, mirroring udn_recv.
-        self.set_blocked(BlockedOn::CellWait { pe });
-        self.gate_release();
-        let new = loop {
-            {
-                let mut w = cell.waiters[word].lock();
-                let cur = cell.words[word].load(Ordering::Acquire);
-                if cur != old {
-                    break cur;
-                }
-                // Re-arming after a timeout: drop our stale handle so
-                // the list holds each waiter once.
-                let id = std::thread::current().id();
-                w.retain(|t| t.id() != id);
-                w.push(std::thread::current());
+        loop {
+            // One yield-free check, then park. Gate-yielding "just in
+            // case" polls are a net loss here: a waiter that yields
+            // re-enters the FIFO and must be scheduled again merely to
+            // park, while the change it hopes to catch (all siblings
+            // arriving plus the inter-leader exchange) is almost never
+            // one rotation away.
+            let cur = cell.words[word].load(Ordering::Acquire);
+            if cur != old {
+                return cur;
             }
-            std::thread::park_timeout(std::time::Duration::from_millis(250));
+            // Park with the gate released: a parked waiter costs its
+            // worker nothing — it is in no gate rotation until a notify
+            // requeues it.
+            self.set_blocked(BlockedOn::CellWait { pe });
+            self.gate_release();
+            let listed = {
+                let mut w = cell.waiters[word].lock();
+                // Re-check under the list lock: a notifier changes the
+                // word before it drains the list, so either we see the
+                // change here or it sees us there.
+                let unchanged = cell.words[word].load(Ordering::Acquire) == old;
+                if unchanged {
+                    w.push((self.ctx, std::thread::current()));
+                }
+                unchanged
+            };
+            if !listed {
+                self.gate_reacquire();
+                self.set_blocked(BlockedOn::Running);
+                continue;
+            }
+            // The notifier queues us on our gate, so the wake-up we
+            // park for is the grant itself (same handoff flag as
+            // `gate_acquire`). The timeout only bounds abort latency.
+            while !self.shared.granted[self.ctx].swap(false, Ordering::Acquire) {
+                std::thread::park_timeout(std::time::Duration::from_millis(250));
+                if self.shared.aborted.load(Ordering::Acquire) {
+                    let mut w = cell.waiters[word].lock();
+                    if let Some(i) = w.iter().position(|(c, _)| *c == self.ctx) {
+                        // Still listed: no notifier has seen us, so no
+                        // gate will ever be granted to this context.
+                        w.remove(i);
+                        drop(w);
+                        self.abort_check();
+                    }
+                    // Otherwise a notifier already owns our entry: keep
+                    // waiting for the grant it queues and abort once
+                    // admitted, so the gate is never handed to a dead
+                    // context.
+                }
+            }
+            self.shared.holding[self.ctx].store(true, Ordering::Relaxed);
+            self.set_blocked(BlockedOn::Running);
             self.abort_check();
-        };
-        self.gate_reacquire();
-        self.set_blocked(BlockedOn::Running);
-        new
+        }
     }
 
     fn sync_cell_notify(&self, pe: usize, word: usize) {
         let mut w = self.shared.sync_cells[pe].waiters[word].lock();
-        for t in w.drain(..) {
-            t.unpark();
+        for (ctx, thread) in w.drain(..) {
+            self.shared.gate_requeue(ctx, thread);
         }
     }
 
@@ -1187,6 +1237,95 @@ mod tests {
             }
         });
         assert_eq!(order.lock().len(), 200);
+    }
+
+    /// Main-context fabrics over a fixture launch (their UDN endpoints
+    /// are a fabric of their own; the cell tests never send).
+    fn fabrics(shared: &Arc<CoopShared>) -> Vec<CoopFabric> {
+        udn::fabric::UdnFabric::new(shared.npes)
+            .into_iter()
+            .enumerate()
+            .map(|(pe, ep)| CoopFabric::new_probed(shared.clone(), pe, ep))
+            .collect()
+    }
+
+    /// Park context 1 on word `EPOCH` of PE 0's cell (both on one
+    /// worker) and return once it is listed there, gate released.
+    /// The thread yields what the wait returned, or the panic payload.
+    fn park_on_cell(
+        shared: &Arc<CoopShared>,
+        waiter: CoopFabric,
+    ) -> std::thread::JoinHandle<std::thread::Result<u64>> {
+        const EPOCH: usize = 1;
+        let t = std::thread::spawn(move || {
+            waiter.gate_enter();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                waiter.sync_cell_wait_change(0, EPOCH, 0)
+            }))
+        });
+        while shared.sync_cells[0].waiters[EPOCH].lock().is_empty() {
+            std::thread::yield_now();
+        }
+        t
+    }
+
+    #[test]
+    fn cell_notify_queues_the_waiter_on_the_gate_behind_the_notifier() {
+        let shared = gate_fixture(2, 2);
+        let mut fabs = fabrics(&shared);
+        let waiter = park_on_cell(&shared, fabs.pop().unwrap());
+        let notifier = fabs.pop().unwrap();
+        notifier.gate_enter();
+        notifier.sync_cell_add(0, 1, 1);
+        notifier.sync_cell_notify(0, 1);
+        // Moved from the cell to the gate FIFO, not woken: it cannot run
+        // before we let go of the gate, and its probe says so.
+        assert!(shared.sync_cells[0].waiters[1].lock().is_empty());
+        assert_eq!(shared.gate_waiters(0), 1);
+        assert!(!shared.granted[1].load(Ordering::Acquire));
+        assert!(!waiter.is_finished());
+        assert_eq!(shared.probes[1].blocked(), BlockedOn::Descheduled);
+        notifier.gate_release();
+        assert_eq!(waiter.join().unwrap().expect("waiter admitted"), 1);
+        assert!(shared.is_holding(1), "the wake-up is the gate grant");
+        assert_eq!(shared.probes[1].blocked(), BlockedOn::Running);
+    }
+
+    #[test]
+    fn aborted_cell_waiter_delists_itself_and_is_never_granted() {
+        let shared = gate_fixture(2, 2);
+        let mut fabs = fabrics(&shared);
+        let waiter = park_on_cell(&shared, fabs.pop().unwrap());
+        shared.aborted.store(true, Ordering::Release);
+        assert!(waiter.join().unwrap().is_err(), "parked waiter must unwind on abort");
+        assert!(!shared.is_holding(1), "it unwound without the gate");
+        assert!(shared.sync_cells[0].waiters[1].lock().is_empty());
+        // A late notify finds nobody: no gate is queued for the dead.
+        let notifier = fabs.pop().unwrap();
+        notifier.gate_enter();
+        notifier.sync_cell_notify(0, 1);
+        assert_eq!(shared.gate_waiters(0), 0);
+        notifier.gate_release();
+        assert!(!shared.gates[0].inner.lock().held);
+    }
+
+    #[test]
+    fn cell_waiter_already_queued_on_the_gate_aborts_on_admission() {
+        let shared = gate_fixture(2, 2);
+        let mut fabs = fabrics(&shared);
+        let waiter = park_on_cell(&shared, fabs.pop().unwrap());
+        let notifier = fabs.pop().unwrap();
+        notifier.gate_enter();
+        notifier.sync_cell_add(0, 1, 1);
+        notifier.sync_cell_notify(0, 1);
+        shared.aborted.store(true, Ordering::Release);
+        // Queued: it must take the grant it is owed before it dies, so
+        // the handoff chain behind it keeps moving (the launch scaffold
+        // releases the gate of a context that died holding it).
+        notifier.gate_release();
+        assert!(waiter.join().unwrap().is_err());
+        assert!(shared.is_holding(1));
+        assert_eq!(shared.gate_waiters(0), 0);
     }
 
     fn gate_fixture(npes: usize, block: usize) -> Arc<CoopShared> {

@@ -97,10 +97,10 @@ pub enum BlockedOn {
     /// it is making no progress only because M < N, not because its
     /// protocol is wedged.
     Descheduled,
-    /// Parked on the locality sync cell owned by `pe` (counter
-    /// transport of the shard-aligned hierarchical barrier): a member
-    /// waiting for the release epoch, or a leader waiting for member
-    /// arrivals.
+    /// Parked on the locality sync cell owned by `pe` (the counter-cell
+    /// pass of the shard-aligned collectives): a member waiting for the
+    /// release epoch, or a leader waiting for arrivals. Once a notify
+    /// has queued the waiter on its gate it reads `Descheduled`.
     CellWait { pe: usize },
 }
 
@@ -375,8 +375,8 @@ pub trait Fabric: Send {
     }
 
     /// Atomic fetch-add on locality sync cell `(pe, word)` — word 0 is
-    /// the arrival counter, word 1 the release epoch of the counter
-    /// transport used by the shard-aligned hierarchical barrier. Only
+    /// the arrival counter, word 1 the release epoch of the counter-cell
+    /// pass under the shard-aligned collectives. Only
     /// callable when [`topology_block`](Fabric::topology_block) is
     /// `Some` (the protocol layer gates on exactly that); engines
     /// without a topology keep the panicking default. AcqRel, so the
@@ -396,19 +396,19 @@ pub trait Fabric: Send {
     /// Block until cell `(pe, word)` reads something other than `old`,
     /// returning the new value. Wakeups ride
     /// [`sync_cell_notify`](Fabric::sync_cell_notify) — a change
-    /// without a notify may be observed late (the barrier protocol only
+    /// without a notify may be observed late (the cell pass only
     /// notifies on the transitions its waiters care about), but a
-    /// notified change is always observed. The engine may briefly
-    /// poll-yield before parking the context.
+    /// notified change is always observed.
     fn sync_cell_wait_change(&self, pe: usize, word: usize, old: u64) -> u64 {
         let _ = (pe, word, old);
         unreachable!("sync_cell_wait_change requires an engine with a worker topology")
     }
 
-    /// Wake every context parked in
+    /// Make every context parked in
     /// [`sync_cell_wait_change`](Fabric::sync_cell_wait_change) on
-    /// word `word` of `pe`'s cell; each woken waiter re-checks its own
-    /// condition.
+    /// word `word` of `pe`'s cell runnable again, in the order they
+    /// parked: each is queued for admission behind the caller, not
+    /// woken beside it, and re-checks its own condition once admitted.
     fn sync_cell_notify(&self, pe: usize, word: usize) {
         let _ = (pe, word);
         unreachable!("sync_cell_notify requires an engine with a worker topology")

@@ -41,16 +41,24 @@ impl ShmemCtx {
     /// Panics if this PE is not a member of `set` or the set exceeds the
     /// job size.
     pub fn barrier(&self, set: ActiveSet) {
+        self.stats.borrow_mut().barriers += 1;
+        self.sync_set(set);
+    }
+
+    /// [`ShmemCtx::barrier`] without the `Stats::barriers` count: the
+    /// synchronisation a collective does on its own behalf. Keeping it
+    /// out of the count makes `barriers` the number of barriers the
+    /// program asked for, whichever transport carried its collectives
+    /// (the counter-cell pass has no bracketing barriers to count).
+    pub(crate) fn sync_set(&self, set: ActiveSet) {
         assert!(set.max_pe() < self.n_pes(), "active set exceeds job");
         let rank = set
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set {set:?}", self.my_pe()));
-        self.stats.borrow_mut().barriers += 1;
         // Barrier completes outstanding nbi ops (it subsumes a quiet),
         // but without bumping the `quiets` counter — fence/quiet stats
         // stay attributable to the explicit entry points.
-        self.drain_pending();
-        self.fab.quiet();
+        self.complete_puts();
         if set.size == 1 {
             return;
         }
@@ -59,15 +67,13 @@ impl ShmemCtx {
             // serial) hops; upgrade them to the two-level tree. The
             // explicitly non-default choices are honored as configured.
             BarrierAlgo::Ring | BarrierAlgo::Dissemination if set.size > hier::FLAT_MAX => {
-                self.barrier_hier(set, rank, self.cluster_width(&set))
+                self.barrier_hier(&self.cluster_for(set, rank, None))
             }
             BarrierAlgo::Ring => self.barrier_ring(set, rank),
             BarrierAlgo::RootBroadcast => self.barrier_root_broadcast(set, rank),
             BarrierAlgo::TmcSpin => self.fab.tmc_spin_barrier(set.triplet()),
             BarrierAlgo::Dissemination => self.barrier_dissemination(set, rank),
-            BarrierAlgo::Hierarchical => {
-                self.barrier_hier(set, rank, self.cluster_width(&set))
-            }
+            BarrierAlgo::Hierarchical => self.barrier_hier(&self.cluster_for(set, rank, None)),
         }
     }
 
@@ -75,8 +81,7 @@ impl ShmemCtx {
     /// of the configured default).
     pub fn barrier_ring_explicit(&self, set: ActiveSet) {
         let rank = set.rank_of(self.my_pe()).expect("not in set");
-        self.drain_pending();
-        self.fab.quiet();
+        self.complete_puts();
         if set.size > 1 {
             self.barrier_ring(set, rank);
         }
@@ -85,8 +90,7 @@ impl ShmemCtx {
     /// Explicit root-broadcast barrier (for the ablation benches).
     pub fn barrier_root_broadcast_explicit(&self, set: ActiveSet) {
         let rank = set.rank_of(self.my_pe()).expect("not in set");
-        self.drain_pending();
-        self.fab.quiet();
+        self.complete_puts();
         if set.size > 1 {
             self.barrier_root_broadcast(set, rank);
         }
@@ -95,8 +99,7 @@ impl ShmemCtx {
     /// Explicit dissemination barrier (for the ablation benches).
     pub fn barrier_dissemination_explicit(&self, set: ActiveSet) {
         let rank = set.rank_of(self.my_pe()).expect("not in set");
-        self.drain_pending();
-        self.fab.quiet();
+        self.complete_puts();
         if set.size > 1 {
             self.barrier_dissemination(set, rank);
         }
@@ -105,7 +108,7 @@ impl ShmemCtx {
     /// Explicit hierarchical barrier (for the scaling benches), at the
     /// topology-aligned cluster width.
     pub fn barrier_hier_explicit(&self, set: ActiveSet) {
-        self.barrier_hier_with(set, self.cluster_width(&set));
+        self.barrier_hier_at(set, None);
     }
 
     /// [`ShmemCtx::barrier_hier_explicit`] with an explicit cluster
@@ -113,38 +116,38 @@ impl ShmemCtx {
     /// small sets.
     #[doc(hidden)]
     pub fn barrier_hier_with(&self, set: ActiveSet, cs: usize) {
-        assert!(cs > 0, "cluster width must be positive");
+        self.barrier_hier_at(set, Some(cs));
+    }
+
+    fn barrier_hier_at(&self, set: ActiveSet, width: Option<usize>) {
         let rank = set.rank_of(self.my_pe()).expect("not in set");
-        self.drain_pending();
-        self.fab.quiet();
+        self.complete_puts();
         if set.size > 1 {
-            self.barrier_hier(set, rank, cs);
+            self.barrier_hier(&self.cluster_for(set, rank, width));
         }
     }
 
-    /// Two-level barrier: binomial gather to each cluster leader,
-    /// dissemination across the `⌈n/cs⌉` leaders, binomial release back
-    /// down. Per edge and instance at most one token is outstanding, and
+    /// Two-level barrier. On shard-aligned clusters it is the
+    /// payload-free instance of the counter-cell pass
+    /// ([`ShmemCtx::cell_pass`]): no intra-cluster messages at all.
+    /// Elsewhere: binomial gather to each cluster leader, dissemination
+    /// across the `⌈n/cs⌉` leaders, binomial release back down. Per
+    /// edge and instance at most one token is outstanding, and
     /// gather/release tokens from the same sender are interchangeable
     /// across consecutive barriers (a later instance's token is strictly
     /// stronger evidence of arrival), so the `[id]`-only payload is safe
     /// under [`ShmemCtx::recv_matching`]'s stashing — the same argument
     /// as the flat dissemination rounds.
-    fn barrier_hier(&self, set: ActiveSet, rank: usize, cs: usize) {
-        if self.shard_aligned(&set, cs) {
-            return self.barrier_hier_cells(set, rank, cs);
+    fn barrier_hier(&self, cl: &hier::Cluster) {
+        if cl.aligned {
+            return self.cell_pass(cl, || {});
         }
+        let hier::Cluster { set, cs, c, lr, m, .. } = *cl;
         let id = set.ident();
-        let n = set.size;
-        let c = rank / cs;
-        let lr = rank % cs;
-        let m = hier::cluster_size(c, cs, n);
-        let nc = hier::n_clusters(n, cs);
 
-        // Gather: binomial reduction tree into the cluster leader. With
-        // shard-aligned clusters every gather edge is same-worker, so
-        // each absorbing recv carries the co-residency hint — the child
-        // is admitted by our own gate rotation, no condvar park needed.
+        // Gather: binomial reduction tree into the cluster leader; a
+        // co-resident child is admitted by our own gate rotation, so
+        // its recv carries the hint — no condvar park needed.
         let mut span = 1usize;
         while span < m {
             if lr % (2 * span) == span {
@@ -161,29 +164,11 @@ impl ShmemCtx {
             span <<= 1;
         }
 
-        // Leaders: flat dissemination over the clusters (aligned
-        // clusters put every leader on a distinct worker, so these
-        // recvs stay on the parked path).
-        if lr == 0 && nc > 1 {
-            let mut dist = 1usize;
-            let mut round = 0u64;
-            while dist < nc {
-                let to = set.pe_at(((c + dist) % nc) * cs);
-                let from = set.pe_at(((c + nc - dist) % nc) * cs);
-                self.send_draining(to, Q_BARRIER, TAG_BAR_HDISS, &[id, round]);
-                self.recv_matching_local(Q_BARRIER, self.fab.co_resident(from), |msg: &ProtoMsg| {
-                    msg.tag == TAG_BAR_HDISS
-                        && msg.payload.first() == Some(&id)
-                        && msg.payload.get(1) == Some(&round)
-                });
-                dist <<= 1;
-                round += 1;
-            }
-            debug_assert_eq!(round, u64::from(hier::diss_rounds(nc)));
+        if lr == 0 {
+            self.leader_dissemination(cl);
         }
 
-        // Release: binomial broadcast tree back down the cluster (the
-        // parent is same-worker under aligned clusters — hint as above).
+        // Release: binomial broadcast tree back down the cluster.
         if lr > 0 {
             let parent = set.pe_at(c * cs + hier::bcast_parent(lr));
             self.recv_matching_local(Q_BARRIER, self.fab.co_resident(parent), |msg: &ProtoMsg| {
@@ -200,83 +185,28 @@ impl ShmemCtx {
         }
     }
 
-    /// Counter transport of the hierarchical barrier, used when
-    /// clusters coincide exactly with the engine's worker shards
-    /// ([`ShmemCtx::shard_aligned`]): the intra-cluster gather and
-    /// release carry **no messages at all**. Members fetch-add their
-    /// leader's arrival cell (the last arriver notifies the parked
-    /// leader), the leader consumes `m - 1` arrivals, runs the
-    /// unchanged inter-leader dissemination over the channel (leaders
-    /// sit on distinct workers), bumps the release epoch, and wakes the
-    /// whole cluster with **one** notify sweep. Members wait on the
-    /// epoch through
-    /// [`sync_cell_wait_change`](crate::fabric::Fabric::sync_cell_wait_change)
-    /// — a short gate-yielding poll, then parked with the gate
-    /// released, so waiting members drop out of the FIFO rotation
-    /// instead of burning a thread wake per rotation per member.
-    /// Compared to the message path this removes every intra-cluster
-    /// send, packet accept, and per-edge condvar round trip — the point
-    /// of shard alignment.
-    ///
-    /// Correctness of cell reuse across instances: a member reads the
-    /// epoch *before* adding its arrival, so a release between those
-    /// two points still satisfies its wait; the leader subtracts the
-    /// arrivals it consumed *before* releasing, and no member can start
-    /// a later barrier (and re-add) until it is released from this one
-    /// — so counts from different instances, sets, or geometries never
-    /// mix. Ordering is AcqRel through the cells (see
-    /// [`crate::fabric::Fabric::sync_cell_add`]), giving the same
-    /// all-prior-writes-visible guarantee the message barrier gets from
-    /// channel edges. Every arrival and release is a counted op and
-    /// parked waiters publish [`BlockedOn::CellWait`], so the stall
-    /// watchdog both sees the barrier progressing and can name the cell
-    /// a wedged member is stuck on.
-    fn barrier_hier_cells(&self, set: ActiveSet, rank: usize, cs: usize) {
-        const ARRIVALS: usize = 0;
-        const EPOCH: usize = 1;
-        let n = set.size;
-        let c = rank / cs;
-        let lr = rank % cs;
-        let m = hier::cluster_size(c, cs, n);
-        let nc = hier::n_clusters(n, cs);
-        let leader = set.pe_at(c * cs);
-        if lr == 0 {
-            let mut cur = self.fab.sync_cell_load(leader, ARRIVALS);
-            while (cur as usize) < m - 1 {
-                cur = self.fab.sync_cell_wait_change(leader, ARRIVALS, cur);
-            }
-            // Consume exactly this instance's arrivals (wrapping add of
-            // the negation), restoring the cell for the next instance
-            // before anyone is released into it.
-            self.fab.sync_cell_add(leader, ARRIVALS, (m as u64 - 1).wrapping_neg());
-            if nc > 1 {
-                let id = set.ident();
-                let mut dist = 1usize;
-                let mut round = 0u64;
-                while dist < nc {
-                    let to = set.pe_at(((c + dist) % nc) * cs);
-                    self.send_draining(to, Q_BARRIER, TAG_BAR_HDISS, &[id, round]);
-                    self.recv_matching(Q_BARRIER, |msg: &ProtoMsg| {
-                        msg.tag == TAG_BAR_HDISS
-                            && msg.payload.first() == Some(&id)
-                            && msg.payload.get(1) == Some(&round)
-                    });
-                    dist <<= 1;
-                    round += 1;
-                }
-            }
-            self.fab.sync_cell_add(leader, EPOCH, 1);
-            self.fab.sync_cell_notify(leader, EPOCH);
-        } else {
-            let e0 = self.fab.sync_cell_load(leader, EPOCH);
-            // Only the arrival that completes the gather wakes the
-            // leader — intermediate arrivals change the count without a
-            // notify, which `sync_cell_wait_change` permits.
-            if self.fab.sync_cell_add(leader, ARRIVALS, 1) as usize == m - 2 {
-                self.fab.sync_cell_notify(leader, ARRIVALS);
-            }
-            self.fab.sync_cell_wait_change(leader, EPOCH, e0);
+    /// Flat dissemination over the cluster leaders (called by leaders
+    /// only): when it returns, every leader of the set has finished its
+    /// gather. Shard-aligned clusters put every leader on a distinct
+    /// worker, so these recvs stay on the parked path.
+    pub(crate) fn leader_dissemination(&self, cl: &hier::Cluster) {
+        let (c, nc) = (cl.c, cl.nc);
+        let id = cl.set.ident();
+        let mut dist = 1usize;
+        let mut round = 0u64;
+        while dist < nc {
+            let to = cl.leader_pe((c + dist) % nc);
+            let from = cl.leader_pe((c + nc - dist) % nc);
+            self.send_draining(to, Q_BARRIER, TAG_BAR_HDISS, &[id, round]);
+            self.recv_matching_local(Q_BARRIER, self.fab.co_resident(from), |msg: &ProtoMsg| {
+                msg.tag == TAG_BAR_HDISS
+                    && msg.payload.first() == Some(&id)
+                    && msg.payload.get(1) == Some(&round)
+            });
+            dist <<= 1;
+            round += 1;
         }
+        debug_assert_eq!(round, u64::from(hier::diss_rounds(nc)));
     }
 
     /// Dissemination barrier: in round k every member signals the member

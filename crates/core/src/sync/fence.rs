@@ -27,9 +27,17 @@ impl ShmemCtx {
     /// non-blocking ones — are complete and visible. This is the
     /// completion point for `put_nbi`/`get_nbi`.
     pub fn quiet(&self) {
+        self.complete_puts();
+        self.stats.borrow_mut().quiets += 1;
+    }
+
+    /// What `quiet` does, for the library's own use (barrier entry,
+    /// collective internals): `Stats::quiets` counts the application's
+    /// calls only, so it does not depend on which algorithm or
+    /// transport a collective ran on.
+    pub(crate) fn complete_puts(&self) {
         self.drain_pending();
         self.fab.quiet();
-        self.stats.borrow_mut().quiets += 1;
     }
 
     /// `shmem_fence`: ordering of puts per destination PE. Does **not**

@@ -55,3 +55,117 @@ fn jobs_after_an_aborted_job_still_work() {
     });
     assert_eq!(out, vec![5, 5, 5]);
 }
+
+// --- cell waiters (coop engine, >64 PEs on shard-aligned sets) -----------
+//
+// Members of a counter-cell pass park on their leader's cell with their
+// gate released and are woken by being queued on the gate. An abort has
+// to reach them in both places: still on the cell list (they take
+// themselves off it and unwind) or already queued (they are admitted,
+// then abort — a dead context is never handed a gate, or its siblings
+// would wait behind it forever).
+
+use std::sync::mpsc;
+use std::time::Duration;
+
+use tshmem::runtime::launch_coop;
+use tshmem::{Bits, Reducible};
+
+const SHARD: usize = 64;
+
+fn coop_cfg() -> RuntimeConfig {
+    RuntimeConfig::for_scale(2 * SHARD).with_partition_bytes(64 * 1024)
+}
+
+/// Run a 128-PE job on two workers (two shards of 64) that must die of
+/// a panic rather than complete or hang.
+fn must_abort(body: impl Fn(&ShmemCtx) + Send + Sync + 'static) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            launch_coop(&coop_cfg(), 2, body);
+        }));
+        let _ = tx.send(r.is_err());
+    });
+    match rx.recv_timeout(Duration::from_secs(120)) {
+        Ok(true) => {}
+        Ok(false) => panic!("the job completed; a PE was supposed to panic"),
+        Err(_) => panic!("the aborted job hung: a parked cell waiter never unwound"),
+    }
+}
+
+/// A fresh coop job after the wreck still runs its collectives.
+fn coop_still_works() {
+    let out = launch_coop(&coop_cfg(), 2, |ctx| {
+        let src = ctx.shmalloc::<u64>(1);
+        let dst = ctx.shmalloc::<u64>(1);
+        ctx.local_write(&src, 0, &[1]);
+        ctx.sum_to_all(&dst, &src, 1, ctx.world());
+        ctx.local_read(&dst, 0, 1)[0]
+    });
+    assert_eq!(out, vec![2 * SHARD as u64; 2 * SHARD]);
+}
+
+#[test]
+fn peer_panic_aborts_a_shard_parked_on_its_cell() {
+    // PE 5 never arrives: its leader waits on the arrival count with 62
+    // members parked behind it, and the other shard's 63 members sit on
+    // their cell while their leader waits in the leader exchange.
+    must_abort(|ctx| {
+        if ctx.my_pe() == 5 {
+            panic!("PE 5 exploded before the barrier");
+        }
+        ctx.barrier_all();
+    });
+    coop_still_works();
+}
+
+/// A reducible word whose fold blows up on a poisoned contribution.
+#[derive(Clone, Copy, PartialEq, Debug)]
+#[repr(transparent)]
+struct Fuse(u64);
+
+const POISON: u64 = 0xdead;
+
+// SAFETY: a transparent `u64`: every bit pattern is a valid value.
+unsafe impl Bits for Fuse {}
+
+impl Reducible for Fuse {
+    const SUPPORTS_BITWISE: bool = false;
+    const SUPPORTS_ORDER: bool = false;
+
+    fn reduce(_: ReduceOp, a: Self, b: Self) -> Self {
+        assert_ne!(b.0, POISON, "poisoned contribution reached the fold");
+        Fuse(a.0 + b.0)
+    }
+}
+
+#[test]
+fn leader_panic_between_gather_and_release_aborts_its_parked_members() {
+    // Only PE 70's word is poisoned and only its own leader (PE 64)
+    // folds it — after the gather, with all 63 members of the shard
+    // parked on the cell it will now never release.
+    must_abort(|ctx| {
+        let src = ctx.shmalloc::<Fuse>(1);
+        let dst = ctx.shmalloc::<Fuse>(1);
+        let mine = if ctx.my_pe() == SHARD + 6 { POISON } else { 1 };
+        ctx.local_write(&src, 0, &[Fuse(mine)]);
+        ctx.sum_to_all(&dst, &src, 1, ctx.world());
+    });
+    coop_still_works();
+}
+
+#[test]
+fn leader_panic_right_after_release_aborts_members_queued_on_its_gate() {
+    // The leader returns from the barrier still holding the gate its 63
+    // released members are queued on, and panics there: each of them is
+    // admitted in turn and must abort on admission.
+    must_abort(|ctx| {
+        ctx.barrier_all();
+        if ctx.my_pe() == 0 {
+            panic!("PE 0 exploded right after releasing its shard");
+        }
+        ctx.barrier_all();
+    });
+    coop_still_works();
+}

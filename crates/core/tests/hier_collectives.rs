@@ -1,7 +1,9 @@
 //! Flat-vs-hierarchical equivalence for the two-level collectives:
 //! exhaustive small set sizes (including every non-power-of-two shape a
 //! cluster boundary can produce) plus spot checks past 64 PEs, where the
-//! dispatcher auto-upgrades the flat defaults.
+//! dispatcher auto-upgrades the flat defaults — on the coop engine with
+//! shard-aligned world sets, to the counter-cell pass, whose safety
+//! envelope (DESIGN.md §6) the last group of tests leans on.
 
 use tshmem::prelude::*;
 use tshmem::runtime::{launch, launch_coop};
@@ -183,4 +185,198 @@ fn hier_barrier_at_96_pes_on_coop() {
         let writer = (pe + 95) % 96;
         assert_eq!(*v, writer as u64 + 1, "PE {pe}");
     }
+}
+
+// --- the counter-cell pass (coop engine, shard-aligned world set) --------
+
+/// `(PEs, workers)`: 4 even shards of 18; 3 shards of 32 (a
+/// non-power-of-two leader count); shards of 34, 34 and a short 32.
+const ALIGNED: [(usize, usize); 3] = [(72, 4), (96, 3), (100, 3)];
+
+fn scale_cfg(npes: usize) -> RuntimeConfig {
+    RuntimeConfig::for_scale(npes).with_partition_bytes(128 * 1024)
+}
+
+fn word(salt: u64, a: usize, b: usize) -> u64 {
+    (salt ^ ((a as u64) << 32 | b as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// `sum_to_all`, `broadcast` and `fcollect` back to back on the same
+/// buffers with no barrier in between, the broadcast root rotating
+/// through every rank (leaders, members, the last cluster's last
+/// member). Inputs change every round, so a value read too late, a
+/// result written too early, or one left over from the previous call
+/// fails its check. The root's `dest` must keep what the previous
+/// broadcast left there.
+#[test]
+fn fused_pass_back_to_back_reuses_buffers_with_rotating_root() {
+    const NR: usize = 4;
+    const NB: usize = 3;
+    const NF: usize = 2;
+    for (npes, workers) in ALIGNED {
+        launch_coop(&scale_cfg(npes), workers, move |ctx| {
+            let (n, me, world) = (ctx.n_pes(), ctx.my_pe(), ctx.world());
+            let rsrc = ctx.shmalloc::<u64>(NR);
+            let rdst = ctx.shmalloc::<u64>(NR);
+            let bsrc = ctx.shmalloc::<u64>(NB);
+            let bdst = ctx.shmalloc::<u64>(NB);
+            let fsrc = ctx.shmalloc::<u64>(NF);
+            let fdst = ctx.shmalloc::<u64>(NF * n);
+            let mut bdst_holds = vec![u64::MAX; NB];
+            ctx.local_write(&bdst, 0, &bdst_holds);
+            for root in 0..n {
+                let round = root;
+                let mine: Vec<u64> = (0..NR).map(|i| word(0x51, round * n + me, i) >> 8).collect();
+                ctx.local_write(&rsrc, 0, &mine);
+                ctx.sum_to_all(&rdst, &rsrc, NR, world);
+                let want: Vec<u64> = (0..NR)
+                    .map(|i| (0..n).map(|pe| word(0x51, round * n + pe, i) >> 8).sum())
+                    .collect();
+                assert_eq!(ctx.local_read(&rdst, 0, NR), want, "sum: npes={n} PE {me} round {round}");
+
+                let sent: Vec<u64> = (0..NB).map(|i| word(0xb2, round, i)).collect();
+                if me == root {
+                    ctx.local_write(&bsrc, 0, &sent);
+                } else {
+                    bdst_holds.clone_from(&sent);
+                }
+                ctx.broadcast(&bdst, &bsrc, NB, root, world);
+                assert_eq!(
+                    ctx.local_read(&bdst, 0, NB),
+                    bdst_holds,
+                    "broadcast: npes={n} PE {me} root {root}"
+                );
+
+                let mine: Vec<u64> = (0..NF).map(|i| word(0xf3, round * n + me, i)).collect();
+                ctx.local_write(&fsrc, 0, &mine);
+                ctx.fcollect(&fdst, &fsrc, NF, world);
+                let want: Vec<u64> = (0..n * NF)
+                    .map(|x| word(0xf3, round * n + x / NF, x % NF))
+                    .collect();
+                assert_eq!(ctx.local_read(&fdst, 0, NF * n), want, "fcollect: npes={n} PE {me} round {round}");
+            }
+        });
+    }
+}
+
+/// A static-class (private-segment) broadcast `dest`: the leader writes
+/// its parked members' private segments directly, and a static `source`
+/// on a root in another shard is pulled through that root's service
+/// context while the root itself stays parked.
+#[test]
+fn fused_broadcast_into_static_dest() {
+    launch_coop(&scale_cfg(72), 4, |ctx| {
+        let me = ctx.my_pe();
+        let dyn_src = ctx.shmalloc::<u64>(5);
+        let stat_src = ctx.static_sym::<u64>(5);
+        let dst = ctx.static_sym::<u64>(5);
+        // Roots: a leader, a member of the first shard, the last PE.
+        for (k, root) in [0usize, 7, 18, 71].into_iter().enumerate() {
+            for (j, src) in [dyn_src, stat_src].into_iter().enumerate() {
+                let sent: Vec<u64> = (0..5).map(|i| word(0x57, 2 * k + j, i)).collect();
+                if me == root {
+                    ctx.local_write(&src, 0, &sent);
+                }
+                ctx.local_write(&dst, 0, &[0; 5]);
+                ctx.broadcast(&dst, &src, 5, root, ctx.world());
+                let want = if me == root { vec![0; 5] } else { sent };
+                assert_eq!(ctx.local_read(&dst, 0, 5), want, "PE {me} root {root} source {j}");
+            }
+        }
+    });
+}
+
+/// `nreduce` above the per-sender temp-slot capacity (the leaders'
+/// recursive doubling must chunk: 16 KiB of temp over 96 PEs is 21 u64
+/// per slot), and zero-length calls of all three, which must
+/// synchronize and touch nothing.
+#[test]
+fn fused_pass_chunks_large_reductions_and_accepts_zero_lengths() {
+    const BIG: usize = 100;
+    launch_coop(&scale_cfg(96), 3, |ctx| {
+        let (n, me, world) = (ctx.n_pes(), ctx.my_pe(), ctx.world());
+        let src = ctx.shmalloc::<u64>(BIG);
+        let dst = ctx.shmalloc::<u64>(BIG);
+        let all = ctx.shmalloc::<u64>(n);
+        let mine: Vec<u64> = (0..BIG).map(|i| word(0xc4, me, i)).collect();
+        ctx.local_write(&src, 0, &mine);
+        for op in [ReduceOp::Xor, ReduceOp::Max] {
+            ctx.reduce(op, &dst, &src, BIG, world);
+            let want: Vec<u64> = (0..BIG)
+                .map(|i| {
+                    let vals = (0..n).map(|pe| word(0xc4, pe, i));
+                    match op {
+                        ReduceOp::Xor => vals.fold(0, |a, b| a ^ b),
+                        _ => vals.max().unwrap(),
+                    }
+                })
+                .collect();
+            assert_eq!(ctx.local_read(&dst, 0, BIG), want, "PE {me} {op:?}");
+        }
+
+        ctx.local_write(&dst, 0, &[7; BIG]);
+        ctx.local_write(&all, 0, &vec![9; n]);
+        ctx.reduce(ReduceOp::Sum, &dst, &src, 0, world);
+        ctx.broadcast(&dst, &src, 0, 40, world);
+        ctx.fcollect(&all, &src, 0, world);
+        assert_eq!(ctx.local_read(&dst, 0, BIG), vec![7; BIG], "PE {me}: zero-length call wrote dest");
+        assert_eq!(ctx.local_read(&all, 0, n), vec![9; n], "PE {me}: zero-length fcollect wrote dest");
+    });
+}
+
+/// Sets that meet on one leader. 140 PEs on 2 workers shard 70 + 70, so
+/// `[0, 66)` starts on a shard boundary but stops inside the shard: on
+/// PE 0's cell its arrivals would be indistinguishable from those of
+/// PEs 66..70 entering the world call that follows, so it must stay on
+/// the message trees. PE 65 is held back until those four have entered
+/// the world `sum_to_all`; a subset pass that counted them would fold
+/// PE 65's `source` before PE 65 wrote it. `[70, 140)` covers its
+/// shard whole and does share PE 70's cell with the world set — the
+/// same 69 members in the same program order.
+#[test]
+fn sets_sharing_a_leader_do_not_mix_arrivals() {
+    let cfg = RuntimeConfig::for_scale(140).with_partition_bytes(64 * 1024);
+    launch_coop(&cfg, 2, |ctx| {
+        let (n, me) = (ctx.n_pes(), ctx.my_pe());
+        let src = ctx.shmalloc::<u64>(1);
+        let dst = ctx.shmalloc::<u64>(1);
+        let all = ctx.shmalloc::<u64>(n);
+        let go = ctx.shmalloc::<u64>(1);
+        ctx.barrier_all();
+
+        let partial = ActiveSet::new(0, 0, 66);
+        if me == n - 1 {
+            std::thread::sleep(std::time::Duration::from_millis(300));
+            ctx.put(&go, 0, &[1u64], 65);
+        }
+        if me < 66 {
+            if me == 65 {
+                ctx.wait_until(&go, 0, Cmp::Ne, 0u64);
+            }
+            ctx.local_write(&src, 0, &[me as u64 + 1]);
+            ctx.sum_to_all(&dst, &src, 1, partial);
+            assert_eq!(ctx.local_read(&dst, 0, 1)[0], 66 * 67 / 2, "partial-shard sum on PE {me}");
+        }
+        ctx.local_write(&src, 0, &[1]);
+        ctx.sum_to_all(&dst, &src, 1, ctx.world());
+        assert_eq!(ctx.local_read(&dst, 0, 1)[0], n as u64, "world sum on PE {me}");
+
+        let shard = ActiveSet::new(70, 0, 70);
+        if me >= 70 {
+            ctx.local_write(&src, 0, &[word(0xd5, me, 0)]);
+            ctx.sum_to_all(&dst, &src, 1, shard);
+            let want = (70..n).map(|pe| word(0xd5, pe, 0)).fold(0u64, u64::wrapping_add);
+            assert_eq!(ctx.local_read(&dst, 0, 1)[0], want, "whole-shard sum on PE {me}");
+            ctx.broadcast(&dst, &src, 1, 69, shard);
+            if me != n - 1 {
+                assert_eq!(ctx.local_read(&dst, 0, 1)[0], word(0xd5, n - 1, 0), "whole-shard broadcast on PE {me}");
+            }
+            ctx.fcollect(&all, &src, 1, shard);
+            let want: Vec<u64> = (70..n).map(|pe| word(0xd5, pe, 0)).collect();
+            assert_eq!(ctx.local_read(&all, 0, 70), want, "whole-shard fcollect on PE {me}");
+        }
+        ctx.fcollect(&all, &src, 1, ctx.world());
+        let want: Vec<u64> = (0..n).map(|pe| if pe < 70 { 1 } else { word(0xd5, pe, 0) }).collect();
+        assert_eq!(ctx.local_read(&all, 0, n), want, "world fcollect on PE {me}");
+    });
 }

@@ -321,7 +321,10 @@ fn bench_coop_arms(
 /// one with locality on (shard-aligned `*_local` rows).
 /// `hier_over_flat` < 1.0 means the hierarchical barrier beat flat
 /// dissemination; `local_speedup` > 1.0 means the shard-aligned
-/// locality path beat the span-32 channel path.
+/// locality path beat the span-32 channel path;
+/// `reduce_over_barrier_local` is how many barriers one 8-word reduce
+/// costs on the same counter-cell pass (host-speed independent; the
+/// hermetic gate holds it ≤ 2 at 256 PEs).
 fn run_coop_suite(args: &Args) {
     let out = args.out.clone().unwrap_or_else(|| "BENCH_coop.json".to_string());
     // (npes, iters, reps): message count per flat barrier grows as
@@ -369,7 +372,9 @@ fn run_coop_suite(args: &Args) {
              \"reduce_hier\": {{\"ns_per_op\": {reduce:.1}}}, \
              \"reduce_hier_local\": {{\"ns_per_op\": {reduce_local:.1}}}}}, \
              \"hier_over_flat\": {ratio:.4}, \
-             \"local_speedup\": {speedup:.4}}}{}\n",
+             \"local_speedup\": {speedup:.4}, \
+             \"reduce_over_barrier_local\": {:.4}}}{}\n",
+            reduce_local / hier_local,
             if i + 1 < scales.len() { "," } else { "" }
         ));
     }

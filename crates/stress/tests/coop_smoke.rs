@@ -9,7 +9,8 @@
 use std::time::Duration;
 
 use stress::program::{gen_program_v, RngDraw, GEN_V3, GEN_V4};
-use stress::run::{run_coop, Outcome};
+use stress::run::{run_coop, watch_closure_coop, Outcome};
+use tshmem::prelude::*;
 
 const SEED: u64 = 0x7453484d454d5031;
 
@@ -67,4 +68,42 @@ fn coop_smoke_bounded_queues() {
     let prog = gen_program_v(&mut RngDraw::new(SEED, 2), 64, GEN_V3);
     let hint = format!("--seed {SEED:#x} --case 2 --npes 64 --depth 2 --gen 3 --engine coop --workers 2");
     assert_completed(run_coop(&prog, Some(2), 2, Duration::from_secs(5), &hint), "64 PEs depth 2");
+}
+
+#[test]
+fn watchdog_names_the_cell_and_the_pe_that_never_arrived() {
+    // 72 PEs on 4 workers (shards of 18). One seeded non-leader sits in
+    // a flag wait instead of entering `sum_to_all`: its leader parks on
+    // its own cell short of one arrival, the shard's members park on
+    // that cell behind it, and the other leaders wait in the leader
+    // exchange. The report must say all of that, and how to rerun it.
+    const SHARD: usize = 18;
+    let pick = (SEED % (4 * (SHARD as u64 - 1))) as usize;
+    let missing = pick / (SHARD - 1) * SHARD + 1 + pick % (SHARD - 1);
+    let leader = missing / SHARD * SHARD;
+    let label = format!("cell wedge --seed {SEED:#x}: PE {missing} skips a 72-PE sum_to_all on 4 workers");
+    let cfg = RuntimeConfig::for_scale(72);
+    let outcome = watch_closure_coop(&cfg, 4, Duration::from_millis(100), &label, move |ctx| {
+        let src = ctx.shmalloc::<u64>(1);
+        let dst = ctx.shmalloc::<u64>(1);
+        let never = ctx.shmalloc::<u64>(1);
+        if ctx.my_pe() == missing {
+            ctx.wait_until(&never, 0, Cmp::Ne, 0u64);
+        }
+        ctx.sum_to_all(&dst, &src, 1, ctx.world());
+    });
+    let Outcome::Stalled(report) = outcome else {
+        panic!("a collective missing one member completed");
+    };
+    let line = |pe: usize| {
+        let head = format!("  PE {pe}: ");
+        report.lines().find(|l| l.starts_with(&head)).unwrap_or_else(|| panic!("no line for PE {pe} in:\n{report}"))
+    };
+    let on_cell = format!("cell-wait@PE{leader}");
+    assert!(line(leader).contains(&on_cell), "leader not parked on its own cell:\n{report}");
+    let sibling = if missing == leader + 1 { leader + 2 } else { leader + 1 };
+    assert!(line(sibling).contains(&on_cell), "member not parked on its leader's cell:\n{report}");
+    assert!(line(missing).contains("flag-wait@"), "the missing PE is not named as waiting elsewhere:\n{report}");
+    assert!(line((leader + SHARD) % 72).contains("recv(q0)"), "other leaders not in the leader exchange:\n{report}");
+    assert!(report.contains(&format!("--seed {SEED:#x}")), "no reproducer in:\n{report}");
 }

@@ -17,7 +17,9 @@
 //! Lives in its own test binary because the locality knob is
 //! process-global and may only flip between launches (see fault.rs).
 
-use stress::program::{gen_program_v, Program, RngDraw, GEN_V4};
+use stress::program::{
+    coll_steps, gen_program_v, CollKind, Program, RngDraw, Step, COLL_L, GEN_V4,
+};
 use stress::run::{build_cfg, run_on_ctx};
 use tshmem::prelude::*;
 use tshmem::runtime::launch_coop;
@@ -48,6 +50,28 @@ fn coop_stats(
     stats
 }
 
+/// Append a world-set reduce, broadcast (root: a non-leader of the last
+/// shard) and `fcollect` to `prog`, so a >64-PE case is guaranteed to
+/// run all three payload collectives on the counter-cell pass in the
+/// on-arm and on the message trees in the off-arm, whatever the seed
+/// drew.
+fn with_world_collectives(mut prog: Program) -> Program {
+    let n = prog.npes;
+    let kinds = [
+        CollKind::Reduce { op: 0 },
+        CollKind::Bcast { root_rank: n - 3 },
+        CollKind::Fcollect,
+    ];
+    for (k, kind) in kinds.into_iter().enumerate() {
+        let vals = (0..n)
+            .map(|r| (0..COLL_L).map(|i| ((k * n + r) * COLL_L + i) as u64 * 0x9E37).collect())
+            .collect();
+        let idx = coll_steps(&prog);
+        prog.steps.push(Step::Coll { kind, set: (0, 0, n), idx, vals });
+    }
+    prog
+}
+
 #[test]
 fn locality_on_and_off_agree_on_state_and_api_stats() {
     let forced_hier = Algorithms {
@@ -63,14 +87,22 @@ fn locality_on_and_off_agree_on_state_and_api_stats() {
     // case 2: 96 PEs / 2 workers — past the 64-member threshold the
     //   dispatcher auto-upgrades barriers to hierarchical, so the cells
     //   transport engages without forcing algorithms (block = 48).
+    // case 3: 100 PEs / 3 workers (shards of 34, 34 and a short 32, an
+    //   odd leader count) at default algorithms, with a world reduce,
+    //   broadcast and fcollect appended: the three payload collectives
+    //   on the fused cell pass against their message-tree references.
     let cases = [
         (0u64, 24usize, 3usize, None, Some(forced_hier)),
         (1, 16, 4, Some(2), None),
         (2, 96, 2, None, None),
+        (3, 100, 3, None, Some(Algorithms::default())),
     ];
     let mut hits_on = 0u64;
     for (case, npes, workers, depth, algos) in cases {
-        let prog = gen_program_v(&mut RngDraw::new(SEED, case), npes, GEN_V4);
+        let mut prog = gen_program_v(&mut RngDraw::new(SEED, case), npes, GEN_V4);
+        if case == 3 {
+            prog = with_world_collectives(prog);
+        }
         // Each run oracle-checks its own final state internally, so
         // passing both checks proves state equivalence; the Stats
         // comparison pins the API-visible operation counts on top.

@@ -28,10 +28,10 @@ fn native_stats(prog: &stress::program::Program, eager: bool) -> Vec<Stats> {
     out
 }
 
-/// Spin-retry counts (cswap loops, lock claims) are timing-dependent;
+/// Failed `cswap` attempts (claim-loop retries) are timing-dependent;
 /// everything else in `Stats` is deterministic per program.
 fn normalized(mut s: Stats) -> Stats {
-    s.atomics = 0;
+    s.cswap_retries = 0;
     s
 }
 

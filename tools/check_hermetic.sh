@@ -91,8 +91,12 @@ echo "== scaling smoke (coop suite, 64/256/1024 PEs, schema-checked) =="
 # finishing at all is part of the check) and emit well-formed JSON with
 # both barrier algorithms plus the locality-on ablation rows measured
 # at every scale, and the resolved worker count recorded (never the
-# raw `0` auto-size request). Ratios are reported, not enforced — the
-# committed BENCH_coop.json is the reference trajectory.
+# raw `0` auto-size request). Speed ratios against the committed
+# BENCH_coop.json are reported, not enforced; one ratio *inside* the
+# run is: at 256 PEs a shard-aligned 8-word reduce rides the same
+# counter-cell pass as the barrier, so it may cost at most two of them
+# whatever the host's speed (it cost 4.5 before the fused pass, 18 at
+# 1024 PEs).
 ./target/release/microbench --coop-suite --quick --out BENCH_coop_smoke.json
 python3 - <<'PYEOF'
 import json
@@ -110,9 +114,14 @@ for e in doc["entries"]:
                  "barrier_hier_local", "reduce_hier", "reduce_hier_local"):
         ns = e["benchmarks"][name]["ns_per_op"]
         assert ns > 0, f"{e['npes']} PEs {name}: non-positive ns_per_op"
+    rob = e["reduce_over_barrier_local"]
     print(f"  {e['npes']:5d} PEs  hier/flat {e['hier_over_flat']:.3f}  "
-          f"locality speedup {e['local_speedup']:.2f}x")
-print("coop scaling smoke: schema OK")
+          f"locality speedup {e['local_speedup']:.2f}x  reduce/barrier {rob:.2f}")
+    if e["npes"] == 256:
+        assert rob <= 2.0, (
+            f"256 PEs: reduce_hier_local is {rob:.2f}x barrier_hier_local (gate: <= 2) — "
+            "the reduce has left the counter-cell pass or grown a second synchronization")
+print("coop scaling smoke: schema + reduce/barrier gate OK")
 PYEOF
 rm -f BENCH_coop_smoke.json
 
