@@ -29,7 +29,7 @@ fn fft2d_matches_serial_reference_various_pe_counts() {
 fn fft2d_on_timed_engine_matches_and_times() {
     let fcfg = Fft2dConfig { n: 32, seed: 7, ..Fft2dConfig::default() };
     let expect = serial_checksum(&fcfg);
-    let out = tshmem::launch_timed(&cfg(4, 2), move |ctx| fft2d_shmem(ctx, &fcfg));
+    let out = Launcher::new(&cfg(4, 2), TimedBackend).run(move |ctx| fft2d_shmem(ctx, &fcfg));
     for r in &out.values {
         let rel = (r.checksum - expect).abs() / expect;
         assert!(rel < 1e-4);
@@ -54,7 +54,7 @@ fn fft2d_transpose_modes_match_serial_reference() {
                 assert!(rel < 1e-4, "{mode:?} npes {npes}: checksum {} vs {expect}", r.checksum);
             }
         }
-        let timed = tshmem::launch_timed(&cfg(4, 2), move |ctx| fft2d_shmem(ctx, &fcfg));
+        let timed = Launcher::new(&cfg(4, 2), TimedBackend).run(move |ctx| fft2d_shmem(ctx, &fcfg));
         for r in &timed.values {
             let rel = (r.checksum - expect).abs() / expect;
             assert!(rel < 1e-4, "{mode:?} timed: checksum {} vs {expect}", r.checksum);
@@ -88,7 +88,7 @@ fn cbir_on_timed_engine_speeds_up_with_pes() {
         ..CbirConfig::default()
     };
     let t = |npes: usize| {
-        let out = tshmem::launch_timed(&cfg(npes, 1), move |ctx| cbir_shmem(ctx, &ccfg));
+        let out = Launcher::new(&cfg(npes, 1), TimedBackend).run(move |ctx| cbir_shmem(ctx, &ccfg));
         out.values[0].elapsed_ns
     };
     let t1 = t(1);
@@ -106,7 +106,7 @@ fn fft2d_timed_speedup_shows_serial_transpose_plateau() {
     // sublinear by 16 PEs (the Figure 13 plateau mechanism).
     let fcfg = Fft2dConfig { n: 128, seed: 3, ..Fft2dConfig::default() };
     let t = |npes: usize| {
-        let out = tshmem::launch_timed(&cfg(npes, 2), move |ctx| fft2d_shmem(ctx, &fcfg));
+        let out = Launcher::new(&cfg(npes, 2), TimedBackend).run(move |ctx| fft2d_shmem(ctx, &fcfg));
         out.values[0].elapsed_ns
     };
     let t1 = t(1);

@@ -24,7 +24,7 @@ fn cfg(device: Device) -> RuntimeConfig {
 fn latency(device: Device) {
     println!("# osu latency ({}): put one-way, us", device.name);
     println!("bytes\tus");
-    let out = tshmem::launch_timed(&cfg(device), |ctx| {
+    let out = Launcher::new(&cfg(device), TimedBackend).run(|ctx| {
         let me = ctx.my_pe();
         let buf = ctx.shmalloc::<u8>(*SIZES.last().unwrap());
         let flag = ctx.shmalloc::<i64>(1);
@@ -65,7 +65,7 @@ fn bandwidth(device: Device, bidirectional: bool) {
     let label = if bidirectional { "bi-bw" } else { "bw" };
     println!("# osu {label} ({}): streaming put, MB/s", device.name);
     println!("bytes\tMB/s");
-    let out = tshmem::launch_timed(&cfg(device), move |ctx| {
+    let out = Launcher::new(&cfg(device), TimedBackend).run(move |ctx| {
         let me = ctx.my_pe();
         let buf = ctx.shmalloc::<u8>(*SIZES.last().unwrap());
         let src = ctx.shmalloc::<u8>(*SIZES.last().unwrap());
@@ -97,7 +97,7 @@ fn bandwidth(device: Device, bidirectional: bool) {
 /// osu_oshm_put_mr: 8-byte message rate.
 fn message_rate(device: Device) {
     println!("# osu message rate ({}): 8-byte puts", device.name);
-    let out = tshmem::launch_timed(&cfg(device), |ctx| {
+    let out = Launcher::new(&cfg(device), TimedBackend).run(|ctx| {
         let buf = ctx.shmalloc::<u64>(4096);
         ctx.barrier_all();
         let n = 4096;
@@ -125,7 +125,7 @@ fn barrier(device: Device) {
         let c = RuntimeConfig::for_device(device, npes)
             .with_partition_bytes(1 << 20)
             .with_private_bytes(1 << 14);
-        let out = tshmem::launch_timed(&c, |ctx| {
+        let out = Launcher::new(&c, TimedBackend).run(|ctx| {
             ctx.barrier_all();
             let t0 = ctx.time_ns();
             for _ in 0..ITERS {

@@ -46,8 +46,8 @@ impl ShmemCtx {
         // gather below stays for everything else.
         if set.size > hier::FLAT_MAX {
             let cl = self.cluster_for(set, rank, None);
-            if cl.aligned {
-                return self.fcollect_cells(dest, source, nelems, &cl);
+            if let Some(cells) = cl.cells {
+                return self.fcollect_cells(cells, dest, source, nelems, &cl);
             }
         }
         self.sync_set(set);

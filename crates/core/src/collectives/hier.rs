@@ -36,6 +36,7 @@
 
 use crate::active_set::ActiveSet;
 use crate::ctx::{ShmemCtx, SEQ_PT2PT};
+use crate::fabric::Locality;
 use crate::symm::{Bits, Sym};
 use crate::types::{Reducible, ReduceOp};
 
@@ -101,7 +102,7 @@ const EPOCH: usize = 1;
 
 /// One rank's place in the clustering of `set` at width `cs`.
 #[derive(Clone, Copy)]
-pub(crate) struct Cluster {
+pub(crate) struct Cluster<'a> {
     pub set: ActiveSet,
     pub cs: usize,
     /// This rank's cluster and its rank inside it (0 = the leader).
@@ -110,13 +111,14 @@ pub(crate) struct Cluster {
     /// Members in this cluster (the last may be short); clusters in all.
     pub m: usize,
     pub nc: usize,
-    /// Clusters are whole worker shards: the collective runs on
-    /// [`ShmemCtx::cell_pass`] instead of the message trees.
-    pub aligned: bool,
+    /// Set when clusters are whole worker shards: the collective runs
+    /// on [`ShmemCtx::cell_pass`] over these sync cells instead of the
+    /// message trees.
+    pub cells: Option<&'a dyn Locality>,
 }
 
-impl Cluster {
-    fn new(set: ActiveSet, rank: usize, cs: usize, aligned: bool) -> Self {
+impl<'a> Cluster<'a> {
+    fn new(set: ActiveSet, rank: usize, cs: usize, cells: Option<&'a dyn Locality>) -> Self {
         assert!(cs > 0, "cluster width must be positive");
         let c = rank / cs;
         Self {
@@ -126,7 +128,7 @@ impl Cluster {
             lr: rank % cs,
             m: cluster_size(c, cs, set.size),
             nc: n_clusters(set.size, cs),
-            aligned,
+            cells,
         }
     }
 
@@ -162,15 +164,16 @@ impl ShmemCtx {
     /// like native/timed/multichip engines, strided sets and locality
     /// off, on the message trees at the span-≤[`CLUSTER`] default. An
     /// explicit `width` is aligned only if it *is* the aligned width.
-    pub(crate) fn cluster_for(&self, set: ActiveSet, rank: usize, width: Option<usize>) -> Cluster {
+    pub(crate) fn cluster_for(&self, set: ActiveSet, rank: usize, width: Option<usize>) -> Cluster<'_> {
         let end = set.start + set.size;
-        let shard = self.fab.topology_block().filter(|&b| {
+        let shards = self.fab.locality().filter(|loc| {
+            let b = loc.topology_block();
             set.log2_stride == 0
                 && set.start.is_multiple_of(b)
                 && (end.is_multiple_of(b) || end == self.n_pes())
         });
-        let cs = width.or(shard).unwrap_or(CLUSTER);
-        Cluster::new(set, rank, cs, shard == Some(cs))
+        let cs = width.or(shards.map(|loc| loc.topology_block())).unwrap_or(CLUSTER);
+        Cluster::new(set, rank, cs, shards.filter(|loc| loc.topology_block() == cs))
     }
 
     /// One gather → leaders → release pass over a shard-aligned
@@ -203,26 +206,26 @@ impl ShmemCtx {
     /// ([`ShmemCtx::cluster_for`]): all of them have the same `m - 1`
     /// members here, and those members call them in one order.
     /// Ordering is AcqRel through the cells (see
-    /// [`crate::fabric::Fabric::sync_cell_add`]), giving the same
+    /// [`Locality::sync_cell_add`]), giving the same
     /// all-prior-writes-visible guarantee the message barrier gets from
     /// channel edges. Every arrival and release is a counted op and
     /// parked waiters publish
     /// [`BlockedOn::CellWait`](crate::fabric::BlockedOn::CellWait), so
     /// the stall watchdog both sees the pass progressing and can name
     /// the cell a wedged member is stuck on.
-    pub(crate) fn cell_pass(&self, cl: &Cluster, lead: impl FnOnce()) {
+    pub(crate) fn cell_pass(&self, cells: &dyn Locality, cl: &Cluster, lead: impl FnOnce()) {
         let leader = cl.leader_pe(cl.c);
         if cl.lr > 0 {
-            let e0 = self.fab.sync_cell_load(leader, EPOCH);
-            self.cell_signal(leader, cl.m - 1);
-            self.fab.sync_cell_wait_change(leader, EPOCH, e0);
+            let e0 = cells.sync_cell_load(leader, EPOCH);
+            self.cell_signal(cells, leader, cl.m - 1);
+            cells.sync_cell_wait_change(leader, EPOCH, e0);
             return;
         }
-        self.cell_await(cl.m - 1);
+        self.cell_await(cells, cl.m - 1);
         self.leader_dissemination(cl);
         lead();
-        self.fab.sync_cell_add(leader, EPOCH, 1);
-        self.fab.sync_cell_notify(leader, EPOCH);
+        cells.sync_cell_add(leader, EPOCH, 1);
+        cells.sync_cell_notify(leader, EPOCH);
     }
 
     /// Add one arrival to `leader`'s cell; the one that completes
@@ -232,9 +235,9 @@ impl ShmemCtx {
     /// "my copy into/out of your buffers is done" inside `lead` — the
     /// two never overlap on one cell, since a leader inside `lead` has
     /// consumed its gather and its members stay parked.
-    fn cell_signal(&self, leader: usize, count: usize) {
-        if self.fab.sync_cell_add(leader, ARRIVALS, 1) as usize + 1 == count {
-            self.fab.sync_cell_notify(leader, ARRIVALS);
+    fn cell_signal(&self, cells: &dyn Locality, leader: usize, count: usize) {
+        if cells.sync_cell_add(leader, ARRIVALS, 1) as usize + 1 == count {
+            cells.sync_cell_notify(leader, ARRIVALS);
         }
     }
 
@@ -242,13 +245,13 @@ impl ShmemCtx {
     /// arrivals are in, then consume exactly those (wrapping add of the
     /// negation), restoring the cell before anyone is released into its
     /// next use.
-    fn cell_await(&self, count: usize) {
+    fn cell_await(&self, cells: &dyn Locality, count: usize) {
         let me = self.my_pe();
-        let mut cur = self.fab.sync_cell_load(me, ARRIVALS);
+        let mut cur = cells.sync_cell_load(me, ARRIVALS);
         while (cur as usize) < count {
-            cur = self.fab.sync_cell_wait_change(me, ARRIVALS, cur);
+            cur = cells.sync_cell_wait_change(me, ARRIVALS, cur);
         }
-        self.fab.sync_cell_add(me, ARRIVALS, (count as u64).wrapping_neg());
+        cells.sync_cell_add(me, ARRIVALS, (count as u64).wrapping_neg());
     }
 
     /// Hierarchical reduction with the topology-aligned cluster width
@@ -293,12 +296,12 @@ impl ShmemCtx {
         cl: &Cluster,
     ) {
         let me = self.my_pe();
-        if cl.aligned {
+        if let Some(cells) = cl.cells {
             // The leader folds its parked members' `source` straight
             // into its own `dest`, reduces across the leaders, and
             // hands every member the result.
             self.complete_puts();
-            return self.cell_pass(cl, || {
+            return self.cell_pass(cells, cl, || {
                 self.put_sym(dest, 0, source, 0, nreduce, me);
                 for pe in cl.members() {
                     self.fold_peer_source(op, dest, source, nreduce, pe);
@@ -472,8 +475,8 @@ impl ShmemCtx {
         root_rank: usize,
         cl: &Cluster,
     ) {
-        if cl.aligned {
-            return self.broadcast_cells(dest, source, nelems, root_rank, cl);
+        if let Some(cells) = cl.cells {
+            return self.broadcast_cells(cells, dest, source, nelems, root_rank, cl);
         }
         let Cluster { set, cs, .. } = *cl;
         let rank = cl.rank();
@@ -539,6 +542,7 @@ impl ShmemCtx {
     /// that its pull is done. The root's own `dest` is never written.
     fn broadcast_cells<T: Bits>(
         &self,
+        cells: &dyn Locality,
         dest: &Sym<T>,
         source: &Sym<T>,
         nelems: usize,
@@ -546,7 +550,7 @@ impl ShmemCtx {
         cl: &Cluster,
     ) {
         self.complete_puts();
-        self.cell_pass(cl, || {
+        self.cell_pass(cells, cl, || {
             let me = self.my_pe();
             let root_pe = cl.set.pe_at(root_rank);
             let root_leader = cl.leader_pe(root_rank / cl.cs);
@@ -557,13 +561,13 @@ impl ShmemCtx {
                 *dest
             };
             if me != root_leader {
-                self.cell_signal(root_leader, cl.nc - 1);
+                self.cell_signal(cells, root_leader, cl.nc - 1);
             }
             for pe in cl.members().filter(|&pe| pe != root_pe) {
                 self.put_sym(dest, 0, &from, 0, nelems, pe);
             }
             if me == root_leader {
-                self.cell_await(cl.nc - 1);
+                self.cell_await(cells, cl.nc - 1);
             }
         });
     }
@@ -575,13 +579,14 @@ impl ShmemCtx {
     /// each member's `dest`.
     pub(crate) fn fcollect_cells<T: Bits>(
         &self,
+        cells: &dyn Locality,
         dest: &Sym<T>,
         source: &Sym<T>,
         nelems: usize,
         cl: &Cluster,
     ) {
         self.complete_puts();
-        self.cell_pass(cl, || {
+        self.cell_pass(cells, cl, || {
             let me = self.my_pe();
             let first = cl.c * cl.cs * nelems;
             self.put_sym(dest, first, source, 0, nelems, me);
@@ -593,9 +598,9 @@ impl ShmemCtx {
             for d in 1..cl.nc {
                 let peer = cl.leader_pe((cl.c + d) % cl.nc);
                 self.put_sym(dest, first, dest, first, cl.m * nelems, peer);
-                self.cell_signal(peer, cl.nc - 1);
+                self.cell_signal(cells, peer, cl.nc - 1);
             }
-            self.cell_await(cl.nc - 1);
+            self.cell_await(cells, cl.nc - 1);
             for pe in cl.members() {
                 self.put_sym(dest, 0, dest, 0, cl.set.size * nelems, pe);
             }

@@ -1,13 +1,11 @@
 //! The engine contract: every engine is one [`EngineBackend`] behind
 //! one generic [`Launcher`](crate::runtime::Launcher).
 //!
-//! Before this module, `runtime.rs` held five hand-rolled `launch*`
-//! variants that each re-implemented the PE/service scaffolding (layout
-//! validation, fabric construction, `ShmemCtx` setup, service-context
-//! wiring, result collection) and drifted apart on observability — the
-//! multichip engine could hang silently and returned `trace: None`.
-//! Now the scaffolding lives here once, and the cross-cutting planes —
-//! [`JobWatch`]/[`TimedWatch`] probes, the seeded
+//! The PE/service scaffolding (layout validation, fabric construction,
+//! `ShmemCtx` setup, service-context wiring, result collection) exists
+//! once per clock domain — [`run_wall`](super::wall) for the wall-clock
+//! engines, `run_coop_lps` here for the virtual-time ones — and the
+//! cross-cutting planes — [`JobWatch`]/[`TimedWatch`] probes, the seeded
 //! [`FaultPlan`](crate::fault::FaultPlan), per-PE introspection, and
 //! trace collection — compose uniformly over any backend.
 //!
@@ -16,19 +14,24 @@
 //! A backend supplies three things:
 //!
 //! 1. **a spawn model** — how `total_pes` contexts plus their
-//!    interrupt-service contexts come to run ([`NativeBackend`] spawns
-//!    real threads; the coop backends run every context as a desim LP);
+//!    interrupt-service contexts come to run (the wall-clock backends
+//!    spawn a real thread per context, admitted freely or through a
+//!    per-worker gate; the virtual-time backends run every context as
+//!    a desim LP);
 //! 2. **a fabric factory** — the per-context [`Fabric`] wiring the
 //!    protocol code to the engine's cost/transport model;
 //! 3. **a watch binding** — how the backend attaches the launcher's
 //!    [`WatchPlane`] so liveness detection and fault diagnosis work.
 //!
-//! Adding a fourth backend (sharded, remote, …) means implementing
-//! [`EngineBackend::execute`] — the launcher, watchdogs, fault plane,
-//! and trace plumbing come for free. The two virtual-time backends
-//! share even more: the credit-tracked UDN queue model, per-LP probes,
-//! and trace plumbing live in [`CoopCore`]/[`CoopLp`], so the timed and
-//! multichip fabrics differ only in their wire-cost computation.
+//! There are four backends over three fabrics.
+//! [`NativeBackend`](super::wall::NativeBackend) and
+//! [`CoopBackend`](super::coop::CoopBackend) are the two admission
+//! policies of the wall fabric. [`TimedBackend`] and
+//! [`MultiChipBackend`] share the credit-tracked UDN queue model,
+//! per-LP probes and trace plumbing of [`CoopCore`]/[`CoopLp`] below,
+//! so their fabrics differ only in the wire-cost computation. Another
+//! backend means implementing [`EngineBackend::execute`] — the
+//! launcher, watchdogs, fault plane and trace plumbing come with it.
 
 use std::sync::Arc;
 
@@ -375,10 +378,10 @@ impl CoopLp {
 pub struct EngineOutcome<R> {
     /// Per-PE return values, indexed by PE.
     pub values: Vec<R>,
-    /// Each PE's final virtual clock (empty on the native engine, whose
-    /// clock is the wall).
+    /// Each PE's final virtual clock (empty on the wall-clock engines).
     pub clocks: Vec<SimTime>,
-    /// The simulated makespan (max final clock; `ZERO` natively).
+    /// The simulated makespan (max final clock; `ZERO` on the wall-clock
+    /// engines).
     pub makespan: SimTime,
     /// Operation trace, when enabled with `RuntimeConfig::with_trace`.
     pub trace: Option<Vec<TraceEvent>>,
@@ -392,10 +395,10 @@ pub struct EngineOutcome<R> {
 pub enum WatchPlane<'a> {
     /// No liveness plane attached.
     None,
-    /// Native wall-clock watchdog.
-    Native(&'a JobWatch),
-    /// Coop (timed/multichip) drained-queue watchdog.
-    Coop(Arc<TimedWatch>),
+    /// Wall-clock watchdog (native and coop engines).
+    Wall(&'a JobWatch),
+    /// Virtual-time (timed/multichip) drained-queue watchdog.
+    Virtual(Arc<TimedWatch>),
 }
 
 /// One execution engine, as consumed by the generic
@@ -481,122 +484,14 @@ fn coop_observer(
 ) -> Option<Arc<dyn desim::coop::CoopObserver>> {
     match watch {
         WatchPlane::None => None,
-        WatchPlane::Coop(w) => {
+        WatchPlane::Virtual(w) => {
             w.attach(core.clone());
             Some(w.clone() as Arc<dyn desim::coop::CoopObserver>)
         }
-        WatchPlane::Native(_) => panic!(
+        WatchPlane::Wall(_) => panic!(
             "a JobWatch polls wall time and cannot observe the {engine} engine; \
              attach a TimedWatch instead"
         ),
-    }
-}
-
-/// The native engine: one real thread per PE, real shared memory,
-/// wall-clock time.
-pub struct NativeBackend;
-
-impl EngineBackend for NativeBackend {
-    fn name(&self) -> &'static str {
-        "native"
-    }
-
-    fn execute<R, F>(&self, cfg: &RuntimeConfig, watch: &WatchPlane<'_>, f: F) -> EngineOutcome<R>
-    where
-        R: Send,
-        F: Fn(&ShmemCtx) -> R + Send + Sync,
-    {
-        use crate::engine::native::{NativeFabric, NativeShared};
-        use cachesim::homing::Homing;
-        use tmc::common::CommonMemory;
-        use udn::fabric::UdnFabric;
-
-        let native_watch = match watch {
-            WatchPlane::None => None,
-            WatchPlane::Native(w) => Some(*w),
-            WatchPlane::Coop(_) => panic!(
-                "a TimedWatch is the virtual-time scheduler's observer and cannot watch \
-                 the native engine; attach a JobWatch instead"
-            ),
-        };
-        let layout = cfg.layout();
-        let endpoints = match cfg.udn_queue_packets {
-            Some(p) => UdnFabric::new_bounded(cfg.npes, p),
-            None => UdnFabric::new(cfg.npes),
-        };
-        // The watch needs a sink for "last event per PE" stall dumps
-        // even when the caller did not ask for a trace.
-        // One lock-free lane per PE main thread plus one per interrupt-
-        // service thread; writers never contend.
-        let sink = (cfg.trace || native_watch.is_some())
-            .then(|| Arc::new(crate::trace::TraceSink::with_lanes(2 * cfg.npes)));
-        let waker = endpoints[0].sender();
-        let shared = Arc::new(NativeShared {
-            arena: CommonMemory::new(cfg.npes * cfg.partition_bytes, Homing::HashForHome),
-            privates: (0..cfg.npes)
-                .map(|pe| CommonMemory::new(cfg.private_bytes, Homing::Local(pe)))
-                .collect(),
-            npes: cfg.npes,
-            partition_bytes: cfg.partition_bytes,
-            device: cfg.device,
-            start: crate::engine::native::FastClock::new(),
-            spin_barriers: Mutex::new(std::collections::HashMap::new()),
-            aborted: std::sync::atomic::AtomicBool::new(false),
-            waker,
-            probes: (0..cfg.npes).map(|_| Arc::new(PeProbe::new())).collect(),
-            service_probes: (0..cfg.npes).map(|_| Arc::new(PeProbe::new())).collect(),
-            trace: sink.clone(),
-        });
-        if let Some(w) = native_watch {
-            w.attach(shared.clone(), endpoints.clone());
-        }
-
-        // Interrupt-service contexts: one thread per PE, consuming only
-        // Q_SERVICE of that PE's endpoint. Each carries the PE's
-        // *service* probe so a stall inside a handler is attributed to
-        // the handler.
-        let service_threads: Vec<_> = (0..cfg.npes)
-            .map(|pe| {
-                let fab = NativeFabric::new_service(shared.clone(), pe, endpoints[pe].clone());
-                std::thread::Builder::new()
-                    .name(format!("shmem-svc-{pe}"))
-                    .spawn(move || service_loop(&fab))
-                    .expect("spawn service thread")
-            })
-            .collect();
-
-        let values = tmc::task::run_on_tiles(cfg.npes, |pe| {
-            let fab = NativeFabric::new_probed(shared.clone(), pe, endpoints[pe].clone());
-            let ctx = ShmemCtx::new(Box::new(fab), layout, cfg.algos, cfg.private_bytes);
-            // If any PE panics, flag the job so peers blocked in
-            // protocol waits abort instead of hanging (SHMEM jobs are
-            // all-or-nothing), then re-raise the original panic.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&ctx))) {
-                Ok(r) => {
-                    ctx.finalize();
-                    r
-                }
-                Err(p) => {
-                    // Flag the job and wake everything parked in a
-                    // blocking receive — peers and service threads
-                    // alike (SHMEM jobs are all-or-nothing).
-                    shared.abort();
-                    std::panic::resume_unwind(p);
-                }
-            }
-        });
-
-        for t in service_threads {
-            t.join().expect("service thread panicked");
-        }
-        EngineOutcome {
-            values,
-            clocks: Vec::new(),
-            makespan: SimTime::ZERO,
-            // Only a caller-requested trace is returned; the
-            // watch-only sink stays with the watch.
-            trace: cfg.trace.then(|| sink.expect("sink exists when tracing").take()),
-        }
     }
 }
 

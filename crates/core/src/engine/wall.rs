@@ -1,0 +1,970 @@
+//! The wall-clock engine: real threads, real shared memory, real UDN
+//! channels, wall time — one data plane under two admission policies.
+//!
+//! Every context (PE main + interrupt-service) is a real OS thread
+//! running the same [`WallFabric`]. What differs between the native
+//! engine and the cooperative M:N engine is only *admission*: when a
+//! context may touch the fabric and how it waits. That is the
+//! [`Admission`] policy, a type parameter, so each instantiation is
+//! compiled with its own hooks inlined:
+//!
+//! * [`Free`] (the native engine, [`NativeBackend`]) admits every
+//!   context always. Each gate hook is an empty inline function, the
+//!   arena is one shard addressed without division, and every context
+//!   owns a trace lane.
+//! * [`Gated`](super::coop::Gated) (the coop engine,
+//!   [`CoopBackend`](super::coop::CoopBackend)) admits one running
+//!   context per worker through a FIFO gate, shards the arena and the
+//!   trace lanes per worker, and offers the [`Locality`] capability.
+//!
+//! A policy may decide when a context runs, how long it spins before it
+//! yields or parks, and how often a waiter checks for job abort. It may
+//! not decide what an operation does or what it counts: every byte
+//! moved, every probe bump, trace event and fault-plane tick below is
+//! policy-independent (DESIGN.md §6).
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use cachesim::homing::Homing;
+use substrate::sync::Mutex;
+use tmc::common::CommonMemory;
+use udn::fabric::{UdnEndpoint, UdnFabric};
+
+use crate::ctx::ShmemCtx;
+use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
+use crate::fabric::{BlockedOn, Fabric, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth};
+use crate::runtime::RuntimeConfig;
+use crate::server::ArenaPool;
+use crate::service::{service_loop, TAG_ABORT};
+use crate::trace::{TraceEvent, TraceKind, TraceSink};
+
+/// Cheap wall-clock for trace timestamps: the invariant TSC scaled to
+/// nanoseconds (one `rdtsc` is ~2x cheaper than `clock_gettime` here,
+/// and trace records are the data plane's hottest timestamp consumer).
+/// The TSC rate is calibrated once per process against the monotonic
+/// clock; non-x86 builds fall back to `Instant`.
+pub struct FastClock {
+    base: Instant,
+    #[cfg(target_arch = "x86_64")]
+    base_tsc: u64,
+    #[cfg(target_arch = "x86_64")]
+    ns_per_tick: f64,
+}
+
+#[cfg(target_arch = "x86_64")]
+fn tsc_ns_per_tick() -> f64 {
+    use std::sync::OnceLock;
+    static RATE: OnceLock<f64> = OnceLock::new();
+    *RATE.get_or_init(|| {
+        // Calibrate over ~200 us of busy-waiting; the invariant TSC is
+        // stable enough that this once-per-process sample holds.
+        let t0 = Instant::now();
+        let c0 = unsafe { core::arch::x86_64::_rdtsc() };
+        while t0.elapsed() < Duration::from_micros(200) {
+            std::hint::spin_loop();
+        }
+        let dt = t0.elapsed().as_nanos() as f64;
+        let dc = (unsafe { core::arch::x86_64::_rdtsc() } - c0) as f64;
+        if dc > 0.0 {
+            dt / dc
+        } else {
+            0.0 // non-monotonic TSC: treat every tick as zero ns and
+                // let `max(ns)` degrade to coarse Instant readings
+        }
+    })
+}
+
+impl FastClock {
+    pub fn new() -> Self {
+        Self {
+            base: Instant::now(),
+            #[cfg(target_arch = "x86_64")]
+            base_tsc: unsafe { core::arch::x86_64::_rdtsc() },
+            #[cfg(target_arch = "x86_64")]
+            ns_per_tick: tsc_ns_per_tick(),
+        }
+    }
+
+    /// Nanoseconds since the clock was created.
+    #[inline]
+    pub fn now_ns(&self) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if self.ns_per_tick > 0.0 {
+                let dc = unsafe { core::arch::x86_64::_rdtsc() }.wrapping_sub(self.base_tsc);
+                return (dc as f64 * self.ns_per_tick) as u64;
+            }
+        }
+        self.base.elapsed().as_nanos() as u64
+    }
+}
+
+impl Default for FastClock {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// When a context may touch the fabric, and how it paces its waits —
+/// the one thing the wall-clock engines differ in (see the module
+/// docs for what a policy may and may not decide).
+///
+/// The value is the policy's per-launch state handle, cloned into every
+/// context's fabric: zero-sized for [`Free`], a shared gate set for
+/// [`Gated`](super::coop::Gated). Context ids are `pe` for a PE's main
+/// context and `npes + pe` for its interrupt-service context.
+pub trait Admission: Clone + Send + Sync + 'static {
+    /// Engine name, for diagnostics and thread names.
+    const NAME: &'static str;
+    /// Whether the arena has more than one shard. `false` compiles the
+    /// shard arithmetic out of every access.
+    const SHARDED: bool;
+    /// Failed polls of one wait before `wait_pause` yields the thread
+    /// instead of spinning.
+    const YIELD_AFTER: u32;
+    /// A polling wait checks the abort flag every this many polls.
+    const ABORT_CHECK_EVERY: u32;
+
+    /// Pause between the opportunistic polls that precede a parked
+    /// receive.
+    fn poll_pause();
+
+    /// How many of the job's `2 * npes` contexts can run at once. Each
+    /// gets a single-writer trace lane, and the ratio of contexts to
+    /// this is the oversubscription a stall watchdog scales by.
+    fn running_contexts(&self, npes: usize) -> usize;
+
+    /// The trace lane context `ctx` writes to.
+    fn lane(&self, ctx: usize) -> usize;
+
+    /// Block until `ctx` is admitted. While it queues, `probe` (if any)
+    /// reads [`BlockedOn::Descheduled`].
+    fn acquire(&self, ctx: usize, probe: Option<&PeProbe>);
+
+    /// Give up `ctx`'s admission (around a genuine wait, or at exit).
+    fn release(&self, ctx: usize);
+
+    /// Whether `ctx` is currently admitted *and* must release before it
+    /// exits — consulted by the panic-cleanup path.
+    fn is_holding(&self, ctx: usize) -> bool;
+
+    /// Whether other contexts are waiting for `ctx`'s admission slot, so
+    /// a spinning `ctx` should yield it.
+    fn contended(&self, ctx: usize) -> bool;
+
+    /// The locality capability of a fabric under this policy, if any.
+    fn locality(fab: &WallFabric<Self>) -> Option<&dyn Locality>;
+
+    /// Erase a context's fabric to the trait object protocol code runs
+    /// on. Each policy implements this itself (as `Box::new(fab)`)
+    /// rather than the launch body doing it generically: the launch
+    /// body is generic over the job closure and so is compiled in the
+    /// caller's crate, and the coercion would drag a private copy of
+    /// the whole data plane there with it. From a non-generic function
+    /// it is compiled once, here.
+    fn erase(fab: WallFabric<Self>) -> Box<dyn Fabric>;
+}
+
+/// Free admission — the native engine: one thread per context, each
+/// always admitted, the OS scheduler the only arbiter.
+#[derive(Clone, Copy, Default)]
+pub struct Free;
+
+impl Admission for Free {
+    const NAME: &'static str = "native";
+    const SHARDED: bool = false;
+    const YIELD_AFTER: u32 = 1024;
+    const ABORT_CHECK_EVERY: u32 = 65536;
+
+    /// In a protocol round trip the reply usually arrives within a
+    /// scheduler quantum, and a yield is cheaper than a condvar park
+    /// plus futex wake — especially when PEs outnumber cores.
+    #[inline(always)]
+    fn poll_pause() {
+        std::thread::yield_now();
+    }
+
+    fn running_contexts(&self, npes: usize) -> usize {
+        2 * npes
+    }
+
+    #[inline(always)]
+    fn lane(&self, ctx: usize) -> usize {
+        ctx
+    }
+
+    #[inline(always)]
+    fn acquire(&self, _ctx: usize, _probe: Option<&PeProbe>) {}
+
+    #[inline(always)]
+    fn release(&self, _ctx: usize) {}
+
+    #[inline(always)]
+    fn is_holding(&self, _ctx: usize) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn contended(&self, _ctx: usize) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn locality(_fab: &WallFabric<Self>) -> Option<&dyn Locality> {
+        None
+    }
+
+    fn erase(fab: WallFabric<Self>) -> Box<dyn Fabric> {
+        Box::new(fab)
+    }
+}
+
+/// The symmetric-heap arena in per-worker shards: shard `w` is one
+/// contiguous allocation holding the partitions of PEs
+/// `[w*block, min(npes, (w+1)*block))`. Global offsets locate their
+/// shard by pure arithmetic — every single access stays inside one PE's
+/// partition (the `ShmemCtx::go` contract), so only the explicit
+/// arena-to-arena copy ever has to consider two shards. Under an
+/// unsharded policy there is one shard and no arithmetic at all.
+pub struct ShardedArena {
+    pub(crate) shards: Vec<Arc<CommonMemory>>,
+    /// Bytes per shard (the last shard may be shorter).
+    span: usize,
+}
+
+impl ShardedArena {
+    pub(crate) fn new(npes: usize, block: usize, partition_bytes: usize) -> Self {
+        let shards = (0..npes.div_ceil(block))
+            .map(|w| {
+                let pes = ((w + 1) * block).min(npes) - w * block;
+                CommonMemory::new(pes * partition_bytes, Homing::HashForHome)
+            })
+            .collect();
+        Self::from_shards(shards, block, partition_bytes)
+    }
+
+    /// Wrap a shard set checked out of an [`ArenaPool`] — the pool
+    /// guarantees shapes match the launch geometry and that every shard
+    /// was scrubbed of the previous tenant's bytes.
+    pub(crate) fn from_shards(shards: Vec<Arc<CommonMemory>>, block: usize, partition_bytes: usize) -> Self {
+        Self {
+            shards,
+            span: block * partition_bytes,
+        }
+    }
+
+    /// The shard holding global offset `off`, and `off` within it.
+    #[inline]
+    pub(crate) fn shard<P: Admission>(&self, off: usize) -> (&CommonMemory, usize) {
+        if P::SHARDED {
+            let w = off / self.span;
+            (&self.shards[w], off - w * self.span)
+        } else {
+            (&self.shards[0], off)
+        }
+    }
+
+    pub(crate) fn copy<P: Admission>(&self, dst: usize, src: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let (d, dlocal) = self.shard::<P>(dst);
+        let (s, slocal) = self.shard::<P>(src);
+        if std::ptr::eq(d, s) {
+            d.copy_within(dlocal, slocal, len);
+        } else {
+            CommonMemory::copy_between(d, dlocal, s, slocal, len);
+        }
+    }
+}
+
+/// Shared, immutable state of one wall-clock launch — what a
+/// [`JobWatch`](crate::watch::JobWatch) attaches to.
+pub struct WallShared {
+    pub arena: ShardedArena,
+    pub privates: Vec<Arc<CommonMemory>>,
+    pub npes: usize,
+    pub partition_bytes: usize,
+    pub device: tile_arch::device::Device,
+    pub start: FastClock,
+    /// Lazily-created TMC spin barriers, one per distinct active set.
+    pub spin_barriers: Mutex<HashMap<(usize, u32, usize), Arc<SpinBarrier>>>,
+    /// Set when any PE panics, so PEs blocked in protocol waits abort
+    /// instead of hanging the job (SHMEM jobs are all-or-nothing).
+    pub aborted: AtomicBool,
+    /// Per-PE progress/blocked-state probes (watchdog introspection).
+    pub probes: Vec<Arc<PeProbe>>,
+    /// Per-PE probes for the interrupt-service contexts, so a stall
+    /// inside a redirected-RMA handler is attributed to the handler
+    /// rather than showing up only as its clients' reply waits.
+    pub service_probes: Vec<Arc<PeProbe>>,
+    /// Wall-clock operation trace, when enabled; one lock-free lane per
+    /// context that can run at once.
+    pub trace: Option<Arc<TraceSink>>,
+    /// Send-side fabric handle for abort wakeups (can reach every tile).
+    pub waker: udn::fabric::UdnSender,
+    /// Contexts per running context (`1` under [`Free`],
+    /// `ceil(2 * npes / workers)` under the gate). A stall watchdog
+    /// scales its wall-clock window by this — a descheduled-but-runnable
+    /// PE progresses this many times slower without being any less live.
+    pub oversubscription: usize,
+}
+
+impl WallShared {
+    /// Flag the job aborted and wake every context parked in a blocking
+    /// protocol receive: one zero-payload [`TAG_ABORT`] packet per tile
+    /// per queue. `try_send` keeps the aborter itself from stalling on
+    /// a backed-up bounded queue — such a queue's receiver is not
+    /// parked on empty, and the receive path's coarse fallback timeout
+    /// covers the remaining race. Contexts queued for admission need no
+    /// wakeup: they are runnable and hit an abort check once admitted.
+    pub fn abort(&self) {
+        self.aborted.store(true, Ordering::Release);
+        for tile in 0..self.npes {
+            for q in 0..udn::packet::NUM_QUEUES {
+                let _ = self.waker.try_send(tile, q, TAG_ABORT, &[]);
+            }
+        }
+    }
+
+    /// The probe of context `ctx` (main contexts first, then service).
+    pub(crate) fn probe_of(&self, ctx: usize) -> &Arc<PeProbe> {
+        let probes = if ctx < self.npes { &self.probes } else { &self.service_probes };
+        &probes[ctx % self.npes]
+    }
+}
+
+/// A sense-reversing counter barrier whose waiters poll through
+/// [`Fabric::wait_pause`] — the TMC spin barrier of Figure 5, except
+/// that a waiter yields its admission between polls and notices a job
+/// abort, so it stays selectable under M:N oversubscription and cannot
+/// outlive a dead peer.
+pub struct SpinBarrier {
+    size: usize,
+    count: AtomicUsize,
+    sense: AtomicUsize,
+}
+
+impl SpinBarrier {
+    fn new(size: usize) -> Self {
+        Self {
+            size,
+            count: AtomicUsize::new(0),
+            sense: AtomicUsize::new(0),
+        }
+    }
+
+    fn wait(&self, fab: &impl Fabric) {
+        let s = self.sense.load(Ordering::Acquire);
+        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.size {
+            self.count.store(0, Ordering::Relaxed);
+            self.sense.store(s.wrapping_add(1), Ordering::Release);
+        } else {
+            let mut attempt = 0u32;
+            while self.sense.load(Ordering::Acquire) == s {
+                fab.wait_pause(attempt);
+                attempt = attempt.wrapping_add(1);
+            }
+        }
+    }
+}
+
+/// Per-context wall-clock fabric. A PE's main context and its
+/// interrupt-service context share the PE's endpoint queues; the
+/// service context consumes only `Q_SERVICE`.
+pub struct WallFabric<P: Admission> {
+    pub(crate) shared: Arc<WallShared>,
+    pub(crate) gate: P,
+    pub(crate) pe: usize,
+    /// Context id: `pe` for the main context, `npes + pe` for the
+    /// interrupt-service context.
+    pub(crate) ctx: usize,
+    pub(crate) udn: UdnEndpoint,
+    /// This context's own probe — the service context must not
+    /// overwrite the main context's blocked state.
+    probe: Arc<PeProbe>,
+    /// The trace lane this context writes; the policy keeps it
+    /// single-writer.
+    lane: usize,
+}
+
+impl<P: Admission> WallFabric<P> {
+    fn new(shared: Arc<WallShared>, gate: P, pe: usize, ctx: usize, udn: UdnEndpoint) -> Self {
+        let probe = shared.probe_of(ctx).clone();
+        let lane = gate.lane(ctx);
+        Self {
+            shared,
+            gate,
+            pe,
+            ctx,
+            udn,
+            probe,
+            lane,
+        }
+    }
+
+    /// A fabric for the PE's **main context**.
+    pub fn new_probed(shared: Arc<WallShared>, gate: P, pe: usize, udn: UdnEndpoint) -> Self {
+        Self::new(shared, gate, pe, pe, udn)
+    }
+
+    /// A fabric for the PE's **interrupt-service context**.
+    pub fn new_service(shared: Arc<WallShared>, gate: P, pe: usize, udn: UdnEndpoint) -> Self {
+        let ctx = shared.npes + pe;
+        Self::new(shared, gate, pe, ctx, udn)
+    }
+
+    #[inline]
+    pub(crate) fn gate_acquire(&self) {
+        self.gate.acquire(self.ctx, Some(&self.probe));
+    }
+
+    #[inline]
+    pub(crate) fn gate_release(&self) {
+        self.gate.release(self.ctx);
+    }
+
+    /// When siblings queue for our admission slot, release it and
+    /// requeue behind them: a spin wait must not starve the very
+    /// context that would satisfy it.
+    #[inline]
+    fn yield_if_contended(&self) -> bool {
+        let contended = self.gate.contended(self.ctx);
+        if contended {
+            self.gate_release();
+            self.gate_acquire();
+        }
+        contended
+    }
+
+    #[inline]
+    fn arena(&self, off: usize) -> (&CommonMemory, usize) {
+        self.shared.arena.shard::<P>(off)
+    }
+
+    fn private(&self) -> &CommonMemory {
+        &self.shared.privates[self.pe]
+    }
+
+    /// Count one completed (state-changing) fabric operation toward the
+    /// stall watchdog, tick the fault plane's op clock, and serve any
+    /// `SlowPe` or `PanicPe` fault targeting this PE. An injected crash
+    /// fires while admitted; the launch scaffold's cleanup releases the
+    /// slot, so siblings keep running while the job is torn down.
+    #[inline]
+    pub(crate) fn progress(&self) {
+        self.probe.bump();
+        crate::fault::note_op();
+        if crate::fault::panic_pe_now(self.pe) {
+            panic!("PE {}: injected PanicPe fault (crashing-tenant model)", self.pe);
+        }
+        if let Some(us) = crate::fault::slow_pe_delay_us(self.pe) {
+            self.sleep_checking_abort(us);
+        }
+    }
+
+    pub(crate) fn abort_check(&self) {
+        if self.shared.aborted.load(Ordering::Acquire) {
+            self.die_aborted();
+        }
+    }
+
+    fn die_aborted(&self) -> ! {
+        panic!("PE {}: aborting — another PE panicked", self.pe)
+    }
+
+    /// Sleep `micros` µs with admission released (siblings run
+    /// meanwhile), in abort-checking chunks so an injected stall cannot
+    /// outlive a job teardown. A panic here fires while not admitted,
+    /// which the cleanup path tolerates (`Admission::is_holding`).
+    fn sleep_checking_abort(&self, micros: u64) {
+        self.gate_release();
+        let mut left = Duration::from_micros(micros);
+        while !left.is_zero() {
+            let step = left.min(Duration::from_millis(50));
+            std::thread::sleep(step);
+            left -= step;
+            self.abort_check();
+        }
+        self.gate_acquire();
+    }
+
+    pub(crate) fn set_blocked(&self, state: BlockedOn) {
+        self.probe.set_blocked(state);
+    }
+
+    /// Record an instantaneous wall-clock trace event.
+    pub(crate) fn trace(&self, kind: TraceKind, peer: usize, bytes: u64) {
+        if let Some(sink) = &self.shared.trace {
+            let now = desim::time::SimTime::from_ns(self.shared.start.now_ns());
+            sink.record_lane(
+                self.lane,
+                TraceEvent {
+                    pe: self.pe,
+                    kind,
+                    start: now,
+                    end: now,
+                    peer,
+                    bytes,
+                },
+            );
+        }
+    }
+
+    /// Turn a received packet into a protocol message, intercepting the
+    /// job-abort wakeup so [`TAG_ABORT`] never reaches protocol code.
+    pub(crate) fn accept(&self, p: udn::packet::Packet) -> ProtoMsg {
+        if p.header.tag == TAG_ABORT {
+            self.die_aborted();
+        }
+        self.progress();
+        ProtoMsg {
+            src: p.header.src as usize,
+            tag: p.header.tag,
+            payload: p.payload,
+        }
+    }
+}
+
+impl<P: Admission> Fabric for WallFabric<P> {
+    fn pe(&self) -> usize {
+        self.pe
+    }
+
+    fn npes(&self) -> usize {
+        self.shared.npes
+    }
+
+    fn partition_bytes(&self) -> usize {
+        self.shared.partition_bytes
+    }
+
+    fn device(&self) -> tile_arch::device::Device {
+        self.shared.device
+    }
+
+    fn udn_send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) {
+        if let Some(us) = crate::fault::protocol_send_delay_us() {
+            self.sleep_checking_abort(us);
+        }
+        // Q_SERVICE is consumed by the destination's service context;
+        // the routing is by queue, so a plain send reaches it.
+        if !self.udn.try_send(dest, queue, tag, payload) {
+            // Full bounded queue: park in the blocking send with
+            // admission released — the consumer that must drain `dest`
+            // may be a sibling queued behind us.
+            self.set_blocked(BlockedOn::SendFull { dest, queue });
+            self.gate_release();
+            self.udn.send(dest, queue, tag, payload);
+            self.gate_acquire();
+            self.set_blocked(BlockedOn::Running);
+        }
+        self.trace(TraceKind::UdnSend, dest, 8 * payload.len() as u64);
+        self.progress();
+    }
+
+    fn udn_try_send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) -> bool {
+        // A `ClampQueueDepth` fault squeezes the *effective* queue depth
+        // below the fabric's real bound, forcing the draining-send
+        // backpressure path mid-run.
+        if let Some(depth) = crate::fault::clamp_queue_depth() {
+            if self.udn.dest_queue_len(dest, queue) >= depth {
+                return false;
+            }
+        }
+        let sent = self.udn.try_send(dest, queue, tag, payload);
+        if sent {
+            if let Some(us) = crate::fault::protocol_send_delay_us() {
+                self.sleep_checking_abort(us);
+            }
+            self.trace(TraceKind::UdnSend, dest, 8 * payload.len() as u64);
+            self.progress();
+        } else {
+            self.probe.spin();
+        }
+        sent
+    }
+
+    fn udn_recv(&self, queue: usize) -> ProtoMsg {
+        // Opportunistic poll before parking: in a protocol round trip
+        // the reply is usually queued already.
+        for _ in 0..4 {
+            if let Some(p) = self.udn.try_recv(queue) {
+                return self.accept(p);
+            }
+            P::poll_pause();
+        }
+        // Park on the queue's condvar with admission released — the
+        // sender that will satisfy this receive may be queued behind
+        // us. A peer's send (or the abort broadcast's TAG_ABORT packet)
+        // wakes us immediately; the coarse timeout is only an
+        // abort-race fallback — a full bounded queue can swallow the
+        // abort packet — never the normal wake path.
+        self.set_blocked(BlockedOn::Recv { queue });
+        self.gate_release();
+        let packet = loop {
+            if let Some(p) = self.udn.recv_timeout(queue, Duration::from_millis(250)) {
+                break p;
+            }
+            self.abort_check();
+        };
+        self.gate_acquire();
+        self.set_blocked(BlockedOn::Running);
+        self.accept(packet)
+    }
+
+    fn udn_try_recv(&self, queue: usize) -> Option<ProtoMsg> {
+        self.udn.try_recv(queue).map(|p| self.accept(p))
+    }
+
+    fn arena_copy(&self, dst: usize, src: usize, len: usize) {
+        self.shared.arena.copy::<P>(dst, src, len);
+        self.trace(TraceKind::Copy, usize::MAX, len as u64);
+        self.progress();
+    }
+
+    fn arena_write(&self, dst: usize, src: &[u8]) {
+        let (shard, local) = self.arena(dst);
+        shard.write_bytes(local, src);
+        self.trace(TraceKind::Copy, usize::MAX, src.len() as u64);
+        self.progress();
+    }
+
+    fn arena_read(&self, src: usize, dst: &mut [u8]) {
+        let (shard, local) = self.arena(src);
+        shard.read_bytes(local, dst);
+        self.trace(TraceKind::Copy, usize::MAX, dst.len() as u64);
+        self.progress();
+    }
+
+    fn arena_read_u64(&self, off: usize) -> u64 {
+        let (shard, local) = self.arena(off);
+        shard.atomic_u64(local).load(Ordering::Acquire)
+    }
+
+    fn arena_read_u32(&self, off: usize) -> u32 {
+        let (shard, local) = self.arena(off);
+        shard.atomic_u32(local).load(Ordering::Acquire)
+    }
+
+    fn arena_write_u64(&self, off: usize, v: u64) {
+        let (shard, local) = self.arena(off);
+        shard.atomic_u64(local).store(v, Ordering::Release);
+        // A flag store is a state change (useful work); atomic *loads*
+        // stay uncounted so polling can never masquerade as progress.
+        self.progress();
+    }
+
+    fn arena_rmw(&self, off: usize, op: RmwOp, operand: u64, width: RmwWidth) -> u64 {
+        self.trace(TraceKind::Atomic, usize::MAX, width.bytes() as u64);
+        self.progress();
+        let (shard, local) = self.arena(off);
+        match width {
+            RmwWidth::W64 => {
+                let a = shard.atomic_u64(local);
+                match op {
+                    RmwOp::Add => a.fetch_add(operand, Ordering::AcqRel),
+                    RmwOp::Swap => a.swap(operand, Ordering::AcqRel),
+                    RmwOp::And => a.fetch_and(operand, Ordering::AcqRel),
+                    RmwOp::Or => a.fetch_or(operand, Ordering::AcqRel),
+                    RmwOp::Xor => a.fetch_xor(operand, Ordering::AcqRel),
+                }
+            }
+            RmwWidth::W32 => {
+                let a = shard.atomic_u32(local);
+                let v = operand as u32;
+                let old = match op {
+                    RmwOp::Add => a.fetch_add(v, Ordering::AcqRel),
+                    RmwOp::Swap => a.swap(v, Ordering::AcqRel),
+                    RmwOp::And => a.fetch_and(v, Ordering::AcqRel),
+                    RmwOp::Or => a.fetch_or(v, Ordering::AcqRel),
+                    RmwOp::Xor => a.fetch_xor(v, Ordering::AcqRel),
+                };
+                old as u64
+            }
+        }
+    }
+
+    fn arena_cswap(&self, off: usize, cond: u64, new: u64, width: RmwWidth) -> u64 {
+        // Only a *successful* exchange is useful work (and worth a trace
+        // event); a failed retry is a spin, or a livelocked CAS loop
+        // would look live to the watchdog while flooding the trace sink.
+        let (shard, local) = self.arena(off);
+        let (old, swapped) = match width {
+            RmwWidth::W64 => match shard.atomic_u64(local).compare_exchange(
+                cond,
+                new,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(old) => (old, true),
+                Err(old) => (old, false),
+            },
+            RmwWidth::W32 => match shard.atomic_u32(local).compare_exchange(
+                cond as u32,
+                new as u32,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(old) => (old as u64, true),
+                Err(old) => (old as u64, false),
+            },
+        };
+        if swapped {
+            self.trace(TraceKind::Atomic, usize::MAX, width.bytes() as u64);
+            self.progress();
+        } else {
+            self.probe.spin();
+            // A failed cswap is a spin wait in disguise: callers retry in
+            // a loop (lock claims, rank-ordered rings) that never blocks,
+            // so without this it keeps its admission forever and starves
+            // the very sibling whose turn must come first — the same
+            // contract `wait_pause` honors for flag polls.
+            self.yield_if_contended();
+        }
+        old
+    }
+
+    fn private_write(&self, off: usize, src: &[u8]) {
+        self.private().write_bytes(off, src);
+        self.progress();
+    }
+
+    fn private_read(&self, off: usize, dst: &mut [u8]) {
+        self.private().read_bytes(off, dst);
+        self.progress();
+    }
+
+    fn private_to_arena(&self, arena_dst: usize, priv_src: usize, len: usize) {
+        let (shard, local) = self.arena(arena_dst);
+        CommonMemory::copy_between(shard, local, self.private(), priv_src, len);
+        self.trace(TraceKind::Copy, usize::MAX, len as u64);
+        self.progress();
+    }
+
+    fn arena_to_private(&self, priv_dst: usize, arena_src: usize, len: usize) {
+        let (shard, local) = self.arena(arena_src);
+        CommonMemory::copy_between(self.private(), priv_dst, shard, local, len);
+        self.trace(TraceKind::Copy, usize::MAX, len as u64);
+        self.progress();
+    }
+
+    fn arena_raw(&self, off: usize, len: usize) -> *mut u8 {
+        let (shard, local) = self.arena(off);
+        shard.raw(local, len)
+    }
+
+    fn private_raw(&self, off: usize, len: usize) -> *mut u8 {
+        self.private().raw(off, len)
+    }
+
+    fn locality(&self) -> Option<&dyn Locality> {
+        P::locality(self)
+    }
+
+    fn tmc_spin_barrier(&self, set: (usize, u32, usize)) {
+        let b = {
+            let mut map = self.shared.spin_barriers.lock();
+            map.entry(set)
+                .or_insert_with(|| Arc::new(SpinBarrier::new(set.2)))
+                .clone()
+        };
+        b.wait(self);
+        self.progress();
+    }
+
+    fn probe(&self) -> Option<&PeProbe> {
+        Some(&self.probe)
+    }
+
+    fn quiet(&self) {
+        tmc::fence::mem_fence();
+    }
+
+    fn wait_pause(&self, attempt: u32) {
+        self.probe.spin();
+        // Check the abort flag occasionally so polling waits can't hang
+        // a job whose peer died.
+        if attempt > 0 && attempt.is_multiple_of(P::ABORT_CHECK_EVERY) {
+            self.abort_check();
+        }
+        // The context that will satisfy this wait may be queued behind
+        // us: FIFO admission runs every queued sibling once before we
+        // spin again.
+        if attempt >= 4 && self.yield_if_contended() {
+            return;
+        }
+        if attempt > P::YIELD_AFTER {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+
+    fn compute(&self, _cycles: f64) {
+        // Real computation takes its own real time.
+    }
+
+    fn now_ns(&self) -> f64 {
+        self.shared.start.now_ns() as f64
+    }
+
+    fn inject_delay_us(&self, micros: u64) {
+        self.sleep_checking_abort(micros);
+    }
+}
+
+/// The one wall-clock launch body: build the shared state for `block`
+/// PEs per arena shard, start every PE's interrupt-service context and
+/// main context under `gate`, run `f`, and tear down. `pool`, when
+/// given, supplies (and on clean completion takes back) the arena
+/// shards.
+pub(crate) fn run_wall<P, R, F>(
+    gate: P,
+    block: usize,
+    pool: Option<&ArenaPool>,
+    cfg: &RuntimeConfig,
+    watch: &WatchPlane<'_>,
+    f: F,
+) -> EngineOutcome<R>
+where
+    P: Admission,
+    R: Send,
+    F: Fn(&ShmemCtx) -> R + Send + Sync,
+{
+    let job_watch = match watch {
+        WatchPlane::None => None,
+        WatchPlane::Wall(w) => Some(*w),
+        WatchPlane::Virtual(_) => panic!(
+            "a TimedWatch is the virtual-time scheduler's observer and cannot watch \
+             the {} engine; attach a JobWatch instead",
+            P::NAME
+        ),
+    };
+    let npes = cfg.npes;
+    let layout = cfg.layout();
+    let workers = npes.div_ceil(block);
+    let endpoints = match cfg.udn_queue_packets {
+        Some(p) => UdnFabric::new_bounded(npes, p),
+        None => UdnFabric::new(npes),
+    };
+    // The watch needs a sink for "last event per PE" stall dumps even
+    // when the caller did not ask for a trace.
+    let running = gate.running_contexts(npes);
+    let sink = (cfg.trace || job_watch.is_some()).then(|| Arc::new(TraceSink::with_lanes(running)));
+    let arena = match pool {
+        Some(pool) => ShardedArena::from_shards(
+            pool.checkout(npes, workers, block, cfg.partition_bytes, layout.heap_bytes),
+            block,
+            cfg.partition_bytes,
+        ),
+        None => ShardedArena::new(npes, block, cfg.partition_bytes),
+    };
+    let shared = Arc::new(WallShared {
+        arena,
+        privates: (0..npes)
+            .map(|pe| CommonMemory::new(cfg.private_bytes, Homing::Local(pe)))
+            .collect(),
+        npes,
+        partition_bytes: cfg.partition_bytes,
+        device: cfg.device,
+        start: FastClock::new(),
+        spin_barriers: Mutex::new(HashMap::new()),
+        aborted: AtomicBool::new(false),
+        probes: (0..npes).map(|_| Arc::new(PeProbe::new())).collect(),
+        service_probes: (0..npes).map(|_| Arc::new(PeProbe::new())).collect(),
+        trace: sink.clone(),
+        waker: endpoints[0].sender(),
+        oversubscription: (2 * npes).div_ceil(running),
+    });
+    if let Some(w) = job_watch {
+        w.attach(shared.clone(), endpoints.clone());
+    }
+
+    // Interrupt-service contexts: one thread per PE, consuming only
+    // Q_SERVICE of that PE's endpoint. Each waits in that receive with
+    // admission released and is admitted only while serving a request.
+    let service_threads: Vec<_> = (0..npes)
+        .map(|pe| {
+            let fab = WallFabric::new_service(shared.clone(), gate.clone(), pe, endpoints[pe].clone());
+            let (gate, ctx, probe) = (gate.clone(), fab.ctx, fab.probe.clone());
+            let fab = P::erase(fab);
+            std::thread::Builder::new()
+                .name(format!("{}-svc-{pe}", P::NAME))
+                .spawn(move || admitted(&gate, ctx, &probe, || service_loop(&*fab)))
+                .expect("spawn service thread")
+        })
+        .collect();
+
+    let values = tmc::task::run_on_tiles(npes, |pe| {
+        let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe, endpoints[pe].clone());
+        admitted(&gate, pe, &shared.probes[pe], || {
+            let ctx = ShmemCtx::new(P::erase(fab), layout, cfg.algos, cfg.private_bytes);
+            // If any PE panics, flag the job and wake everything parked
+            // in a blocking receive — peers and service contexts alike
+            // (SHMEM jobs are all-or-nothing) — then re-raise the
+            // original panic.
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&ctx))) {
+                Ok(r) => {
+                    ctx.finalize();
+                    r
+                }
+                Err(p) => {
+                    shared.abort();
+                    std::panic::resume_unwind(p);
+                }
+            }
+        })
+    });
+
+    for t in service_threads {
+        t.join().expect("service thread panicked");
+    }
+    // Reached only on clean completion (a PE panic unwinds out of
+    // run_on_tiles above): retire the shard set for recycling.
+    if let Some(pool) = pool {
+        pool.check_in(npes, workers, block, cfg.partition_bytes, shared.arena.shards.clone());
+    }
+    EngineOutcome {
+        values,
+        clocks: Vec::new(),
+        makespan: desim::time::SimTime::ZERO,
+        // Only a caller-requested trace is returned; the watch-only
+        // sink stays with the watch.
+        trace: cfg.trace.then(|| sink.expect("sink exists when tracing").take()),
+    }
+}
+
+/// Run `body` as context `ctx`, admitted, and give the slot back however
+/// it ends. A panic can fire while not admitted (parked receive,
+/// fault-delay sleep): release only a held slot, or the handoff chain
+/// double-frees.
+fn admitted<P: Admission, T>(gate: &P, ctx: usize, probe: &PeProbe, body: impl FnOnce() -> T) -> T {
+    gate.acquire(ctx, Some(probe));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+    if gate.is_holding(ctx) {
+        gate.release(ctx);
+    }
+    result.unwrap_or_else(|p| std::panic::resume_unwind(p))
+}
+
+/// The native engine: one real thread per context, real shared memory,
+/// wall-clock time — the wall fabric under [`Free`] admission.
+pub struct NativeBackend;
+
+impl EngineBackend for NativeBackend {
+    fn name(&self) -> &'static str {
+        Free::NAME
+    }
+
+    fn execute<R, F>(&self, cfg: &RuntimeConfig, watch: &WatchPlane<'_>, f: F) -> EngineOutcome<R>
+    where
+        R: Send,
+        F: Fn(&ShmemCtx) -> R + Send + Sync,
+    {
+        run_wall(Free, cfg.npes, None, cfg, watch, f)
+    }
+}

@@ -3,16 +3,23 @@
 //!
 //! TSHMEM's algorithms — the token barrier, the four put/get address
 //! classes, the collectives — are written once against [`Fabric`] and
-//! executed by two engines:
+//! executed by three fabrics:
 //!
-//! * [`crate::engine::native`] moves real bytes between real threads and
-//!   measures wall time;
+//! * [`crate::engine::wall`] moves real bytes between real threads and
+//!   measures wall time, under free admission (the native engine) or a
+//!   per-worker gate (the cooperative M:N engine);
 //! * [`crate::engine::timed`] moves the same real bytes under the
 //!   cooperative virtual-time scheduler, charging the calibrated Tilera
-//!   costs (UDN wire latency, cache-classified copy cycles, contention).
+//!   costs (UDN wire latency, cache-classified copy cycles, contention);
+//! * [`crate::engine::multichip`] is the timed model across several
+//!   chips joined by mPIPE links.
 //!
 //! Keeping a single protocol implementation is what makes the timed
 //! engine an honest model of the shipped library (`DESIGN.md` §6).
+//! What only some engines can do — address a co-resident PE's memory,
+//! park on a counter cell — is a separate capability, [`Locality`],
+//! that protocol code must obtain from [`Fabric::locality`] before it
+//! can call it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -160,6 +167,12 @@ impl std::fmt::Display for BlockedOn {
     }
 }
 
+/// Cap on the per-PE stash snapshot mirrored into [`PeProbe`]: a stall
+/// dump only needs the leading entries to name the wedged exchange, and
+/// an uncapped mirror would clone an arbitrarily deep stash on every
+/// push/pop.
+pub const STASH_SNAPSHOT_CAP: usize = 16;
+
 /// Per-PE progress/blocked-state probe, shared with a watchdog.
 ///
 /// `ops` is a monotonic count of completed *state-changing* fabric
@@ -171,12 +184,6 @@ impl std::fmt::Display for BlockedOn {
 /// `JobWatch::diagnose_delta` reports. `blocked` and `stash` snapshot
 /// what the PE is waiting on and which out-of-order protocol messages
 /// it has parked.
-/// Cap on the per-PE stash snapshot mirrored into [`PeProbe`]: a stall
-/// dump only needs the leading entries to name the wedged exchange, and
-/// an uncapped mirror would clone an arbitrarily deep stash on every
-/// push/pop.
-pub const STASH_SNAPSHOT_CAP: usize = 16;
-
 #[derive(Default)]
 pub struct PeProbe {
     ops: AtomicU64,
@@ -340,106 +347,12 @@ pub trait Fabric: Send {
     /// Raw pointer into this PE's private segment.
     fn private_raw(&self, off: usize, len: usize) -> *mut u8;
 
-    // --- locality (co-resident PEs on shared-worker engines) -----------
-
-    /// Whether `pe`'s memory is directly addressable from this context
-    /// because both PEs are multiplexed on the same worker (the M:N
-    /// coop engine) — the POSH "same address space ⇒ plain memcpy"
-    /// degradation. While a context runs it holds its worker's
-    /// admission gate, and the gate handoff is a Release/Acquire edge,
-    /// so touching a co-resident sibling's memory is race-free for the
-    /// duration of the call. Engines without a worker topology keep
-    /// this default, which disables every locality fast path.
-    fn co_resident(&self, pe: usize) -> bool {
-        let _ = pe;
-        false
-    }
-
-    /// The PE→worker block size when the engine shards PEs over workers
-    /// in contiguous blocks — the cluster-width hint that lets
-    /// hierarchical collectives align their trees to the sharding.
-    /// `None` when the engine has no such topology (native, timed,
-    /// multichip).
-    fn topology_block(&self) -> Option<usize> {
+    /// The locality capability, when this engine multiplexes PEs on
+    /// shared workers and the same-worker fast paths are enabled.
+    /// `None` (the default: native, timed, multichip) disables every
+    /// locality fast path and the counter-cell collectives.
+    fn locality(&self) -> Option<&dyn Locality> {
         None
-    }
-
-    /// Blocking receive with a co-residency hint: the expected sender
-    /// shares this worker, so the engine may poll-yield in-worker
-    /// instead of parking in the channel condvar. Semantically
-    /// identical to [`udn_recv`](Fabric::udn_recv) — the hint changes
-    /// only the wait strategy, and a wrong hint costs bounded spinning,
-    /// never correctness.
-    fn udn_recv_local(&self, queue: usize) -> ProtoMsg {
-        self.udn_recv(queue)
-    }
-
-    /// Atomic fetch-add on locality sync cell `(pe, word)` — word 0 is
-    /// the arrival counter, word 1 the release epoch of the counter-cell
-    /// pass under the shard-aligned collectives. Only
-    /// callable when [`topology_block`](Fabric::topology_block) is
-    /// `Some` (the protocol layer gates on exactly that); engines
-    /// without a topology keep the panicking default. AcqRel, so the
-    /// cells alone carry the barrier's happens-before edges.
-    fn sync_cell_add(&self, pe: usize, word: usize, delta: u64) -> u64 {
-        let _ = (pe, word, delta);
-        unreachable!("sync_cell_add requires an engine with a worker topology")
-    }
-
-    /// Acquire load of locality sync cell `(pe, word)`; see
-    /// [`sync_cell_add`](Fabric::sync_cell_add).
-    fn sync_cell_load(&self, pe: usize, word: usize) -> u64 {
-        let _ = (pe, word);
-        unreachable!("sync_cell_load requires an engine with a worker topology")
-    }
-
-    /// Block until cell `(pe, word)` reads something other than `old`,
-    /// returning the new value. Wakeups ride
-    /// [`sync_cell_notify`](Fabric::sync_cell_notify) — a change
-    /// without a notify may be observed late (the cell pass only
-    /// notifies on the transitions its waiters care about), but a
-    /// notified change is always observed.
-    fn sync_cell_wait_change(&self, pe: usize, word: usize, old: u64) -> u64 {
-        let _ = (pe, word, old);
-        unreachable!("sync_cell_wait_change requires an engine with a worker topology")
-    }
-
-    /// Make every context parked in
-    /// [`sync_cell_wait_change`](Fabric::sync_cell_wait_change) on
-    /// word `word` of `pe`'s cell runnable again, in the order they
-    /// parked: each is queued for admission behind the caller, not
-    /// woken beside it, and re-checks its own condition once admitted.
-    fn sync_cell_notify(&self, pe: usize, word: usize) {
-        let _ = (pe, word);
-        unreachable!("sync_cell_notify requires an engine with a worker topology")
-    }
-
-    /// Write into co-resident PE `pe`'s private segment. Callable only
-    /// while [`co_resident`](Fabric::co_resident)`(pe)` holds; engines
-    /// that never report co-residency keep the panicking default.
-    fn peer_private_write(&self, pe: usize, off: usize, src: &[u8]) {
-        let _ = (pe, off, src);
-        unreachable!("peer_private_write requires co_resident(pe)");
-    }
-
-    /// Read from co-resident PE `pe`'s private segment.
-    fn peer_private_read(&self, pe: usize, off: usize, dst: &mut [u8]) {
-        let _ = (pe, off, dst);
-        unreachable!("peer_private_read requires co_resident(pe)");
-    }
-
-    /// One-`memcpy` transfer from co-resident PE `pe`'s private segment
-    /// into the arena (the locality bypass of a redirected get).
-    fn peer_private_to_arena(&self, pe: usize, arena_dst: usize, priv_src: usize, len: usize) {
-        let _ = (pe, arena_dst, priv_src, len);
-        unreachable!("peer_private_to_arena requires co_resident(pe)");
-    }
-
-    /// One-`memcpy` transfer from the arena into co-resident PE `pe`'s
-    /// private segment (the locality bypass of a redirected put).
-    fn peer_arena_to_private(&self, pe: usize, priv_dst: usize, arena_src: usize, len: usize) {
-        let _ = (pe, priv_dst, arena_src, len);
-        unreachable!("peer_arena_to_private requires co_resident(pe)");
     }
 
     /// The TMC spin barrier over an active set (Figure 5's primitive;
@@ -494,11 +407,79 @@ pub trait Fabric: Send {
     // --- introspection --------------------------------------------------
 
     /// This PE's progress/blocked-state probe, when the engine supports
-    /// watchdog introspection (all three engines' fabrics do, including
+    /// watchdog introspection (every engine's fabric does, including
     /// their service contexts).
     fn probe(&self) -> Option<&PeProbe> {
         None
     }
+}
+
+/// What an engine that multiplexes PEs on shared workers (the M:N coop
+/// engine) offers beyond [`Fabric`]: direct access to a co-resident
+/// PE's memory, a cheaper wait for a same-worker sender, and the sync
+/// cells under the shard-aligned collectives. Reached only through
+/// [`Fabric::locality`], so code for an engine without a worker
+/// topology cannot call any of it.
+pub trait Locality {
+    /// Whether `pe`'s memory is directly addressable from this context
+    /// because both PEs are multiplexed on the same worker — the POSH
+    /// "same address space ⇒ plain memcpy" degradation. While a context
+    /// runs it holds its worker's admission gate, and the gate handoff
+    /// is a Release/Acquire edge, so touching a co-resident sibling's
+    /// memory is race-free for the duration of the call.
+    fn co_resident(&self, pe: usize) -> bool;
+
+    /// The PE→worker block size: PEs are sharded over workers in
+    /// contiguous blocks of this many — the cluster width that aligns
+    /// hierarchical collectives to the sharding.
+    fn topology_block(&self) -> usize;
+
+    /// Blocking receive with a co-residency hint: the expected sender
+    /// shares this worker, so the engine may poll-yield in-worker
+    /// instead of parking in the channel condvar. Semantically
+    /// identical to [`Fabric::udn_recv`] — the hint changes only the
+    /// wait strategy, and a wrong hint costs bounded spinning, never
+    /// correctness.
+    fn udn_recv_local(&self, queue: usize) -> ProtoMsg;
+
+    /// Atomic fetch-add on locality sync cell `(pe, word)` — word 0 is
+    /// the arrival counter, word 1 the release epoch of the counter-cell
+    /// pass under the shard-aligned collectives. AcqRel, so the cells
+    /// alone carry the barrier's happens-before edges.
+    fn sync_cell_add(&self, pe: usize, word: usize, delta: u64) -> u64;
+
+    /// Acquire load of locality sync cell `(pe, word)`.
+    fn sync_cell_load(&self, pe: usize, word: usize) -> u64;
+
+    /// Block until cell `(pe, word)` reads something other than `old`,
+    /// returning the new value. Wakeups ride
+    /// [`sync_cell_notify`](Locality::sync_cell_notify) — a change
+    /// without a notify may be observed late (the cell pass only
+    /// notifies on the transitions its waiters care about), but a
+    /// notified change is always observed.
+    fn sync_cell_wait_change(&self, pe: usize, word: usize, old: u64) -> u64;
+
+    /// Make every context parked in
+    /// [`sync_cell_wait_change`](Locality::sync_cell_wait_change) on
+    /// word `word` of `pe`'s cell runnable again, in the order they
+    /// parked: each is queued for admission behind the caller, not
+    /// woken beside it, and re-checks its own condition once admitted.
+    fn sync_cell_notify(&self, pe: usize, word: usize);
+
+    /// Write into PE `pe`'s private segment. `pe` must be
+    /// [`co_resident`](Locality::co_resident), here and below.
+    fn peer_private_write(&self, pe: usize, off: usize, src: &[u8]);
+
+    /// Read from PE `pe`'s private segment.
+    fn peer_private_read(&self, pe: usize, off: usize, dst: &mut [u8]);
+
+    /// One-`memcpy` transfer from PE `pe`'s private segment into the
+    /// arena (the locality bypass of a redirected get).
+    fn peer_private_to_arena(&self, pe: usize, arena_dst: usize, priv_src: usize, len: usize);
+
+    /// One-`memcpy` transfer from the arena into PE `pe`'s private
+    /// segment (the locality bypass of a redirected put).
+    fn peer_arena_to_private(&self, pe: usize, priv_dst: usize, arena_src: usize, len: usize);
 }
 
 #[cfg(test)]
@@ -516,6 +497,7 @@ mod tests {
             BlockedOn::Handler { tag: 0xfffe, src: 255 },
             BlockedOn::Handler { tag: 1, src: 0 },
             BlockedOn::Descheduled,
+            BlockedOn::CellWait { pe: 1023 },
         ];
         let probe = PeProbe::new();
         for s in states {

@@ -49,16 +49,17 @@
 //! | **OpenSHMEM library (this crate)** | `tshmem` |
 //!
 //! Protocol code is written once against [`fabric::Fabric`] and runs on
-//! four engines behind one [`runtime::Launcher`]: native
-//! ([`runtime::launch`] — real threads, wall time), coop
-//! ([`runtime::launch_coop`] — the native data plane multiplexed M:N
-//! for 256–1024-PE scaling runs), timed ([`runtime::launch_timed`] —
-//! virtual time with calibrated Tilera costs, used to regenerate the
-//! paper's figures), and multichip ([`runtime::launch_multichip`] —
-//! several simulated chips over mPIPE links). Liveness watchdogs, the
-//! seeded fault plane, per-PE probes,
-//! and trace collection compose uniformly over any engine (see
-//! [`engine::backend`]).
+//! four backends behind one [`runtime::Launcher`], over three fabrics.
+//! The wall-clock fabric ([`engine::wall`] — real threads, real shared
+//! memory, wall time) serves two of them, which differ only in their
+//! admission policy: [`NativeBackend`] admits every context freely
+//! ([`runtime::launch`] is its shorthand), and [`CoopBackend`] gates
+//! them M:N over worker threads for 256–1024-PE scaling runs.
+//! [`TimedBackend`] runs under virtual time with calibrated Tilera
+//! costs and regenerates the paper's figures; [`MultiChipBackend`]
+//! joins several simulated chips by mPIPE links. Liveness watchdogs,
+//! the seeded fault plane, per-PE probes and trace collection compose
+//! uniformly over any engine (see [`engine::backend`]).
 
 pub mod active_set;
 pub mod api;
@@ -84,16 +85,13 @@ pub mod watch;
 pub use active_set::ActiveSet;
 pub use ctx::{Algorithms, BarrierAlgo, BroadcastAlgo, HomingHint, ReduceAlgo, ShmemCtx, Stats};
 pub use engine::backend::{
-    EngineBackend, EngineOutcome, MultiChipBackend, NativeBackend, TimedBackend, WatchPlane,
+    EngineBackend, EngineOutcome, MultiChipBackend, TimedBackend, WatchPlane,
 };
 pub use engine::coop::CoopBackend;
+pub use engine::wall::NativeBackend;
 pub use fabric::{BlockedOn, PeProbe};
 pub use fault::{Fault, FaultPlan};
-pub use runtime::{
-    launch, launch_coop, launch_coop_watched, launch_multichip, launch_multichip_watched,
-    launch_timed, launch_timed_watched, launch_watched, resolve_coop_workers, start_pes, Launcher,
-    RuntimeConfig, TimedMode, TimedOutcome,
-};
+pub use runtime::{launch, resolve_coop_workers, Launcher, RuntimeConfig, TimedMode};
 pub use rma::SignalOp;
 pub use server::{
     ArenaPool, FairScheduler, JobHandle, JobId, JobOutcome, JobReport, JobSpec, RoundRobin,
@@ -110,7 +108,10 @@ pub mod prelude {
     pub use crate::active_set::ActiveSet;
     pub use crate::ctx::{Algorithms, BarrierAlgo, BroadcastAlgo, HomingHint, ReduceAlgo, ShmemCtx};
     pub use crate::rma::SignalOp;
-    pub use crate::runtime::{launch, launch_timed, RuntimeConfig};
+    pub use crate::engine::backend::{EngineOutcome, MultiChipBackend, TimedBackend, WatchPlane};
+    pub use crate::engine::coop::CoopBackend;
+    pub use crate::engine::wall::NativeBackend;
+    pub use crate::runtime::{launch, Launcher, RuntimeConfig};
     pub use crate::symm::{AddrClass, Sym};
     pub use crate::sync::pt2pt::Cmp;
     pub use crate::team::Team;

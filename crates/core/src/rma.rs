@@ -15,7 +15,7 @@
 //! cost ladder of Figure 7.
 
 use crate::ctx::{byte_view, byte_view_mut, ShmemCtx};
-use crate::fabric::{ProtoMsg, Q_REPLY, Q_SERVICE, RmwOp, RmwWidth};
+use crate::fabric::{Locality, ProtoMsg, Q_REPLY, Q_SERVICE, RmwOp, RmwWidth};
 use crate::service::{
     encode_request, encode_strided_request, TAG_SDONE, TAG_SGET, TAG_SGETS, TAG_SPUT, TAG_SPUTS,
 };
@@ -455,15 +455,19 @@ impl ShmemCtx {
 
     // --- redirection internals -------------------------------------------
 
-    /// Whether `pe` is a *distinct* co-resident peer — on the coop
-    /// engine, a PE multiplexed on the same worker, whose private
-    /// segment is directly addressable while we hold the shared
-    /// admission gate. Redirected traffic to such a peer degrades to
-    /// the handler's one memcpy done locally (the POSH same-address-
-    /// space argument), skipping the interrupt round trip entirely.
+    /// The locality capability when `pe` is a *distinct* co-resident
+    /// peer — on the coop engine, a PE multiplexed on the same worker,
+    /// whose private segment is directly addressable while we hold the
+    /// shared admission gate. Redirected traffic to such a peer
+    /// degrades to the handler's one memcpy done locally (the POSH
+    /// same-address-space argument), skipping the interrupt round trip
+    /// entirely.
     #[inline]
-    fn local_peer(&self, pe: usize) -> bool {
-        pe != self.my_pe() && self.fab.co_resident(pe)
+    fn local_peer(&self, pe: usize) -> Option<&dyn Locality> {
+        if pe == self.my_pe() {
+            return None;
+        }
+        self.local_to(pe)
     }
 
     /// Perform a redirected request's effect directly on a co-resident
@@ -471,12 +475,20 @@ impl ShmemCtx {
     /// `TAG_SPUT` moves arena bytes into the peer's private segment;
     /// `TAG_SGET` moves the peer's private bytes into the arena.
     // cold: no allocation on this path.
-    fn redirect_local(&self, pe: usize, tag: u16, priv_off: usize, arena_global: usize, len: usize) {
+    fn redirect_local(
+        &self,
+        peer: &dyn Locality,
+        pe: usize,
+        tag: u16,
+        priv_off: usize,
+        arena_global: usize,
+        len: usize,
+    ) {
         self.stats.borrow_mut().locality_hits += 1;
         self.fab.quiet(); // same visibility point as the channel path
         match tag {
-            TAG_SPUT => self.fab.peer_arena_to_private(pe, priv_off, arena_global, len),
-            _ => self.fab.peer_private_to_arena(pe, arena_global, priv_off, len),
+            TAG_SPUT => peer.peer_arena_to_private(pe, priv_off, arena_global, len),
+            _ => peer.peer_private_to_arena(pe, arena_global, priv_off, len),
         }
     }
 
@@ -486,8 +498,8 @@ impl ShmemCtx {
     /// `Q_REPLY`, so a positional receive would steal another op's
     /// completion.
     fn redirect(&self, pe: usize, tag: u16, priv_off: usize, arena_global: usize, len: usize) {
-        if self.local_peer(pe) {
-            self.redirect_local(pe, tag, priv_off, arena_global, len);
+        if let Some(peer) = self.local_peer(pe) {
+            self.redirect_local(peer, pe, tag, priv_off, arena_global, len);
             return;
         }
         self.stats.borrow_mut().redirected += 1;
@@ -520,7 +532,7 @@ impl ShmemCtx {
         count: usize,
         arena_global: usize,
     ) {
-        if self.local_peer(pe) {
+        if let Some(peer) = self.local_peer(pe) {
             // The strided handler's scatter/gather, executed locally
             // against the co-resident peer's private segment (same
             // stride collapse as the handler). cold: no allocation.
@@ -529,17 +541,17 @@ impl ShmemCtx {
             if stride_bytes == esize {
                 match tag {
                     TAG_SPUTS => {
-                        self.fab.peer_arena_to_private(pe, priv_base, arena_global, count * esize)
+                        peer.peer_arena_to_private(pe, priv_base, arena_global, count * esize)
                     }
-                    _ => self.fab.peer_private_to_arena(pe, arena_global, priv_base, count * esize),
+                    _ => peer.peer_private_to_arena(pe, arena_global, priv_base, count * esize),
                 }
             } else {
                 for i in 0..count {
                     let p = priv_base + i * stride_bytes;
                     let a = arena_global + i * esize;
                     match tag {
-                        TAG_SPUTS => self.fab.peer_arena_to_private(pe, p, a, esize),
-                        _ => self.fab.peer_private_to_arena(pe, a, p, esize),
+                        TAG_SPUTS => peer.peer_arena_to_private(pe, p, a, esize),
+                        _ => peer.peer_private_to_arena(pe, a, p, esize),
                     }
                 }
             }
@@ -643,13 +655,13 @@ impl ShmemCtx {
     /// put with static target, arbitrary local bytes: chunk through the
     /// shared temp buffer.
     fn put_static_via_temp(&self, pe: usize, priv_dst: usize, bytes: &[u8]) {
-        if self.local_peer(pe) {
+        if let Some(peer) = self.local_peer(pe) {
             // Co-resident target: skip the temp bounce entirely — one
             // memcpy into the peer's private segment instead of
             // stage + interrupt + handler copy. cold: no allocation.
             self.stats.borrow_mut().locality_hits += 1;
             self.fab.quiet();
-            self.fab.peer_private_write(pe, priv_dst, bytes);
+            peer.peer_private_write(pe, priv_dst, bytes);
             return;
         }
         self.drain_pending(); // temp reuse — see iput_static_via_temp
@@ -668,12 +680,12 @@ impl ShmemCtx {
     /// get with static source into arbitrary local bytes: redirect into
     /// our temp, then read out.
     fn get_static_via_temp(&self, pe: usize, priv_src: usize, bytes: &mut [u8]) {
-        if self.local_peer(pe) {
+        if let Some(peer) = self.local_peer(pe) {
             // Co-resident source: one memcpy out of the peer's private
             // segment, no temp bounce. cold: no allocation.
             self.stats.borrow_mut().locality_hits += 1;
             self.fab.quiet();
-            self.fab.peer_private_read(pe, priv_src, bytes);
+            peer.peer_private_read(pe, priv_src, bytes);
             return;
         }
         self.drain_pending(); // temp reuse — see iput_static_via_temp
@@ -1039,12 +1051,12 @@ impl ShmemCtx {
     /// wait instead of blocking on it — the pipelined counterpart of
     /// [`redirect`](Self::redirect).
     fn redirect_nbi(&self, pe: usize, tag: u16, priv_off: usize, arena_global: usize, len: usize) {
-        if self.local_peer(pe) {
+        if let Some(peer) = self.local_peer(pe) {
             // Completes at issue — the OpenSHMEM nbi contract permits
             // early completion (the eager/lazy equivalence suite is the
             // standing proof), and a bypassed op can never overlap a
             // staged dynamic-target put, so no ordering is lost.
-            self.redirect_local(pe, tag, priv_off, arena_global, len);
+            self.redirect_local(peer, pe, tag, priv_off, arena_global, len);
             return;
         }
         self.stats.borrow_mut().redirected += 1;
@@ -1060,12 +1072,12 @@ impl ShmemCtx {
     /// in flight at once; only on temp exhaustion does the train stall
     /// for a full drain.
     fn put_static_via_temp_nbi(&self, pe: usize, priv_dst: usize, bytes: &[u8]) {
-        if self.local_peer(pe) {
+        if let Some(peer) = self.local_peer(pe) {
             // Single-copy completion at issue (see redirect_nbi), no
             // temp bump allocation. cold: no allocation.
             self.stats.borrow_mut().locality_hits += 1;
             self.fab.quiet();
-            self.fab.peer_private_write(pe, priv_dst, bytes);
+            peer.peer_private_write(pe, priv_dst, bytes);
             return;
         }
         let me = self.my_pe();

@@ -8,29 +8,23 @@
 //! `shmem_finalize`.
 //!
 //! One generic [`Launcher`] drives every engine: pick an
-//! [`EngineBackend`] (native, timed, multichip — see
+//! [`EngineBackend`] (native, coop, timed, multichip — see
 //! [`crate::engine::backend`]), optionally compose in a liveness plane
-//! ([`WatchPlane`]), and `run`. The five historical `launch*` free
-//! functions remain as thin shims over the launcher; prefer the
-//! launcher in new code.
+//! ([`WatchPlane`]), and `run`. [`launch`] is the one convenience
+//! wrapper, for the common native case.
 
-use std::sync::Arc;
-
-use desim::time::SimTime;
 use tile_arch::area::TestArea;
 use tile_arch::device::Device;
 
 use crate::ctx::{Algorithms, Layout, ShmemCtx};
-use crate::engine::backend::{
-    EngineBackend, EngineOutcome, MultiChipBackend, NativeBackend, TimedBackend, WatchPlane,
-};
+use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
 use crate::engine::coop::CoopBackend;
-use crate::watch::{JobWatch, TimedWatch};
+use crate::engine::wall::NativeBackend;
 
 /// Scheduling discipline for the virtual-time (desim-backed) engines.
 ///
-/// Selects how the cooperative scheduler orders LPs in `launch_timed` /
-/// `launch_multichip` runs; the native and coop engines ignore it.
+/// Selects how the cooperative scheduler orders LPs in `TimedBackend` /
+/// `MultiChipBackend` runs; the native and coop engines ignore it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TimedMode {
     /// Exact discrete-event order: the LP with the minimum effective
@@ -224,7 +218,7 @@ impl RuntimeConfig {
 ///
 /// ```ignore
 /// let out = Launcher::new(&cfg, TimedBackend)
-///     .with_watch(WatchPlane::Coop(watch.clone()))
+///     .with_watch(WatchPlane::Virtual(watch.clone()))
 ///     .run_watched(|ctx| ...)?;
 /// ```
 ///
@@ -252,8 +246,9 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
     }
 
     /// Compose in a liveness plane. The plane must match the backend's
-    /// clock domain ([`JobWatch`] for wall-clock engines,
-    /// [`TimedWatch`] for virtual-time engines); a mismatch panics at
+    /// clock domain ([`JobWatch`](crate::watch::JobWatch) for wall-clock
+    /// engines, [`TimedWatch`](crate::watch::TimedWatch) for
+    /// virtual-time engines); a mismatch panics at
     /// `run` with a message naming the right watch.
     pub fn with_watch(mut self, watch: WatchPlane<'w>) -> Self {
         self.watch = watch;
@@ -269,7 +264,7 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
     /// Validate and execute: run `f` on every PE.
     ///
     /// # Panics
-    /// Propagates application panics; with a coop watch attached, a
+    /// Propagates application panics; with a virtual-time watch attached, a
     /// detected deadlock also surfaces as a panic carrying the stall
     /// report (use [`run_watched`](Self::run_watched) to get it as
     /// `Err` instead).
@@ -284,7 +279,8 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
     }
 
     /// [`run`](Self::run), converting a watch-diagnosed stall into
-    /// `Err(report)`: when the attached [`TimedWatch`] fired (the desim
+    /// `Err(report)`: when the attached
+    /// [`TimedWatch`](crate::watch::TimedWatch) fired (the desim
     /// scheduler proved no LP can ever run again), the per-PE diagnosis
     /// is returned instead of the panic. Panics that are *not* detected
     /// stalls (application asserts, poisoned PEs) still propagate.
@@ -297,7 +293,7 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
         match result {
             Ok(out) => Ok(out),
             Err(payload) => {
-                if let WatchPlane::Coop(w) = &self.watch {
+                if let WatchPlane::Virtual(w) = &self.watch {
                     if let Some(report) = w.stall_report() {
                         return Err(report);
                     }
@@ -311,8 +307,8 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
 /// Run `f` on every PE with the **native** engine (real threads, wall
 /// time). Returns each PE's result, indexed by PE.
 ///
-/// Thin shim over [`Launcher`] with [`NativeBackend`], kept for the
-/// historical API; prefer the launcher in new code.
+/// Shorthand for `Launcher::new(cfg, NativeBackend).run(f).values`;
+/// every other engine, and any watch, goes through the [`Launcher`].
 ///
 /// # Panics
 /// Propagates application panics (other PEs may be aborted mid-protocol).
@@ -324,104 +320,6 @@ where
     Launcher::new(cfg, NativeBackend).run(f).values
 }
 
-/// Like [`launch`], but attaches a [`JobWatch`] before any PE starts, so
-/// an external watchdog thread can observe per-PE progress counters,
-/// blocked states, and queue occupancy while the job runs — and abort it
-/// if it stalls. The native engine records trace events into the watch's
-/// sink (for "last event per PE" stall dumps) even when `cfg.trace` is
-/// off.
-///
-/// Thin shim over [`Launcher`] with `WatchPlane::Native`.
-pub fn launch_watched<R, F>(cfg: &RuntimeConfig, watch: &JobWatch, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&ShmemCtx) -> R + Send + Sync,
-{
-    Launcher::new(cfg, NativeBackend)
-        .with_watch(WatchPlane::Native(watch))
-        .run(f)
-        .values
-}
-
-/// Outcome of a virtual-time launch: per-PE results and virtual clocks.
-///
-/// The historical name of [`EngineOutcome`] for the timed/multichip
-/// shims; the two convert losslessly.
-#[derive(Debug)]
-pub struct TimedOutcome<R> {
-    /// Per-PE return values, indexed by PE.
-    pub values: Vec<R>,
-    /// Each PE's final virtual clock.
-    pub clocks: Vec<SimTime>,
-    /// The simulated makespan (max final clock over PEs).
-    pub makespan: SimTime,
-    /// Operation trace, when enabled with `RuntimeConfig::with_trace`.
-    pub trace: Option<Vec<crate::trace::TraceEvent>>,
-}
-
-impl<R> From<EngineOutcome<R>> for TimedOutcome<R> {
-    fn from(o: EngineOutcome<R>) -> Self {
-        Self {
-            values: o.values,
-            clocks: o.clocks,
-            makespan: o.makespan,
-            trace: o.trace,
-        }
-    }
-}
-
-/// Run `f` on every PE with the **timed** engine (virtual time,
-/// calibrated Tilera costs). Deterministic.
-///
-/// Thin shim over [`Launcher`] with [`TimedBackend`].
-pub fn launch_timed<R, F>(cfg: &RuntimeConfig, f: F) -> TimedOutcome<R>
-where
-    R: Send,
-    F: Fn(&ShmemCtx) -> R + Send + Sync,
-{
-    Launcher::new(cfg, TimedBackend).run(f).into()
-}
-
-/// [`launch_timed`] with a [`TimedWatch`] deadlock watchdog attached.
-///
-/// A wedged job under virtual time does not stall any wall clock; the
-/// desim scheduler detects the instant no LP can ever run again. With a
-/// watch attached, that detection is returned as `Err(diagnosis)` — the
-/// same per-PE stall format as the native [`JobWatch`] — instead of
-/// surfacing as a raw scheduler panic. Panics that are *not* scheduler
-/// deadlocks (application asserts, poisoned PEs) still propagate.
-///
-/// Thin shim over [`Launcher::run_watched`].
-pub fn launch_timed_watched<R, F>(
-    cfg: &RuntimeConfig,
-    watch: &Arc<TimedWatch>,
-    f: F,
-) -> Result<TimedOutcome<R>, String>
-where
-    R: Send,
-    F: Fn(&ShmemCtx) -> R + Send + Sync,
-{
-    Launcher::new(cfg, TimedBackend)
-        .with_watch(WatchPlane::Coop(watch.clone()))
-        .run_watched(f)
-        .map(Into::into)
-}
-
-/// Run `f` on every PE with the **cooperative M:N** engine: `cfg.npes`
-/// PEs (up to 1024) multiplexed over `workers` worker threads
-/// (`0` = auto), real shared memory, wall time. The engine for scaling
-/// runs an order of magnitude past the host's core count; see
-/// [`crate::engine::coop`] for the scheduling contract.
-///
-/// Thin shim over [`Launcher`] with [`CoopBackend`].
-pub fn launch_coop<R, F>(cfg: &RuntimeConfig, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&ShmemCtx) -> R + Send + Sync,
-{
-    Launcher::new(cfg, CoopBackend { workers, ..Default::default() }).run(f).values
-}
-
 /// The worker count (M) a coop launch of `npes` PEs actually runs on
 /// when `requested` workers were asked for (`0` = auto). This is the
 /// same resolution [`CoopBackend::resolved_workers`] applies inside
@@ -429,69 +327,4 @@ where
 /// the *resolved* M — a `"workers": 0` row is meaningless across hosts.
 pub fn resolve_coop_workers(requested: usize, npes: usize) -> usize {
     CoopBackend { workers: requested, ..Default::default() }.resolved_workers(npes)
-}
-
-/// [`launch_coop`] with a [`JobWatch`] attached — the same wall-clock
-/// watchdog as [`launch_watched`]. The watch reports the launch's
-/// oversubscription factor (`JobWatch::oversubscription`), which an
-/// external stall monitor must multiply into its window: a
-/// descheduled-but-runnable PE progresses `2N/M` times slower without
-/// being any less live.
-pub fn launch_coop_watched<R, F>(cfg: &RuntimeConfig, workers: usize, watch: &JobWatch, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&ShmemCtx) -> R + Send + Sync,
-{
-    Launcher::new(cfg, CoopBackend { workers, ..Default::default() })
-        .with_watch(WatchPlane::Native(watch))
-        .run(f)
-        .values
-}
-
-/// `start_pes()`-flavored convenience: run with `npes` PEs on the
-/// default device and native engine.
-pub fn start_pes<R, F>(npes: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&ShmemCtx) -> R + Send + Sync,
-{
-    launch(&RuntimeConfig::new(npes), f)
-}
-
-/// Run `f` across `chips` simulated devices with `cfg.npes` PEs **per
-/// chip**, connected by mPIPE links — the paper's Section VI
-/// multi-device future work, on the virtual-time scheduler.
-///
-/// PEs are block-distributed: chip `c` hosts PEs
-/// `[c * cfg.npes, (c+1) * cfg.npes)`. The TMC spin barrier is a
-/// single-chip primitive and must not be selected.
-///
-/// Thin shim over [`Launcher`] with [`MultiChipBackend`].
-pub fn launch_multichip<R, F>(cfg: &RuntimeConfig, chips: usize, f: F) -> TimedOutcome<R>
-where
-    R: Send,
-    F: Fn(&ShmemCtx) -> R + Send + Sync,
-{
-    Launcher::new(cfg, MultiChipBackend { chips }).run(f).into()
-}
-
-/// [`launch_multichip`] with the [`TimedWatch`] deadlock watchdog —
-/// the multichip engine runs under the same desim scheduler, so a
-/// wedged cross-chip job is detected the instant the virtual event
-/// queue drains and returned as `Err(diagnosis)` with per-PE, per-chip
-/// stall lines.
-pub fn launch_multichip_watched<R, F>(
-    cfg: &RuntimeConfig,
-    chips: usize,
-    watch: &Arc<TimedWatch>,
-    f: F,
-) -> Result<TimedOutcome<R>, String>
-where
-    R: Send,
-    F: Fn(&ShmemCtx) -> R + Send + Sync,
-{
-    Launcher::new(cfg, MultiChipBackend { chips })
-        .with_watch(WatchPlane::Coop(watch.clone()))
-        .run_watched(f)
-        .map(Into::into)
 }

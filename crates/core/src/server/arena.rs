@@ -7,7 +7,7 @@
 //! sets in a geometry-keyed pool and hands them to the next job with
 //! the same shape.
 //!
-//! [`ShardedArena`]: crate::engine::coop::ShardedArena
+//! [`ShardedArena`]: crate::engine::wall::ShardedArena
 //!
 //! **Isolation contract:** a recycled shard still holds the previous
 //! tenant's heap bytes, so every checkout is scrubbed before reuse —

@@ -563,7 +563,7 @@ fn attempt_launch(inner: &Arc<Inner>, id: JobId, spec: &JobSpec, lease: usize) -
                     arena_pool: Some(pool),
                 };
                 Launcher::new(&cfg, backend)
-                    .with_watch(WatchPlane::Native(&w))
+                    .with_watch(WatchPlane::Wall(&w))
                     .run(|ctx| body(ctx));
             }));
             let _ = tx.try_send(r.map(|_| ()));

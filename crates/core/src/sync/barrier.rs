@@ -11,7 +11,7 @@
 use crate::active_set::ActiveSet;
 use crate::collectives::hier;
 use crate::ctx::{BarrierAlgo, ShmemCtx};
-use crate::fabric::{BlockedOn, ProtoMsg, Q_BARRIER};
+use crate::fabric::{BlockedOn, Locality, ProtoMsg, Q_BARRIER};
 
 /// Ring token carrying a *wait* signal.
 pub const TAG_BAR_WAIT: u16 = 10;
@@ -139,8 +139,8 @@ impl ShmemCtx {
     /// under [`ShmemCtx::recv_matching`]'s stashing — the same argument
     /// as the flat dissemination rounds.
     fn barrier_hier(&self, cl: &hier::Cluster) {
-        if cl.aligned {
-            return self.cell_pass(cl, || {});
+        if let Some(cells) = cl.cells {
+            return self.cell_pass(cells, cl, || {});
         }
         let hier::Cluster { set, cs, c, lr, m, .. } = *cl;
         let id = set.ident();
@@ -157,7 +157,7 @@ impl ShmemCtx {
             }
             if lr.is_multiple_of(2 * span) && lr + span < m {
                 let child = set.pe_at(c * cs + lr + span);
-                self.recv_matching_local(Q_BARRIER, self.fab.co_resident(child), |msg: &ProtoMsg| {
+                self.recv_matching_local(Q_BARRIER, self.local_to(child), |msg: &ProtoMsg| {
                     msg.tag == TAG_BAR_HGATHER && msg.payload.first() == Some(&id)
                 });
             }
@@ -171,7 +171,7 @@ impl ShmemCtx {
         // Release: binomial broadcast tree back down the cluster.
         if lr > 0 {
             let parent = set.pe_at(c * cs + hier::bcast_parent(lr));
-            self.recv_matching_local(Q_BARRIER, self.fab.co_resident(parent), |msg: &ProtoMsg| {
+            self.recv_matching_local(Q_BARRIER, self.local_to(parent), |msg: &ProtoMsg| {
                 msg.tag == TAG_BAR_HRELEASE && msg.payload.first() == Some(&id)
             });
         }
@@ -198,7 +198,7 @@ impl ShmemCtx {
             let to = cl.leader_pe((c + dist) % nc);
             let from = cl.leader_pe((c + nc - dist) % nc);
             self.send_draining(to, Q_BARRIER, TAG_BAR_HDISS, &[id, round]);
-            self.recv_matching_local(Q_BARRIER, self.fab.co_resident(from), |msg: &ProtoMsg| {
+            self.recv_matching_local(Q_BARRIER, self.local_to(from), |msg: &ProtoMsg| {
                 msg.tag == TAG_BAR_HDISS
                     && msg.payload.first() == Some(&id)
                     && msg.payload.get(1) == Some(&round)
@@ -318,18 +318,24 @@ impl ShmemCtx {
     /// Receive from `queue`, parking mismatched messages in the stash so
     /// overlapping protocol exchanges cannot steal each other's tokens.
     pub(crate) fn recv_matching(&self, queue: usize, pred: impl Fn(&ProtoMsg) -> bool) -> ProtoMsg {
-        self.recv_matching_local(queue, false, pred)
+        self.recv_matching_local(queue, None, pred)
+    }
+
+    /// The locality capability, if `pe` shares this PE's worker.
+    pub(crate) fn local_to(&self, pe: usize) -> Option<&dyn Locality> {
+        self.fab.locality().filter(|loc| loc.co_resident(pe))
     }
 
     /// [`ShmemCtx::recv_matching`] with a co-residency hint: when
-    /// `local` is true the expected sender shares this PE's worker, so
-    /// the engine waits with [`crate::fabric::Fabric::udn_recv_local`]
-    /// (poll + gate yield) instead of the parked receive. Purely a wait-strategy
-    /// hint — a wrong `local` is slower, never wrong.
+    /// `local` is set the expected sender shares this PE's worker
+    /// ([`ShmemCtx::local_to`]), so the engine waits with
+    /// [`Locality::udn_recv_local`] (poll + gate yield) instead of the
+    /// parked receive. Purely a wait-strategy hint — a wrong `local` is
+    /// slower, never wrong.
     pub(crate) fn recv_matching_local(
         &self,
         queue: usize,
-        local: bool,
+        local: Option<&dyn Locality>,
         pred: impl Fn(&ProtoMsg) -> bool,
     ) -> ProtoMsg {
         {
@@ -342,10 +348,9 @@ impl ShmemCtx {
             }
         }
         loop {
-            let msg = if local {
-                self.fab.udn_recv_local(queue)
-            } else {
-                self.fab.udn_recv(queue)
+            let msg = match local {
+                Some(loc) => loc.udn_recv_local(queue),
+                None => self.fab.udn_recv(queue),
             };
             if pred(&msg) {
                 return msg;

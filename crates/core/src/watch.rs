@@ -1,7 +1,8 @@
-//! Job-level watchdog hooks for both engines.
+//! Job-level watchdog hooks for both clock domains.
 //!
-//! A [`JobWatch`] is handed to [`crate::runtime::launch_watched`] and is
-//! populated with the launch's shared state before any PE starts. An
+//! A [`JobWatch`] is handed to a wall-clock launch
+//! ([`WatchPlane::Wall`](crate::WatchPlane::Wall)) and is populated
+//! with the launch's shared state before any PE starts. An
 //! external watchdog thread can then poll [`JobWatch::counters`] for
 //! forward progress and, when *useful* work stops moving, call
 //! [`JobWatch::diagnose_delta`] to capture what every PE (and every
@@ -16,7 +17,7 @@
 //! **deadlock** (both flat) from a **livelock** (spins climbing, ops
 //! flat) — the latter looked like progress to the PR-2 watchdog.
 //!
-//! The timed engine gets [`TimedWatch`] instead: there is no wall-clock
+//! The virtual-time engines get [`TimedWatch`] instead: there is no wall-clock
 //! stall under virtual time, so the watchdog is the desim scheduler's
 //! own deadlock detector (`desim::coop::CoopObserver`) — it fires the
 //! instant the virtual event queue drains while LPs are parked, and
@@ -34,28 +35,9 @@ use udn::fabric::UdnEndpoint;
 use udn::NUM_QUEUES;
 
 use crate::engine::backend::CoopCore;
+use crate::engine::wall::WallShared;
 use crate::fabric::{BlockedOn, PeProbe};
-use crate::trace::{TraceEvent, TraceSink};
-
-/// What a wall-clock watchdog needs from a launch's shared state —
-/// implemented by the native engine's `NativeShared` (one thread per
-/// PE) and the cooperative engine's `CoopShared` (N PEs over M worker
-/// threads), so one [`JobWatch`] observes either.
-pub(crate) trait WallShared: Send + Sync {
-    fn npes(&self) -> usize;
-    fn probes(&self) -> &[Arc<PeProbe>];
-    fn service_probes(&self) -> &[Arc<PeProbe>];
-    fn trace_sink(&self) -> Option<&Arc<TraceSink>>;
-    fn abort_job(&self);
-    /// Runnable contexts per worker thread: 1 on the native engine,
-    /// `ceil(2 * npes / workers)` on the cooperative engine. A stall
-    /// watchdog should scale its wall-clock window by this factor — a
-    /// descheduled-but-runnable PE makes progress N/M times slower
-    /// without being any less live.
-    fn oversubscription(&self) -> usize {
-        1
-    }
-}
+use crate::trace::TraceEvent;
 
 /// Wall-clock stall window scaled by the engine's oversubscription
 /// factor (runnable contexts per worker thread). A descheduled coop PE
@@ -108,13 +90,29 @@ fn snapshot(probe: &PeProbe) -> PeCounters {
 }
 
 struct Watched {
-    shared: Arc<dyn WallShared>,
+    shared: Arc<WallShared>,
     endpoints: Vec<UdnEndpoint>,
 }
 
-/// Observation handle over one native launch (see module docs).
+impl Watched {
+    /// Every probe: indices `0..npes` the PE main contexts,
+    /// `npes..2*npes` their service contexts.
+    fn all_probes(&self) -> impl Iterator<Item = &Arc<PeProbe>> {
+        self.shared.probes.iter().chain(&self.shared.service_probes)
+    }
+
+    fn last_events(&self) -> Vec<Option<TraceEvent>> {
+        match &self.shared.trace {
+            Some(sink) => sink.last_per_pe(self.shared.npes),
+            None => vec![None; self.shared.npes],
+        }
+    }
+}
+
+/// Observation handle over one wall-clock launch, native or coop (see
+/// module docs).
 ///
-/// Create it empty, pass it to `launch_watched`, and poll from another
+/// Create it empty, hand it to the launcher, and poll from another
 /// thread; before attachment every accessor reports "no progress yet".
 #[derive(Default)]
 pub struct JobWatch {
@@ -126,7 +124,7 @@ impl JobWatch {
         Self::default()
     }
 
-    pub(crate) fn attach(&self, shared: Arc<dyn WallShared>, endpoints: Vec<UdnEndpoint>) {
+    pub(crate) fn attach(&self, shared: Arc<WallShared>, endpoints: Vec<UdnEndpoint>) {
         *self.inner.lock() = Some(Watched { shared, endpoints });
     }
 
@@ -143,33 +141,25 @@ impl JobWatch {
         self.inner
             .lock()
             .as_ref()
-            .map_or(1, |w| w.shared.oversubscription())
+            .map_or(1, |w| w.shared.oversubscription)
     }
 
     /// Sum of completed *useful* fabric operations across all PEs and
     /// their service threads — the watchdog's forward-progress signal.
     /// Monotone while the job runs; spins do not move it.
     pub fn total_ops(&self) -> u64 {
-        match self.inner.lock().as_ref() {
-            Some(w) => {
-                let main: u64 = w.shared.probes().iter().map(|p| p.ops()).sum();
-                let svc: u64 = w.shared.service_probes().iter().map(|p| p.ops()).sum();
-                main + svc
-            }
-            None => 0,
-        }
+        self.inner
+            .lock()
+            .as_ref()
+            .map_or(0, |w| w.all_probes().map(|p| p.ops()).sum())
     }
 
     /// Sum of spin retries across all PEs and service threads.
     pub fn total_spins(&self) -> u64 {
-        match self.inner.lock().as_ref() {
-            Some(w) => {
-                let main: u64 = w.shared.probes().iter().map(|p| p.spins()).sum();
-                let svc: u64 = w.shared.service_probes().iter().map(|p| p.spins()).sum();
-                main + svc
-            }
-            None => 0,
-        }
+        self.inner
+            .lock()
+            .as_ref()
+            .map_or(0, |w| w.all_probes().map(|p| p.spins()).sum())
     }
 
     /// Per-probe counter snapshot: indices `0..npes` are the PE main
@@ -179,13 +169,7 @@ impl JobWatch {
     /// spun without useful work across the window.
     pub fn counters(&self) -> Vec<PeCounters> {
         match self.inner.lock().as_ref() {
-            Some(w) => w
-                .shared
-                .probes()
-                .iter()
-                .chain(w.shared.service_probes().iter())
-                .map(|p| snapshot(p))
-                .collect(),
+            Some(w) => w.all_probes().map(|p| snapshot(p)).collect(),
             None => Vec::new(),
         }
     }
@@ -196,7 +180,7 @@ impl JobWatch {
     /// wedged — which stall classifiers must not count as frozen.
     pub fn blocked_states(&self) -> Vec<BlockedOn> {
         match self.inner.lock().as_ref() {
-            Some(w) => w.shared.probes().iter().map(|p| p.blocked()).collect(),
+            Some(w) => w.shared.probes.iter().map(|p| p.blocked()).collect(),
             None => Vec::new(),
         }
     }
@@ -205,20 +189,14 @@ impl JobWatch {
     /// at its next abort check instead of hanging forever.
     pub fn abort(&self) {
         if let Some(w) = self.inner.lock().as_ref() {
-            w.shared.abort_job();
+            w.shared.abort();
         }
     }
 
     /// Last recorded trace event per PE (`None` where a PE recorded
     /// nothing), for the stall dump.
     pub fn last_events(&self) -> Vec<Option<TraceEvent>> {
-        match self.inner.lock().as_ref() {
-            Some(w) => match w.shared.trace_sink() {
-                Some(sink) => sink.last_per_pe(w.shared.npes()),
-                None => vec![None; w.shared.npes()],
-            },
-            None => Vec::new(),
-        }
+        self.inner.lock().as_ref().map_or_else(Vec::new, Watched::last_events)
     }
 
     /// Render a per-PE stall diagnosis: blocked state, useful/spin
@@ -239,16 +217,13 @@ impl JobWatch {
         let Some(w) = guard.as_ref() else {
             return "watchdog: job not attached yet".to_string();
         };
-        let last = match w.shared.trace_sink() {
-            Some(sink) => sink.last_per_pe(w.shared.npes()),
-            None => vec![None; w.shared.npes()],
-        };
-        let npes = w.shared.npes();
+        let last = w.last_events();
+        let npes = w.shared.npes;
         let mut out = String::new();
         let mut suspects: Vec<String> = Vec::new();
         let _ = writeln!(out, "per-PE stall diagnosis ({npes} PEs):");
         for (pe, last_ev) in last.iter().enumerate() {
-            let probe = &w.shared.probes()[pe];
+            let probe = &w.shared.probes[pe];
             let now = snapshot(probe);
             let occ: Vec<usize> = (0..NUM_QUEUES)
                 .map(|q| w.endpoints[pe].queue_len(q))
@@ -300,7 +275,7 @@ impl JobWatch {
                 }
             }
             // The PE's interrupt-service thread, attributed separately.
-            let svc = &w.shared.service_probes()[pe];
+            let svc = &w.shared.service_probes[pe];
             let snow = snapshot(svc);
             let _ = write!(
                 out,
@@ -333,8 +308,8 @@ impl JobWatch {
 /// Deadlock watchdog for both cooperative engines (timed and
 /// multichip).
 ///
-/// Hand one to [`crate::runtime::launch_timed_watched`] or
-/// [`crate::runtime::launch_multichip_watched`]. Under virtual time a
+/// Hand one to the launcher as
+/// [`WatchPlane::Virtual`](crate::WatchPlane::Virtual). Under virtual time a
 /// wedged job does not stall a wall clock — the desim scheduler itself
 /// detects the moment no LP can ever run again — so this watch
 /// implements [`desim::coop::CoopObserver`]: when the scheduler's

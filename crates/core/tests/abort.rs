@@ -2,15 +2,43 @@
 //! surfacing) rather than leaving peers blocked in protocol waits.
 
 use tshmem::prelude::*;
+use tshmem::EngineBackend;
 
 fn cfg(npes: usize) -> RuntimeConfig {
     RuntimeConfig::new(npes).with_partition_bytes(1 << 20)
 }
 
+fn coop(workers: usize) -> CoopBackend {
+    CoopBackend { workers, ..Default::default() }
+}
+
+/// Run `body` on `backend` and return the panic message the job dies of.
+fn abort_message<B: EngineBackend>(
+    backend: B,
+    npes: usize,
+    body: &(impl Fn(&ShmemCtx) + Send + Sync),
+) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Launcher::new(&cfg(npes), backend).run(|ctx| body(ctx));
+    }))
+    .expect_err("the aborted job must report the panic");
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p.downcast_ref::<&str>().expect("string panic payload").to_string(),
+    }
+}
+
+/// The abort path is the wall fabric's, not the admission policy's: the
+/// job must die of `body` with the same message (the lowest panicking
+/// PE's) under free admission and under the gate.
+fn aborts_alike(npes: usize, message: &str, body: impl Fn(&ShmemCtx) + Send + Sync) {
+    assert_eq!(abort_message(NativeBackend, npes, &body), message, "native");
+    assert_eq!(abort_message(coop(2), npes, &body), message, "coop");
+}
+
 #[test]
-#[should_panic]
 fn peer_panic_aborts_pes_blocked_in_barrier() {
-    tshmem::launch(&cfg(4), |ctx| {
+    aborts_alike(4, "PE 0: aborting — another PE panicked", |ctx| {
         if ctx.my_pe() == 2 {
             panic!("PE 2 exploded mid-protocol");
         }
@@ -21,9 +49,8 @@ fn peer_panic_aborts_pes_blocked_in_barrier() {
 }
 
 #[test]
-#[should_panic]
 fn peer_panic_aborts_pes_blocked_in_wait() {
-    tshmem::launch(&cfg(2), |ctx| {
+    aborts_alike(2, "PE 0 exploded before signaling", |ctx| {
         let flag = ctx.shmalloc::<i64>(1);
         ctx.local_write(&flag, 0, &[0i64]);
         ctx.barrier_all();
@@ -37,23 +64,21 @@ fn peer_panic_aborts_pes_blocked_in_wait() {
 
 #[test]
 fn jobs_after_an_aborted_job_still_work() {
-    let r = std::panic::catch_unwind(|| {
-        tshmem::launch(&cfg(3), |ctx| {
-            if ctx.my_pe() == 1 {
-                panic!("boom");
-            }
-            ctx.barrier_all();
-        });
+    aborts_alike(3, "PE 0: aborting — another PE panicked", |ctx| {
+        if ctx.my_pe() == 1 {
+            panic!("boom");
+        }
+        ctx.barrier_all();
     });
-    assert!(r.is_err(), "the aborted job must report the panic");
-    // A fresh job in the same process is unaffected.
-    let out = tshmem::launch(&cfg(3), |ctx| {
+    // A fresh job in the same process is unaffected, on either policy.
+    let ring = |ctx: &ShmemCtx| {
         let v = ctx.shmalloc::<u32>(1);
         ctx.p(&v, 0, 5u32, (ctx.my_pe() + 1) % 3);
         ctx.barrier_all();
         ctx.g(&v, 0, ctx.my_pe())
-    });
-    assert_eq!(out, vec![5, 5, 5]);
+    };
+    assert_eq!(launch(&cfg(3), ring), vec![5, 5, 5]);
+    assert_eq!(Launcher::new(&cfg(3), coop(2)).run(ring).values, vec![5, 5, 5]);
 }
 
 // --- cell waiters (coop engine, >64 PEs on shard-aligned sets) -----------
@@ -68,7 +93,6 @@ fn jobs_after_an_aborted_job_still_work() {
 use std::sync::mpsc;
 use std::time::Duration;
 
-use tshmem::runtime::launch_coop;
 use tshmem::{Bits, Reducible};
 
 const SHARD: usize = 64;
@@ -83,7 +107,7 @@ fn must_abort(body: impl Fn(&ShmemCtx) + Send + Sync + 'static) {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            launch_coop(&coop_cfg(), 2, body);
+            Launcher::new(&coop_cfg(), coop(2)).run(body);
         }));
         let _ = tx.send(r.is_err());
     });
@@ -96,13 +120,13 @@ fn must_abort(body: impl Fn(&ShmemCtx) + Send + Sync + 'static) {
 
 /// A fresh coop job after the wreck still runs its collectives.
 fn coop_still_works() {
-    let out = launch_coop(&coop_cfg(), 2, |ctx| {
+    let out = Launcher::new(&coop_cfg(), coop(2)).run(|ctx| {
         let src = ctx.shmalloc::<u64>(1);
         let dst = ctx.shmalloc::<u64>(1);
         ctx.local_write(&src, 0, &[1]);
         ctx.sum_to_all(&dst, &src, 1, ctx.world());
         ctx.local_read(&dst, 0, 1)[0]
-    });
+    }).values;
     assert_eq!(out, vec![2 * SHARD as u64; 2 * SHARD]);
 }
 

@@ -3,8 +3,11 @@
 //! host's core count.
 
 use tshmem::prelude::*;
-use tshmem::runtime::{launch, launch_coop, launch_coop_watched};
 use tshmem::JobWatch;
+
+fn coop(workers: usize) -> CoopBackend {
+    CoopBackend { workers, ..Default::default() }
+}
 
 fn deposit_and_sum(ctx: &ShmemCtx) -> i64 {
     let me = ctx.my_pe();
@@ -29,7 +32,7 @@ fn coop_matches_native_on_the_quickstart_job() {
     let cfg = RuntimeConfig::new(8).with_partition_bytes(1 << 20);
     let native = launch(&cfg, deposit_and_sum);
     for workers in [1, 2, 3, 8] {
-        let coop = launch_coop(&cfg, workers, deposit_and_sum);
+        let coop = Launcher::new(&cfg, coop(workers)).run(deposit_and_sum).values;
         assert_eq!(coop, native, "workers={workers}");
     }
 }
@@ -40,7 +43,7 @@ fn coop_oversubscribed_past_the_core_count() {
     // for_scale config must pick the scaled device, and the answer must
     // match the closed form.
     let cfg = RuntimeConfig::for_scale(96).with_partition_bytes(64 * 1024);
-    let out = launch_coop(&cfg, 4, deposit_and_sum);
+    let out = Launcher::new(&cfg, coop(4)).run(deposit_and_sum).values;
     let want = (96 * 97 / 2) as i64;
     assert_eq!(out, vec![want; 96]);
 }
@@ -51,7 +54,7 @@ fn coop_bounded_udn_and_trace() {
         .with_partition_bytes(1 << 20)
         .with_bounded_udn(2);
     let native = launch(&cfg, deposit_and_sum);
-    let coop = launch_coop(&cfg, 2, deposit_and_sum);
+    let coop = Launcher::new(&cfg, coop(2)).run(deposit_and_sum).values;
     assert_eq!(coop, native);
 }
 
@@ -60,7 +63,7 @@ fn coop_watch_reports_oversubscription() {
     let cfg = RuntimeConfig::new(8).with_partition_bytes(1 << 20);
     let watch = JobWatch::new();
     assert_eq!(watch.oversubscription(), 1, "unattached watch defaults to 1");
-    let out = launch_coop_watched(&cfg, 2, &watch, deposit_and_sum);
+    let out = Launcher::new(&cfg, coop(2)).with_watch(WatchPlane::Wall(&watch)).run(deposit_and_sum).values;
     assert_eq!(out, vec![36; 8]);
     assert!(watch.attached());
     // 2 * 8 contexts over 2 workers.
@@ -72,14 +75,14 @@ fn coop_watch_reports_oversubscription() {
 fn coop_panic_aborts_the_whole_job() {
     let cfg = RuntimeConfig::new(6).with_partition_bytes(1 << 20);
     let r = std::panic::catch_unwind(|| {
-        launch_coop(&cfg, 2, |ctx| {
+        Launcher::new(&cfg, coop(2)).run(|ctx| {
             if ctx.my_pe() == 3 {
                 panic!("PE 3 exploded");
             }
             // Everyone else parks in a barrier that can never complete;
             // the abort broadcast must wake them.
             ctx.barrier_all();
-        })
+        }).values
     });
     assert!(r.is_err(), "panic must propagate out of the launch");
 }
@@ -92,14 +95,14 @@ fn coop_tmc_spin_barrier_survives_oversubscription() {
     let cfg = RuntimeConfig::new(12)
         .with_partition_bytes(1 << 20)
         .with_algos(algos);
-    let out = launch_coop(&cfg, 2, |ctx| {
+    let out = Launcher::new(&cfg, coop(2)).run(|ctx| {
         let me = ctx.my_pe();
         let n = ctx.n_pes();
         let table = ctx.shmalloc::<u64>(n);
         ctx.p(&table, me, (me as u64) * 3 + 1, (me + 1) % n);
         ctx.barrier_all();
         ctx.g(&table, (me + n - 1) % n, me)
-    });
+    }).values;
     for (pe, v) in out.iter().enumerate() {
         let writer = (pe + 12 - 1) % 12;
         assert_eq!(*v, (writer as u64) * 3 + 1, "PE {pe}");

@@ -6,10 +6,13 @@
 //! envelope (DESIGN.md §6) the last group of tests leans on.
 
 use tshmem::prelude::*;
-use tshmem::runtime::{launch, launch_coop};
 
 fn cfg(npes: usize) -> RuntimeConfig {
     RuntimeConfig::new(npes).with_partition_bytes(256 * 1024)
+}
+
+fn coop(workers: usize) -> CoopBackend {
+    CoopBackend { workers, ..Default::default() }
 }
 
 /// Sum-reduce on deterministic per-rank values, through the hierarchical
@@ -140,7 +143,7 @@ fn hier_collectives_on_strided_subset() {
 fn default_algos_auto_upgrade_past_64_pes() {
     let npes = 96;
     let cfg = RuntimeConfig::for_scale(npes).with_partition_bytes(96 * 1024);
-    let out = launch_coop(&cfg, 4, |ctx| {
+    let out = Launcher::new(&cfg, coop(4)).run(|ctx| {
         let me = ctx.my_pe();
         let src = ctx.shmalloc::<i64>(1);
         let dst = ctx.shmalloc::<i64>(1);
@@ -159,7 +162,7 @@ fn default_algos_auto_upgrade_past_64_pes() {
         ctx.barrier_all();
         let bval = if me == 7 { sum * 2 } else { ctx.local_read(&b_dst, 0, 1)[0] };
         (sum, bval)
-    });
+    }).values;
     let want_sum = (npes * (npes + 1) / 2) as i64;
     for (pe, (sum, bval)) in out.iter().enumerate() {
         assert_eq!(*sum, want_sum, "PE {pe} reduce");
@@ -173,14 +176,14 @@ fn default_algos_auto_upgrade_past_64_pes() {
 #[test]
 fn hier_barrier_at_96_pes_on_coop() {
     let cfg = RuntimeConfig::for_scale(96).with_partition_bytes(64 * 1024);
-    let out = launch_coop(&cfg, 4, |ctx| {
+    let out = Launcher::new(&cfg, coop(4)).run(|ctx| {
         let n = ctx.n_pes();
         let me = ctx.my_pe();
         let table = ctx.shmalloc::<u64>(n);
         ctx.p(&table, me, me as u64 + 1, (me + 1) % n);
         ctx.barrier_hier_explicit(ctx.world());
         ctx.g(&table, (me + n - 1) % n, me)
-    });
+    }).values;
     for (pe, v) in out.iter().enumerate() {
         let writer = (pe + 95) % 96;
         assert_eq!(*v, writer as u64 + 1, "PE {pe}");
@@ -214,7 +217,7 @@ fn fused_pass_back_to_back_reuses_buffers_with_rotating_root() {
     const NB: usize = 3;
     const NF: usize = 2;
     for (npes, workers) in ALIGNED {
-        launch_coop(&scale_cfg(npes), workers, move |ctx| {
+        Launcher::new(&scale_cfg(npes), coop(workers)).run(move |ctx| {
             let (n, me, world) = (ctx.n_pes(), ctx.my_pe(), ctx.world());
             let rsrc = ctx.shmalloc::<u64>(NR);
             let rdst = ctx.shmalloc::<u64>(NR);
@@ -265,7 +268,7 @@ fn fused_pass_back_to_back_reuses_buffers_with_rotating_root() {
 /// context while the root itself stays parked.
 #[test]
 fn fused_broadcast_into_static_dest() {
-    launch_coop(&scale_cfg(72), 4, |ctx| {
+    Launcher::new(&scale_cfg(72), coop(4)).run(|ctx| {
         let me = ctx.my_pe();
         let dyn_src = ctx.shmalloc::<u64>(5);
         let stat_src = ctx.static_sym::<u64>(5);
@@ -293,7 +296,7 @@ fn fused_broadcast_into_static_dest() {
 #[test]
 fn fused_pass_chunks_large_reductions_and_accepts_zero_lengths() {
     const BIG: usize = 100;
-    launch_coop(&scale_cfg(96), 3, |ctx| {
+    Launcher::new(&scale_cfg(96), coop(3)).run(|ctx| {
         let (n, me, world) = (ctx.n_pes(), ctx.my_pe(), ctx.world());
         let src = ctx.shmalloc::<u64>(BIG);
         let dst = ctx.shmalloc::<u64>(BIG);
@@ -336,7 +339,7 @@ fn fused_pass_chunks_large_reductions_and_accepts_zero_lengths() {
 #[test]
 fn sets_sharing_a_leader_do_not_mix_arrivals() {
     let cfg = RuntimeConfig::for_scale(140).with_partition_bytes(64 * 1024);
-    launch_coop(&cfg, 2, |ctx| {
+    Launcher::new(&cfg, coop(2)).run(|ctx| {
         let (n, me) = (ctx.n_pes(), ctx.my_pe());
         let src = ctx.shmalloc::<u64>(1);
         let dst = ctx.shmalloc::<u64>(1);

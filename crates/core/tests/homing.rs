@@ -3,7 +3,6 @@
 //! contention physics of paper Section III-A.
 
 use tshmem::prelude::*;
-use tshmem::runtime::{launch, launch_timed};
 
 fn cfg(npes: usize) -> RuntimeConfig {
     RuntimeConfig::new(npes)
@@ -34,7 +33,7 @@ fn timed_single_tile_homing_bottlenecks_under_many_readers() {
     // over every home port; homed on tile 0, everything serializes on
     // one port (paper Section III-A's rationale for hash-for-home).
     fn sweep(hint: HomingHint) -> f64 {
-        let out = launch_timed(&cfg(16), move |ctx| {
+        let out = Launcher::new(&cfg(16), TimedBackend).run(move |ctx| {
             let n = 64 * 1024 / 8; // 64 kB per pull
             let src = ctx.shmalloc_homed::<u64>(n, hint);
             let dst = ctx.shmalloc::<u64>(n);
@@ -68,7 +67,7 @@ fn timed_single_tile_homing_bottlenecks_under_many_readers() {
 fn freeing_homed_region_clears_override() {
     // After shfree, a new allocation reusing the offsets must behave as
     // hash-for-home again (no stale override).
-    let out = launch_timed(&cfg(8), |ctx| {
+    let out = Launcher::new(&cfg(8), TimedBackend).run(|ctx| {
         let n = 32 * 1024 / 8;
         let a = ctx.shmalloc_homed::<u64>(n, HomingHint::Tile(0));
         ctx.shfree(a);

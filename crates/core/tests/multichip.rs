@@ -2,7 +2,6 @@
 //! costs change exactly at the chip boundary.
 
 use tshmem::prelude::*;
-use tshmem::runtime::{launch_multichip, launch_multichip_watched, launch_timed};
 use tshmem::types::ReduceOp;
 use tshmem::TimedWatch;
 
@@ -32,14 +31,14 @@ fn multichip_results_match_single_chip() {
         out
     }
     // 2 chips x 3 PEs vs one 6-PE chip: identical answers.
-    let multi = launch_multichip(&cfg(3), 2, workload);
-    let single = launch_timed(&cfg(6), workload);
+    let multi = Launcher::new(&cfg(3), MultiChipBackend { chips: 2 }).run(workload);
+    let single = Launcher::new(&cfg(6), TimedBackend).run(workload);
     assert_eq!(multi.values, single.values);
 }
 
 #[test]
 fn cross_chip_put_much_slower_than_intra_chip() {
-    let out = launch_multichip(&cfg(2), 2, |ctx| {
+    let out = Launcher::new(&cfg(2), MultiChipBackend { chips: 2 }).run(|ctx| {
         // PEs 0,1 on chip 0; PEs 2,3 on chip 1.
         let v = ctx.shmalloc::<u64>(8192);
         ctx.barrier_all();
@@ -78,7 +77,7 @@ fn cross_chip_put_much_slower_than_intra_chip() {
 #[test]
 fn cross_chip_bandwidth_capped_by_link_rate() {
     let big = cfg(1).with_partition_bytes(10 << 20);
-    let out = launch_multichip(&big, 2, |ctx| {
+    let out = Launcher::new(&big, MultiChipBackend { chips: 2 }).run(|ctx| {
         let n = 1 << 20; // 8 MB of u64
         let v = ctx.shmalloc::<u64>(n);
         ctx.barrier_all();
@@ -103,13 +102,13 @@ fn cross_chip_bandwidth_capped_by_link_rate() {
 
 #[test]
 fn cross_chip_barrier_in_microseconds() {
-    let single = launch_timed(&cfg(8), |ctx| {
+    let single = Launcher::new(&cfg(8), TimedBackend).run(|ctx| {
         ctx.barrier_all();
         let t0 = ctx.time_ns();
         ctx.barrier_all();
         ctx.time_ns() - t0
     });
-    let multi = launch_multichip(&cfg(4), 2, |ctx| {
+    let multi = Launcher::new(&cfg(4), MultiChipBackend { chips: 2 }).run(|ctx| {
         ctx.barrier_all();
         let t0 = ctx.time_ns();
         ctx.barrier_all();
@@ -124,7 +123,7 @@ fn cross_chip_barrier_in_microseconds() {
 
 #[test]
 fn cross_chip_atomics_pay_round_trip() {
-    let out = launch_multichip(&cfg(1), 2, |ctx| {
+    let out = Launcher::new(&cfg(1), MultiChipBackend { chips: 2 }).run(|ctx| {
         let c = ctx.shmalloc::<u64>(1);
         ctx.local_write(&c, 0, &[0u64]);
         ctx.barrier_all();
@@ -149,7 +148,7 @@ fn cross_chip_atomics_pay_round_trip() {
 #[test]
 fn multichip_is_deterministic() {
     let run = || {
-        let out = launch_multichip(&cfg(2), 3, |ctx| {
+        let out = Launcher::new(&cfg(2), MultiChipBackend { chips: 3 }).run(|ctx| {
             let v = ctx.shmalloc::<i64>(16);
             let d = ctx.shmalloc::<i64>(16);
             ctx.local_write(&v, 0, &[ctx.my_pe() as i64; 16]);
@@ -163,7 +162,7 @@ fn multichip_is_deterministic() {
 
 #[test]
 fn multichip_records_a_trace_with_link_events() {
-    let out = launch_multichip(&cfg(2).with_trace(), 2, |ctx| {
+    let out = Launcher::new(&cfg(2).with_trace(), MultiChipBackend { chips: 2 }).run(|ctx| {
         let v = ctx.shmalloc::<u64>(64);
         ctx.barrier_all();
         if ctx.my_pe() == 0 {
@@ -188,10 +187,19 @@ fn multichip_records_a_trace_with_link_events() {
         .all(|e| e.peer < 2 && e.bytes > 0));
 }
 
+/// Two chips of `per_chip` PEs under the drained-queue watchdog.
+fn two_chips_watched(
+    per_chip: usize,
+    watch: &std::sync::Arc<TimedWatch>,
+) -> Launcher<'static, MultiChipBackend> {
+    Launcher::new(&cfg(per_chip), MultiChipBackend { chips: 2 })
+        .with_watch(WatchPlane::Virtual(watch.clone()))
+}
+
 #[test]
 fn multichip_watched_completes_clean_jobs() {
     let watch = std::sync::Arc::new(TimedWatch::new());
-    let out = launch_multichip_watched(&cfg(2), 2, &watch, |ctx| {
+    let out = two_chips_watched(2, &watch).run_watched(|ctx| {
         let v = ctx.shmalloc::<i64>(8);
         ctx.local_write(&v, 0, &[ctx.my_pe() as i64; 8]);
         ctx.barrier_all();
@@ -208,7 +216,7 @@ fn multichip_watched_diagnoses_mismatched_barrier() {
     // finish, the coop scheduler's drained-queue detector fires, and
     // the report labels each PE with its chip.
     let watch = std::sync::Arc::new(TimedWatch::new());
-    let err = match launch_multichip_watched(&cfg(2), 2, &watch, |ctx| {
+    let err = match two_chips_watched(2, &watch).run_watched(|ctx| {
         ctx.barrier_all();
         if ctx.my_pe() != 3 {
             ctx.barrier_all(); // PE 3 bails out instead
@@ -235,7 +243,7 @@ fn multichip_watched_diagnoses_mismatched_barrier() {
 #[test]
 fn one_chip_multichip_degenerates_to_timed() {
     // chips = 1 must behave like launch_timed semantically.
-    let multi = launch_multichip(&cfg(4), 1, |ctx| {
+    let multi = Launcher::new(&cfg(4), MultiChipBackend { chips: 1 }).run(|ctx| {
         let v = ctx.shmalloc::<u32>(4);
         ctx.p(&v, 0, 7u32, (ctx.my_pe() + 1) % ctx.n_pes());
         ctx.barrier_all();

@@ -5,7 +5,6 @@
 
 use tshmem::api::{shmem_put_nbi, shmem_put_signal, shmem_wait_until, shmem_wait_until_at};
 use tshmem::prelude::*;
-use tshmem::runtime::{launch, launch_timed};
 
 fn cfg(npes: usize) -> RuntimeConfig {
     RuntimeConfig::new(npes)
@@ -131,7 +130,7 @@ fn wait_until_at_nonzero_index_native() {
 /// (correct) element.
 #[test]
 fn wait_until_at_nonzero_index_timed() {
-    launch_timed(&cfg(2), |ctx| {
+    Launcher::new(&cfg(2), TimedBackend).run(|ctx| {
         wait_at_index_body(ctx);
     });
 }
@@ -352,7 +351,7 @@ fn sub_team_collective_leaves_non_members_alone() {
 /// time), including nbi completion at quiet.
 #[test]
 fn timed_engine_runs_nbi_and_teams() {
-    launch_timed(&cfg(4), |ctx| {
+    Launcher::new(&cfg(4), TimedBackend).run(|ctx| {
         let me = ctx.my_pe();
         let npes = ctx.n_pes();
         let buf = ctx.shmalloc::<u64>(npes);

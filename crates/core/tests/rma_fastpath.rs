@@ -73,7 +73,7 @@ fn unit_stride_iget_is_one_copy_event_native() {
 
 #[test]
 fn unit_stride_iget_is_one_copy_event_timed() {
-    let out = tshmem::launch_timed(&cfg(), workload);
+    let out = Launcher::new(&cfg(), TimedBackend).run(workload);
     for (pe, gets) in out.values.iter().enumerate() {
         assert_eq!(*gets, 1, "PE {pe}: iget must count as one logical get");
     }

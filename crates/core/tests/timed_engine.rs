@@ -3,7 +3,6 @@
 //! measured scales.
 
 use tshmem::prelude::*;
-use tshmem::runtime::launch_timed;
 use tile_arch::device::Device;
 
 fn cfg(npes: usize) -> RuntimeConfig {
@@ -15,7 +14,7 @@ fn cfg(npes: usize) -> RuntimeConfig {
 
 #[test]
 fn timed_ring_put_is_correct_and_timed() {
-    let out = launch_timed(&cfg(4), |ctx| {
+    let out = Launcher::new(&cfg(4), TimedBackend).run(|ctx| {
         let me = ctx.my_pe();
         let buf = ctx.shmalloc::<u64>(64);
         let next = (me + 1) % ctx.n_pes();
@@ -36,7 +35,7 @@ fn timed_ring_put_is_correct_and_timed() {
 #[test]
 fn timed_runs_are_deterministic() {
     let run = || {
-        let out = launch_timed(&cfg(6), |ctx| {
+        let out = Launcher::new(&cfg(6), TimedBackend).run(|ctx| {
             let v = ctx.shmalloc::<i64>(32);
             let d = ctx.shmalloc::<i64>(32);
             ctx.local_write(&v, 0, &vec![ctx.my_pe() as i64; 32]);
@@ -69,7 +68,7 @@ fn timed_barrier_latency_in_paper_scale() {
             .with_partition_bytes(1 << 20)
             .with_private_bytes(1 << 14)
             .with_temp_bytes(1 << 12);
-        let out = launch_timed(&cfg, |ctx| {
+        let out = Launcher::new(&cfg, TimedBackend).run(|ctx| {
             ctx.barrier_all(); // warm
             let t0 = ctx.time_ns();
             for _ in 0..8 {
@@ -93,7 +92,7 @@ fn timed_gx_barrier_faster_than_pro() {
             .with_partition_bytes(1 << 20)
             .with_private_bytes(1 << 14)
             .with_temp_bytes(1 << 12);
-        let out = launch_timed(&cfg, |ctx| {
+        let out = Launcher::new(&cfg, TimedBackend).run(|ctx| {
             ctx.barrier_all();
             let t0 = ctx.time_ns();
             for _ in 0..4 {
@@ -110,7 +109,7 @@ fn timed_gx_barrier_faster_than_pro() {
 
 #[test]
 fn timed_redirected_put_slower_than_direct() {
-    let out = launch_timed(&cfg(2), |ctx| {
+    let out = Launcher::new(&cfg(2), TimedBackend).run(|ctx| {
         let me = ctx.my_pe();
         let n = 2048usize;
         let dynv = ctx.shmalloc::<u64>(n);
@@ -139,7 +138,7 @@ fn timed_redirected_put_slower_than_direct() {
 
 #[test]
 fn timed_static_static_slowest() {
-    let out = launch_timed(&cfg(2), |ctx| {
+    let out = Launcher::new(&cfg(2), TimedBackend).run(|ctx| {
         let me = ctx.my_pe();
         let n = 512usize; // fits the 4 kB temp
         let s1 = ctx.static_sym::<u64>(n);
@@ -168,7 +167,7 @@ fn timed_static_static_slowest() {
 
 #[test]
 fn timed_collectives_correct_under_virtual_time() {
-    let out = launch_timed(&cfg(8), |ctx| {
+    let out = Launcher::new(&cfg(8), TimedBackend).run(|ctx| {
         let me = ctx.my_pe();
         let n = 128;
         let src = ctx.shmalloc::<u32>(n);
@@ -186,7 +185,7 @@ fn timed_collectives_correct_under_virtual_time() {
 
 #[test]
 fn timed_atomics_and_locks() {
-    let out = launch_timed(&cfg(4), |ctx| {
+    let out = Launcher::new(&cfg(4), TimedBackend).run(|ctx| {
         let counter = ctx.shmalloc::<u64>(1);
         let lock = ctx.shmalloc::<i64>(1);
         ctx.local_write(&counter, 0, &[0u64]);
@@ -216,7 +215,7 @@ fn timed_spin_barrier_matches_calibration() {
             barrier: BarrierAlgo::TmcSpin,
             ..Default::default()
         });
-    let out = launch_timed(&cfg36, |ctx| {
+    let out = Launcher::new(&cfg36, TimedBackend).run(|ctx| {
         ctx.barrier_all();
         let t0 = ctx.time_ns();
         ctx.barrier_all();
@@ -229,7 +228,7 @@ fn timed_spin_barrier_matches_calibration() {
 
 #[test]
 fn cycle_box_mode_runs_protocols_correctly() {
-    let out = launch_timed(&cfg(6).with_cycle_box(), |ctx| {
+    let out = Launcher::new(&cfg(6).with_cycle_box(), TimedBackend).run(|ctx| {
         let me = ctx.my_pe();
         let buf = ctx.shmalloc::<u64>(32);
         let next = (me + 1) % ctx.n_pes();
@@ -251,7 +250,7 @@ fn cycle_box_mode_runs_protocols_correctly() {
 #[test]
 fn cycle_box_runs_are_deterministic_and_converge_with_event_driven() {
     let run = |cfg: RuntimeConfig| {
-        let out = launch_timed(&cfg, |ctx| {
+        let out = Launcher::new(&cfg, TimedBackend).run(|ctx| {
             let me = ctx.my_pe();
             let n = ctx.n_pes();
             let cell = ctx.shmalloc::<u64>(n);

@@ -22,7 +22,7 @@ fn workload(ctx: &ShmemCtx) {
 
 #[test]
 fn trace_captures_all_operation_kinds() {
-    let out = tshmem::launch_timed(&cfg(3), workload);
+    let out = Launcher::new(&cfg(3), TimedBackend).run(workload);
     let trace = out.trace.expect("trace enabled");
     assert!(!trace.is_empty());
     for kind in [
@@ -53,7 +53,7 @@ fn trace_captures_all_operation_kinds() {
 #[test]
 fn trace_is_deterministic() {
     let run = || {
-        let out = tshmem::launch_timed(&cfg(3), workload);
+        let out = Launcher::new(&cfg(3), TimedBackend).run(workload);
         out.trace
             .unwrap()
             .iter()
@@ -65,7 +65,7 @@ fn trace_is_deterministic() {
 
 #[test]
 fn trace_summary_and_tsv() {
-    let out = tshmem::launch_timed(&cfg(2), workload);
+    let out = Launcher::new(&cfg(2), TimedBackend).run(workload);
     let trace = out.trace.unwrap();
     let tsv = to_tsv(&trace);
     assert!(tsv.lines().count() == trace.len() + 1);
@@ -80,11 +80,11 @@ fn trace_summary_and_tsv() {
 #[test]
 fn disabled_trace_costs_nothing_and_returns_none() {
     let plain = RuntimeConfig::new(2).with_partition_bytes(1 << 20);
-    let out = tshmem::launch_timed(&plain, workload);
+    let out = Launcher::new(&plain, TimedBackend).run(workload);
     assert!(out.trace.is_none());
     // And the virtual clocks are identical with tracing on (observing
     // must not perturb the simulation).
-    let traced = tshmem::launch_timed(&cfg(2), workload);
+    let traced = Launcher::new(&cfg(2), TimedBackend).run(workload);
     assert_eq!(
         out.clocks.iter().map(|c| c.ps()).collect::<Vec<_>>(),
         traced.clocks.iter().map(|c| c.ps()).collect::<Vec<_>>()

@@ -530,7 +530,7 @@ where
 /// [`run`] with a deadlock observer: when the simulation deadlocks,
 /// `observer.on_deadlock` is invoked once with a per-LP stall snapshot
 /// and any text it returns is appended to the poison/panic message —
-/// the hook `launch_timed_watched` uses to render a per-PE diagnosis.
+/// the hook a `TimedWatch` uses to render a per-PE diagnosis.
 pub fn run_observed<M, R, F>(
     n: usize,
     channels: usize,

@@ -106,7 +106,6 @@ pub fn ablation_homing(device: Device, bytes: u64, readers_sweep: &[usize]) -> F
 /// much a multi-device TSHMEM would need to hide.
 pub fn ablation_multichip(total_pes: usize, payload: usize) -> Figure {
     use tshmem::prelude::*;
-    use tshmem::runtime::launch_multichip;
     let mut fig = Figure::new(
         "ablation-multichip",
         format!("{total_pes} PEs as 1/2/4 chips, {payload} B-per-PE collectives"),
@@ -125,7 +124,7 @@ pub fn ablation_multichip(total_pes: usize, payload: usize) -> Figure {
             .with_partition_bytes(4 * payload * total_pes + (1 << 20))
             .with_private_bytes(1 << 14)
             .with_temp_bytes(1 << 14);
-        let out = launch_multichip(&cfg, chips, move |ctx| {
+        let out = Launcher::new(&cfg, MultiChipBackend { chips }).run(move |ctx| {
             let n = payload / 4;
             let src = ctx.shmalloc::<u32>(n);
             let dst = ctx.shmalloc::<u32>(n * ctx.n_pes());

@@ -20,7 +20,7 @@ pub fn fft_time_s(device: Device, n: usize, npes: usize) -> f64 {
         .with_partition_bytes(full_bytes + 4 * (n / npes.max(1) + 1) * n * 8 + (1 << 20))
         .with_private_bytes(1 << 14)
         .with_temp_bytes(1 << 14);
-    let out = tshmem::launch_timed(&cfg, move |ctx| fft2d_shmem(ctx, &fcfg).elapsed_ns);
+    let out = Launcher::new(&cfg, TimedBackend).run(move |ctx| fft2d_shmem(ctx, &fcfg).elapsed_ns);
     out.values[0] / 1e9
 }
 
@@ -34,7 +34,7 @@ pub fn cbir_time_s(device: Device, images: usize, npes: usize) -> f64 {
         .with_partition_bytes(1 << 20)
         .with_private_bytes(1 << 14)
         .with_temp_bytes(1 << 12);
-    let out = tshmem::launch_timed(&cfg, move |ctx| cbir_shmem(ctx, &ccfg).elapsed_ns);
+    let out = Launcher::new(&cfg, TimedBackend).run(move |ctx| cbir_shmem(ctx, &ccfg).elapsed_ns);
     out.values[0] / 1e9
 }
 

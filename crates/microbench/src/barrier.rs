@@ -43,7 +43,7 @@ fn measure_barrier(device: Device, npes: usize, algos: Algorithms, iters: usize)
         .with_private_bytes(1 << 14)
         .with_temp_bytes(1 << 12)
         .with_algos(algos);
-    let out = tshmem::launch_timed(&cfg, move |ctx| {
+    let out = Launcher::new(&cfg, TimedBackend).run(move |ctx| {
         ctx.barrier_all(); // warm
         let mut stamps = Vec::with_capacity(iters);
         for _ in 0..iters {

@@ -94,7 +94,7 @@ pub fn collective_sweep(
         .with_private_bytes(1 << 14)
         .with_temp_bytes(64 * 1024)
         .with_algos(what.algos());
-    let out = tshmem::launch_timed(&cfg, move |ctx| {
+    let out = Launcher::new(&cfg, TimedBackend).run(move |ctx| {
         let me = ctx.my_pe();
         let n_elems_max = max / 4;
         let src = ctx.shmalloc::<u32>(n_elems_max);

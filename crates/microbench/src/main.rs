@@ -34,8 +34,10 @@
 
 use std::time::{Duration, Instant};
 
-use tshmem::runtime::launch_coop;
-use tshmem::{launch, ActiveSet, JobSpec, ReduceOp, RuntimeConfig, Server, ServerConfig, ShmemCtx};
+use tshmem::{
+    launch, ActiveSet, CoopBackend, JobSpec, Launcher, ReduceOp, RuntimeConfig, Server, ServerConfig,
+    ShmemCtx, TimedBackend,
+};
 use tshmem_apps::fft::{fft2d_shmem, Fft2dConfig, TransposeMode};
 
 struct Args {
@@ -278,7 +280,7 @@ const COOP_REDUCE_N: usize = 8;
 /// One locality arm of the coop scaling suite at `npes` PEs: the
 /// hierarchical world barrier and the hierarchical sum-reduce (plus
 /// flat dissemination when `with_flat`), slowest-PE ns/op. Each call is
-/// one `launch_coop`; the locality knob is process-global, so the
+/// one coop launch; the locality knob is process-global, so the
 /// caller toggles it only *between* launches.
 fn bench_coop_arms(
     npes: usize,
@@ -288,7 +290,8 @@ fn bench_coop_arms(
     with_flat: bool,
 ) -> (f64, f64, f64) {
     let cfg = RuntimeConfig::for_scale(npes);
-    let per_pe = launch_coop(&cfg, workers, move |ctx| {
+    let backend = CoopBackend { workers, ..Default::default() };
+    let out = Launcher::new(&cfg, backend).run(move |ctx| {
         let world = ActiveSet::new(0, 0, ctx.n_pes());
         let flat = if with_flat {
             coop_timed(iters, reps, || ctx.barrier_dissemination_explicit(world))
@@ -306,6 +309,7 @@ fn bench_coop_arms(
         ctx.shfree(dest);
         (flat, hier, reduce)
     });
+    let per_pe = out.values;
     (
         per_pe.iter().map(|p| p.0).fold(0.0, f64::max),
         per_pe.iter().map(|p| p.1).fold(0.0, f64::max),
@@ -664,9 +668,8 @@ fn bench_event_core(kind: desim::QueueKind, chains: usize, total: usize) -> f64 
 /// This is host wall time (scheduler handoffs dominate), not virtual
 /// time — the cycle-box ablation is precisely about handoff count.
 fn bench_timed_barrier(npes: usize, mode: tshmem::TimedMode, iters: usize) -> f64 {
-    use tshmem::runtime::launch_timed;
     let cfg = RuntimeConfig::for_scale(npes).with_timed_mode(mode);
-    let out = launch_timed(&cfg, move |ctx| {
+    let out = Launcher::new(&cfg, TimedBackend).run(move |ctx| {
         ctx.barrier_all(); // alignment
         let t0 = Instant::now();
         for _ in 0..iters {

@@ -49,7 +49,7 @@ pub fn putget_bandwidth(device: Device, combo: Combo, sizes: Vec<usize>) -> Vec<
         .with_partition_bytes((3 * max + (1 << 20)).max(1 << 21))
         .with_private_bytes((2 * max + (1 << 16)).max(1 << 17))
         .with_temp_bytes(64 * 1024);
-    let out = tshmem::launch_timed(&cfg, move |ctx| {
+    let out = Launcher::new(&cfg, TimedBackend).run(move |ctx| {
         let me = ctx.my_pe();
         let elems_max = max / 8;
         // Allocate both kinds on both PEs (collectively).

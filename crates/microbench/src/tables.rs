@@ -7,7 +7,7 @@ use tile_arch::device::Device;
 /// rows; `tests/api_coverage.rs` asserts every row resolves.
 pub fn table1() -> Vec<(&'static str, &'static str, &'static str)> {
     vec![
-        ("Setup and Initialization", "start_pes()", "tshmem::runtime::launch / start_pes"),
+        ("Setup and Initialization", "start_pes()", "tshmem::runtime::launch"),
         ("Environment Query", "_my_pe()", "tshmem::api::my_pe"),
         ("Environment Query", "_num_pes()", "tshmem::api::num_pes"),
         ("Memory Allocation", "shmalloc()", "tshmem::api::shmalloc"),

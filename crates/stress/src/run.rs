@@ -3,7 +3,7 @@
 //! [`run_on_ctx`] executes a [`Program`] on one PE and asserts its view
 //! of the final state against [`crate::oracle::oracle`]. [`run_watched`]
 //! wraps a launch in a wall-clock watchdog: the job runs on a detached
-//! thread under [`tshmem::launch_watched`], the watchdog polls the
+//! thread with a [`JobWatch`] attached, the watchdog polls the
 //! fabric progress counter, and if it stops moving for the stall window
 //! the watchdog captures a per-PE diagnosis (blocked state, queue
 //! occupancy, stash, last trace event), aborts the job, and returns
@@ -15,9 +15,6 @@ use std::time::{Duration, Instant};
 
 use substrate::channel::{self, RecvTimeoutError};
 use tshmem::prelude::*;
-use tshmem::runtime::{
-    launch_coop_watched, launch_multichip_watched, launch_timed_watched, launch_watched,
-};
 use tshmem::{BlockedOn, JobWatch, TimedMode, TimedWatch};
 
 use crate::oracle::{oracle, Model};
@@ -589,7 +586,10 @@ pub fn run_timed_mode(
     let watch = Arc::new(TimedWatch::new());
     let p = Arc::clone(&prog);
     let cell = OnceLock::new();
-    match launch_timed_watched(&cfg, &watch, move |ctx| run_on_ctx_shared(&p, ctx, &cell)) {
+    match Launcher::new(&cfg, TimedBackend)
+        .with_watch(WatchPlane::Virtual(watch))
+        .run_watched(move |ctx| run_on_ctx_shared(&p, ctx, &cell))
+    {
         Ok(_) => Outcome::Completed,
         Err(report) => Outcome::Stalled(format!("{report}replay: {replay_hint}\n")),
     }
@@ -620,7 +620,7 @@ pub fn run_multichip_mode(
     );
     let prog = Arc::new(prog.clone());
     let mut cfg = build_cfg(&prog, depth).with_timed_mode(mode);
-    // launch_multichip interprets cfg.npes as PEs *per chip*.
+    // MultiChipBackend interprets cfg.npes as PEs *per chip*.
     cfg.npes = prog.npes / 2;
     if cfg.algos.barrier == BarrierAlgo::TmcSpin {
         eprintln!(
@@ -632,9 +632,10 @@ pub fn run_multichip_mode(
     let watch = Arc::new(TimedWatch::new());
     let p = Arc::clone(&prog);
     let cell = OnceLock::new();
-    match launch_multichip_watched(&cfg, 2, &watch, move |ctx| {
-        run_on_ctx_shared(&p, ctx, &cell)
-    }) {
+    match Launcher::new(&cfg, MultiChipBackend { chips: 2 })
+        .with_watch(WatchPlane::Virtual(watch))
+        .run_watched(move |ctx| run_on_ctx_shared(&p, ctx, &cell))
+    {
         Ok(_) => Outcome::Completed,
         Err(report) => Outcome::Stalled(format!("{report}replay: {replay_hint}\n")),
     }
@@ -693,12 +694,14 @@ where
     std::thread::Builder::new()
         .name("stress-job".into())
         .spawn(move || {
+            let plane = WatchPlane::Wall(&w);
             let r = catch_unwind(AssertUnwindSafe(|| match workers {
                 None => {
-                    launch_watched(&cfg, &w, f);
+                    Launcher::new(&cfg, NativeBackend).with_watch(plane).run(f);
                 }
-                Some(m) => {
-                    launch_coop_watched(&cfg, m, &w, f);
+                Some(workers) => {
+                    let backend = CoopBackend { workers, ..Default::default() };
+                    Launcher::new(&cfg, backend).with_watch(plane).run(f);
                 }
             }));
             let _ = tx.try_send(r.map(|_| ()));

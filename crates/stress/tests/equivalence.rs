@@ -19,7 +19,7 @@
 use stress::program::{gen_program_v, RngDraw, GEN_V3};
 use stress::run::{build_cfg, run_on_ctx};
 use tshmem::fault;
-use tshmem::Stats;
+use tshmem::{Launcher, Stats, TimedBackend};
 
 fn stats_for(prog: &stress::program::Program, fast: bool) -> (Vec<Stats>, Vec<Stats>) {
     fault::set_rma_fast_paths(fast);
@@ -28,7 +28,7 @@ fn stats_for(prog: &stress::program::Program, fast: bool) -> (Vec<Stats>, Vec<St
         run_on_ctx(prog, ctx);
         ctx.stats()
     });
-    let timed = tshmem::launch_timed(&cfg, |ctx| {
+    let timed = Launcher::new(&cfg, TimedBackend).run(|ctx| {
         run_on_ctx(prog, ctx);
         ctx.stats()
     })

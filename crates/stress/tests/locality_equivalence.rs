@@ -22,7 +22,6 @@ use stress::program::{
 };
 use stress::run::{build_cfg, run_on_ctx};
 use tshmem::prelude::*;
-use tshmem::runtime::launch_coop;
 use tshmem::Stats;
 
 const SEED: u64 = 0x4C4F43414C455131;
@@ -42,10 +41,10 @@ fn coop_stats(
     // launches — mid-job the PEs would disagree on barrier geometry.
     tshmem::fault::set_coop_locality(locality);
     let p = prog.clone();
-    let stats = launch_coop(&cfg, workers, move |ctx| {
+    let stats = Launcher::new(&cfg, CoopBackend { workers, ..Default::default() }).run(move |ctx| {
         run_on_ctx(&p, ctx);
         ctx.stats()
-    });
+    }).values;
     tshmem::fault::set_coop_locality(true);
     stats
 }

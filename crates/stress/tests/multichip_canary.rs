@@ -13,13 +13,18 @@ use std::sync::Arc;
 
 use tshmem::fault::{self, Fault, FaultPlan};
 use tshmem::prelude::*;
-use tshmem::runtime::{launch_multichip, launch_multichip_watched};
 use tshmem::TimedWatch;
 
 fn cfg(pes_per_chip: usize) -> RuntimeConfig {
     RuntimeConfig::new(pes_per_chip)
         .with_partition_bytes(1 << 20)
         .with_private_bytes(1 << 14)
+}
+
+/// Two chips of `per_chip` PEs under the drained-queue watchdog.
+fn two_chips_watched(per_chip: usize, watch: &Arc<TimedWatch>) -> Launcher<'static, MultiChipBackend> {
+    Launcher::new(&cfg(per_chip), MultiChipBackend { chips: 2 })
+        .with_watch(WatchPlane::Virtual(watch.clone()))
 }
 
 /// A small job whose first fabric activity crosses the chip boundary.
@@ -52,7 +57,7 @@ fn link_faults_are_caught_and_cross_chip_stalls_carry_chip_labels() {
         faults: vec![Fault::CorruptLinkPacket { nth: 1 }],
     });
     let payload = catch_unwind(AssertUnwindSafe(|| {
-        launch_multichip(&cfg(2), 2, cross_chip_job);
+        Launcher::new(&cfg(2), MultiChipBackend { chips: 2 }).run(cross_chip_job);
     }))
     .expect_err("corrupted link frame must be caught");
     fault::clear();
@@ -66,7 +71,7 @@ fn link_faults_are_caught_and_cross_chip_stalls_carry_chip_labels() {
         faults: vec![Fault::DuplicateLinkPacket { nth: 1 }],
     });
     let payload = catch_unwind(AssertUnwindSafe(|| {
-        launch_multichip(&cfg(2), 2, cross_chip_job);
+        Launcher::new(&cfg(2), MultiChipBackend { chips: 2 }).run(cross_chip_job);
     }))
     .expect_err("replayed link frame must be caught");
     fault::clear();
@@ -85,7 +90,7 @@ fn link_faults_are_caught_and_cross_chip_stalls_carry_chip_labels() {
             faults: vec![Fault::DropLinkPacket { nth: 1 }],
         });
         let watch = Arc::new(TimedWatch::new());
-        let result = launch_multichip_watched(&cfg(2), 2, &watch, cross_chip_job);
+        let result = two_chips_watched(2, &watch).run_watched(cross_chip_job);
         fault::clear();
         match result {
             Ok(_) => panic!("dropped link frame was not caught"),
@@ -115,7 +120,7 @@ fn link_faults_are_caught_and_cross_chip_stalls_carry_chip_labels() {
     // chip 1) skips the closing barrier; the diagnosis labels stalled
     // PEs on both chips and shows the bailed PE as finished. ---
     let watch = Arc::new(TimedWatch::new());
-    let report = match launch_multichip_watched(&cfg(3), 2, &watch, |ctx| {
+    let report = match two_chips_watched(3, &watch).run_watched(|ctx| {
         ctx.barrier_all();
         if ctx.my_pe() != 4 {
             ctx.barrier_all(); // PE 4 bails out instead

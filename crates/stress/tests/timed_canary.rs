@@ -16,7 +16,6 @@
 use std::sync::Arc;
 
 use tshmem::prelude::*;
-use tshmem::runtime::launch_timed_watched;
 use tshmem::TimedWatch;
 
 #[test]
@@ -27,7 +26,8 @@ fn desim_watchdog_catches_timed_deadlock_and_names_the_parked_pe() {
         .with_private_bytes(1 << 16)
         .with_bounded_udn(1);
     let watch = Arc::new(TimedWatch::new());
-    let result = launch_timed_watched(&cfg, &watch, |ctx| {
+    let launcher = Launcher::new(&cfg, TimedBackend).with_watch(WatchPlane::Virtual(watch.clone()));
+    let result = launcher.run_watched(|ctx| {
         ctx.barrier_all();
         // Deliberate bug: PE 0 joins a barrier no other PE runs. Its
         // extra invocation collides with the other PEs' finalize-time

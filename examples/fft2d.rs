@@ -37,12 +37,13 @@ fn main() {
     // Timed engine: simulated Tilera clocks, both devices.
     for device in [Device::tile_gx8036(), Device::tilepro64()] {
         let cfg = RuntimeConfig::for_device(device, npes).with_partition_bytes(partition);
-        let t1 = tshmem::launch_timed(
-            &RuntimeConfig::for_device(device, 1).with_partition_bytes(partition),
-            move |ctx| fft2d_shmem(ctx, &fcfg).elapsed_ns,
-        )
-        .values[0];
-        let tn = tshmem::launch_timed(&cfg, move |ctx| fft2d_shmem(ctx, &fcfg).elapsed_ns).values[0];
+        let timed_ns = |cfg: &RuntimeConfig| {
+            Launcher::new(cfg, TimedBackend)
+                .run(move |ctx| fft2d_shmem(ctx, &fcfg).elapsed_ns)
+                .values[0]
+        };
+        let t1 = timed_ns(&RuntimeConfig::for_device(device, 1).with_partition_bytes(partition));
+        let tn = timed_ns(&cfg);
         println!(
             "{:12}: {:8.3} ms simulated at {npes} PEs (speedup {:.2} over 1 PE)",
             device.name,

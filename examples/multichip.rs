@@ -8,7 +8,6 @@
 //! ```
 
 use tshmem::prelude::*;
-use tshmem::runtime::launch_multichip;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -18,7 +17,7 @@ fn main() {
     println!("SHMEM job across {chips} simulated TILE-Gx chips, {per_chip} PEs each");
     let cfg = RuntimeConfig::new(per_chip).with_partition_bytes(4 << 20);
 
-    let out = launch_multichip(&cfg, chips, move |ctx| {
+    let out = Launcher::new(&cfg, MultiChipBackend { chips }).run(move |ctx| {
         let me = ctx.my_pe();
         let n = ctx.n_pes();
         let my_chip = me / per_chip;

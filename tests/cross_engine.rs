@@ -49,7 +49,7 @@ fn native_and_timed_engines_agree() {
         .with_partition_bytes(1 << 20)
         .with_private_bytes(1 << 14);
     let native = tshmem::launch(&cfg, workload);
-    let timed = tshmem::launch_timed(&cfg, workload);
+    let timed = Launcher::new(&cfg, TimedBackend).run(workload);
     assert_eq!(native.len(), timed.values.len());
     for (pe, (a, b)) in native.iter().zip(&timed.values).enumerate() {
         assert_eq!(a, b, "PE {pe} diverged between engines");
@@ -76,7 +76,7 @@ fn engines_agree_across_algorithm_choices() {
             .with_private_bytes(1 << 14)
             .with_algos(algos);
         let native = tshmem::launch(&cfg, workload);
-        let timed = tshmem::launch_timed(&cfg, workload);
+        let timed = Launcher::new(&cfg, TimedBackend).run(workload);
         for (a, b) in native.iter().zip(&timed.values) {
             assert_eq!(a, b, "diverged under {algos:?}");
         }

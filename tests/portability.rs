@@ -5,7 +5,7 @@
 //! produces the same answers.
 
 use tshmem::prelude::*;
-use tshmem::runtime::{launch, launch_multichip, launch_timed};
+use tshmem::{launch, Launcher, MultiChipBackend, TimedBackend};
 use tshmem_apps::cbir::{cbir_serial, cbir_shmem, CbirConfig};
 use tshmem_apps::fft::{fft2d_shmem, serial_checksum, Fft2dConfig};
 
@@ -25,10 +25,11 @@ fn fft_runs_identically_on_all_three_engines() {
     let native = launch(&cfg(4), move |ctx| fft2d_shmem(ctx, &fcfg).checksum);
     assert!(native.iter().all(|c| near(*c)), "native {native:?}");
 
-    let timed = launch_timed(&cfg(4), move |ctx| fft2d_shmem(ctx, &fcfg).checksum);
+    let timed = Launcher::new(&cfg(4), TimedBackend).run(move |ctx| fft2d_shmem(ctx, &fcfg).checksum);
     assert!(timed.values.iter().all(|c| near(*c)), "timed");
 
-    let multi = launch_multichip(&cfg(2), 2, move |ctx| fft2d_shmem(ctx, &fcfg).checksum);
+    let multi = Launcher::new(&cfg(2), MultiChipBackend { chips: 2 })
+        .run(move |ctx| fft2d_shmem(ctx, &fcfg).checksum);
     assert!(multi.values.iter().all(|c| near(*c)), "multichip");
 }
 
@@ -40,10 +41,10 @@ fn cbir_runs_identically_on_all_three_engines() {
     let native = launch(&cfg(3), move |ctx| {
         cbir_shmem(ctx, &ccfg).matches.iter().map(|m| m.image).collect::<Vec<_>>()
     });
-    let timed = launch_timed(&cfg(3), move |ctx| {
+    let timed = Launcher::new(&cfg(3), TimedBackend).run(move |ctx| {
         cbir_shmem(ctx, &ccfg).matches.iter().map(|m| m.image).collect::<Vec<_>>()
     });
-    let multi = launch_multichip(&cfg(3), 2, move |ctx| {
+    let multi = Launcher::new(&cfg(3), MultiChipBackend { chips: 2 }).run(move |ctx| {
         cbir_shmem(ctx, &ccfg).matches.iter().map(|m| m.image).collect::<Vec<_>>()
     });
     for per_pe in native.iter().chain(&timed.values).chain(&multi.values) {
@@ -56,8 +57,9 @@ fn multichip_slower_than_single_chip_for_the_same_app() {
     // The engines agree on answers but not on clocks: crossing chips
     // costs (that is the point of the §VI study).
     let fcfg = Fft2dConfig { n: 64, seed: 5, ..Fft2dConfig::default() };
-    let single = launch_timed(&cfg(4), move |ctx| fft2d_shmem(ctx, &fcfg).elapsed_ns);
-    let multi = launch_multichip(&cfg(2), 2, move |ctx| fft2d_shmem(ctx, &fcfg).elapsed_ns);
+    let single = Launcher::new(&cfg(4), TimedBackend).run(move |ctx| fft2d_shmem(ctx, &fcfg).elapsed_ns);
+    let multi = Launcher::new(&cfg(2), MultiChipBackend { chips: 2 })
+        .run(move |ctx| fft2d_shmem(ctx, &fcfg).elapsed_ns);
     assert!(
         multi.values[0] > 1.5 * single.values[0],
         "4 PEs on 2 chips {} must be slower than on 1 chip {}",

@@ -26,6 +26,22 @@ cargo test -q --offline
 echo "== hermetic tests (offline, full workspace incl. stress suites) =="
 cargo test -q --offline --workspace
 
+echo "== repo benchmark (own workspace: offline build + quick correctness run) =="
+# benchmark/ is its own workspace, so no step above compiles it: a core
+# API removal that breaks it would otherwise pass this gate. One native
+# and one coop workload cover both admission policies of the wall fabric.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+for w in rma_native coll_hier256; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$w" --seed 1 --quick --trace 0 | tail -n 1 | W="$w" python3 -c '
+import json, os, sys
+r = json.loads(sys.stdin.read())
+if not (r["failed"] == 0 and r["correct"] is True and r["attempted"] > 0):
+    sys.exit("FAIL: benchmark workload %s: %s" % (os.environ["W"], r))
+print("OK: %s correct, %d attempted, 0 failed" % (os.environ["W"], r["attempted"]))
+'
+done
+
 echo "== stress harness replay demo (seeded, watchdog armed) =="
 cargo run -q --offline -p stress -- --seed 0x2 --pes 4 --depth 2
 
@@ -240,17 +256,17 @@ echo "== server PanicPe canary (one-shot caught-class fault) =="
 cargo run -q --offline --release -p stress -- \
     --serve --jobs 8 --panic-pe 1 --seed 0x55
 
-echo "== hot-path allocation allowlist (rma / barrier / coop / hier / server / desim) =="
+echo "== hot-path allocation allowlist (rma / barrier / wall + coop / hier / server / desim) =="
 # The RMA and barrier hot paths are allocation-free by design, and the
-# M:N scheduler, hierarchical collectives, and the timed-engine event
-# core stay on that diet: any `to_vec()` or `vec![` there must carry a
+# wall fabric, its M:N admission gate, hierarchical collectives, and the
+# timed-engine event core stay on that diet: any `to_vec()` or `vec![` there must carry a
 # `// cold:` justification on the same line or one of the two lines
 # above it.
 python3 - <<'PYEOF'
 import re, sys
 bad = []
 for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
-             "crates/core/src/engine/coop.rs",
+             "crates/core/src/engine/wall.rs", "crates/core/src/engine/coop.rs",
              "crates/core/src/collectives/hier.rs",
              "crates/core/src/server/pool.rs",
              "crates/desim/src/events.rs", "crates/desim/src/coop.rs"):
