@@ -328,3 +328,20 @@ where
 pub fn resolve_coop_workers(requested: usize, npes: usize) -> usize {
     CoopBackend { workers: requested, ..Default::default() }.resolved_workers(npes)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::resolve_coop_workers;
+
+    /// Harnesses record the resolved M; the auto-size request `0` must
+    /// never come back as-is, and no launch gets more workers than PEs.
+    #[test]
+    fn resolve_coop_workers_is_never_zero_and_never_exceeds_npes() {
+        for npes in [1, 2, 3, 64, 1024] {
+            let auto = resolve_coop_workers(0, npes);
+            assert!((1..=npes).contains(&auto), "(0, {npes}) resolved to {auto}");
+            assert_eq!(resolve_coop_workers(npes + 5, npes), npes, "explicit request not clamped");
+            assert_eq!(resolve_coop_workers(1, npes), 1);
+        }
+    }
+}

@@ -24,7 +24,7 @@
 //!
 //! See DESIGN.md §8 for the lifecycle state machine and the isolation
 //! boundaries, and EXPERIMENTS.md for the open-loop load methodology
-//! behind `BENCH_server.json`.
+//! (`stress --serve`) and the `server.*` metrics of `BENCH.jsonl`.
 
 pub mod arena;
 pub mod job;

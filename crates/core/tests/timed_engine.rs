@@ -274,3 +274,26 @@ fn cycle_box_runs_are_deterministic_and_converge_with_event_driven() {
         "cycle-box final state must converge with event-driven"
     );
 }
+
+#[test]
+fn barrier_all_1024_pes_completes_in_both_modes() {
+    // 1024 timed PEs are 2048 LPs (a PE and its service context each)
+    // taking turns; nothing else in the suite runs the timed engine past
+    // 64 PEs. The drained-queue watchdog turns a wedge into a diagnosis
+    // instead of a hung test binary.
+    for mode in [tshmem::TimedMode::EventDriven, tshmem::TimedMode::cycle_box()] {
+        let cfg = RuntimeConfig::for_scale(1024).with_timed_mode(mode);
+        let watch = std::sync::Arc::new(tshmem::TimedWatch::new());
+        let out = Launcher::new(&cfg, TimedBackend)
+            .with_watch(WatchPlane::Virtual(watch))
+            .run_watched(|ctx| {
+                ctx.barrier_all();
+                let t0 = ctx.time_ns();
+                ctx.barrier_all();
+                ctx.time_ns() - t0
+            })
+            .unwrap_or_else(|report| panic!("{mode:?}: 1024-PE barrier_all wedged:\n{report}"));
+        assert_eq!(out.values.len(), 1024);
+        assert!(out.values.iter().all(|ns| *ns > 0.0), "{mode:?}: a barrier took no virtual time");
+    }
+}

@@ -1,8 +1,11 @@
-//! The closure-driven event queue at the heart of the timed engine.
+//! A closure-driven event queue for open-loop models.
 //!
-//! Used by open-loop models (e.g. cache warm-up sweeps and unit tests of
-//! the resource servers). Closed-loop protocol simulation uses the
-//! cooperative scheduler in [`crate::coop`] instead.
+//! No engine constructs a [`Sim`]: the timed and multichip fabrics run
+//! on the cooperative scheduler in [`crate::coop`], which keeps its own
+//! heap of LP wake times. `Sim`'s callers are this crate's tests, the
+//! root `substrate_props` suite and the benchmark's `desim.events.*`
+//! probe, so neither core below can move a timed workload (ROADMAP
+//! item 4 decides whether they stay).
 //!
 //! # Event-core contract
 //!
@@ -20,7 +23,7 @@
 //!   pre-refactor core, kept verbatim — `BinaryHeap<Reverse<(SimTime,
 //!   u64)>>`, one `Box` per event, and an ever-growing slot `Vec` — as
 //!   the semantic oracle for differential tests and the perf baseline
-//!   for `BENCH_timed.json`.
+//!   beside it in the benchmark (`desim.events.heap_per_s_1k`).
 //!
 //! The differential property suite (`tests/events_differential.rs`)
 //! drives both cores through seeded random schedules and asserts
@@ -461,7 +464,7 @@ impl<'a> Sim<'a> {
     }
 
     /// A simulator on the retained pre-refactor heap core (differential
-    /// tests and the `BENCH_timed.json` baseline).
+    /// tests and the benchmark's `desim.events.heap_per_s_1k` baseline).
     pub fn reference() -> Self {
         Self::with_kind(QueueKind::ReferenceHeap)
     }

@@ -1,9 +1,9 @@
 //! Regeneration of the TSHMEM paper's evaluation.
 //!
 //! One module per experiment family; each returns structured
-//! [`series::Figure`] data that the `bench` crate's `figures` binary
-//! prints as TSV and `EXPERIMENTS.md` records against the paper's
-//! numbers.
+//! [`series::Figure`] data that this crate's binary (`src/main.rs`)
+//! prints as TSV into `figures/` and `EXPERIMENTS.md` records against
+//! the paper's numbers.
 //!
 //! | paper artifact | module | function |
 //! |---|---|---|

@@ -15,8 +15,8 @@
 //!
 //! Throughput (jobs/sec) and latency quantiles (p50/p99 of
 //! submit→resolve wall time) are printed for the healthy population;
-//! `microbench --server-suite` measures the same numbers fault-free
-//! under controlled reps for the committed baseline.
+//! the benchmark's `server_jobs` workload and `server.*` probes measure
+//! the fault-free closed-loop counterpart for the committed `BENCH.jsonl`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
