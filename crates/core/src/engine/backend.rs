@@ -23,13 +23,14 @@
 //! 3. **a watch binding** — how the backend attaches the launcher's
 //!    [`WatchPlane`] so liveness detection and fault diagnosis work.
 //!
-//! There are four backends over three fabrics.
+//! There are four backends over two fabrics.
 //! [`NativeBackend`](super::wall::NativeBackend) and
 //! [`CoopBackend`](super::coop::CoopBackend) are the two admission
 //! policies of the wall fabric. [`TimedBackend`] and
-//! [`MultiChipBackend`] share the credit-tracked UDN queue model,
-//! per-LP probes and trace plumbing of [`CoopCore`]/[`CoopLp`] below,
-//! so their fabrics differ only in the wire-cost computation. Another
+//! [`MultiChipBackend`] are the virtual-time fabric
+//! ([`super::timed`]) on one chip and on several, over the
+//! credit-tracked UDN queue model, per-LP probes and trace plumbing of
+//! [`CoopCore`]/[`CoopLp`] below. Another
 //! backend means implementing [`EngineBackend::execute`] — the
 //! launcher, watchdogs, fault plane and trace plumbing come with it.
 
@@ -121,6 +122,7 @@ impl CoopCore {
             trace,
             queue_cap,
             qstate: Mutex::new(QueueState {
+                // cold: once per launch, in the constructor.
                 occ: vec![[0; udn::NUM_QUEUES]; 2 * npes],
                 waiters: Vec::new(),
             }),
@@ -139,9 +141,9 @@ impl CoopCore {
 }
 
 /// One LP's slice of the shared coop machinery: its identity, probe,
-/// coop handle, and the tracked send/recv bodies both virtual-time
-/// fabrics delegate to. Engines differ only in the *wire* cost they
-/// pass to [`send_tracked`](Self::send_tracked).
+/// coop handle, and the tracked send/recv bodies the virtual-time
+/// fabric delegates to, passing the *wire* cost (on-chip wormhole or
+/// mPIPE frame) to [`send_tracked`](Self::send_tracked).
 pub struct CoopLp {
     pub core: Arc<CoopCore>,
     /// The PE this LP belongs to (service LPs share their PE's id).
@@ -478,7 +480,6 @@ where
 
 /// Attach a coop watch (if any) and hand its observer to the scheduler.
 fn coop_observer(
-    engine: &'static str,
     watch: &WatchPlane<'_>,
     core: &Arc<CoopCore>,
 ) -> Option<Arc<dyn desim::coop::CoopObserver>> {
@@ -489,14 +490,15 @@ fn coop_observer(
             Some(w.clone() as Arc<dyn desim::coop::CoopObserver>)
         }
         WatchPlane::Wall(_) => panic!(
-            "a JobWatch polls wall time and cannot observe the {engine} engine; \
+            "a JobWatch polls wall time and cannot observe a virtual-time engine; \
              attach a TimedWatch instead"
         ),
     }
 }
 
 /// The timed engine: the same protocol code under the virtual-time
-/// cooperative scheduler with calibrated single-chip Tilera costs.
+/// cooperative scheduler with calibrated single-chip Tilera costs —
+/// [`MultiChipBackend`] with one chip.
 pub struct TimedBackend;
 
 impl EngineBackend for TimedBackend {
@@ -509,28 +511,7 @@ impl EngineBackend for TimedBackend {
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        use crate::engine::timed::{TimedFabric, TimedShared};
-        let sink = cfg.trace.then(|| Arc::new(TraceSink::with_lanes(cfg.npes)));
-        let shared = TimedShared::new_full(
-            cfg.area(),
-            cfg.npes,
-            cfg.partition_bytes,
-            cfg.private_bytes,
-            sink.clone(),
-            cfg.udn_queue_packets,
-        );
-        let observer = coop_observer(self.name(), watch, &shared.core);
-        run_coop_lps(
-            cfg.npes,
-            cfg.layout(),
-            cfg.algos,
-            cfg.private_bytes,
-            cfg.timed_mode.sched_mode(),
-            observer,
-            |lp, h| Box::new(TimedFabric::for_lp(shared.clone(), lp, h)),
-            f,
-            sink,
-        )
+        MultiChipBackend { chips: 1 }.execute(cfg, watch, f)
     }
 }
 
@@ -563,21 +544,13 @@ impl EngineBackend for MultiChipBackend {
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        use crate::engine::multichip::{MultiChipFabric, MultiChipShared};
+        use crate::engine::timed::{TimedFabric, TimedShared};
         let npes = self.total_pes(cfg);
         let layout = crate::ctx::Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
-        let sink = cfg.trace.then(|| Arc::new(TraceSink::with_lanes(npes)));
-        let shared = MultiChipShared::new_full(
-            cfg.area(),
-            self.chips,
-            cfg.npes,
-            cfg.partition_bytes,
-            cfg.private_bytes,
-            mpipe::MpipeTimings::xaui_10g(),
-            sink.clone(),
-            cfg.udn_queue_packets,
-        );
-        let observer = coop_observer(self.name(), watch, &shared.core);
+        // One lane per LP: PEs, then their interrupt-service contexts.
+        let sink = cfg.trace.then(|| Arc::new(TraceSink::with_lanes(2 * npes)));
+        let shared = TimedShared::new(cfg, self.chips, sink.clone());
+        let observer = coop_observer(watch, &shared.core);
         run_coop_lps(
             npes,
             layout,
@@ -585,7 +558,7 @@ impl EngineBackend for MultiChipBackend {
             cfg.private_bytes,
             cfg.timed_mode.sched_mode(),
             observer,
-            |lp, h| Box::new(MultiChipFabric::for_lp(shared.clone(), lp, h)),
+            |lp, h| Box::new(TimedFabric::for_lp(shared.clone(), lp, h)),
             f,
             sink,
         )

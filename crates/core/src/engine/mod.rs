@@ -1,4 +1,4 @@
-//! Execution engines: four backends over three fabrics.
+//! Execution engines: four backends over two fabrics.
 //!
 //! * [`wall`] — the wall-clock fabric: one real thread per context,
 //!   real shared memory, wall time, parameterised by an admission
@@ -7,11 +7,12 @@
 //!   [`coop`] it is the **cooperative M:N** engine (N PEs over M worker
 //!   threads) for 256–1024-PE scaling runs an order of magnitude past
 //!   the host's core count.
-//! * [`timed`] — the same protocol code under the virtual-time
-//!   cooperative scheduler with calibrated Tilera costs. The engine the
-//!   paper-figure harness runs on.
-//! * [`multichip`] — the timed engine spanning several simulated chips
-//!   connected by mPIPE links (the paper's Section VI future work).
+//! * [`timed`] — the virtual-time fabric: the same protocol code under
+//!   the cooperative scheduler with calibrated Tilera costs,
+//!   parameterised by a chip count. On one chip it is the **timed**
+//!   engine the paper-figure harness runs on; on several, joined by
+//!   mPIPE links, it is the **multichip** engine (the paper's Section
+//!   VI future work).
 //!
 //! All are instantiations of one contract: [`backend`] defines
 //! [`backend::EngineBackend`], consumed by the generic
@@ -20,6 +21,5 @@
 
 pub mod backend;
 pub mod coop;
-pub mod multichip;
 pub mod timed;
 pub mod wall;

@@ -35,7 +35,7 @@ use udn::fabric::{UdnEndpoint, UdnFabric};
 
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
-use crate::fabric::{BlockedOn, Fabric, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth};
+use crate::fabric::{self, BlockedOn, Fabric, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth};
 use crate::runtime::RuntimeConfig;
 use crate::server::ArenaPool;
 use crate::service::{service_loop, TAG_ABORT};
@@ -662,30 +662,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
         self.trace(TraceKind::Atomic, usize::MAX, width.bytes() as u64);
         self.progress();
         let (shard, local) = self.arena(off);
-        match width {
-            RmwWidth::W64 => {
-                let a = shard.atomic_u64(local);
-                match op {
-                    RmwOp::Add => a.fetch_add(operand, Ordering::AcqRel),
-                    RmwOp::Swap => a.swap(operand, Ordering::AcqRel),
-                    RmwOp::And => a.fetch_and(operand, Ordering::AcqRel),
-                    RmwOp::Or => a.fetch_or(operand, Ordering::AcqRel),
-                    RmwOp::Xor => a.fetch_xor(operand, Ordering::AcqRel),
-                }
-            }
-            RmwWidth::W32 => {
-                let a = shard.atomic_u32(local);
-                let v = operand as u32;
-                let old = match op {
-                    RmwOp::Add => a.fetch_add(v, Ordering::AcqRel),
-                    RmwOp::Swap => a.swap(v, Ordering::AcqRel),
-                    RmwOp::And => a.fetch_and(v, Ordering::AcqRel),
-                    RmwOp::Or => a.fetch_or(v, Ordering::AcqRel),
-                    RmwOp::Xor => a.fetch_xor(v, Ordering::AcqRel),
-                };
-                old as u64
-            }
-        }
+        fabric::rmw(shard, local, op, operand, width)
     }
 
     fn arena_cswap(&self, off: usize, cond: u64, new: u64, width: RmwWidth) -> u64 {
@@ -693,27 +670,8 @@ impl<P: Admission> Fabric for WallFabric<P> {
         // event); a failed retry is a spin, or a livelocked CAS loop
         // would look live to the watchdog while flooding the trace sink.
         let (shard, local) = self.arena(off);
-        let (old, swapped) = match width {
-            RmwWidth::W64 => match shard.atomic_u64(local).compare_exchange(
-                cond,
-                new,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(old) => (old, true),
-                Err(old) => (old, false),
-            },
-            RmwWidth::W32 => match shard.atomic_u32(local).compare_exchange(
-                cond as u32,
-                new as u32,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(old) => (old as u64, true),
-                Err(old) => (old as u64, false),
-            },
-        };
-        if swapped {
+        let old = fabric::cswap(shard, local, cond, new, width);
+        if old == cond {
             self.trace(TraceKind::Atomic, usize::MAX, width.bytes() as u64);
             self.progress();
         } else {

@@ -3,16 +3,16 @@
 //!
 //! TSHMEM's algorithms — the token barrier, the four put/get address
 //! classes, the collectives — are written once against [`Fabric`] and
-//! executed by three fabrics:
+//! executed by two fabrics:
 //!
 //! * [`crate::engine::wall`] moves real bytes between real threads and
 //!   measures wall time, under free admission (the native engine) or a
 //!   per-worker gate (the cooperative M:N engine);
 //! * [`crate::engine::timed`] moves the same real bytes under the
 //!   cooperative virtual-time scheduler, charging the calibrated Tilera
-//!   costs (UDN wire latency, cache-classified copy cycles, contention);
-//! * [`crate::engine::multichip`] is the timed model across several
-//!   chips joined by mPIPE links.
+//!   costs (UDN wire latency, cache-classified copy cycles, contention)
+//!   on one chip (the timed engine) or across several joined by mPIPE
+//!   links (the multichip engine).
 //!
 //! Keeping a single protocol implementation is what makes the timed
 //! engine an honest model of the shipped library (`DESIGN.md` §6).
@@ -24,6 +24,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use substrate::sync::Mutex;
+use tmc::common::CommonMemory;
 
 /// UDN demux queue assignments (the hardware provides four).
 pub const Q_BARRIER: usize = 0;
@@ -70,6 +71,64 @@ impl RmwWidth {
         match self {
             RmwWidth::W32 => 4,
             RmwWidth::W64 => 8,
+        }
+    }
+}
+
+/// Apply `op` to the `width`-wide word at `off` of `mem`; returns the
+/// old value. The one fetch-op body behind every fabric's `arena_rmw` —
+/// each fabric keeps its own charging, tracing and progress accounting
+/// around the call.
+pub fn rmw(mem: &CommonMemory, off: usize, op: RmwOp, operand: u64, width: RmwWidth) -> u64 {
+    match width {
+        RmwWidth::W64 => {
+            let a = mem.atomic_u64(off);
+            match op {
+                RmwOp::Add => a.fetch_add(operand, Ordering::AcqRel),
+                RmwOp::Swap => a.swap(operand, Ordering::AcqRel),
+                RmwOp::And => a.fetch_and(operand, Ordering::AcqRel),
+                RmwOp::Or => a.fetch_or(operand, Ordering::AcqRel),
+                RmwOp::Xor => a.fetch_xor(operand, Ordering::AcqRel),
+            }
+        }
+        RmwWidth::W32 => {
+            let a = mem.atomic_u32(off);
+            let v = operand as u32;
+            (match op {
+                RmwOp::Add => a.fetch_add(v, Ordering::AcqRel),
+                RmwOp::Swap => a.swap(v, Ordering::AcqRel),
+                RmwOp::And => a.fetch_and(v, Ordering::AcqRel),
+                RmwOp::Or => a.fetch_or(v, Ordering::AcqRel),
+                RmwOp::Xor => a.fetch_xor(v, Ordering::AcqRel),
+            }) as u64
+        }
+    }
+}
+
+/// Replace the `width`-wide word at `off` of `mem` with `new` iff it
+/// equals `cond`; returns the old value, so the exchange happened iff
+/// that equals `cond` (callers pass words already masked to `width`).
+pub fn cswap(mem: &CommonMemory, off: usize, cond: u64, new: u64, width: RmwWidth) -> u64 {
+    match width {
+        RmwWidth::W64 => {
+            match mem.atomic_u64(off).compare_exchange(
+                cond,
+                new,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(old) | Err(old) => old,
+            }
+        }
+        RmwWidth::W32 => {
+            match mem.atomic_u32(off).compare_exchange(
+                cond as u32,
+                new as u32,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(old) | Err(old) => old as u64,
+            }
         }
     }
 }

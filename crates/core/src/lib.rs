@@ -49,15 +49,16 @@
 //! | **OpenSHMEM library (this crate)** | `tshmem` |
 //!
 //! Protocol code is written once against [`fabric::Fabric`] and runs on
-//! four backends behind one [`runtime::Launcher`], over three fabrics.
+//! four backends behind one [`runtime::Launcher`], over two fabrics.
 //! The wall-clock fabric ([`engine::wall`] — real threads, real shared
 //! memory, wall time) serves two of them, which differ only in their
 //! admission policy: [`NativeBackend`] admits every context freely
 //! ([`runtime::launch`] is its shorthand), and [`CoopBackend`] gates
 //! them M:N over worker threads for 256–1024-PE scaling runs.
-//! [`TimedBackend`] runs under virtual time with calibrated Tilera
-//! costs and regenerates the paper's figures; [`MultiChipBackend`]
-//! joins several simulated chips by mPIPE links. Liveness watchdogs,
+//! The virtual-time fabric ([`engine::timed`]) serves the other two,
+//! which differ only in their chip count: [`TimedBackend`] runs one
+//! chip with calibrated Tilera costs and regenerates the paper's
+//! figures; [`MultiChipBackend`] joins several by mPIPE links. Liveness watchdogs,
 //! the seeded fault plane, per-PE probes and trace collection compose
 //! uniformly over any engine (see [`engine::backend`]).
 

@@ -262,7 +262,13 @@ impl TraceSink {
             .iter()
             .map(|l| l.committed().saturating_sub(l.consumed.load(Ordering::Acquire)))
             .sum();
-        in_lanes + self.overflow.lock().len()
+        in_lanes + self.overflow_len()
+    }
+
+    /// Undrained events that took the mutex-guarded overflow path — zero
+    /// on an engine whose sink has a lane for every context.
+    pub fn overflow_len(&self) -> usize {
+        self.overflow.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -338,6 +338,11 @@ impl TimedWatch {
         self.report.lock().clone()
     }
 
+    /// The attached job's live trace sink, when it runs traced.
+    pub fn trace_sink(&self) -> Option<Arc<crate::trace::TraceSink>> {
+        self.core.lock().as_ref()?.trace.clone()
+    }
+
     fn render(&self, lps: &[desim::coop::LpStall]) -> String {
         use std::fmt::Write as _;
         let guard = self.core.lock();

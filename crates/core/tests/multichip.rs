@@ -240,14 +240,66 @@ fn multichip_watched_diagnoses_mismatched_barrier() {
     assert!(err.contains("finished"), "PE 3 finished early: {err}");
 }
 
+fn spin_cfg(pes_per_chip: usize) -> RuntimeConfig {
+    cfg(pes_per_chip).with_algos(Algorithms { barrier: BarrierAlgo::TmcSpin, ..Default::default() })
+}
+
 #[test]
-fn one_chip_multichip_degenerates_to_timed() {
-    // chips = 1 must behave like launch_timed semantically.
-    let multi = Launcher::new(&cfg(4), MultiChipBackend { chips: 1 }).run(|ctx| {
+fn one_chip_multichip_is_the_timed_engine_tmc_spin_included() {
+    // `validate` accepts TmcSpin on one chip, so the fabric must run it
+    // (the separate multichip fabric panicked at the first barrier) —
+    // and one chip is the timed engine, clock for clock.
+    fn workload(ctx: &ShmemCtx) -> u32 {
         let v = ctx.shmalloc::<u32>(4);
         ctx.p(&v, 0, 7u32, (ctx.my_pe() + 1) % ctx.n_pes());
         ctx.barrier_all();
         ctx.g(&v, 0, ctx.my_pe())
-    });
+    }
+    let multi = Launcher::new(&spin_cfg(4), MultiChipBackend { chips: 1 }).run(workload);
+    let timed = Launcher::new(&spin_cfg(4), TimedBackend).run(workload);
     assert_eq!(multi.values, vec![7, 7, 7, 7]);
+    assert_eq!(multi.clocks, timed.clocks);
+    assert_eq!(multi.makespan, timed.makespan);
+}
+
+#[test]
+#[should_panic(expected = "the TMC spin barrier cannot span chips")]
+fn tmc_spin_across_chips_is_rejected_before_launch() {
+    Launcher::new(&spin_cfg(2), MultiChipBackend { chips: 2 }).run(|ctx| ctx.barrier_all());
+}
+
+#[test]
+fn homing_hints_apply_across_chips() {
+    // PEs 0,1 on chip 0; PEs 2,3 on chip 1. Each PE writes its own copy
+    // of a hinted allocation and reads it back: homed on its own tile
+    // the store also fills the local L2, so the re-read is an L2 hit;
+    // hashed over the chip it is served by the DDC.
+    fn reread_ns(hint: HomingHint) -> Vec<f64> {
+        let out = Launcher::new(&cfg(2), MultiChipBackend { chips: 2 }).run(move |ctx| {
+            let n = 64 * 1024 / 8;
+            let v = ctx.shmalloc_homed::<u64>(n, hint);
+            let mut buf = vec![ctx.my_pe() as u64; n];
+            ctx.barrier_all();
+            ctx.put(&v, 0, &buf, ctx.my_pe());
+            let t0 = ctx.time_ns();
+            ctx.get(&mut buf, &v, 0, ctx.my_pe());
+            let dt = ctx.time_ns() - t0;
+            ctx.barrier_all();
+            dt
+        });
+        out.values
+    }
+    let hashed = reread_ns(HomingHint::HashForHome);
+    let mine = reread_ns(HomingHint::MyTile);
+    for pe in 0..4 {
+        assert!(
+            mine[pe] < hashed[pe],
+            "PE {pe}: MyTile re-read {} ns must beat hash-for-home {} ns",
+            mine[pe],
+            hashed[pe]
+        );
+    }
+    // PE 3 is tile 1 of chip 1: for the copies on chip 0 the hint must
+    // reduce to a tile that chip's memory system has.
+    reread_ns(HomingHint::Tile(3));
 }

@@ -297,3 +297,45 @@ fn barrier_all_1024_pes_completes_in_both_modes() {
         assert!(out.values.iter().all(|ns| *ns > 0.0), "{mode:?}: a barrier took no virtual time");
     }
 }
+
+#[test]
+fn virtual_time_clocks_are_pinned() {
+    // The only `cargo test` that pins a simulated time (the figure gate
+    // takes eight minutes): one mixed 8-PE program on one chip and on
+    // 2 chips x 4 PEs. The constants were recorded at the last commit
+    // that had a separate multichip fabric; a cost-model change that
+    // moves them moves figures/ too, and is committed with both.
+    fn mixed(ctx: &ShmemCtx) {
+        let (me, n) = (ctx.my_pe(), ctx.n_pes());
+        let next = (me + 1) % n;
+        let heap = ctx.shmalloc::<u64>(512);
+        let all = ctx.shmalloc::<u64>(64 * n);
+        let ctr = ctx.shmalloc::<u64>(2);
+        let stat = ctx.static_sym::<u64>(256);
+        ctx.local_fill(&heap, me as u64);
+        ctx.local_fill(&stat, 0u64);
+        ctx.local_fill(&ctr, 0u64);
+        ctx.barrier_all();
+        ctx.put(&heap, 0, &[me as u64 + 1; 256], next);
+        ctx.put(&stat, 0, &[me as u64 + 2; 128], next);
+        ctx.barrier_all();
+        let mut buf = [0u64; 128];
+        ctx.get(&mut buf, &heap, 0, (me + 3) % n);
+        ctx.get(&mut buf, &stat, 0, (me + 5) % n);
+        ctx.fadd(&ctr, 0, me as u64, 0);
+        assert_eq!(ctx.cswap(&ctr, 1, 0u64, me as u64 + 1, next), 0);
+        ctx.barrier_all();
+        ctx.sum_to_all(&all, &heap, 64, ctx.world());
+        ctx.broadcast(&all, &heap, 64, 2, ctx.world());
+        ctx.fcollect(&all, &heap, 64, ctx.world());
+        ctx.barrier_all();
+        assert_eq!(ctx.g(&ctr, 0, 0), (0..n as u64).sum::<u64>());
+    }
+    fn pin<B: tshmem::EngineBackend>(per_chip: usize, backend: B) -> (u64, u64) {
+        let out = Launcher::new(&cfg(per_chip), backend).run(mixed);
+        let fold = out.clocks.iter().fold(0u64, |h, c| h.wrapping_mul(0x100_0000_01b3) ^ c.ps());
+        (out.makespan.ps(), fold)
+    }
+    assert_eq!(pin(8, TimedBackend), (76_670_507, 2_273_017_736_154_821_990));
+    assert_eq!(pin(4, MultiChipBackend { chips: 2 }), (310_461_662, 15_375_880_346_346_212_606));
+}

@@ -6,7 +6,7 @@
 //! engine as we explore designs for expanding the shared-memory
 //! abstraction in TSHMEM across multiple many-core devices"
 //! (Section VI). This crate provides the transport model that the
-//! multi-chip engine (`tshmem::engine::multichip`) charges:
+//! virtual-time engine (`tshmem::engine::timed`) charges across chips:
 //!
 //! * **Frame math** — payloads segment into MTU-sized Ethernet frames,
 //!   each paying per-frame engine + wire overhead; mPIPE's hardware

@@ -581,18 +581,7 @@ pub fn run_timed_mode(
     mode: TimedMode,
     replay_hint: &str,
 ) -> Outcome {
-    let prog = Arc::new(prog.clone());
-    let cfg = build_cfg(&prog, depth).with_timed_mode(mode);
-    let watch = Arc::new(TimedWatch::new());
-    let p = Arc::clone(&prog);
-    let cell = OnceLock::new();
-    match Launcher::new(&cfg, TimedBackend)
-        .with_watch(WatchPlane::Virtual(watch))
-        .run_watched(move |ctx| run_on_ctx_shared(&p, ctx, &cell))
-    {
-        Ok(_) => Outcome::Completed,
-        Err(report) => Outcome::Stalled(format!("{report}replay: {replay_hint}\n")),
-    }
+    run_virtual(prog, depth, mode, 1, replay_hint)
 }
 
 /// Run `prog` on the **multichip** engine — two simulated chips joined
@@ -613,16 +602,27 @@ pub fn run_multichip_mode(
     mode: TimedMode,
     replay_hint: &str,
 ) -> Outcome {
+    run_virtual(prog, depth, mode, 2, replay_hint)
+}
+
+/// The one virtual-time launch: `prog`'s PEs split evenly over `chips`
+/// simulated devices (one chip is the timed engine).
+fn run_virtual(
+    prog: &Program,
+    depth: Option<usize>,
+    mode: TimedMode,
+    chips: usize,
+    replay_hint: &str,
+) -> Outcome {
     assert!(
-        prog.npes.is_multiple_of(2),
-        "multichip stress runs split PEs across 2 chips; need an even PE count (got {})",
+        prog.npes.is_multiple_of(chips),
+        "multichip stress runs split PEs across {chips} chips; need an even PE count (got {})",
         prog.npes
     );
-    let prog = Arc::new(prog.clone());
-    let mut cfg = build_cfg(&prog, depth).with_timed_mode(mode);
+    let mut cfg = build_cfg(prog, depth).with_timed_mode(mode);
     // MultiChipBackend interprets cfg.npes as PEs *per chip*.
-    cfg.npes = prog.npes / 2;
-    if cfg.algos.barrier == BarrierAlgo::TmcSpin {
+    cfg.npes = prog.npes / chips;
+    if chips > 1 && cfg.algos.barrier == BarrierAlgo::TmcSpin {
         eprintln!(
             "note: program drew the TmcSpin barrier, which cannot span chips; \
              running with Dissemination instead"
@@ -630,11 +630,10 @@ pub fn run_multichip_mode(
         cfg.algos.barrier = BarrierAlgo::Dissemination;
     }
     let watch = Arc::new(TimedWatch::new());
-    let p = Arc::clone(&prog);
     let cell = OnceLock::new();
-    match Launcher::new(&cfg, MultiChipBackend { chips: 2 })
+    match Launcher::new(&cfg, MultiChipBackend { chips })
         .with_watch(WatchPlane::Virtual(watch))
-        .run_watched(move |ctx| run_on_ctx_shared(&p, ctx, &cell))
+        .run_watched(|ctx| run_on_ctx_shared(prog, ctx, &cell))
     {
         Ok(_) => Outcome::Completed,
         Err(report) => Outcome::Stalled(format!("{report}replay: {replay_hint}\n")),
