@@ -26,19 +26,18 @@ impl ShmemCtx {
         root_rank: usize,
         set: ActiveSet,
     ) {
+        let rank = set
+            .rank_of(self.my_pe())
+            .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
+        if let Some(cl) = self.select(set, rank, self.algos.broadcast.into()) {
+            self.collective_checks(source, nelems, root_rank, set);
+            return self.broadcast_clustered(dest, source, nelems, root_rank, &cl);
+        }
         match self.algos.broadcast {
-            // Past 64 members even the pull design serializes on the
-            // root's partition; upgrade the default to the two-level
-            // tree. Explicit choices (`Push`, `Binomial`) are honored.
-            BroadcastAlgo::Pull if set.size > crate::collectives::hier::FLAT_MAX => {
-                self.broadcast_hier(dest, source, nelems, root_rank, set)
-            }
             BroadcastAlgo::Pull => self.broadcast_pull(dest, source, nelems, root_rank, set),
             BroadcastAlgo::Push => self.broadcast_push(dest, source, nelems, root_rank, set),
             BroadcastAlgo::Binomial => self.broadcast_binomial(dest, source, nelems, root_rank, set),
-            BroadcastAlgo::Hierarchical => {
-                self.broadcast_hier(dest, source, nelems, root_rank, set)
-            }
+            BroadcastAlgo::Hierarchical => unreachable!("select() clusters every Hierarchical broadcast"),
         }
     }
 

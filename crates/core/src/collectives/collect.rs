@@ -8,7 +8,11 @@
 //! Both use the paper's naive design: every PE puts its block to the
 //! root, and the concatenated result is then pull-broadcast — stage 2's
 //! total traffic grows *quadratically* with the number of PEs, which is
-//! exactly the effect Figure 11 shows.
+//! exactly the effect Figure 11 shows. Where the selection function
+//! (`hier.rs`) picks the counter-cell pass, `fcollect` runs on it
+//! instead; variable-size `collect` has no cell form — it keeps the
+//! scan and the root gather, and only its bracketing barriers ride the
+//! faster transport.
 
 use crate::active_set::ActiveSet;
 use crate::collectives::hier;
@@ -41,11 +45,12 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
-        // Past the flat range on shard-aligned clusters the leaders
-        // assemble and hand out the concatenation (hier.rs); the root
-        // gather below stays for everything else.
-        if set.size > hier::FLAT_MAX {
-            let cl = self.cluster_for(set, rank, None);
+        // Where the selection function picks the cell pass, the leaders
+        // assemble and hand out the concatenation (hier.rs). There is
+        // no message-tree `fcollect`: the root gather below stays for
+        // everything else, its two barriers on whatever `sync_set`
+        // selects.
+        if let Some(cl) = self.select(set, rank, hier::Configured::Default) {
             if let Some(cells) = cl.cells {
                 return self.fcollect_cells(cells, dest, source, nelems, &cl);
             }

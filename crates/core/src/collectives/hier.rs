@@ -1,23 +1,31 @@
-//! Hierarchical collectives for large active sets (the >64-PE scaling
-//! extension; the paper's TILE-Gx hardware stops at 36 tiles, but the
+//! Clustered collectives, and the one function that decides who takes
+//! them ([`ShmemCtx::select`]). They began as the >64-PE scaling
+//! extension (the paper's TILE-Gx hardware stops at 36 tiles, but the
 //! M:N coop engine runs 256–1024 PEs, where every flat algorithm's
-//! serial root or O(n·log n) message volume collapses).
+//! serial root or O(n·log n) message volume collapses); on the coop
+//! engine they are the default transport of contiguous sets at every
+//! size, because PEs that share a worker share an address space and a
+//! counter beats a channel token per member (the paper's own remedy,
+//! §IV-E: the TMC spin barrier in place of the UDN token ring).
 //!
 //! Ranks are grouped into clusters of consecutive ranks; the first rank
 //! of cluster `c` is its leader ([`Cluster`]). Every collective here is
 //! gather → leaders → release over that grouping, on one of two
 //! transports:
 //!
-//! * **The counter-cell pass** ([`ShmemCtx::cell_pass`]) when clusters
-//!   coincide with the coop engine's worker shards. Members fetch-add
-//!   their leader's cell and park; the leader, alone awake in its
-//!   shard, does the whole cluster's work by direct copies, exchanges
-//!   with the other leaders, writes every member's result and releases
-//!   the cluster with one epoch bump. The barrier is the payload-free
+//! * **The counter-cell pass** ([`ShmemCtx::cell_pass`]) when the
+//!   fabric offers [`Locality`] and the set is contiguous: cluster `c`
+//!   is *set ∩ worker shard* — whole shards in the middle, whatever the
+//!   set covers of its first and last one. Members fetch-add their
+//!   cluster's cell and park; the leader, alone awake among them, does
+//!   the whole cluster's work by direct copies, exchanges with the
+//!   other leaders, writes every member's result and releases the
+//!   cluster with one epoch bump. The barrier is the payload-free
 //!   instance; reduce, broadcast and `fcollect` hand it a closure.
 //! * **Message trees** everywhere else (native/timed/multichip engines,
-//!   strided or unaligned sets, locality off): an intra-cluster binomial
-//!   tree funnels into the leader, the leaders run a flat log-depth
+//!   strided sets, locality off) once the set is past [`FLAT_MAX`] or
+//!   `Hierarchical` is configured: an intra-cluster binomial tree
+//!   funnels into the leader, the leaders run a flat log-depth
 //!   exchange, and a binomial tree fans back down, bracketed by two
 //!   barriers. Message volume drops from `n·⌈log₂ n⌉` to roughly
 //!   `2n + nc·⌈log₂ nc⌉` with `nc = ⌈n/cs⌉`.
@@ -35,15 +43,16 @@
 //! without spawning a single thread.
 
 use crate::active_set::ActiveSet;
-use crate::ctx::{ShmemCtx, SEQ_PT2PT};
-use crate::fabric::Locality;
+use crate::ctx::{BarrierAlgo, BroadcastAlgo, ReduceAlgo, ShmemCtx, SEQ_PT2PT};
+use crate::fabric::{CellKey, Locality};
 use crate::symm::{Bits, Sym};
 use crate::types::{Reducible, ReduceOp};
 
-/// Largest set size served by the flat default algorithms; above this
-/// the dispatchers upgrade `Ring`/`Dissemination` barriers, `Pull`
-/// broadcasts, and `Naive` reductions to their hierarchical variants.
-pub(crate) const FLAT_MAX: usize = 64;
+/// Largest set the flat default algorithms serve on a fabric without
+/// sync cells; past it [`ShmemCtx::select`] clusters `Ring` /
+/// `Dissemination` barriers, `Pull` broadcasts and `Naive` reductions
+/// whatever the fabric.
+const FLAT_MAX: usize = 64;
 
 /// Default cluster width. 32 keeps the intra-cluster trees at depth ≤5
 /// while 1024 PEs still make only 32 leaders for the flat exchange.
@@ -96,91 +105,199 @@ pub(crate) fn diss_rounds(n: usize) -> u32 {
     usize::BITS - (n - 1).leading_zeros()
 }
 
-/// Arrival-counter and release-epoch words of a leader's sync cell.
+/// Arrival-counter and release-epoch words of a cluster's sync cell.
 const ARRIVALS: usize = 0;
 const EPOCH: usize = 1;
 
-/// One rank's place in the clustering of `set` at width `cs`.
+/// How a collective entry point is configured, as far as
+/// [`ShmemCtx::select`] cares.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Configured {
+    /// The algorithm enum's `#[default]` (`Ring`, `Pull`, `Naive`; all
+    /// `fcollect` has): nobody asked for it by name, so the library
+    /// picks the transport.
+    Default,
+    /// `Hierarchical`, by name: clustered at every size.
+    Hierarchical,
+    /// `Dissemination`: a flat algorithm asked for by name, which past
+    /// [`FLAT_MAX`] has always been upgraded like the default.
+    FlatInRange,
+    /// Any other algorithm asked for by name: honoured at every size.
+    Flat,
+}
+
+impl From<BarrierAlgo> for Configured {
+    fn from(a: BarrierAlgo) -> Self {
+        match a {
+            BarrierAlgo::Ring => Self::Default,
+            BarrierAlgo::Dissemination => Self::FlatInRange,
+            BarrierAlgo::RootBroadcast | BarrierAlgo::TmcSpin => Self::Flat,
+            BarrierAlgo::Hierarchical => Self::Hierarchical,
+        }
+    }
+}
+
+impl From<BroadcastAlgo> for Configured {
+    fn from(a: BroadcastAlgo) -> Self {
+        match a {
+            BroadcastAlgo::Pull => Self::Default,
+            BroadcastAlgo::Push | BroadcastAlgo::Binomial => Self::Flat,
+            BroadcastAlgo::Hierarchical => Self::Hierarchical,
+        }
+    }
+}
+
+impl From<ReduceAlgo> for Configured {
+    fn from(a: ReduceAlgo) -> Self {
+        match a {
+            ReduceAlgo::Naive => Self::Default,
+            ReduceAlgo::RecursiveDoubling => Self::Flat,
+            ReduceAlgo::Hierarchical => Self::Hierarchical,
+        }
+    }
+}
+
+/// One rank's place in a clustering of `set`: cluster `c` covers ranks
+/// `[c·cs − skew, (c+1)·cs − skew) ∩ [0, set.size)`. On the message
+/// trees `skew` is 0 and clusters are `cs` wide from rank 0 (the last
+/// may be short). On the cell pass `cs` is the worker block and `skew`
+/// is how far into its shard the set starts, which makes every cluster
+/// *set ∩ shard*: the first and last may both be short.
 #[derive(Clone, Copy)]
 pub(crate) struct Cluster<'a> {
     pub set: ActiveSet,
     pub cs: usize,
-    /// This rank's cluster and its rank inside it (0 = the leader).
+    skew: usize,
+    /// This rank's cluster, that cluster's first rank (its leader) and
+    /// this rank's position inside it (0 = the leader).
     pub c: usize,
+    pub first: usize,
     pub lr: usize,
-    /// Members in this cluster (the last may be short); clusters in all.
+    /// Members in this cluster; clusters in all.
     pub m: usize,
     pub nc: usize,
-    /// Set when clusters are whole worker shards: the collective runs
+    /// Set when clusters are *set ∩ worker shard*: the collective runs
     /// on [`ShmemCtx::cell_pass`] over these sync cells instead of the
     /// message trees.
     pub cells: Option<&'a dyn Locality>,
 }
 
 impl<'a> Cluster<'a> {
-    fn new(set: ActiveSet, rank: usize, cs: usize, cells: Option<&'a dyn Locality>) -> Self {
-        assert!(cs > 0, "cluster width must be positive");
-        let c = rank / cs;
-        Self {
-            set,
-            cs,
-            c,
-            lr: rank % cs,
-            m: cluster_size(c, cs, set.size),
-            nc: n_clusters(set.size, cs),
-            cells,
-        }
+    fn new(set: ActiveSet, rank: usize, cs: usize, skew: usize, cells: Option<&'a dyn Locality>) -> Self {
+        assert!(cs > 0 && skew < cs, "cluster width must be positive");
+        let mut cl = Self { set, cs, skew, c: (rank + skew) / cs, first: 0, lr: 0, m: 0, nc: 0, cells };
+        cl.first = cl.first_rank(cl.c);
+        cl.lr = rank - cl.first;
+        cl.m = cl.size(cl.c);
+        cl.nc = n_clusters(set.size + skew, cs);
+        cl
+    }
+
+    /// Rank of cluster `c`'s leader.
+    fn first_rank(&self, c: usize) -> usize {
+        (c * self.cs).saturating_sub(self.skew)
+    }
+
+    /// Members in cluster `c`.
+    fn size(&self, c: usize) -> usize {
+        ((c + 1) * self.cs - self.skew).min(self.set.size) - self.first_rank(c)
+    }
+
+    /// The cluster `rank` belongs to.
+    fn cluster_of(&self, rank: usize) -> usize {
+        (rank + self.skew) / self.cs
     }
 
     /// This rank's position in the set.
     pub fn rank(&self) -> usize {
-        self.c * self.cs + self.lr
+        self.first + self.lr
     }
 
     /// PE of cluster `c`'s leader.
     pub fn leader_pe(&self, c: usize) -> usize {
-        self.set.pe_at(c * self.cs)
+        self.set.pe_at(self.first_rank(c))
     }
 
     /// PEs of this cluster's non-leader members, in rank order.
     pub fn members(&self) -> impl Iterator<Item = usize> + '_ {
-        (1..self.m).map(|lr| self.set.pe_at(self.c * self.cs + lr))
+        (1..self.m).map(|lr| self.set.pe_at(self.first + lr))
+    }
+
+    /// The sync cell of cluster `c`: keyed by the cluster's members,
+    /// not its leader, so two live sets that meet on a leader with
+    /// different memberships never add into one counter.
+    fn cell(&self, c: usize) -> CellKey {
+        CellKey { first: self.leader_pe(c), count: self.size(c) }
     }
 }
 
 impl ShmemCtx {
-    /// `rank`'s place in the clustering a hierarchical collective over
-    /// `set` uses: the one geometry-and-transport decision, taken once
-    /// per call. When the engine publishes a PE→worker block and the
-    /// set covers whole shards (stride 1, start on a block boundary,
-    /// end on a block boundary or at the job's last PE), clusters are
-    /// the worker shards themselves: every member of a cluster
-    /// (including the job's short trailing one) shares its leader's
-    /// worker, every leader sits on its own, and — what makes the
-    /// shared cells safe — any two such sets that share a leader share
-    /// that leader's whole cluster, so their passes are ordered by the
-    /// members' common program order. A set that stops inside a shard
-    /// would share the cell with PEs it does not contain, so it stays,
-    /// like native/timed/multichip engines, strided sets and locality
-    /// off, on the message trees at the span-≤[`CLUSTER`] default. An
-    /// explicit `width` is aligned only if it *is* the aligned width.
-    pub(crate) fn cluster_for(&self, set: ActiveSet, rank: usize, width: Option<usize>) -> Cluster<'_> {
-        let end = set.start + set.size;
-        let shards = self.fab.locality().filter(|loc| {
-            let b = loc.topology_block();
-            set.log2_stride == 0
-                && set.start.is_multiple_of(b)
-                && (end.is_multiple_of(b) || end == self.n_pes())
-        });
-        let cs = width.or(shards.map(|loc| loc.topology_block())).unwrap_or(CLUSTER);
-        Cluster::new(set, rank, cs, shards.filter(|loc| loc.topology_block() == cs))
+    /// The transport of one collective call on `set`: `Some(cluster)`
+    /// to run it clustered — on the counter-cell pass when
+    /// `cluster.cells` is set, on the message trees otherwise — or
+    /// `None` for the flat algorithm `how` stands for. The one
+    /// selection site: barrier, reduce, broadcast and `fcollect` each
+    /// call it once per collective, and it reads nothing but its input
+    /// — what the fabric offers, the set's stride and size, how many
+    /// worker shards the set touches, and whether the algorithm was
+    /// asked for by name.
+    ///
+    /// * An algorithm asked for by name is what runs
+    ///   ([`Configured::Flat`]; `Dissemination` up to [`FLAT_MAX`]):
+    ///   the figures, the ablations and the stress generator's
+    ///   algorithm coverage depend on getting what they configured.
+    /// * `Hierarchical` is clustered at every size, as it always was.
+    /// * A default is clustered past [`FLAT_MAX`] on every fabric, as
+    ///   it always was; and below that when the cell pass is on offer
+    ///   **and some member shares a worker with its leader**
+    ///   (`nc < set.size`). That is the measured crossover, not a
+    ///   tunable: with one PE per worker the pass has no co-residency
+    ///   to exploit and degenerates to all-leaders dissemination /
+    ///   recursive doubling / n² `fcollect`, which loses to the ring
+    ///   (EXPERIMENTS.md, the block-of-one rows of the sweep); with
+    ///   any block ≥ 2 it wins at every size measured.
+    ///
+    /// Fabrics without [`Locality`] (native, timed, multichip; coop
+    /// with locality off) therefore select exactly what `FLAT_MAX`
+    /// alone selected before.
+    pub(crate) fn select(&self, set: ActiveSet, rank: usize, how: Configured) -> Option<Cluster<'_>> {
+        let past_flat = set.size > FLAT_MAX;
+        if how == Configured::Flat || (how == Configured::FlatInRange && !past_flat) {
+            return None;
+        }
+        let cl = self.cluster_for(set, rank, None);
+        let clustered = how == Configured::Hierarchical
+            || past_flat
+            || (cl.cells.is_some() && cl.nc < set.size);
+        clustered.then_some(cl)
     }
 
-    /// One gather → leaders → release pass over a shard-aligned
-    /// clustering: the single transport of every default collective
-    /// past [`FLAT_MAX`] on the coop engine.
+    /// `rank`'s place in the clustering a clustered collective over
+    /// `set` uses. When the engine publishes a PE→worker block and the
+    /// set is contiguous, clusters are *set ∩ worker shard* and the
+    /// transport is the cell pass: every member of a cluster shares its
+    /// leader's worker, every leader sits on its own, and each cluster
+    /// has the sync cell its membership names ([`Cluster::cell`]) — so
+    /// a set may start or stop anywhere inside a shard. Strided sets,
+    /// like native/timed/multichip engines and locality off, take the
+    /// message trees at the span-≤[`CLUSTER`] default. An explicit
+    /// `width` gets the cells only if it *is* the shard clustering.
+    pub(crate) fn cluster_for(&self, set: ActiveSet, rank: usize, width: Option<usize>) -> Cluster<'_> {
+        if let Some(loc) = self.fab.locality().filter(|_| set.log2_stride == 0) {
+            let block = loc.topology_block();
+            let skew = set.start % block;
+            if width.is_none_or(|w| w == block && skew == 0) {
+                return Cluster::new(set, rank, block, skew, Some(loc));
+            }
+        }
+        Cluster::new(set, rank, width.unwrap_or(CLUSTER), 0, None)
+    }
+
+    /// One gather → leaders → release pass over the *set ∩ shard*
+    /// clustering: the single transport of every clustered collective
+    /// on the coop engine.
     ///
-    /// A member fetch-adds its leader's arrival cell (the arrival that
+    /// A member fetch-adds its cluster's arrival cell (the arrival that
     /// completes the gather wakes the leader) and parks on the release
     /// epoch with its gate released. The leader consumes its `m - 1`
     /// arrivals, disseminates with the other leaders — after which
@@ -201,10 +318,12 @@ impl ShmemCtx {
     /// consumed *before* releasing, and no member can start a later
     /// pass (and re-add) until it is released from this one — so counts
     /// from successive instances never mix. Counts from different
-    /// *sets* never mix because every set that parks on this cell
-    /// contains this leader's whole shard
-    /// ([`ShmemCtx::cluster_for`]): all of them have the same `m - 1`
-    /// members here, and those members call them in one order.
+    /// *sets* never mix because the cell is keyed by the cluster
+    /// ([`Cluster::cell`]): two sets reach the same cell only if they
+    /// have the same members in this shard, so both expect the same
+    /// `m - 1` arrivals from the same PEs, which call them in one
+    /// program order; sets that merely share the leader (`[0, 66)` and
+    /// the world on 70 PEs / 2 workers) count on different cells.
     /// Ordering is AcqRel through the cells (see
     /// [`Locality::sync_cell_add`]), giving the same
     /// all-prior-writes-visible guarantee the message barrier gets from
@@ -214,49 +333,47 @@ impl ShmemCtx {
     /// the stall watchdog both sees the pass progressing and can name
     /// the cell a wedged member is stuck on.
     pub(crate) fn cell_pass(&self, cells: &dyn Locality, cl: &Cluster, lead: impl FnOnce()) {
-        let leader = cl.leader_pe(cl.c);
+        let cell = cl.cell(cl.c);
         if cl.lr > 0 {
-            let e0 = cells.sync_cell_load(leader, EPOCH);
-            self.cell_signal(cells, leader, cl.m - 1);
-            cells.sync_cell_wait_change(leader, EPOCH, e0);
+            let e0 = cells.sync_cell_load(cell, EPOCH);
+            self.cell_signal(cells, cell, cl.m - 1);
+            cells.sync_cell_wait_change(cell, EPOCH, e0);
             return;
         }
-        self.cell_await(cells, cl.m - 1);
+        self.cell_await(cells, cell, cl.m - 1);
         self.leader_dissemination(cl);
         lead();
-        cells.sync_cell_add(leader, EPOCH, 1);
-        cells.sync_cell_notify(leader, EPOCH);
+        cells.sync_cell_add(cell, EPOCH, 1);
+        cells.sync_cell_notify(cell, EPOCH);
     }
 
-    /// Add one arrival to `leader`'s cell; the one that completes
-    /// `count` wakes the leader (intermediate arrivals change the count
+    /// Add one arrival to `cell`; the one that completes `count` wakes
+    /// the cluster's leader (intermediate arrivals change the count
     /// without a notify, which `sync_cell_wait_change` permits). Used
     /// by members during the gather and by leaders telling each other
     /// "my copy into/out of your buffers is done" inside `lead` — the
     /// two never overlap on one cell, since a leader inside `lead` has
     /// consumed its gather and its members stay parked.
-    fn cell_signal(&self, cells: &dyn Locality, leader: usize, count: usize) {
-        if cells.sync_cell_add(leader, ARRIVALS, 1) as usize + 1 == count {
-            cells.sync_cell_notify(leader, ARRIVALS);
+    fn cell_signal(&self, cells: &dyn Locality, cell: CellKey, count: usize) {
+        if cells.sync_cell_add(cell, ARRIVALS, 1) as usize + 1 == count {
+            cells.sync_cell_notify(cell, ARRIVALS);
         }
     }
 
-    /// Leader side of [`ShmemCtx::cell_signal`]: park until `count`
-    /// arrivals are in, then consume exactly those (wrapping add of the
-    /// negation), restoring the cell before anyone is released into its
-    /// next use.
-    fn cell_await(&self, cells: &dyn Locality, count: usize) {
-        let me = self.my_pe();
-        let mut cur = cells.sync_cell_load(me, ARRIVALS);
+    /// Leader side of [`ShmemCtx::cell_signal`] on its own cluster's
+    /// `cell`: park until `count` arrivals are in, then consume exactly
+    /// those (wrapping add of the negation), restoring the cell before
+    /// anyone is released into its next use.
+    fn cell_await(&self, cells: &dyn Locality, cell: CellKey, count: usize) {
+        let mut cur = cells.sync_cell_load(cell, ARRIVALS);
         while (cur as usize) < count {
-            cur = cells.sync_cell_wait_change(me, ARRIVALS, cur);
+            cur = cells.sync_cell_wait_change(cell, ARRIVALS, cur);
         }
-        cells.sync_cell_add(me, ARRIVALS, (count as u64).wrapping_neg());
+        cells.sync_cell_add(cell, ARRIVALS, (count as u64).wrapping_neg());
     }
 
     /// Hierarchical reduction with the topology-aligned cluster width
-    /// (explicit, like [`ShmemCtx::reduce_naive`] and friends; also
-    /// what the dispatcher selects for >64-member sets).
+    /// (explicit, like [`ShmemCtx::reduce_naive`] and friends).
     pub fn reduce_hier<T: Reducible>(
         &self,
         op: ReduceOp,
@@ -287,7 +404,7 @@ impl ShmemCtx {
         self.reduce_clustered(op, dest, source, nreduce, &self.cluster_for(set, rank, Some(cs)));
     }
 
-    fn reduce_clustered<T: Reducible>(
+    pub(crate) fn reduce_clustered<T: Reducible>(
         &self,
         op: ReduceOp,
         dest: &Sym<T>,
@@ -312,7 +429,7 @@ impl ShmemCtx {
                 }
             });
         }
-        let Cluster { set, cs, c, lr, m, .. } = *cl;
+        let Cluster { set, first, lr, m, .. } = *cl;
         self.sync_set(set);
         // Seed the accumulator with our own contribution.
         self.put_sym(dest, 0, source, 0, nreduce, me);
@@ -324,11 +441,11 @@ impl ShmemCtx {
         while span < m {
             if lr % (2 * span) == span {
                 debug_assert_eq!(gather_parent(lr), lr - span);
-                self.fold_into(dest, nreduce, set.pe_at(c * cs + lr - span));
+                self.fold_into(dest, nreduce, set.pe_at(first + lr - span));
                 break;
             }
             if lr.is_multiple_of(2 * span) && lr + span < m {
-                self.fold_from(op, dest, nreduce, set.pe_at(c * cs + lr + span));
+                self.fold_from(op, dest, nreduce, set.pe_at(first + lr + span));
             }
             span <<= 1;
         }
@@ -343,14 +460,14 @@ impl ShmemCtx {
         // tree, which is fine: the pairwise counters order each pair
         // independently).
         if lr > 0 {
-            let parent_pe = set.pe_at(c * cs + bcast_parent(lr));
+            let parent_pe = set.pe_at(first + bcast_parent(lr));
             let seq = self.next_seq(SEQ_PT2PT, parent_pe, me);
             self.flag_wait_ge(self.layout.pt2pt_flags, parent_pe, 2 * seq);
         }
         let mut span = 1usize;
         while span < m {
             if lr < span && lr + span < m {
-                let child_pe = set.pe_at(c * cs + lr + span);
+                let child_pe = set.pe_at(first + lr + span);
                 self.put_sym(dest, 0, dest, 0, nreduce, child_pe);
                 self.complete_puts();
                 let seq = self.next_seq(SEQ_PT2PT, child_pe, me);
@@ -467,7 +584,7 @@ impl ShmemCtx {
         self.broadcast_clustered(dest, source, nelems, root_rank, &self.cluster_for(set, rank, Some(cs)));
     }
 
-    fn broadcast_clustered<T: Bits>(
+    pub(crate) fn broadcast_clustered<T: Bits>(
         &self,
         dest: &Sym<T>,
         source: &Sym<T>,
@@ -478,6 +595,7 @@ impl ShmemCtx {
         if let Some(cells) = cl.cells {
             return self.broadcast_cells(cells, dest, source, nelems, root_rank, cl);
         }
+        // Message trees: clusters are `cs` wide from (virtual) rank 0.
         let Cluster { set, cs, .. } = *cl;
         let rank = cl.rank();
         self.sync_set(set);
@@ -553,21 +671,21 @@ impl ShmemCtx {
         self.cell_pass(cells, cl, || {
             let me = self.my_pe();
             let root_pe = cl.set.pe_at(root_rank);
-            let root_leader = cl.leader_pe(root_rank / cl.cs);
+            let root_cell = cl.cell(cl.cluster_of(root_rank));
             let from = if me == root_pe {
                 *source
             } else {
                 self.get_sym(dest, 0, source, 0, nelems, root_pe);
                 *dest
             };
-            if me != root_leader {
-                self.cell_signal(cells, root_leader, cl.nc - 1);
+            if me != root_cell.first {
+                self.cell_signal(cells, root_cell, cl.nc - 1);
             }
             for pe in cl.members().filter(|&pe| pe != root_pe) {
                 self.put_sym(dest, 0, &from, 0, nelems, pe);
             }
-            if me == root_leader {
-                self.cell_await(cells, cl.nc - 1);
+            if me == root_cell.first {
+                self.cell_await(cells, root_cell, cl.nc - 1);
             }
         });
     }
@@ -588,7 +706,7 @@ impl ShmemCtx {
         self.complete_puts();
         self.cell_pass(cells, cl, || {
             let me = self.my_pe();
-            let first = cl.c * cl.cs * nelems;
+            let first = cl.first * nelems;
             self.put_sym(dest, first, source, 0, nelems, me);
             for (i, pe) in cl.members().enumerate() {
                 self.get_sym(dest, first + (i + 1) * nelems, source, 0, nelems, pe);
@@ -596,11 +714,11 @@ impl ShmemCtx {
             // Start at our successor so the leaders do not all write
             // into leader 0 first.
             for d in 1..cl.nc {
-                let peer = cl.leader_pe((cl.c + d) % cl.nc);
-                self.put_sym(dest, first, dest, first, cl.m * nelems, peer);
+                let peer = cl.cell((cl.c + d) % cl.nc);
+                self.put_sym(dest, first, dest, first, cl.m * nelems, peer.first);
                 self.cell_signal(cells, peer, cl.nc - 1);
             }
-            self.cell_await(cells, cl.nc - 1);
+            self.cell_await(cells, cl.cell(cl.c), cl.nc - 1);
             for pe in cl.members() {
                 self.put_sym(dest, 0, dest, 0, cl.set.size * nelems, pe);
             }
@@ -637,6 +755,38 @@ mod tests {
             }
             assert_eq!(n_clusters(96, 32), 3);
             assert_eq!(n_clusters(768, 32), 24);
+        }
+    }
+
+    /// Skewed clustering is *set ∩ shard*: replay it against plain
+    /// PE-over-block arithmetic for every contiguous set of a 23-PE job
+    /// at a few block sizes (short trailing shard included).
+    #[test]
+    fn skewed_clusters_are_the_set_cut_by_shard_boundaries() {
+        let npes = 23;
+        for block in [1usize, 2, 5, 8, 23] {
+            for start in 0..npes {
+                for size in 1..=npes - start {
+                    let set = ActiveSet::new(start, 0, size);
+                    let shard = |pe: usize| pe / block;
+                    let nc = shard(start + size - 1) - shard(start) + 1;
+                    for rank in 0..size {
+                        let cl = Cluster::new(set, rank, block, start % block, None);
+                        let pe = start + rank;
+                        let mates: Vec<usize> = // cold: test harness
+                            (start..start + size).filter(|&p| shard(p) == shard(pe)).collect();
+                        assert_eq!(cl.nc, nc, "{set:?} block {block}");
+                        assert_eq!(cl.c, shard(pe) - shard(start));
+                        assert_eq!((cl.rank(), cl.m, cl.lr), (rank, mates.len(), pe - mates[0]));
+                        assert_eq!(cl.leader_pe(cl.c), mates[0]);
+                        assert_eq!(cl.cluster_of(rank), cl.c);
+                        assert_eq!(cl.cell(cl.c), CellKey { first: mates[0], count: mates.len() });
+                        assert_eq!(cl.members().collect::<Vec<_>>(), mates[1..]); // cold: test harness
+                    }
+                    let cl = Cluster::new(set, 0, block, start % block, None);
+                    assert_eq!((0..nc).map(|c| cl.size(c)).sum::<usize>(), size);
+                }
+            }
         }
     }
 

@@ -39,18 +39,15 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
+        if let Some(cl) = self.select(set, rank, self.algos.reduce.into()) {
+            return self.reduce_clustered(op, dest, source, nreduce, &cl);
+        }
         match self.algos.reduce {
-            // Past 64 PEs the serialized baseline collapses; upgrade the
-            // default to the two-level tree. Explicit algorithm choices
-            // (`RecursiveDoubling`) are honored as configured.
-            ReduceAlgo::Naive if set.size > crate::collectives::hier::FLAT_MAX => {
-                self.reduce_hier(op, dest, source, nreduce, set, rank)
-            }
             ReduceAlgo::Naive => self.reduce_naive(op, dest, source, nreduce, set, rank),
             ReduceAlgo::RecursiveDoubling => {
                 self.reduce_recursive_doubling(op, dest, source, nreduce, set, rank)
             }
-            ReduceAlgo::Hierarchical => self.reduce_hier(op, dest, source, nreduce, set, rank),
+            ReduceAlgo::Hierarchical => unreachable!("select() clusters every Hierarchical reduce"),
         }
     }
 

@@ -29,9 +29,12 @@ pub enum BarrierAlgo {
     /// signals (an extension beyond the paper; the classic
     /// low-latency software barrier).
     Dissemination,
-    /// Two-level barrier for large sets: per-cluster binomial gather,
-    /// dissemination across cluster leaders, binomial release. Selected
-    /// automatically over the flat defaults when the set exceeds 64 PEs.
+    /// Clustered barrier: gather into cluster leaders, dissemination
+    /// across them, release — by counter cells where the fabric has
+    /// them, by binomial message trees elsewhere. What the selection
+    /// function (`collectives/hier.rs`) gives the default `Ring` (and
+    /// `Dissemination`) past 64 PEs, and `Ring` at any size on the coop
+    /// engine when some member shares a worker with its leader.
     Hierarchical,
 }
 
@@ -45,9 +48,12 @@ pub enum BroadcastAlgo {
     Push,
     /// Binomial tree (listed as future work in the paper).
     Binomial,
-    /// Two-level tree for large sets: root to cluster leaders, then
-    /// leaders down their clusters. Selected automatically over `Pull`
-    /// when the set exceeds 64 PEs.
+    /// Clustered broadcast: root to cluster leaders, then leaders to
+    /// their clusters — by direct copies under the counter-cell pass
+    /// where the fabric has cells, by binomial trees elsewhere. What
+    /// the selection function gives the default `Pull` past 64 PEs, and
+    /// at any size on the coop engine when some member shares a worker
+    /// with its leader.
     Hierarchical,
 }
 
@@ -60,10 +66,12 @@ pub enum ReduceAlgo {
     Naive,
     /// Recursive doubling (listed as future work in the paper).
     RecursiveDoubling,
-    /// Two-level reduction for large sets: per-cluster binomial fold
-    /// into the leader, recursive doubling across leaders, binomial
-    /// push-down. Selected automatically over `Naive` when the set
-    /// exceeds 64 PEs.
+    /// Clustered reduction: fold into cluster leaders, recursive
+    /// doubling across them, result handed back down — in place under
+    /// the counter-cell pass where the fabric has cells, by binomial
+    /// trees elsewhere. What the selection function gives the default
+    /// `Naive` past 64 PEs, and at any size on the coop engine when some
+    /// member shares a worker with its leader.
     Hierarchical,
 }
 

@@ -41,7 +41,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
 use substrate::sync::Mutex;
@@ -50,7 +50,7 @@ use tmc::common::CommonMemory;
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
 use crate::engine::wall::{run_wall, Admission, WallFabric};
-use crate::fabric::{BlockedOn, Fabric, Locality, PeProbe, ProtoMsg};
+use crate::fabric::{BlockedOn, CellKey, Fabric, Locality, PeProbe, ProtoMsg};
 use crate::trace::TraceKind;
 
 /// FIFO admission gate: at most one holder at a time, waiters queued in
@@ -81,11 +81,12 @@ impl Gate {
     }
 }
 
-/// One cache line of locality-collective state, indexed by (leader)
-/// PE: word 0 counts arrivals, word 1 is the release epoch. Backs the
-/// counter-cell pass of the shard-aligned collectives
+/// One cache line of locality-collective state, keyed by the cluster it
+/// serves ([`CellKey`]: the members an active set has inside one worker
+/// shard): word 0 counts arrivals, word 1 is the release epoch. Backs
+/// the counter-cell pass of the clustered collectives
 /// (`Locality::sync_cell_add` / `sync_cell_wait_change`); padded to a
-/// line so neighboring leaders' cells never false-share. `waiters`
+/// line so neighboring clusters' cells never false-share. `waiters`
 /// holds contexts parked in `sync_cell_wait_change` with their gate
 /// released — `sync_cell_notify` moves them onto their worker's gate
 /// FIFO, so the wake-up a waiter parks for *is* its gate grant: one
@@ -109,6 +110,9 @@ impl Default for SyncCell {
     }
 }
 
+/// The cells of every cluster one PE can lead, by member count − 1.
+type CellRow = Box<[OnceLock<Box<SyncCell>>]>;
+
 /// Gated admission — the coop engine: one FIFO [`Gate`] per worker, at
 /// most one running context each. The handle is shared by every context
 /// of a launch.
@@ -120,9 +124,13 @@ pub struct GateSet {
     pub workers: usize,
     /// PEs per worker (`ceil(npes / workers)`).
     pub block: usize,
-    /// Locality-barrier cells, one per PE (only leader PEs' cells are
-    /// ever touched, but indexing by global PE keeps lookup trivial).
-    pub sync_cells: Vec<SyncCell>,
+    /// Sync cells by cluster: row `first` has one slot per member count
+    /// a cluster led by PE `first` can have (it ends with `first`'s
+    /// shard at the latest). Rows and cells are created on first use —
+    /// a launch touches a handful of the `block²/2` clusters a shard
+    /// admits — and never move or go away before the launch does, so
+    /// finding one afterwards is two acquire loads ([`GateSet::cell`]).
+    sync_cells: Vec<OnceLock<CellRow>>,
     gates: Vec<Gate>,
     /// Per-context direct-handoff flags, indexed by context id
     /// (`pe` for main contexts, `npes + pe` for service contexts).
@@ -141,7 +149,7 @@ impl GateSet {
             npes,
             workers,
             block,
-            sync_cells: (0..npes).map(|_| SyncCell::default()).collect(),
+            sync_cells: (0..npes).map(|_| OnceLock::new()).collect(),
             gates: (0..workers).map(|_| Gate::new()).collect(),
             granted: (0..2 * npes).map(|_| AtomicBool::new(false)).collect(),
             holding: (0..2 * npes).map(|_| AtomicBool::new(false)).collect(),
@@ -153,6 +161,15 @@ impl GateSet {
     #[inline]
     fn worker_of(&self, ctx: usize) -> usize {
         (ctx % self.npes) / self.block
+    }
+
+    /// The sync cell of cluster `key`, created if this is its first use.
+    fn cell(&self, key: CellKey) -> &SyncCell {
+        let row = self.sync_cells[key.first].get_or_init(|| {
+            let shard_end = ((key.first / self.block + 1) * self.block).min(self.npes);
+            (key.first..shard_end).map(|_| OnceLock::new()).collect() // cold: first use of this leader
+        });
+        row[key.count - 1].get_or_init(Box::default) // cold: first use of this cluster
     }
 
     /// Whether PEs `a` and `b` are multiplexed on the same worker —
@@ -330,22 +347,23 @@ impl Locality for WallFabric<Gated> {
         self.udn_recv(queue)
     }
 
-    fn sync_cell_add(&self, pe: usize, word: usize, delta: u64) -> u64 {
+    fn sync_cell_add(&self, cell: CellKey, word: usize, delta: u64) -> u64 {
         // AcqRel: the add publishes this PE's pre-barrier writes
         // (Release) and, on the leader's consuming sub, carries every
         // member's release sequence forward (Acquire) — the cells form
         // the barrier's happens-before spine without the gate edge.
-        let v = self.gate.sync_cells[pe].words[word].fetch_add(delta, Ordering::AcqRel);
+        let v = self.gate.cell(cell).words[word].fetch_add(delta, Ordering::AcqRel);
         self.progress();
         v
     }
 
-    fn sync_cell_load(&self, pe: usize, word: usize) -> u64 {
-        self.gate.sync_cells[pe].words[word].load(Ordering::Acquire)
+    fn sync_cell_load(&self, cell: CellKey, word: usize) -> u64 {
+        self.gate.cell(cell).words[word].load(Ordering::Acquire)
     }
 
-    fn sync_cell_wait_change(&self, pe: usize, word: usize, old: u64) -> u64 {
-        let cell = &self.gate.sync_cells[pe];
+    fn sync_cell_wait_change(&self, cell: CellKey, word: usize, old: u64) -> u64 {
+        let pe = cell.first;
+        let cell = self.gate.cell(cell);
         loop {
             // One yield-free check, then park. Gate-yielding "just in
             // case" polls are a net loss here: a waiter that yields
@@ -404,8 +422,8 @@ impl Locality for WallFabric<Gated> {
         }
     }
 
-    fn sync_cell_notify(&self, pe: usize, word: usize) {
-        let mut w = self.gate.sync_cells[pe].waiters[word].lock();
+    fn sync_cell_notify(&self, cell: CellKey, word: usize) {
+        let mut w = self.gate.cell(cell).waiters[word].lock();
         for (ctx, thread) in w.drain(..) {
             self.gate.requeue(ctx, thread, self.shared.probe_of(ctx));
         }
@@ -604,6 +622,22 @@ mod tests {
         assert_eq!(order.lock().len(), 200);
     }
 
+    #[test]
+    fn cells_are_keyed_by_cluster_and_stable_once_created() {
+        // 70 PEs, 35 per worker: `[0, 66)` and the world meet on leader
+        // 35 with 31 and 35 members.
+        let (_, shared) = gate_fixture(70, 35);
+        let subset = shared.cell(CellKey { first: 35, count: 31 });
+        let world = shared.cell(CellKey { first: 35, count: 35 });
+        assert!(!std::ptr::eq(subset, world), "one leader, two memberships, two cells");
+        assert!(std::ptr::eq(world, shared.cell(CellKey { first: 35, count: 35 })));
+        // A row reaches to the end of its leader's shard and no further.
+        assert_eq!(shared.sync_cells[35].get().unwrap().len(), 35);
+        assert_eq!(shared.cell(CellKey { first: 40, count: 30 }).words[0].load(Ordering::Relaxed), 0);
+        assert_eq!(shared.sync_cells[40].get().unwrap().len(), 30);
+        assert!(shared.sync_cells[0].get().is_none(), "untouched leaders cost nothing");
+    }
+
     /// Main-context fabrics over a fixture launch (their UDN endpoints
     /// are a fabric of their own; the cell tests never send).
     fn fabrics(wall: &Arc<WallShared>, shared: &Gated) -> Vec<CoopFabric> {
@@ -614,7 +648,10 @@ mod tests {
             .collect()
     }
 
-    /// Park context 1 on word `EPOCH` of PE 0's cell (both on one
+    /// The two-PE cluster led by PE 0 that the cell tests park on.
+    const PAIR: CellKey = CellKey { first: 0, count: 2 };
+
+    /// Park context 1 on word `EPOCH` of [`PAIR`]'s cell (both on one
     /// worker) and return once it is listed there, gate released.
     /// The thread yields what the wait returned, or the panic payload.
     fn park_on_cell(
@@ -625,10 +662,10 @@ mod tests {
         let t = std::thread::spawn(move || {
             waiter.gate_acquire();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                waiter.sync_cell_wait_change(0, EPOCH, 0)
+                waiter.sync_cell_wait_change(PAIR, EPOCH, 0)
             }))
         });
-        while shared.sync_cells[0].waiters[EPOCH].lock().is_empty() {
+        while shared.cell(PAIR).waiters[EPOCH].lock().is_empty() {
             std::thread::yield_now();
         }
         t
@@ -641,11 +678,11 @@ mod tests {
         let waiter = park_on_cell(&shared, fabs.pop().unwrap());
         let notifier = fabs.pop().unwrap();
         notifier.gate_acquire();
-        notifier.sync_cell_add(0, 1, 1);
-        notifier.sync_cell_notify(0, 1);
+        notifier.sync_cell_add(PAIR, 1, 1);
+        notifier.sync_cell_notify(PAIR, 1);
         // Moved from the cell to the gate FIFO, not woken: it cannot run
         // before we let go of the gate, and its probe says so.
-        assert!(shared.sync_cells[0].waiters[1].lock().is_empty());
+        assert!(shared.cell(PAIR).waiters[1].lock().is_empty());
         assert_eq!(shared.waiters(0), 1);
         assert!(!shared.granted[1].load(Ordering::Acquire));
         assert!(!waiter.is_finished());
@@ -664,11 +701,11 @@ mod tests {
         wall.aborted.store(true, Ordering::Release);
         assert!(waiter.join().unwrap().is_err(), "parked waiter must unwind on abort");
         assert!(!shared.is_holding(1), "it unwound without the gate");
-        assert!(shared.sync_cells[0].waiters[1].lock().is_empty());
+        assert!(shared.cell(PAIR).waiters[1].lock().is_empty());
         // A late notify finds nobody: no gate is queued for the dead.
         let notifier = fabs.pop().unwrap();
         notifier.gate_acquire();
-        notifier.sync_cell_notify(0, 1);
+        notifier.sync_cell_notify(PAIR, 1);
         assert_eq!(shared.waiters(0), 0);
         notifier.gate_release();
         assert!(!shared.gates[0].inner.lock().held);
@@ -681,8 +718,8 @@ mod tests {
         let waiter = park_on_cell(&shared, fabs.pop().unwrap());
         let notifier = fabs.pop().unwrap();
         notifier.gate_acquire();
-        notifier.sync_cell_add(0, 1, 1);
-        notifier.sync_cell_notify(0, 1);
+        notifier.sync_cell_add(PAIR, 1, 1);
+        notifier.sync_cell_notify(PAIR, 1);
         wall.aborted.store(true, Ordering::Release);
         // Queued: it must take the grant it is owed before it dies, so
         // the handoff chain behind it keeps moving (the launch scaffold

@@ -163,9 +163,9 @@ pub enum BlockedOn {
     /// it is making no progress only because M < N, not because its
     /// protocol is wedged.
     Descheduled,
-    /// Parked on the locality sync cell owned by `pe` (the counter-cell
-    /// pass of the shard-aligned collectives): a member waiting for the
-    /// release epoch, or a leader waiting for arrivals. Once a notify
+    /// Parked on a sync cell of the cluster led by `pe` (the
+    /// counter-cell pass of the clustered collectives): a member
+    /// waiting for the release epoch, or a leader waiting for arrivals. Once a notify
     /// has queued the waiter on its gate it reads `Descheduled`.
     CellWait { pe: usize },
 }
@@ -476,7 +476,7 @@ pub trait Fabric: Send {
 /// What an engine that multiplexes PEs on shared workers (the M:N coop
 /// engine) offers beyond [`Fabric`]: direct access to a co-resident
 /// PE's memory, a cheaper wait for a same-worker sender, and the sync
-/// cells under the shard-aligned collectives. Reached only through
+/// cells under the clustered collectives. Reached only through
 /// [`Fabric::locality`], so code for an engine without a worker
 /// topology cannot call any of it.
 pub trait Locality {
@@ -501,29 +501,30 @@ pub trait Locality {
     /// correctness.
     fn udn_recv_local(&self, queue: usize) -> ProtoMsg;
 
-    /// Atomic fetch-add on locality sync cell `(pe, word)` — word 0 is
+    /// Atomic fetch-add on word `word` of sync cell `cell` — word 0 is
     /// the arrival counter, word 1 the release epoch of the counter-cell
-    /// pass under the shard-aligned collectives. AcqRel, so the cells
-    /// alone carry the barrier's happens-before edges.
-    fn sync_cell_add(&self, pe: usize, word: usize, delta: u64) -> u64;
+    /// pass under the clustered collectives. The cell exists from its
+    /// first use; finding it afterwards allocates nothing. AcqRel, so
+    /// the cells alone carry the barrier's happens-before edges.
+    fn sync_cell_add(&self, cell: CellKey, word: usize, delta: u64) -> u64;
 
-    /// Acquire load of locality sync cell `(pe, word)`.
-    fn sync_cell_load(&self, pe: usize, word: usize) -> u64;
+    /// Acquire load of word `word` of sync cell `cell`.
+    fn sync_cell_load(&self, cell: CellKey, word: usize) -> u64;
 
-    /// Block until cell `(pe, word)` reads something other than `old`,
-    /// returning the new value. Wakeups ride
+    /// Block until word `word` of `cell` reads something other than
+    /// `old`, returning the new value. Wakeups ride
     /// [`sync_cell_notify`](Locality::sync_cell_notify) — a change
     /// without a notify may be observed late (the cell pass only
     /// notifies on the transitions its waiters care about), but a
     /// notified change is always observed.
-    fn sync_cell_wait_change(&self, pe: usize, word: usize, old: u64) -> u64;
+    fn sync_cell_wait_change(&self, cell: CellKey, word: usize, old: u64) -> u64;
 
     /// Make every context parked in
     /// [`sync_cell_wait_change`](Locality::sync_cell_wait_change) on
-    /// word `word` of `pe`'s cell runnable again, in the order they
+    /// word `word` of `cell` runnable again, in the order they
     /// parked: each is queued for admission behind the caller, not
     /// woken beside it, and re-checks its own condition once admitted.
-    fn sync_cell_notify(&self, pe: usize, word: usize);
+    fn sync_cell_notify(&self, cell: CellKey, word: usize);
 
     /// Write into PE `pe`'s private segment. `pe` must be
     /// [`co_resident`](Locality::co_resident), here and below.
@@ -539,6 +540,20 @@ pub trait Locality {
     /// One-`memcpy` transfer from the arena into PE `pe`'s private
     /// segment (the locality bypass of a redirected put).
     fn peer_arena_to_private(&self, pe: usize, priv_dst: usize, arena_src: usize, len: usize);
+}
+
+/// Names one sync cell of the counter-cell pass: a **cluster** — the
+/// members an active set has inside one worker shard, as (first member
+/// PE, member count). Keying by the cluster rather than by its leader
+/// is what keeps two live sets that meet on one leader with different
+/// memberships (`[0, 66)` and the world on 70 PEs / 2 workers: PE 35
+/// leads 31 members of one and 35 of the other) off each other's
+/// counter, while sets with the same members in a shard share one
+/// (`ShmemCtx::cell_pass`, DESIGN.md §6).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellKey {
+    pub first: usize,
+    pub count: usize,
 }
 
 #[cfg(test)]

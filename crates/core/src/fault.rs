@@ -66,7 +66,7 @@ pub fn rma_fast_paths() -> bool {
 static COOP_LOCALITY_OFF: AtomicBool = AtomicBool::new(false);
 
 /// Disable the coop engine's locality awareness (same-worker RMA fast
-/// paths, co-resident recv hints, shard-aligned cluster construction)
+/// paths, co-resident recv hints, the counter-cell collectives)
 /// so every transfer takes the engine-agnostic channel/protocol path.
 /// **Equivalence testing only**: the locality-aware and locality-blind
 /// paths must produce identical memory state and identical API-level

@@ -62,18 +62,15 @@ impl ShmemCtx {
         if set.size == 1 {
             return;
         }
+        if let Some(cl) = self.select(set, rank, self.algos.barrier.into()) {
+            return self.barrier_hier(&cl);
+        }
         match self.algos.barrier {
-            // Past 64 members the flat defaults pay n·⌈log₂ n⌉ (or 2n
-            // serial) hops; upgrade them to the two-level tree. The
-            // explicitly non-default choices are honored as configured.
-            BarrierAlgo::Ring | BarrierAlgo::Dissemination if set.size > hier::FLAT_MAX => {
-                self.barrier_hier(&self.cluster_for(set, rank, None))
-            }
             BarrierAlgo::Ring => self.barrier_ring(set, rank),
             BarrierAlgo::RootBroadcast => self.barrier_root_broadcast(set, rank),
             BarrierAlgo::TmcSpin => self.fab.tmc_spin_barrier(set.triplet()),
             BarrierAlgo::Dissemination => self.barrier_dissemination(set, rank),
-            BarrierAlgo::Hierarchical => self.barrier_hier(&self.cluster_for(set, rank, None)),
+            BarrierAlgo::Hierarchical => unreachable!("select() clusters every Hierarchical barrier"),
         }
     }
 
@@ -127,7 +124,7 @@ impl ShmemCtx {
         }
     }
 
-    /// Two-level barrier. On shard-aligned clusters it is the
+    /// Two-level barrier. On *set ∩ shard* clusters it is the
     /// payload-free instance of the counter-cell pass
     /// ([`ShmemCtx::cell_pass`]): no intra-cluster messages at all.
     /// Elsewhere: binomial gather to each cluster leader, dissemination
@@ -142,7 +139,7 @@ impl ShmemCtx {
         if let Some(cells) = cl.cells {
             return self.cell_pass(cells, cl, || {});
         }
-        let hier::Cluster { set, cs, c, lr, m, .. } = *cl;
+        let hier::Cluster { set, first, lr, m, .. } = *cl;
         let id = set.ident();
 
         // Gather: binomial reduction tree into the cluster leader; a
@@ -151,12 +148,12 @@ impl ShmemCtx {
         let mut span = 1usize;
         while span < m {
             if lr % (2 * span) == span {
-                let parent = set.pe_at(c * cs + lr - span);
+                let parent = set.pe_at(first + lr - span);
                 self.send_draining(parent, Q_BARRIER, TAG_BAR_HGATHER, &[id]);
                 break;
             }
             if lr.is_multiple_of(2 * span) && lr + span < m {
-                let child = set.pe_at(c * cs + lr + span);
+                let child = set.pe_at(first + lr + span);
                 self.recv_matching_local(Q_BARRIER, self.local_to(child), |msg: &ProtoMsg| {
                     msg.tag == TAG_BAR_HGATHER && msg.payload.first() == Some(&id)
                 });
@@ -170,7 +167,7 @@ impl ShmemCtx {
 
         // Release: binomial broadcast tree back down the cluster.
         if lr > 0 {
-            let parent = set.pe_at(c * cs + hier::bcast_parent(lr));
+            let parent = set.pe_at(first + hier::bcast_parent(lr));
             self.recv_matching_local(Q_BARRIER, self.local_to(parent), |msg: &ProtoMsg| {
                 msg.tag == TAG_BAR_HRELEASE && msg.payload.first() == Some(&id)
             });
@@ -178,7 +175,7 @@ impl ShmemCtx {
         let mut span = 1usize;
         while span < m {
             if lr < span && lr + span < m {
-                let child = set.pe_at(c * cs + lr + span);
+                let child = set.pe_at(first + lr + span);
                 self.send_draining(child, Q_BARRIER, TAG_BAR_HRELEASE, &[id]);
             }
             span <<= 1;
@@ -187,7 +184,7 @@ impl ShmemCtx {
 
     /// Flat dissemination over the cluster leaders (called by leaders
     /// only): when it returns, every leader of the set has finished its
-    /// gather. Shard-aligned clusters put every leader on a distinct
+    /// gather. *Set ∩ shard* clusters put every leader on a distinct
     /// worker, so these recvs stay on the parked path.
     pub(crate) fn leader_dissemination(&self, cl: &hier::Cluster) {
         let (c, nc) = (cl.c, cl.nc);

@@ -108,3 +108,79 @@ fn coop_tmc_spin_barrier_survives_oversubscription() {
         assert_eq!(*v, (writer as u64) * 3 + 1, "PE {pe}");
     }
 }
+
+// --- which transport the selection function picks, in exact counts -------
+
+use tshmem::trace::TraceKind;
+use tshmem::EngineBackend;
+
+/// UDN sends one `call` costs on `backend()`: a launch making `2k`
+/// calls minus one making `k`, so launch, `shmalloc` and teardown
+/// traffic cancels exactly.
+fn sends_per_call<B: EngineBackend>(
+    cfg: &RuntimeConfig,
+    backend: impl Fn() -> B,
+    call: impl Fn(&ShmemCtx, &Sym<u64>, &Sym<u64>) + Sync,
+) -> usize {
+    const K: usize = 3;
+    let sends = |calls: usize| {
+        let out = Launcher::new(&cfg.with_trace(), backend()).run(|ctx| {
+            let src = ctx.shmalloc::<u64>(4);
+            let dst = ctx.shmalloc::<u64>(4 * ctx.n_pes());
+            for _ in 0..calls {
+                call(ctx, &dst, &src);
+            }
+        });
+        let trace = out.trace.expect("with_trace() returns a trace");
+        trace.iter().filter(|e| e.kind == TraceKind::UdnSend).count()
+    };
+    let diff = sends(2 * K) - sends(K);
+    assert_eq!(diff % K, 0, "sends per call must be a whole number");
+    diff / K
+}
+
+fn barrier_all(ctx: &ShmemCtx, _: &Sym<u64>, _: &Sym<u64>) {
+    ctx.barrier_all();
+}
+
+#[test]
+fn selection_is_pinned_by_exact_send_counts() {
+    let cfg = |npes| RuntimeConfig::new(npes).with_partition_bytes(256 * 1024);
+
+    // 32 PEs behind one gate: every default collective is one cell pass
+    // inside the one shard — no channel token at all.
+    assert_eq!(sends_per_call(&cfg(32), || coop(1), barrier_all), 0, "32/1 barrier_all");
+    assert_eq!(
+        sends_per_call(&cfg(32), || coop(1), |ctx, d, s| ctx.sum_to_all(d, s, 4, ctx.world())),
+        0,
+        "32/1 sum_to_all"
+    );
+    assert_eq!(
+        sends_per_call(&cfg(32), || coop(1), |ctx, d, s| ctx.broadcast(d, s, 4, 5, ctx.world())),
+        0,
+        "32/1 broadcast"
+    );
+    assert_eq!(
+        sends_per_call(&cfg(32), || coop(1), |ctx, d, s| ctx.fcollect(d, s, 4, ctx.world())),
+        0,
+        "32/1 fcollect"
+    );
+
+    // Four shards of 8: only the four leaders talk, nc·⌈log₂ nc⌉.
+    assert_eq!(sends_per_call(&cfg(32), || coop(4), barrier_all), 8, "32/4 barrier_all");
+
+    // One PE per worker: nobody shares a worker with its leader, so the
+    // default stays the ring's 2n.
+    assert_eq!(sends_per_call(&cfg(8), || coop(8), barrier_all), 16, "8/8 barrier_all");
+
+    // An algorithm asked for by name is what runs: n·⌈log₂ n⌉.
+    let dissem = Algorithms { barrier: BarrierAlgo::Dissemination, ..Default::default() };
+    assert_eq!(
+        sends_per_call(&cfg(8).with_algos(dissem), || coop(2), barrier_all),
+        24,
+        "8/2 dissemination"
+    );
+
+    // A fabric without sync cells selects what it always did.
+    assert_eq!(sends_per_call(&cfg(36), || TimedBackend, barrier_all), 72, "timed 36 barrier_all");
+}

@@ -1,9 +1,10 @@
 //! Flat-vs-hierarchical equivalence for the two-level collectives:
 //! exhaustive small set sizes (including every non-power-of-two shape a
 //! cluster boundary can produce) plus spot checks past 64 PEs, where the
-//! dispatcher auto-upgrades the flat defaults — on the coop engine with
-//! shard-aligned world sets, to the counter-cell pass, whose safety
-//! envelope (DESIGN.md §6) the last group of tests leans on.
+//! dispatcher auto-upgrades the flat defaults — on the coop engine, at
+//! every size and for any contiguous set, to the counter-cell pass,
+//! whose safety envelope (DESIGN.md §6) the last group of tests leans
+//! on.
 
 use tshmem::prelude::*;
 
@@ -329,13 +330,14 @@ fn fused_pass_chunks_large_reductions_and_accepts_zero_lengths() {
 
 /// Sets that meet on one leader. 140 PEs on 2 workers shard 70 + 70, so
 /// `[0, 66)` starts on a shard boundary but stops inside the shard: on
-/// PE 0's cell its arrivals would be indistinguishable from those of
-/// PEs 66..70 entering the world call that follows, so it must stay on
-/// the message trees. PE 65 is held back until those four have entered
-/// the world `sum_to_all`; a subset pass that counted them would fold
-/// PE 65's `source` before PE 65 wrote it. `[70, 140)` covers its
-/// shard whole and does share PE 70's cell with the world set — the
-/// same 69 members in the same program order.
+/// a cell indexed by PE 0 its arrivals would be indistinguishable from
+/// those of PEs 66..70 entering the world call that follows, so the two
+/// clusters — 66 members and 70 — must count on different cells. PE 65
+/// is held back until those four have entered the world `sum_to_all`;
+/// a subset pass that counted them would fold PE 65's `source` before
+/// PE 65 wrote it. `[70, 140)` covers its shard whole and does share a
+/// cell with the world set — the same 70 members in the same program
+/// order.
 #[test]
 fn sets_sharing_a_leader_do_not_mix_arrivals() {
     let cfg = RuntimeConfig::for_scale(140).with_partition_bytes(64 * 1024);
@@ -382,4 +384,155 @@ fn sets_sharing_a_leader_do_not_mix_arrivals() {
         let want: Vec<u64> = (0..n).map(|pe| if pe < 70 { 1 } else { word(0xd5, pe, 0) }).collect();
         assert_eq!(ctx.local_read(&all, 0, n), want, "world fcollect on PE {me}");
     });
+}
+
+// --- contiguous sets that start or stop inside a shard --------------------
+
+/// `[start, end)` as an active set.
+fn span(start: usize, end: usize) -> ActiveSet {
+    ActiveSet::new(start, 0, end - start)
+}
+
+/// Rank of the leader of `set`'s last cluster (the first member inside
+/// the last shard the set touches) at `block` PEs per worker.
+fn last_leader_rank(set: ActiveSet, block: usize) -> usize {
+    ((set.start + set.size - 1) / block * block).saturating_sub(set.start)
+}
+
+/// Unaligned and overlapping contiguous sets on the cell pass, results
+/// and transport both checked. Two workers; the sets are the world, one
+/// that stops inside the second shard, one that starts inside the first
+/// (or, at 70 PEs, is the second shard whole), one wholly inside a
+/// shard and one that straddles the boundary with two partial
+/// clusters. Every PE calls the sets it belongs to in one global order,
+/// 20 rounds with changing inputs, every result closed-form.
+///
+/// It opens with the PR-15 reviewer's shape scaled down: `head` and the
+/// world meet on the second shard's leader with different member
+/// counts, and `head`'s last member is held back until a non-member has
+/// entered the world call that follows. On a cell indexed by the leader
+/// alone that early arrival completes `head`'s gather, and the leader
+/// folds the held-back member's `source` before it is written (a wrong
+/// sum, or a hang once the counts drift).
+///
+/// The trace must show no send between two PEs of one worker: inside a
+/// shard the pass moves data by direct copy and wakes by counter.
+#[test]
+fn unaligned_and_overlapping_sets_take_the_cell_pass() {
+    const NR: usize = 3;
+    const NB: usize = 2;
+    const NF: usize = 2;
+    const ROUNDS: usize = 20;
+    // (PEs, [head, tail, inner, straddle]); block = PEs / 2.
+    let geometries = [
+        (10usize, [span(0, 8), span(2, 10), span(1, 4), span(3, 7)]),
+        (70usize, [span(0, 66), span(35, 70), span(3, 7), span(30, 40)]),
+    ];
+    for (npes, subsets) in geometries {
+        let block = npes / 2;
+        let cfg = scale_cfg(npes).with_trace();
+        let out = Launcher::new(&cfg, coop(2)).run(move |ctx| {
+            let (n, me, world) = (ctx.n_pes(), ctx.my_pe(), ctx.world());
+            let sets = [world, subsets[0], subsets[1], subsets[2], subsets[3]];
+            let rsrc = ctx.shmalloc::<u64>(NR);
+            let rdst = ctx.shmalloc::<u64>(NR);
+            let bsrc = ctx.shmalloc::<u64>(NB);
+            let bdst = ctx.shmalloc::<u64>(NB);
+            let fsrc = ctx.shmalloc::<u64>(NF);
+            let fdst = ctx.shmalloc::<u64>(NF * n);
+            let table = ctx.shmalloc::<u64>(sets.len());
+            let go = ctx.shmalloc::<u64>(1);
+            ctx.barrier_all();
+
+            // Two sets, one leader, different member counts.
+            let head = sets[1];
+            let held = head.start + head.size - 1;
+            if me == n - 1 {
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                ctx.put(&go, 0, &[1u64], held);
+            }
+            if head.rank_of(me).is_some() {
+                if me == held {
+                    ctx.wait_until(&go, 0, Cmp::Ne, 0u64);
+                }
+                ctx.local_write(&rsrc, 0, &[me as u64 + 1; NR]);
+                ctx.sum_to_all(&rdst, &rsrc, NR, head);
+                let want = (head.size * (head.size + 1) / 2) as u64;
+                assert_eq!(ctx.local_read(&rdst, 0, NR), [want; NR], "npes={n} PE {me}: held-back sum on {head:?}");
+            }
+            ctx.local_write(&rsrc, 0, &[2; NR]);
+            ctx.sum_to_all(&rdst, &rsrc, NR, world);
+            assert_eq!(ctx.local_read(&rdst, 0, NR), [2 * n as u64; NR], "npes={n} PE {me}: world sum after it");
+
+            let mut bdst_holds = vec![u64::MAX; NB];
+            ctx.local_write(&bdst, 0, &bdst_holds);
+            for round in 0..ROUNDS {
+                for (k, set) in sets.into_iter().enumerate() {
+                    let Some(rank) = set.rank_of(me) else { continue };
+                    let call = round * sets.len() + k;
+
+                    // barrier: my predecessor's put must have landed.
+                    let next = set.pe_at((rank + 1) % set.size);
+                    let prev = set.pe_at((rank + set.size - 1) % set.size);
+                    ctx.p(&table, k, word(0xba, call, me), next);
+                    ctx.barrier(set);
+                    assert_eq!(ctx.g(&table, k, me), word(0xba, call, prev), "barrier: npes={n} PE {me} {set:?} round {round}");
+
+                    let mine: Vec<u64> = (0..NR).map(|i| word(0x51, call * n + me, i) >> 8).collect();
+                    ctx.local_write(&rsrc, 0, &mine);
+                    ctx.sum_to_all(&rdst, &rsrc, NR, set);
+                    let want: Vec<u64> = (0..NR)
+                        .map(|i| (0..set.size).map(|r| word(0x51, call * n + set.pe_at(r), i) >> 8).sum())
+                        .collect();
+                    assert_eq!(ctx.local_read(&rdst, 0, NR), want, "sum: npes={n} PE {me} {set:?} round {round}");
+
+                    // Roots: the last cluster's leader, the set's last
+                    // member (inside a partial cluster), and one that
+                    // moves with the round.
+                    let roots = [last_leader_rank(set, block), set.size - 1, (round * 7 + 3) % set.size];
+                    for (j, root) in roots.into_iter().enumerate() {
+                        let sent: Vec<u64> = (0..NB).map(|i| word(0xb2, call * 3 + j, i)).collect();
+                        if rank == root {
+                            ctx.local_write(&bsrc, 0, &sent);
+                        } else {
+                            bdst_holds.clone_from(&sent);
+                        }
+                        ctx.broadcast(&bdst, &bsrc, NB, root, set);
+                        assert_eq!(
+                            ctx.local_read(&bdst, 0, NB),
+                            bdst_holds,
+                            "broadcast: npes={n} PE {me} {set:?} root {root} round {round}"
+                        );
+                    }
+
+                    let mine: Vec<u64> = (0..NF).map(|i| word(0xf3, call * n + me, i)).collect();
+                    ctx.local_write(&fsrc, 0, &mine);
+                    ctx.fcollect(&fdst, &fsrc, NF, set);
+                    let want: Vec<u64> = (0..set.size * NF)
+                        .map(|x| word(0xf3, call * n + set.pe_at(x / NF), x % NF))
+                        .collect();
+                    assert_eq!(
+                        ctx.local_read(&fdst, 0, NF * set.size),
+                        want,
+                        "fcollect: npes={n} PE {me} {set:?} round {round}"
+                    );
+                }
+            }
+        });
+        // Finalization is an explicit ring barrier on every engine;
+        // an empty job measures exactly that.
+        let idle = Launcher::new(&cfg, coop(2)).run(|_| {});
+        let (ran, idle) = (shard_sends(&out, block), shard_sends(&idle, block));
+        assert!(ran.1 > idle.1, "npes={npes}: the two leaders must have talked");
+        assert_eq!(ran.0, idle.0, "npes={npes}: the collectives sent inside a shard");
+    }
+}
+
+/// `(inside one worker's shard, across shards)` UDN sends of a traced
+/// launch at `block` PEs per worker.
+fn shard_sends<R>(out: &EngineOutcome<R>, block: usize) -> (usize, usize) {
+    let trace = out.trace.as_ref().expect("with_trace() returns a trace");
+    let sends = trace.iter().filter(|e| e.kind == tshmem::trace::TraceKind::UdnSend);
+    let inside = sends.clone().filter(|e| e.pe / block == e.peer / block).count();
+    (inside, sends.count() - inside)
 }

@@ -91,11 +91,17 @@ echo "OK: $(ls figures | wc -l) artifacts reproduce figures/ byte for byte"
 
 echo "== counted-work gate (one full-size traced run against the traced line of BENCH.jsonl) =="
 # These twelve per-layer metrics are counts or simulated times, not host
-# times: they must equal the committed ones exactly. The one ratio gate
-# is host time over host time inside one run: at 256 PEs a shard-aligned
-# 8-word reduce rides the same counter-cell pass as the barrier, so it
-# may cost at most two of them whatever the host's speed (it cost 4.5
-# before the fused pass).
+# times: they must equal the committed ones exactly. Two of them pin the
+# coop engine's transport selection (`ShmemCtx::select`):
+# `sync.udn_sends_per_barrier_32` is 0 — the default `barrier_all` of 32
+# PEs behind one gate is one counter-cell pass inside the one shard and
+# sends no channel token at all (it was the ring's 2n = 64 while the
+# pass was fenced in past 64 PEs) — and `sync.udn_sends_per_barrier_256`
+# is 8, the four shard leaders' dissemination. The one ratio gate is
+# host time over host time inside one run: at 256 PEs an 8-word reduce
+# rides the same counter-cell pass as the barrier, so it may cost at
+# most two of them whatever the host's speed (it cost 4.5 before the
+# fused pass).
 python3 - "$bench" "$tmp" <<'PYEOF'
 import json, subprocess, sys
 EXACT = """rma.redirected_frac rma.locality_hit_frac sync.udn_sends_per_barrier_32
