@@ -15,9 +15,9 @@
 //!
 //! 1. **a spawn model** — how `total_pes` contexts plus their
 //!    interrupt-service contexts come to run (the wall-clock backends
-//!    spawn a real thread per context, admitted freely or through a
-//!    per-worker gate; the virtual-time backends run every context as
-//!    a desim LP);
+//!    spawn a real thread per PE, and per service context when its first
+//!    request arrives, admitted freely or through a per-worker gate; the
+//!    virtual-time backends run every context as a desim LP);
 //! 2. **a fabric factory** — the per-context [`Fabric`] wiring the
 //!    protocol code to the engine's cost/transport model;
 //! 3. **a watch binding** — how the backend attaches the launcher's
@@ -387,6 +387,11 @@ pub struct EngineOutcome<R> {
     pub makespan: SimTime,
     /// Operation trace, when enabled with `RuntimeConfig::with_trace`.
     pub trace: Option<Vec<TraceEvent>>,
+    /// OS threads the launch started: on the wall-clock engines the PE
+    /// contexts plus the interrupt-service contexts some request
+    /// started; on the virtual-time engines one per LP. Exact under a
+    /// fixed program.
+    pub threads_spawned: usize,
 }
 
 /// The liveness plane a launch composes in, matching the backend's
@@ -475,7 +480,7 @@ where
         }
     }
     let makespan = clocks.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    EngineOutcome { values, clocks, makespan, trace: sink.map(|s| s.take()) }
+    EngineOutcome { values, clocks, makespan, trace: sink.map(|s| s.take()), threads_spawned: 2 * npes }
 }
 
 /// Attach a coop watch (if any) and hand its observer to the scheduler.

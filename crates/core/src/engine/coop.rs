@@ -337,7 +337,7 @@ impl Locality for WallFabric<Gated> {
         // (`sync_cell_add`), not this hint.
         self.set_blocked(BlockedOn::Recv { queue });
         for attempt in 0..32u32 {
-            if let Some(p) = self.udn.try_recv(queue) {
+            if let Some(p) = self.udn().try_recv(queue) {
                 self.set_blocked(BlockedOn::Running);
                 return self.accept(p);
             }
@@ -512,7 +512,7 @@ impl EngineBackend for CoopBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::wall::{FastClock, ShardedArena, WallShared};
+    use crate::engine::wall::{ShardedArena, WallShared};
 
     type CoopFabric = WallFabric<Gated>;
 
@@ -638,13 +638,10 @@ mod tests {
         assert!(shared.sync_cells[0].get().is_none(), "untouched leaders cost nothing");
     }
 
-    /// Main-context fabrics over a fixture launch (their UDN endpoints
-    /// are a fabric of their own; the cell tests never send).
+    /// Main-context fabrics over a fixture launch.
     fn fabrics(wall: &Arc<WallShared>, shared: &Gated) -> Vec<CoopFabric> {
-        udn::fabric::UdnFabric::new(shared.npes)
-            .into_iter()
-            .enumerate()
-            .map(|(pe, ep)| CoopFabric::new_probed(wall.clone(), shared.clone(), pe, ep))
+        (0..shared.npes)
+            .map(|pe| CoopFabric::new_probed(wall.clone(), shared.clone(), pe))
             .collect()
     }
 
@@ -732,22 +729,16 @@ mod tests {
 
     fn gate_fixture(npes: usize, block: usize) -> (Arc<WallShared>, Gated) {
         let gate = GateSet::new(npes, block);
-        let endpoints = udn::fabric::UdnFabric::new(npes);
-        let wall = Arc::new(WallShared {
-            arena: ShardedArena::new(npes, block, 4096),
-            privates: Vec::new(),
-            npes,
-            partition_bytes: 4096,
-            device: tile_arch::device::Device::tile_gx8036(),
-            start: FastClock::new(),
-            spin_barriers: Mutex::new(Default::default()),
-            aborted: AtomicBool::new(false),
-            probes: (0..npes).map(|_| Arc::new(PeProbe::new())).collect(),
-            service_probes: (0..npes).map(|_| Arc::new(PeProbe::new())).collect(),
-            trace: None,
-            waker: endpoints[0].sender(),
-            oversubscription: (2 * npes).div_ceil(gate.workers),
-        });
+        let cfg = crate::runtime::RuntimeConfig::new(npes)
+            .with_partition_bytes(4096)
+            .with_private_bytes(64);
+        let wall = WallShared::new(
+            &cfg,
+            udn::fabric::UdnFabric::new(npes),
+            ShardedArena::new(npes, block, 4096),
+            gate.workers,
+            None,
+        );
         (wall, gate)
     }
 }

@@ -2,7 +2,11 @@
 //! channels, wall time — one data plane under two admission policies.
 //!
 //! Every context (PE main + interrupt-service) is a real OS thread
-//! running the same [`WallFabric`]. What differs between the native
+//! running the same [`WallFabric`]. A launch starts the PE contexts; a
+//! PE's interrupt-service context is started by the first request sent
+//! to it (the paper's handler is an interrupt — nothing runs on the far
+//! tile until one arrives), so a job that never redirects a transfer
+//! runs `npes` threads, not `2 * npes`. What differs between the native
 //! engine and the cooperative M:N engine is only *admission*: when a
 //! context may touch the fabric and how it waits. That is the
 //! [`Admission`] policy, a type parameter, so each instantiation is
@@ -25,7 +29,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cachesim::homing::Homing;
@@ -35,10 +40,10 @@ use udn::fabric::{UdnEndpoint, UdnFabric};
 
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
-use crate::fabric::{self, BlockedOn, Fabric, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth};
+use crate::fabric::{self, BlockedOn, Fabric, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth, Q_SERVICE};
 use crate::runtime::RuntimeConfig;
 use crate::server::ArenaPool;
-use crate::service::{service_loop, TAG_ABORT};
+use crate::service::{service_loop, TAG_ABORT, TAG_SHUTDOWN};
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 
 /// Cheap wall-clock for trace timestamps: the invariant TSC scaled to
@@ -236,7 +241,7 @@ pub struct ShardedArena {
 }
 
 impl ShardedArena {
-    pub(crate) fn new(npes: usize, block: usize, partition_bytes: usize) -> Self {
+    pub fn new(npes: usize, block: usize, partition_bytes: usize) -> Self {
         let shards = (0..npes.div_ceil(block))
             .map(|w| {
                 let pes = ((w + 1) * block).min(npes) - w * block;
@@ -281,10 +286,13 @@ impl ShardedArena {
     }
 }
 
-/// Shared, immutable state of one wall-clock launch — what a
+/// Shared state of one wall-clock launch — what a
 /// [`JobWatch`](crate::watch::JobWatch) attaches to.
 pub struct WallShared {
     pub arena: ShardedArena,
+    /// Every tile's UDN endpoint. Contexts receive from their PE's entry
+    /// in place; nothing is handed out per context.
+    pub(crate) endpoints: Vec<UdnEndpoint>,
     pub privates: Vec<Arc<CommonMemory>>,
     pub npes: usize,
     pub partition_bytes: usize,
@@ -299,8 +307,17 @@ pub struct WallShared {
     pub probes: Vec<Arc<PeProbe>>,
     /// Per-PE probes for the interrupt-service contexts, so a stall
     /// inside a redirected-RMA handler is attributed to the handler
-    /// rather than showing up only as its clients' reply waits.
+    /// rather than showing up only as its clients' reply waits. A
+    /// context that was never started reads as what it would be doing
+    /// if it had been: parked in its `Q_SERVICE` receive.
     pub service_probes: Vec<Arc<PeProbe>>,
+    /// Completed once PE `i`'s interrupt-service context has been
+    /// started — by the first request addressed to it (see
+    /// [`WallFabric::listening`]).
+    service_started: Vec<Once>,
+    /// The service contexts started so far; the launch joins them on
+    /// clean completion and detaches them otherwise.
+    service_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Wall-clock operation trace, when enabled; one lock-free lane per
     /// context that can run at once.
     pub trace: Option<Arc<TraceSink>>,
@@ -314,6 +331,44 @@ pub struct WallShared {
 }
 
 impl WallShared {
+    /// The shared state of a launch of `cfg` over `endpoints` and
+    /// `arena`, of whose `2 * npes` contexts `running` can run at once.
+    pub fn new(
+        cfg: &RuntimeConfig,
+        endpoints: Vec<UdnEndpoint>,
+        arena: ShardedArena,
+        running: usize,
+        trace: Option<Arc<TraceSink>>,
+    ) -> Arc<Self> {
+        let npes = cfg.npes;
+        assert_eq!(endpoints.len(), npes, "one UDN endpoint per PE");
+        let idle_service = || {
+            let probe = PeProbe::new();
+            probe.set_blocked(BlockedOn::Recv { queue: Q_SERVICE });
+            Arc::new(probe)
+        };
+        Arc::new(Self {
+            arena,
+            privates: (0..npes)
+                .map(|pe| CommonMemory::new(cfg.private_bytes, Homing::Local(pe)))
+                .collect(),
+            npes,
+            partition_bytes: cfg.partition_bytes,
+            device: cfg.device,
+            start: FastClock::new(),
+            spin_barriers: Mutex::new(HashMap::new()),
+            aborted: AtomicBool::new(false),
+            probes: (0..npes).map(|_| Arc::new(PeProbe::new())).collect(),
+            service_probes: (0..npes).map(|_| idle_service()).collect(),
+            service_started: (0..npes).map(|_| Once::new()).collect(),
+            service_threads: Mutex::new(Vec::new()),
+            trace,
+            waker: endpoints[0].sender(),
+            endpoints,
+            oversubscription: (2 * npes).div_ceil(running),
+        })
+    }
+
     /// Flag the job aborted and wake every context parked in a blocking
     /// protocol receive: one zero-payload [`TAG_ABORT`] packet per tile
     /// per queue. `try_send` keeps the aborter itself from stalling on
@@ -382,7 +437,6 @@ pub struct WallFabric<P: Admission> {
     /// Context id: `pe` for the main context, `npes + pe` for the
     /// interrupt-service context.
     pub(crate) ctx: usize,
-    pub(crate) udn: UdnEndpoint,
     /// This context's own probe — the service context must not
     /// overwrite the main context's blocked state.
     probe: Arc<PeProbe>,
@@ -392,7 +446,7 @@ pub struct WallFabric<P: Admission> {
 }
 
 impl<P: Admission> WallFabric<P> {
-    fn new(shared: Arc<WallShared>, gate: P, pe: usize, ctx: usize, udn: UdnEndpoint) -> Self {
+    fn new(shared: Arc<WallShared>, gate: P, pe: usize, ctx: usize) -> Self {
         let probe = shared.probe_of(ctx).clone();
         let lane = gate.lane(ctx);
         Self {
@@ -400,21 +454,66 @@ impl<P: Admission> WallFabric<P> {
             gate,
             pe,
             ctx,
-            udn,
             probe,
             lane,
         }
     }
 
     /// A fabric for the PE's **main context**.
-    pub fn new_probed(shared: Arc<WallShared>, gate: P, pe: usize, udn: UdnEndpoint) -> Self {
-        Self::new(shared, gate, pe, pe, udn)
+    pub fn new_probed(shared: Arc<WallShared>, gate: P, pe: usize) -> Self {
+        Self::new(shared, gate, pe, pe)
     }
 
     /// A fabric for the PE's **interrupt-service context**.
-    pub fn new_service(shared: Arc<WallShared>, gate: P, pe: usize, udn: UdnEndpoint) -> Self {
+    pub fn new_service(shared: Arc<WallShared>, gate: P, pe: usize) -> Self {
         let ctx = shared.npes + pe;
-        Self::new(shared, gate, pe, ctx, udn)
+        Self::new(shared, gate, pe, ctx)
+    }
+
+    /// This PE's UDN endpoint.
+    #[inline]
+    pub(crate) fn udn(&self) -> &UdnEndpoint {
+        &self.shared.endpoints[self.pe]
+    }
+
+    /// Whether a packet for `(dest, queue)` has a context to go to. A
+    /// PE's main context always listens; its interrupt-service context
+    /// (`Q_SERVICE`) is started here if this is the first request
+    /// addressed to it. Only `finalize`'s [`TAG_SHUTDOWN`] can find none
+    /// and leave it so: every request precedes its issuer's `finalize`
+    /// barrier, so once a PE is past that barrier no context can start
+    /// any more, and a shutdown for one that never did is the fabric's
+    /// to consume.
+    #[inline]
+    fn listening(&self, dest: usize, queue: usize, tag: u16) -> bool {
+        if queue != Q_SERVICE || self.shared.service_started[dest].is_completed() {
+            return true;
+        }
+        if tag == TAG_SHUTDOWN {
+            return false;
+        }
+        self.start_service(dest);
+        true
+    }
+
+    /// Start `dest`'s interrupt-service context: one thread consuming
+    /// only `Q_SERVICE` of that PE's endpoint, which waits in that
+    /// receive with admission released and is admitted only while
+    /// serving a request. Concurrent first requesters start exactly one
+    /// (the losers wait out the spawn); a context started after
+    /// [`WallShared::abort`] finds its `TAG_ABORT` already queued.
+    #[cold]
+    fn start_service(&self, dest: usize) {
+        self.shared.service_started[dest].call_once(|| {
+            let fab = Self::new_service(self.shared.clone(), self.gate.clone(), dest);
+            let (gate, ctx, probe) = (self.gate.clone(), fab.ctx, fab.probe.clone());
+            let fab = P::erase(fab);
+            let thread = std::thread::Builder::new()
+                .name(format!("{}-svc-{dest}", P::NAME)) // cold: once per serviced PE
+                .spawn(move || admitted(&gate, ctx, &probe, || service_loop(&*fab)))
+                .expect("spawn service thread");
+            self.shared.service_threads.lock().push(thread); // cold: once per serviced PE
+        });
     }
 
     #[inline]
@@ -552,13 +651,13 @@ impl<P: Admission> Fabric for WallFabric<P> {
         }
         // Q_SERVICE is consumed by the destination's service context;
         // the routing is by queue, so a plain send reaches it.
-        if !self.udn.try_send(dest, queue, tag, payload) {
+        if self.listening(dest, queue, tag) && !self.udn().try_send(dest, queue, tag, payload) {
             // Full bounded queue: park in the blocking send with
             // admission released — the consumer that must drain `dest`
             // may be a sibling queued behind us.
             self.set_blocked(BlockedOn::SendFull { dest, queue });
             self.gate_release();
-            self.udn.send(dest, queue, tag, payload);
+            self.udn().send(dest, queue, tag, payload);
             self.gate_acquire();
             self.set_blocked(BlockedOn::Running);
         }
@@ -571,11 +670,11 @@ impl<P: Admission> Fabric for WallFabric<P> {
         // below the fabric's real bound, forcing the draining-send
         // backpressure path mid-run.
         if let Some(depth) = crate::fault::clamp_queue_depth() {
-            if self.udn.dest_queue_len(dest, queue) >= depth {
+            if self.udn().dest_queue_len(dest, queue) >= depth {
                 return false;
             }
         }
-        let sent = self.udn.try_send(dest, queue, tag, payload);
+        let sent = !self.listening(dest, queue, tag) || self.udn().try_send(dest, queue, tag, payload);
         if sent {
             if let Some(us) = crate::fault::protocol_send_delay_us() {
                 self.sleep_checking_abort(us);
@@ -592,7 +691,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
         // Opportunistic poll before parking: in a protocol round trip
         // the reply is usually queued already.
         for _ in 0..4 {
-            if let Some(p) = self.udn.try_recv(queue) {
+            if let Some(p) = self.udn().try_recv(queue) {
                 return self.accept(p);
             }
             P::poll_pause();
@@ -606,7 +705,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
         self.set_blocked(BlockedOn::Recv { queue });
         self.gate_release();
         let packet = loop {
-            if let Some(p) = self.udn.recv_timeout(queue, Duration::from_millis(250)) {
+            if let Some(p) = self.udn().recv_timeout(queue, Duration::from_millis(250)) {
                 break p;
             }
             self.abort_check();
@@ -617,7 +716,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
     }
 
     fn udn_try_recv(&self, queue: usize) -> Option<ProtoMsg> {
-        self.udn.try_recv(queue).map(|p| self.accept(p))
+        self.udn().try_recv(queue).map(|p| self.accept(p))
     }
 
     fn arena_copy(&self, dst: usize, src: usize, len: usize) {
@@ -776,10 +875,10 @@ impl<P: Admission> Fabric for WallFabric<P> {
 }
 
 /// The one wall-clock launch body: build the shared state for `block`
-/// PEs per arena shard, start every PE's interrupt-service context and
-/// main context under `gate`, run `f`, and tear down. `pool`, when
-/// given, supplies (and on clean completion takes back) the arena
-/// shards.
+/// PEs per arena shard, start every PE's main context under `gate`, run
+/// `f`, and tear down — joining the interrupt-service contexts the job's
+/// requests started. `pool`, when given, supplies (and on clean
+/// completion takes back) the arena shards.
 pub(crate) fn run_wall<P, R, F>(
     gate: P,
     block: usize,
@@ -821,44 +920,13 @@ where
         ),
         None => ShardedArena::new(npes, block, cfg.partition_bytes),
     };
-    let shared = Arc::new(WallShared {
-        arena,
-        privates: (0..npes)
-            .map(|pe| CommonMemory::new(cfg.private_bytes, Homing::Local(pe)))
-            .collect(),
-        npes,
-        partition_bytes: cfg.partition_bytes,
-        device: cfg.device,
-        start: FastClock::new(),
-        spin_barriers: Mutex::new(HashMap::new()),
-        aborted: AtomicBool::new(false),
-        probes: (0..npes).map(|_| Arc::new(PeProbe::new())).collect(),
-        service_probes: (0..npes).map(|_| Arc::new(PeProbe::new())).collect(),
-        trace: sink.clone(),
-        waker: endpoints[0].sender(),
-        oversubscription: (2 * npes).div_ceil(running),
-    });
+    let shared = WallShared::new(cfg, endpoints, arena, running, sink.clone());
     if let Some(w) = job_watch {
-        w.attach(shared.clone(), endpoints.clone());
+        w.attach(shared.clone());
     }
 
-    // Interrupt-service contexts: one thread per PE, consuming only
-    // Q_SERVICE of that PE's endpoint. Each waits in that receive with
-    // admission released and is admitted only while serving a request.
-    let service_threads: Vec<_> = (0..npes)
-        .map(|pe| {
-            let fab = WallFabric::new_service(shared.clone(), gate.clone(), pe, endpoints[pe].clone());
-            let (gate, ctx, probe) = (gate.clone(), fab.ctx, fab.probe.clone());
-            let fab = P::erase(fab);
-            std::thread::Builder::new()
-                .name(format!("{}-svc-{pe}", P::NAME))
-                .spawn(move || admitted(&gate, ctx, &probe, || service_loop(&*fab)))
-                .expect("spawn service thread")
-        })
-        .collect();
-
     let values = tmc::task::run_on_tiles(npes, |pe| {
-        let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe, endpoints[pe].clone());
+        let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe);
         admitted(&gate, pe, &shared.probes[pe], || {
             let ctx = ShmemCtx::new(P::erase(fab), layout, cfg.algos, cfg.private_bytes);
             // If any PE panics, flag the job and wake everything parked
@@ -878,11 +946,16 @@ where
         })
     });
 
+    // Reached only on clean completion (a PE panic unwinds out of
+    // run_on_tiles above, detaching whatever service contexts exist).
+    // Every PE is past its `finalize` barrier, so the started set is
+    // final and each member has been sent its shutdown.
+    let service_threads = std::mem::take(&mut *shared.service_threads.lock());
+    let threads_spawned = npes + service_threads.len();
     for t in service_threads {
         t.join().expect("service thread panicked");
     }
-    // Reached only on clean completion (a PE panic unwinds out of
-    // run_on_tiles above): retire the shard set for recycling.
+    // Retire the shard set for recycling.
     if let Some(pool) = pool {
         pool.check_in(npes, workers, block, cfg.partition_bytes, shared.arena.shards.clone());
     }
@@ -893,6 +966,7 @@ where
         // Only a caller-requested trace is returned; the watch-only
         // sink stays with the watch.
         trace: cfg.trace.then(|| sink.expect("sink exists when tracing").take()),
+        threads_spawned,
     }
 }
 

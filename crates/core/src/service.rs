@@ -4,10 +4,12 @@
 //! other PEs cannot touch directly. When a put/get needs the far side's
 //! private memory, the near side interrupts the far tile over the UDN and
 //! the far tile services the operation itself (paper Section IV-B2). Our
-//! analog is one service context per PE — a thread on the native engine,
-//! a logical process on the timed engine — that listens on
-//! [`Q_SERVICE`] and performs the copy against
-//! its own private segment.
+//! analog is one service context per PE that listens on [`Q_SERVICE`]
+//! and performs the copy against its own private segment: a logical
+//! process on the timed engine, and on the wall-clock engines a thread
+//! that — like the interrupt it stands for — does not exist until the
+//! first request addressed to its PE starts it (`engine::wall`), so a
+//! job that never redirects a transfer never runs one.
 //!
 //! The handler also implements the orderly teardown that motivates the
 //! paper's proposed `shmem_finalize()` (Section IV-E): without a shutdown
@@ -53,8 +55,8 @@ pub fn tag_name(tag: u16) -> &'static str {
 }
 
 /// Run the service loop until shutdown. `fab` must be the serviced PE's
-/// fabric (a clone of it on the native engine; the dedicated service LP's
-/// fabric on the timed engine).
+/// service-context fabric (`WallFabric::new_service` on the wall-clock
+/// engines; the dedicated service LP's fabric on the timed engine).
 ///
 /// While a request executes, the service probe (when present) publishes
 /// [`BlockedOn::Handler`] naming the request's tag and source — so a

@@ -31,7 +31,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use substrate::sync::Mutex;
-use udn::fabric::UdnEndpoint;
 use udn::NUM_QUEUES;
 
 use crate::engine::backend::CoopCore;
@@ -91,7 +90,6 @@ fn snapshot(probe: &PeProbe) -> PeCounters {
 
 struct Watched {
     shared: Arc<WallShared>,
-    endpoints: Vec<UdnEndpoint>,
 }
 
 impl Watched {
@@ -124,8 +122,8 @@ impl JobWatch {
         Self::default()
     }
 
-    pub(crate) fn attach(&self, shared: Arc<WallShared>, endpoints: Vec<UdnEndpoint>) {
-        *self.inner.lock() = Some(Watched { shared, endpoints });
+    pub(crate) fn attach(&self, shared: Arc<WallShared>) {
+        *self.inner.lock() = Some(Watched { shared });
     }
 
     /// Whether a launch has attached itself yet.
@@ -226,7 +224,7 @@ impl JobWatch {
             let probe = &w.shared.probes[pe];
             let now = snapshot(probe);
             let occ: Vec<usize> = (0..NUM_QUEUES)
-                .map(|q| w.endpoints[pe].queue_len(q))
+                .map(|q| w.shared.endpoints[pe].queue_len(q))
                 .collect();
             let _ = write!(
                 out,

@@ -81,6 +81,38 @@ fn jobs_after_an_aborted_job_still_work() {
     assert_eq!(Launcher::new(&cfg(3), coop(2)).run(ring).values, vec![5, 5, 5]);
 }
 
+// --- interrupt-service contexts, started by their first request ----------
+//
+// An abort has nobody to wake where no request ever arrived, and must
+// still reach a context whose start is in flight when the flag goes up:
+// it finds the abort packet queued behind (or instead of) the request.
+
+#[test]
+fn panic_in_a_job_that_never_redirected_a_transfer() {
+    aborts_alike(4, "PE 0 exploded with no service context anywhere", |ctx| {
+        let v = ctx.shmalloc::<u64>(1);
+        ctx.p(&v, 0, 1, (ctx.my_pe() + 1) % 4);
+        ctx.barrier_all();
+        if ctx.my_pe() == 0 {
+            panic!("PE 0 exploded with no service context anywhere");
+        }
+        ctx.barrier_all();
+    });
+}
+
+#[test]
+fn panic_right_after_the_first_redirected_put_of_the_job() {
+    aborts_alike(4, "PE 0 exploded with PE 3's service context starting", |ctx| {
+        let word = ctx.static_sym::<u64>(1);
+        if ctx.my_pe() == 0 {
+            // Non-blocking, so nothing orders the start against the panic.
+            ctx.put_nbi(&word, 0, &[7], 3);
+            panic!("PE 0 exploded with PE 3's service context starting");
+        }
+        ctx.barrier_all();
+    });
+}
+
 // --- cell waiters (coop engine, >64 PEs on shard-aligned sets) -----------
 //
 // Members of a counter-cell pass park on their leader's cell with their

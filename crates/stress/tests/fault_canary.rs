@@ -50,6 +50,12 @@ fn service_handler_stall_is_attributed_and_seeded_plans_are_tolerated() {
         report.contains("PE 1 svc: handler(sput from PE 0)"),
         "handler not attributed in:\n{report}"
     );
+    // PEs 2 and 3 were never sent a request, so their service contexts
+    // never started — and read exactly as an idle one does.
+    for pe in [2, 3] {
+        let idle = format!("  PE {pe} svc: recv(q3) | useful=0 spins=0 (+0 useful / +0 spins in window)\n");
+        assert!(report.contains(&idle), "PE {pe}'s idle service context not shown in:\n{report}");
+    }
     // The client is visibly parked waiting for the handler's reply.
     assert!(report.contains("PE 0: recv(q2)"), "client wait not shown in:\n{report}");
     // A sleeping handler neither works nor spins: deadlock class.

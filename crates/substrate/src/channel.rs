@@ -214,6 +214,12 @@ impl<T> Sender<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Live [`Sender`] handles on this channel, this one included — what
+    /// a clone takes and a drop gives back.
+    pub fn handles(&self) -> usize {
+        self.chan.state.lock().senders
+    }
 }
 
 impl<T> Clone for Sender<T> {

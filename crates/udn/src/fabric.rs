@@ -1,63 +1,57 @@
-//! Functional UDN fabric for the native engine.
+//! Functional UDN fabric for the wall-clock engines.
 //!
 //! Each tile owns four demultiplexing queues, modeled as MPMC channels of
 //! whole packets (wormhole delivery is atomic from software's point of
 //! view — the receive side pops complete packets). The fabric validates
 //! the same payload limits as the hardware so that protocol code tested
 //! here would also fit the real device.
+//!
+//! The send side of the fabric is **one table** of `tiles × 4` senders,
+//! built once and shared by reference count: every [`UdnEndpoint`], every
+//! clone of one and every [`UdnSender`] holds the same `Arc`. Building a
+//! fabric is therefore linear in tiles, and handing an endpoint to
+//! another context (or dropping it) touches that tile's four receivers
+//! and one reference count, whatever the fabric's size.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use substrate::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use std::time::Duration;
 
 use crate::packet::{Header, Packet, MAX_PAYLOAD_WORDS, NUM_QUEUES};
 
-/// One tile's connection to the UDN: four receive queues plus the send
-/// side of every other tile's queues.
+/// One tile's connection to the UDN: its four receive queues plus a
+/// [`UdnSender`] onto every tile's queues.
 ///
-/// Cloning shares the underlying queues (MPMC): TSHMEM clones a PE's
-/// endpoint into its interrupt-service thread, which consumes only queue
+/// Cloning shares the underlying queues (MPMC): a PE's main context and
+/// its interrupt-service context receive from the same endpoint, the
+/// service context consuming only queue
 /// [`crate::packet::NUM_QUEUES`]`- 1` while the PE consumes the rest.
 #[derive(Clone)]
 pub struct UdnEndpoint {
-    tile: usize,
     rx: Vec<Receiver<Packet>>,
-    tx: Vec<Vec<Sender<Packet>>>, // tx[tile][queue]
+    tx: UdnSender,
 }
 
 impl UdnEndpoint {
     /// This endpoint's tile id.
     pub fn tile(&self) -> usize {
-        self.tile
+        self.tx.tile
     }
 
     /// Number of tiles on the fabric.
     pub fn tiles(&self) -> usize {
-        self.tx.len()
+        self.tx.table.len()
     }
 
     /// Send `payload` to `dest`'s demux queue `queue` with software tag
-    /// `tag`.
+    /// `tag`, stalling on flow control while a bounded queue is full.
     ///
     /// # Panics
     /// Panics if the payload exceeds the 127-word hardware limit, the
     /// queue index is out of range, or `dest` is unknown.
     pub fn send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) {
-        assert!(queue < NUM_QUEUES, "queue {queue} out of range");
-        assert!(dest < self.tx.len(), "unknown destination tile {dest}");
-        let pkt = Packet::new(
-            Header {
-                dest: dest as u16,
-                src: self.tile as u16,
-                queue: queue as u8,
-                tag,
-            },
-            payload,
-        );
-        // The receiver can only have hung up if its PE exited early —
-        // surfacing that as a panic beats silently dropping the packet.
-        self.tx[dest][queue]
-            .send(pkt)
-            .expect("UDN destination endpoint dropped");
+        self.tx.send(dest, queue, tag, payload);
     }
 
     /// Non-blocking send: `false` when `dest`'s queue is full instead of
@@ -70,22 +64,7 @@ impl UdnEndpoint {
     /// Same validation as [`send`](Self::send); also panics if the
     /// destination endpoint was dropped.
     pub fn try_send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) -> bool {
-        assert!(queue < NUM_QUEUES, "queue {queue} out of range");
-        assert!(dest < self.tx.len(), "unknown destination tile {dest}");
-        let pkt = Packet::new(
-            Header {
-                dest: dest as u16,
-                src: self.tile as u16,
-                queue: queue as u8,
-                tag,
-            },
-            payload,
-        );
-        match self.tx[dest][queue].try_send(pkt) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) => false,
-            Err(TrySendError::Disconnected(_)) => panic!("UDN destination endpoint dropped"),
-        }
+        self.tx.try_send(dest, queue, tag, payload)
     }
 
     /// Send a buffer larger than one packet by chunking (keeps per-packet
@@ -130,38 +109,34 @@ impl UdnEndpoint {
     /// fault plane to clamp effective queue depth below the fabric's
     /// real bound.
     pub fn dest_queue_len(&self, dest: usize, queue: usize) -> usize {
-        self.tx[dest][queue].len()
+        self.tx.table[dest][queue].len()
     }
 
-    /// Clone of the receiver for `queue` — TSHMEM hands queue 3's
-    /// receiver to its interrupt-service thread (the analog of Tilera's
-    /// UDN interrupts).
+    /// Clone of the receiver for `queue`.
     pub fn queue_receiver(&self, queue: usize) -> Receiver<Packet> {
         self.rx[queue].clone()
     }
 
-    /// A send-only handle usable from service threads.
+    /// A send-only handle that sends as this tile.
     pub fn sender(&self) -> UdnSender {
-        UdnSender {
-            tile: self.tile,
-            tx: self.tx.clone(),
-        }
+        self.tx.clone()
     }
 }
 
-/// Send-only handle to the fabric (cheaply cloneable).
+/// Send-only handle to the fabric: a source tile id and a reference to
+/// the fabric's one sender table, so a clone costs one reference count.
 #[derive(Clone)]
 pub struct UdnSender {
     tile: usize,
-    tx: Vec<Vec<Sender<Packet>>>,
+    /// `table[tile][queue]`, shared by the whole fabric.
+    table: Arc<[[Sender<Packet>; NUM_QUEUES]]>,
 }
 
 impl UdnSender {
-    /// Non-blocking send; `false` when the destination queue is full.
-    /// Wakeup broadcasts use this so an aborter can never stall on a
-    /// backed-up queue (whose receiver is not parked on empty anyway).
-    pub fn try_send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) -> bool {
+    /// The validated packet and the queue it goes to.
+    fn route(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) -> (&Sender<Packet>, Packet) {
         assert!(queue < NUM_QUEUES, "queue {queue} out of range");
+        assert!(dest < self.table.len(), "unknown destination tile {dest}");
         let pkt = Packet::new(
             Header {
                 dest: dest as u16,
@@ -171,27 +146,27 @@ impl UdnSender {
             },
             payload,
         );
-        match self.tx[dest][queue].try_send(pkt) {
+        (&self.table[dest][queue], pkt)
+    }
+
+    /// Non-blocking send; `false` when the destination queue is full.
+    /// Wakeup broadcasts use this so an aborter can never stall on a
+    /// backed-up queue (whose receiver is not parked on empty anyway).
+    pub fn try_send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) -> bool {
+        let (tx, pkt) = self.route(dest, queue, tag, payload);
+        match tx.try_send(pkt) {
             Ok(()) => true,
             Err(TrySendError::Full(_)) => false,
             Err(TrySendError::Disconnected(_)) => panic!("UDN destination endpoint dropped"),
         }
     }
 
+    /// Blocking send (see [`UdnEndpoint::send`]).
     pub fn send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) {
-        assert!(queue < NUM_QUEUES, "queue {queue} out of range");
-        let pkt = Packet::new(
-            Header {
-                dest: dest as u16,
-                src: self.tile as u16,
-                queue: queue as u8,
-                tag,
-            },
-            payload,
-        );
-        self.tx[dest][queue]
-            .send(pkt)
-            .expect("UDN destination endpoint dropped");
+        let (tx, pkt) = self.route(dest, queue, tag, payload);
+        // The receiver can only have hung up if its PE exited early —
+        // surfacing that as a panic beats silently dropping the packet.
+        tx.send(pkt).expect("UDN destination endpoint dropped");
     }
 }
 
@@ -221,29 +196,27 @@ impl UdnFabric {
 
     fn build(tiles: usize, capacity: Option<usize>) -> Vec<UdnEndpoint> {
         assert!(tiles > 0);
-        let mut senders: Vec<Vec<Sender<Packet>>> = Vec::with_capacity(tiles);
-        let mut receivers: Vec<Vec<Receiver<Packet>>> = Vec::with_capacity(tiles);
+        let mut table = Vec::with_capacity(tiles);
+        let mut receivers = Vec::with_capacity(tiles);
         for _ in 0..tiles {
-            let mut qs = Vec::with_capacity(NUM_QUEUES);
-            let mut qr = Vec::with_capacity(NUM_QUEUES);
-            for _ in 0..NUM_QUEUES {
+            let mut rx = Vec::with_capacity(NUM_QUEUES);
+            table.push(std::array::from_fn(|_| {
                 let (s, r) = match capacity {
                     Some(c) => bounded(c),
                     None => unbounded(),
                 };
-                qs.push(s);
-                qr.push(r);
-            }
-            senders.push(qs);
-            receivers.push(qr);
+                rx.push(r);
+                s
+            }));
+            receivers.push(rx);
         }
+        let table: Arc<[_]> = table.into();
         receivers
             .into_iter()
             .enumerate()
             .map(|(tile, rx)| UdnEndpoint {
-                tile,
                 rx,
-                tx: senders.clone(),
+                tx: UdnSender { tile, table: table.clone() },
             })
             .collect()
     }
@@ -345,6 +318,37 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(eps[1].recv(3).payload, vec![5]);
+    }
+
+    #[test]
+    fn sender_table_is_built_once_and_shared() {
+        // However many handles a 256-tile fabric gives out, each queue
+        // keeps the one sender it was built with.
+        let eps = UdnFabric::new(256);
+        let clones: Vec<_> = eps.iter().flat_map(|e| [e.clone(), e.clone()]).collect();
+        let waker = eps[0].sender();
+        for queues in eps[0].tx.table.iter() {
+            for q in queues {
+                assert_eq!(q.handles(), 1, "one sender per queue per fabric");
+            }
+        }
+        // One surviving endpoint keeps the whole send side alive...
+        drop((clones, waker));
+        let mut eps = eps;
+        let last = eps.swap_remove(7);
+        drop(eps);
+        let rx = last.queue_receiver(2);
+        last.send(7, 2, 9, &[1]);
+        assert_eq!(rx.recv().expect("delivered").payload, vec![1]);
+        // ...and the last one to go disconnects the receivers.
+        drop(last);
+        assert!(rx.recv().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown destination")]
+    fn sender_handle_validates_the_destination() {
+        UdnFabric::new(2)[0].sender().send(2, 0, 0, &[]);
     }
 
     #[test]
