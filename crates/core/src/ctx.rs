@@ -531,6 +531,14 @@ impl ShmemCtx {
         self.finalized.get()
     }
 
+    /// How far this PE's handles ever reached: the symmetric heap's
+    /// high-water mark and the static bump. Every byte a tenant can
+    /// address through a handle this PE produced — in any PE's partition
+    /// or private segment — lies below these.
+    pub(crate) fn dirty_extent(&self) -> (usize, usize) {
+        (self.heap.borrow().high_water(), self.static_bump.get())
+    }
+
     // --- internals -------------------------------------------------------
 
     /// Global arena offset of `(pe, partition-relative offset)`.

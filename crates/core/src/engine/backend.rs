@@ -15,8 +15,10 @@
 //!
 //! 1. **a spawn model** — how `total_pes` contexts plus their
 //!    interrupt-service contexts come to run (the wall-clock backends
-//!    spawn a real thread per PE, and per service context when its first
-//!    request arrives, admitted freely or through a per-worker gate; the
+//!    run each PE on a real thread — a lane of the launch's `Resident`,
+//!    spawned only when none is idle — and spawn one per service context
+//!    when its first request arrives, admitted freely or through a
+//!    per-worker gate; the
 //!    virtual-time backends run every context as a desim LP);
 //! 2. **a fabric factory** — the per-context [`Fabric`] wiring the
 //!    protocol code to the engine's cost/transport model;
@@ -387,10 +389,11 @@ pub struct EngineOutcome<R> {
     pub makespan: SimTime,
     /// Operation trace, when enabled with `RuntimeConfig::with_trace`.
     pub trace: Option<Vec<TraceEvent>>,
-    /// OS threads the launch started: on the wall-clock engines the PE
-    /// contexts plus the interrupt-service contexts some request
-    /// started; on the virtual-time engines one per LP. Exact under a
-    /// fixed program.
+    /// OS threads this launch created: on the wall-clock engines the PE
+    /// lanes it had to spawn (all of them for a plain launch, none for a
+    /// launch over a warm `Resident`) plus the interrupt-service contexts
+    /// some request started; on the virtual-time engines one per LP.
+    /// Exact under a fixed program.
     pub threads_spawned: usize,
 }
 

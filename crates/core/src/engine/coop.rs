@@ -49,7 +49,7 @@ use tmc::common::CommonMemory;
 
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
-use crate::engine::wall::{run_wall, Admission, WallFabric};
+use crate::engine::wall::{run_wall, Admission, Resident, WallFabric};
 use crate::fabric::{BlockedOn, CellKey, Fabric, Locality, PeProbe, ProtoMsg};
 use crate::trace::TraceKind;
 
@@ -468,13 +468,14 @@ impl Locality for WallFabric<Gated> {
 pub struct CoopBackend {
     /// Worker-thread count (M); `0` = auto.
     pub workers: usize,
-    /// When set, the symmetric-heap shard set is checked out of this
-    /// recycling pool (scrubbed of the previous tenant's bytes) and
-    /// retired back to it on clean completion; a panicked or wedged
-    /// launch unwinds past the check-in, so its arena is dropped. The
-    /// server layer threads its pool through here; `None` (the default)
-    /// allocates fresh per launch.
-    pub arena_pool: Option<Arc<crate::server::ArenaPool>>,
+    /// What the launch attaches to instead of building its own: memory
+    /// is checked out of these retired sets (scrubbed of the previous
+    /// tenant's bytes) and retired back on clean completion, and the PEs
+    /// run on these lanes. A panicked or wedged launch unwinds past the
+    /// check-in, so its memory is dropped, and its unwound lanes end.
+    /// The server threads its own through here; `None` (the default)
+    /// builds both for this launch alone.
+    pub resident: Option<Arc<Resident>>,
 }
 
 impl CoopBackend {
@@ -505,7 +506,15 @@ impl EngineBackend for CoopBackend {
         // Ceil block; the worker count is then re-derived from it, which
         // trims the trailing empty workers the rounding would leave.
         let block = cfg.npes.div_ceil(self.resolved_workers(cfg.npes));
-        run_wall(GateSet::new(cfg.npes, block), block, self.arena_pool.as_deref(), cfg, watch, f)
+        let own;
+        let resident = match &self.resident {
+            Some(kept) => &**kept,
+            None => {
+                own = Resident::for_one_launch();
+                &own
+            }
+        };
+        run_wall(GateSet::new(cfg.npes, block), block, resident, cfg, watch, f)
     }
 }
 
@@ -513,13 +522,15 @@ impl EngineBackend for CoopBackend {
 mod tests {
     use super::*;
     use crate::engine::wall::{ShardedArena, WallShared};
+    use crate::server::arena::{ArenaPool, Geometry};
 
     type CoopFabric = WallFabric<Gated>;
 
     #[test]
     fn sharded_arena_locates_and_copies_across_shards() {
         // 5 PEs, 2 per shard, 64-byte partitions -> shards of 2,2,1 PEs.
-        let a = ShardedArena::new(5, 2, 64);
+        let g = Geometry { npes: 5, block: 2, partition_bytes: 64, heap_bytes: 64, private_bytes: 0 };
+        let a = ShardedArena::from_shards(ArenaPool::new().checkout(g).shards, 2, 64);
         assert_eq!(a.shards.len(), 3);
         assert_eq!(a.shards[0].len(), 128);
         assert_eq!(a.shards[2].len(), 64);
@@ -620,6 +631,55 @@ mod tests {
             }
         });
         assert_eq!(order.lock().len(), 200);
+    }
+
+    // A lane outlives its job, so a `Thread` kept in a gate queue or a
+    // cell's waiter list can unpark it in a later one, and a PE can find
+    // a token waiting at its first park. Every wait re-checks its own
+    // flag, so a stray token costs one more look and admits nobody.
+
+    #[test]
+    fn a_leftover_unpark_admits_no_queued_context() {
+        let (_, shared) = gate_fixture(2, 2);
+        shared.acquire(0, None);
+        let gate = shared.clone();
+        let queued = std::thread::spawn(move || {
+            // The token is there before the first park.
+            std::thread::current().unpark();
+            gate.acquire(1, None);
+            gate.is_holding(1) && !gate.is_holding(0)
+        });
+        while shared.waiters(0) == 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..3 {
+            queued.thread().unpark();
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            assert!(!shared.is_holding(1), "admitted by a stray unpark");
+            assert!(!queued.is_finished());
+        }
+        shared.release(0);
+        assert!(queued.join().unwrap(), "admitted by the hand-off, after the holder let go");
+    }
+
+    #[test]
+    fn a_leftover_unpark_wakes_no_cell_waiter() {
+        let (wall, shared) = gate_fixture(2, 2);
+        let mut fabs = fabrics(&wall, &shared);
+        let waiter = park_on_cell(&shared, fabs.pop().unwrap());
+        for _ in 0..3 {
+            waiter.thread().unpark();
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            assert!(!waiter.is_finished(), "woken by a stray unpark");
+            assert_eq!(shared.cell(PAIR).waiters[1].lock().len(), 1);
+            assert!(!shared.is_holding(1));
+        }
+        let notifier = fabs.pop().unwrap();
+        notifier.gate_acquire();
+        notifier.sync_cell_add(PAIR, 1, 1);
+        notifier.sync_cell_notify(PAIR, 1);
+        notifier.gate_release();
+        assert_eq!(waiter.join().unwrap().expect("waiter admitted"), 1);
     }
 
     #[test]
@@ -732,10 +792,18 @@ mod tests {
         let cfg = crate::runtime::RuntimeConfig::new(npes)
             .with_partition_bytes(4096)
             .with_private_bytes(64);
+        let set = ArenaPool::new().checkout(Geometry {
+            npes,
+            block,
+            partition_bytes: 4096,
+            heap_bytes: 4096,
+            private_bytes: 64,
+        });
         let wall = WallShared::new(
             &cfg,
             udn::fabric::UdnFabric::new(npes),
-            ShardedArena::new(npes, block, 4096),
+            ShardedArena::from_shards(set.shards, block, 4096),
+            set.privates,
             gate.workers,
             None,
         );

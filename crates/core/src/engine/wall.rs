@@ -2,7 +2,9 @@
 //! channels, wall time — one data plane under two admission policies.
 //!
 //! Every context (PE main + interrupt-service) is a real OS thread
-//! running the same [`WallFabric`]. A launch starts the PE contexts; a
+//! running the same [`WallFabric`]. A launch starts the PE contexts on
+//! the lanes of the [`Resident`] it attaches to — its own for a plain
+//! launch, the server's for a job — and a
 //! PE's interrupt-service context is started by the first request sent
 //! to it (the paper's handler is an interrupt — nothing runs on the far
 //! tile until one arrives), so a job that never redirects a transfer
@@ -27,22 +29,23 @@
 //! moved, every probe bump, trace event and fault-plane tick below is
 //! policy-independent (DESIGN.md §6).
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cachesim::homing::Homing;
 use substrate::sync::Mutex;
 use tmc::common::CommonMemory;
+use tmc::task::Lanes;
 use udn::fabric::{UdnEndpoint, UdnFabric};
 
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
 use crate::fabric::{self, BlockedOn, Fabric, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth, Q_SERVICE};
 use crate::runtime::RuntimeConfig;
-use crate::server::ArenaPool;
+use crate::server::arena::{ArenaPool, Geometry, SegmentSet};
 use crate::service::{service_loop, TAG_ABORT, TAG_SHUTDOWN};
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 
@@ -241,20 +244,10 @@ pub struct ShardedArena {
 }
 
 impl ShardedArena {
-    pub fn new(npes: usize, block: usize, partition_bytes: usize) -> Self {
-        let shards = (0..npes.div_ceil(block))
-            .map(|w| {
-                let pes = ((w + 1) * block).min(npes) - w * block;
-                CommonMemory::new(pes * partition_bytes, Homing::HashForHome)
-            })
-            .collect();
-        Self::from_shards(shards, block, partition_bytes)
-    }
-
-    /// Wrap a shard set checked out of an [`ArenaPool`] — the pool
-    /// guarantees shapes match the launch geometry and that every shard
-    /// was scrubbed of the previous tenant's bytes.
-    pub(crate) fn from_shards(shards: Vec<Arc<CommonMemory>>, block: usize, partition_bytes: usize) -> Self {
+    /// Wrap the shards of a set checked out of an [`ArenaPool`] — the
+    /// pool guarantees shapes match the launch geometry and that no
+    /// byte of a previous tenant is left in them.
+    pub fn from_shards(shards: Vec<Arc<CommonMemory>>, block: usize, partition_bytes: usize) -> Self {
         Self {
             shards,
             span: block * partition_bytes,
@@ -331,17 +324,20 @@ pub struct WallShared {
 }
 
 impl WallShared {
-    /// The shared state of a launch of `cfg` over `endpoints` and
-    /// `arena`, of whose `2 * npes` contexts `running` can run at once.
+    /// The shared state of a launch of `cfg` over `endpoints`, `arena`
+    /// and the PEs' private segments, of whose `2 * npes` contexts
+    /// `running` can run at once.
     pub fn new(
         cfg: &RuntimeConfig,
         endpoints: Vec<UdnEndpoint>,
         arena: ShardedArena,
+        privates: Vec<Arc<CommonMemory>>,
         running: usize,
         trace: Option<Arc<TraceSink>>,
     ) -> Arc<Self> {
         let npes = cfg.npes;
         assert_eq!(endpoints.len(), npes, "one UDN endpoint per PE");
+        assert_eq!(privates.len(), npes, "one private segment per PE");
         let idle_service = || {
             let probe = PeProbe::new();
             probe.set_blocked(BlockedOn::Recv { queue: Q_SERVICE });
@@ -349,9 +345,7 @@ impl WallShared {
         };
         Arc::new(Self {
             arena,
-            privates: (0..npes)
-                .map(|pe| CommonMemory::new(cfg.private_bytes, Homing::Local(pe)))
-                .collect(),
+            privates,
             npes,
             partition_bytes: cfg.partition_bytes,
             device: cfg.device,
@@ -874,15 +868,37 @@ impl<P: Admission> Fabric for WallFabric<P> {
     }
 }
 
+/// What outlives a launch when something keeps it warm: the memory of
+/// cleanly completed jobs and the lanes their PEs ran on. The server
+/// holds one for its lifetime, so a job only attaches; a plain launch
+/// makes an empty one of its own, so there is one launch body.
+#[derive(Default)]
+pub struct Resident {
+    pub sets: ArenaPool,
+    pub lanes: Lanes,
+}
+
+impl Resident {
+    /// For one launch alone: nothing to recycle, and lanes closed from
+    /// the start, so each ends with its PE instead of parking for a next
+    /// job that will not come. Dropping it joins them.
+    pub(crate) fn for_one_launch() -> Self {
+        let own = Self::default();
+        own.lanes.close();
+        own
+    }
+}
+
 /// The one wall-clock launch body: build the shared state for `block`
-/// PEs per arena shard, start every PE's main context under `gate`, run
-/// `f`, and tear down — joining the interrupt-service contexts the job's
-/// requests started. `pool`, when given, supplies (and on clean
-/// completion takes back) the arena shards.
+/// PEs per arena shard over memory checked out of `resident`, start
+/// every PE's main context under `gate` on its lanes, run `f`, and tear
+/// down — joining the interrupt-service contexts the job's requests
+/// started and, on clean completion, retiring the memory with its dirty
+/// extent.
 pub(crate) fn run_wall<P, R, F>(
     gate: P,
     block: usize,
-    pool: Option<&ArenaPool>,
+    resident: &Resident,
     cfg: &RuntimeConfig,
     watch: &WatchPlane<'_>,
     f: F,
@@ -903,7 +919,6 @@ where
     };
     let npes = cfg.npes;
     let layout = cfg.layout();
-    let workers = npes.div_ceil(block);
     let endpoints = match cfg.udn_queue_packets {
         Some(p) => UdnFabric::new_bounded(npes, p),
         None => UdnFabric::new(npes),
@@ -912,61 +927,89 @@ where
     // when the caller did not ask for a trace.
     let running = gate.running_contexts(npes);
     let sink = (cfg.trace || job_watch.is_some()).then(|| Arc::new(TraceSink::with_lanes(running)));
-    let arena = match pool {
-        Some(pool) => ShardedArena::from_shards(
-            pool.checkout(npes, workers, block, cfg.partition_bytes, layout.heap_bytes),
-            block,
-            cfg.partition_bytes,
-        ),
-        None => ShardedArena::new(npes, block, cfg.partition_bytes),
-    };
-    let shared = WallShared::new(cfg, endpoints, arena, running, sink.clone());
+    let geometry = Geometry::of(cfg, block);
+    let SegmentSet { shards, privates } = resident.sets.checkout(geometry);
+    let arena = ShardedArena::from_shards(shards, block, cfg.partition_bytes);
+    let shared = WallShared::new(cfg, endpoints, arena, privates, running, sink.clone());
     if let Some(w) = job_watch {
         w.attach(shared.clone());
     }
 
-    let values = tmc::task::run_on_tiles(npes, |pe| {
+    let (tiles, lanes_spawned) = resident.lanes.run(npes, |pe| {
         let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe);
         admitted(&gate, pe, &shared.probes[pe], || {
             let ctx = ShmemCtx::new(P::erase(fab), layout, cfg.algos, cfg.private_bytes);
             // If any PE panics, flag the job and wake everything parked
             // in a blocking receive — peers and service contexts alike
             // (SHMEM jobs are all-or-nothing) — then re-raise the
-            // original panic.
+            // original panic, saying whose it was.
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&ctx))) {
                 Ok(r) => {
                     ctx.finalize();
-                    r
+                    // Read here, after the closure has returned — not in
+                    // `finalize`, which a tenant may call early.
+                    (r, ctx.dirty_extent())
                 }
                 Err(p) => {
                     shared.abort();
-                    std::panic::resume_unwind(p);
+                    std::panic::resume_unwind(name_pe(pe, p));
                 }
             }
         })
     });
 
     // Reached only on clean completion (a PE panic unwinds out of
-    // run_on_tiles above, detaching whatever service contexts exist).
+    // `Lanes::run` above, detaching whatever service contexts exist).
     // Every PE is past its `finalize` barrier, so the started set is
     // final and each member has been sent its shutdown.
     let service_threads = std::mem::take(&mut *shared.service_threads.lock());
-    let threads_spawned = npes + service_threads.len();
+    let threads_spawned = lanes_spawned + service_threads.len();
     for t in service_threads {
         t.join().expect("service thread panicked");
     }
-    // Retire the shard set for recycling.
-    if let Some(pool) = pool {
-        pool.check_in(npes, workers, block, cfg.partition_bytes, shared.arena.shards.clone());
-    }
+    // Retire the memory for recycling, dirty as far as any PE's handles
+    // reached.
+    let (heap_extent, static_extent) =
+        tiles.iter().fold((0, 0), |(h, s), (_, (heap, statics))| (h.max(*heap), s.max(*statics)));
+    let set = SegmentSet {
+        shards: shared.arena.shards.clone(),
+        privates: shared.privates.clone(),
+    };
+    resident.sets.check_in(geometry, set, heap_extent, static_extent);
     EngineOutcome {
-        values,
+        values: tiles.into_iter().map(|(value, _)| value).collect(),
         clocks: Vec::new(),
         makespan: desim::time::SimTime::ZERO,
         // Only a caller-requested trace is returned; the watch-only
         // sink stays with the watch.
         trace: cfg.trace.then(|| sink.expect("sink exists when tracing").take()),
         threads_spawned,
+    }
+}
+
+/// The message of a panic payload, when it is a string.
+pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> Option<&str> {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => Some(s),
+        (_, Some(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// Lanes are not named after the PE they happen to run, so the panic a
+/// job dies of says which PE raised it — unless it already does.
+fn name_pe(pe: usize, payload: Box<dyn Any + Send>) -> Box<dyn Any + Send> {
+    let Some(message) = panic_text(&*payload) else {
+        return payload;
+    };
+    let prefix = format!("PE {pe}");
+    let named = message
+        .strip_prefix(&prefix)
+        .is_some_and(|rest| !rest.starts_with(|c: char| c.is_ascii_digit()));
+    if named {
+        payload
+    } else {
+        Box::new(format!("{prefix}: {message}"))
     }
 }
 
@@ -997,6 +1040,6 @@ impl EngineBackend for NativeBackend {
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        run_wall(Free, cfg.npes, None, cfg, watch, f)
+        run_wall(Free, cfg.npes, &Resident::for_one_launch(), cfg, watch, f)
     }
 }

@@ -36,6 +36,9 @@ pub struct Heap {
     allocated: usize,
     /// Free slots in `blocks` available for reuse.
     spare: Vec<usize>,
+    /// The highest end of any block ever allocated; `free` never lowers
+    /// it, so a stale handle still lies under it.
+    high_water: usize,
 }
 
 /// Allocation failure.
@@ -81,6 +84,7 @@ impl Heap {
             size,
             allocated: 0,
             spare: Vec::new(),
+            high_water: 0,
         }
     }
 
@@ -93,6 +97,19 @@ impl Heap {
     /// into blocks).
     pub fn allocated(&self) -> usize {
         self.allocated
+    }
+
+    /// Every byte any allocation of this heap ever covered lies in
+    /// `[0, high_water)` — what a recycler has to scrub.
+    pub fn high_water(&self) -> usize {
+        self.high_water
+    }
+
+    /// Mark block `idx` allocated.
+    fn claim(&mut self, idx: usize) {
+        let b = &mut self.blocks[idx];
+        b.free = false;
+        self.high_water = self.high_water.max(b.off + b.len);
     }
 
     /// Allocate `len` bytes at [`DEFAULT_ALIGN`]. Zero-length requests
@@ -139,7 +156,7 @@ impl Heap {
         if blen > want {
             self.split_at(idx, want);
         }
-        self.blocks[idx].free = false;
+        self.claim(idx);
         self.allocated += self.blocks[idx].len;
         self.blocks[idx].off
     }
@@ -220,7 +237,7 @@ impl Heap {
                 let rest = self.split_at(idx, want);
                 self.blocks[rest].free = true;
             }
-            self.blocks[idx].free = false;
+            self.claim(idx);
             self.allocated += self.blocks[idx].len - cur_len;
             return Ok(off);
         }
@@ -269,6 +286,7 @@ impl Heap {
             assert_eq!(b.prev, prev, "prev link broken at {cur}");
             assert!(b.len > 0, "zero-length block {cur}");
             assert!(!(last_free && b.free), "adjacent free blocks not coalesced");
+            assert!(b.free || b.off + b.len <= self.high_water, "live block {cur} above the high-water mark");
             last_free = b.free;
             expect_off += b.len;
             total += b.len;
@@ -300,6 +318,28 @@ fn round_up(v: usize, align: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn high_water_covers_every_allocation_and_never_falls() {
+        let mut h = Heap::new(4096);
+        assert_eq!(h.high_water(), 0);
+        let a = h.alloc(100).unwrap(); // rounds to 104
+        assert_eq!(h.high_water(), 104);
+        h.free(a).unwrap();
+        assert_eq!(h.high_water(), 104, "a stale handle still lies under the mark");
+        let b = h.alloc(8).unwrap();
+        assert_eq!((b, h.high_water()), (0, 104), "reuse below the mark leaves it");
+        let c = h.alloc_aligned(16, 256).unwrap();
+        assert_eq!((c, h.high_water()), (256, 272), "alignment padding counts");
+        // Grow in place into the free successor, then by moving.
+        assert_eq!(h.realloc(c, 100).unwrap(), c);
+        assert_eq!(h.high_water(), 256 + 104);
+        let d = h.alloc_aligned(8, 512).unwrap();
+        assert_eq!((d, h.high_water()), (512, 520));
+        let moved = h.realloc(c, 1000).unwrap();
+        assert_eq!((moved, h.high_water()), (520, 1520));
+        h.check_invariants();
+    }
 
     #[test]
     fn alloc_free_roundtrip() {

@@ -89,7 +89,7 @@ pub use engine::backend::{
     EngineBackend, EngineOutcome, MultiChipBackend, TimedBackend, WatchPlane,
 };
 pub use engine::coop::CoopBackend;
-pub use engine::wall::NativeBackend;
+pub use engine::wall::{NativeBackend, Resident};
 pub use fabric::{BlockedOn, PeProbe};
 pub use fault::{Fault, FaultPlan};
 pub use runtime::{launch, resolve_coop_workers, Launcher, RuntimeConfig, TimedMode};

@@ -1,30 +1,44 @@
-//! Recycling pool for symmetric-heap arena shard sets.
+//! Recycling pool for the memory of a launch: symmetric-heap arena
+//! shards and private segments.
 //!
-//! A server job's symmetric heap is a [`ShardedArena`]: one
-//! `CommonMemory` allocation per coop worker covering that worker's PE
-//! partitions. Allocating (and faulting in) hundreds of KB per job
-//! dominates small-job launch cost, so the server keeps retired shard
-//! sets in a geometry-keyed pool and hands them to the next job with
-//! the same shape.
+//! A job's memory is a [`SegmentSet`]: one `CommonMemory` shard per coop
+//! worker covering that worker's PE partitions
+//! ([`ShardedArena`](crate::engine::wall::ShardedArena)), and one private
+//! (static-variable) segment per PE. Allocating and zeroing hundreds of
+//! KB per job dominates small-job launch cost, so whoever keeps an
+//! [`ArenaPool`] warm — the server — gets the set of a cleanly completed
+//! job back for the next job of the same [`Geometry`].
 //!
-//! [`ShardedArena`]: crate::engine::wall::ShardedArena
+//! **Isolation contract:** a retired set still holds the previous
+//! tenant's bytes, so every checkout scrubs it — to its *dirty extent*,
+//! not end to end. A set is retired with two numbers, read after the
+//! tenant closure has returned on every PE: the maximum over PEs of the
+//! symmetric heap's high-water mark and of the static bump
+//! (`ShmemCtx::dirty_extent`). Checkout scrubs, per partition,
+//! `[0, heap extent)` and the internal region
+//! `[heap_bytes, partition_bytes)`, and per private segment
+//! `[0, static extent)`. Bytes beyond were clean when the set was handed
+//! out and no tenant handle can address them: a `Sym` is only ever made
+//! by the allocator (`Sym::new` is crate-private), every RMA and local
+//! access is bounded by its `Sym`, a stale handle after `shfree` still
+//! lies under the monotone mark, and the maximum over PEs covers a job
+//! whose PEs `shmalloc` different sizes and `put` through the larger
+//! handle.
 //!
-//! **Isolation contract:** a recycled shard still holds the previous
-//! tenant's heap bytes, so every checkout is scrubbed before reuse —
-//! the whole partition is zeroed (restoring the freshly-allocated
-//! contract), except that under `debug_assertions` the `shmalloc` heap
-//! region is filled with [`POISON`] instead, so a tenant that reads
-//! heap memory before initializing it fails loudly in debug runs
-//! instead of silently inheriting zeros. The internal region (barrier /
-//! collective flags, temp buffer, `[heap_bytes, partition_bytes)`) is
-//! always zeroed: the sequence-numbered flag protocols start every
-//! launch from zero, and a poisoned flag word would satisfy a wait that
-//! no peer ever signaled.
+//! The heap extent is zeroed — except that under `debug_assertions` it
+//! is filled with [`POISON`], so a tenant that reads heap memory before
+//! initializing it fails loudly in debug runs instead of silently
+//! inheriting zeros (a debug heap is therefore poison or zero, never a
+//! tenant's bytes). The internal region (barrier / collective flags,
+//! temp buffer) is always zeroed whole: the sequence-numbered flag
+//! protocols start every launch from zero, and a poisoned flag word
+//! would satisfy a wait that no peer ever signaled. Statics are the
+//! analog of `.bss` and are always zero.
 //!
-//! Only *cleanly completed* jobs retire their shards here. A panicked
-//! or wedged job unwinds out of the launch before the check-in point,
-//! so its arena — which leaked PE threads might in principle still
-//! reach — is simply dropped and the next job allocates fresh.
+//! Only *cleanly completed* jobs retire their set. A panicked or wedged
+//! job unwinds out of the launch before the check-in point, so its
+//! memory — which leaked PE threads might in principle still reach — is
+//! simply dropped and the next job allocates fresh.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,46 +48,87 @@ use cachesim::homing::Homing;
 use substrate::sync::Mutex;
 use tmc::common::CommonMemory;
 
+use crate::runtime::RuntimeConfig;
+
 /// Debug-build fill byte for recycled `shmalloc` heap regions.
 pub const POISON: u8 = 0xA5;
 
-/// Geometry key of one shard set: shapes must match exactly for a
+/// The shape of one launch's memory: shapes must match exactly for a
 /// retired set to satisfy a checkout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct Geometry {
-    npes: usize,
-    workers: usize,
+pub struct Geometry {
+    pub npes: usize,
     /// PEs per shard (`ceil(npes / workers)`).
-    block: usize,
-    partition_bytes: usize,
+    pub block: usize,
+    pub partition_bytes: usize,
+    /// The `shmalloc` region at the bottom of each partition; the
+    /// internal region is `[heap_bytes, partition_bytes)`.
+    pub heap_bytes: usize,
+    pub private_bytes: usize,
 }
 
-/// Per-shard byte lengths for a geometry (the last shard may cover
-/// fewer PEs).
-fn shard_lens(g: Geometry) -> impl Iterator<Item = usize> {
-    (0..g.workers).map(move |w| {
-        let pes = ((w + 1) * g.block).min(g.npes) - w * g.block;
-        pes * g.partition_bytes
-    })
+impl Geometry {
+    /// The geometry of a launch of `cfg` with `block` PEs per shard.
+    pub fn of(cfg: &RuntimeConfig, block: usize) -> Self {
+        Self {
+            npes: cfg.npes,
+            block,
+            partition_bytes: cfg.partition_bytes,
+            heap_bytes: cfg.layout().heap_bytes,
+            private_bytes: cfg.private_bytes,
+        }
+    }
+
+    /// Per-shard byte lengths (the last shard may cover fewer PEs).
+    fn shard_lens(self) -> impl Iterator<Item = usize> {
+        (0..self.npes.div_ceil(self.block)).map(move |w| {
+            let pes = ((w + 1) * self.block).min(self.npes) - w * self.block;
+            pes * self.partition_bytes
+        })
+    }
+
+    fn fits(self, set: &SegmentSet) -> bool {
+        set.shards.iter().map(|s| s.len()).eq(self.shard_lens())
+            && set.privates.len() == self.npes
+            && set.privates.iter().all(|p| p.len() == self.private_bytes)
+    }
+}
+
+/// The memory of one launch.
+pub struct SegmentSet {
+    /// Arena shards, one per worker.
+    pub shards: Vec<Arc<CommonMemory>>,
+    /// Private (static-variable) segments, one per PE.
+    pub privates: Vec<Arc<CommonMemory>>,
+}
+
+/// A set as its last job left it.
+struct Retired {
+    set: SegmentSet,
+    heap_extent: usize,
+    static_extent: usize,
 }
 
 /// Counters of how checkouts were satisfied (see [`ArenaPool::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaPoolStats {
-    /// Checkouts that allocated a fresh shard set.
+    /// Checkouts that allocated a fresh set.
     pub fresh: u64,
     /// Checkouts satisfied by scrubbing a retired set.
     pub recycled: u64,
+    /// Bytes those scrubs wrote.
+    pub scrubbed_bytes: u64,
 }
 
-/// A geometry-keyed pool of retired symmetric-heap shard sets (see the
-/// module docs for the scrub-on-checkout isolation contract).
+/// A geometry-keyed pool of retired segment sets (see the module docs
+/// for the scrub-on-checkout isolation contract).
 pub struct ArenaPool {
-    pools: Mutex<HashMap<Geometry, Vec<Vec<Arc<CommonMemory>>>>>,
+    pools: Mutex<HashMap<Geometry, Vec<Retired>>>,
     /// Retired sets kept per geometry; extras are dropped at check-in.
     cap_per_geometry: usize,
     fresh: AtomicU64,
     recycled: AtomicU64,
+    scrubbed_bytes: AtomicU64,
 }
 
 impl Default for ArenaPool {
@@ -94,6 +149,7 @@ impl ArenaPool {
             cap_per_geometry: cap_per_geometry.max(1),
             fresh: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
+            scrubbed_bytes: AtomicU64::new(0),
         }
     }
 
@@ -102,82 +158,69 @@ impl ArenaPool {
         ArenaPoolStats {
             fresh: self.fresh.load(Ordering::Relaxed),
             recycled: self.recycled.load(Ordering::Relaxed),
+            scrubbed_bytes: self.scrubbed_bytes.load(Ordering::Relaxed),
         }
     }
 
-    /// A scrubbed shard set for the given launch geometry: recycled
-    /// when a matching retired set exists, freshly allocated otherwise.
-    /// `heap_bytes` is the `shmalloc` region length at the bottom of
-    /// each partition — the boundary between the (debug-poisoned) tenant
-    /// heap and the always-zeroed internal region.
-    pub(crate) fn checkout(
-        &self,
-        npes: usize,
-        workers: usize,
-        block: usize,
-        partition_bytes: usize,
-        heap_bytes: usize,
-    ) -> Vec<Arc<CommonMemory>> {
-        let g = Geometry { npes, workers, block, partition_bytes };
+    /// A clean set for launch geometry `g`: a retired one scrubbed to
+    /// its dirty extent when one matches, freshly allocated otherwise.
+    pub fn checkout(&self, g: Geometry) -> SegmentSet {
         let reused = self.pools.lock().get_mut(&g).and_then(Vec::pop);
-        match reused {
-            Some(shards) => {
-                // Scrub outside the pool lock: a memset over a few
-                // hundred KB must not serialize concurrent checkouts.
-                for shard in &shards {
-                    scrub_shard(shard, partition_bytes, heap_bytes);
-                }
-                self.recycled.fetch_add(1, Ordering::Relaxed);
-                shards
-            }
-            None => {
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                shard_lens(g)
-                    .map(|len| CommonMemory::new(len, Homing::HashForHome))
-                    .collect()
-            }
-        }
+        let Some(Retired { set, heap_extent, static_extent }) = reused else {
+            self.fresh.fetch_add(1, Ordering::Relaxed);
+            // Only when no retired set matches: a warm server allocates
+            // once per geometry and job width in flight.
+            let shard = |len| CommonMemory::new(len, Homing::HashForHome); // cold: see above
+            let private = |pe| CommonMemory::new(g.private_bytes, Homing::Local(pe)); // cold: see above
+            return SegmentSet {
+                shards: g.shard_lens().map(shard).collect(),
+                privates: (0..g.npes).map(private).collect(),
+            };
+        };
+        // Scrub outside the pool lock: a memset must not serialize
+        // concurrent checkouts.
+        let heap_fill = if cfg!(debug_assertions) { POISON } else { 0 };
+        let shards = set.shards.iter().map(|s| scrub(s, g.partition_bytes, heap_extent, g.heap_bytes, heap_fill));
+        let privates = set.privates.iter().map(|p| scrub(p, g.private_bytes, static_extent, g.private_bytes, 0));
+        let scrubbed: usize = shards.chain(privates).sum();
+        self.scrubbed_bytes.fetch_add(scrubbed as u64, Ordering::Relaxed);
+        self.recycled.fetch_add(1, Ordering::Relaxed);
+        set
     }
 
-    /// Retire a cleanly-completed job's shard set. Sets whose shapes do
-    /// not match the claimed geometry (or that exceed the per-geometry
-    /// cap) are dropped instead of pooled.
-    pub(crate) fn check_in(
-        &self,
-        npes: usize,
-        workers: usize,
-        block: usize,
-        partition_bytes: usize,
-        shards: Vec<Arc<CommonMemory>>,
-    ) {
-        let g = Geometry { npes, workers, block, partition_bytes };
-        let shapes_match = shards.len() == workers
-            && shard_lens(g).zip(shards.iter()).all(|(len, s)| s.len() == len);
-        if !shapes_match {
+    /// Retire the set of a cleanly completed job of geometry `g` whose
+    /// handles reached no further than `heap_extent` bytes into any
+    /// partition's heap and `static_extent` bytes into any private
+    /// segment. A set that does not have the claimed shape (or exceeds
+    /// the per-geometry cap) is dropped instead of pooled.
+    pub fn check_in(&self, g: Geometry, set: SegmentSet, heap_extent: usize, static_extent: usize) {
+        if !g.fits(&set) {
             return;
         }
         let mut pools = self.pools.lock();
         let sets = pools.entry(g).or_default();
         if sets.len() < self.cap_per_geometry {
-            sets.push(shards);
+            sets.push(Retired {
+                set,
+                heap_extent: heap_extent.min(g.heap_bytes),
+                static_extent: static_extent.min(g.private_bytes),
+            });
         }
     }
 }
 
-/// Scrub one recycled shard: zero every partition's internal region,
-/// and zero (release) or poison (debug) its tenant heap region.
-fn scrub_shard(shard: &CommonMemory, partition_bytes: usize, heap_bytes: usize) {
-    let heap = heap_bytes.min(partition_bytes);
-    let mut base = 0;
-    while base < shard.len() {
-        if cfg!(debug_assertions) {
-            shard.fill(base, heap, POISON);
-            shard.fill(base + heap, partition_bytes - heap, 0);
-        } else {
-            shard.fill(base, partition_bytes, 0);
+/// Scrub every `stride`-byte unit of `segment` (a partition of a shard,
+/// or a whole private segment): `fill` over its first `extent` bytes,
+/// zero over `[tail, stride)`. Returns the bytes written.
+fn scrub(segment: &CommonMemory, stride: usize, extent: usize, tail: usize, fill: u8) -> usize {
+    let units = segment.len().checked_div(stride).unwrap_or(0);
+    for base in (0..units).map(|u| u * stride) {
+        segment.fill(base, extent, fill);
+        if tail < stride {
+            segment.fill(base + tail, stride - tail, 0);
         }
-        base += partition_bytes;
     }
+    units * (extent + stride - tail)
 }
 
 #[cfg(test)]
@@ -186,61 +229,116 @@ mod tests {
 
     const PART: usize = 256;
     const HEAP: usize = 192;
+    const PRIV: usize = 64;
 
-    fn geometry_shards(pool: &ArenaPool) -> Vec<Arc<CommonMemory>> {
-        pool.checkout(3, 2, 2, PART, HEAP)
+    /// 3 PEs, 2 per shard: shards of 2 and 1 partitions.
+    const G: Geometry = Geometry {
+        npes: 3,
+        block: 2,
+        partition_bytes: PART,
+        heap_bytes: HEAP,
+        private_bytes: PRIV,
+    };
+
+    fn read<const N: usize>(seg: &CommonMemory, off: usize) -> [u8; N] {
+        let mut buf = [0xEE; N];
+        seg.read_bytes(off, &mut buf);
+        buf
     }
 
-    #[test]
-    fn checkout_recycles_matching_geometry_and_scrubs() {
-        let pool = ArenaPool::new();
-        let shards = geometry_shards(&pool);
-        assert_eq!(pool.stats(), ArenaPoolStats { fresh: 1, recycled: 0 });
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].len(), 2 * PART); // 2 PEs
-        assert_eq!(shards[1].len(), PART); // trailing single PE
-        // A tenant writes a secret into its heap AND the internal region.
-        shards[0].write_bytes(10, b"secret");
-        shards[0].write_bytes(HEAP + 4, b"flags");
-        let ptrs: Vec<*const u8> = shards.iter().map(|s| s.raw(0, 1) as *const u8).collect();
-        pool.check_in(3, 2, 2, PART, shards);
+    const HEAP_CLEAN: u8 = if cfg!(debug_assertions) { POISON } else { 0 };
 
-        let again = geometry_shards(&pool);
-        assert_eq!(pool.stats(), ArenaPoolStats { fresh: 1, recycled: 1 });
+    #[test]
+    fn checkout_recycles_matching_geometry_and_scrubs_to_the_recorded_extents() {
+        let pool = ArenaPool::new();
+        let set = pool.checkout(G);
+        assert_eq!(pool.stats(), ArenaPoolStats { fresh: 1, recycled: 0, scrubbed_bytes: 0 });
+        assert_eq!(set.shards.iter().map(|s| s.len()).collect::<Vec<_>>(), [2 * PART, PART]);
+        assert_eq!(set.privates.iter().map(|p| p.len()).collect::<Vec<_>>(), [PRIV; 3]);
+        // A tenant whose handles reached 48 heap bytes and 16 static
+        // bytes writes a secret at the very end of each reach, in the
+        // second partition of shard 0, and dirties the internal region.
+        set.shards[0].write_bytes(PART + 42, b"secret");
+        set.shards[0].write_bytes(PART + HEAP + 4, b"flags");
+        set.privates[2].write_bytes(10, b"static");
+        let ptrs: Vec<*const u8> = set.shards.iter().chain(&set.privates).map(|s| s.raw(0, 1) as *const u8).collect();
+        pool.check_in(G, set, 48, 16);
+
+        let again = pool.checkout(G);
+        // Exactly the extents and the internal regions were written.
+        let scrubbed = 3 * (48 + PART - HEAP) + 3 * 16;
+        assert_eq!(pool.stats(), ArenaPoolStats { fresh: 1, recycled: 1, scrubbed_bytes: scrubbed as u64 });
         // Same allocations back...
-        for (s, p) in again.iter().zip(&ptrs) {
+        for (s, p) in again.shards.iter().chain(&again.privates).zip(&ptrs) {
             assert!(std::ptr::eq(s.raw(0, 1) as *const u8, *p));
         }
-        // ...but scrubbed: heap region zeroed or poisoned, never the
-        // prior tenant's bytes; internal region always zeroed.
-        let mut buf = [0u8; 6];
-        again[0].read_bytes(10, &mut buf);
-        let expect = if cfg!(debug_assertions) { [POISON; 6] } else { [0; 6] };
-        assert_eq!(buf, expect, "prior tenant's heap bytes leaked through recycling");
-        let mut flags = [POISON; 5];
-        again[0].read_bytes(HEAP + 4, &mut flags);
-        assert_eq!(flags, [0; 5], "internal flag region must be zeroed on recycle");
+        // ...scrubbed: the heap extent zeroed or poisoned, beyond it
+        // untouched (still the zeros it was handed out with); internal
+        // region and static extent always zeroed.
+        assert_eq!(read::<6>(&again.shards[0], PART + 42), [HEAP_CLEAN; 6], "heap bytes leaked through recycling");
+        assert_eq!(read::<8>(&again.shards[0], PART + 44), [HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, 0, 0, 0, 0]);
+        assert_eq!(read::<5>(&again.shards[0], PART + HEAP + 4), [0; 5], "internal flag region must be zeroed");
+        assert_eq!(read::<6>(&again.privates[2], 10), [0; 6], "static bytes leaked through recycling");
+
+        // The extents are this job's, not the largest ever seen: a job
+        // that touched nothing costs the internal regions only.
+        pool.check_in(G, again, 0, 0);
+        let _ = pool.checkout(G);
+        assert_eq!(pool.stats().scrubbed_bytes as usize, scrubbed + 3 * (PART - HEAP));
+    }
+
+    /// The scrub trusts the extent: one byte short and the secret stays.
+    /// (What makes the recorded extent large enough is `Heap::high_water`
+    /// and the server's isolation tests.)
+    #[test]
+    fn the_scrub_reaches_exactly_as_far_as_the_extent() {
+        let pool = ArenaPool::new();
+        let set = pool.checkout(G);
+        set.shards[1].write_bytes(40, &[7; 8]);
+        set.privates[0].write_bytes(8, &[7; 8]);
+        pool.check_in(G, set, 47, 15);
+        let set = pool.checkout(G);
+        assert_eq!(read::<8>(&set.shards[1], 40), [HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, 7]);
+        assert_eq!(read::<8>(&set.privates[0], 8), [0, 0, 0, 0, 0, 0, 0, 7]);
     }
 
     #[test]
-    fn mismatched_geometry_is_not_recycled() {
-        let pool = ArenaPool::new();
-        let shards = pool.checkout(2, 1, 2, PART, HEAP);
-        // Claiming the wrong shape drops the set instead of pooling it.
-        pool.check_in(4, 1, 4, PART, shards);
-        let _ = pool.checkout(4, 1, 4, PART, HEAP);
-        assert_eq!(pool.stats(), ArenaPoolStats { fresh: 2, recycled: 0 });
+    fn a_set_of_another_geometry_is_not_matched() {
+        for other in [
+            Geometry { npes: 4, ..G },
+            Geometry { block: 3, ..G },
+            Geometry { partition_bytes: 2 * PART, ..G },
+            Geometry { heap_bytes: HEAP - 8, ..G },
+            Geometry { private_bytes: 2 * PRIV, ..G },
+        ] {
+            let pool = ArenaPool::new();
+            let set = pool.checkout(G);
+            pool.check_in(G, set, 8, 8);
+            let _ = pool.checkout(other);
+            assert_eq!(pool.stats().recycled, 0, "{other:?} took a set of {G:?}");
+        }
+    }
+
+    #[test]
+    fn a_set_that_lacks_the_claimed_shape_is_dropped() {
+        for claimed in [Geometry { npes: 4, block: 4, ..G }, Geometry { private_bytes: 2 * PRIV, ..G }] {
+            let pool = ArenaPool::new();
+            let set = pool.checkout(G);
+            pool.check_in(claimed, set, 0, 0);
+            let _ = pool.checkout(claimed);
+            assert_eq!(pool.stats(), ArenaPoolStats { fresh: 2, recycled: 0, scrubbed_bytes: 0 });
+        }
     }
 
     #[test]
     fn pool_capacity_bounds_retired_sets() {
         let pool = ArenaPool::with_capacity(1);
-        let a = geometry_shards(&pool);
-        let b = geometry_shards(&pool);
-        pool.check_in(3, 2, 2, PART, a);
-        pool.check_in(3, 2, 2, PART, b); // over cap: dropped
-        let _ = geometry_shards(&pool);
-        let _ = geometry_shards(&pool);
-        assert_eq!(pool.stats(), ArenaPoolStats { fresh: 3, recycled: 1 });
+        let a = pool.checkout(G);
+        let b = pool.checkout(G);
+        pool.check_in(G, a, 0, 0);
+        pool.check_in(G, b, 0, 0); // over cap: dropped
+        let _ = pool.checkout(G);
+        let _ = pool.checkout(G);
+        assert_eq!((pool.stats().fresh, pool.stats().recycled), (3, 1));
     }
 }

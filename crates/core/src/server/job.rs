@@ -59,9 +59,10 @@ pub enum JobOutcome {
     /// evicted as wedged and a retry succeeded.
     Completed { attempts: u32 },
     /// A tenant PE panicked; the panic was caught at the PE boundary and
-    /// poisoned only this job. `error` is the (first-joined) panic
-    /// message — on a multi-PE job the origin PE's message may be
-    /// shadowed by a sibling's secondary "aborting" panic.
+    /// poisoned only this job. `error` is the panic message of the
+    /// lowest PE that unwound, saying which PE that was (`PE 1: ...`) —
+    /// on a multi-PE job the origin PE's message may be shadowed by a
+    /// lower sibling's secondary "aborting" panic.
     Faulted { attempts: u32, error: String },
     /// The job wedged (livelock/deadlock): the per-tenant watchdog
     /// diagnosed it, evicted it, and every retry up to the policy limit

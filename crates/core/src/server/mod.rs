@@ -19,8 +19,9 @@
 //!   the CFS-style [`FairScheduler`].
 //! * [`job`] — [`JobSpec`] / [`JobOutcome`] / [`SubmitError`] /
 //!   [`JobReport`].
-//! * [`arena`] — the [`ArenaPool`] recycling symmetric-heap shard sets
-//!   between tenants (scrubbed at checkout).
+//! * [`arena`] — the [`ArenaPool`] recycling arena shards and private
+//!   segments between tenants (scrubbed to their dirty extent at
+//!   checkout).
 //!
 //! See DESIGN.md §8 for the lifecycle state machine and the isolation
 //! boundaries, and EXPERIMENTS.md for the open-loop load methodology

@@ -13,9 +13,16 @@
 //! ```
 //!
 //! Isolation boundaries: every job runs as its own cooperative launch —
-//! its own recycled symmetric-heap shard set (scrubbed at checkout, see
-//! [`super::arena`]), its own UDN fabric, its own trace lanes, its own
-//! [`JobWatch`]. A tenant panic is caught at the launch boundary
+//! its own recycled arena shards and private segments (scrubbed to the
+//! previous tenant's dirty extent at checkout, see [`super::arena`]),
+//! its own UDN fabric, its own trace lanes, its own [`JobWatch`]. What a
+//! job does *not* get for itself is threads: the server keeps one
+//! [`Resident`] for its lifetime, and a job's runner, its launch and its
+//! PEs run on that handle's lanes ([`tmc::task::Lanes`]) — a lane that
+//! unwound or never finished is never reused, and a reused one carries
+//! nothing of a tenant but thread-locals, affinity and a name, which
+//! tenants of one address space share anyway. A tenant panic is caught
+//! at the launch boundary
 //! ([`std::panic::catch_unwind`] around the `Launcher`), poisons only
 //! that job, and is reported as [`JobOutcome::Faulted`] while the pool
 //! keeps serving. A wedged job is diagnosed with the same per-PE stall
@@ -23,10 +30,12 @@
 //! reclaimed, and retried with exponential backoff up to
 //! [`ServerConfig::max_attempts`].
 //!
-//! What eviction cannot reclaim: a PE thread wedged outside every
-//! fabric abort checkpoint (e.g. parked in a fault-injected raw channel
-//! send) leaks until process exit, exactly as in the stress watchdog.
-//! The pool's accounting unit is the worker-slot *lease*, not the OS
+//! What eviction cannot reclaim: a PE lane wedged outside every fabric
+//! abort checkpoint (e.g. parked in a fault-injected raw channel send)
+//! leaks until process exit, exactly as in the stress watchdog — and
+//! with it the launch lane that waits for it. They stay in
+//! [`ServerStats::lanes_live`] and are never handed another task. The
+//! pool's accounting unit is the worker-slot *lease*, not the OS
 //! thread, so capacity recovers even when threads leak.
 
 use std::collections::VecDeque;
@@ -40,8 +49,8 @@ use substrate::sync::{Condvar, Mutex};
 
 use crate::engine::backend::WatchPlane;
 use crate::engine::coop::CoopBackend;
+use crate::engine::wall::Resident;
 use crate::runtime::Launcher;
-use crate::server::arena::ArenaPool;
 use crate::server::job::{JobId, JobOutcome, JobReport, JobSpec, SubmitError};
 use crate::server::scheduler::{FairScheduler, QueuedJob, RoundRobin, Scheduler};
 use crate::watch::{classify_stall, scaled_stall, JobWatch};
@@ -114,8 +123,8 @@ impl ServerConfig {
     }
 }
 
-/// Pool-lifetime counters (monotone; `arenas_*` come from the shared
-/// [`ArenaPool`]).
+/// Pool-lifetime counters (monotone but for `lanes_live`; `arenas_*`,
+/// `scrubbed_bytes` and `lanes_*` come from the server's [`Resident`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Accepted into the queue.
@@ -131,6 +140,19 @@ pub struct ServerStats {
     pub retries: u64,
     pub arenas_fresh: u64,
     pub arenas_recycled: u64,
+    /// Bytes written scrubbing recycled sets — their dirty extents and
+    /// internal regions, not their length.
+    pub scrubbed_bytes: u64,
+    /// Runner, launch and PE tasks that needed a new thread.
+    pub lanes_spawned: u64,
+    /// ... and those that ran on an idle lane.
+    pub lanes_reused: u64,
+    /// Lanes that ended because their task unwound (a panicking tenant
+    /// PE and the siblings its abort took down).
+    pub lanes_retired: u64,
+    /// Lane threads that have not ended. After [`Server::shutdown`]:
+    /// the lanes stuck in a task that never finishes.
+    pub lanes_live: u64,
 }
 
 struct Queued {
@@ -159,7 +181,8 @@ struct Inner {
     state: Mutex<State>,
     /// Signaled on submit, slot release, runner completion, shutdown.
     work: Condvar,
-    arena: Arc<ArenaPool>,
+    /// The memory and lanes every job attaches to.
+    resident: Arc<Resident>,
     next_id: AtomicU64,
     submitted: AtomicU64,
     rejected: AtomicU64,
@@ -235,7 +258,7 @@ impl Server {
                 scheduler,
             }),
             work: Condvar::new(),
-            arena: Arc::new(ArenaPool::new()),
+            resident: Arc::default(),
             next_id: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -248,7 +271,7 @@ impl Server {
             runs: AtomicU64::new(0),
         });
         let inner2 = inner.clone();
-        let dispatcher = std::thread::Builder::new()
+        let dispatcher = std::thread::Builder::new() // cold: once per server
             .name("tshmem-srv-dispatch".into())
             .spawn(move || dispatch_loop(inner2))
             .expect("spawn server dispatcher");
@@ -336,7 +359,8 @@ impl Server {
     }
 
     pub fn stats(&self) -> ServerStats {
-        let arena = self.inner.arena.stats();
+        let arena = self.inner.resident.sets.stats();
+        let lanes = self.inner.resident.lanes.stats();
         ServerStats {
             submitted: self.inner.submitted.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
@@ -347,11 +371,17 @@ impl Server {
             retries: self.inner.retries.load(Ordering::Relaxed),
             arenas_fresh: arena.fresh,
             arenas_recycled: arena.recycled,
+            scrubbed_bytes: arena.scrubbed_bytes,
+            lanes_spawned: lanes.spawned,
+            lanes_reused: lanes.reused,
+            lanes_retired: lanes.retired,
+            lanes_live: lanes.live,
         }
     }
 
     /// Stop accepting work, shed still-queued jobs, wait for running
-    /// jobs to resolve, and return the final counters.
+    /// jobs to resolve, end the idle lanes, and return the final
+    /// counters.
     pub fn shutdown(mut self) -> ServerStats {
         self.do_shutdown();
         self.stats()
@@ -367,6 +397,10 @@ impl Server {
         while st.active > 0 {
             self.inner.work.wait(&mut st);
         }
+        drop(st);
+        // Every runner has listed its lane idle before it gave up its
+        // `active` count, so this ends every lane that ever finished.
+        self.inner.resident.lanes.close();
     }
 }
 
@@ -447,11 +481,11 @@ fn dispatch_loop(inner: Arc<Inner>) {
                 inner.work.wait(&mut st);
             }
         };
-        let inner2 = inner.clone();
-        std::thread::Builder::new()
-            .name(format!("tshmem-srv-job-{}", q.id))
-            .spawn(move || run_job(inner2, q, lease))
-            .expect("spawn server job runner");
+        let runner = inner.clone();
+        inner.resident.lanes.spawn(
+            move || run_job(runner, q, lease),
+            |resolve| resolve.expect("server job runner panicked")(),
+        );
     }
 }
 
@@ -462,7 +496,11 @@ enum Attempt {
     Wedged(String),
 }
 
-fn run_job(inner: Arc<Inner>, q: Queued, lease: usize) {
+/// Run `q` to its outcome. Returns the last step — give the lease back,
+/// resolve the handle — for the runner's lane to take once it is idle
+/// again, so whoever sees the job resolved finds every lane it used
+/// reusable.
+fn run_job(inner: Arc<Inner>, q: Queued, lease: usize) -> impl FnOnce() {
     let mut attempts = 0u32;
     let mut holding = true;
     let outcome = loop {
@@ -507,19 +545,21 @@ fn run_job(inner: Arc<Inner>, q: Queued, lease: usize) {
         JobOutcome::Evicted { .. } => inner.evicted.fetch_add(1, Ordering::Relaxed),
         JobOutcome::Shed { .. } => unreachable!("runners never shed"),
     };
-    {
-        let mut st = inner.state.lock();
-        if holding {
-            st.free_slots += lease;
+    move || {
+        {
+            let mut st = inner.state.lock();
+            if holding {
+                st.free_slots += lease;
+            }
+            st.active -= 1;
         }
-        st.active -= 1;
+        inner.work.notify_all();
+        let _ = q.tx.try_send(JobReport {
+            id: q.id,
+            outcome,
+            latency: q.accepted.elapsed(),
+        });
     }
-    inner.work.notify_all();
-    let _ = q.tx.try_send(JobReport {
-        id: q.id,
-        outcome,
-        latency: q.accepted.elapsed(),
-    });
 }
 
 fn release_slots(inner: &Inner, lease: usize) {
@@ -545,30 +585,32 @@ fn acquire_slots(inner: &Inner, lease: usize) -> bool {
 
 /// Launch the job once as its own supervised cooperative launch; see the
 /// module docs for the isolation contract. Mirrors the stress crate's
-/// `watch_wall` watchdog: detached launch thread, diagnose *before*
-/// abort, bounded unwind grace.
+/// `watch_wall` watchdog: detached launch, diagnose *before* abort,
+/// bounded unwind grace.
 fn attempt_launch(inner: &Arc<Inner>, id: JobId, spec: &JobSpec, lease: usize) -> Attempt {
     let watch = Arc::new(JobWatch::new());
     let (tx, rx) = channel::bounded::<std::thread::Result<()>>(1);
     let cfg = spec.cfg;
     let body = spec.body.clone();
     let w = Arc::clone(&watch);
-    let pool = inner.arena.clone();
-    std::thread::Builder::new()
-        .name(format!("tshmem-srv-launch-{id}"))
-        .spawn(move || {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                let backend = CoopBackend {
-                    workers: lease,
-                    arena_pool: Some(pool),
-                };
+    let backend = CoopBackend {
+        workers: lease,
+        resident: Some(inner.resident.clone()),
+    };
+    // The tenant's panic is caught inside the task: it unwinds the PE
+    // lanes it crossed, not the lane the launch itself runs on.
+    inner.resident.lanes.spawn(
+        move || {
+            catch_unwind(AssertUnwindSafe(|| {
                 Launcher::new(&cfg, backend)
                     .with_watch(WatchPlane::Wall(&w))
                     .run(|ctx| body(ctx));
-            }));
-            let _ = tx.try_send(r.map(|_| ()));
-        })
-        .expect("spawn server launch thread");
+            }))
+        },
+        move |r| {
+            let _ = tx.try_send(r.and_then(|caught| caught));
+        },
+    );
 
     let mut last_ops = 0u64;
     let mut baseline = watch.counters();
@@ -625,11 +667,7 @@ fn attempt_launch(inner: &Arc<Inner>, id: JobId, spec: &JobSpec, lease: usize) -
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "tenant panic (non-string payload)".into()
-    }
+    crate::engine::wall::panic_text(payload)
+        .unwrap_or("tenant panic (non-string payload)")
+        .to_string()
 }

@@ -5,11 +5,17 @@
 //! own binaries per the `tshmem::fault` rule); hostile tenants are
 //! modeled with plain panicking closures.
 
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use substrate::sync::{Condvar, Mutex};
-use tshmem::{JobOutcome, JobSpec, RuntimeConfig, Server, ServerConfig, ShedPolicy, SubmitError};
+use tshmem::ctx::Layout;
+use tshmem::{
+    CoopBackend, JobOutcome, JobSpec, Launcher, Resident, RuntimeConfig, Server, ServerConfig,
+    ShedPolicy, ShmemCtx, SubmitError,
+};
 
 fn small_cfg(npes: usize) -> RuntimeConfig {
     RuntimeConfig::new(npes)
@@ -251,6 +257,235 @@ fn recycled_arenas_never_leak_tenant_bytes() {
         stats.arenas_recycled >= 1,
         "tenant B must actually exercise recycling (stats: {stats:?})"
     );
+}
+
+const SECRET: u64 = 0xDEAD_BEEF_CAFE_F00D;
+
+/// Tenant B of the extent-scrub tests: take the whole symmetric heap
+/// and the whole private segment of the recycled set and find no word
+/// of tenant A in either. Release builds hand out zeros; debug builds a
+/// heap that is poison or zero. The statics are always zero.
+fn assert_next_tenant_finds_no_secret(server: Server, cfg: RuntimeConfig) {
+    let heap_words = Layout::new(cfg.partition_bytes, cfg.npes, cfg.temp_bytes).heap_bytes / 8;
+    let static_words = cfg.private_bytes / 8;
+    let report = server
+        .submit(JobSpec::new(cfg, move |ctx| {
+            let me = ctx.my_pe();
+            let heap = ctx.shmalloc::<u64>(heap_words);
+            for (i, v) in ctx.local_read(&heap, 0, heap_words).into_iter().enumerate() {
+                assert_ne!(v, SECRET, "PE {me}: tenant A's secret leaked at heap word {i}");
+                let clean = v == 0 || (cfg!(debug_assertions) && v == u64::from_ne_bytes([0xA5; 8]));
+                assert!(clean, "PE {me}: heap word {i} = {v:#x} is neither zero nor poison");
+            }
+            let statics = ctx.static_sym::<u64>(static_words);
+            for (i, v) in ctx.local_read(&statics, 0, static_words).into_iter().enumerate() {
+                assert_eq!(v, 0, "PE {me}: static word {i} not scrubbed");
+            }
+        }))
+        .expect("tenant B admitted")
+        .wait();
+    assert!(report.outcome.is_completed(), "{:?}", report.outcome);
+    let stats = server.shutdown();
+    assert_eq!(
+        (stats.arenas_fresh, stats.arenas_recycled),
+        (1, 1),
+        "tenant B must run in tenant A's memory"
+    );
+}
+
+fn run_tenant_a(server: &Server, cfg: RuntimeConfig, body: impl Fn(&ShmemCtx) + Send + Sync + 'static) {
+    let report = server.submit(JobSpec::new(cfg, body)).expect("tenant A admitted").wait();
+    assert!(report.outcome.is_completed(), "{:?}", report.outcome);
+}
+
+/// The extent is a high-water mark, not what is allocated at the end:
+/// tenant A frees its 64 KiB, then writes the secret again through the
+/// stale handle.
+#[test]
+fn a_stale_handle_after_shfree_is_still_scrubbed() {
+    let server = Server::round_robin(ServerConfig { workers: 2, ..Default::default() });
+    let cfg = small_cfg(2);
+    run_tenant_a(&server, cfg, |ctx| {
+        let buf = ctx.shmalloc::<u64>(8192);
+        let statics = ctx.static_sym::<u64>(512);
+        ctx.local_fill(&buf, SECRET);
+        ctx.local_fill(&statics, SECRET);
+        ctx.shfree(buf);
+        ctx.local_fill(&buf, SECRET);
+        ctx.barrier_all();
+    });
+    assert_next_tenant_finds_no_secret(server, cfg);
+}
+
+/// The extent is the maximum over PEs: PE 1 allocates 128 KiB where PE 0
+/// allocates 8 bytes, and puts the secret into PE 0's partition through
+/// its own, larger handle.
+#[test]
+fn a_peer_writing_through_a_larger_handle_is_still_scrubbed() {
+    let server = Server::round_robin(ServerConfig { workers: 2, ..Default::default() });
+    let cfg = small_cfg(2);
+    run_tenant_a(&server, cfg, |ctx| {
+        let mine = ctx.shmalloc::<u64>(if ctx.my_pe() == 1 { 16 * 1024 } else { 1 });
+        if ctx.my_pe() == 1 {
+            ctx.put(&mine, 0, &vec![SECRET; mine.len()], 0);
+        }
+        ctx.barrier_all();
+    });
+    assert_next_tenant_finds_no_secret(server, cfg);
+}
+
+/// The extents are read after the tenant closure has returned, not in
+/// `finalize`: a tenant may finalize early and allocate afterwards.
+#[test]
+fn allocations_after_an_early_finalize_are_still_scrubbed() {
+    let server = Server::round_robin(ServerConfig { workers: 2, ..Default::default() });
+    let cfg = small_cfg(2);
+    run_tenant_a(&server, cfg, |ctx| {
+        ctx.finalize();
+        let buf = ctx.shmalloc::<u64>(8192);
+        let statics = ctx.static_sym::<u64>(512);
+        ctx.local_fill(&buf, SECRET);
+        ctx.local_fill(&statics, SECRET);
+    });
+    assert_next_tenant_finds_no_secret(server, cfg);
+}
+
+/// The benchmark's `server_jobs` job body: one `u64` of heap, no statics.
+fn ring_spec(npes: usize) -> JobSpec {
+    JobSpec::new(small_cfg(npes), |ctx| {
+        let (n, me) = (ctx.n_pes(), ctx.my_pe());
+        let slot = ctx.shmalloc::<u64>(1);
+        ctx.local_write(&slot, 0, &[0]);
+        ctx.barrier_all();
+        for k in 1..=8 {
+            ctx.p(&slot, 0, k, (me + 1) % n);
+            ctx.barrier_all();
+        }
+        assert_eq!(ctx.local_read(&slot, 0, 1)[0], 8);
+    })
+}
+
+/// What a warm job scrubs: per PE its 8 heap bytes and the internal
+/// region, not the partition.
+fn warm_scrub(npes: usize) -> u64 {
+    let cfg = small_cfg(npes);
+    let heap_bytes = Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes).heap_bytes;
+    (npes * (8 + cfg.partition_bytes - heap_bytes)) as u64
+}
+
+/// A job pays for what it touches: a sequential stream of 2-PE jobs
+/// runs on the four lanes of its first job (runner, launch, two PEs)
+/// however long it is, and scrubs 8 bytes of heap per PE.
+#[test]
+fn a_sequential_stream_runs_on_four_lanes_and_scrubs_what_it_dirtied() {
+    let server = Server::fair(ServerConfig { workers: 2, ..Default::default() });
+    for _ in 0..100 {
+        assert!(server.submit(ring_spec(2)).expect("admitted").wait().outcome.is_completed());
+    }
+    let stats = server.stats();
+    assert_eq!((stats.lanes_spawned, stats.lanes_reused), (4, 396));
+    assert_eq!((stats.arenas_fresh, stats.arenas_recycled), (1, 99));
+    assert_eq!(stats.scrubbed_bytes, 99 * warm_scrub(2));
+    assert_eq!((stats.lanes_retired, stats.lanes_live), (0, 4));
+    let stats = server.shutdown();
+    assert_eq!((stats.lanes_spawned, stats.lanes_live), (4, 0), "shutdown ends every idle lane");
+}
+
+/// The benchmark's stream — 2 slots, 8 jobs in flight, one 8-PE job in
+/// five — still runs one job at a time (every job leases both slots),
+/// and every lane of a job is idle again before its slots are: ten
+/// lanes, the widest job's, carry the whole stream.
+#[test]
+fn a_closed_loop_stream_runs_on_the_lanes_of_its_widest_job() {
+    let server = Server::fair(ServerConfig { workers: 2, ..Default::default() });
+    let mut inflight = VecDeque::new();
+    let (mut narrow, mut wide) = (0, 0);
+    for i in 0..200 {
+        if inflight.len() == 8 {
+            let oldest: tshmem::JobHandle = inflight.pop_front().expect("window is full");
+            assert!(oldest.wait().outcome.is_completed());
+        }
+        let npes = if i % 5 == 4 { 8 } else { 2 };
+        *(if npes == 8 { &mut wide } else { &mut narrow }) += 1;
+        inflight.push_back(server.submit(ring_spec(npes).with_tenant(i % 5)).expect("admitted"));
+    }
+    for h in inflight {
+        assert!(h.wait().outcome.is_completed());
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.lanes_spawned, 2 + 8);
+    assert_eq!(stats.lanes_reused, narrow * 4 + wide * 10 - 10);
+    assert_eq!((stats.arenas_fresh, stats.arenas_recycled), (2, narrow + wide - 2));
+    assert_eq!(stats.scrubbed_bytes, (narrow - 1) * warm_scrub(2) + (wide - 1) * warm_scrub(8));
+    assert_eq!((stats.lanes_retired, stats.lanes_live), (0, 0));
+}
+
+/// `threads_spawned` is what *this launch* created: the PEs of the first
+/// launch over a kept `Resident`, nothing for the ones after it.
+#[test]
+fn a_warm_resident_launch_spawns_no_thread() {
+    let resident = Arc::new(Resident::default());
+    let launch = || {
+        let backend = CoopBackend { workers: 2, resident: Some(resident.clone()) };
+        Launcher::new(&small_cfg(4), backend).run(|ctx| ctx.my_pe()).threads_spawned
+    };
+    assert_eq!(launch(), 4);
+    assert_eq!(launch(), 0);
+    assert_eq!(launch(), 0);
+    assert_eq!(resident.lanes.stats().live, 4);
+}
+
+/// The trust rule of the lanes: after a `Faulted` job — one PE panics,
+/// its sibling unwinds through the abort — no later job ever runs on a
+/// thread that unwound, exactly those lanes are retired, and the pool
+/// keeps serving on the rest.
+#[test]
+fn lanes_a_faulted_job_unwound_are_never_reused() {
+    let server = Server::round_robin(ServerConfig { workers: 2, ..Default::default() });
+    let seen: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let healthy = |seen: &Arc<Mutex<Vec<ThreadId>>>| {
+        let seen = seen.clone();
+        JobSpec::new(small_cfg(2), move |ctx| {
+            seen.lock().push(std::thread::current().id());
+            ctx.barrier_all();
+        })
+    };
+    assert!(server.submit(healthy(&seen)).expect("admitted").wait().outcome.is_completed());
+
+    let unwound: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let ids = unwound.clone();
+    let report = server
+        .submit(JobSpec::new(small_cfg(2), move |ctx| {
+            ids.lock().push(std::thread::current().id());
+            if ctx.my_pe() == 1 {
+                panic!("hostile tenant payload");
+            }
+            ctx.barrier_all();
+        }))
+        .expect("admitted")
+        .wait();
+    match &report.outcome {
+        // Lanes carry no PE in their name; the message does.
+        JobOutcome::Faulted { error, .. } => assert!(
+            error == "PE 1: hostile tenant payload" || error == "PE 0: aborting — another PE panicked",
+            "{error}"
+        ),
+        other => panic!("hostile job should fault, got {other:?}"),
+    }
+    let unwound: HashSet<ThreadId> = unwound.lock().iter().copied().collect();
+    assert_eq!(unwound.len(), 2);
+    assert_eq!(server.stats().lanes_retired, 2, "both PE lanes unwound; the launch lane caught it");
+
+    seen.lock().clear();
+    for _ in 0..50 {
+        assert!(server.submit(healthy(&seen)).expect("admitted").wait().outcome.is_completed());
+    }
+    assert_eq!(seen.lock().len(), 100);
+    assert!(seen.lock().iter().all(|id| !unwound.contains(id)), "a job ran on an unwound lane");
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.faulted), (51, 1));
+    // Runner + launch + 2 PEs, and the two that replaced the unwound.
+    assert_eq!((stats.lanes_spawned, stats.lanes_retired, stats.lanes_live), (6, 2, 0));
 }
 
 #[test]

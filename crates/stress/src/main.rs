@@ -227,7 +227,8 @@ fn main() -> ExitCode {
         let summary = serve(&opts);
         println!(
             "serve: {} jobs in {:.2} jobs/sec — {} completed, {} faulted, {} evicted, \
-             {} shed; healthy latency p50={:?} p99={:?}; arenas fresh={} recycled={}",
+             {} shed; healthy latency p50={:?} p99={:?}; arenas fresh={} recycled={}; \
+             lanes spawned={} reused={} retired={} still live={}",
             summary.jobs,
             summary.jobs_per_sec,
             summary.completed,
@@ -236,8 +237,12 @@ fn main() -> ExitCode {
             summary.shed,
             summary.p50,
             summary.p99,
-            summary.arenas_fresh,
-            summary.arenas_recycled,
+            summary.server.arenas_fresh,
+            summary.server.arenas_recycled,
+            summary.server.lanes_spawned,
+            summary.server.lanes_reused,
+            summary.server.lanes_retired,
+            summary.server.lanes_live,
         );
         if summary.ok() {
             println!("serve: every job resolved in its expected outcome class");

@@ -87,8 +87,8 @@ pub struct ServeSummary {
     pub jobs_per_sec: f64,
     pub p50: Duration,
     pub p99: Duration,
-    pub arenas_fresh: u64,
-    pub arenas_recycled: u64,
+    /// The server's final counters (arena recycling, lanes).
+    pub server: tshmem::ServerStats,
     pub mismatches: Vec<String>,
 }
 
@@ -236,8 +236,7 @@ pub fn serve(opts: &ServeOpts) -> ServeSummary {
         jobs_per_sec: 0.0,
         p50: Duration::ZERO,
         p99: Duration::ZERO,
-        arenas_fresh: 0,
-        arenas_recycled: 0,
+        server: Default::default(),
         mismatches: Vec::new(),
     };
     let mut latencies = Vec::with_capacity(opts.jobs);
@@ -286,9 +285,7 @@ pub fn serve(opts: &ServeOpts) -> ServeSummary {
             ));
         }
     }
-    let stats = server.shutdown();
-    summary.arenas_fresh = stats.arenas_fresh;
-    summary.arenas_recycled = stats.arenas_recycled;
+    summary.server = server.shutdown();
     summary.jobs_per_sec = opts.jobs as f64 / wall.as_secs_f64();
     latencies.sort_unstable();
     if !latencies.is_empty() {

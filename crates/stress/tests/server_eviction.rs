@@ -7,6 +7,10 @@
 //! attempt leaks PE threads parked in pre-fix blocking sends until
 //! process exit (same rule as the stress watchdog canary).
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use stress::program::{gen_program, RngDraw};
@@ -24,8 +28,9 @@ fn wedge_cfg(npes: usize) -> RuntimeConfig {
 /// A deterministic wedge: PE 0 waits on a flag no PE ever sets while
 /// the rest park in the barrier behind it. Every launch attempt wedges
 /// the same way, so eviction, backoff, and the give-up path all fire.
-fn wedged_spec(npes: usize) -> JobSpec {
-    JobSpec::new(wedge_cfg(npes), |ctx| {
+fn wedged_spec(npes: usize, seen: Arc<Mutex<Vec<ThreadId>>>) -> JobSpec {
+    JobSpec::new(wedge_cfg(npes), move |ctx| {
+        seen.lock().unwrap().push(std::thread::current().id());
         let flag = ctx.shmalloc::<u64>(1);
         ctx.local_fill(&flag, 0u64);
         ctx.barrier_all();
@@ -50,7 +55,8 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
 
     // ---- Phase 1: deterministic wedge → evict, retry, give up. ----
     let t0 = Instant::now();
-    let report = server.submit(wedged_spec(4)).expect("admitted").wait();
+    let evicted_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let report = server.submit(wedged_spec(4, evicted_on.clone())).expect("admitted").wait();
     let elapsed = t0.elapsed();
     match &report.outcome {
         JobOutcome::Evicted { attempts, diagnosis } => {
@@ -84,9 +90,16 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
     assert_eq!(stats.retries, 1, "one backoff retry granted");
     assert_eq!(stats.evicted, 1);
 
-    // The pool survives: a healthy job right after completes clean.
+    // The pool survives: a healthy job right after completes clean —
+    // on none of the lanes the two evicted attempts unwound.
+    let evicted_on: HashSet<ThreadId> = evicted_on.lock().unwrap().iter().copied().collect();
+    assert_eq!(evicted_on.len(), 8, "two attempts of four PEs, no lane of the first reused by the second");
+    assert_eq!(stats.lanes_retired, 8);
+    let healthy_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let seen = healthy_on.clone();
     let healthy = server
-        .submit(JobSpec::new(wedge_cfg(4), |ctx| {
+        .submit(JobSpec::new(wedge_cfg(4), move |ctx| {
+            seen.lock().unwrap().push(std::thread::current().id());
             let x = ctx.shmalloc::<u64>(1);
             ctx.local_fill(&x, 7u64);
             ctx.barrier_all();
@@ -95,13 +108,15 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
         .expect("admitted")
         .wait();
     assert!(healthy.outcome.is_completed(), "{:?}", healthy.outcome);
+    assert!(healthy_on.lock().unwrap().iter().all(|id| !evicted_on.contains(id)), "an evicted attempt's lane was reused");
 
     // ---- Phase 2: the PR-1 recipe (BlockingProtocolSends + depth-1
     // queues + chained dissemination barriers) through the server. The
     // deadlock needs genuinely concurrent PEs, so mirror the canary's
     // seed × attempt hunt; single-attempt policy (a wedge leaks its
     // threads, so retrying it buys nothing here).
-    server.shutdown();
+    // Every lane of phase 1 either finished or unwound: none is left.
+    assert_eq!(server.shutdown().lanes_live, 0);
     let server = Server::round_robin(ServerConfig {
         workers: 4,
         stall,
@@ -115,16 +130,28 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
         for seed in [0x1u64, 0x3, 0x7] {
             let prog = std::sync::Arc::new(gen_program(&mut RngDraw::new(seed, 0), 8));
             let cfg = build_cfg(&prog, Some(1));
-            let spec = JobSpec::new(cfg, move |ctx| run_on_ctx(&prog, ctx));
+            // Counts the PEs whose body is over, returned or unwound.
+            struct Ended(Arc<AtomicUsize>);
+            impl Drop for Ended {
+                fn drop(&mut self) {
+                    self.0.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            let ended = Arc::new(AtomicUsize::new(0));
+            let count = ended.clone();
+            let spec = JobSpec::new(cfg, move |ctx| {
+                let _ended = Ended(count.clone());
+                run_on_ctx(&prog, ctx)
+            });
             let report = server.submit(spec).expect("admitted").wait();
             if let JobOutcome::Evicted { diagnosis, .. } = &report.outcome {
-                caught = Some(diagnosis.clone());
+                caught = Some((diagnosis.clone(), ended));
                 break 'hunt;
             }
         }
     }
     tshmem::fault::set_blocking_protocol_sends(false);
-    let diagnosis = caught.expect(
+    let (diagnosis, ended) = caught.expect(
         "fault-injected dissemination barriers at queue depth 1 never wedged across \
          4 attempts x 3 seeds; the server watchdog missed the reintroduced PR-1 bug",
     );
@@ -146,5 +173,11 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
         .expect("admitted")
         .wait();
     assert!(report.outcome.is_completed(), "{:?}", report.outcome);
-    server.shutdown();
+    // What the server cannot get back is counted, not hidden: the PEs of
+    // the evicted attempt parked in a raw blocking send past every abort
+    // checkpoint, and the launch lane that waits for them (the blocked
+    // scope join of a per-job launch thread). Everything else is gone.
+    let wedged = 8 - ended.load(Ordering::SeqCst);
+    assert!(wedged > 0, "the evicted attempt unwound completely: nothing held it past the abort");
+    assert_eq!(server.shutdown().lanes_live, wedged as u64 + 1);
 }

@@ -27,4 +27,4 @@ pub use barrier::{SpinBarrier, SyncBarrier};
 pub use common::CommonMemory;
 pub use cycles::CycleClock;
 pub use fence::mem_fence;
-pub use task::run_on_tiles;
+pub use task::{LaneStats, Lanes};

@@ -146,14 +146,18 @@ echo "== server PanicPe canary (one-shot caught-class fault) =="
 cargo run -q --offline --release -p stress -- \
     --serve --jobs 8 --panic-pe 1 --seed 0x55
 
-echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + backend / hier / server / desim) =="
+echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + backend / hier / server + arena / lanes / desim) =="
 # The RMA and barrier hot paths are allocation-free by design, and the
 # wall fabric, its M:N admission gate, the virtual-time fabric
 # (engine/timed.rs) with the CoopLp send/recv path every simulated
 # message crosses (engine/backend.rs), hierarchical collectives, and the
 # timed-engine event core stay on that diet: any `to_vec()` or `vec![` there must carry a
 # `// cold:` justification on the same line or one of the two lines
-# above it.
+# above it. A warm server job attaches to resident lanes and a recycled
+# segment set, so the two places that pay for a cold one — spawning a
+# lane thread (tmc/src/task.rs) and allocating a fresh set
+# (server/arena.rs) — are held to the same rule: a `thread::Builder` or
+# `CommonMemory::new(` there needs its `// cold:` too.
 python3 - <<'PYEOF'
 import re, sys
 bad = []
@@ -161,7 +165,8 @@ for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
              "crates/core/src/engine/wall.rs", "crates/core/src/engine/coop.rs",
              "crates/core/src/engine/timed.rs", "crates/core/src/engine/backend.rs",
              "crates/core/src/collectives/hier.rs",
-             "crates/core/src/server/pool.rs",
+             "crates/core/src/server/pool.rs", "crates/core/src/server/arena.rs",
+             "crates/tmc/src/task.rs",
              "crates/desim/src/events.rs", "crates/desim/src/coop.rs"):
     lines = open(path).read().splitlines()
     # The diet covers runtime code only: stop at the unit-test module.
@@ -170,7 +175,10 @@ for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
             lines = lines[:i]
             break
     for i, line in enumerate(lines):
-        if re.search(r'\.to_vec\(\)|vec!\[', line) and "// cold:" not in line:
+        pattern = r'\.to_vec\(\)|vec!\['
+        if path.endswith(("server/arena.rs", "tmc/src/task.rs", "server/pool.rs")):
+            pattern += r'|thread::Builder|CommonMemory::new\('
+        if re.search(pattern, line) and "// cold:" not in line:
             context = lines[max(0, i - 2) : i]
             if not any("// cold:" in c for c in context):
                 bad.append(f"{path}:{i + 1}: {line.strip()}")
