@@ -11,6 +11,7 @@ use std::collections::HashMap;
 
 use crate::active_set::ActiveSet;
 use crate::fabric::{Fabric, ProtoMsg};
+use crate::fault::Fault;
 use crate::heap::{Heap, HeapError};
 use crate::symm::{AddrClass, Bits, Sym};
 
@@ -230,12 +231,18 @@ pub struct ShmemCtx {
     /// redirected nbi chunks. Reset to 0 on every full drain; blocking
     /// temp users drain first, so the two never overlap.
     pub(crate) nbi_temp_used: Cell<usize>,
+    /// The RMA batched fast paths are on — off under the launch's
+    /// [`Fault::GeneralRmaPaths`] reference arm.
+    pub(crate) rma_fast_paths: bool,
+    /// Non-blocking ops complete at issue ([`Fault::EagerNbi`]).
+    pub(crate) nbi_eager: bool,
+    /// Protocol sends are plain blocking sends
+    /// ([`Fault::BlockingProtocolSends`]).
+    pub(crate) blocking_sends: bool,
     finalized: Cell<bool>,
 }
 
 impl ShmemCtx {
-    /// Build a context over a fabric. Called by the runtime launcher; the
-    /// equivalent of what `start_pes()` finishes.
     /// Run `f` over the per-context scratch buffer sized to `len` bytes
     /// (contents unspecified on entry). `f` must not re-enter any context
     /// method that also stages through scratch.
@@ -247,8 +254,14 @@ impl ShmemCtx {
         f(&mut buf[..len])
     }
 
+    /// Build a context over a fabric. Called by the runtime launcher; the
+    /// equivalent of what `start_pes()` finishes. The launch's fault plan
+    /// is read here, once.
     pub fn new(fab: Box<dyn Fabric>, layout: Layout, algos: Algorithms, private_bytes: usize) -> Self {
         let heap = Heap::new(layout.heap_bytes);
+        let has = |fault: Fault| fab.faults().is_some_and(|f| f.has(&fault));
+        let (rma_fast_paths, nbi_eager, blocking_sends) =
+            (!has(Fault::GeneralRmaPaths), has(Fault::EagerNbi), has(Fault::BlockingProtocolSends));
         Self {
             fab,
             layout,
@@ -264,6 +277,9 @@ impl ShmemCtx {
             pending: RefCell::new(Vec::new()),
             nbi_stage: RefCell::new(Vec::new()),
             nbi_temp_used: Cell::new(0),
+            rma_fast_paths,
+            nbi_eager,
+            blocking_sends,
             finalized: Cell::new(false),
         }
     }

@@ -5,9 +5,10 @@
 //! `ShmemCtx` setup, service-context wiring, result collection) exists
 //! once per clock domain — [`run_wall`](super::wall) for the wall-clock
 //! engines, `run_coop_lps` here for the virtual-time ones — and the
-//! cross-cutting planes — [`JobWatch`]/[`TimedWatch`] probes, the seeded
-//! [`FaultPlan`](crate::fault::FaultPlan), per-PE introspection, and
-//! trace collection — compose uniformly over any backend.
+//! cross-cutting planes — [`JobWatch`]/[`TimedWatch`] probes, the
+//! launch's armed [`FaultPlan`](crate::fault::FaultPlan), per-PE
+//! introspection, and trace collection — compose uniformly over any
+//! backend.
 //!
 //! ## The contract
 //!
@@ -44,6 +45,7 @@ use substrate::sync::Mutex;
 
 use crate::ctx::ShmemCtx;
 use crate::fabric::{BlockedOn, Fabric, PeProbe, ProtoMsg, Q_SERVICE};
+use crate::fault::LaunchFaults;
 use udn::packet::PayloadVec;
 use crate::runtime::RuntimeConfig;
 use crate::service::service_loop;
@@ -85,8 +87,8 @@ struct QueueState {
 }
 
 /// Launch-wide observability state shared by every LP of a cooperative
-/// (timed or multichip) run: per-LP probes, the trace sink, and the
-/// modeled UDN queue occupancy with its credit waiters. The coop
+/// (timed or multichip) run: per-LP probes, the trace sink, the fault
+/// plan, and the modeled UDN queue occupancy with its credit waiters. The coop
 /// watchdog ([`TimedWatch`]) attaches to this — which is why every coop
 /// backend gets liveness diagnosis without engine-specific code.
 pub struct CoopCore {
@@ -104,6 +106,8 @@ pub struct CoopCore {
     pub trace: Option<Arc<TraceSink>>,
     /// Modeled UDN queue depth (packets); `None` = unbounded.
     pub queue_cap: Option<usize>,
+    /// The fault plan this launch was handed, armed for it alone.
+    pub faults: Option<Arc<LaunchFaults>>,
     qstate: Mutex<QueueState>,
 }
 
@@ -113,6 +117,7 @@ impl CoopCore {
         chips: usize,
         trace: Option<Arc<TraceSink>>,
         queue_cap: Option<usize>,
+        faults: Option<Arc<LaunchFaults>>,
     ) -> Arc<Self> {
         assert!(queue_cap != Some(0), "queue_cap must be at least 1 packet");
         assert!(chips >= 1 && npes.is_multiple_of(chips));
@@ -123,6 +128,7 @@ impl CoopCore {
             probes: (0..2 * npes).map(|_| Arc::new(PeProbe::new())).collect(),
             trace,
             queue_cap,
+            faults,
             qstate: Mutex::new(QueueState {
                 // cold: once per launch, in the constructor.
                 occ: vec![[0; udn::NUM_QUEUES]; 2 * npes],
@@ -171,20 +177,22 @@ impl CoopLp {
         Self { core, pe, lp: lp_id, probe, coop, clock }
     }
 
-    /// Count one completed (state-changing) op, tick the fault plane's
+    /// Count one completed (state-changing) op, tick the fault plan's
     /// op clock, and serve any `SlowPe` fault by advancing virtual time.
     pub fn progress(&self) {
         self.probe.bump();
-        crate::fault::note_op();
-        if let Some(us) = crate::fault::slow_pe_delay_us(self.pe) {
-            self.coop.advance(SimTime::from_ns(us * 1000));
+        if let Some(faults) = &self.core.faults {
+            faults.note_op();
+            if let Some(us) = faults.slow_pe_delay_us(self.pe) {
+                self.coop.advance(SimTime::from_ns(us * 1000));
+            }
         }
     }
 
     /// Effective modeled queue depth: the configured cap, tightened by
     /// any active `ClampQueueDepth` fault.
     fn effective_cap(&self) -> Option<usize> {
-        let clamp = crate::fault::clamp_queue_depth();
+        let clamp = self.core.faults.as_ref().and_then(|f| f.clamp_queue_depth());
         match (self.core.queue_cap, clamp) {
             (Some(b), Some(c)) => Some(b.min(c)),
             (Some(b), None) => Some(b),
@@ -278,7 +286,7 @@ impl CoopLp {
             return false;
         }
         let t0 = self.coop.now();
-        if let Some(us) = crate::fault::protocol_send_delay_us() {
+        if let Some(us) = self.core.faults.as_ref().and_then(|f| f.protocol_send_delay_us()) {
             self.coop.advance(SimTime::from_ns(us * 1000));
         }
         self.coop.advance(SimTime::from_ps(sw_overhead_ps));
@@ -431,8 +439,16 @@ pub trait EngineBackend {
     }
 
     /// Run `f` on every PE and collect the outcome. The backend must
-    /// honor `watch` (attach it before any PE starts) and `cfg.trace`.
-    fn execute<R, F>(&self, cfg: &RuntimeConfig, watch: &WatchPlane<'_>, f: F) -> EngineOutcome<R>
+    /// honor `watch` (attach it before any PE starts), `cfg.trace`, and
+    /// `faults` — the launch's armed plan, which every context of this
+    /// launch and no other reads.
+    fn execute<R, F>(
+        &self,
+        cfg: &RuntimeConfig,
+        watch: &WatchPlane<'_>,
+        faults: Option<&Arc<LaunchFaults>>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync;
@@ -514,12 +530,18 @@ impl EngineBackend for TimedBackend {
         "timed"
     }
 
-    fn execute<R, F>(&self, cfg: &RuntimeConfig, watch: &WatchPlane<'_>, f: F) -> EngineOutcome<R>
+    fn execute<R, F>(
+        &self,
+        cfg: &RuntimeConfig,
+        watch: &WatchPlane<'_>,
+        faults: Option<&Arc<LaunchFaults>>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        MultiChipBackend { chips: 1 }.execute(cfg, watch, f)
+        MultiChipBackend { chips: 1 }.execute(cfg, watch, faults, f)
     }
 }
 
@@ -547,7 +569,13 @@ impl EngineBackend for MultiChipBackend {
         );
     }
 
-    fn execute<R, F>(&self, cfg: &RuntimeConfig, watch: &WatchPlane<'_>, f: F) -> EngineOutcome<R>
+    fn execute<R, F>(
+        &self,
+        cfg: &RuntimeConfig,
+        watch: &WatchPlane<'_>,
+        faults: Option<&Arc<LaunchFaults>>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
@@ -557,7 +585,7 @@ impl EngineBackend for MultiChipBackend {
         let layout = crate::ctx::Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
         // One lane per LP: PEs, then their interrupt-service contexts.
         let sink = cfg.trace.then(|| Arc::new(TraceSink::with_lanes(2 * npes)));
-        let shared = TimedShared::new(cfg, self.chips, sink.clone());
+        let shared = TimedShared::new(cfg, self.chips, sink.clone(), faults.cloned());
         let observer = coop_observer(watch, &shared.core);
         run_coop_lps(
             npes,

@@ -51,6 +51,7 @@ use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
 use crate::engine::wall::{run_wall, Admission, Resident, WallFabric};
 use crate::fabric::{BlockedOn, CellKey, Fabric, Locality, PeProbe, ProtoMsg};
+use crate::fault::LaunchFaults;
 use crate::trace::TraceKind;
 
 /// FIFO admission gate: at most one holder at a time, waiters queued in
@@ -297,7 +298,7 @@ impl Admission for Gated {
     }
 
     fn locality(fab: &WallFabric<Self>) -> Option<&dyn Locality> {
-        crate::fault::coop_locality().then_some(fab)
+        fab.shared.locality.then_some(fab)
     }
 
     fn erase(fab: WallFabric<Self>) -> Box<dyn Fabric> {
@@ -498,7 +499,13 @@ impl EngineBackend for CoopBackend {
         Gated::NAME
     }
 
-    fn execute<R, F>(&self, cfg: &crate::runtime::RuntimeConfig, watch: &WatchPlane<'_>, f: F) -> EngineOutcome<R>
+    fn execute<R, F>(
+        &self,
+        cfg: &crate::runtime::RuntimeConfig,
+        watch: &WatchPlane<'_>,
+        faults: Option<&Arc<LaunchFaults>>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
@@ -514,7 +521,7 @@ impl EngineBackend for CoopBackend {
                 &own
             }
         };
-        run_wall(GateSet::new(cfg.npes, block), block, resident, cfg, watch, f)
+        run_wall(GateSet::new(cfg.npes, block), block, resident, cfg, watch, faults, f)
     }
 }
 
@@ -805,6 +812,7 @@ mod tests {
             ShardedArena::from_shards(set.shards, block, 4096),
             set.privates,
             gate.workers,
+            None,
             None,
         );
         (wall, gate)

@@ -57,6 +57,7 @@ use udn::timing::UdnModel;
 
 use super::backend::{CoopCore, CoopLp};
 use crate::fabric::{self, BlockedOn, Fabric, PeProbe, ProtoMsg, RmwOp, RmwWidth};
+use crate::fault::LaunchFaults;
 use crate::runtime::RuntimeConfig;
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 
@@ -111,8 +112,13 @@ impl TimedShared {
     /// (cross-chip transfers appear as [`TraceKind::Link`] events);
     /// `cfg.udn_queue_packets` bounds the modeled UDN demux queues,
     /// giving the same finite-buffer backpressure semantics as a
-    /// bounded native fabric.
-    pub fn new(cfg: &RuntimeConfig, chips: usize, trace: Option<Arc<TraceSink>>) -> Arc<Self> {
+    /// bounded native fabric; `faults` is the launch's armed plan.
+    pub fn new(
+        cfg: &RuntimeConfig,
+        chips: usize,
+        trace: Option<Arc<TraceSink>>,
+        faults: Option<Arc<LaunchFaults>>,
+    ) -> Arc<Self> {
         assert!(chips >= 1);
         let area = cfg.area();
         let pes_per_chip = cfg.npes;
@@ -145,7 +151,7 @@ impl TimedShared {
             chips,
             partition_bytes: cfg.partition_bytes,
             homing_overrides: Mutex::new(Vec::new()),
-            core: CoopCore::new(npes, chips, trace, cfg.udn_queue_packets),
+            core: CoopCore::new(npes, chips, trace, cfg.udn_queue_packets, faults),
         })
     }
 
@@ -259,7 +265,7 @@ impl TimedFabric {
     /// `None` when the frame was dropped in flight — the caller decides
     /// what "nothing arrived" means for its operation.
     fn link_checked(&self, from: usize, to: usize, now: SimTime, bytes: usize) -> Option<SimTime> {
-        let fault = crate::fault::link_fault();
+        let fault = self.shared.core.faults.as_ref().and_then(|f| f.link_fault());
         let arrival = self
             .lp
             .coop
@@ -651,5 +657,9 @@ impl Fabric for TimedFabric {
 
     fn probe(&self) -> Option<&PeProbe> {
         Some(&self.lp.probe)
+    }
+
+    fn faults(&self) -> Option<&LaunchFaults> {
+        self.shared.core.faults.as_deref()
     }
 }

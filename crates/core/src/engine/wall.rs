@@ -44,6 +44,7 @@ use udn::fabric::{UdnEndpoint, UdnFabric};
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
 use crate::fabric::{self, BlockedOn, Fabric, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth, Q_SERVICE};
+use crate::fault::LaunchFaults;
 use crate::runtime::RuntimeConfig;
 use crate::server::arena::{ArenaPool, Geometry, SegmentSet};
 use crate::service::{service_loop, TAG_ABORT, TAG_SHUTDOWN};
@@ -321,12 +322,17 @@ pub struct WallShared {
     /// scales its wall-clock window by this — a descheduled-but-runnable
     /// PE progresses this many times slower without being any less live.
     pub oversubscription: usize,
+    /// The fault plan this launch was handed, armed for it alone.
+    pub faults: Option<Arc<LaunchFaults>>,
+    /// [`crate::fault::coop_locality`] as it read when the launch began:
+    /// every PE of one launch takes the same transports.
+    pub(crate) locality: bool,
 }
 
 impl WallShared {
     /// The shared state of a launch of `cfg` over `endpoints`, `arena`
     /// and the PEs' private segments, of whose `2 * npes` contexts
-    /// `running` can run at once.
+    /// `running` can run at once, under fault plan `faults`.
     pub fn new(
         cfg: &RuntimeConfig,
         endpoints: Vec<UdnEndpoint>,
@@ -334,6 +340,7 @@ impl WallShared {
         privates: Vec<Arc<CommonMemory>>,
         running: usize,
         trace: Option<Arc<TraceSink>>,
+        faults: Option<Arc<LaunchFaults>>,
     ) -> Arc<Self> {
         let npes = cfg.npes;
         assert_eq!(endpoints.len(), npes, "one UDN endpoint per PE");
@@ -360,6 +367,8 @@ impl WallShared {
             waker: endpoints[0].sender(),
             endpoints,
             oversubscription: (2 * npes).div_ceil(running),
+            faults,
+            locality: crate::fault::coop_locality(),
         })
     }
 
@@ -550,11 +559,21 @@ impl<P: Admission> WallFabric<P> {
     #[inline]
     pub(crate) fn progress(&self) {
         self.probe.bump();
-        crate::fault::note_op();
-        if crate::fault::panic_pe_now(self.pe) {
-            panic!("PE {}: injected PanicPe fault (crashing-tenant model)", self.pe);
+        if let Some(faults) = &self.shared.faults {
+            faults.note_op();
+            if faults.panic_pe_now(self.pe) {
+                panic!("PE {}: injected PanicPe fault (crashing-tenant model)", self.pe);
+            }
+            if let Some(us) = faults.slow_pe_delay_us(self.pe) {
+                self.sleep_checking_abort(us);
+            }
         }
-        if let Some(us) = crate::fault::slow_pe_delay_us(self.pe) {
+    }
+
+    /// Serve a `DelayProtocolSends` fault on the send being made now.
+    #[inline]
+    fn delay_protocol_send(&self) {
+        if let Some(us) = self.shared.faults.as_ref().and_then(|f| f.protocol_send_delay_us()) {
             self.sleep_checking_abort(us);
         }
     }
@@ -640,9 +659,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
     }
 
     fn udn_send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) {
-        if let Some(us) = crate::fault::protocol_send_delay_us() {
-            self.sleep_checking_abort(us);
-        }
+        self.delay_protocol_send();
         // Q_SERVICE is consumed by the destination's service context;
         // the routing is by queue, so a plain send reaches it.
         if self.listening(dest, queue, tag) && !self.udn().try_send(dest, queue, tag, payload) {
@@ -663,16 +680,14 @@ impl<P: Admission> Fabric for WallFabric<P> {
         // A `ClampQueueDepth` fault squeezes the *effective* queue depth
         // below the fabric's real bound, forcing the draining-send
         // backpressure path mid-run.
-        if let Some(depth) = crate::fault::clamp_queue_depth() {
+        if let Some(depth) = self.shared.faults.as_ref().and_then(|f| f.clamp_queue_depth()) {
             if self.udn().dest_queue_len(dest, queue) >= depth {
                 return false;
             }
         }
         let sent = !self.listening(dest, queue, tag) || self.udn().try_send(dest, queue, tag, payload);
         if sent {
-            if let Some(us) = crate::fault::protocol_send_delay_us() {
-                self.sleep_checking_abort(us);
-            }
+            self.delay_protocol_send();
             self.trace(TraceKind::UdnSend, dest, 8 * payload.len() as u64);
             self.progress();
         } else {
@@ -831,6 +846,10 @@ impl<P: Admission> Fabric for WallFabric<P> {
         Some(&self.probe)
     }
 
+    fn faults(&self) -> Option<&LaunchFaults> {
+        self.shared.faults.as_deref()
+    }
+
     fn quiet(&self) {
         tmc::fence::mem_fence();
     }
@@ -891,16 +910,17 @@ impl Resident {
 
 /// The one wall-clock launch body: build the shared state for `block`
 /// PEs per arena shard over memory checked out of `resident`, start
-/// every PE's main context under `gate` on its lanes, run `f`, and tear
-/// down — joining the interrupt-service contexts the job's requests
-/// started and, on clean completion, retiring the memory with its dirty
-/// extent.
+/// every PE's main context under `gate` on its lanes, run `f` under
+/// `faults`, and tear down — joining the interrupt-service contexts the
+/// job's requests started and, on clean completion, retiring the memory
+/// with its dirty extent.
 pub(crate) fn run_wall<P, R, F>(
     gate: P,
     block: usize,
     resident: &Resident,
     cfg: &RuntimeConfig,
     watch: &WatchPlane<'_>,
+    faults: Option<&Arc<LaunchFaults>>,
     f: F,
 ) -> EngineOutcome<R>
 where
@@ -930,7 +950,7 @@ where
     let geometry = Geometry::of(cfg, block);
     let SegmentSet { shards, privates } = resident.sets.checkout(geometry);
     let arena = ShardedArena::from_shards(shards, block, cfg.partition_bytes);
-    let shared = WallShared::new(cfg, endpoints, arena, privates, running, sink.clone());
+    let shared = WallShared::new(cfg, endpoints, arena, privates, running, sink.clone(), faults.cloned());
     if let Some(w) = job_watch {
         w.attach(shared.clone());
     }
@@ -1035,11 +1055,17 @@ impl EngineBackend for NativeBackend {
         Free::NAME
     }
 
-    fn execute<R, F>(&self, cfg: &RuntimeConfig, watch: &WatchPlane<'_>, f: F) -> EngineOutcome<R>
+    fn execute<R, F>(
+        &self,
+        cfg: &RuntimeConfig,
+        watch: &WatchPlane<'_>,
+        faults: Option<&Arc<LaunchFaults>>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        run_wall(Free, cfg.npes, &Resident::for_one_launch(), cfg, watch, f)
+        run_wall(Free, cfg.npes, &Resident::for_one_launch(), cfg, watch, faults, f)
     }
 }

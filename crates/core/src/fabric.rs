@@ -455,7 +455,7 @@ pub trait Fabric: Send {
     fn now_ns(&self) -> f64;
 
     /// Stall this context for `micros` engine-native microseconds — the
-    /// fault-injection plane's delay primitive (`crate::fault`). The
+    /// fault plan's delay primitive (`crate::fault`). The
     /// native engine sleeps in abort-checking chunks so an injected
     /// stall cannot outlive a job teardown; the timed engine advances
     /// virtual time. Engines without fault support keep this no-op.
@@ -471,6 +471,10 @@ pub trait Fabric: Send {
     fn probe(&self) -> Option<&PeProbe> {
         None
     }
+
+    /// The fault plan of the launch this context belongs to, if it was
+    /// handed one (`Launcher::with_faults`).
+    fn faults(&self) -> Option<&crate::fault::LaunchFaults>;
 }
 
 /// What an engine that multiplexes PEs on shared workers (the M:N coop

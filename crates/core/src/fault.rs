@@ -1,13 +1,14 @@
-//! The fault-injection plane: seeded, replayable liveness faults.
+//! The fault-injection plane: seeded, replayable liveness faults, handed
+//! to one launch.
 //!
 //! PR 1 fixed a real dissemination-barrier deadlock: a PE blocked in a
 //! plain full-queue send cannot drain its own demux queue, so a cycle of
 //! blocked senders hangs on finite-buffer fabrics. The stress harness's
 //! watchdog exists to catch exactly that bug class, and its detection
-//! power is proven by *reintroducing* faults on demand. PR 2 added the
-//! single [`set_blocking_protocol_sends`] hook; this module grows it
-//! into a plane of five fault kinds, drawn from a seed by substrate's
-//! `KeyedRng` so any fault schedule is replayable byte-identically
+//! power is proven by *reintroducing* faults on demand
+//! ([`Fault::BlockingProtocolSends`]) — one of the fault kinds here,
+//! drawn from a seed by substrate's `KeyedRng` so any fault schedule is
+//! replayable byte-identically
 //! (`cargo run -p stress -- --fault-plan SEED`).
 //!
 //! Every fault is a *liveness* fault, never a correctness fault: an
@@ -17,58 +18,41 @@
 //! caught by a watchdog whose diagnosis names the faulted component —
 //! it must never hang the test runner.
 //!
-//! All state is process-wide (protocol code has no test-only
-//! configuration channel, and a cargo feature would leak through
-//! workspace feature unification into every build). Tests that install
-//! a plan or flip the legacy switch must live in their own test binary
-//! so the process-global state cannot poison unrelated
-//! concurrently-running tests.
+//! A [`FaultPlan`] is a value, and its lifetime is one launch:
+//! `Launcher::with_faults` arms it as a [`LaunchFaults`] — the faults,
+//! their one-shot budgets and the op, send, frame and completion
+//! counters their triggers key off — which the launch's shared state
+//! (`WallShared`, `CoopCore`) holds behind an `Arc`. Every hook is a
+//! method on it and takes no lock; a launch without a plan pays one
+//! `None` check. A server job's plan (`JobSpec::with_faults`) is armed
+//! once for the job, so a `PanicPe` budget is spent once across its
+//! eviction retries. Two launches in flight at once — two tests, two
+//! tenants — never see each other's plan, and every stall report names
+//! the plan of the launch it diagnoses.
+//!
+//! Two entries are not faults but equivalence reference arms:
+//! [`Fault::GeneralRmaPaths`] and [`Fault::EagerNbi`] switch an
+//! optimisation off, so a suite can compare the same program both ways.
+//! `ShmemCtx` reads them (and [`Fault::BlockingProtocolSends`]) once,
+//! when it is built.
+//!
+//! One global knob remains: [`set_coop_locality`]. The
+//! benchmark's `engine.coop.locality_speedup_256` probe flips it for its
+//! off arm and the benchmark crate is edited on its own; until then it
+//! is read once per launch (`WallShared::new` snapshots it), so a flip
+//! while a launch runs reaches only later launches.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use substrate::rng::KeyedRng;
-use substrate::sync::Mutex;
-
-static BLOCKING_PROTOCOL_SENDS: AtomicBool = AtomicBool::new(false);
-
-/// Degrade every `send_draining` to a plain blocking send (the PR-1
-/// barrier bug) while `on` is true. **Fault injection for watchdog
-/// tests only** — never enable in normal operation.
-pub fn set_blocking_protocol_sends(on: bool) {
-    BLOCKING_PROTOCOL_SENDS.store(on, Ordering::Release);
-}
-
-/// Whether protocol sends are currently degraded, either by the legacy
-/// switch or by an installed [`FaultPlan`] containing
-/// [`Fault::BlockingProtocolSends`].
-pub fn blocking_protocol_sends() -> bool {
-    BLOCKING_PROTOCOL_SENDS.load(Ordering::Acquire) || PLAN_BLOCKING.load(Ordering::Acquire)
-}
-
-static RMA_FAST_PATHS_OFF: AtomicBool = AtomicBool::new(false);
-
-/// Disable the RMA batched fast paths (unit-stride `iput`/`iget` runs,
-/// contiguous-source borrows) so every strided transfer takes the
-/// general per-element path. **Equivalence testing only**: the fast and
-/// general paths must produce identical memory state and identical
-/// `Stats`, and the suite proves it by running the same seeded program
-/// both ways.
-pub fn set_rma_fast_paths(on: bool) {
-    RMA_FAST_PATHS_OFF.store(!on, Ordering::Release);
-}
-
-/// Whether the RMA fast paths are enabled (the default).
-#[inline]
-pub fn rma_fast_paths() -> bool {
-    !RMA_FAST_PATHS_OFF.load(Ordering::Relaxed)
-}
 
 static COOP_LOCALITY_OFF: AtomicBool = AtomicBool::new(false);
 
 /// Disable the coop engine's locality awareness (same-worker RMA fast
-/// paths, co-resident recv hints, the counter-cell collectives)
-/// so every transfer takes the engine-agnostic channel/protocol path.
-/// **Equivalence testing only**: the locality-aware and locality-blind
+/// paths, co-resident recv hints, the counter-cell collectives) for
+/// launches started from now on, so every transfer takes the
+/// engine-agnostic channel/protocol path. **Equivalence testing and
+/// the locality ablation only**: the locality-aware and locality-blind
 /// paths must produce identical memory state and identical API-level
 /// `Stats`, and the locality suite proves it by running the same seeded
 /// program both ways.
@@ -76,31 +60,13 @@ pub fn set_coop_locality(on: bool) {
     COOP_LOCALITY_OFF.store(!on, Ordering::Release);
 }
 
-/// Whether coop locality awareness is enabled (the default).
-#[inline]
+/// Whether launches started now get coop locality awareness (the
+/// default).
 pub fn coop_locality() -> bool {
-    !COOP_LOCALITY_OFF.load(Ordering::Relaxed)
+    !COOP_LOCALITY_OFF.load(Ordering::Acquire)
 }
 
-static NBI_EAGER: AtomicBool = AtomicBool::new(false);
-
-/// Complete every non-blocking RMA op immediately at issue instead of
-/// deferring to `quiet`. **Equivalence testing only**: eager and lazy
-/// completion must produce identical heap/static state and identical
-/// `Stats`, and the nbi suite proves it by running the same seeded
-/// program both ways. Same code path either way — eager mode simply
-/// drains the pending set after each issue.
-pub fn set_nbi_eager(on: bool) {
-    NBI_EAGER.store(on, Ordering::Release);
-}
-
-/// Whether nbi ops complete eagerly at issue (default: lazy).
-#[inline]
-pub fn nbi_eager() -> bool {
-    NBI_EAGER.load(Ordering::Relaxed)
-}
-
-/// One injectable liveness fault.
+/// One injectable liveness fault, or one equivalence reference arm.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Degrade `send_draining` to a plain blocking send (the PR-1
@@ -108,11 +74,23 @@ pub enum Fault {
     /// [`FaultPlan::from_seed`], whose plans must stay in the
     /// tolerated class.
     BlockingProtocolSends,
+    /// Take the general per-element path for every strided transfer
+    /// (no unit-stride batched `iput`/`iget` runs, no contiguous-source
+    /// borrows). An equivalence reference arm: the fast and general
+    /// paths must produce identical memory state and identical `Stats`.
+    /// Tolerated class; never drawn from a seed.
+    GeneralRmaPaths,
+    /// Complete every non-blocking RMA op at issue instead of deferring
+    /// it to `quiet` — the same code path, draining the pending set
+    /// after each issue. An equivalence reference arm: eager and lazy
+    /// completion must produce identical state and identical `Stats`.
+    /// Tolerated class; never drawn from a seed.
+    EagerNbi,
     /// Stall every `every`-th protocol send for `micros` µs before it
     /// enters the fabric (reordering/latency pressure on the token
     /// protocols).
     DelayProtocolSends { every: u64, micros: u64 },
-    /// Once the global op counter passes `after_ops`, clamp the
+    /// Once the launch's op counter passes `after_ops`, clamp the
     /// *effective* UDN queue depth to `depth` packets — a mid-run
     /// buffer squeeze that forces the draining-send backpressure path.
     ClampQueueDepth { after_ops: u64, depth: usize },
@@ -120,7 +98,7 @@ pub enum Fault {
     /// next `requests` redirected-RMA requests.
     StallServiceHandler { pe: usize, requests: u64, micros: u64 },
     /// Slow PE `pe` down: stall `micros` µs after every `every`-th of
-    /// its completed fabric ops (an overloaded-tile model).
+    /// the launch's completed fabric ops (an overloaded-tile model).
     SlowPe { pe: usize, every: u64, micros: u64 },
     /// Corrupt the `nth` cross-chip mPIPE frame in flight. Caught-class
     /// (like [`Fault::BlockingProtocolSends`], never drawn from a
@@ -139,12 +117,12 @@ pub enum Fault {
     /// flush). Tolerated-class: completions slow down but retire in
     /// issue order, so a correct program still converges to the oracle.
     DelayNbiCompletion { every: u64, micros: u64 },
-    /// Panic PE `pe` mid-program, once the global op counter passes
+    /// Panic PE `pe` mid-program, once the launch's op counter passes
     /// `after_ops` (a crashing-tenant model). Caught-class (never drawn
     /// from a seed): a single-job run aborts with the panic; under the
     /// server layer the panic is caught at the PE boundary and reported
     /// as a `Faulted` job outcome while the pool keeps serving. One-shot:
-    /// the fault fires on exactly one op, so a retried or subsequent job
+    /// the fault fires on exactly one op, so a retry of the same job
     /// runs clean.
     PanicPe { pe: usize, after_ops: u64 },
 }
@@ -153,6 +131,8 @@ impl std::fmt::Display for Fault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Fault::BlockingProtocolSends => write!(f, "BlockingProtocolSends"),
+            Fault::GeneralRmaPaths => write!(f, "GeneralRmaPaths"),
+            Fault::EagerNbi => write!(f, "EagerNbi"),
             Fault::DelayProtocolSends { every, micros } => {
                 write!(f, "DelayProtocolSends(every {every}th send +{micros}us)")
             }
@@ -188,6 +168,13 @@ pub struct FaultPlan {
     /// The generating seed (0 for hand-built plans).
     pub seed: u64,
     pub faults: Vec<Fault>,
+}
+
+/// A hand-built plan: `Launcher::with_faults([Fault::EagerNbi])`.
+impl<const N: usize> From<[Fault; N]> for FaultPlan {
+    fn from(faults: [Fault; N]) -> Self {
+        FaultPlan { seed: 0, faults: faults.into() }
+    }
 }
 
 impl FaultPlan {
@@ -233,244 +220,151 @@ impl FaultPlan {
     }
 }
 
-struct ActivePlan {
+/// A [`FaultPlan`] armed for one launch (see the module docs): the
+/// plan, its one-shot budgets, and the counters its triggers key off.
+pub struct LaunchFaults {
     plan: FaultPlan,
-    /// Remaining stall budget per fault (parallel to `plan.faults`;
-    /// only `StallServiceHandler` entries consume theirs).
+    /// Remaining budget per fault (parallel to `plan.faults`; only
+    /// `StallServiceHandler` and `PanicPe` entries consume theirs).
     budgets: Vec<AtomicU64>,
+    /// State-changing ops completed (drives `ClampQueueDepth::after_ops`,
+    /// `SlowPe::every` and `PanicPe::after_ops`).
+    ops: AtomicU64,
+    /// Protocol sends issued (drives `DelayProtocolSends::every`).
+    sends: AtomicU64,
+    /// Cross-chip mPIPE frames sent (drives the `nth`-frame link faults).
+    link_frames: AtomicU64,
+    /// Non-blocking-op completions drained (drives
+    /// `DelayNbiCompletion::every`).
+    nbi_completions: AtomicU64,
 }
 
-/// Fast-path gate: hooks bail immediately unless a plan is installed.
-static PLAN_ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Cached "plan contains BlockingProtocolSends" bit.
-static PLAN_BLOCKING: AtomicBool = AtomicBool::new(false);
-/// Global state-changing-op counter while a plan is active (drives
-/// `ClampQueueDepth::after_ops` and `SlowPe::every`).
-static PLAN_OPS: AtomicU64 = AtomicU64::new(0);
-/// Global protocol-send counter while a plan is active.
-static PLAN_SENDS: AtomicU64 = AtomicU64::new(0);
-/// Global cross-chip mPIPE frame counter while a plan is active (drives
-/// the `nth`-frame link faults).
-static PLAN_LINK_FRAMES: AtomicU64 = AtomicU64::new(0);
-/// Global nbi-completion counter while a plan is active (drives
-/// `DelayNbiCompletion::every`).
-static PLAN_NBI_COMPLETIONS: AtomicU64 = AtomicU64::new(0);
-static PLAN: Mutex<Option<ActivePlan>> = Mutex::new(None);
+impl LaunchFaults {
+    /// Arm `plan`: full budgets, every counter at zero.
+    pub fn new(plan: FaultPlan) -> Self {
+        let budgets = plan
+            .faults
+            .iter()
+            .map(|f| match f {
+                Fault::StallServiceHandler { requests, .. } => AtomicU64::new(*requests),
+                // One-shot: a crashing tenant crashes once, so a retry
+                // under the same armed plan runs clean.
+                Fault::PanicPe { .. } => AtomicU64::new(1),
+                _ => AtomicU64::new(0),
+            })
+            .collect();
+        Self {
+            plan,
+            budgets,
+            ops: AtomicU64::new(0),
+            sends: AtomicU64::new(0),
+            link_frames: AtomicU64::new(0),
+            nbi_completions: AtomicU64::new(0),
+        }
+    }
 
-/// Install a fault plan process-wide, replacing any previous plan and
-/// resetting the fault counters. See the module docs for the
-/// own-test-binary rule.
-pub fn install(plan: FaultPlan) {
-    let blocking = plan.faults.contains(&Fault::BlockingProtocolSends);
-    let budgets = plan
-        .faults
-        .iter()
-        .map(|f| match f {
-            Fault::StallServiceHandler { requests, .. } => AtomicU64::new(*requests),
-            // One-shot: a crashing tenant crashes once, so a retried or
-            // subsequent job under the same plan runs clean.
-            Fault::PanicPe { .. } => AtomicU64::new(1),
-            _ => AtomicU64::new(0),
+    /// [`FaultPlan::describe`] of the armed plan, for stall reports.
+    pub fn describe(&self) -> String {
+        self.plan.describe()
+    }
+
+    /// Whether the plan holds `fault` (the parameterless entries).
+    pub(crate) fn has(&self, fault: &Fault) -> bool {
+        self.plan.faults.contains(fault)
+    }
+
+    /// Spend one unit of fault `i`'s budget; `false` once it is gone.
+    fn spend(&self, i: usize) -> bool {
+        self.budgets[i]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| left.checked_sub(1))
+            .is_ok()
+    }
+
+    /// Engines call this on every completed state-changing op so mid-run
+    /// triggers have a clock to key off.
+    #[inline]
+    pub(crate) fn note_op(&self) {
+        self.ops.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Delay (µs) to inject before the current protocol send, if any.
+    pub(crate) fn protocol_send_delay_us(&self) -> Option<u64> {
+        let n = self.sends.fetch_add(1, Ordering::Relaxed) + 1;
+        self.plan.faults.iter().find_map(|f| match f {
+            Fault::DelayProtocolSends { every, micros } if n.is_multiple_of(*every) => Some(*micros),
+            _ => None,
         })
-        .collect();
-    *PLAN.lock() = Some(ActivePlan { plan, budgets });
-    PLAN_OPS.store(0, Ordering::Relaxed);
-    PLAN_SENDS.store(0, Ordering::Relaxed);
-    PLAN_LINK_FRAMES.store(0, Ordering::Relaxed);
-    PLAN_NBI_COMPLETIONS.store(0, Ordering::Relaxed);
-    PLAN_BLOCKING.store(blocking, Ordering::Release);
-    PLAN_ACTIVE.store(true, Ordering::Release);
-}
-
-/// Remove the installed plan (tests must clear before exiting so later
-/// runs in the same process start clean).
-pub fn clear() {
-    PLAN_ACTIVE.store(false, Ordering::Release);
-    PLAN_BLOCKING.store(false, Ordering::Release);
-    *PLAN.lock() = None;
-}
-
-/// Description of the active plan, for watchdog reports.
-pub fn describe_active() -> Option<String> {
-    if !PLAN_ACTIVE.load(Ordering::Acquire) {
-        return None;
     }
-    PLAN.lock().as_ref().map(|a| a.plan.describe())
-}
 
-/// Engines call this on every completed state-changing op so mid-run
-/// triggers (`ClampQueueDepth::after_ops`, `SlowPe::every`) have a
-/// clock to key off. No-op unless a plan is active.
-#[inline]
-pub(crate) fn note_op() {
-    if PLAN_ACTIVE.load(Ordering::Relaxed) {
-        PLAN_OPS.fetch_add(1, Ordering::Relaxed);
+    /// Effective queue-depth clamp, once its op threshold has passed.
+    pub(crate) fn clamp_queue_depth(&self) -> Option<usize> {
+        let ops = self.ops.load(Ordering::Relaxed);
+        self.plan
+            .faults
+            .iter()
+            .filter_map(|f| match f {
+                Fault::ClampQueueDepth { after_ops, depth } if ops >= *after_ops => Some(*depth),
+                _ => None,
+            })
+            .min()
     }
-}
 
-/// Delay (µs) to inject before the current protocol send, if any.
-pub(crate) fn protocol_send_delay_us() -> Option<u64> {
-    if !PLAN_ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    let n = PLAN_SENDS.fetch_add(1, Ordering::Relaxed) + 1;
-    let guard = PLAN.lock();
-    let active = guard.as_ref()?;
-    for f in &active.plan.faults {
-        if let Fault::DelayProtocolSends { every, micros } = f {
-            if n.is_multiple_of(*every) {
-                return Some(*micros);
+    /// Stall (µs) the service handler on PE `pe` should inject for the
+    /// request it just received, consuming one unit of that fault's budget.
+    pub(crate) fn service_stall_us(&self, pe: usize) -> Option<u64> {
+        self.plan.faults.iter().enumerate().find_map(|(i, f)| match f {
+            Fault::StallServiceHandler { pe: fpe, micros, .. } if *fpe == pe && self.spend(i) => {
+                Some(*micros)
             }
-        }
+            _ => None,
+        })
     }
-    None
-}
 
-/// Effective queue-depth clamp, once its op threshold has passed.
-pub(crate) fn clamp_queue_depth() -> Option<usize> {
-    if !PLAN_ACTIVE.load(Ordering::Acquire) {
-        return None;
+    /// Fault to apply to the cross-chip mPIPE frame being sent right now,
+    /// if the plan targets this frame. The multichip engine calls this
+    /// once per cross-chip transfer.
+    pub(crate) fn link_fault(&self) -> Option<mpipe::FrameFault> {
+        let n = self.link_frames.fetch_add(1, Ordering::Relaxed) + 1;
+        self.plan.faults.iter().find_map(|f| match f {
+            Fault::CorruptLinkPacket { nth } if *nth == n => Some(mpipe::FrameFault::Corrupt),
+            Fault::DropLinkPacket { nth } if *nth == n => Some(mpipe::FrameFault::Drop),
+            Fault::DuplicateLinkPacket { nth } if *nth == n => Some(mpipe::FrameFault::Duplicate),
+            _ => None,
+        })
     }
-    let ops = PLAN_OPS.load(Ordering::Relaxed);
-    let guard = PLAN.lock();
-    let active = guard.as_ref()?;
-    let mut clamp: Option<usize> = None;
-    for f in &active.plan.faults {
-        if let Fault::ClampQueueDepth { after_ops, depth } = f {
-            if ops >= *after_ops {
-                clamp = Some(clamp.map_or(*depth, |c| c.min(*depth)));
-            }
-        }
-    }
-    clamp
-}
 
-/// Stall (µs) the service handler on PE `pe` should inject for the
-/// request it just received, consuming one unit of that fault's budget.
-pub(crate) fn service_stall_us(pe: usize) -> Option<u64> {
-    if !PLAN_ACTIVE.load(Ordering::Acquire) {
-        return None;
+    /// Delay (µs) to inject before the non-blocking-op completion being
+    /// drained right now, if the plan stalls this one.
+    pub(crate) fn nbi_completion_delay_us(&self) -> Option<u64> {
+        let n = self.nbi_completions.fetch_add(1, Ordering::Relaxed) + 1;
+        self.plan.faults.iter().find_map(|f| match f {
+            Fault::DelayNbiCompletion { every, micros } if n.is_multiple_of(*every) => Some(*micros),
+            _ => None,
+        })
     }
-    let guard = PLAN.lock();
-    let active = guard.as_ref()?;
-    for (i, f) in active.plan.faults.iter().enumerate() {
-        if let Fault::StallServiceHandler { pe: fpe, micros, .. } = f {
-            if *fpe == pe {
-                let budget = &active.budgets[i];
-                let mut left = budget.load(Ordering::Relaxed);
-                while left > 0 {
-                    match budget.compare_exchange(
-                        left,
-                        left - 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => return Some(*micros),
-                        Err(cur) => left = cur,
-                    }
-                }
-            }
-        }
-    }
-    None
-}
 
-/// Fault to apply to the cross-chip mPIPE frame being sent right now,
-/// if the active plan targets this frame. Counts frames while a plan is
-/// active; the multichip engine calls this once per cross-chip
-/// transfer.
-pub(crate) fn link_fault() -> Option<mpipe::FrameFault> {
-    if !PLAN_ACTIVE.load(Ordering::Acquire) {
-        return None;
+    /// Whether PE `pe` must panic right now: a `PanicPe` fault targets
+    /// it, the op counter has passed its threshold, and its one-shot
+    /// budget is unspent (spent here, so exactly one op fires).
+    pub(crate) fn panic_pe_now(&self, pe: usize) -> bool {
+        let ops = self.ops.load(Ordering::Relaxed);
+        self.plan.faults.iter().enumerate().any(|(i, f)| {
+            matches!(f, Fault::PanicPe { pe: fpe, after_ops } if *fpe == pe && ops >= *after_ops)
+                && self.spend(i)
+        })
     }
-    let n = PLAN_LINK_FRAMES.fetch_add(1, Ordering::Relaxed) + 1;
-    let guard = PLAN.lock();
-    let active = guard.as_ref()?;
-    for f in &active.plan.faults {
-        match f {
-            Fault::CorruptLinkPacket { nth } if *nth == n => {
-                return Some(mpipe::FrameFault::Corrupt)
-            }
-            Fault::DropLinkPacket { nth } if *nth == n => return Some(mpipe::FrameFault::Drop),
-            Fault::DuplicateLinkPacket { nth } if *nth == n => {
-                return Some(mpipe::FrameFault::Duplicate)
-            }
-            _ => {}
-        }
-    }
-    None
-}
 
-/// Delay (µs) to inject before the non-blocking-op completion being
-/// drained right now, if the active plan stalls this one.
-pub(crate) fn nbi_completion_delay_us() -> Option<u64> {
-    if !PLAN_ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    let n = PLAN_NBI_COMPLETIONS.fetch_add(1, Ordering::Relaxed) + 1;
-    let guard = PLAN.lock();
-    let active = guard.as_ref()?;
-    for f in &active.plan.faults {
-        if let Fault::DelayNbiCompletion { every, micros } = f {
-            if n.is_multiple_of(*every) {
-                return Some(*micros);
+    /// Delay (µs) to inject into PE `pe`'s op stream right now, if it is a
+    /// `SlowPe` target on an `every`-th op.
+    pub(crate) fn slow_pe_delay_us(&self, pe: usize) -> Option<u64> {
+        let ops = self.ops.load(Ordering::Relaxed);
+        self.plan.faults.iter().find_map(|f| match f {
+            Fault::SlowPe { pe: fpe, every, micros } if *fpe == pe && ops.is_multiple_of(*every) => {
+                Some(*micros)
             }
-        }
+            _ => None,
+        })
     }
-    None
-}
-
-/// Whether PE `pe` must panic right now: an installed `PanicPe` fault
-/// targets it, the global op counter has passed its threshold, and its
-/// one-shot budget is unspent (consumed here, so exactly one op fires).
-pub(crate) fn panic_pe_now(pe: usize) -> bool {
-    if !PLAN_ACTIVE.load(Ordering::Acquire) {
-        return false;
-    }
-    let ops = PLAN_OPS.load(Ordering::Relaxed);
-    let guard = PLAN.lock();
-    let Some(active) = guard.as_ref() else {
-        return false;
-    };
-    for (i, f) in active.plan.faults.iter().enumerate() {
-        if let Fault::PanicPe { pe: fpe, after_ops } = f {
-            if *fpe == pe && ops >= *after_ops {
-                let budget = &active.budgets[i];
-                let mut left = budget.load(Ordering::Relaxed);
-                while left > 0 {
-                    match budget.compare_exchange(
-                        left,
-                        left - 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => return true,
-                        Err(cur) => left = cur,
-                    }
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Delay (µs) to inject into PE `pe`'s op stream right now, if it is a
-/// `SlowPe` target on an `every`-th op.
-pub(crate) fn slow_pe_delay_us(pe: usize) -> Option<u64> {
-    if !PLAN_ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    let ops = PLAN_OPS.load(Ordering::Relaxed);
-    let guard = PLAN.lock();
-    let active = guard.as_ref()?;
-    for f in &active.plan.faults {
-        if let Fault::SlowPe { pe: fpe, every, micros } = f {
-            if *fpe == pe && ops.is_multiple_of(*every) {
-                return Some(*micros);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -489,12 +383,37 @@ mod tests {
         assert_ne!(a, c, "distinct seeds should draw distinct plans");
     }
 
+    /// The fault-matrix seeds of `tools/check_hermetic.sh` draw the same
+    /// plans they always have: a printed `--fault-plan` hint replays.
+    #[test]
+    fn fault_matrix_seeds_describe_as_pinned() {
+        let pinned = [
+            (0x11, "fault plan seed 0x11: [DelayProtocolSends(every 3th send +105us)]"),
+            (
+                0x21,
+                "fault plan seed 0x21: [DelayProtocolSends(every 3th send +61us), \
+                 StallServiceHandler(PE 0, first 3 requests +1043us)]",
+            ),
+            (
+                0x31,
+                "fault plan seed 0x31: [DelayProtocolSends(every 3th send +160us), \
+                 ClampQueueDepth(depth 1 after 119 ops)]",
+            ),
+        ];
+        for (seed, want) in pinned {
+            assert_eq!(FaultPlan::from_seed(seed, 4).describe(), want);
+        }
+    }
+
     #[test]
     fn seeded_plan_magnitudes_stay_in_the_tolerated_envelope() {
         for seed in 0..64u64 {
             for f in FaultPlan::from_seed(seed, 4).faults {
                 match f {
                     Fault::BlockingProtocolSends => panic!("canary-only fault drawn from seed"),
+                    Fault::GeneralRmaPaths | Fault::EagerNbi => {
+                        panic!("equivalence arm drawn from seed")
+                    }
                     Fault::DelayProtocolSends { every, micros } => {
                         assert!(every >= 1 && micros < 1000);
                     }
@@ -535,6 +454,8 @@ mod tests {
                 Fault::DuplicateLinkPacket { nth: 9 },
                 Fault::DelayNbiCompletion { every: 3, micros: 120 },
                 Fault::PanicPe { pe: 2, after_ops: 40 },
+                Fault::GeneralRmaPaths,
+                Fault::EagerNbi,
             ],
         };
         let d = plan.describe();
@@ -546,5 +467,29 @@ mod tests {
         assert!(d.contains("DuplicateLinkPacket(frame 9)"));
         assert!(d.contains("DelayNbiCompletion(every 3th completion +120us)"));
         assert!(d.contains("PanicPe(PE 2 after 40 ops)"));
+        assert!(d.ends_with("GeneralRmaPaths, EagerNbi]"));
+    }
+
+    /// Each armed plan keeps its own counters and budgets: spending one
+    /// launch's `PanicPe` leaves another launch of the same plan armed.
+    #[test]
+    fn armed_plans_share_nothing() {
+        let plan = FaultPlan::from([
+            Fault::PanicPe { pe: 1, after_ops: 2 },
+            Fault::StallServiceHandler { pe: 0, requests: 1, micros: 5 },
+        ]);
+        let (a, b) = (LaunchFaults::new(plan.clone()), LaunchFaults::new(plan));
+        a.note_op();
+        a.note_op();
+        assert!(!b.panic_pe_now(1), "b's op clock has not moved");
+        assert!(!a.panic_pe_now(0), "PE 0 is not the target");
+        assert!(a.panic_pe_now(1));
+        assert!(!a.panic_pe_now(1), "one-shot");
+        assert_eq!(a.service_stall_us(0), Some(5));
+        assert_eq!(a.service_stall_us(0), None, "budget spent");
+        assert_eq!(b.service_stall_us(0), Some(5));
+        b.note_op();
+        b.note_op();
+        assert!(b.panic_pe_now(1), "b's budget is its own");
     }
 }

@@ -59,7 +59,7 @@
 //! which differ only in their chip count: [`TimedBackend`] runs one
 //! chip with calibrated Tilera costs and regenerates the paper's
 //! figures; [`MultiChipBackend`] joins several by mPIPE links. Liveness watchdogs,
-//! the seeded fault plane, per-PE probes and trace collection compose
+//! per-launch fault plans, per-PE probes and trace collection compose
 //! uniformly over any engine (see [`engine::backend`]).
 
 pub mod active_set;
@@ -91,7 +91,7 @@ pub use engine::backend::{
 pub use engine::coop::CoopBackend;
 pub use engine::wall::{NativeBackend, Resident};
 pub use fabric::{BlockedOn, PeProbe};
-pub use fault::{Fault, FaultPlan};
+pub use fault::{Fault, FaultPlan, LaunchFaults};
 pub use runtime::{launch, resolve_coop_workers, Launcher, RuntimeConfig, TimedMode};
 pub use rma::SignalOp;
 pub use server::{

@@ -303,7 +303,7 @@ impl ShmemCtx {
         // cold: allocation only on the strided-source path; unit-stride
         // borrows `src` directly.
         let owned: Vec<T>;
-        let gathered: &[T] = if sst == 1 && crate::fault::rma_fast_paths() {
+        let gathered: &[T] = if sst == 1 && self.rma_fast_paths {
             &src[..nelems]
         } else {
             owned = (0..nelems).map(|i| src[i * sst]).collect();
@@ -312,7 +312,7 @@ impl ShmemCtx {
         let me = self.my_pe();
         match target.class() {
             // Unit-stride target: the whole run is one contiguous write.
-            AddrClass::Dynamic if tst == 1 && crate::fault::rma_fast_paths() => {
+            AddrClass::Dynamic if tst == 1 && self.rma_fast_paths => {
                 self.fab
                     .arena_write(self.go(pe, target.elem_offset(tidx)), byte_view(gathered));
             }
@@ -324,7 +324,7 @@ impl ShmemCtx {
                     );
                 }
             }
-            AddrClass::Static if pe == me && tst == 1 && crate::fault::rma_fast_paths() => {
+            AddrClass::Static if pe == me && tst == 1 && self.rma_fast_paths => {
                 self.fab
                     .private_write(target.elem_offset(tidx), byte_view(gathered));
             }
@@ -384,7 +384,7 @@ impl ShmemCtx {
         match source.class() {
             // Unit stride on both sides: one contiguous read, straight
             // into the caller's buffer — one copy, one trace event.
-            AddrClass::Dynamic if sst == 1 && dst_stride == 1 && crate::fault::rma_fast_paths() => {
+            AddrClass::Dynamic if sst == 1 && dst_stride == 1 && self.rma_fast_paths => {
                 self.fab.arena_read(
                     self.go(pe, source.elem_offset(sidx)),
                     byte_view_mut(&mut dst[..nelems]),
@@ -392,7 +392,7 @@ impl ShmemCtx {
             }
             // Contiguous source, strided destination: still one read (to
             // scratch), then a local scatter.
-            AddrClass::Dynamic if sst == 1 && crate::fault::rma_fast_paths() => {
+            AddrClass::Dynamic if sst == 1 && self.rma_fast_paths => {
                 self.with_scratch(nelems * esize, |buf| {
                     self.fab.arena_read(self.go(pe, source.elem_offset(sidx)), buf);
                     for i in 0..nelems {
@@ -411,7 +411,7 @@ impl ShmemCtx {
                     dst[i * dst_stride] = tmp[0];
                 }
             }
-            AddrClass::Static if pe == me && sst == 1 && dst_stride == 1 && crate::fault::rma_fast_paths() => {
+            AddrClass::Static if pe == me && sst == 1 && dst_stride == 1 && self.rma_fast_paths => {
                 self.fab.private_read(
                     source.elem_offset(sidx),
                     byte_view_mut(&mut dst[..nelems]),
@@ -634,7 +634,7 @@ impl ShmemCtx {
                 n,
                 temp,
             );
-            if dst_stride == 1 && crate::fault::rma_fast_paths() {
+            if dst_stride == 1 && self.rma_fast_paths {
                 // Contiguous destination: drain the temp straight into
                 // the caller's buffer, no staging copy.
                 self.fab
@@ -767,7 +767,7 @@ impl ShmemCtx {
             AddrClass::Static if pe == self.my_pe() => self.fab.private_write(toff, bytes),
             AddrClass::Static => self.put_static_via_temp_nbi(pe, toff, bytes),
         }
-        if crate::fault::nbi_eager() {
+        if self.nbi_eager {
             self.drain_pending();
         }
     }
@@ -851,7 +851,7 @@ impl ShmemCtx {
                 self.put_static_from_private_nbi(pe, t, s, len);
             }
         }
-        if crate::fault::nbi_eager() {
+        if self.nbi_eager {
             self.drain_pending();
         }
     }
@@ -910,7 +910,7 @@ impl ShmemCtx {
             // pe == me dynamic-static handled above; nothing else remains.
             (AddrClass::Dynamic, AddrClass::Static) => unreachable!(),
         }
-        if crate::fault::nbi_eager() {
+        if self.nbi_eager {
             self.drain_pending();
         }
     }
@@ -1011,7 +1011,7 @@ impl ShmemCtx {
     /// `DelayNbiCompletion` plan stalls completions without reordering
     /// them (tolerated class — slower, never wrong).
     fn complete_op(&self, op: PendingOp) {
-        if let Some(us) = crate::fault::nbi_completion_delay_us() {
+        if let Some(us) = self.fab.faults().and_then(|f| f.nbi_completion_delay_us()) {
             self.fab.inject_delay_us(us);
         }
         match op {

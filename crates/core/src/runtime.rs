@@ -10,8 +10,11 @@
 //! One generic [`Launcher`] drives every engine: pick an
 //! [`EngineBackend`] (native, coop, timed, multichip — see
 //! [`crate::engine::backend`]), optionally compose in a liveness plane
-//! ([`WatchPlane`]), and `run`. [`launch`] is the one convenience
-//! wrapper, for the common native case.
+//! ([`WatchPlane`]) and a fault plan ([`FaultPlan`]), and `run`.
+//! [`launch`] is the one convenience wrapper, for the common native
+//! case.
+
+use std::sync::Arc;
 
 use tile_arch::area::TestArea;
 use tile_arch::device::Device;
@@ -20,6 +23,7 @@ use crate::ctx::{Algorithms, Layout, ShmemCtx};
 use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
 use crate::engine::coop::CoopBackend;
 use crate::engine::wall::NativeBackend;
+use crate::fault::{FaultPlan, LaunchFaults};
 
 /// Scheduling discipline for the virtual-time (desim-backed) engines.
 ///
@@ -213,8 +217,8 @@ impl RuntimeConfig {
     }
 }
 
-/// The one launcher behind every engine: a config, a backend, and an
-/// optional liveness plane.
+/// The one launcher behind every engine: a config, a backend, an
+/// optional liveness plane and an optional fault plan.
 ///
 /// ```ignore
 /// let out = Launcher::new(&cfg, TimedBackend)
@@ -226,14 +230,15 @@ impl RuntimeConfig {
 /// backend validation, watch composition, panic-vs-stall-report
 /// classification — while the backend owns the spawn model and fabric
 /// wiring (see [`EngineBackend`]). Cross-cutting planes compose here
-/// uniformly: the fault plane (`crate::fault::FaultPlan::install`)
-/// applies to whatever backend runs next, `cfg.trace` flows to every
+/// uniformly: a fault plan ([`with_faults`](Self::with_faults)) applies
+/// to this launcher's launch and no other, `cfg.trace` flows to every
 /// backend's sink, and the watch plane is checked against the backend's
 /// clock domain.
 pub struct Launcher<'w, B: EngineBackend> {
     cfg: RuntimeConfig,
     backend: B,
     watch: WatchPlane<'w>,
+    faults: Option<Arc<LaunchFaults>>,
 }
 
 impl<'w, B: EngineBackend> Launcher<'w, B> {
@@ -242,6 +247,7 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
             cfg: *cfg,
             backend,
             watch: WatchPlane::None,
+            faults: None,
         }
     }
 
@@ -252,6 +258,21 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
     /// `run` with a message naming the right watch.
     pub fn with_watch(mut self, watch: WatchPlane<'w>) -> Self {
         self.watch = watch;
+        self
+    }
+
+    /// Hand the launch a fault plan — a seeded one
+    /// ([`FaultPlan::from_seed`]) or hand-built (`[Fault::EagerNbi]`).
+    /// It is armed here, with its own budgets and counters: concurrent
+    /// launches never see it, and the watch reports of this one name it.
+    pub fn with_faults(self, plan: impl Into<FaultPlan>) -> Self {
+        self.with_armed_faults(Some(Arc::new(LaunchFaults::new(plan.into()))))
+    }
+
+    /// Hand the launch a plan armed elsewhere, whose budgets and
+    /// counters outlive it — a server job's, across its retries.
+    pub(crate) fn with_armed_faults(mut self, faults: Option<Arc<LaunchFaults>>) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -275,7 +296,7 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
     {
         self.cfg.validate();
         self.backend.validate(&self.cfg);
-        self.backend.execute(&self.cfg, &self.watch, f)
+        self.backend.execute(&self.cfg, &self.watch, self.faults.as_ref(), f)
     }
 
     /// [`run`](Self::run), converting a watch-diagnosed stall into

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::ctx::ShmemCtx;
+use crate::fault::FaultPlan;
 use crate::runtime::RuntimeConfig;
 
 /// Server-assigned job identifier (monotone per [`Server`]).
@@ -24,6 +25,9 @@ pub struct JobSpec {
     pub cfg: RuntimeConfig,
     /// Per-PE body, exactly as a `Launcher::run` closure.
     pub body: Arc<dyn Fn(&ShmemCtx) + Send + Sync>,
+    /// Fault plan for this job alone: armed once when the job starts and
+    /// kept across its eviction retries.
+    pub faults: Option<FaultPlan>,
 }
 
 impl JobSpec {
@@ -32,11 +36,18 @@ impl JobSpec {
             tenant: 0,
             cfg,
             body: Arc::new(body),
+            faults: None,
         }
     }
 
     pub fn with_tenant(mut self, tenant: u32) -> Self {
         self.tenant = tenant;
+        self
+    }
+
+    /// Run the job under `plan` (see [`JobSpec::faults`]).
+    pub fn with_faults(mut self, plan: impl Into<FaultPlan>) -> Self {
+        self.faults = Some(plan.into());
         self
     }
 }
@@ -47,6 +58,7 @@ impl std::fmt::Debug for JobSpec {
             .field("tenant", &self.tenant)
             .field("npes", &self.cfg.npes)
             .field("partition_bytes", &self.cfg.partition_bytes)
+            .field("faults", &self.faults)
             .finish_non_exhaustive()
     }
 }

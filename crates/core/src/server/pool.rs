@@ -15,7 +15,8 @@
 //! Isolation boundaries: every job runs as its own cooperative launch —
 //! its own recycled arena shards and private segments (scrubbed to the
 //! previous tenant's dirty extent at checkout, see [`super::arena`]),
-//! its own UDN fabric, its own trace lanes, its own [`JobWatch`]. What a
+//! its own UDN fabric, its own trace lanes, its own [`JobWatch`], its own
+//! fault plan (armed once per job, see [`JobSpec::faults`]). What a
 //! job does *not* get for itself is threads: the server keeps one
 //! [`Resident`] for its lifetime, and a job's runner, its launch and its
 //! PEs run on that handle's lanes ([`tmc::task::Lanes`]) — a lane that
@@ -50,6 +51,7 @@ use substrate::sync::{Condvar, Mutex};
 use crate::engine::backend::WatchPlane;
 use crate::engine::coop::CoopBackend;
 use crate::engine::wall::Resident;
+use crate::fault::LaunchFaults;
 use crate::runtime::Launcher;
 use crate::server::job::{JobId, JobOutcome, JobReport, JobSpec, SubmitError};
 use crate::server::scheduler::{FairScheduler, QueuedJob, RoundRobin, Scheduler};
@@ -503,10 +505,12 @@ enum Attempt {
 fn run_job(inner: Arc<Inner>, q: Queued, lease: usize) -> impl FnOnce() {
     let mut attempts = 0u32;
     let mut holding = true;
+    // Armed once: every attempt of this job spends from the same budgets.
+    let faults = q.spec.faults.clone().map(|plan| Arc::new(LaunchFaults::new(plan)));
     let outcome = loop {
         attempts += 1;
         let t0 = Instant::now();
-        let attempt = attempt_launch(&inner, q.id, &q.spec, lease);
+        let attempt = attempt_launch(&inner, q.id, &q.spec, faults.clone(), lease);
         let ran = t0.elapsed();
         inner.run_ns.fetch_add(ran.as_nanos() as u64, Ordering::Relaxed);
         inner.runs.fetch_add(1, Ordering::Relaxed);
@@ -587,7 +591,13 @@ fn acquire_slots(inner: &Inner, lease: usize) -> bool {
 /// module docs for the isolation contract. Mirrors the stress crate's
 /// `watch_wall` watchdog: detached launch, diagnose *before* abort,
 /// bounded unwind grace.
-fn attempt_launch(inner: &Arc<Inner>, id: JobId, spec: &JobSpec, lease: usize) -> Attempt {
+fn attempt_launch(
+    inner: &Arc<Inner>,
+    id: JobId,
+    spec: &JobSpec,
+    faults: Option<Arc<LaunchFaults>>,
+    lease: usize,
+) -> Attempt {
     let watch = Arc::new(JobWatch::new());
     let (tx, rx) = channel::bounded::<std::thread::Result<()>>(1);
     let cfg = spec.cfg;
@@ -604,6 +614,7 @@ fn attempt_launch(inner: &Arc<Inner>, id: JobId, spec: &JobSpec, lease: usize) -
             catch_unwind(AssertUnwindSafe(|| {
                 Launcher::new(&cfg, backend)
                     .with_watch(WatchPlane::Wall(&w))
+                    .with_armed_faults(faults)
                     .run(|ctx| body(ctx));
             }))
         },
@@ -650,15 +661,12 @@ fn attempt_launch(inner: &Arc<Inner>, id: JobId, spec: &JobSpec, lease: usize) -
                     descheduled,
                 )
             }));
-            let mut report = format!(
+            let report = format!(
                 "server watchdog: job {id} made no useful fabric progress for {:.1}s\n\
                  classification: {class}\n{}",
                 window.as_secs_f64(),
                 watch.diagnose_delta(Some(&baseline))
             );
-            if let Some(desc) = crate::fault::describe_active() {
-                report.push_str(&format!("active {desc}\n"));
-            }
             watch.abort();
             let _ = rx.recv_timeout(ABORT_GRACE);
             return Attempt::Wedged(report);

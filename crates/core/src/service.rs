@@ -70,7 +70,7 @@ pub fn service_loop(fab: &dyn Fabric) {
             if let Some(p) = fab.probe() {
                 p.set_blocked(BlockedOn::Handler { tag: msg.tag, src: msg.src });
             }
-            if let Some(us) = crate::fault::service_stall_us(fab.pe()) {
+            if let Some(us) = fab.faults().and_then(|f| f.service_stall_us(fab.pe())) {
                 fab.inject_delay_us(us);
             }
         }

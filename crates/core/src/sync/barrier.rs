@@ -274,7 +274,7 @@ impl ShmemCtx {
     /// the software analog of Tilera's UDN interrupt handler running
     /// while a send spins on wormhole flow control.
     pub(crate) fn send_draining(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) {
-        if crate::fault::blocking_protocol_sends() {
+        if self.blocking_sends {
             // Fault injection (watchdog canary): the pre-fix plain
             // blocking send, which reintroduces the deadlock above.
             if let Some(p) = self.fab.probe() {

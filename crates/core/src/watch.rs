@@ -199,7 +199,8 @@ impl JobWatch {
 
     /// Render a per-PE stall diagnosis: blocked state, useful/spin
     /// counters, demux queue occupancy, stash contents, service-thread
-    /// state, and last trace event.
+    /// state, last trace event, and the launch's fault plan if it has
+    /// one.
     pub fn diagnose(&self) -> String {
         self.diagnose_delta(None)
     }
@@ -299,6 +300,9 @@ impl JobWatch {
                 suspects.join(", ")
             );
         }
+        if let Some(faults) = &w.shared.faults {
+            let _ = writeln!(out, "active {}", faults.describe());
+        }
         out
     }
 }
@@ -388,8 +392,8 @@ impl TimedWatch {
                 }
             }
         }
-        if let Some(desc) = crate::fault::describe_active() {
-            let _ = writeln!(out, "active {desc}");
+        if let Some(faults) = &core.faults {
+            let _ = writeln!(out, "active {}", faults.describe());
         }
         out
     }

@@ -1,9 +1,9 @@
 //! The multi-tenant server pool: admission control, per-job fault
 //! isolation, load shedding, and cross-tenant arena-recycling hygiene.
 //!
-//! No global fault plane is installed here (those tests live in their
-//! own binaries per the `tshmem::fault` rule); hostile tenants are
-//! modeled with plain panicking closures.
+//! Hostile tenants are plain panicking closures, or jobs handed a
+//! `Fault::PanicPe` plan of their own (`JobSpec::with_faults`), which no
+//! other job — in this server or another test's — can see.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -13,8 +13,8 @@ use std::time::Duration;
 use substrate::sync::{Condvar, Mutex};
 use tshmem::ctx::Layout;
 use tshmem::{
-    CoopBackend, JobOutcome, JobSpec, Launcher, Resident, RuntimeConfig, Server, ServerConfig,
-    ShedPolicy, ShmemCtx, SubmitError,
+    CoopBackend, Fault, JobOutcome, JobSpec, Launcher, Resident, RuntimeConfig, Server,
+    ServerConfig, ShedPolicy, ShmemCtx, SubmitError,
 };
 
 fn small_cfg(npes: usize) -> RuntimeConfig {
@@ -486,6 +486,87 @@ fn lanes_a_faulted_job_unwound_are_never_reused() {
     assert_eq!((stats.completed, stats.faulted), (51, 1));
     // Runner + launch + 2 PEs, and the two that replaced the unwound.
     assert_eq!((stats.lanes_spawned, stats.lanes_retired, stats.lanes_live), (6, 2, 0));
+}
+
+/// A 2-PE job with enough fabric ops that a `PanicPe { after_ops: 8 }`
+/// plan's op counter comfortably passes its threshold; each run records
+/// the lanes it ran on in `seen`.
+fn busy_spec(seen: &Arc<Mutex<Vec<ThreadId>>>) -> JobSpec {
+    let seen = seen.clone();
+    JobSpec::new(small_cfg(2), move |ctx| {
+        seen.lock().push(std::thread::current().id());
+        let (n, me) = (ctx.n_pes(), ctx.my_pe());
+        let data = ctx.shmalloc::<u64>(8);
+        ctx.local_fill(&data, 0u64);
+        ctx.barrier_all();
+        for round in 0..16u64 {
+            ctx.p(&data, (round % 8) as usize, round, (me + 1) % n);
+            ctx.barrier_all();
+        }
+    })
+}
+
+const PANIC_PE_1: [Fault; 1] = [Fault::PanicPe { pe: 1, after_ops: 8 }];
+
+/// The injected crashing-tenant panic is caught at the PE boundary,
+/// reported as `Faulted` — diagnosed, not a pool stall, and never
+/// retried — and the pool keeps serving, never on a lane that unwound.
+#[test]
+fn injected_pe_panic_faults_the_job_and_pool_survives() {
+    let server = Server::round_robin(ServerConfig { workers: 2, stall: Duration::from_secs(10), ..Default::default() });
+    let seen: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let report = server.submit(busy_spec(&seen).with_faults(PANIC_PE_1)).expect("admitted").wait();
+    match &report.outcome {
+        JobOutcome::Faulted { error, attempts } => {
+            assert_eq!(*attempts, 1, "a caught panic is terminal, never retried");
+            assert!(
+                error.contains("PanicPe") || error.contains("aborting"),
+                "fault message should name the injected panic or the secondary abort: {error}"
+            );
+        }
+        other => panic!("PanicPe job must fault, got {other:?}"),
+    }
+    // PE 1 panicked and PE 0 unwound through the abort: both lanes are
+    // gone for good, and the counters have settled by the time the
+    // report is out.
+    let unwound: HashSet<ThreadId> = seen.lock().drain(..).collect();
+    assert_eq!(unwound.len(), 2);
+    assert_eq!(server.stats().lanes_retired, 2);
+
+    // The same workload without the plan completes.
+    for _ in 0..50 {
+        let report = server.submit(busy_spec(&seen)).expect("admitted").wait();
+        assert!(report.outcome.is_completed(), "pool healthy: {:?}", report.outcome);
+    }
+    assert_eq!(seen.lock().len(), 100);
+    assert!(seen.lock().iter().all(|id| !unwound.contains(id)), "a job ran on an unwound lane");
+    let stats = server.shutdown();
+    assert_eq!((stats.faulted, stats.completed), (1, 50));
+    assert_eq!(stats.evicted, 0, "a caught panic must not look like a wedge");
+    assert_eq!((stats.lanes_retired, stats.lanes_live), (2, 0));
+}
+
+/// A plan rides on its job, not on the server: with one tenant's
+/// `PanicPe` job queued amid 50 clean jobs of another, only the job
+/// that carries the plan faults — whichever job first passes eight ops
+/// on PE 1, and in whatever order the two tenants are served.
+#[test]
+fn a_panic_pe_plan_faults_only_the_job_that_carries_it() {
+    let server = Server::round_robin(ServerConfig { workers: 2, stall: Duration::from_secs(10), ..Default::default() });
+    let seen: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    for rep in 0..20 {
+        let clean = |_| server.submit(busy_spec(&seen).with_tenant(2)).expect("admitted");
+        let before: Vec<_> = (0..25).map(clean).collect();
+        let faulted = server.submit(busy_spec(&seen).with_tenant(1).with_faults(PANIC_PE_1)).expect("admitted");
+        let after: Vec<_> = (0..25).map(clean).collect();
+        assert!(faulted.wait().outcome.is_faulted(), "rep {rep}: the job with the plan ran clean");
+        for h in before.into_iter().chain(after) {
+            let report = h.wait();
+            assert!(report.outcome.is_completed(), "rep {rep}: a clean job was hit: {:?}", report.outcome);
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.faulted, stats.completed), (20, 1000));
 }
 
 #[test]

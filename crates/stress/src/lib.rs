@@ -25,10 +25,7 @@ pub mod run;
 pub mod serve;
 
 pub use oracle::{oracle, Model};
-pub use program::{
-    gen_program, gen_program_v, AuxOp, Draw, Program, ProgramStrategy, RngDraw, GEN_LATEST,
-    GEN_V1, GEN_V2, GEN_V3,
-};
+pub use program::{gen_program, AuxOp, Draw, Program, ProgramStrategy, RngDraw};
 pub use run::{
     build_cfg, classify_stall, resolve_coop_workers, run_coop, run_multichip, run_multichip_mode,
     run_on_ctx, run_plain, run_timed, run_timed_mode, run_watched, scaled_stall, watch_closure,

@@ -8,24 +8,22 @@
 //! cargo run -p stress -- --seed 0x7453484d454d5031 --case 3 --pes 4 --depth 1
 //! ```
 //!
-//! `--depth 0` (default) means unbounded queues. `--gen N` selects the
-//! generator vocabulary version (default: latest; pinned canary seeds
-//! replay with `--gen 1`). `--engine timed` runs the same program on
-//! the virtual-time engine under its desim deadlock watchdog.
-//! `--fault-plan S` installs the seeded fault plan `S` (replayable:
-//! the same seed draws the same faults) before launching. `--canary`
-//! re-enables the pre-fix blocking protocol sends (the PR-1
-//! dissemination-barrier deadlock) so watchdog reports can be
-//! reproduced on demand.
+//! `--depth 0` (default) means unbounded queues. `--engine timed` runs
+//! the same program on the virtual-time engine under its desim deadlock
+//! watchdog. `--fault-plan S` hands the launch the seeded fault plan
+//! `S` (replayable: the same seed draws the same faults). `--canary`
+//! adds `Fault::BlockingProtocolSends` to it — the plain blocking
+//! protocol sends behind the dissemination-barrier deadlock — so
+//! watchdog reports can be reproduced on demand.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use stress::program::{gen_program_v, RngDraw, GEN_LATEST, GEN_V1};
+use stress::program::{gen_program, RngDraw};
 use stress::run::{
     resolve_coop_workers, run_coop, run_multichip_mode, run_timed_mode, run_watched, Outcome,
 };
-use tshmem::TimedMode;
+use tshmem::{Fault, FaultPlan, TimedMode};
 use stress::serve::{serve, Sched, ServeOpts};
 
 #[derive(PartialEq)]
@@ -42,7 +40,6 @@ struct Args {
     pes: usize,
     depth: Option<usize>,
     stall_secs: u64,
-    gen: u32,
     engine: Engine,
     cycle_box: bool,
     fault_plan: Option<u64>,
@@ -70,7 +67,6 @@ fn parse_args() -> Args {
         pes: 4,
         depth: None,
         stall_secs: 5,
-        gen: GEN_LATEST,
         engine: Engine::Native,
         cycle_box: false,
         fault_plan: None,
@@ -98,7 +94,6 @@ fn parse_args() -> Args {
                 args.depth = (d > 0).then_some(d);
             }
             "--stall-secs" => args.stall_secs = parse_num(&val()),
-            "--gen" => args.gen = parse_num(&val()) as u32,
             "--engine" => {
                 args.engine = match val().as_str() {
                     "native" => Engine::Native,
@@ -151,11 +146,11 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "usage: stress [--seed N] [--case N] [--pes N | --npes N] [--depth N] \
-                     [--stall-secs N] [--gen N] [--engine native|timed|multichip|coop] \
+                     [--stall-secs N] [--engine native|timed|multichip|coop] \
                      [--cycle-box] [--workers M] [--fault-plan S] [--canary]\n       \
                      stress --serve [--seed N] [--jobs N] [--fault-frac F] \
                      [--pool-workers M] [--sched rr|fair] [--panic-pe P]\n\
-                     Replays the stress program generated by (seed, case, gen) on \
+                     Replays the stress program generated by (seed, case) on \
                      `pes` PEs at UDN queue depth `depth` (0 = unbounded).\n\
                      --engine timed runs under virtual time with the desim \
                      deadlock watchdog instead of the wall-clock one; \
@@ -169,13 +164,13 @@ fn parse_args() -> Args {
                      event-driven order; the replay hint carries it, because \
                      the two modes take different schedules to the same \
                      final state.\n\
-                     --fault-plan S installs the seeded fault plan S first.\n\
+                     --fault-plan S runs the launch under the seeded fault plan S.\n\
                      --canary reintroduces the pre-fix blocking protocol sends.\n\
                      --serve drives the multi-tenant server pool with an open-loop \
-                     stream of --jobs seeded gen-v4 programs, a --fault-frac \
+                     stream of --jobs seeded programs, a --fault-frac \
                      fraction of hostile tenants (panics + wedges), reporting \
-                     jobs/sec and p50/p99 latency; --panic-pe P instead installs \
-                     a one-shot PanicPe fault plan for PE P and requires exactly \
+                     jobs/sec and p50/p99 latency; --panic-pe P instead hands one \
+                     job a one-shot PanicPe fault plan for PE P and requires exactly \
                      one Faulted job."
                 );
                 std::process::exit(0);
@@ -188,7 +183,7 @@ fn parse_args() -> Args {
     }
     // Cross-flag validation happens here, at parse time, so a bad
     // combination fails before any program generation or fault-plan
-    // installation runs. The multichip engine splits the job across
+    // drawing runs. The multichip engine splits the job across
     // exactly 2 simulated chips with npes/2 PEs on each, so an odd PE
     // count cannot be laid out.
     if args.cycle_box && !matches!(args.engine, Engine::Timed | Engine::Multichip) {
@@ -253,7 +248,7 @@ fn main() -> ExitCode {
         }
         return ExitCode::from(2);
     }
-    let prog = gen_program_v(&mut RngDraw::new(args.seed, args.case), args.pes, args.gen);
+    let prog = gen_program(&mut RngDraw::new(args.seed, args.case), args.pes);
     // The resolved coop worker count is part of the replay identity
     // (stall windows scale with oversubscription), so the seed line
     // carries it whenever the coop engine runs.
@@ -262,29 +257,26 @@ fn main() -> ExitCode {
         _ => String::new(),
     };
     eprintln!(
-        "seed={:#018x} case={} pes={} depth={:?} gen={} temp={}B algos={:?} steps={}{workers}",
+        "seed={:#018x} case={} pes={} depth={:?} temp={}B algos={:?} steps={}{workers}",
         args.seed,
         args.case,
         args.pes,
         args.depth,
-        args.gen,
         prog.temp_bytes,
         prog.algos,
         prog.steps.len()
     );
-    if let Some(fp) = args.fault_plan {
-        let plan = tshmem::FaultPlan::from_seed(fp, args.pes);
-        eprintln!("installing {}", plan.describe());
-        tshmem::fault::install(plan);
-    }
+    let mut plan = args.fault_plan.map(|fp| FaultPlan::from_seed(fp, args.pes));
     if args.canary {
         eprintln!("canary mode: protocol sends degraded to pre-fix blocking sends");
-        tshmem::fault::set_blocking_protocol_sends(true);
+        plan.get_or_insert_with(|| FaultPlan::from([])).faults.push(Fault::BlockingProtocolSends);
+    }
+    if let Some(plan) = &plan {
+        eprintln!("running under {}", plan.describe());
     }
     let hint = {
         let depth = args.depth.unwrap_or(0);
         let canary = if args.canary { " --canary" } else { "" };
-        let gen = if args.gen != GEN_V1 { format!(" --gen {}", args.gen) } else { " --gen 1".into() };
         // The scheduling discipline is part of the replay identity: the
         // two modes reach the same final state along different
         // schedules, so the hint must pin the one that failed.
@@ -300,7 +292,7 @@ fn main() -> ExitCode {
             None => String::new(),
         };
         format!(
-            "cargo run -p stress -- --seed {:#x} --case {} --pes {} --depth {}{gen}{engine}{fp}{canary}",
+            "cargo run -p stress -- --seed {:#x} --case {} --pes {} --depth {}{engine}{fp}{canary}",
             args.seed, args.case, args.pes, depth
         )
     };
@@ -309,20 +301,13 @@ fn main() -> ExitCode {
     } else {
         TimedMode::EventDriven
     };
+    let (faults, stall) = (plan.as_ref(), Duration::from_secs(args.stall_secs));
     let outcome = match args.engine {
-        Engine::Native => {
-            run_watched(&prog, args.depth, Duration::from_secs(args.stall_secs), &hint)
-        }
-        Engine::Timed => run_timed_mode(&prog, args.depth, timed_mode, &hint),
+        Engine::Native => run_watched(&prog, args.depth, faults, stall, &hint),
+        Engine::Timed => run_timed_mode(&prog, args.depth, faults, timed_mode, &hint),
         // Odd PE counts were rejected in parse_args, before anything ran.
-        Engine::Multichip => run_multichip_mode(&prog, args.depth, timed_mode, &hint),
-        Engine::Coop => run_coop(
-            &prog,
-            args.depth,
-            args.workers,
-            Duration::from_secs(args.stall_secs),
-            &hint,
-        ),
+        Engine::Multichip => run_multichip_mode(&prog, args.depth, faults, timed_mode, &hint),
+        Engine::Coop => run_coop(&prog, args.depth, faults, args.workers, stall, &hint),
     };
     match outcome {
         Outcome::Completed => {

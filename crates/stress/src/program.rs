@@ -19,30 +19,14 @@
 //! replay binary). Both use the same `next_u64() % n` reduction on the
 //! same SplitMix64 stream, so `(seed, case)` reported by a failing
 //! property identifies the program exactly.
+//!
+//! There is one vocabulary and its draw stream is frozen: the seeds the
+//! tests pin (canaries, smokes, equivalence cases) name programs by
+//! `(seed, case)` alone. A change to what the generator draws re-pins
+//! every one of them.
 
 use substrate::proptest_mini as pt;
 use substrate::rng::KeyedRng;
-
-/// Generator vocabulary versions. The draw stream behind a version is
-/// **frozen**: seeds pinned in tests (`--gen 1` canaries) must keep
-/// generating byte-identical programs forever, so new op kinds extend
-/// the vocabulary only under a new version tag.
-pub const GEN_V1: u32 = 1;
-/// V2 adds `shmem_ptr` direct-pointer traffic ([`RmaOp::PtrPut`],
-/// [`RmaOp::PtrGet`]) and the `wait_until`/`cswap` step mixes
-/// ([`Step::SignalRing`], [`Step::CswapRing`]).
-pub const GEN_V2: u32 = 2;
-/// V3 adds symmetric-heap churn under concurrent RMA
-/// ([`Step::HeapChurn`]): collective `shmalloc`/`shrealloc`/`shfree`
-/// cycles interleaved with striped put/get traffic on the churned
-/// array.
-pub const GEN_V3: u32 = 3;
-/// V4 adds the OpenSHMEM 1.3/1.4 surface: non-blocking trains with
-/// interleaved fence/quiet ([`Step::NbiTrain`]), `put_signal` chains
-/// waited at non-zero signal indices ([`Step::SignalChain`]), and
-/// team-scoped collectives ([`Step::TeamColl`]).
-pub const GEN_V4: u32 = 4;
-pub const GEN_LATEST: u32 = GEN_V4;
 
 /// Heap data slots owned by each PE (its stripe of the `data` array).
 pub const SLOTS_PER_PE: usize = 16;
@@ -88,15 +72,15 @@ pub enum Step {
     /// cell: each round, PE 0 signals PE 1, each PE forwards on arrival,
     /// and PE 0 waits for the wrap-around. Exercises flag waits (spin
     /// accounting) and put→flag ordering. Final `sig` on every copy =
-    /// cumulative rounds. (V2+)
+    /// cumulative rounds.
     SignalRing { rounds: u32 },
     /// Rank-ordered claims on the single shared `ring` cell via failing
     /// `cswap` retries: in round `r`, PE `me` spins until it can swap
     /// token `base + r*npes + me` for its successor. Exercises the
     /// useful-vs-spin split under heavy cswap contention. Final cell =
-    /// cumulative `rounds * npes`. (V2+)
+    /// cumulative `rounds * npes`.
     CswapRing { rounds: u32 },
-    /// Symmetric-heap churn under concurrent RMA (V3+). All PEs
+    /// Symmetric-heap churn under concurrent RMA. All PEs
     /// collectively `shmalloc` a scratch array of `npes * slots` words
     /// (zeroed), run a striped round of [`AuxOp`] traffic over it, then
     /// churn the allocation — `refresh = true` frees it and allocates a
@@ -114,7 +98,7 @@ pub enum Step {
         round2: Vec<Vec<AuxOp>>,
         barrier: u8,
     },
-    /// Non-blocking RMA trains (V4+): per-PE [`NbiOp`] lists mixing
+    /// Non-blocking RMA trains: per-PE [`NbiOp`] lists mixing
     /// `put_nbi`/`get_nbi` to heap and static stripes with interleaved
     /// `fence` (which must *not* complete the train) and mid-train
     /// `quiet`. The step closes with a `quiet` and barrier variant
@@ -122,7 +106,7 @@ pub enum Step {
     /// crosses a step boundary and the eager/lazy completion modes are
     /// observationally identical.
     NbiTrain { ops: Vec<Vec<NbiOp>>, barrier: u8 },
-    /// `put_signal` token ring (V4+): each hop delivers a [`CHAIN_W`]
+    /// `put_signal` token ring: each hop delivers a [`CHAIN_W`]
     /// -word payload into the sender's `chaind` stripe on the next PE,
     /// then updates `sigs[idx]` there (`add = false` sets it to the
     /// round target, `add = true` increments) — and the receiver waits
@@ -130,7 +114,7 @@ pub enum Step {
     /// payload, so signal ordering and the non-zero-index wait path are
     /// both load-bearing. `idx` is always non-zero.
     SignalChain { rounds: u32, idx: usize, add: bool },
-    /// A team-scoped collective (V4+): the world team is
+    /// A team-scoped collective: the world team is
     /// `split_strided(start_rank, log2_stride, size)` and the
     /// collective runs through the [`tshmem::Team`] methods. Non-member
     /// PEs get `None` from the split and skip. Region bookkeeping in
@@ -198,16 +182,16 @@ pub enum RmaOp {
     CtrAdd { ctr: usize, amount: u64 },
     /// `shmem_ptr` direct store: write `data[stripe(me) + slot]` on PE
     /// `to` through the raw pointer. Race-free by the stripe discipline
-    /// (only PE `me` ever touches its stripe on any copy). (V2+)
+    /// (only PE `me` ever touches its stripe on any copy).
     PtrPut { to: usize, slot: usize, val: u64 },
     /// `shmem_ptr` direct load from `data[stripe(me) + slot]` on PE
-    /// `from` (recorded and checked against the oracle). (V2+)
+    /// `from` (recorded and checked against the oracle).
     PtrGet { from: usize, slot: usize },
 }
 
 /// One operation on the churned scratch array of a [`Step::HeapChurn`]
 /// phase. Slot fields are stripe-local exactly like [`RmaOp`]: PE `me`
-/// only touches `aux[me * slots + slot]` on any PE's copy. (V3+)
+/// only touches `aux[me * slots + slot]` on any PE's copy.
 #[derive(Clone, Debug)]
 pub enum AuxOp {
     /// `p()` one value into our stripe on PE `to`'s copy.
@@ -225,7 +209,7 @@ pub enum AuxOp {
 /// `get_nbi` ops are recorded like their blocking cousins — safe to
 /// check against the oracle because `get_nbi` flushes pending puts to
 /// its source PE first and the stripe discipline means nobody else
-/// writes the slots we read. (V4+)
+/// writes the slots we read.
 #[derive(Clone, Debug)]
 pub enum NbiOp {
     /// `put_nbi` into our heap stripe on PE `to`'s copy.
@@ -288,9 +272,8 @@ impl Draw for RngDraw {
 /// the program for `(seed, case)` is generated from the untouched
 /// `RngDraw` stream, and the fault plan is drawn from this derived seed
 /// via [`tshmem::FaultPlan::from_seed`] — so adding fault injection to
-/// a sweep changes no generated program (the gen-1/2/3 canary streams
-/// stay byte-identical) and every faulted run is replayable with
-/// `--fault-plan`.
+/// a sweep changes no generated program and every faulted run is
+/// replayable with `--fault-plan`.
 pub fn fault_plan_seed(seed: u64, case: u64) -> u64 {
     let mut z = seed ^ 0xFA17_1A9E_5EED_0001u64.wrapping_add(case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -310,15 +293,13 @@ impl Draw for SourceDraw<'_> {
 /// `pt::Strategy` adapter so programs shrink like any other input.
 pub struct ProgramStrategy {
     pub npes: usize,
-    /// Generator vocabulary version ([`GEN_V1`] / [`GEN_V2`]).
-    pub version: u32,
 }
 
 impl pt::Strategy for ProgramStrategy {
     type Value = Program;
 
     fn generate(&self, src: &mut pt::Source) -> Program {
-        gen_program_v(&mut SourceDraw(src), self.npes, self.version)
+        gen_program(&mut SourceDraw(src), self.npes)
     }
 }
 
@@ -339,10 +320,9 @@ fn gen_set(d: &mut impl Draw, npes: usize) -> (usize, u32, usize) {
     (start, log2_stride, size)
 }
 
-fn gen_rma_op(d: &mut impl Draw, npes: usize, version: u32) -> RmaOp {
+fn gen_rma_op(d: &mut impl Draw, npes: usize) -> RmaOp {
     let pe = d.below(npes as u64) as usize;
-    let kinds = if version >= GEN_V2 { 14 } else { 12 };
-    match d.below(kinds) {
+    match d.below(14) {
         0 => {
             let slot = d.below(SLOTS_PER_PE as u64) as usize;
             RmaOp::PutHeapElem { to: pe, slot, val: word(d) }
@@ -462,18 +442,10 @@ fn gen_aux_round(d: &mut impl Draw, npes: usize, slots: usize) -> Vec<Vec<AuxOp>
         .collect()
 }
 
-/// Generate one program for `npes` PEs from the draw stream, using the
-/// [`GEN_V1`] vocabulary (the frozen stream pinned canary seeds replay).
+/// Generate one program for `npes` PEs from the draw stream (see the
+/// module docs: the stream is frozen).
 pub fn gen_program(d: &mut impl Draw, npes: usize) -> Program {
-    gen_program_v(d, npes, GEN_V1)
-}
-
-/// Generate one program from the draw stream under the given generator
-/// `version`. The stream behind each version is frozen: a `(seed, case,
-/// version)` triple identifies a program byte-for-byte forever.
-pub fn gen_program_v(d: &mut impl Draw, npes: usize, version: u32) -> Program {
     assert!(npes >= 1);
-    assert!((GEN_V1..=GEN_LATEST).contains(&version), "unknown generator version {version}");
     // 64 B temp = 8 u64 per chunk: bulk static traffic and strided
     // redirections routinely span several temp round-trips.
     let temp_bytes = [64usize, 512][d.below(2) as usize];
@@ -481,19 +453,13 @@ pub fn gen_program_v(d: &mut impl Draw, npes: usize, version: u32) -> Program {
     let nsteps = 2 + d.below(5) as usize;
     let mut steps = Vec::with_capacity(nsteps);
     let mut coll_idx = 0usize;
-    let step_kinds = match version {
-        GEN_V1 => 6,
-        GEN_V2 => 8,
-        GEN_V3 => 9,
-        _ => 12,
-    };
     for _ in 0..nsteps {
-        match d.below(step_kinds) {
+        match d.below(12) {
             0 | 1 => {
                 let ops = (0..npes)
                     .map(|_| {
                         let nops = d.below(5) as usize;
-                        (0..nops).map(|_| gen_rma_op(d, npes, version)).collect()
+                        (0..nops).map(|_| gen_rma_op(d, npes)).collect()
                     })
                     .collect();
                 steps.push(Step::Rma { ops, barrier: d.below(4) as u8 });
@@ -514,8 +480,6 @@ pub fn gen_program_v(d: &mut impl Draw, npes: usize, version: u32) -> Program {
             6 => steps.push(Step::SignalRing { rounds: 1 + d.below(2) as u32 }),
             7 => steps.push(Step::CswapRing { rounds: 1 + d.below(2) as u32 }),
             8 => {
-                // HeapChurn (V3+): only reachable when step_kinds >= 9,
-                // so the V1/V2 draw streams stay frozen byte-for-byte.
                 let slots = 4 + d.below(5) as usize;
                 let refresh = d.below(2) == 1;
                 let round1 = gen_aux_round(d, npes, slots);
@@ -529,8 +493,6 @@ pub fn gen_program_v(d: &mut impl Draw, npes: usize, version: u32) -> Program {
                 });
             }
             9 => {
-                // NbiTrain (V4+): only reachable when step_kinds == 12,
-                // keeping the V3 draw stream frozen in turn.
                 let ops = (0..npes)
                     .map(|_| {
                         let nops = 1 + d.below(6) as usize;
@@ -540,16 +502,16 @@ pub fn gen_program_v(d: &mut impl Draw, npes: usize, version: u32) -> Program {
                 steps.push(Step::NbiTrain { ops, barrier: d.below(4) as u8 });
             }
             10 => {
-                // SignalChain (V4+): idx is always non-zero, so every
-                // generated chain pins the indexed wait_until path.
+                // idx is always non-zero, so every generated chain pins
+                // the indexed wait_until path.
                 let rounds = 1 + d.below(3) as u32;
                 let idx = 1 + d.below(NSIG as u64 - 1) as usize;
                 let add = d.below(2) == 1;
                 steps.push(Step::SignalChain { rounds, idx, add });
             }
             _ => {
-                // TeamColl (V4+): split the world team and run the
-                // collective through the Team methods.
+                // Split the world team and run the collective through
+                // the Team methods.
                 let split = gen_set(d, npes);
                 let size = split.2;
                 let kind = match d.below(5) {

@@ -6,8 +6,13 @@
 //! thread with a [`JobWatch`] attached, the watchdog polls the
 //! fabric progress counter, and if it stops moving for the stall window
 //! the watchdog captures a per-PE diagnosis (blocked state, queue
-//! occupancy, stash, last trace event), aborts the job, and returns
-//! [`Outcome::Stalled`] with the report and a replay hint.
+//! occupancy, stash, last trace event, the launch's fault plan), aborts
+//! the job, and returns [`Outcome::Stalled`] with the report and a
+//! replay hint.
+//!
+//! Every runner takes the fault plan of the one launch it makes
+//! (`None` for a clean run), so runs with different plans may share a
+//! process and run side by side.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -15,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use substrate::channel::{self, RecvTimeoutError};
 use tshmem::prelude::*;
-use tshmem::{BlockedOn, JobWatch, TimedMode, TimedWatch};
+use tshmem::{BlockedOn, EngineBackend, FaultPlan, JobWatch, TimedMode, TimedWatch};
 
 use crate::oracle::{oracle, Model};
 use crate::program::{
@@ -116,12 +121,12 @@ pub fn run_on_ctx_shared(prog: &Program, ctx: &ShmemCtx, shared_model: &OnceLock
     // marker (must read 0 inside the critical section).
     let lockctr = ctx.shmalloc::<u64>(2);
     let lock = ctx.shmalloc::<i64>(1);
-    // Token cells for the V2 liveness mixes: `sig` is the signal-ring
+    // Token cells for the liveness mixes: `sig` is the signal-ring
     // flag (every copy written), `ring` the single contended cswap cell
     // (PE 0's copy only).
     let sig = ctx.shmalloc::<u64>(1);
     let ring = ctx.shmalloc::<u64>(1);
-    // V4 put_signal chains: `sigs` holds the indexed signal words,
+    // put_signal chains: `sigs` holds the indexed signal words,
     // `chaind` the delivered payloads (stripe `p` written by PE `p`).
     let sigs = ctx.shmalloc::<u64>(NSIG);
     let chaind = ctx.shmalloc::<u64>(npes * CHAIN_W);
@@ -495,7 +500,7 @@ pub fn run_plain(prog: &Program, depth: Option<usize>) {
 /// How often the watchdog samples the progress counter.
 const POLL: Duration = Duration::from_millis(50);
 
-/// Run `prog` under the stall watchdog.
+/// Run `prog` under the stall watchdog, with fault plan `faults`.
 ///
 /// `stall` is the wall-clock window with zero *useful* fabric progress
 /// (spin retries do not count) after which the job is declared wedged.
@@ -504,6 +509,7 @@ const POLL: Duration = Duration::from_millis(50);
 pub fn run_watched(
     prog: &Program,
     depth: Option<usize>,
+    faults: Option<&FaultPlan>,
     stall: Duration,
     replay_hint: &str,
 ) -> Outcome {
@@ -511,7 +517,7 @@ pub fn run_watched(
     let cfg = build_cfg(&prog, depth);
     let p = Arc::clone(&prog);
     let cell = OnceLock::new();
-    watch_native(cfg, stall, format!("replay: {replay_hint}\n"), move |ctx| {
+    watch_wall(cfg, None, faults, stall, format!("replay: {replay_hint}\n"), move |ctx| {
         run_on_ctx_shared(&p, ctx, &cell)
     })
 }
@@ -519,11 +525,17 @@ pub fn run_watched(
 /// Run an arbitrary per-PE closure under the same native stall
 /// watchdog as [`run_watched`] — for hand-built liveness canaries that
 /// are not expressible as a [`Program`].
-pub fn watch_closure<F>(cfg: &RuntimeConfig, stall: Duration, label: &str, f: F) -> Outcome
+pub fn watch_closure<F>(
+    cfg: &RuntimeConfig,
+    faults: Option<&FaultPlan>,
+    stall: Duration,
+    label: &str,
+    f: F,
+) -> Outcome
 where
     F: Fn(&ShmemCtx) + Send + Sync + 'static,
 {
-    watch_native(*cfg, stall, format!("scenario: {label}\n"), f)
+    watch_wall(*cfg, None, faults, stall, format!("scenario: {label}\n"), f)
 }
 
 /// Run `prog` on the **coop** M:N engine under the wall-clock watchdog,
@@ -533,6 +545,7 @@ where
 pub fn run_coop(
     prog: &Program,
     depth: Option<usize>,
+    faults: Option<&FaultPlan>,
     workers: usize,
     stall: Duration,
     replay_hint: &str,
@@ -541,7 +554,7 @@ pub fn run_coop(
     let cfg = build_cfg(&prog, depth);
     let p = Arc::clone(&prog);
     let cell = OnceLock::new();
-    watch_wall(cfg, Some(workers), stall, format!("replay: {replay_hint}\n"), move |ctx| {
+    watch_wall(cfg, Some(workers), faults, stall, format!("replay: {replay_hint}\n"), move |ctx| {
         run_on_ctx_shared(&p, ctx, &cell)
     })
 }
@@ -550,6 +563,7 @@ pub fn run_coop(
 /// canaries.
 pub fn watch_closure_coop<F>(
     cfg: &RuntimeConfig,
+    faults: Option<&FaultPlan>,
     workers: usize,
     stall: Duration,
     label: &str,
@@ -558,7 +572,7 @@ pub fn watch_closure_coop<F>(
 where
     F: Fn(&ShmemCtx) + Send + Sync + 'static,
 {
-    watch_wall(*cfg, Some(workers), stall, format!("scenario: {label}\n"), f)
+    watch_wall(*cfg, Some(workers), faults, stall, format!("scenario: {label}\n"), f)
 }
 
 /// Run `prog` on the **timed** engine under its deadlock watchdog.
@@ -567,8 +581,13 @@ where
 /// instant the virtual event queue drains with LPs still parked, and
 /// the attached [`TimedWatch`] renders the per-PE diagnosis. Oracle
 /// mismatches still propagate as panics.
-pub fn run_timed(prog: &Program, depth: Option<usize>, replay_hint: &str) -> Outcome {
-    run_timed_mode(prog, depth, TimedMode::EventDriven, replay_hint)
+pub fn run_timed(
+    prog: &Program,
+    depth: Option<usize>,
+    faults: Option<&FaultPlan>,
+    replay_hint: &str,
+) -> Outcome {
+    run_timed_mode(prog, depth, faults, TimedMode::EventDriven, replay_hint)
 }
 
 /// [`run_timed`] with an explicit scheduling discipline — cycle-box
@@ -578,10 +597,11 @@ pub fn run_timed(prog: &Program, depth: Option<usize>, replay_hint: &str) -> Out
 pub fn run_timed_mode(
     prog: &Program,
     depth: Option<usize>,
+    faults: Option<&FaultPlan>,
     mode: TimedMode,
     replay_hint: &str,
 ) -> Outcome {
-    run_virtual(prog, depth, mode, 1, replay_hint)
+    run_virtual(prog, depth, faults, mode, 1, replay_hint)
 }
 
 /// Run `prog` on the **multichip** engine — two simulated chips joined
@@ -591,18 +611,24 @@ pub fn run_timed_mode(
 /// `npes` must be even. A configured `TmcSpin` barrier is remapped to
 /// `Dissemination` (with a note on stderr): the TMC spin barrier is a
 /// single-chip hardware primitive and the multichip backend rejects it.
-pub fn run_multichip(prog: &Program, depth: Option<usize>, replay_hint: &str) -> Outcome {
-    run_multichip_mode(prog, depth, TimedMode::EventDriven, replay_hint)
+pub fn run_multichip(
+    prog: &Program,
+    depth: Option<usize>,
+    faults: Option<&FaultPlan>,
+    replay_hint: &str,
+) -> Outcome {
+    run_multichip_mode(prog, depth, faults, TimedMode::EventDriven, replay_hint)
 }
 
 /// [`run_multichip`] with an explicit scheduling discipline.
 pub fn run_multichip_mode(
     prog: &Program,
     depth: Option<usize>,
+    faults: Option<&FaultPlan>,
     mode: TimedMode,
     replay_hint: &str,
 ) -> Outcome {
-    run_virtual(prog, depth, mode, 2, replay_hint)
+    run_virtual(prog, depth, faults, mode, 2, replay_hint)
 }
 
 /// The one virtual-time launch: `prog`'s PEs split evenly over `chips`
@@ -610,6 +636,7 @@ pub fn run_multichip_mode(
 fn run_virtual(
     prog: &Program,
     depth: Option<usize>,
+    faults: Option<&FaultPlan>,
     mode: TimedMode,
     chips: usize,
     replay_hint: &str,
@@ -631,7 +658,7 @@ fn run_virtual(
     }
     let watch = Arc::new(TimedWatch::new());
     let cell = OnceLock::new();
-    match Launcher::new(&cfg, MultiChipBackend { chips })
+    match with_plan(Launcher::new(&cfg, MultiChipBackend { chips }), faults)
         .with_watch(WatchPlane::Virtual(watch))
         .run_watched(|ctx| run_on_ctx_shared(prog, ctx, &cell))
     {
@@ -661,11 +688,12 @@ pub fn resolve_coop_workers(requested: usize, pes: usize) -> usize {
     tshmem::resolve_coop_workers(0, pes.max(1))
 }
 
-fn watch_native<F>(cfg: RuntimeConfig, stall: Duration, trailer: String, f: F) -> Outcome
-where
-    F: Fn(&ShmemCtx) + Send + Sync + 'static,
-{
-    watch_wall(cfg, None, stall, trailer, f)
+/// `launcher` with `plan` attached, if there is one.
+fn with_plan<'w, B: EngineBackend>(launcher: Launcher<'w, B>, plan: Option<&FaultPlan>) -> Launcher<'w, B> {
+    match plan {
+        Some(plan) => launcher.with_faults(plan.clone()),
+        None => launcher,
+    }
 }
 
 /// Shared wall-clock watchdog over a native (`workers == None`) or coop
@@ -675,6 +703,7 @@ where
 fn watch_wall<F>(
     cfg: RuntimeConfig,
     workers: Option<usize>,
+    faults: Option<&FaultPlan>,
     stall: Duration,
     trailer: String,
     f: F,
@@ -685,22 +714,22 @@ where
     let watch = Arc::new(JobWatch::new());
     let (tx, rx) = channel::bounded::<std::thread::Result<()>>(1);
     let w = Arc::clone(&watch);
+    let faults = faults.cloned();
     // Detached on purpose: if the job truly deadlocks, its PE threads
     // can never be joined. `abort()` unwedges every PE parked in a
     // fabric wait; threads stuck in plain (fault-injected) channel
-    // sends leak until process exit, which is why the canary lives in
-    // its own test binary.
+    // sends leak, parked, until process exit.
     std::thread::Builder::new()
         .name("stress-job".into())
         .spawn(move || {
             let plane = WatchPlane::Wall(&w);
             let r = catch_unwind(AssertUnwindSafe(|| match workers {
                 None => {
-                    Launcher::new(&cfg, NativeBackend).with_watch(plane).run(f);
+                    with_plan(Launcher::new(&cfg, NativeBackend), faults.as_ref()).with_watch(plane).run(f);
                 }
                 Some(workers) => {
                     let backend = CoopBackend { workers, ..Default::default() };
-                    Launcher::new(&cfg, backend).with_watch(plane).run(f);
+                    with_plan(Launcher::new(&cfg, backend), faults.as_ref()).with_watch(plane).run(f);
                 }
             }));
             let _ = tx.try_send(r.map(|_| ()));
@@ -752,9 +781,6 @@ where
                 watch.total_spins(),
                 watch.diagnose_delta(Some(&baseline))
             );
-            if let Some(desc) = tshmem::fault::describe_active() {
-                report.push_str(&format!("active {desc}\n"));
-            }
             report.push_str(&trailer);
             watch.abort();
             // Grace period for the abort panic to unwind the job; a job

@@ -1,6 +1,6 @@
 //! Open-loop load harness for the `tshmem::server` multi-tenant pool.
 //!
-//! `stress --serve` queues a seeded stream of gen-v4 oracle-checked
+//! `stress --serve` queues a seeded stream of oracle-checked generated
 //! programs (2–8 PEs each) against a resident [`Server`], with a
 //! configurable fraction of jobs replaced by hostile tenants — mostly
 //! caught-class panics, plus deliberate wedges that must be diagnosed
@@ -22,9 +22,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tshmem::prelude::*;
-use tshmem::{JobOutcome, JobSpec, Server, ServerConfig};
+use tshmem::{Fault, JobOutcome, JobSpec, Server, ServerConfig};
 
-use crate::program::{gen_program_v, Draw, RngDraw, GEN_V4};
+use crate::program::{gen_program, Draw, RngDraw};
 use crate::run::{build_cfg, run_on_ctx};
 
 /// Which scheduler the serve run drives.
@@ -47,10 +47,10 @@ pub struct ServeOpts {
     /// Pool worker threads (0 = auto).
     pub pool_workers: usize,
     pub sched: Sched,
-    /// Install a one-shot `Fault::PanicPe` plan for this PE index
-    /// instead of closure-level faults: exactly one job in the stream
-    /// must fault, every other job must complete (the canary mode
-    /// check_hermetic.sh drives).
+    /// Hand the first job with this PE a one-shot `Fault::PanicPe` plan
+    /// for it, instead of closure-level faults: exactly one job in the
+    /// stream must fault, every other job must complete (the canary
+    /// mode check_hermetic.sh drives).
     pub panic_pe: Option<usize>,
 }
 
@@ -139,7 +139,7 @@ pub fn serve(opts: &ServeOpts) -> ServeSummary {
         workers: opts.pool_workers,
         queue_depth: 64,
         // Wedges must be diagnosed in CI time: a short window is safe
-        // because healthy gen-v4 programs at ≤8 PEs make progress at
+        // because healthy generated programs at ≤8 PEs make progress at
         // microsecond scale, far inside any stall horizon.
         stall: Duration::from_millis(500),
         // A deliberate wedge reproduces on retry and each wedged
@@ -166,15 +166,9 @@ pub fn serve(opts: &ServeOpts) -> ServeSummary {
             None => String::new(),
         }
     );
-    if let Some(pe) = opts.panic_pe {
-        let plan = tshmem::FaultPlan {
-            seed: 0,
-            faults: vec![tshmem::Fault::PanicPe { pe, after_ops: 8 }],
-        };
-        eprintln!("serve: installing one-shot {plan:?}");
-        tshmem::fault::install(plan);
-    }
-
+    // The PanicPe canary's plan rides on one job; every other job runs
+    // clean, whatever overlaps it in the pool.
+    let mut panic_pe = opts.panic_pe;
     let t0 = Instant::now();
     let mut handles = Vec::with_capacity(opts.jobs);
     for i in 0..opts.jobs {
@@ -186,7 +180,7 @@ pub fn serve(opts: &ServeOpts) -> ServeSummary {
                 // the same program but a chosen PE turns hostile at a
                 // mid-program barrier.
                 let npes = 2 + d.below(7) as usize;
-                let prog = Arc::new(gen_program_v(&mut d, npes, GEN_V4));
+                let prog = Arc::new(gen_program(&mut d, npes));
                 let cfg = build_cfg(&prog, None);
                 if expect == Expect::Panic {
                     let victim = d.below(npes as u64) as usize;
@@ -211,7 +205,12 @@ pub fn serve(opts: &ServeOpts) -> ServeSummary {
                 wedge_body,
             ),
         };
-        let spec = spec.with_tenant((i % 7) as u32);
+        let mut spec = spec.with_tenant((i % 7) as u32);
+        if let Some(pe) = panic_pe.filter(|pe| *pe < spec.cfg.npes) {
+            eprintln!("serve: job {i} carries a one-shot PanicPe(PE {pe} after 8 ops)");
+            spec = spec.with_faults([Fault::PanicPe { pe, after_ops: 8 }]);
+            panic_pe = None;
+        }
         // Open loop with admission backpressure: on QueueFull honor the
         // server's retry hint (capped — this is a test harness, not a
         // patient client).
@@ -276,14 +275,11 @@ pub fn serve(opts: &ServeOpts) -> ServeSummary {
     }
     let wall = t0.elapsed();
 
-    if opts.panic_pe.is_some() {
-        tshmem::fault::clear();
-        if panic_pe_faults != 1 {
-            summary.mismatches.push(format!(
-                "PanicPe canary: expected exactly 1 faulted job from the one-shot \
-                 plan, saw {panic_pe_faults}"
-            ));
-        }
+    if opts.panic_pe.is_some() && panic_pe_faults != 1 {
+        summary.mismatches.push(format!(
+            "PanicPe canary: expected exactly 1 faulted job from the one-shot \
+             plan, saw {panic_pe_faults}"
+        ));
     }
     summary.server = server.shutdown();
     summary.jobs_per_sec = opts.jobs as f64 / wall.as_secs_f64();

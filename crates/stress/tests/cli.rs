@@ -11,11 +11,11 @@ fn stress_bin() -> Command {
 
 /// `--engine coop` without `--workers` used to hand the backend a zero;
 /// now parse_args resolves a sane M itself, names the flag in a hint,
-/// and the run completes. A tiny 2-PE gen-1 case keeps this fast.
+/// and the run completes. A tiny 2-PE case keeps this fast.
 #[test]
 fn coop_without_workers_auto_sizes_and_completes() {
     let out = stress_bin()
-        .args(["--engine", "coop", "--seed", "0x7", "--case", "1", "--pes", "2", "--gen", "1"])
+        .args(["--engine", "coop", "--seed", "0x7", "--case", "1", "--pes", "2"])
         .output()
         .expect("failed to spawn stress binary");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -46,10 +46,7 @@ fn coop_without_workers_auto_sizes_and_completes() {
 #[test]
 fn coop_with_explicit_workers_is_not_overridden() {
     let out = stress_bin()
-        .args([
-            "--engine", "coop", "--workers", "2", "--seed", "0x7", "--case", "1", "--pes", "2",
-            "--gen", "1",
-        ])
+        .args(["--engine", "coop", "--workers", "2", "--seed", "0x7", "--case", "1", "--pes", "2"])
         .output()
         .expect("failed to spawn stress binary");
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,5 +1,5 @@
-//! Coop-engine smoke seeds past the native tile cap: pinned `--gen 3`
-//! programs at 64 and 256 PEs must converge to the sequential oracle
+//! Coop-engine smoke seeds past the native tile cap: pinned programs at
+//! 64 and 256 PEs must converge to the sequential oracle
 //! under M:N multiplexing, and the 256-PEs-on-4-workers run must finish
 //! without the oversubscription-scaled watchdog raising a spurious
 //! livelock/deadlock report (the satellite-1 regression: the unscaled
@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use stress::program::{gen_program_v, RngDraw, GEN_V3, GEN_V4};
+use stress::program::{gen_program, RngDraw};
 use stress::run::{run_coop, watch_closure_coop, Outcome};
 use tshmem::prelude::*;
 
@@ -25,9 +25,11 @@ fn assert_completed(outcome: Outcome, label: &str) {
 
 #[test]
 fn coop_smoke_64_pes() {
-    let prog = gen_program_v(&mut RngDraw::new(SEED, 0), 64, GEN_V3);
-    let hint = format!("--seed {SEED:#x} --case 0 --npes 64 --depth 0 --gen 3 --engine coop --workers 3");
-    assert_completed(run_coop(&prog, None, 3, Duration::from_secs(5), &hint), "64 PEs / 3 workers");
+    // Case 11: reduce, two fcollects and a collect on 51-64-member sets,
+    // a lock and a cswap ring.
+    let prog = gen_program(&mut RngDraw::new(SEED, 11), 64);
+    let hint = format!("--seed {SEED:#x} --case 11 --npes 64 --depth 0 --engine coop --workers 3");
+    assert_completed(run_coop(&prog, None, None, 3, Duration::from_secs(5), &hint), "64 PEs / 3 workers");
 }
 
 #[test]
@@ -37,9 +39,11 @@ fn coop_smoke_256_pes_no_spurious_stall_report() {
     // fix the effective window is 64 s and the run completes well
     // inside it; pre-fix, the raw 1 s window tripped over admission
     // latency and the report misclassified the queued PEs as frozen.
-    let prog = gen_program_v(&mut RngDraw::new(SEED, 1), 256, GEN_V3);
-    let hint = format!("--seed {SEED:#x} --case 1 --npes 256 --depth 0 --gen 3 --engine coop --workers 4");
-    assert_completed(run_coop(&prog, None, 4, Duration::from_secs(1), &hint), "256 PEs / 4 workers");
+    // Case 7: a 214-member broadcast, a 130-member fcollect, an nbi
+    // train and a world lock.
+    let prog = gen_program(&mut RngDraw::new(SEED, 7), 256);
+    let hint = format!("--seed {SEED:#x} --case 7 --npes 256 --depth 0 --engine coop --workers 4");
+    assert_completed(run_coop(&prog, None, None, 4, Duration::from_secs(1), &hint), "256 PEs / 4 workers");
 }
 
 #[test]
@@ -56,18 +60,20 @@ fn coop_smoke_1024_pes() {
     // neighboring cases draw a global Lock or token rings — n serial
     // gate handoffs per round that cost debug-build minutes at this
     // scale and measure the box, not the engine.
-    let prog = gen_program_v(&mut RngDraw::new(SEED, 8), 1024, GEN_V4);
-    let hint = format!("--seed {SEED:#x} --case 8 --npes 1024 --depth 0 --gen 4 --engine coop --workers 4");
-    assert_completed(run_coop(&prog, None, 4, Duration::from_secs(2), &hint), "1024 PEs / 4 workers");
+    let prog = gen_program(&mut RngDraw::new(SEED, 8), 1024);
+    let hint = format!("--seed {SEED:#x} --case 8 --npes 1024 --depth 0 --engine coop --workers 4");
+    assert_completed(run_coop(&prog, None, None, 4, Duration::from_secs(2), &hint), "1024 PEs / 4 workers");
 }
 
 #[test]
 fn coop_smoke_bounded_queues() {
     // Finite UDN buffers under oversubscription: the gate must be
     // released around blocking sends or a full queue wedges the worker.
-    let prog = gen_program_v(&mut RngDraw::new(SEED, 2), 64, GEN_V3);
-    let hint = format!("--seed {SEED:#x} --case 2 --npes 64 --depth 2 --gen 3 --engine coop --workers 2");
-    assert_completed(run_coop(&prog, Some(2), 2, Duration::from_secs(5), &hint), "64 PEs depth 2");
+    // Case 2: RMA traffic, a lock, a put_signal chain and three
+    // collectives.
+    let prog = gen_program(&mut RngDraw::new(SEED, 2), 64);
+    let hint = format!("--seed {SEED:#x} --case 2 --npes 64 --depth 2 --engine coop --workers 2");
+    assert_completed(run_coop(&prog, Some(2), None, 2, Duration::from_secs(5), &hint), "64 PEs depth 2");
 }
 
 #[test]
@@ -83,7 +89,7 @@ fn watchdog_names_the_cell_and_the_pe_that_never_arrived() {
     let leader = missing / SHARD * SHARD;
     let label = format!("cell wedge --seed {SEED:#x}: PE {missing} skips a 72-PE sum_to_all on 4 workers");
     let cfg = RuntimeConfig::for_scale(72);
-    let outcome = watch_closure_coop(&cfg, 4, Duration::from_millis(100), &label, move |ctx| {
+    let outcome = watch_closure_coop(&cfg, None, 4, Duration::from_millis(100), &label, move |ctx| {
         let src = ctx.shmalloc::<u64>(1);
         let dst = ctx.shmalloc::<u64>(1);
         let never = ctx.shmalloc::<u64>(1);

@@ -1,61 +1,319 @@
-//! Fast-path / general-path equivalence suite.
+//! Equivalence suites: one seeded program, two arms that may differ in
+//! *how* an operation is carried out but never in *what* it does. Each
+//! arm is a launch of its own — a per-launch fault plan for the
+//! reference arms that switch an optimisation off, a config or backend
+//! for the rest — so the arms of every suite run side by side:
 //!
-//! The RMA fast paths (unit-stride batched `iput`/`iget`, contiguous-
-//! source borrows, direct temp drains) are pure optimizations: running
-//! the same seeded `--gen 3` program with the fast paths disabled
-//! (`fault::set_rma_fast_paths(false)`) must leave **identical heap and
-//! static final state** and **identical per-PE `Stats` counters** on
-//! the native and timed engines.
+//! | suite | arms | `Stats` compared |
+//! |---|---|---|
+//! | RMA fast paths | default vs `[Fault::GeneralRmaPaths]`, native and timed | all |
+//! | nbi completion | lazy (default) vs `[Fault::EagerNbi]`, four engines | all but `cswap_retries` (native) |
+//! | collectives | flat vs hierarchical algorithms | barriers, collectives, atomics |
+//! | admission | native (`Free`) vs coop (`Gated`) with a worker per PE and with one worker | API counts; puts/gets too with a worker per PE |
+//! | virtual-time disciplines | event-driven vs cycle-box, timed and multichip | — (final state) |
 //!
-//! State equality is enforced inside [`run_on_ctx`], which asserts every
-//! PE's full view (heap copy, static segment, collective scratch,
+//! Final-state equality is enforced inside [`run_on_ctx`], which asserts
+//! every PE's full view (heap copy, static segment, collective scratch,
 //! recorded get streams, signal/atomic cells) against the sequential
-//! oracle — both the fast and the general run must match that one
-//! model, so they match each other. Stats are compared directly here.
+//! oracle — both arms must match that one model, so they match each
+//! other. `Stats` are compared here.
 //!
-//! One `#[test]` on purpose: the fast-path switch is process-global, so
-//! this binary must never run it in parallel with other tests.
+//! The locality arms stay in `locality_equivalence.rs`.
 
-use stress::program::{gen_program_v, RngDraw, GEN_V3};
-use stress::run::{build_cfg, run_on_ctx};
-use tshmem::fault;
-use tshmem::{Launcher, Stats, TimedBackend};
+use std::sync::Barrier;
+use std::time::Duration;
 
-fn stats_for(prog: &stress::program::Program, fast: bool) -> (Vec<Stats>, Vec<Stats>) {
-    fault::set_rma_fast_paths(fast);
-    let cfg = build_cfg(prog, Some(2));
-    let native = tshmem::launch(&cfg, |ctx| {
-        run_on_ctx(prog, ctx);
-        ctx.stats()
+use stress::program::{gen_program, Program, RngDraw};
+use stress::run::{
+    build_cfg, run_coop, run_multichip, run_multichip_mode, run_on_ctx, run_timed, run_timed_mode,
+    run_watched, Outcome,
+};
+use tshmem::prelude::*;
+use tshmem::{EngineBackend, Fault, FaultPlan, Stats, TimedMode};
+
+fn program(seed: u64, case: u64, npes: usize) -> Program {
+    gen_program(&mut RngDraw::new(seed, case), npes)
+}
+
+/// Per-PE `Stats` of `prog` launched on `backend` under `cfg` and
+/// `plan`, the final state oracle-checked inside the launch.
+fn stats_on(backend: impl EngineBackend, cfg: &RuntimeConfig, prog: &Program, plan: Option<&FaultPlan>) -> Vec<Stats> {
+    let launcher = Launcher::new(cfg, backend);
+    let launcher = match plan {
+        Some(plan) => launcher.with_faults(plan.clone()),
+        None => launcher,
+    };
+    launcher
+        .run(|ctx| {
+            run_on_ctx(prog, ctx);
+            ctx.stats()
+        })
+        .values
+}
+
+fn assert_completed(outcome: Outcome, label: &str) {
+    if let Outcome::Stalled(report) = outcome {
+        panic!("{label}: stalled:\n{report}");
+    }
+}
+
+// --- RMA fast paths ---------------------------------------------------------
+
+/// The RMA fast paths (unit-stride batched `iput`/`iget`, contiguous-
+/// source borrows, direct temp drains) are pure optimizations: the same
+/// program under `[GeneralRmaPaths]` must leave identical state and
+/// identical per-PE `Stats` on the native and timed engines. Seeds
+/// 0x5EFA and 0x5EFC: the first two of the 0x5EED.. scan whose programs
+/// draw both unit-stride and strided `iput`/`iget`.
+#[test]
+fn fast_and_general_rma_paths_agree_on_state_and_stats() {
+    let general = FaultPlan::from([Fault::GeneralRmaPaths]);
+    for seed in [0x5EFAu64, 0x5EFC] {
+        let prog = program(seed, 0, 4);
+        let cfg = build_cfg(&prog, Some(2));
+        let native_fast = stats_on(NativeBackend, &cfg, &prog, None);
+        let native_gen = stats_on(NativeBackend, &cfg, &prog, Some(&general));
+        let timed_fast = stats_on(TimedBackend, &cfg, &prog, None);
+        let timed_gen = stats_on(TimedBackend, &cfg, &prog, Some(&general));
+        assert_eq!(native_fast, native_gen, "seed {seed:#x}: native stats diverged between fast and general paths");
+        assert_eq!(timed_fast, timed_gen, "seed {seed:#x}: timed stats diverged between fast and general paths");
+        // And the engines agree with each other on the logical op counts.
+        assert_eq!(native_fast, timed_fast, "seed {seed:#x}: native and timed stats diverged");
+    }
+}
+
+// --- nbi completion ---------------------------------------------------------
+
+/// Failed `cswap` attempts (claim-loop retries) are timing-dependent;
+/// everything else in `Stats` is deterministic per program.
+fn normalized(mut s: Stats) -> Stats {
+    s.cswap_retries = 0;
+    s
+}
+
+/// The same programs must reach the same final state — and the same
+/// deterministic `Stats` — whether non-blocking operations complete at
+/// issue (`[EagerNbi]`) or at the next completion point (the default).
+/// Eager mode routes through `drain_pending` on the same code path, so a
+/// divergence means the deferred plumbing (staging buffers, issue-order
+/// replay, temp bump-allocation) changed observable semantics.
+#[test]
+fn eager_and_lazy_nbi_completion_agree_on_stats() {
+    let eager = FaultPlan::from([Fault::EagerNbi]);
+    for case in 0..4u64 {
+        let prog = program(0x4eb1, case, 4);
+        let cfg = build_cfg(&prog, None);
+        let lazy = stats_on(NativeBackend, &cfg, &prog, None);
+        let eager = stats_on(NativeBackend, &cfg, &prog, Some(&eager));
+        assert_eq!(lazy.len(), eager.len());
+        for (pe, (l, e)) in lazy.iter().zip(&eager).enumerate() {
+            assert_eq!(
+                normalized(*l),
+                normalized(*e),
+                "case {case} PE {pe}: eager and lazy nbi modes produced different op counts"
+            );
+        }
+    }
+}
+
+/// Both completion modes converge to the oracle on all four engines.
+#[test]
+fn eager_and_lazy_nbi_completion_converge_on_every_engine() {
+    let eager = FaultPlan::from([Fault::EagerNbi]);
+    for plan in [None, Some(&eager)] {
+        let mode = if plan.is_some() { "eager" } else { "lazy" };
+        for case in 4..7u64 {
+            let prog = program(0x4eb1, case, 4);
+            let hint = format!("--seed 0x4eb1 --case {case} --pes 4 ({mode})");
+            let stall = Duration::from_secs(20);
+            assert_completed(run_watched(&prog, None, plan, stall, &hint), &format!("native case {case} {mode}"));
+            assert_completed(run_timed(&prog, None, plan, &hint), &format!("timed case {case} {mode}"));
+            assert_completed(run_multichip(&prog, None, plan, &hint), &format!("multichip case {case} {mode}"));
+            assert_completed(run_coop(&prog, None, plan, 2, stall, &hint), &format!("coop case {case} {mode}"));
+        }
+    }
+}
+
+/// The eager arm belongs to the launch it was handed: with an eager and
+/// a default launch in flight at once, the default one still holds its
+/// `put_nbi` after `fence` (fence orders, it does not complete) and the
+/// eager one holds none.
+#[test]
+fn eager_nbi_reaches_only_its_own_launch() {
+    let cfg = RuntimeConfig::new(2).with_partition_bytes(1 << 20);
+    let both_issued = Barrier::new(2);
+    let pending_after_fence = |plan: Option<FaultPlan>| {
+        let launcher = Launcher::new(&cfg, NativeBackend);
+        let launcher = match plan {
+            Some(plan) => launcher.with_faults(plan),
+            None => launcher,
+        };
+        launcher
+            .run(|ctx| {
+                let x = ctx.shmalloc::<u64>(4);
+                let mut pending = 0;
+                if ctx.my_pe() == 0 {
+                    ctx.put_nbi(&x, 0, &[1u64, 2, 3, 4], 1);
+                    ctx.fence();
+                    pending = ctx.pending_nbi_ops();
+                    // Both launches hold their answer before either
+                    // drains at its next barrier.
+                    both_issued.wait();
+                }
+                ctx.barrier_all();
+                pending
+            })
+            .values[0]
+    };
+    let (lazy, eager) = std::thread::scope(|s| {
+        let eager = s.spawn(|| pending_after_fence(Some(FaultPlan::from([Fault::EagerNbi]))));
+        (pending_after_fence(None), eager.join().unwrap())
     });
-    let timed = Launcher::new(&cfg, TimedBackend).run(|ctx| {
-        run_on_ctx(prog, ctx);
-        ctx.stats()
-    })
-    .values;
-    fault::set_rma_fast_paths(true);
-    (native, timed)
+    assert_eq!((lazy, eager), (1, 0), "pending put_nbi ops after fence (default launch, eager launch)");
+}
+
+// --- collective algorithms ------------------------------------------------
+
+/// The hierarchical barrier/broadcast/reduce are reimplementations of
+/// the same collective semantics, so forcing them on a program that
+/// defaults to the flat algorithms must leave identical state and
+/// identical API-level `Stats` (barriers, collectives, atomics — the
+/// put/get counters intentionally differ, since the algorithms route
+/// different internal traffic). Seeds whose programs draw reduce,
+/// broadcast and fcollect on multi-member sets.
+#[test]
+fn flat_and_hier_collectives_agree_on_state_and_api_stats() {
+    let flat = Algorithms {
+        barrier: BarrierAlgo::Dissemination,
+        broadcast: BroadcastAlgo::Pull,
+        reduce: ReduceAlgo::Naive,
+    };
+    let hier = Algorithms {
+        barrier: BarrierAlgo::Hierarchical,
+        broadcast: BroadcastAlgo::Hierarchical,
+        reduce: ReduceAlgo::Hierarchical,
+    };
+    for (seed, npes, depth) in [(0x4201u64, 6, None), (0x41F9, 8, Some(2)), (0x41F8, 5, None)] {
+        let prog = program(seed, 0, npes);
+        let cfg = build_cfg(&prog, depth);
+        let sf = stats_on(NativeBackend, &cfg.with_algos(flat), &prog, None);
+        let sh = stats_on(NativeBackend, &cfg.with_algos(hier), &prog, None);
+        for (pe, (f, h)) in sf.iter().zip(&sh).enumerate() {
+            assert_eq!(
+                (f.barriers, f.collectives, f.atomics),
+                (h.barriers, h.collectives, h.atomics),
+                "seed {seed:#x} npes {npes} PE {pe}: API-level stats diverged between flat and hier"
+            );
+        }
+    }
+}
+
+// --- admission policy -----------------------------------------------------
+
+/// The native engine and the coop engine are one wall-clock data plane,
+/// and the admission policy may decide only *when* a context touches
+/// the fabric — never what an operation does or counts (DESIGN.md §6).
+/// So the same program on `NativeBackend`, on `CoopBackend` with a
+/// worker per PE (every gate uncontended by other PEs) and on
+/// `CoopBackend` with one worker (every context behind a single gate)
+/// must reach the oracle and report equal API-level `Stats`.
+///
+/// Raw `puts`/`gets` also count the copies a collective makes on the
+/// caller's behalf, and who makes them depends on the transport: with
+/// several PEs behind one gate the coop engine's default collectives
+/// take the counter-cell pass (`ShmemCtx::select`), where a leader does
+/// its whole cluster's copies. So they are compared only where both
+/// sides run the same transport — one PE per worker, which the
+/// selection function leaves on the flat algorithms the native engine
+/// runs. `redirected`/`locality_hits` are never compared (gated
+/// admission turns same-worker redirects into direct copies).
+#[test]
+fn free_and_gated_admission_agree_on_state_and_api_stats() {
+    const SEED: u64 = 0x57414C4C45513136;
+    let api_counts = |s: &Stats| [s.atomics, s.barriers, s.quiets, s.fences, s.collectives];
+    let copy_counts = |s: &Stats| [s.puts, s.gets];
+    for case in 0..8 {
+        for npes in [2usize, 5, 8] {
+            let prog = program(SEED, case, npes);
+            for depth in [Some(2), None] {
+                let cfg = build_cfg(&prog, depth);
+                let native = stats_on(NativeBackend, &cfg, &prog, None);
+                for workers in [npes, 1] {
+                    let gated = stats_on(CoopBackend { workers, ..Default::default() }, &cfg, &prog, None);
+                    for (pe, (a, b)) in native.iter().zip(&gated).enumerate() {
+                        assert_eq!(
+                            api_counts(a),
+                            api_counts(b),
+                            "seed {SEED:#x} case {case} npes {npes} depth {depth:?} PE {pe}: \
+                             native and coop({workers} workers) counted different operations"
+                        );
+                        if workers == npes {
+                            assert_eq!(
+                                copy_counts(a),
+                                copy_counts(b),
+                                "seed {SEED:#x} case {case} npes {npes} depth {depth:?} PE {pe}: \
+                                 native and coop(one PE per worker) made different copies"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// --- virtual-time scheduling disciplines ----------------------------------
+
+/// The cycle-box discipline batches LPs into lockstep virtual-time
+/// boxes, so its interleavings (and per-PE clocks) differ from exact
+/// event-driven order — but the protocols must converge to the same
+/// final state.
+const CYCLE_BOX_SEED: u64 = 0x7453484d454d5042;
+
+fn cycle_box_hint(case: u64, npes: usize, depth: Option<usize>, engine: &str) -> String {
+    format!(
+        "cargo run -p stress -- --seed {CYCLE_BOX_SEED:#x} --case {case} --pes {npes} \
+         --depth {} --engine {engine}",
+        depth.unwrap_or(0)
+    )
 }
 
 #[test]
-fn fast_and_general_paths_agree_on_state_and_stats() {
-    for case in 0..2u64 {
-        let prog = gen_program_v(&mut RngDraw::new(0x5EED + case, 0), 4, GEN_V3);
-        // Each run oracle-checks its own final state internally.
-        let (native_fast, timed_fast) = stats_for(&prog, true);
-        let (native_gen, timed_gen) = stats_for(&prog, false);
-        assert_eq!(
-            native_fast, native_gen,
-            "case {case}: native stats diverged between fast and general paths"
-        );
-        assert_eq!(
-            timed_fast, timed_gen,
-            "case {case}: timed stats diverged between fast and general paths"
-        );
-        // And the engines agree with each other on the logical op counts.
-        assert_eq!(
-            native_fast, timed_fast,
-            "case {case}: native and timed stats diverged"
-        );
+fn event_driven_and_cycle_box_converge_to_the_oracle() {
+    for (case, npes, depth) in [(0u64, 6usize, None), (1, 8, Some(2)), (2, 5, None), (3, 12, None)] {
+        let prog = program(CYCLE_BOX_SEED, case, npes);
+        for (mode, flag) in [(TimedMode::EventDriven, ""), (TimedMode::cycle_box(), " --cycle-box")] {
+            let hint = cycle_box_hint(case, npes, depth, &format!("timed{flag}"));
+            assert_completed(
+                run_timed_mode(&prog, depth, None, mode, &hint),
+                &format!("case {case} npes {npes} mode{flag}"),
+            );
+        }
     }
+}
+
+/// Determinism: identical runs complete identically (both oracle-checked).
+/// Tick-robustness: a much coarser box still converges — the discipline
+/// changes performance, never outcomes.
+#[test]
+fn cycle_box_is_deterministic_and_tick_width_does_not_change_state() {
+    let prog = program(CYCLE_BOX_SEED, 4, 7);
+    let hint = cycle_box_hint(4, 7, None, "timed --cycle-box");
+    for _ in 0..2 {
+        assert_completed(run_timed_mode(&prog, None, None, TimedMode::cycle_box(), &hint), "7 PEs cycle-box");
+    }
+    assert_completed(
+        run_timed_mode(&prog, None, None, TimedMode::CycleBox { tick_ns: 50_000 }, &hint),
+        "7 PEs coarse cycle-box",
+    );
+}
+
+#[test]
+fn multichip_cycle_box_converges() {
+    let prog = program(CYCLE_BOX_SEED, 5, 8);
+    let hint = cycle_box_hint(5, 8, None, "multichip --cycle-box");
+    assert_completed(
+        run_multichip_mode(&prog, None, None, TimedMode::cycle_box(), &hint),
+        "8 PEs multichip cycle-box",
+    );
 }

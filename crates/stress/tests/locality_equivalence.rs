@@ -1,5 +1,5 @@
-//! Locality-on vs locality-off equivalence on seeded `--gen 4`
-//! programs under the coop engine.
+//! Locality-on vs locality-off equivalence on seeded programs under
+//! the coop engine.
 //!
 //! The same-worker fast paths (direct peer copies, counter-cell barrier
 //! transport, in-worker signal delivery) are pure transport
@@ -14,13 +14,16 @@
 //! and collective internals route different amounts of traffic when
 //! cluster geometry or transport changes.
 //!
-//! Lives in its own test binary because the locality knob is
-//! process-global and may only flip between launches (see fault.rs).
+//! Lives in its own test binary, as one `#[test]`, because the locality
+//! knob is still process-global (`fault::set_coop_locality`, kept for
+//! the benchmark's locality probe): a launch reads it once when it
+//! begins, so a test flipping it would change the arm of any launch
+//! that a parallel test in the same binary started meanwhile.
 
-use stress::program::{
-    coll_steps, gen_program_v, CollKind, Program, RngDraw, Step, COLL_L, GEN_V4,
-};
-use stress::run::{build_cfg, run_on_ctx};
+use std::time::Duration;
+
+use stress::program::{coll_steps, gen_program, CollKind, Program, RngDraw, Step, COLL_L};
+use stress::run::{build_cfg, run_on_ctx, watch_closure_coop, Outcome};
 use tshmem::prelude::*;
 use tshmem::Stats;
 
@@ -37,8 +40,7 @@ fn coop_stats(
     if let Some(a) = algos {
         cfg = cfg.with_algos(a);
     }
-    // Process-global; safe here only because it flips strictly between
-    // launches — mid-job the PEs would disagree on barrier geometry.
+    // Read once, when the launch begins.
     tshmem::fault::set_coop_locality(locality);
     let p = prog.clone();
     let stats = Launcher::new(&cfg, CoopBackend { workers, ..Default::default() }).run(move |ctx| {
@@ -98,7 +100,7 @@ fn locality_on_and_off_agree_on_state_and_api_stats() {
     ];
     let mut hits_on = 0u64;
     for (case, npes, workers, depth, algos) in cases {
-        let mut prog = gen_program_v(&mut RngDraw::new(SEED, case), npes, GEN_V4);
+        let mut prog = gen_program(&mut RngDraw::new(SEED, case), npes);
         if case == 3 {
             prog = with_world_collectives(prog);
         }
@@ -123,4 +125,39 @@ fn locality_on_and_off_agree_on_state_and_api_stats() {
     // Sanity that the ablation is real: with small worker counts the
     // on-arms must have exercised at least one co-resident bypass.
     assert!(hits_on > 0, "locality-on runs never took a fast path — knob wired wrong?");
+
+    // A flip while a launch runs reaches only later launches: 16 PEs on
+    // one worker (every collective on the counter-cell pass). After the
+    // first barrier PE 0 waits until the last PE is on its way into
+    // `sum_to_all`, then turns locality off and follows — so a PE that
+    // read the knob per call would take the flat ring and reduce while
+    // its cluster parks in the cell pass, a hang the watchdog reports
+    // after its 8 s window.
+    let cfg = RuntimeConfig::new(16).with_partition_bytes(1 << 20).with_private_bytes(1 << 16);
+    let stall = Duration::from_millis(250);
+    let outcome = watch_closure_coop(&cfg, None, 1, stall, "mid-launch locality flip", |ctx| {
+        let src = ctx.shmalloc::<u64>(1);
+        let dst = ctx.shmalloc::<u64>(1);
+        let entered = ctx.shmalloc::<u64>(1);
+        ctx.local_write(&src, 0, &[ctx.my_pe() as u64 + 1]);
+        ctx.local_fill(&entered, 0u64);
+        ctx.barrier_all();
+        if ctx.my_pe() == ctx.n_pes() - 1 {
+            ctx.p(&entered, 0, 1u64, 0);
+        }
+        if ctx.my_pe() == 0 {
+            ctx.wait_until(&entered, 0, Cmp::Ge, 1u64);
+            tshmem::fault::set_coop_locality(false);
+        }
+        ctx.sum_to_all(&dst, &src, 1, ctx.world());
+        for _ in 0..10 {
+            ctx.barrier_all();
+        }
+        let n = ctx.n_pes() as u64;
+        assert_eq!(ctx.local_read(&dst, 0, 1)[0], n * (n + 1) / 2, "PE {}: wrong sum", ctx.my_pe());
+    });
+    tshmem::fault::set_coop_locality(true);
+    if let Outcome::Stalled(report) = outcome {
+        panic!("a mid-launch locality flip wedged the launch:\n{report}");
+    }
 }

@@ -2,10 +2,9 @@
 //! stall report, evicted within its stall window, retried with backoff,
 //! and given up on after the policy limit — without damaging the pool.
 //!
-//! Own test binary: phase 2 flips the process-global
-//! `BlockingProtocolSends` fault flag, and a genuinely deadlocked
-//! attempt leaks PE threads parked in pre-fix blocking sends until
-//! process exit (same rule as the stress watchdog canary).
+//! Phase 2 hands one job `Fault::BlockingProtocolSends`; the attempt it
+//! wedges leaks PE threads parked in pre-fix blocking sends until
+//! process exit, and the server counts them (`lanes_live`).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,7 +15,7 @@ use std::time::{Duration, Instant};
 use stress::program::{gen_program, RngDraw};
 use stress::{build_cfg, run_on_ctx};
 use tshmem::prelude::*;
-use tshmem::{JobOutcome, JobSpec, Server, ServerConfig};
+use tshmem::{Fault, JobOutcome, JobSpec, Server, ServerConfig};
 
 fn wedge_cfg(npes: usize) -> RuntimeConfig {
     RuntimeConfig::new(npes)
@@ -111,10 +110,11 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
     assert!(healthy_on.lock().unwrap().iter().all(|id| !evicted_on.contains(id)), "an evicted attempt's lane was reused");
 
     // ---- Phase 2: the PR-1 recipe (BlockingProtocolSends + depth-1
-    // queues + chained dissemination barriers) through the server. The
-    // deadlock needs genuinely concurrent PEs, so mirror the canary's
-    // seed × attempt hunt; single-attempt policy (a wedge leaks its
-    // threads, so retrying it buys nothing here).
+    // queues + chained dissemination barriers) through the server, on
+    // one job; its clean twin — the same program, no plan — is queued
+    // right behind it. The deadlock needs genuinely concurrent PEs, so
+    // mirror the canary's seed × attempt hunt; single-attempt policy (a
+    // wedge leaks its threads, so retrying it buys nothing here).
     // Every lane of phase 1 either finished or unwound: none is left.
     assert_eq!(server.shutdown().lanes_live, 0);
     let server = Server::round_robin(ServerConfig {
@@ -124,11 +124,10 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
         backoff,
         ..Default::default()
     });
-    tshmem::fault::set_blocking_protocol_sends(true);
     let mut caught = None;
     'hunt: for _ in 0..4 {
-        for seed in [0x1u64, 0x3, 0x7] {
-            let prog = std::sync::Arc::new(gen_program(&mut RngDraw::new(seed, 0), 8));
+        for seed in [0x3u64, 0x1e, 0x22] {
+            let prog = Arc::new(gen_program(&mut RngDraw::new(seed, 0), 8));
             let cfg = build_cfg(&prog, Some(1));
             // Counts the PEs whose body is over, returned or unwound.
             struct Ended(Arc<AtomicUsize>);
@@ -139,18 +138,26 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
             }
             let ended = Arc::new(AtomicUsize::new(0));
             let count = ended.clone();
+            let p = prog.clone();
             let spec = JobSpec::new(cfg, move |ctx| {
                 let _ended = Ended(count.clone());
-                run_on_ctx(&prog, ctx)
-            });
-            let report = server.submit(spec).expect("admitted").wait();
+                run_on_ctx(&p, ctx)
+            })
+            .with_faults([Fault::BlockingProtocolSends]);
+            let faulted = server.submit(spec).expect("admitted");
+            let twin = server.submit(JobSpec::new(cfg, move |ctx| run_on_ctx(&prog, ctx))).expect("admitted");
+            let report = faulted.wait();
+            // The plan rode on its job alone: the twin completes
+            // oracle-clean, so the wedge came from the injected fault,
+            // and the pool is intact.
+            let twin = twin.wait();
+            assert!(twin.outcome.is_completed(), "seed {seed:#x}: the clean twin was hit: {:?}", twin.outcome);
             if let JobOutcome::Evicted { diagnosis, .. } = &report.outcome {
                 caught = Some((diagnosis.clone(), ended));
                 break 'hunt;
             }
         }
     }
-    tshmem::fault::set_blocking_protocol_sends(false);
     let (diagnosis, ended) = caught.expect(
         "fault-injected dissemination barriers at queue depth 1 never wedged across \
          4 attempts x 3 seeds; the server watchdog missed the reintroduced PR-1 bug",
@@ -159,20 +166,11 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
         diagnosis.contains("per-PE stall diagnosis (8 PEs)"),
         "missing per-PE report:\n{diagnosis}"
     );
+    assert!(diagnosis.contains("classification:"), "missing classification:\n{diagnosis}");
     assert!(
-        diagnosis.contains("active fault plan") || diagnosis.contains("classification:"),
-        "missing classification:\n{diagnosis}"
+        diagnosis.contains("active fault plan seed 0x0: [BlockingProtocolSends]"),
+        "the job's plan not named:\n{diagnosis}"
     );
-
-    // With the flag restored the same recipe completes oracle-clean —
-    // the wedge came from the injected fault, and the pool is intact.
-    let prog = std::sync::Arc::new(gen_program(&mut RngDraw::new(0x1, 0), 8));
-    let cfg = build_cfg(&prog, Some(1));
-    let report = server
-        .submit(JobSpec::new(cfg, move |ctx| run_on_ctx(&prog, ctx)))
-        .expect("admitted")
-        .wait();
-    assert!(report.outcome.is_completed(), "{:?}", report.outcome);
     // What the server cannot get back is counted, not hidden: the PEs of
     // the evicted attempt parked in a raw blocking send past every abort
     // checkpoint, and the launch lane that waits for them (the blocked

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use stress::program::{gen_program_v, ProgramStrategy, RngDraw, GEN_LATEST, GEN_V1};
+use stress::program::{gen_program, ProgramStrategy, RngDraw};
 use stress::run::{run_watched, Outcome};
 use substrate::proptest_mini as pt;
 
@@ -18,12 +18,12 @@ fn sweep(npes: usize) {
         // so keep the shrink budget modest.
         let cfg = pt::Config { max_shrink_iters: 48, ..pt::Config::with_cases(6) };
         let seed = cfg.seed;
-        pt::check(cfg, ProgramStrategy { npes, version: GEN_LATEST }, |prog| {
+        pt::check(cfg, ProgramStrategy { npes }, |prog| {
             let hint = format!(
                 "cargo run -p stress -- --seed {seed:#x} --case <case reported above> \
-                 --pes {npes} --depth {depth} --gen {GEN_LATEST}"
+                 --pes {npes} --depth {depth}"
             );
-            match run_watched(&prog, Some(depth), Duration::from_secs(10), &hint) {
+            match run_watched(&prog, Some(depth), None, Duration::from_secs(10), &hint) {
                 Outcome::Completed => {}
                 Outcome::Stalled(report) => panic!("{report}"),
             }
@@ -51,11 +51,11 @@ fn sweep_8_pes() {
     sweep(8);
 }
 
-/// Both churn modes of the V3 [`Step::HeapChurn`] vocabulary —
-/// shfree+shmalloc refresh and shrealloc grow — must run under
-/// concurrent RMA and verify against the oracle on the native *and*
-/// timed engines. The seeds are found by scanning the frozen V3 stream,
-/// so the programs are stable without pinning magic numbers here.
+/// Both churn modes of [`Step::HeapChurn`] — shfree+shmalloc refresh
+/// and shrealloc grow — must run under concurrent RMA and verify
+/// against the oracle on the native *and* timed engines. The seeds are
+/// found by scanning the frozen draw stream, so the programs are stable
+/// without pinning magic numbers here.
 #[test]
 fn heap_churn_both_modes_verified_on_both_engines() {
     use stress::program::Step;
@@ -66,7 +66,7 @@ fn heap_churn_both_modes_verified_on_both_engines() {
     while need_refresh || need_grow {
         seed += 1;
         assert!(seed < 10_000, "no HeapChurn programs in the first 10k seeds");
-        let prog = gen_program_v(&mut RngDraw::new(seed, 0), 4, GEN_LATEST);
+        let prog = gen_program(&mut RngDraw::new(seed, 0), 4);
         let (mut has_refresh, mut has_grow) = (false, false);
         for s in &prog.steps {
             if let Step::HeapChurn { refresh, .. } = s {
@@ -82,15 +82,12 @@ fn heap_churn_both_modes_verified_on_both_engines() {
         }
         need_refresh &= !has_refresh;
         need_grow &= !has_grow;
-        let hint = format!(
-            "cargo run -p stress -- --seed {seed:#x} --case 0 --pes 4 --depth 2 \
-             --gen {GEN_LATEST}"
-        );
-        match run_watched(&prog, Some(2), Duration::from_secs(10), &hint) {
+        let hint = format!("cargo run -p stress -- --seed {seed:#x} --case 0 --pes 4 --depth 2");
+        match run_watched(&prog, Some(2), None, Duration::from_secs(10), &hint) {
             Outcome::Completed => {}
             Outcome::Stalled(report) => panic!("{report}"),
         }
-        match run_timed(&prog, Some(2), &hint) {
+        match run_timed(&prog, Some(2), None, &hint) {
             Outcome::Completed => {}
             Outcome::Stalled(report) => panic!("{report}"),
         }
@@ -98,40 +95,27 @@ fn heap_churn_both_modes_verified_on_both_engines() {
 }
 
 /// The property harness's `(seed, case)` stream and the replay binary's
-/// `RngDraw` stream must generate byte-identical programs — under every
-/// generator version — or the replay hint printed on failure would
-/// reproduce a different run.
+/// `RngDraw` stream must generate byte-identical programs, or the replay
+/// hint printed on failure would reproduce a different run.
 #[test]
 fn replay_draws_match_harness_draws() {
-    for version in [GEN_V1, GEN_LATEST] {
-        for npes in [2usize, 5, 8] {
-            for case in 0..4u64 {
-                let seed = 0xDEAD_BEEF_0042_1337u64;
-                let via_harness = {
-                    use std::cell::RefCell;
-                    let captured = RefCell::new(String::new());
-                    pt::check(
-                        pt::Config { cases: 1, seed: seed.wrapping_add(case), max_shrink_iters: 0 },
-                        ProgramStrategy { npes, version },
-                        |prog| {
-                            *captured.borrow_mut() = format!("{prog:?}");
-                        },
-                    );
-                    captured.into_inner()
-                };
-                let via_replay = {
-                    let prog = gen_program_v(
-                        &mut RngDraw::new(seed.wrapping_add(case), 0),
-                        npes,
-                        version,
-                    );
-                    format!("{prog:?}")
-                };
-                assert_eq!(
-                    via_harness, via_replay,
-                    "draw streams diverged (npes {npes}, gen {version})"
+    for npes in [2usize, 5, 8] {
+        for case in 0..4u64 {
+            let seed = 0xDEAD_BEEF_0042_1337u64;
+            let via_harness = {
+                use std::cell::RefCell;
+                let captured = RefCell::new(String::new());
+                pt::check(
+                    pt::Config { cases: 1, seed: seed.wrapping_add(case), max_shrink_iters: 0 },
+                    ProgramStrategy { npes },
+                    |prog| {
+                        *captured.borrow_mut() = format!("{prog:?}");
+                    },
                 );
-            }
+                captured.into_inner()
+            };
+            let via_replay = format!("{:?}", gen_program(&mut RngDraw::new(seed.wrapping_add(case), 0), npes));
+            assert_eq!(via_harness, via_replay, "draw streams diverged (npes {npes})");
         }
     }
 }

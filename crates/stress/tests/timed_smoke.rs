@@ -1,11 +1,11 @@
-//! Timed-engine smoke seeds at coop scale: pinned `--gen 3` programs at
-//! 256 PEs (512 LPs — PE contexts plus service contexts) must converge
+//! Timed-engine smoke seeds at coop scale: pinned programs at 256 PEs
+//! (512 LPs — PE contexts plus service contexts) must converge
 //! to the sequential oracle under the virtual-time scheduler in **both**
 //! scheduling disciplines. The replay hints carry the mode: the two
 //! disciplines reach the same final state along different schedules, so
 //! a failure replays only under the mode that produced it.
 
-use stress::program::{gen_program_v, RngDraw, GEN_V3};
+use stress::program::{gen_program, RngDraw};
 use stress::run::{run_timed_mode, Outcome};
 use tshmem::TimedMode;
 
@@ -20,22 +20,25 @@ fn assert_completed(outcome: Outcome, label: &str) {
     }
 }
 
+/// Case 10: RMA traffic from every PE, then a signal ring.
+fn program_256() -> stress::Program {
+    gen_program(&mut RngDraw::new(SEED, 10), 256)
+}
+
 #[test]
 fn timed_smoke_256_pes_event_driven() {
-    let prog = gen_program_v(&mut RngDraw::new(SEED, 0), 256, GEN_V3);
-    let hint = format!("cargo run -p stress -- --seed {SEED:#x} --case 0 --npes 256 --depth 0 --gen 3 --engine timed");
+    let hint = format!("cargo run -p stress -- --seed {SEED:#x} --case 10 --npes 256 --depth 0 --engine timed");
     assert_completed(
-        run_timed_mode(&prog, None, TimedMode::EventDriven, &hint),
+        run_timed_mode(&program_256(), None, None, TimedMode::EventDriven, &hint),
         "256 PEs event-driven",
     );
 }
 
 #[test]
 fn timed_smoke_256_pes_cycle_box() {
-    let prog = gen_program_v(&mut RngDraw::new(SEED, 0), 256, GEN_V3);
-    let hint = format!("cargo run -p stress -- --seed {SEED:#x} --case 0 --npes 256 --depth 0 --gen 3 --engine timed --cycle-box");
+    let hint = format!("cargo run -p stress -- --seed {SEED:#x} --case 10 --npes 256 --depth 0 --engine timed --cycle-box");
     assert_completed(
-        run_timed_mode(&prog, None, TimedMode::cycle_box(), &hint),
+        run_timed_mode(&program_256(), None, None, TimedMode::cycle_box(), &hint),
         "256 PEs cycle-box",
     );
 }
@@ -45,16 +48,18 @@ fn timed_smoke_bounded_queues_both_modes() {
     // Finite UDN buffers: credit-blocked sends must wake correctly
     // under both disciplines (the cycle-box key change reorders grants
     // within a box, which is exactly where a missed credit wake hides).
-    let prog = gen_program_v(&mut RngDraw::new(SEED, 1), 64, GEN_V3);
+    // Case 8: RMA traffic in three steps around a cswap ring and two
+    // collects.
+    let prog = gen_program(&mut RngDraw::new(SEED, 8), 64);
     for (mode, flag) in [
         (TimedMode::EventDriven, ""),
         (TimedMode::cycle_box(), " --cycle-box"),
     ] {
         let hint = format!(
-            "cargo run -p stress -- --seed {SEED:#x} --case 1 --npes 64 --depth 2 --gen 3 --engine timed{flag}"
+            "cargo run -p stress -- --seed {SEED:#x} --case 8 --npes 64 --depth 2 --engine timed{flag}"
         );
         assert_completed(
-            run_timed_mode(&prog, Some(2), mode, &hint),
+            run_timed_mode(&prog, Some(2), None, mode, &hint),
             "64 PEs depth 2",
         );
     }

@@ -87,7 +87,7 @@ fn phases<P: Admission>(gate: P, block: usize, cfg: &RuntimeConfig) -> [f64; 7] 
     resident.lanes.close();
     let set = resident.sets.checkout(Geometry::of(cfg, block));
     let arena = ShardedArena::from_shards(set.shards, block, cfg.partition_bytes);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates, gate.running_contexts(npes), None);
+    let shared = WallShared::new(cfg, endpoints, arena, set.privates, gate.running_contexts(npes), None, None);
     marks.push(Instant::now());
     let fabrics: Vec<_> = (0..npes)
         .map(|pe| Mutex::new(Some(WallFabric::new_probed(shared.clone(), gate.clone(), pe))))
@@ -177,7 +177,7 @@ fn job_launch(resident: &Resident, cfg: &RuntimeConfig, slots: usize, marks: &Ma
     let endpoints = UdnFabric::new(npes);
     let sink = Arc::new(TraceSink::with_lanes(gate.running_contexts(npes)));
     let arena = ShardedArena::from_shards(set.shards.clone(), block, cfg.partition_bytes);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates.clone(), gate.running_contexts(npes), Some(sink));
+    let shared = WallShared::new(cfg, endpoints, arena, set.privates.clone(), gate.running_contexts(npes), Some(sink), None);
     mark(marks);
     let (spans, _) = resident.lanes.run(npes, |pe| {
         let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe);

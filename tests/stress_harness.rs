@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use stress::program::{ProgramStrategy, GEN_LATEST};
+use stress::program::ProgramStrategy;
 use stress::run::{run_watched, Outcome};
 use substrate::proptest_mini as pt;
 
@@ -19,12 +19,12 @@ fn stress_harness_smoke_sweep() {
         for depth in [1usize, 8] {
             let cfg = pt::Config { max_shrink_iters: 32, ..pt::Config::with_cases(3) };
             let seed = cfg.seed;
-            pt::check(cfg, ProgramStrategy { npes, version: GEN_LATEST }, |prog| {
+            pt::check(cfg, ProgramStrategy { npes }, |prog| {
                 let hint = format!(
                     "cargo run -p stress -- --seed {seed:#x} --case <case reported above> \
-                     --pes {npes} --depth {depth} --gen {GEN_LATEST}"
+                     --pes {npes} --depth {depth}"
                 );
-                match run_watched(&prog, Some(depth), Duration::from_secs(10), &hint) {
+                match run_watched(&prog, Some(depth), None, Duration::from_secs(10), &hint) {
                     Outcome::Completed => {}
                     Outcome::Stalled(report) => panic!("{report}"),
                 }
@@ -38,8 +38,8 @@ fn stress_harness_unbounded_queues() {
     // Depth `None` leaves the UDN queues unbounded — the configuration
     // the non-stress tests run under.
     let cfg = pt::Config { max_shrink_iters: 32, ..pt::Config::with_cases(3) };
-    pt::check(cfg, ProgramStrategy { npes: 3, version: GEN_LATEST }, |prog| {
-        match run_watched(&prog, None, Duration::from_secs(10), "unbounded smoke") {
+    pt::check(cfg, ProgramStrategy { npes: 3 }, |prog| {
+        match run_watched(&prog, None, None, Duration::from_secs(10), "unbounded smoke") {
             Outcome::Completed => {}
             Outcome::Stalled(report) => panic!("{report}"),
         }

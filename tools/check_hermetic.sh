@@ -77,9 +77,18 @@ done
 echo "== locality equivalence suite (coop fast paths on vs off) =="
 # The same-worker fast paths are transport substitutions: flipping
 # `fault::set_coop_locality` must not change final state (sequential
-# oracle) or API-level Stats on seeded gen-v4 programs. Runs inside the
-# workspace pass too; this named step keeps the ablation gate visible.
+# oracle) or API-level Stats on seeded programs, and a flip while a
+# launch runs must not reach it. Runs inside the workspace pass too;
+# this named step keeps the ablation gate visible.
 cargo test -q --offline -p stress --test locality_equivalence
+
+echo "== equivalence suites (RMA fast paths, nbi completion, collectives, admission, virtual-time disciplines) =="
+# Each suite runs one seeded program two ways — a per-launch reference
+# arm (`[Fault::GeneralRmaPaths]`, `[Fault::EagerNbi]`) or another
+# config or backend — and requires the oracle's final state on both and
+# equal Stats. Also inside the workspace pass; named here like the
+# locality step.
+cargo test -q --offline -p stress --test equivalence
 
 echo "== figure gate (regenerate Tables I-III, Figs. 3-14 and the ablations; any changed byte fails) =="
 # Every artifact is computed under virtual time, so it is a pure function
