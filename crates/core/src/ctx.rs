@@ -10,6 +10,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
 use crate::active_set::ActiveSet;
+use crate::collectives::hier;
 use crate::fabric::{Fabric, ProtoMsg};
 use crate::fault::Fault;
 use crate::heap::{Heap, HeapError};
@@ -528,13 +529,24 @@ impl ShmemCtx {
     /// interrupt-service context. Idempotent. The launcher calls this
     /// automatically when the application closure returns; applications
     /// may call it earlier, after their last SHMEM operation.
+    ///
+    /// The synchronisation must stay abortable if a peer died, which
+    /// rules out a hardware spin barrier whatever is configured: it is
+    /// the default `barrier_all`'s counter-cell pass wherever the
+    /// transport selection offers one (a cell waiter unwinds on abort
+    /// like a parked receive), and the ring everywhere else.
     pub fn finalize(&self) {
         if self.finalized.replace(true) {
             return;
         }
-        // Always the ring barrier here: it remains abortable if a peer
-        // died, unlike a hardware spin barrier.
-        self.barrier_ring_explicit(self.world());
+        let world = self.world();
+        match self.select(world, self.my_pe(), hier::Configured::Default) {
+            Some(cl @ hier::Cluster { cells: Some(cells), .. }) => {
+                self.complete_puts();
+                self.cell_pass(cells, &cl, || {});
+            }
+            _ => self.barrier_ring_explicit(world),
+        }
         self.fab.udn_send(
             self.my_pe(),
             crate::fabric::Q_SERVICE,

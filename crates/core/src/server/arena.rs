@@ -4,10 +4,12 @@
 //! A job's memory is a [`SegmentSet`]: one `CommonMemory` shard per coop
 //! worker covering that worker's PE partitions
 //! ([`ShardedArena`](crate::engine::wall::ShardedArena)), and one private
-//! (static-variable) segment per PE. Allocating and zeroing hundreds of
-//! KB per job dominates small-job launch cost, so whoever keeps an
-//! [`ArenaPool`] warm — the server — gets the set of a cleanly completed
-//! job back for the next job of the same [`Geometry`].
+//! (static-variable) segment per PE. A fresh set is zero pages
+//! (`CommonMemory::new` maps, it does not `memset`), but it still costs a
+//! mapping per segment, a page fault per page the job touches and an
+//! unmapping at the end; so whoever keeps an [`ArenaPool`] warm — the
+//! server — gets the set of a cleanly completed job back, its pages
+//! resident, for the next job of the same [`Geometry`].
 //!
 //! **Isolation contract:** a retired set still holds the previous
 //! tenant's bytes, so every checkout scrubs it — to its *dirty extent*,
@@ -328,6 +330,41 @@ mod tests {
             let _ = pool.checkout(claimed);
             assert_eq!(pool.stats(), ArenaPoolStats { fresh: 2, recycled: 0, scrubbed_bytes: 0 });
         }
+    }
+
+    /// A fresh set is zero pages, not a `memset`: checking out the
+    /// `coll_hier256` launch's memory (256 PEs on 4 workers: four 16 MiB
+    /// shards and 256 × 64 KiB privates) makes under 1 MiB resident, it
+    /// reads zero, and a write lands. Smallest of three tries, as in
+    /// `tmc::common`'s test of one segment.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_fresh_set_stays_non_resident_until_touched() {
+        let resident_anon = || {
+            let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+            let kib = status.lines().find_map(|l| l.strip_prefix("RssAnon:")).expect("RssAnon line");
+            kib.trim().trim_end_matches("kB").trim().parse::<usize>().expect("a kB count") * 1024
+        };
+        let cfg = RuntimeConfig::for_scale(256);
+        let g = Geometry::of(&cfg, 64);
+        let grew = (0..3)
+            .map(|_| {
+                let before = resident_anon();
+                let set = ArenaPool::new().checkout(g);
+                assert_eq!(set.shards.iter().map(|s| s.len()).collect::<Vec<_>>(), [16 << 20; 4]);
+                for seg in set.shards.iter().chain(&set.privates) {
+                    for off in (0..seg.len()).step_by(seg.len() / 4) {
+                        assert_eq!(read::<8>(seg, off), [0; 8]);
+                    }
+                }
+                let grew = resident_anon().saturating_sub(before);
+                set.shards[3].write_bytes(5 << 20, b"touched");
+                assert_eq!(&read::<7>(&set.shards[3], 5 << 20), b"touched");
+                grew
+            })
+            .min()
+            .unwrap();
+        assert!(grew < 1 << 20, "a fresh 80 MiB set made {grew} B resident");
     }
 
     #[test]

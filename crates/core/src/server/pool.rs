@@ -430,6 +430,17 @@ impl Inner {
     }
 }
 
+/// Worker slots a job of `npes` PEs leases out of `slots`: one per two
+/// PEs, so no job runs with every PE alone on its worker and every
+/// collective — `finalize` included — can take the counter-cell pass
+/// (DESIGN.md §8). Never more than exist, so even an `npes > 2 · slots`
+/// job can always eventually run. Public only so `examples/launch_attr`
+/// can assemble a server job with the server's own geometry.
+#[doc(hidden)]
+pub fn lease_for(npes: usize, slots: usize) -> usize {
+    npes.div_ceil(2).clamp(1, slots)
+}
+
 fn dispatch_loop(inner: Arc<Inner>) {
     loop {
         let (q, lease) = {
@@ -466,9 +477,7 @@ fn dispatch_loop(inner: Arc<Inner>) {
                             idx
                         }
                     };
-                    // A job never leases more slots than exist, so even
-                    // an npes > slots job can always eventually run.
-                    let lease = st.queue[idx].spec.cfg.npes.clamp(1, inner.slots);
+                    let lease = lease_for(st.queue[idx].spec.cfg.npes, inner.slots);
                     if st.free_slots >= lease {
                         let q = st.queue.remove(idx).expect("picked index in range");
                         st.pending = None;

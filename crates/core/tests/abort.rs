@@ -81,6 +81,21 @@ fn jobs_after_an_aborted_job_still_work() {
     assert_eq!(Launcher::new(&cfg(3), coop(2)).run(ring).values, vec![5, 5, 5]);
 }
 
+/// The last PE panics after its peers are done and parked in `finalize`:
+/// on the coop engine, two PEs per worker, in its counter-cell pass — a
+/// member on its leader's cell, a leader in the leaders' exchange or
+/// short of an arrival.
+#[test]
+fn peer_panic_aborts_pes_parked_in_finalize() {
+    aborts_alike(4, "PE 0: aborting — another PE panicked", |ctx| {
+        if ctx.my_pe() == 3 {
+            // Time for the others to park; the job must abort either way.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            panic!("PE 3 exploded while its peers finalized");
+        }
+    });
+}
+
 // --- interrupt-service contexts, started by their first request ----------
 //
 // An abort has nobody to wake where no request ever arrived, and must

@@ -2,9 +2,11 @@
 //! started by the first request addressed to them, so the threads a
 //! launch spawns are its PEs plus the PEs that were ever the target of a
 //! redirected (static-variable) transfer — an exact count under a fixed
-//! program, on both admission policies.
+//! program, on both admission policies. Its teardown sends no token walk
+//! where the PEs share workers.
 
 use tshmem::prelude::*;
+use tshmem::trace::TraceKind;
 
 fn cfg(npes: usize) -> RuntimeConfig {
     RuntimeConfig::for_scale(npes)
@@ -83,6 +85,25 @@ fn concurrent_first_requests_start_each_service_context_once() {
     // 16 PEs per worker: 48 of each PE's 63 puts cross a shard.
     assert_eq!(out.values, vec![48; NPES]);
     assert_eq!(out.threads_spawned, NPES + NPES);
+}
+
+/// `finalize` synchronises on the default barrier's transport. A no-op
+/// launch sends one `TAG_SHUTDOWN` per PE (traced even though no service
+/// context started to receive it) plus whatever that barrier sends:
+/// where PEs share a worker it is the counter-cell pass, silent inside a
+/// shard and a leaders' exchange across shards, where the ring walked
+/// 2n tokens (8 PEs: 24 sends on one worker and on two); with one PE
+/// per worker it is still the ring.
+#[test]
+fn finalize_takes_the_cell_pass_where_pes_share_a_worker() {
+    let sends = |npes, workers| {
+        let out = Launcher::new(&cfg(npes).with_trace(), coop(workers)).run(|_| ());
+        let trace = out.trace.expect("with_trace() returns a trace");
+        trace.iter().filter(|e| e.kind == TraceKind::UdnSend).count()
+    };
+    assert_eq!(sends(8, 1), 8, "one shard: the shutdowns alone");
+    assert_eq!(sends(8, 2), 8 + 2, "two shards: and the two leaders' exchange");
+    assert_eq!(sends(8, 8), 8 + 2 * 8, "one PE per worker: and the ring");
 }
 
 /// One redirected get on the native engine interrupts one tile.

@@ -6,9 +6,10 @@
 //! other job — in this server or another test's — can see.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use substrate::sync::{Condvar, Mutex};
 use tshmem::ctx::Layout;
@@ -53,6 +54,18 @@ impl Latch {
     }
 }
 
+/// A job that holds a 2-slot pool whole — it leases one slot per two
+/// PEs — until `latch` opens.
+fn pool_holder(latch: &Arc<Latch>) -> JobSpec {
+    let latch = latch.clone();
+    JobSpec::new(small_cfg(4), move |ctx| {
+        if ctx.my_pe() == 0 {
+            latch.wait();
+        }
+        ctx.barrier_all();
+    })
+}
+
 #[test]
 fn quotas_reject_oversized_jobs() {
     let server = Server::round_robin(ServerConfig {
@@ -89,16 +102,8 @@ fn full_queue_rejects_with_retry_after() {
         stall: Duration::from_secs(120),
         ..Default::default()
     });
-    // Fills both worker slots and parks, so everything behind it queues.
-    let l = latch.clone();
-    let blocker = server
-        .submit(JobSpec::new(small_cfg(2), move |ctx| {
-            if ctx.my_pe() == 0 {
-                l.wait();
-            }
-            ctx.barrier_all();
-        }))
-        .expect("blocker admitted");
+    // Holds both worker slots and parks, so everything behind it queues.
+    let blocker = server.submit(pool_holder(&latch)).expect("blocker admitted");
     // Wait until the blocker is dispatched (leaves the queue).
     while server.queue_len() > 0 {
         std::thread::sleep(Duration::from_millis(5));
@@ -134,15 +139,7 @@ fn drop_oldest_sheds_the_queue_head() {
         stall: Duration::from_secs(120),
         ..Default::default()
     });
-    let l = latch.clone();
-    let blocker = server
-        .submit(JobSpec::new(small_cfg(2), move |ctx| {
-            if ctx.my_pe() == 0 {
-                l.wait();
-            }
-            ctx.barrier_all();
-        }))
-        .expect("blocker admitted");
+    let blocker = server.submit(pool_holder(&latch)).expect("blocker admitted");
     while server.queue_len() > 0 {
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -392,9 +389,11 @@ fn a_sequential_stream_runs_on_four_lanes_and_scrubs_what_it_dirtied() {
 }
 
 /// The benchmark's stream — 2 slots, 8 jobs in flight, one 8-PE job in
-/// five — still runs one job at a time (every job leases both slots),
-/// and every lane of a job is idle again before its slots are: ten
-/// lanes, the widest job's, carry the whole stream.
+/// five. A 2-PE job leases one slot, so two of them run side by side,
+/// but an 8-PE job leases both and runs alone; and every lane of a job
+/// is idle again before its slots are. So ten lanes — the widest job's,
+/// more than two narrow jobs' eight — carry the whole stream, and it
+/// allocates three sets: one per narrow job in flight and one 8-PE set.
 #[test]
 fn a_closed_loop_stream_runs_on_the_lanes_of_its_widest_job() {
     let server = Server::fair(ServerConfig { workers: 2, ..Default::default() });
@@ -415,9 +414,57 @@ fn a_closed_loop_stream_runs_on_the_lanes_of_its_widest_job() {
     let stats = server.shutdown();
     assert_eq!(stats.lanes_spawned, 2 + 8);
     assert_eq!(stats.lanes_reused, narrow * 4 + wide * 10 - 10);
-    assert_eq!((stats.arenas_fresh, stats.arenas_recycled), (2, narrow + wide - 2));
-    assert_eq!(stats.scrubbed_bytes, (narrow - 1) * warm_scrub(2) + (wide - 1) * warm_scrub(8));
+    assert_eq!((stats.arenas_fresh, stats.arenas_recycled), (3, narrow + wide - 3));
+    assert_eq!(stats.scrubbed_bytes, (narrow - 2) * warm_scrub(2) + (wide - 1) * warm_scrub(8));
     assert_eq!((stats.lanes_retired, stats.lanes_live), (0, 0));
+}
+
+/// The lease is one slot per two PEs. On a 2-slot pool two 2-PE jobs run
+/// at the same time, each behind one gate — a put into the peer's static
+/// is a direct copy, not a request to its service context — and an 8-PE
+/// job waits until both slots are free, not one.
+#[test]
+fn two_narrow_jobs_share_the_pool_and_a_wide_one_waits_for_both_slots() {
+    let server = Server::round_robin(ServerConfig { workers: 2, stall: Duration::from_secs(120), ..Default::default() });
+    let running = Arc::new(AtomicUsize::new(0));
+    let narrow = |latch: &Arc<Latch>| {
+        let (latch, running) = (latch.clone(), running.clone());
+        JobSpec::new(small_cfg(2), move |ctx| {
+            let word = ctx.static_sym::<u64>(1);
+            if ctx.my_pe() == 0 {
+                running.fetch_add(1, Ordering::SeqCst);
+                latch.wait();
+                ctx.p(&word, 0, 7, 1);
+            }
+            ctx.barrier_all();
+            let stats = ctx.stats();
+            let direct = u64::from(ctx.my_pe() == 0);
+            assert_eq!((stats.redirected, stats.locality_hits), (0, direct), "both PEs on one worker");
+        })
+    };
+    let (first, second) = (Arc::new(Latch::default()), Arc::new(Latch::default()));
+    let a = server.submit(narrow(&first)).expect("admitted");
+    let b = server.submit(narrow(&second)).expect("admitted");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while running.load(Ordering::SeqCst) < 2 {
+        assert!(Instant::now() < deadline, "the second 2-PE job never started beside the first");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let wide_ran = Arc::new(AtomicBool::new(false));
+    let ran = wide_ran.clone();
+    let wide = server
+        .submit(JobSpec::new(small_cfg(8), move |_| ran.store(true, Ordering::SeqCst)))
+        .expect("admitted");
+    first.release();
+    assert!(a.wait().outcome.is_completed());
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(!wide_ran.load(Ordering::SeqCst), "the 8-PE job started on one free slot");
+    assert_eq!(server.queue_len(), 1);
+    second.release();
+    assert!(b.wait().outcome.is_completed());
+    assert!(wide.wait().outcome.is_completed());
+    assert!(wide_ran.load(Ordering::SeqCst));
 }
 
 /// `threads_spawned` is what *this launch* created: the PEs of the first
@@ -578,15 +625,7 @@ fn shutdown_sheds_queued_jobs_and_resolves_every_handle() {
         stall: Duration::from_secs(120),
         ..Default::default()
     });
-    let l = latch.clone();
-    let blocker = server
-        .submit(JobSpec::new(small_cfg(2), move |ctx| {
-            if ctx.my_pe() == 0 {
-                l.wait();
-            }
-            ctx.barrier_all();
-        }))
-        .expect("blocker admitted");
+    let blocker = server.submit(pool_holder(&latch)).expect("blocker admitted");
     while server.queue_len() > 0 {
         std::thread::sleep(Duration::from_millis(5));
     }

@@ -78,8 +78,10 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
         other => panic!("deterministic wedge must evict, got {other:?}"),
     }
     // Evicted within the stall window (scaled by the job's
-    // oversubscription, ≤ 2 here) per attempt, plus backoff and the
-    // abort grace — not an open-ended hang.
+    // oversubscription, ×4 here: 8 contexts on the 2 workers of its
+    // lease, so 1.2 s) per attempt, plus backoff and the abort grace — not
+    // an open-ended hang. The 2 s allowance covers the ×4 window as it
+    // covered the ×2 of a whole-pool lease.
     let per_attempt = stall * 2 + Duration::from_secs(2);
     assert!(
         elapsed < (per_attempt * 2) + backoff * 4,

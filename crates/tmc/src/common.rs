@@ -16,12 +16,116 @@
 //! copies; the word accessors used by synchronization primitives
 //! (`atomic_u32`/`atomic_u64`/volatile reads) are genuinely atomic, which
 //! is what `shmem_wait()` and the atomic operations build on.
+//!
+//! # Pages
+//!
+//! TMC common memory is a *mapping*, and so is this: on Linux a segment
+//! is an anonymous private `mmap`, whose pages are the kernel's zero page
+//! until first written. Creating one writes nothing, so a launch faults in
+//! only the pages its job touches, not every byte of every partition.
+//! Elsewhere it is a zeroed allocation. Either way the base is at least
+//! [`ALIGN`]-aligned and the contents start all zero.
 
-use std::cell::UnsafeCell;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cachesim::homing::Homing;
+
+/// Alignment of every segment's base: a cache line. A mapped segment is
+/// page-aligned, which is more.
+pub const ALIGN: usize = 64;
+
+/// Where a segment's bytes come from, and where they go back.
+mod pages {
+    use std::alloc::{handle_alloc_error, Layout};
+    use std::ptr::NonNull;
+
+    use super::ALIGN;
+
+    /// `len` zero bytes at a fresh [`ALIGN`]-aligned base.
+    pub fn map(len: usize) -> NonNull<u8> {
+        if len == 0 {
+            // Aligned, and never dereferenced.
+            return NonNull::new(std::ptr::without_provenance_mut(ALIGN)).expect("ALIGN is non-zero");
+        }
+        sys::map(len).unwrap_or_else(|| handle_alloc_error(layout(len)))
+    }
+
+    /// Give back what [`map`] returned for `len`.
+    ///
+    /// # Safety
+    /// `base` came from `map(len)` and nothing uses it afterwards.
+    pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
+        if len > 0 {
+            // SAFETY: the caller's contract, and `len > 0` means `map`
+            // got `base` from `sys::map(len)`.
+            unsafe { sys::unmap(base, len) }
+        }
+    }
+
+    /// The allocation `len` bytes stand for: what an out-of-memory report
+    /// names, and what a heap-backed segment is.
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(len, ALIGN).expect("common-memory segment size overflows")
+    }
+
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    mod sys {
+        use std::ptr::NonNull;
+
+        const PROT_READ: i32 = 0x1;
+        const PROT_WRITE: i32 = 0x2;
+        const MAP_PRIVATE: i32 = 0x02;
+        const MAP_ANONYMOUS: i32 = 0x20;
+
+        // The libc symbols std already links, declared here so the crate
+        // needs nothing from outside the repository.
+        extern "C" {
+            fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
+            fn munmap(addr: *mut u8, len: usize) -> i32;
+        }
+
+        /// An anonymous private mapping: the kernel's zero pages until
+        /// written, page-aligned. `None` if the kernel refuses.
+        pub fn map(len: usize) -> Option<NonNull<u8>> {
+            // SAFETY: a fresh anonymous mapping at an address of the
+            // kernel's choosing aliases nothing.
+            let p = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0) };
+            // MAP_FAILED is `(void *) -1`.
+            NonNull::new(p).filter(|p| p.as_ptr() as usize != usize::MAX)
+        }
+
+        /// # Safety
+        /// `base` came from `map(len)` and nothing uses it afterwards.
+        pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
+            // SAFETY: the caller's contract. `munmap` fails only on
+            // arguments `map` never returns, and a `Drop` has no one to
+            // report to anyway.
+            unsafe { munmap(base.as_ptr(), len) };
+        }
+    }
+
+    #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    mod sys {
+        use std::ptr::NonNull;
+
+        use super::layout;
+
+        /// A zeroed heap allocation. `None` if the allocator refuses.
+        pub fn map(len: usize) -> Option<NonNull<u8>> {
+            // SAFETY: `len > 0`, so the layout has a non-zero size.
+            NonNull::new(unsafe { std::alloc::alloc_zeroed(layout(len)) })
+        }
+
+        /// # Safety
+        /// `base` came from `map(len)` and nothing uses it afterwards.
+        pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
+            // SAFETY: the caller's contract: allocated with this layout.
+            unsafe { std::alloc::dealloc(base.as_ptr(), layout(len)) }
+        }
+    }
+}
 
 /// Marker for types that can be transported byte-wise through common
 /// memory (no padding requirements are relied on — reads/writes are
@@ -41,35 +145,38 @@ impl_bits!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 
 /// A shared arena addressed by offset, visible to all PE threads.
 pub struct CommonMemory {
-    buf: Box<[UnsafeCell<u8>]>,
+    /// `len` bytes owned by this segment (see the module's "Pages").
+    base: NonNull<u8>,
+    len: usize,
     homing: Homing,
 }
 
-// SAFETY: all access goes through raw-pointer copies or atomics; the
-// SHMEM programming model (and this library's docs) make cross-PE
-// ordering the application's responsibility, as on the real device.
+// SAFETY: the segment behind `base` belongs to this value alone and is
+// given back only by `Drop`; `len` and `homing` never change. All access
+// goes through raw-pointer copies or atomics; the SHMEM programming
+// model (and this library's docs) make cross-PE ordering the
+// application's responsibility, as on the real device.
 unsafe impl Send for CommonMemory {}
 unsafe impl Sync for CommonMemory {}
 
 impl CommonMemory {
-    /// Allocate `len` bytes of common memory with the given homing
+    /// Map `len` zero bytes of common memory with the given homing
     /// policy (homing affects the timed model and ablations; functional
     /// behavior is identical).
     pub fn new(len: usize, homing: Homing) -> Arc<Self> {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, || UnsafeCell::new(0));
         Arc::new(Self {
-            buf: v.into_boxed_slice(),
+            base: pages::map(len),
+            len,
             homing,
         })
     }
 
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     pub fn homing(&self) -> Homing {
@@ -79,11 +186,12 @@ impl CommonMemory {
     #[inline]
     fn ptr(&self, offset: usize, len: usize) -> *mut u8 {
         assert!(
-            offset.checked_add(len).is_some_and(|end| end <= self.buf.len()),
+            offset.checked_add(len).is_some_and(|end| end <= self.len),
             "common-memory access [{offset}, {offset}+{len}) out of bounds (len {})",
-            self.buf.len()
+            self.len
         );
-        self.buf[offset].get()
+        // SAFETY: `offset <= len`: inside the segment or one past its end.
+        unsafe { self.base.as_ptr().add(offset) }
     }
 
     /// Copy `src` into the arena at `offset`.
@@ -166,7 +274,7 @@ impl CommonMemory {
     ///
     /// # Panics
     /// Panics if `offset` is not 8-byte aligned (relative to the arena
-    /// base, which is at least 8-byte aligned by allocation).
+    /// base, which is [`ALIGN`]-aligned).
     #[inline]
     pub fn atomic_u64(&self, offset: usize) -> &AtomicU64 {
         assert!(offset.is_multiple_of(8), "atomic_u64 offset {offset} unaligned");
@@ -222,10 +330,18 @@ impl CommonMemory {
     }
 }
 
+impl Drop for CommonMemory {
+    fn drop(&mut self) {
+        // SAFETY: `base` came from `pages::map(len)`; `&mut self` is the
+        // last use.
+        unsafe { pages::unmap(self.base, self.len) }
+    }
+}
+
 impl std::fmt::Debug for CommonMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommonMemory")
-            .field("len", &self.buf.len())
+            .field("len", &self.len)
             .field("homing", &self.homing)
             .finish()
     }
@@ -327,5 +443,61 @@ mod tests {
         let m = cm(8);
         m.write_val::<u32>(0, 42);
         assert_eq!(m.read_volatile::<u32>(0), 42);
+    }
+
+    #[test]
+    fn zero_length_access_at_the_end_succeeds() {
+        for len in [0, 1, 64, 4097] {
+            let m = cm(len);
+            m.write_bytes(len, &[]);
+            m.read_bytes(len, &mut []);
+            m.fill(len, 0, 0xFF);
+            m.copy_within(len, len, 0);
+            assert!(!m.raw(len, 0).is_null());
+        }
+    }
+
+    #[test]
+    fn the_base_is_line_aligned() {
+        for len in [0, 1, 8, 64, 4095, 4096, 65_537, 1 << 20] {
+            assert_eq!(cm(len).raw(0, 0) as usize % ALIGN, 0, "segment of {len} B");
+        }
+    }
+
+    /// Anonymous resident memory of this process, bytes (`RssAnon` of
+    /// `/proc/self/status`: the pages a process itself dirtied, not code
+    /// or files it maps).
+    #[cfg(target_os = "linux")]
+    fn resident_anon() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let kib = status.lines().find_map(|l| l.strip_prefix("RssAnon:")).expect("RssAnon line");
+        kib.trim().trim_end_matches("kB").trim().parse::<usize>().expect("a kB count") * 1024
+    }
+
+    /// A fresh segment costs no resident memory: its untouched pages read
+    /// zero, and a write makes one page resident, not the segment. The
+    /// smallest of three tries is the one judged, so a concurrent test
+    /// allocating in the same process cannot fail it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_fresh_segment_stays_non_resident_until_touched() {
+        const LEN: usize = 64 << 20;
+        let grew = (0..3)
+            .map(|_| {
+                let before = resident_anon();
+                let m = cm(LEN);
+                for off in (0..LEN).step_by(LEN / 64).chain([LEN - 8]) {
+                    assert_eq!(m.read_val::<u64>(off), 0, "offset {off}");
+                }
+                let grew = resident_anon().saturating_sub(before);
+                m.write_bytes(LEN / 2, b"touched");
+                let mut back = [0u8; 7];
+                m.read_bytes(LEN / 2, &mut back);
+                assert_eq!(&back, b"touched");
+                grew
+            })
+            .min()
+            .unwrap();
+        assert!(grew < 1 << 20, "a fresh 64 MiB segment made {grew} B resident");
     }
 }

@@ -26,7 +26,8 @@
 //!
 //! The `server` rows do the same for one **warm server job** of the
 //! benchmark's `server_jobs` body (one `u64` of heap, ten barriers), at
-//! 2 and 8 PEs on 2 slots: the client's submit, the dispatcher's hop,
+//! 2 and 8 PEs on 2 slots (leased as the server does, one per two PEs:
+//! 1 worker and 2): the client's submit, the dispatcher's hop,
 //! the runner, the launch and the way back, assembled from the pieces
 //! `Server`, `attempt_launch` and `run_wall` put together, in
 //! microseconds:
@@ -59,6 +60,7 @@ use tshmem::engine::coop::GateSet;
 use tshmem::engine::wall::{Admission, Free, Resident, ShardedArena, WallFabric, WallShared};
 use tshmem::prelude::*;
 use tshmem::server::arena::Geometry;
+use tshmem::server::pool::lease_for;
 use tshmem::trace::TraceSink;
 use tshmem::{JobSpec, JobWatch, Server, ServerConfig};
 use udn::fabric::UdnFabric;
@@ -168,7 +170,7 @@ fn mark(marks: &Marks) {
 /// server's watch, over `resident`.
 fn job_launch(resident: &Resident, cfg: &RuntimeConfig, slots: usize, marks: &Marks) {
     let npes = cfg.npes;
-    let block = npes.div_ceil(slots.min(npes));
+    let block = npes.div_ceil(lease_for(npes, slots));
     let gate = GateSet::new(npes, block);
     let layout = Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
     let geometry = Geometry::of(cfg, block);

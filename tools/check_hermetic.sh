@@ -215,4 +215,41 @@ if [ -n "$hits" ]; then
 fi
 echo "OK: no external imports"
 
+echo "== FFI allowlist (every extern block declares only the libc symbols std already links) =="
+# "std + in-tree only" stays reviewable with foreign declarations in the
+# tree: common memory maps its pages, the benchmark pins CPUs and reads
+# its peak RSS. Any other symbol in an `extern` block fails, named with
+# its file:line.
+python3 - <<'PYEOF'
+import os, re, sys
+ALLOWED = {"mmap", "munmap", "sched_setaffinity", "sched_getaffinity", "getrusage"}
+bad, seen = [], 0
+for root in ("crates", "src", "tests", "examples", "benchmark/src"):
+    for dirpath, _, files in os.walk(root):
+        for f in sorted(files):
+            if not f.endswith(".rs"):
+                continue
+            path = os.path.join(dirpath, f)
+            lines = [l.split("//")[0] for l in open(path).read().splitlines()]
+            depth = 0  # brace depth inside an extern block; 0 = outside
+            for i, line in enumerate(lines, 1):
+                if depth == 0:
+                    m = re.search(r'\bextern\s*(?:"[^"]*")?\s*\{', line)
+                    if not m:
+                        continue
+                    line = line[m.end():]
+                    depth = 1
+                for item in re.finditer(r'\b(?:fn|static(?:\s+mut)?|type)\s+(\w+)', line):
+                    seen += 1
+                    if item.group(1) not in ALLOWED:
+                        bad.append(f"{path}:{i}: {item.group(1)}")
+                depth += line.count("{") - line.count("}")
+if bad:
+    print("FAIL: foreign symbols outside the allowlist (%s):" % ", ".join(sorted(ALLOWED)), file=sys.stderr)
+    for b in bad:
+        print("  " + b, file=sys.stderr)
+    sys.exit(1)
+print("OK: %d foreign declarations, all on the allowlist" % seen)
+PYEOF
+
 echo "hermetic check passed"
