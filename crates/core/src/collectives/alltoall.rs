@@ -43,7 +43,7 @@ impl ShmemCtx {
                     set.pe_at(peer_rank),
                 );
             }
-            self.quiet();
+            self.complete_puts();
         }
         self.sync_set(set); // everyone's dest rows have landed
     }
@@ -92,7 +92,7 @@ impl ShmemCtx {
                     set.pe_at(peer_rank),
                 );
             }
-            self.quiet();
+            self.complete_puts();
         }
         self.sync_set(set);
     }

@@ -30,14 +30,12 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         if let Some(cl) = self.select(set, rank, self.algos.broadcast.into()) {
-            self.collective_checks(source, nelems, root_rank, set);
-            return self.broadcast_clustered(dest, source, nelems, root_rank, &cl);
+            return self.broadcast_cells(dest, source, nelems, root_rank, &cl);
         }
         match self.algos.broadcast {
             BroadcastAlgo::Pull => self.broadcast_pull(dest, source, nelems, root_rank, set),
             BroadcastAlgo::Push => self.broadcast_push(dest, source, nelems, root_rank, set),
             BroadcastAlgo::Binomial => self.broadcast_binomial(dest, source, nelems, root_rank, set),
-            BroadcastAlgo::Hierarchical => unreachable!("select() clusters every Hierarchical broadcast"),
         }
     }
 

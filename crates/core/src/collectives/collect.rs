@@ -46,14 +46,11 @@ impl ShmemCtx {
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
         // Where the selection function picks the cell pass, the leaders
-        // assemble and hand out the concatenation (hier.rs). There is
-        // no message-tree `fcollect`: the root gather below stays for
-        // everything else, its two barriers on whatever `sync_set`
-        // selects.
+        // assemble and hand out the concatenation (hier.rs). The root
+        // gather below serves everything else, its two barriers on
+        // whatever `sync_set` selects.
         if let Some(cl) = self.select(set, rank, hier::Configured::Default) {
-            if let Some(cells) = cl.cells {
-                return self.fcollect_cells(cells, dest, source, nelems, &cl);
-            }
+            return self.fcollect_cells(dest, source, nelems, &cl);
         }
         self.sync_set(set);
         self.gather_and_redistribute(dest, source, rank * nelems, nelems, set.size * nelems, set, rank);

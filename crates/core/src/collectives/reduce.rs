@@ -40,14 +40,13 @@ impl ShmemCtx {
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
         if let Some(cl) = self.select(set, rank, self.algos.reduce.into()) {
-            return self.reduce_clustered(op, dest, source, nreduce, &cl);
+            return self.reduce_cells(op, dest, source, nreduce, &cl);
         }
         match self.algos.reduce {
             ReduceAlgo::Naive => self.reduce_naive(op, dest, source, nreduce, set, rank),
             ReduceAlgo::RecursiveDoubling => {
                 self.reduce_recursive_doubling(op, dest, source, nreduce, set, rank)
             }
-            ReduceAlgo::Hierarchical => unreachable!("select() clusters every Hierarchical reduce"),
         }
     }
 

@@ -31,13 +31,6 @@ pub enum BarrierAlgo {
     /// signals (an extension beyond the paper; the classic
     /// low-latency software barrier).
     Dissemination,
-    /// Clustered barrier: gather into cluster leaders, dissemination
-    /// across them, release — by counter cells where the fabric has
-    /// them, by binomial message trees elsewhere. What the selection
-    /// function (`collectives/hier.rs`) gives the default `Ring` (and
-    /// `Dissemination`) past 64 PEs, and `Ring` at any size on the coop
-    /// engine when some member shares a worker with its leader.
-    Hierarchical,
 }
 
 /// Broadcast algorithm selection (Figures 9–10 and Section IV-E).
@@ -50,13 +43,6 @@ pub enum BroadcastAlgo {
     Push,
     /// Binomial tree (listed as future work in the paper).
     Binomial,
-    /// Clustered broadcast: root to cluster leaders, then leaders to
-    /// their clusters — by direct copies under the counter-cell pass
-    /// where the fabric has cells, by binomial trees elsewhere. What
-    /// the selection function gives the default `Pull` past 64 PEs, and
-    /// at any size on the coop engine when some member shares a worker
-    /// with its leader.
-    Hierarchical,
 }
 
 /// Reduction algorithm selection (Figure 12 and Section IV-E).
@@ -68,13 +54,6 @@ pub enum ReduceAlgo {
     Naive,
     /// Recursive doubling (listed as future work in the paper).
     RecursiveDoubling,
-    /// Clustered reduction: fold into cluster leaders, recursive
-    /// doubling across them, result handed back down — in place under
-    /// the counter-cell pass where the fabric has cells, by binomial
-    /// trees elsewhere. What the selection function gives the default
-    /// `Naive` past 64 PEs, and at any size on the coop engine when some
-    /// member shares a worker with its leader.
-    Hierarchical,
 }
 
 /// Algorithm configuration for one launch.
@@ -541,11 +520,11 @@ impl ShmemCtx {
         }
         let world = self.world();
         match self.select(world, self.my_pe(), hier::Configured::Default) {
-            Some(cl @ hier::Cluster { cells: Some(cells), .. }) => {
+            Some(cl) => {
                 self.complete_puts();
-                self.cell_pass(cells, &cl, || {});
+                self.cell_pass(&cl, || {});
             }
-            _ => self.barrier_ring_explicit(world),
+            None => self.barrier_ring_explicit(world),
         }
         self.fab.udn_send(
             self.my_pe(),

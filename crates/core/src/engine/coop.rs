@@ -14,7 +14,7 @@
 //!
 //! * Every context (PE main + interrupt-service) is still a real OS
 //!   thread; worker `w = pe / ceil(npes / workers)` owns an admission
-//!   [`Gate`], and a context may touch the fabric only while holding
+//!   `Gate`, and a context may touch the fabric only while holding
 //!   its worker's gate.
 //! * A context **releases** its gate around every genuine wait — a
 //!   parked receive, a blocking send into a full queue, an injected
@@ -50,7 +50,7 @@ use tmc::common::CommonMemory;
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
 use crate::engine::wall::{run_wall, Admission, Resident, WallFabric};
-use crate::fabric::{BlockedOn, CellKey, Fabric, Locality, PeProbe, ProtoMsg};
+use crate::fabric::{BlockedOn, CellKey, Fabric, Locality, PeProbe};
 use crate::fault::LaunchFaults;
 use crate::trace::TraceKind;
 
@@ -114,7 +114,7 @@ impl Default for SyncCell {
 /// The cells of every cluster one PE can lead, by member count − 1.
 type CellRow = Box<[OnceLock<Box<SyncCell>>]>;
 
-/// Gated admission — the coop engine: one FIFO [`Gate`] per worker, at
+/// Gated admission — the coop engine: one FIFO `Gate` per worker, at
 /// most one running context each. The handle is shared by every context
 /// of a launch.
 pub type Gated = Arc<GateSet>;
@@ -320,32 +320,6 @@ impl Locality for WallFabric<Gated> {
 
     fn topology_block(&self) -> usize {
         self.gate.block
-    }
-
-    fn udn_recv_local(&self, queue: usize) -> ProtoMsg {
-        // The expected sender shares this worker: stay runnable and
-        // yield the gate between polls instead of parking in the
-        // channel condvar — FIFO admission runs the sibling (which
-        // sends and satisfies this receive) within one gate rotation,
-        // skipping a condvar park + unpark round trip per message.
-        // Bounded and cheap: a wrong hint (sender fault-delayed, knob
-        // flipped between launches) falls back to the parked receive
-        // after a few gate rotations, so the hint costs at most bounded
-        // spinning, never liveness. Under deep oversubscription every
-        // runnable-but-waiting context lengthens the gate rotation the
-        // real sender must ride, so the bound is deliberately small —
-        // whole-cluster synchronization uses the counter cells instead
-        // (`sync_cell_add`), not this hint.
-        self.set_blocked(BlockedOn::Recv { queue });
-        for attempt in 0..32u32 {
-            if let Some(p) = self.udn().try_recv(queue) {
-                self.set_blocked(BlockedOn::Running);
-                return self.accept(p);
-            }
-            self.wait_pause(attempt);
-        }
-        self.set_blocked(BlockedOn::Running);
-        self.udn_recv(queue)
     }
 
     fn sync_cell_add(&self, cell: CellKey, word: usize, delta: u64) -> u64 {

@@ -479,8 +479,7 @@ pub trait Fabric: Send {
 
 /// What an engine that multiplexes PEs on shared workers (the M:N coop
 /// engine) offers beyond [`Fabric`]: direct access to a co-resident
-/// PE's memory, a cheaper wait for a same-worker sender, and the sync
-/// cells under the clustered collectives. Reached only through
+/// PE's memory and the sync cells under the clustered collectives. Reached only through
 /// [`Fabric::locality`], so code for an engine without a worker
 /// topology cannot call any of it.
 pub trait Locality {
@@ -494,16 +493,8 @@ pub trait Locality {
 
     /// The PE→worker block size: PEs are sharded over workers in
     /// contiguous blocks of this many — the cluster width that aligns
-    /// hierarchical collectives to the sharding.
+    /// the counter-cell pass to the sharding.
     fn topology_block(&self) -> usize;
-
-    /// Blocking receive with a co-residency hint: the expected sender
-    /// shares this worker, so the engine may poll-yield in-worker
-    /// instead of parking in the channel condvar. Semantically
-    /// identical to [`Fabric::udn_recv`] — the hint changes only the
-    /// wait strategy, and a wrong hint costs bounded spinning, never
-    /// correctness.
-    fn udn_recv_local(&self, queue: usize) -> ProtoMsg;
 
     /// Atomic fetch-add on word `word` of sync cell `cell` — word 0 is
     /// the arrival counter, word 1 the release epoch of the counter-cell

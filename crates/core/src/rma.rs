@@ -467,7 +467,7 @@ impl ShmemCtx {
         if pe == self.my_pe() {
             return None;
         }
-        self.local_to(pe)
+        self.fab.locality().filter(|loc| loc.co_resident(pe))
     }
 
     /// Perform a redirected request's effect directly on a co-resident

@@ -11,7 +11,7 @@
 use crate::active_set::ActiveSet;
 use crate::collectives::hier;
 use crate::ctx::{BarrierAlgo, ShmemCtx};
-use crate::fabric::{BlockedOn, Locality, ProtoMsg, Q_BARRIER};
+use crate::fabric::{BlockedOn, ProtoMsg, Q_BARRIER};
 
 /// Ring token carrying a *wait* signal.
 pub const TAG_BAR_WAIT: u16 = 10;
@@ -21,12 +21,8 @@ pub const TAG_BAR_RELEASE: u16 = 11;
 pub const TAG_BAR_ARRIVE: u16 = 12;
 /// Round signal of the dissemination barrier.
 pub const TAG_BAR_DISS: u16 = 13;
-/// Cluster-gather signal of the hierarchical barrier.
-pub const TAG_BAR_HGATHER: u16 = 14;
-/// Leader-dissemination round signal of the hierarchical barrier.
+/// Round signal of the cell pass's leader dissemination.
 pub const TAG_BAR_HDISS: u16 = 15;
-/// Cluster-release signal of the hierarchical barrier.
-pub const TAG_BAR_HRELEASE: u16 = 16;
 
 impl ShmemCtx {
     /// Barrier across all PEs (`shmem_barrier_all`).
@@ -63,14 +59,13 @@ impl ShmemCtx {
             return;
         }
         if let Some(cl) = self.select(set, rank, self.algos.barrier.into()) {
-            return self.barrier_hier(&cl);
+            return self.cell_pass(&cl, || {});
         }
         match self.algos.barrier {
             BarrierAlgo::Ring => self.barrier_ring(set, rank),
             BarrierAlgo::RootBroadcast => self.barrier_root_broadcast(set, rank),
             BarrierAlgo::TmcSpin => self.fab.tmc_spin_barrier(set.triplet()),
             BarrierAlgo::Dissemination => self.barrier_dissemination(set, rank),
-            BarrierAlgo::Hierarchical => unreachable!("select() clusters every Hierarchical barrier"),
         }
     }
 
@@ -102,90 +97,24 @@ impl ShmemCtx {
         }
     }
 
-    /// Explicit hierarchical barrier (for the scaling benches), at the
-    /// topology-aligned cluster width.
+    /// Explicit clustered barrier (for the scaling benches): the
+    /// payload-free counter-cell pass wherever the fabric has cells for
+    /// `set`, otherwise what [`ShmemCtx::barrier`] runs.
     pub fn barrier_hier_explicit(&self, set: ActiveSet) {
-        self.barrier_hier_at(set, None);
-    }
-
-    /// [`ShmemCtx::barrier_hier_explicit`] with an explicit cluster
-    /// width, so the equivalence suite can exercise odd geometries on
-    /// small sets.
-    #[doc(hidden)]
-    pub fn barrier_hier_with(&self, set: ActiveSet, cs: usize) {
-        self.barrier_hier_at(set, Some(cs));
-    }
-
-    fn barrier_hier_at(&self, set: ActiveSet, width: Option<usize>) {
         let rank = set.rank_of(self.my_pe()).expect("not in set");
-        self.complete_puts();
-        if set.size > 1 {
-            self.barrier_hier(&self.cluster_for(set, rank, width));
-        }
-    }
-
-    /// Two-level barrier. On *set ∩ shard* clusters it is the
-    /// payload-free instance of the counter-cell pass
-    /// ([`ShmemCtx::cell_pass`]): no intra-cluster messages at all.
-    /// Elsewhere: binomial gather to each cluster leader, dissemination
-    /// across the `⌈n/cs⌉` leaders, binomial release back down. Per
-    /// edge and instance at most one token is outstanding, and
-    /// gather/release tokens from the same sender are interchangeable
-    /// across consecutive barriers (a later instance's token is strictly
-    /// stronger evidence of arrival), so the `[id]`-only payload is safe
-    /// under [`ShmemCtx::recv_matching`]'s stashing — the same argument
-    /// as the flat dissemination rounds.
-    fn barrier_hier(&self, cl: &hier::Cluster) {
-        if let Some(cells) = cl.cells {
-            return self.cell_pass(cells, cl, || {});
-        }
-        let hier::Cluster { set, first, lr, m, .. } = *cl;
-        let id = set.ident();
-
-        // Gather: binomial reduction tree into the cluster leader; a
-        // co-resident child is admitted by our own gate rotation, so
-        // its recv carries the hint — no condvar park needed.
-        let mut span = 1usize;
-        while span < m {
-            if lr % (2 * span) == span {
-                let parent = set.pe_at(first + lr - span);
-                self.send_draining(parent, Q_BARRIER, TAG_BAR_HGATHER, &[id]);
-                break;
+        match self.cluster_for(set, rank) {
+            Some(cl) if set.size > 1 => {
+                self.complete_puts();
+                self.cell_pass(&cl, || {});
             }
-            if lr.is_multiple_of(2 * span) && lr + span < m {
-                let child = set.pe_at(first + lr + span);
-                self.recv_matching_local(Q_BARRIER, self.local_to(child), |msg: &ProtoMsg| {
-                    msg.tag == TAG_BAR_HGATHER && msg.payload.first() == Some(&id)
-                });
-            }
-            span <<= 1;
-        }
-
-        if lr == 0 {
-            self.leader_dissemination(cl);
-        }
-
-        // Release: binomial broadcast tree back down the cluster.
-        if lr > 0 {
-            let parent = set.pe_at(first + hier::bcast_parent(lr));
-            self.recv_matching_local(Q_BARRIER, self.local_to(parent), |msg: &ProtoMsg| {
-                msg.tag == TAG_BAR_HRELEASE && msg.payload.first() == Some(&id)
-            });
-        }
-        let mut span = 1usize;
-        while span < m {
-            if lr < span && lr + span < m {
-                let child = set.pe_at(first + lr + span);
-                self.send_draining(child, Q_BARRIER, TAG_BAR_HRELEASE, &[id]);
-            }
-            span <<= 1;
+            _ => self.sync_set(set),
         }
     }
 
     /// Flat dissemination over the cluster leaders (called by leaders
     /// only): when it returns, every leader of the set has finished its
     /// gather. *Set ∩ shard* clusters put every leader on a distinct
-    /// worker, so these recvs stay on the parked path.
+    /// worker, so no two of them are co-resident.
     pub(crate) fn leader_dissemination(&self, cl: &hier::Cluster) {
         let (c, nc) = (cl.c, cl.nc);
         let id = cl.set.ident();
@@ -193,9 +122,8 @@ impl ShmemCtx {
         let mut round = 0u64;
         while dist < nc {
             let to = cl.leader_pe((c + dist) % nc);
-            let from = cl.leader_pe((c + nc - dist) % nc);
             self.send_draining(to, Q_BARRIER, TAG_BAR_HDISS, &[id, round]);
-            self.recv_matching_local(Q_BARRIER, self.local_to(from), |msg: &ProtoMsg| {
+            self.recv_matching(Q_BARRIER, |msg: &ProtoMsg| {
                 msg.tag == TAG_BAR_HDISS
                     && msg.payload.first() == Some(&id)
                     && msg.payload.get(1) == Some(&round)
@@ -315,26 +243,6 @@ impl ShmemCtx {
     /// Receive from `queue`, parking mismatched messages in the stash so
     /// overlapping protocol exchanges cannot steal each other's tokens.
     pub(crate) fn recv_matching(&self, queue: usize, pred: impl Fn(&ProtoMsg) -> bool) -> ProtoMsg {
-        self.recv_matching_local(queue, None, pred)
-    }
-
-    /// The locality capability, if `pe` shares this PE's worker.
-    pub(crate) fn local_to(&self, pe: usize) -> Option<&dyn Locality> {
-        self.fab.locality().filter(|loc| loc.co_resident(pe))
-    }
-
-    /// [`ShmemCtx::recv_matching`] with a co-residency hint: when
-    /// `local` is set the expected sender shares this PE's worker
-    /// ([`ShmemCtx::local_to`]), so the engine waits with
-    /// [`Locality::udn_recv_local`] (poll + gate yield) instead of the
-    /// parked receive. Purely a wait-strategy hint — a wrong `local` is
-    /// slower, never wrong.
-    pub(crate) fn recv_matching_local(
-        &self,
-        queue: usize,
-        local: Option<&dyn Locality>,
-        pred: impl Fn(&ProtoMsg) -> bool,
-    ) -> ProtoMsg {
         {
             let mut stash = self.stash.borrow_mut();
             if let Some(i) = stash.iter().position(&pred) {
@@ -345,10 +253,7 @@ impl ShmemCtx {
             }
         }
         loop {
-            let msg = match local {
-                Some(loc) => loc.udn_recv_local(queue),
-                None => self.fab.udn_recv(queue),
-            };
+            let msg = self.fab.udn_recv(queue);
             if pred(&msg) {
                 return msg;
             }

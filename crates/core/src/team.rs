@@ -6,9 +6,9 @@
 //! a split of a split is still one strided set over job PEs), and the
 //! collectives are team-scoped methods that translate to the underlying
 //! active-set algorithms. Nothing is reimplemented: a team collective
-//! and the equivalent triplet collective run the *same* flat or
-//! hierarchical algorithm on the same PEs, which the equivalence suite
-//! asserts by comparing memory state and `Stats`.
+//! and the equivalent triplet collective run the *same* algorithm on
+//! the same PEs, which the equivalence suite asserts by comparing memory
+//! state and `Stats`.
 //!
 //! Because every team is a strided set, `split_strided` composes
 //! strides multiplicatively: taking every `2^k`-th member of a parent
@@ -101,7 +101,7 @@ impl Team {
     }
 
     /// `shmem_team_split_2d`-flavored even/odd halves are the common
-    /// case of [`split_strided`]; this is the `color`-style convenience:
+    /// case of [`Team::split_strided`]; this is the `color`-style convenience:
     /// split the team into `parts` round-robin sub-teams and return the
     /// one this PE belongs to.
     ///

@@ -1,145 +1,20 @@
-//! Flat-vs-hierarchical equivalence for the two-level collectives:
-//! exhaustive small set sizes (including every non-power-of-two shape a
-//! cluster boundary can produce) plus spot checks past 64 PEs, where the
-//! dispatcher auto-upgrades the flat defaults — on the coop engine, at
-//! every size and for any contiguous set, to the counter-cell pass,
-//! whose safety envelope (DESIGN.md §6) the last group of tests leans
-//! on.
+//! The counter-cell pass on the coop engine: spot checks past 64 PEs,
+//! where every contiguous set takes it, and the safety envelope
+//! (DESIGN.md §6) that the fused collectives lean on. The cluster
+//! geometry itself is unit-tested in `collectives/hier.rs`; without
+//! cells — other engines, strided sets, locality off — a collective runs
+//! its configured flat algorithm, which `locality_equivalence` compares
+//! against the pass.
 
 use tshmem::prelude::*;
-
-fn cfg(npes: usize) -> RuntimeConfig {
-    RuntimeConfig::new(npes).with_partition_bytes(256 * 1024)
-}
 
 fn coop(workers: usize) -> CoopBackend {
     CoopBackend { workers, ..Default::default() }
 }
 
-/// Sum-reduce on deterministic per-rank values, through the hierarchical
-/// path at cluster width `cs`, checked against the closed form on every
-/// member.
-fn check_hier_reduce(npes: usize, cs: usize) {
-    let out = launch(&cfg(npes), move |ctx| {
-        let n = ctx.n_pes();
-        let src = ctx.shmalloc::<i64>(4);
-        let dst = ctx.shmalloc::<i64>(4);
-        let me = ctx.my_pe() as i64;
-        ctx.local_write(&src, 0, &[me + 1, 2 * me, me * me, 1]);
-        let rank = ctx.world().rank_of(ctx.my_pe()).unwrap();
-        ctx.reduce_hier_with(ReduceOp::Sum, &dst, &src, 4, ctx.world(), rank, cs);
-        let got = ctx.local_read(&dst, 0, 4);
-        let n = n as i64;
-        let want = [
-            n * (n + 1) / 2,
-            n * (n - 1),
-            (n - 1) * n * (2 * n - 1) / 6,
-            n,
-        ];
-        assert_eq!(got.as_slice(), want, "npes={n} cs={cs}");
-    });
-    assert_eq!(out.len(), npes);
-}
-
-/// Broadcast from every possible root through the hierarchical path at
-/// cluster width `cs`; the root's dest must stay untouched.
-fn check_hier_broadcast(npes: usize, cs: usize) {
-    launch(&cfg(npes), move |ctx| {
-        let n = ctx.n_pes();
-        let src = ctx.shmalloc::<u64>(3);
-        let dst = ctx.shmalloc::<u64>(3);
-        for root in 0..n {
-            let tag = (root as u64 + 1) << 8;
-            ctx.local_write(&src, 0, &[tag, tag + 1, tag + 2]);
-            ctx.local_write(&dst, 0, &[u64::MAX; 3]);
-            ctx.broadcast_hier_with(&dst, &src, 3, root, ctx.world(), cs);
-            let got = ctx.local_read(&dst, 0, 3);
-            if ctx.my_pe() == root {
-                assert_eq!(got, vec![u64::MAX; 3], "root dest written (root={root} cs={cs})");
-            } else {
-                assert_eq!(got, vec![tag, tag + 1, tag + 2], "pe={} root={root} cs={cs}", ctx.my_pe());
-            }
-        }
-    });
-}
-
-/// The hierarchical barrier must actually order phases: everyone writes
-/// phase 1, barrier, everyone verifies all phase-1 writes, repeatedly.
-fn check_hier_barrier(npes: usize, cs: usize) {
-    launch(&cfg(npes), move |ctx| {
-        let n = ctx.n_pes();
-        let table = ctx.shmalloc::<u64>(n);
-        let me = ctx.my_pe();
-        for phase in 1..=3u64 {
-            ctx.p(&table, me, phase * 100 + me as u64, (me + 1) % n);
-            ctx.barrier_hier_with(ctx.world(), cs);
-            for peer in 0..n {
-                let v = ctx.g(&table, peer, (peer + 1) % n);
-                assert_eq!(v, phase * 100 + peer as u64, "npes={n} cs={cs} phase={phase}");
-            }
-            ctx.barrier_hier_with(ctx.world(), cs);
-        }
-    });
-}
-
-#[test]
-fn hier_reduce_exhaustive_small_sets() {
-    // Every size through two full clusters plus a remainder, at cluster
-    // widths that produce 1-member, short, and full tail clusters.
-    for npes in 2..=13 {
-        for cs in [1, 2, 3, 4, 5, 32] {
-            check_hier_reduce(npes, cs);
-        }
-    }
-}
-
-#[test]
-fn hier_broadcast_exhaustive_small_sets() {
-    for npes in 2..=10 {
-        for cs in [1, 2, 3, 4, 32] {
-            check_hier_broadcast(npes, cs);
-        }
-    }
-}
-
-#[test]
-fn hier_barrier_exhaustive_small_sets() {
-    for npes in 2..=12 {
-        for cs in [1, 2, 3, 5, 32] {
-            check_hier_barrier(npes, cs);
-        }
-    }
-}
-
-#[test]
-fn hier_collectives_on_strided_subset() {
-    // Active set = the even PEs; the odd PEs stay bystanders.
-    launch(&cfg(10), |ctx| {
-        let set = ActiveSet::new(0, 1, 5);
-        let src = ctx.shmalloc::<i64>(1);
-        let dst = ctx.shmalloc::<i64>(1);
-        let me = ctx.my_pe();
-        ctx.local_write(&src, 0, &[me as i64]);
-        ctx.local_write(&dst, 0, &[-1]);
-        if let Some(rank) = set.rank_of(me) {
-            ctx.reduce_hier_with(ReduceOp::Sum, &dst, &src, 1, set, rank, 2);
-            assert_eq!(ctx.local_read(&dst, 0, 1)[0], 2 + 4 + 6 + 8);
-            ctx.broadcast_hier_with(&dst, &src, 1, 2, set, 2);
-            if rank != 2 {
-                assert_eq!(ctx.local_read(&dst, 0, 1)[0], 4, "broadcast root is PE 4");
-            }
-            ctx.barrier_hier_with(set, 2);
-        }
-        ctx.barrier_all();
-        if set.rank_of(me).is_none() {
-            assert_eq!(ctx.local_read(&dst, 0, 1)[0], -1, "bystander dest written");
-        }
-    });
-}
-
-/// Past 64 PEs the default algorithms silently upgrade to the
-/// hierarchical variants; the results must match the closed forms, and
-/// the whole thing must hold together on the oversubscribed coop engine.
+/// Past 64 PEs the default algorithms take the counter-cell pass; the
+/// results must match the closed forms, and the whole thing must hold
+/// together on the oversubscribed coop engine.
 #[test]
 fn default_algos_auto_upgrade_past_64_pes() {
     let npes = 96;
@@ -149,17 +24,16 @@ fn default_algos_auto_upgrade_past_64_pes() {
         let src = ctx.shmalloc::<i64>(1);
         let dst = ctx.shmalloc::<i64>(1);
         ctx.local_write(&src, 0, &[me as i64 + 1]);
-        // Default Naive reduce → hierarchical at 96 members.
+        // Default Naive reduce → the cell pass at 96 members.
         ctx.sum_to_all(&dst, &src, 1, ctx.world());
         let sum = ctx.local_read(&dst, 0, 1)[0];
-        // Default Pull broadcast → hierarchical at 96 members.
+        // Default Pull broadcast → the cell pass at 96 members.
         let b_src = ctx.shmalloc::<i64>(1);
         let b_dst = ctx.shmalloc::<i64>(1);
         ctx.local_write(&b_src, 0, &[sum * 2]);
         ctx.local_write(&b_dst, 0, &[0]);
         ctx.broadcast(&b_dst, &b_src, 1, 7, ctx.world());
-        // Default Ring barrier → hierarchical at 96 members (already
-        // exercised inside both collectives above).
+        // Default Ring barrier → the cell pass at 96 members.
         ctx.barrier_all();
         let bval = if me == 7 { sum * 2 } else { ctx.local_read(&b_dst, 0, 1)[0] };
         (sum, bval)
@@ -171,9 +45,8 @@ fn default_algos_auto_upgrade_past_64_pes() {
     }
 }
 
-/// Large-set spot check on the explicit hierarchical barrier (768-style
-/// non-power-of-two leader counts scaled down to what a test can run:
-/// 96 PEs / 32 → 3 leaders, the same odd-leader shape).
+/// Large-set spot check on the explicit clustered barrier: 96 PEs on
+/// 4 workers, so four leaders of 24.
 #[test]
 fn hier_barrier_at_96_pes_on_coop() {
     let cfg = RuntimeConfig::for_scale(96).with_partition_bytes(64 * 1024);

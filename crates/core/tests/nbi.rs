@@ -258,6 +258,28 @@ fn alltoalls_strided_layout() {
     });
 }
 
+/// `Stats::quiets` counts the program's `shmem_quiet` calls only: the
+/// completion drain inside `alltoall` / `alltoalls` is the library's
+/// own, on either admission policy.
+#[test]
+fn alltoall_drains_without_counting_a_quiet() {
+    fn body(ctx: &ShmemCtx) -> (u64, u64) {
+        let n = ctx.n_pes();
+        let src = ctx.shmalloc::<u64>(2 * n);
+        let dst = ctx.shmalloc::<u64>(2 * n);
+        ctx.local_fill(&src, ctx.my_pe() as u64);
+        ctx.alltoall(&dst, &src, 2, ctx.world());
+        ctx.alltoalls(&dst, &src, 1, 1, 2, ctx.world());
+        let after = ctx.stats().quiets;
+        ctx.quiet();
+        (after, ctx.stats().quiets)
+    }
+    let native = Launcher::new(&cfg(4), NativeBackend).run(body).values;
+    let coop = Launcher::new(&cfg(4), CoopBackend { workers: 2, ..Default::default() }).run(body).values;
+    assert_eq!(native, vec![(0, 1); 4], "native: quiets after the exchanges, then after one quiet()");
+    assert_eq!(coop, vec![(0, 1); 4], "coop, 2 workers: quiets after the exchanges, then after one quiet()");
+}
+
 /// The equivalence the team docs promise: a team collective and the
 /// equivalent active-set collective produce the same memory state *and*
 /// the same `Stats` deltas (same algorithm, same PEs, same traffic).

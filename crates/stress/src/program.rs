@@ -7,7 +7,7 @@
 //! discipline — during an [`Step::Rma`] phase, PE `p` only touches slots
 //! inside its own *stripe* of the shared arrays (on any PE's copy), so
 //! any thread interleaving yields the same final state, and a sequential
-//! oracle ([`crate::oracle`]) can predict it exactly. Counters are the
+//! oracle ([`crate::oracle()`]) can predict it exactly. Counters are the
 //! one exception: they are updated with commutative atomics only, so
 //! their *final* value is deterministic even though intermediate values
 //! are not.

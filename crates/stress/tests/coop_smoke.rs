@@ -52,8 +52,8 @@ fn coop_smoke_1024_pes() {
     // 1024 PEs on 4 workers = oversubscription 256 (capped to a 64×
     // window). A 2 s base window relies entirely on the scaled
     // watchdog; with the locality fast paths on by default this also
-    // smoke-tests the counter-cell barrier at block = 256, where the
-    // dispatcher auto-upgrades every world barrier to hierarchical.
+    // smoke-tests the counter-cell barrier at block = 256, which every
+    // world barrier takes.
     //
     // Case 8 is chosen from the stream deliberately: its mix
     // (TeamColl + two Colls + NbiTrain) is parallel-friendly, whereas

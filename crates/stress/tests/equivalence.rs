@@ -8,7 +8,6 @@
 //! |---|---|---|
 //! | RMA fast paths | default vs `[Fault::GeneralRmaPaths]`, native and timed | all |
 //! | nbi completion | lazy (default) vs `[Fault::EagerNbi]`, four engines | all but `cswap_retries` (native) |
-//! | collectives | flat vs hierarchical algorithms | barriers, collectives, atomics |
 //! | admission | native (`Free`) vs coop (`Gated`) with a worker per PE and with one worker | API counts; puts/gets too with a worker per PE |
 //! | virtual-time disciplines | event-driven vs cycle-box, timed and multichip | — (final state) |
 //!
@@ -18,7 +17,8 @@
 //! oracle — both arms must match that one model, so they match each
 //! other. `Stats` are compared here.
 //!
-//! The locality arms stay in `locality_equivalence.rs`.
+//! The locality arms stay in `locality_equivalence.rs`; they are also
+//! the cell-pass-vs-flat-algorithm comparison.
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -170,42 +170,6 @@ fn eager_nbi_reaches_only_its_own_launch() {
         (pending_after_fence(None), eager.join().unwrap())
     });
     assert_eq!((lazy, eager), (1, 0), "pending put_nbi ops after fence (default launch, eager launch)");
-}
-
-// --- collective algorithms ------------------------------------------------
-
-/// The hierarchical barrier/broadcast/reduce are reimplementations of
-/// the same collective semantics, so forcing them on a program that
-/// defaults to the flat algorithms must leave identical state and
-/// identical API-level `Stats` (barriers, collectives, atomics — the
-/// put/get counters intentionally differ, since the algorithms route
-/// different internal traffic). Seeds whose programs draw reduce,
-/// broadcast and fcollect on multi-member sets.
-#[test]
-fn flat_and_hier_collectives_agree_on_state_and_api_stats() {
-    let flat = Algorithms {
-        barrier: BarrierAlgo::Dissemination,
-        broadcast: BroadcastAlgo::Pull,
-        reduce: ReduceAlgo::Naive,
-    };
-    let hier = Algorithms {
-        barrier: BarrierAlgo::Hierarchical,
-        broadcast: BroadcastAlgo::Hierarchical,
-        reduce: ReduceAlgo::Hierarchical,
-    };
-    for (seed, npes, depth) in [(0x4201u64, 6, None), (0x41F9, 8, Some(2)), (0x41F8, 5, None)] {
-        let prog = program(seed, 0, npes);
-        let cfg = build_cfg(&prog, depth);
-        let sf = stats_on(NativeBackend, &cfg.with_algos(flat), &prog, None);
-        let sh = stats_on(NativeBackend, &cfg.with_algos(hier), &prog, None);
-        for (pe, (f, h)) in sf.iter().zip(&sh).enumerate() {
-            assert_eq!(
-                (f.barriers, f.collectives, f.atomics),
-                (h.barriers, h.collectives, h.atomics),
-                "seed {seed:#x} npes {npes} PE {pe}: API-level stats diverged between flat and hier"
-            );
-        }
-    }
 }
 
 // --- admission policy -----------------------------------------------------

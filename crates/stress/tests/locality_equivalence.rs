@@ -1,11 +1,11 @@
 //! Locality-on vs locality-off equivalence on seeded programs under
 //! the coop engine.
 //!
-//! The same-worker fast paths (direct peer copies, counter-cell barrier
-//! transport, in-worker signal delivery) are pure transport
+//! The same-worker fast paths (direct peer copies and the counter-cell
+//! pass under the default collectives) are pure transport
 //! substitutions: with `fault::set_coop_locality` flipped off, every
-//! operation takes the channel/protocol path instead, and both runs
-//! must leave **identical heap, static, and collective-scratch state**
+//! RMA takes the channel/protocol path instead and every collective the
+//! flat algorithm it is configured with, and both runs must leave **identical heap, static, and collective-scratch state**
 //! (enforced against the sequential oracle inside [`run_on_ctx`], which
 //! both runs must satisfy) and identical **API-level `Stats`**. The
 //! `redirected`/`locality_hits` pair and the raw put/get counters are
@@ -54,8 +54,8 @@ fn coop_stats(
 /// Append a world-set reduce, broadcast (root: a non-leader of the last
 /// shard) and `fcollect` to `prog`, so a >64-PE case is guaranteed to
 /// run all three payload collectives on the counter-cell pass in the
-/// on-arm and on the message trees in the off-arm, whatever the seed
-/// drew.
+/// on-arm and on the flat default algorithms in the off-arm, whatever
+/// the seed drew.
 fn with_world_collectives(mut prog: Program) -> Program {
     let n = prog.npes;
     let kinds = [
@@ -75,25 +75,19 @@ fn with_world_collectives(mut prog: Program) -> Program {
 
 #[test]
 fn locality_on_and_off_agree_on_state_and_api_stats() {
-    let forced_hier = Algorithms {
-        barrier: BarrierAlgo::Hierarchical,
-        broadcast: BroadcastAlgo::Hierarchical,
-        reduce: ReduceAlgo::Hierarchical,
-    };
-    // case 0: 24 PEs / 3 workers, forced hierarchical collectives —
-    //   the world set is shard-aligned (block = 8), so the on-arm takes
-    //   the counter-cell barrier while team/strided subsets fall back.
+    // case 0: 24 PEs / 3 workers — shards of 8, so the on-arm's
+    //   contiguous sets take the counter-cell pass while strided
+    //   subsets run the flat algorithms in both arms.
     // case 1: 16 PEs / 4 workers with bounded UDN queues — exercises
     //   the RMA/strided/nbi bypasses alongside blocking channel sends.
-    // case 2: 96 PEs / 2 workers — past the 64-member threshold the
-    //   dispatcher auto-upgrades barriers to hierarchical, so the cells
-    //   transport engages without forcing algorithms (block = 48).
+    // case 2: 96 PEs / 2 workers — past 64 members as well (block = 48).
     // case 3: 100 PEs / 3 workers (shards of 34, 34 and a short 32, an
     //   odd leader count) at default algorithms, with a world reduce,
     //   broadcast and fcollect appended: the three payload collectives
-    //   on the fused cell pass against their message-tree references.
+    //   on the fused cell pass against the ring, naive reduce, pull
+    //   broadcast and root-gather `fcollect`.
     let cases = [
-        (0u64, 24usize, 3usize, None, Some(forced_hier)),
+        (0u64, 24usize, 3usize, None, None),
         (1, 16, 4, Some(2), None),
         (2, 96, 2, None, None),
         (3, 100, 3, None, Some(Algorithms::default())),

@@ -28,6 +28,11 @@ cargo build --release --offline
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+echo "== rustdoc (offline, warnings are errors) =="
+# A doc link to a deleted or private item would otherwise rot silently.
+# benchmark/ is its own workspace and stays out of this step.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+
 echo "== hermetic tests (offline, tier-1 root package) =="
 cargo test -q --offline
 
@@ -82,7 +87,7 @@ echo "== locality equivalence suite (coop fast paths on vs off) =="
 # this named step keeps the ablation gate visible.
 cargo test -q --offline -p stress --test locality_equivalence
 
-echo "== equivalence suites (RMA fast paths, nbi completion, collectives, admission, virtual-time disciplines) =="
+echo "== equivalence suites (RMA fast paths, nbi completion, admission, virtual-time disciplines) =="
 # Each suite runs one seeded program two ways — a per-launch reference
 # arm (`[Fault::GeneralRmaPaths]`, `[Fault::EagerNbi]`) or another
 # config or backend — and requires the oracle's final state on both and
@@ -159,7 +164,7 @@ echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + ba
 # The RMA and barrier hot paths are allocation-free by design, and the
 # wall fabric, its M:N admission gate, the virtual-time fabric
 # (engine/timed.rs) with the CoopLp send/recv path every simulated
-# message crosses (engine/backend.rs), hierarchical collectives, and the
+# message crosses (engine/backend.rs), the cell pass, and the
 # timed-engine event core stay on that diet: any `to_vec()` or `vec![` there must carry a
 # `// cold:` justification on the same line or one of the two lines
 # above it. A warm server job attaches to resident lanes and a recycled
