@@ -8,22 +8,18 @@
 //! Ranks are grouped into clusters of consecutive ranks; the first rank
 //! of cluster `c` is its leader (`Cluster`). Cluster `c` is *set ∩
 //! worker shard* — whole shards in the middle, whatever the set covers
-//! of its first and last one. Members fetch-add their cluster's cell and
-//! park; the leader, alone awake among them, does the whole cluster's
-//! work by direct copies, exchanges with the other leaders, writes every
-//! member's result and releases the cluster with one epoch bump
-//! (`ShmemCtx::cell_pass`). The barrier is the payload-free instance;
-//! reduce, broadcast and `fcollect` hand it a closure.
-//!
-//! The leaders' reduce exchange uses the pairwise `SEQ_PT2PT` counters,
-//! which are **shared** with recursive-doubling reduce's data/ack
-//! handshake. That handshake writes flag values `2*seq` and
-//! `2*seq + 1`, so every wait/set here uses the doubled convention too —
-//! a plain `seq` would be stale-satisfied by any earlier exchange on the
-//! same unordered pair (`flag_wait_ge` is `>=`).
+//! of its first and last one. The pass is a two-level tree of one
+//! primitive, a sync cell (`ShmemCtx::cell_pass`): members fetch-add
+//! their cluster's cell and park; each leader, alone awake among them,
+//! does its cluster's share by direct copies and meets the other leaders
+//! on one root cell; leader 0, alone awake among the leaders, combines
+//! across clusters and releases them; each leader then writes its
+//! members' results and releases its cluster with one epoch bump. The
+//! barrier is the payload-free instance; reduce, broadcast and
+//! `fcollect` hand it an *up*, a *root* and a *down* step.
 
 use crate::active_set::ActiveSet;
-use crate::ctx::{BarrierAlgo, BroadcastAlgo, ReduceAlgo, ShmemCtx, SEQ_PT2PT};
+use crate::ctx::{BarrierAlgo, BroadcastAlgo, ReduceAlgo, ShmemCtx};
 use crate::fabric::{CellKey, Locality};
 use crate::symm::{Bits, Sym};
 use crate::types::{Reducible, ReduceOp};
@@ -33,22 +29,7 @@ use crate::types::{Reducible, ReduceOp};
 /// [`ShmemCtx::select`] puts every contiguous set on the cell pass.
 const FLAT_MAX: usize = 64;
 
-/// Largest power of two `<= n`.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub(crate) fn largest_pow2_le(n: usize) -> usize {
-    assert!(n > 0, "no power of two <= 0");
-    1 << (usize::BITS - 1 - n.leading_zeros())
-}
-
-/// Rounds of the dissemination barrier over `n` members: `⌈log₂ n⌉`.
-pub(crate) fn diss_rounds(n: usize) -> u32 {
-    assert!(n > 0);
-    usize::BITS - (n - 1).leading_zeros()
-}
-
-/// Arrival-counter and release-epoch words of a cluster's sync cell.
+/// Arrival-counter and release-epoch words of a sync cell.
 const ARRIVALS: usize = 0;
 const EPOCH: usize = 1;
 
@@ -138,11 +119,6 @@ impl<'a> Cluster<'a> {
         ((c + 1) * self.cs - self.skew).min(self.set.size) - self.first_rank(c)
     }
 
-    /// The cluster `rank` belongs to.
-    fn cluster_of(&self, rank: usize) -> usize {
-        (rank + self.skew) / self.cs
-    }
-
     /// PE of cluster `c`'s leader.
     pub fn leader_pe(&self, c: usize) -> usize {
         self.set.pe_at(self.first_rank(c))
@@ -153,11 +129,26 @@ impl<'a> Cluster<'a> {
         (1..self.m).map(|lr| self.set.pe_at(self.first + lr))
     }
 
-    /// The sync cell of cluster `c`: keyed by the cluster's members,
-    /// not its leader, so two live sets that meet on a leader with
-    /// different memberships never add into one counter.
-    fn cell(&self, c: usize) -> CellKey {
-        CellKey { first: self.leader_pe(c), count: self.size(c) }
+    /// PEs of every leader but leader 0's, in rank order.
+    fn other_leaders(&self) -> impl Iterator<Item = usize> + '_ {
+        (1..self.nc).map(|c| self.leader_pe(c))
+    }
+
+    /// The sync cell of this rank's cluster: keyed by the cluster's
+    /// members, not its leader, so two live sets that meet on a leader
+    /// with different memberships never add into one counter.
+    fn cell(&self) -> CellKey {
+        CellKey { first: self.leader_pe(self.c), count: self.m }
+    }
+
+    /// The leaders' root cell (`nc > 1`): the PE range from leader 0 to
+    /// the last leader. Every leader past the first is its shard's first
+    /// PE, so the range is a function of (leader 0, `nc`), and sets that
+    /// share it have the same leaders. It reaches past leader 0's shard,
+    /// which no cluster does, so it never names a cluster's cell.
+    fn root(&self) -> CellKey {
+        let first = self.leader_pe(0);
+        CellKey { first, count: self.leader_pe(self.nc - 1) + 1 - first }
     }
 }
 
@@ -176,13 +167,14 @@ impl ShmemCtx {
     ///   algorithm coverage depend on getting what they configured.
     /// * With cells on offer and a contiguous set, a default takes the
     ///   pass past [`FLAT_MAX`], and below that **when some member
-    ///   shares a worker with its leader** (`nc < set.size`). That is
-    ///   the measured crossover, not a tunable: with one PE per worker
-    ///   the pass has no co-residency to exploit and degenerates to
-    ///   all-leaders dissemination / recursive doubling / n² `fcollect`,
-    ///   which loses to the ring (EXPERIMENTS.md, the block-of-one rows
-    ///   of the sweep); with any block ≥ 2 it wins at every size
-    ///   measured.
+    ///   shares a worker with its leader** (`nc < set.size`). That was
+    ///   the measured crossover while leaders met by channel messages:
+    ///   with one PE per worker that pass lost to the ring. With the
+    ///   root cell, where every rank of such a set meets leader 0, the
+    ///   re-measured block-of-one rows have the pass ahead too
+    ///   (EXPERIMENTS.md, "One transport inside the cell pass"), so the
+    ///   condition no longer marks a crossover; ROADMAP item 3 tracks
+    ///   dropping it.
     /// * Everywhere else — fabrics without [`Locality`] (native, timed;
     ///   coop with locality off) and strided sets — the configured flat
     ///   algorithm runs at every size.
@@ -207,82 +199,86 @@ impl ShmemCtx {
         Some(Cluster::new(set, rank, block, set.start % block, cells))
     }
 
-    /// One gather → leaders → release pass over the *set ∩ shard*
-    /// clustering: the single transport of every clustered collective.
+    /// One pass over the *set ∩ shard* clustering: the single transport
+    /// of every clustered collective, a two-level tree of
+    /// [`ShmemCtx::meet`]s.
     ///
-    /// A member fetch-adds its cluster's arrival cell (the arrival that
-    /// completes the gather wakes the leader) and parks on the release
-    /// epoch with its gate released. The leader consumes its `m - 1`
-    /// arrivals, disseminates with the other leaders — after which
-    /// **every** rank of the set has entered this call and every
-    /// non-leader is parked — runs `lead`, then bumps the epoch and
-    /// requeues its cluster with one notify. The barrier passes an
-    /// empty `lead`.
+    /// Members meet their leader on the cluster's cell. The leader runs
+    /// `up` with them parked; then, if the set spans `nc > 1` shards,
+    /// it meets the other leaders on the root cell ([`Cluster::root`]),
+    /// where leader 0 runs `root` with every other leader parked (a
+    /// lone leader runs `root` itself). From there on **every** rank of
+    /// the set has entered this call. Each leader runs `down` and
+    /// releases its cluster. The barrier passes three empty steps.
     ///
-    /// What `lead` may touch (DESIGN.md §6): the user buffers of its
-    /// own parked members, which nobody else reads or writes between
-    /// their arrival and their release; and, because the dissemination
-    /// is behind it, the buffers of other *leaders* — each of which
-    /// answers for its own use of them until it releases.
+    /// What a step may touch (DESIGN.md §6): the one awake PE at a level
+    /// may read and write the buffers of every PE parked beneath it —
+    /// `up` and `down` those of the leader's members, `root` those of
+    /// every rank of the set. Nobody else reads or writes them between
+    /// the owner's arrival and its release.
     ///
-    /// Cell reuse across instances: a member reads the epoch *before*
-    /// adding its arrival, so a release between those two points still
-    /// satisfies its wait; the leader subtracts the arrivals it
-    /// consumed *before* releasing, and no member can start a later
-    /// pass (and re-add) until it is released from this one — so counts
-    /// from successive instances never mix. Counts from different
-    /// *sets* never mix because the cell is keyed by the cluster
-    /// ([`Cluster::cell`]): two sets reach the same cell only if they
-    /// have the same members in this shard, so both expect the same
-    /// `m - 1` arrivals from the same PEs, which call them in one
-    /// program order; sets that merely share the leader (`[0, 66)` and
-    /// the world on 70 PEs / 2 workers) count on different cells.
-    /// Ordering is AcqRel through the cells (see
+    /// Cells shared across *sets* never mix counts. A cluster cell is
+    /// keyed by the cluster ([`Cluster::cell`]): two sets reach it only
+    /// with the same members in this shard, who expect the same `m − 1`
+    /// arrivals from the same PEs, who call them in one program order;
+    /// sets that merely share the leader (`[0, 66)` and the world on 70
+    /// PEs / 2 workers) count on different cells. The root cell is keyed
+    /// by (leader 0, `nc`): sets that reach it have the same leaders,
+    /// who arrive in one program order — the same argument one level
+    /// up. Ordering is AcqRel through the cells (see
     /// [`Locality::sync_cell_add`]), giving the same
     /// all-prior-writes-visible guarantee the message barrier gets from
     /// channel edges. Every arrival and release is a counted op and
     /// parked waiters publish
     /// [`BlockedOn::CellWait`](crate::fabric::BlockedOn::CellWait), so
     /// the stall watchdog both sees the pass progressing and can name
-    /// the cell a wedged member is stuck on.
-    pub(crate) fn cell_pass(&self, cl: &Cluster, lead: impl FnOnce()) {
-        let (cells, cell) = (cl.cells, cl.cell(cl.c));
-        if cl.lr > 0 {
+    /// the cell a wedged PE is stuck on.
+    pub(crate) fn cell_pass(&self, cl: &Cluster, up: impl FnOnce(), root: impl FnOnce(), down: impl FnOnce()) {
+        self.meet(cl.cells, cl.cell(), cl.m, cl.lr == 0, || {
+            up();
+            if cl.nc > 1 {
+                self.meet(cl.cells, cl.root(), cl.nc, cl.c == 0, root);
+            } else {
+                root();
+            }
+            down();
+        });
+    }
+
+    /// One level of the pass: `count` PEs meet on `cell`, and the
+    /// `first` of them runs `step` while the others are parked.
+    ///
+    /// Each other PE reads the epoch, adds an arrival (the one that
+    /// completes the count wakes `first`; earlier ones change the count
+    /// without a notify, which `sync_cell_wait_change` permits) and
+    /// parks until the epoch moves, its gate released. `first` consumes
+    /// exactly `count − 1` arrivals (a wrapping add of the negation),
+    /// runs `step`, bumps the epoch and requeues them with one notify.
+    ///
+    /// Cell reuse across instances: a PE reads the epoch *before*
+    /// adding its arrival, so a release between those two points still
+    /// satisfies its wait; `first` subtracts the arrivals it consumed
+    /// *before* releasing, and no PE can arrive for a later instance
+    /// until it is released from this one — so counts from successive
+    /// instances never mix.
+    fn meet(&self, cells: &dyn Locality, cell: CellKey, count: usize, first: bool, step: impl FnOnce()) {
+        let others = count - 1;
+        if !first {
             let e0 = cells.sync_cell_load(cell, EPOCH);
-            self.cell_signal(cells, cell, cl.m - 1);
+            if cells.sync_cell_add(cell, ARRIVALS, 1) as usize + 1 == others {
+                cells.sync_cell_notify(cell, ARRIVALS);
+            }
             cells.sync_cell_wait_change(cell, EPOCH, e0);
             return;
         }
-        self.cell_await(cells, cell, cl.m - 1);
-        self.leader_dissemination(cl);
-        lead();
-        cells.sync_cell_add(cell, EPOCH, 1);
-        cells.sync_cell_notify(cell, EPOCH);
-    }
-
-    /// Add one arrival to `cell`; the one that completes `count` wakes
-    /// the cluster's leader (intermediate arrivals change the count
-    /// without a notify, which `sync_cell_wait_change` permits). Used
-    /// by members during the gather and by leaders telling each other
-    /// "my copy into/out of your buffers is done" inside `lead` — the
-    /// two never overlap on one cell, since a leader inside `lead` has
-    /// consumed its gather and its members stay parked.
-    fn cell_signal(&self, cells: &dyn Locality, cell: CellKey, count: usize) {
-        if cells.sync_cell_add(cell, ARRIVALS, 1) as usize + 1 == count {
-            cells.sync_cell_notify(cell, ARRIVALS);
-        }
-    }
-
-    /// Leader side of [`ShmemCtx::cell_signal`] on its own cluster's
-    /// `cell`: park until `count` arrivals are in, then consume exactly
-    /// those (wrapping add of the negation), restoring the cell before
-    /// anyone is released into its next use.
-    fn cell_await(&self, cells: &dyn Locality, cell: CellKey, count: usize) {
         let mut cur = cells.sync_cell_load(cell, ARRIVALS);
-        while (cur as usize) < count {
+        while (cur as usize) < others {
             cur = cells.sync_cell_wait_change(cell, ARRIVALS, cur);
         }
-        cells.sync_cell_add(cell, ARRIVALS, (count as u64).wrapping_neg());
+        cells.sync_cell_add(cell, ARRIVALS, (others as u64).wrapping_neg());
+        step();
+        cells.sync_cell_add(cell, EPOCH, 1);
+        cells.sync_cell_notify(cell, EPOCH);
     }
 
     /// Clustered reduction by name (the scaling probes): the cell pass
@@ -303,9 +299,10 @@ impl ShmemCtx {
         }
     }
 
-    /// Reduce on the cell pass: the leader folds its parked members'
-    /// `source` straight into its own `dest`, reduces across the
-    /// leaders, and hands every member the result.
+    /// Reduce on the cell pass: each leader folds its parked members'
+    /// `source` straight into its own `dest`; leader 0 folds the other
+    /// leaders' `dest` into its own and writes the result back into
+    /// theirs; each leader hands its members the result.
     pub(crate) fn reduce_cells<T: Reducible>(
         &self,
         op: ReduceOp,
@@ -316,22 +313,34 @@ impl ShmemCtx {
     ) {
         let me = self.my_pe();
         self.complete_puts();
-        self.cell_pass(cl, || {
-            self.put_sym(dest, 0, source, 0, nreduce, me);
-            for pe in cl.members() {
-                self.fold_peer_source(op, dest, source, nreduce, pe);
-            }
-            self.leaders_recursive_doubling(op, dest, nreduce, cl);
-            for pe in cl.members() {
-                self.put_sym(dest, 0, dest, 0, nreduce, pe);
-            }
-        });
+        self.cell_pass(
+            cl,
+            || {
+                self.put_sym(dest, 0, source, 0, nreduce, me);
+                for pe in cl.members() {
+                    self.fold_peer_source(op, dest, source, nreduce, pe);
+                }
+            },
+            || {
+                for pe in cl.other_leaders() {
+                    self.fold_peer_source(op, dest, dest, nreduce, pe);
+                }
+                for pe in cl.other_leaders() {
+                    self.put_sym(dest, 0, dest, 0, nreduce, pe);
+                }
+            },
+            || {
+                for pe in cl.members() {
+                    self.put_sym(dest, 0, dest, 0, nreduce, pe);
+                }
+            },
+        );
     }
 
     /// `dest[i] = op(dest[i], source[i] on pe)` on this PE's copy of
-    /// `dest`, in place. `pe` is a member of our shard parked in
+    /// `dest`, in place. `pe` is parked beneath us in
     /// [`ShmemCtx::cell_pass`], so its `source` is directly addressable
-    /// and nobody writes it until we release.
+    /// and nobody writes it until it is released.
     fn fold_peer_source<T: Reducible>(
         &self,
         op: ReduceOp,
@@ -351,53 +360,13 @@ impl ShmemCtx {
             // SAFETY: `ptr` bounds-checked `nreduce` elements inside
             // `pe`'s partition, which is disjoint from ours (`acc`),
             // and alignment is asserted above; the owner is parked
-            // until we release it, and its arrival on the cell (AcqRel)
+            // until it is released, and its arrival on the cell (AcqRel)
             // published what it wrote.
             let theirs = unsafe { std::slice::from_raw_parts(theirs.cast_const(), nreduce) };
             for (a, b) in acc.iter_mut().zip(theirs) {
                 *a = T::reduce(op, *a, *b);
             }
         });
-    }
-
-    /// Recursive doubling of `dest` across the cluster leaders (called
-    /// by leaders only), with the non-power-of-two excess folded into
-    /// the power-of-two core first — the same scheme as the flat RD
-    /// reduce, audited at `nc` = 3 and 24 by the unit tests below. Data
-    /// moves through the per-sender temp slots under the `2*seq` /
-    /// `2*seq + 1` handshake, chunked when `nreduce` exceeds a slot.
-    fn leaders_recursive_doubling<T: Reducible>(
-        &self,
-        op: ReduceOp,
-        dest: &Sym<T>,
-        nreduce: usize,
-        cl: &Cluster,
-    ) {
-        let (c, nc, me) = (cl.c, cl.nc, self.my_pe());
-        let p2 = largest_pow2_le(nc);
-        if c >= p2 {
-            let partner = cl.leader_pe(c - p2);
-            self.fold_into(dest, nreduce, partner);
-            let seq = self.next_seq(SEQ_PT2PT, partner, me);
-            // Doubled convention — see the module docs.
-            self.flag_wait_ge(self.layout.pt2pt_flags, partner, 2 * seq);
-            return;
-        }
-        if c + p2 < nc {
-            self.fold_from(op, dest, nreduce, cl.leader_pe(c + p2));
-        }
-        let mut k = 1usize;
-        while k < p2 {
-            self.exchange_combine(op, dest, nreduce, cl.leader_pe(c ^ k));
-            k <<= 1;
-        }
-        if c + p2 < nc {
-            let partner = cl.leader_pe(c + p2);
-            self.put_sym(dest, 0, dest, 0, nreduce, partner);
-            self.complete_puts();
-            let seq = self.next_seq(SEQ_PT2PT, partner, me);
-            self.flag_set(partner, self.layout.pt2pt_flags, me, 2 * seq);
-        }
     }
 
     /// Clustered broadcast by name (the scaling probes): the cell pass
@@ -420,11 +389,11 @@ impl ShmemCtx {
         }
     }
 
-    /// Broadcast on the cell pass: every leader pulls the root's
-    /// `source` once and copies it into each of its members' `dest`.
-    /// The root may overwrite `source` the moment it is released, so
-    /// its leader releases only after every other leader has signalled
-    /// that its pull is done. The root's own `dest` is never written.
+    /// Broadcast on the cell pass: leader 0 gets the root's `source`
+    /// and puts it into every other leader's `dest`; each leader copies
+    /// it into its members' `dest`. The root is released only after the
+    /// whole pass, so it cannot overwrite `source` under a reader, and
+    /// nothing writes its own `dest`.
     pub(crate) fn broadcast_cells<T: Bits>(
         &self,
         dest: &Sym<T>,
@@ -435,33 +404,31 @@ impl ShmemCtx {
     ) {
         self.collective_checks(source, nelems, root_rank, cl.set);
         self.complete_puts();
-        self.cell_pass(cl, || {
-            let me = self.my_pe();
-            let root_pe = cl.set.pe_at(root_rank);
-            let root_cell = cl.cell(cl.cluster_of(root_rank));
-            let from = if me == root_pe {
-                *source
-            } else {
-                self.get_sym(dest, 0, source, 0, nelems, root_pe);
-                *dest
-            };
-            if me != root_cell.first {
-                self.cell_signal(cl.cells, root_cell, cl.nc - 1);
-            }
-            for pe in cl.members().filter(|&pe| pe != root_pe) {
-                self.put_sym(dest, 0, &from, 0, nelems, pe);
-            }
-            if me == root_cell.first {
-                self.cell_await(cl.cells, root_cell, cl.nc - 1);
-            }
-        });
+        let (me, root_pe) = (self.my_pe(), cl.set.pe_at(root_rank));
+        let from = if me == root_pe { *source } else { *dest };
+        self.cell_pass(
+            cl,
+            || {},
+            || {
+                if me != root_pe {
+                    self.get_sym(dest, 0, source, 0, nelems, root_pe);
+                }
+                for pe in cl.other_leaders().filter(|&pe| pe != root_pe) {
+                    self.put_sym(dest, 0, &from, 0, nelems, pe);
+                }
+            },
+            || {
+                for pe in cl.members().filter(|&pe| pe != root_pe) {
+                    self.put_sym(dest, 0, &from, 0, nelems, pe);
+                }
+            },
+        );
     }
 
     /// `fcollect` on the cell pass: each leader assembles its cluster's
-    /// contiguous range in its own `dest`, pushes that range into every
-    /// other leader's `dest` and signals it, waits for the `nc - 1`
-    /// ranges it is owed, and copies the finished concatenation into
-    /// each member's `dest`.
+    /// contiguous range in its own `dest`; leader 0 pulls every other
+    /// range and pushes the full concatenation to every other leader;
+    /// each leader copies it into its members' `dest`.
     pub(crate) fn fcollect_cells<T: Bits>(
         &self,
         dest: &Sym<T>,
@@ -470,25 +437,31 @@ impl ShmemCtx {
         cl: &Cluster,
     ) {
         self.complete_puts();
-        self.cell_pass(cl, || {
-            let me = self.my_pe();
-            let first = cl.first * nelems;
-            self.put_sym(dest, first, source, 0, nelems, me);
-            for (i, pe) in cl.members().enumerate() {
-                self.get_sym(dest, first + (i + 1) * nelems, source, 0, nelems, pe);
-            }
-            // Start at our successor so the leaders do not all write
-            // into leader 0 first.
-            for d in 1..cl.nc {
-                let peer = cl.cell((cl.c + d) % cl.nc);
-                self.put_sym(dest, first, dest, first, cl.m * nelems, peer.first);
-                self.cell_signal(cl.cells, peer, cl.nc - 1);
-            }
-            self.cell_await(cl.cells, cl.cell(cl.c), cl.nc - 1);
-            for pe in cl.members() {
-                self.put_sym(dest, 0, dest, 0, cl.set.size * nelems, pe);
-            }
-        });
+        let (me, all) = (self.my_pe(), cl.set.size * nelems);
+        self.cell_pass(
+            cl,
+            || {
+                let first = cl.first * nelems;
+                self.put_sym(dest, first, source, 0, nelems, me);
+                for (i, pe) in cl.members().enumerate() {
+                    self.get_sym(dest, first + (i + 1) * nelems, source, 0, nelems, pe);
+                }
+            },
+            || {
+                for c in 1..cl.nc {
+                    let at = cl.first_rank(c) * nelems;
+                    self.get_sym(dest, at, dest, at, cl.size(c) * nelems, cl.leader_pe(c));
+                }
+                for pe in cl.other_leaders() {
+                    self.put_sym(dest, 0, dest, 0, all, pe);
+                }
+            },
+            || {
+                for pe in cl.members() {
+                    self.put_sym(dest, 0, dest, 0, all, pe);
+                }
+            },
+        );
     }
 }
 
@@ -512,19 +485,6 @@ mod tests {
         fn peer_arena_to_private(&self, _: usize, _: usize, _: usize, _: usize) { unreachable!() }
     }
 
-    #[test]
-    fn largest_pow2_le_matches_naive_scan() {
-        for n in 1..=1025usize {
-            let mut p = 1usize;
-            while p * 2 <= n {
-                p *= 2;
-            }
-            assert_eq!(largest_pow2_le(n), p, "n={n}");
-        }
-        assert_eq!(largest_pow2_le(768), 512);
-        assert_eq!(largest_pow2_le(1024), 1024);
-    }
-
     /// Skewed clustering is *set ∩ shard*: replay it against plain
     /// PE-over-block arithmetic for every contiguous set of a 23-PE job
     /// at a few block sizes (short trailing shard included).
@@ -546,65 +506,19 @@ mod tests {
                         assert_eq!(cl.c, shard(pe) - shard(start));
                         assert_eq!((cl.first + cl.lr, cl.m, cl.lr), (rank, mates.len(), pe - mates[0]));
                         assert_eq!(cl.leader_pe(cl.c), mates[0]);
-                        assert_eq!(cl.cluster_of(rank), cl.c);
-                        assert_eq!(cl.cell(cl.c), CellKey { first: mates[0], count: mates.len() });
+                        assert_eq!(cl.cell(), CellKey { first: mates[0], count: mates.len() });
                         assert_eq!(cl.members().collect::<Vec<_>>(), mates[1..]); // cold: test harness
                     }
                     let cl = Cluster::new(set, 0, block, start % block, &NoCells);
                     assert_eq!((0..nc).map(|c| cl.size(c)).sum::<usize>(), size);
+                    if nc > 1 {
+                        // Leader 0 to the last shard's first PE: past the
+                        // end of leader 0's shard, where no cluster reaches.
+                        let last = shard(start + size - 1) * block;
+                        assert_eq!(cl.root(), CellKey { first: start, count: last + 1 - start });
+                        assert!(cl.root().count > (shard(start) + 1) * block - start);
+                    }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn diss_rounds_is_ceil_log2() {
-        assert_eq!(diss_rounds(1), 0);
-        assert_eq!(diss_rounds(2), 1);
-        assert_eq!(diss_rounds(3), 2);
-        assert_eq!(diss_rounds(24), 5);
-        assert_eq!(diss_rounds(32), 5);
-        for n in 1..=1024usize {
-            let r = diss_rounds(n);
-            let mut dist = 1usize;
-            let mut rounds = 0;
-            while dist < n {
-                dist <<= 1;
-                rounds += 1;
-            }
-            assert_eq!(r, rounds, "n={n}");
-        }
-    }
-
-    /// Simulate the leader-phase recursive doubling (excess fold, XOR
-    /// rounds, push-back) on contributor *sets* and check every leader
-    /// ends with all contributions — the non-power-of-two audit at the
-    /// leader counts 96/768/1024-PE jobs produce (3, 24, 48).
-    #[test]
-    fn leader_recursive_doubling_combines_all_contributions() {
-        for nc in (1..=33usize).chain([48]) {
-            let mut have: Vec<u128> = (0..nc).map(|c| 1u128 << c).collect(); // cold: test harness
-            let p2 = largest_pow2_le(nc);
-            // Excess leaders fold into the core.
-            for c in p2..nc {
-                have[c - p2] |= have[c];
-            }
-            // XOR rounds within the power-of-two core.
-            let mut k = 1usize;
-            while k < p2 {
-                let snapshot = have.clone(); // cold: test harness
-                for c in 0..p2 {
-                    have[c] |= snapshot[c ^ k];
-                }
-                k <<= 1;
-            }
-            // Push-back to the excess.
-            for c in p2..nc {
-                have[c] = have[c - p2];
-            }
-            let all = (1u128 << nc) - 1;
-            for (c, h) in have.iter().enumerate() {
-                assert_eq!(*h, all, "nc={nc} leader {c} missing contributions");
             }
         }
     }

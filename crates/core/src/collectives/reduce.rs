@@ -19,6 +19,15 @@ use crate::types::{Reducible, ReduceOp};
 /// for 32-bit integer sums.
 pub const REDUCE_CYCLES_PER_ELEMENT: f64 = 23.0;
 
+/// Largest power of two `<= n`.
+///
+/// # Panics
+/// Panics if `n == 0`.
+fn largest_pow2_le(n: usize) -> usize {
+    assert!(n > 0, "no power of two <= 0");
+    1 << (usize::BITS - 1 - n.leading_zeros())
+}
+
 impl ShmemCtx {
     /// `shmem_*_to_all`: reduce `nreduce` elements of `source` across
     /// the active set with `op`, leaving the result in `dest` on every
@@ -102,7 +111,7 @@ impl ShmemCtx {
     ) {
         self.sync_set(set);
         let n = set.size;
-        let p2 = crate::collectives::hier::largest_pow2_le(n);
+        let p2 = largest_pow2_le(n);
         // Start with our own contribution in dest.
         let me = self.my_pe();
         self.put_sym(dest, 0, source, 0, nreduce, me);
@@ -283,5 +292,23 @@ impl ShmemCtx {
     /// `shmem_*_xor_to_all`.
     pub fn xor_to_all<T: Reducible>(&self, dest: &Sym<T>, source: &Sym<T>, n: usize, set: ActiveSet) {
         self.reduce(ReduceOp::Xor, dest, source, n, set);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn largest_pow2_le_matches_naive_scan() {
+        for n in 1..=1025usize {
+            let mut p = 1usize;
+            while p * 2 <= n {
+                p *= 2;
+            }
+            assert_eq!(largest_pow2_le(n), p, "n={n}");
+        }
+        assert_eq!(largest_pow2_le(768), 512);
+        assert_eq!(largest_pow2_le(1024), 1024);
     }
 }

@@ -522,7 +522,7 @@ impl ShmemCtx {
         match self.select(world, self.my_pe(), hier::Configured::Default) {
             Some(cl) => {
                 self.complete_puts();
-                self.cell_pass(&cl, || {});
+                self.cell_pass(&cl, || {}, || {}, || {});
             }
             None => self.barrier_ring_explicit(world),
         }

@@ -111,7 +111,7 @@ impl Default for SyncCell {
     }
 }
 
-/// The cells of every cluster one PE can lead, by member count − 1.
+/// The cells of every PE range one PE starts, by range length − 1.
 type CellRow = Box<[OnceLock<Box<SyncCell>>]>;
 
 /// Gated admission — the coop engine: one FIFO `Gate` per worker, at
@@ -125,12 +125,12 @@ pub struct GateSet {
     pub workers: usize,
     /// PEs per worker (`ceil(npes / workers)`).
     pub block: usize,
-    /// Sync cells by cluster: row `first` has one slot per member count
-    /// a cluster led by PE `first` can have (it ends with `first`'s
-    /// shard at the latest). Rows and cells are created on first use —
-    /// a launch touches a handful of the `block²/2` clusters a shard
-    /// admits — and never move or go away before the launch does, so
-    /// finding one afterwards is two acquire loads ([`GateSet::cell`]).
+    /// Sync cells by key: row `first` has one slot per range length a
+    /// cluster or root starting at PE `first` can have (it ends with the
+    /// job at the latest). Rows and cells are created on first use — a
+    /// launch touches a handful of the ranges — and never move or go
+    /// away before the launch does, so finding one afterwards is two
+    /// acquire loads and no arithmetic ([`GateSet::cell`]).
     sync_cells: Vec<OnceLock<CellRow>>,
     gates: Vec<Gate>,
     /// Per-context direct-handoff flags, indexed by context id
@@ -164,13 +164,12 @@ impl GateSet {
         (ctx % self.npes) / self.block
     }
 
-    /// The sync cell of cluster `key`, created if this is its first use.
+    /// The sync cell of `key`, created if this is its first use.
     fn cell(&self, key: CellKey) -> &SyncCell {
         let row = self.sync_cells[key.first].get_or_init(|| {
-            let shard_end = ((key.first / self.block + 1) * self.block).min(self.npes);
-            (key.first..shard_end).map(|_| OnceLock::new()).collect() // cold: first use of this leader
+            (key.first..self.npes).map(|_| OnceLock::new()).collect() // cold: first use of this leader
         });
-        row[key.count - 1].get_or_init(Box::default) // cold: first use of this cluster
+        row[key.count - 1].get_or_init(Box::default) // cold: first use of this cell
     }
 
     /// Whether PEs `a` and `b` are multiplexed on the same worker —
@@ -344,7 +343,7 @@ impl Locality for WallFabric<Gated> {
             // case" polls are a net loss here: a waiter that yields
             // re-enters the FIFO and must be scheduled again merely to
             // park, while the change it hopes to catch (all siblings
-            // arriving plus the inter-leader exchange) is almost never
+            // arriving plus the leaders' root meeting) is almost never
             // one rotation away.
             let cur = cell.words[word].load(Ordering::Acquire);
             if cur != old {
@@ -672,11 +671,15 @@ mod tests {
         let world = shared.cell(CellKey { first: 35, count: 35 });
         assert!(!std::ptr::eq(subset, world), "one leader, two memberships, two cells");
         assert!(std::ptr::eq(world, shared.cell(CellKey { first: 35, count: 35 })));
-        // A row reaches to the end of its leader's shard and no further.
+        // A row reaches to the end of the job and no further.
         assert_eq!(shared.sync_cells[35].get().unwrap().len(), 35);
         assert_eq!(shared.cell(CellKey { first: 40, count: 30 }).words[0].load(Ordering::Relaxed), 0);
         assert_eq!(shared.sync_cells[40].get().unwrap().len(), 30);
         assert!(shared.sync_cells[0].get().is_none(), "untouched leaders cost nothing");
+        // Leader 0's root (leaders 0 and 35) is neither of its clusters.
+        let root = shared.cell(CellKey { first: 0, count: 36 });
+        assert!(!std::ptr::eq(root, shared.cell(CellKey { first: 0, count: 35 })));
+        assert!(!std::ptr::eq(root, shared.cell(CellKey { first: 0, count: 1 })));
     }
 
     /// Main-context fabrics over a fixture launch.

@@ -537,14 +537,15 @@ pub trait Locality {
     fn peer_arena_to_private(&self, pe: usize, priv_dst: usize, arena_src: usize, len: usize);
 }
 
-/// Names one sync cell of the counter-cell pass: a **cluster** — the
-/// members an active set has inside one worker shard, as (first member
-/// PE, member count). Keying by the cluster rather than by its leader
-/// is what keeps two live sets that meet on one leader with different
-/// memberships (`[0, 66)` and the world on 70 PEs / 2 workers: PE 35
-/// leads 31 members of one and 35 of the other) off each other's
-/// counter, while sets with the same members in a shard share one
-/// (`ShmemCtx::cell_pass`, DESIGN.md §6).
+/// Names one sync cell of the counter-cell pass by a PE range (first
+/// PE, count): a **cluster** — the members an active set has inside one
+/// worker shard — or a **root**, from the set's first leader to its last,
+/// which always reaches past the first leader's shard. Keying by the
+/// cluster rather than by its leader is what keeps two live sets that
+/// meet on one leader with different memberships (`[0, 66)` and the
+/// world on 70 PEs / 2 workers: PE 35 leads 31 members of one and 35 of
+/// the other) off each other's counter, while sets with the same members
+/// in a shard share one (`ShmemCtx::cell_pass`, DESIGN.md §6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellKey {
     pub first: usize,

@@ -9,7 +9,6 @@
 //! selectable for the ablation study.
 
 use crate::active_set::ActiveSet;
-use crate::collectives::hier;
 use crate::ctx::{BarrierAlgo, ShmemCtx};
 use crate::fabric::{BlockedOn, ProtoMsg, Q_BARRIER};
 
@@ -21,8 +20,6 @@ pub const TAG_BAR_RELEASE: u16 = 11;
 pub const TAG_BAR_ARRIVE: u16 = 12;
 /// Round signal of the dissemination barrier.
 pub const TAG_BAR_DISS: u16 = 13;
-/// Round signal of the cell pass's leader dissemination.
-pub const TAG_BAR_HDISS: u16 = 15;
 
 impl ShmemCtx {
     /// Barrier across all PEs (`shmem_barrier_all`).
@@ -59,7 +56,7 @@ impl ShmemCtx {
             return;
         }
         if let Some(cl) = self.select(set, rank, self.algos.barrier.into()) {
-            return self.cell_pass(&cl, || {});
+            return self.cell_pass(&cl, || {}, || {}, || {});
         }
         match self.algos.barrier {
             BarrierAlgo::Ring => self.barrier_ring(set, rank),
@@ -105,33 +102,10 @@ impl ShmemCtx {
         match self.cluster_for(set, rank) {
             Some(cl) if set.size > 1 => {
                 self.complete_puts();
-                self.cell_pass(&cl, || {});
+                self.cell_pass(&cl, || {}, || {}, || {});
             }
             _ => self.sync_set(set),
         }
-    }
-
-    /// Flat dissemination over the cluster leaders (called by leaders
-    /// only): when it returns, every leader of the set has finished its
-    /// gather. *Set ∩ shard* clusters put every leader on a distinct
-    /// worker, so no two of them are co-resident.
-    pub(crate) fn leader_dissemination(&self, cl: &hier::Cluster) {
-        let (c, nc) = (cl.c, cl.nc);
-        let id = cl.set.ident();
-        let mut dist = 1usize;
-        let mut round = 0u64;
-        while dist < nc {
-            let to = cl.leader_pe((c + dist) % nc);
-            self.send_draining(to, Q_BARRIER, TAG_BAR_HDISS, &[id, round]);
-            self.recv_matching(Q_BARRIER, |msg: &ProtoMsg| {
-                msg.tag == TAG_BAR_HDISS
-                    && msg.payload.first() == Some(&id)
-                    && msg.payload.get(1) == Some(&round)
-            });
-            dist <<= 1;
-            round += 1;
-        }
-        debug_assert_eq!(round, u64::from(hier::diss_rounds(nc)));
     }
 
     /// Dissemination barrier: in round k every member signals the member

@@ -83,8 +83,8 @@ fn jobs_after_an_aborted_job_still_work() {
 
 /// The last PE panics after its peers are done and parked in `finalize`:
 /// on the coop engine, two PEs per worker, in its counter-cell pass — a
-/// member on its leader's cell, a leader in the leaders' exchange or
-/// short of an arrival.
+/// member on its leader's cell, a leader on the root cell or short of
+/// an arrival.
 #[test]
 fn peer_panic_aborts_pes_parked_in_finalize() {
     aborts_alike(4, "PE 0: aborting — another PE panicked", |ctx| {
@@ -181,7 +181,7 @@ fn coop_still_works() {
 fn peer_panic_aborts_a_shard_parked_on_its_cell() {
     // PE 5 never arrives: its leader waits on the arrival count with 62
     // members parked behind it, and the other shard's 63 members sit on
-    // their cell while their leader waits in the leader exchange.
+    // their cell while their leader waits on the root cell.
     must_abort(|ctx| {
         if ctx.my_pe() == 5 {
             panic!("PE 5 exploded before the barrier");
@@ -220,6 +220,22 @@ fn leader_panic_between_gather_and_release_aborts_its_parked_members() {
         let src = ctx.shmalloc::<Fuse>(1);
         let dst = ctx.shmalloc::<Fuse>(1);
         let mine = if ctx.my_pe() == SHARD + 6 { POISON } else { 1 };
+        ctx.local_write(&src, 0, &[Fuse(mine)]);
+        ctx.sum_to_all(&dst, &src, 1, ctx.world());
+    });
+    coop_still_works();
+}
+
+#[test]
+fn leader_panic_in_the_root_fold_aborts_the_leader_parked_on_the_root_cell() {
+    // The second shard's leader (PE 64) folds its members into a `dest`
+    // that comes out exactly poisoned, arrives on the root cell and
+    // parks; leader 0 panics folding it, with PE 64 parked on the root
+    // epoch and every member parked on its cluster's cell.
+    must_abort(|ctx| {
+        let src = ctx.shmalloc::<Fuse>(1);
+        let dst = ctx.shmalloc::<Fuse>(1);
+        let mine = if ctx.my_pe() == SHARD { POISON - (SHARD as u64 - 1) } else { 1 };
         ctx.local_write(&src, 0, &[Fuse(mine)]);
         ctx.sum_to_all(&dst, &src, 1, ctx.world());
     });

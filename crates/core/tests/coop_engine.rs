@@ -166,8 +166,24 @@ fn selection_is_pinned_by_exact_send_counts() {
         "32/1 fcollect"
     );
 
-    // Four shards of 8: only the four leaders talk, nc·⌈log₂ nc⌉.
-    assert_eq!(sends_per_call(&cfg(32), || coop(4), barrier_all), 8, "32/4 barrier_all");
+    // Four shards of 8: the four leaders meet on a root cell, so a
+    // collective that crosses shards sends no token either.
+    assert_eq!(sends_per_call(&cfg(32), || coop(4), barrier_all), 0, "32/4 barrier_all");
+    assert_eq!(
+        sends_per_call(&cfg(32), || coop(4), |ctx, d, s| ctx.sum_to_all(d, s, 4, ctx.world())),
+        0,
+        "32/4 sum_to_all"
+    );
+    assert_eq!(
+        sends_per_call(&cfg(32), || coop(4), |ctx, d, s| ctx.broadcast(d, s, 4, 13, ctx.world())),
+        0,
+        "32/4 broadcast"
+    );
+    assert_eq!(
+        sends_per_call(&cfg(32), || coop(4), |ctx, d, s| ctx.fcollect(d, s, 4, ctx.world())),
+        0,
+        "32/4 fcollect"
+    );
 
     // One PE per worker: nobody shares a worker with its leader, so the
     // default stays the ring's 2n.

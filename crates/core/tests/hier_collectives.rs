@@ -273,38 +273,51 @@ fn last_leader_rank(set: ActiveSet, block: usize) -> usize {
 }
 
 /// Unaligned and overlapping contiguous sets on the cell pass, results
-/// and transport both checked. Two workers; the sets are the world, one
-/// that stops inside the second shard, one that starts inside the first
-/// (or, at 70 PEs, is the second shard whole), one wholly inside a
-/// shard and one that straddles the boundary with two partial
-/// clusters. Every PE calls the sets it belongs to in one global order,
-/// 20 rounds with changing inputs, every result closed-form.
+/// and transport both checked. The sets are the world, one that stops
+/// inside a later shard, one that starts inside the first (or, at 70
+/// PEs, is the second shard whole), one wholly inside a shard and one
+/// that straddles shard boundaries with partial clusters at both ends.
+/// Every PE calls the sets it belongs to in one global order, 20 rounds
+/// with changing inputs, every result closed-form.
 ///
-/// It opens with the PR-15 reviewer's shape scaled down: `head` and the
-/// world meet on the second shard's leader with different member
-/// counts, and `head`'s last member is held back until a non-member has
-/// entered the world call that follows. On a cell indexed by the leader
-/// alone that early arrival completes `head`'s gather, and the leader
-/// folds the held-back member's `source` before it is written (a wrong
-/// sum, or a hang once the counts drift).
+/// It opens with `head` and the world meeting where one key could
+/// serve both, with PEs of `head` held back until the last PE, in the
+/// world but not in `head`, is on its way into the world call:
+/// * on two workers (the shape that once mixed two sets' arrivals,
+///   scaled down), the two sets meet on the second shard's leader with
+///   different member counts, and `head`'s last member is held. On a
+///   cell indexed by the leader alone an early world arrival completes
+///   `head`'s gather, and the leader folds the held member's `source`
+///   before it is written (a wrong sum, or a hang once the counts
+///   drift). At 70 PEs the two sets share one root cell, legitimately:
+///   same leaders, same `nc`;
+/// * on three workers, the two sets have the same first leader and
+///   different `nc`. `head`'s last leader is held longest, so the
+///   world's third leader is on the root first, and `head`'s first PE
+///   a little less, so it looks after that arrival. On a root indexed by
+///   the first leader alone that arrival releases `head`'s root early: a
+///   wrong sum again.
 ///
-/// The trace must show no send between two PEs of one worker: inside a
-/// shard the pass moves data by direct copy and wakes by counter.
+/// The trace must show no collective send at all: inside a shard the
+/// pass moves data by direct copy and wakes by counter, and the leaders
+/// meet on a root cell.
 #[test]
 fn unaligned_and_overlapping_sets_take_the_cell_pass() {
     const NR: usize = 3;
     const NB: usize = 2;
     const NF: usize = 2;
     const ROUNDS: usize = 20;
-    // (PEs, [head, tail, inner, straddle]); block = PEs / 2.
+    // (PEs, workers, [(held-back PE, ms it waits once freed)],
+    // [head, tail, inner, straddle]).
     let geometries = [
-        (10usize, [span(0, 8), span(2, 10), span(1, 4), span(3, 7)]),
-        (70usize, [span(0, 66), span(35, 70), span(3, 7), span(30, 40)]),
+        (10usize, 2usize, &[(7usize, 0u64)][..], [span(0, 8), span(2, 10), span(1, 4), span(3, 7)]),
+        (70, 2, &[(65, 0)][..], [span(0, 66), span(35, 70), span(3, 7), span(30, 40)]),
+        (12, 3, &[(4, 100), (0, 50)][..], [span(0, 8), span(2, 12), span(5, 7), span(3, 9)]),
     ];
-    for (npes, subsets) in geometries {
-        let block = npes / 2;
+    for (npes, workers, held, subsets) in geometries {
+        let block = npes / workers;
         let cfg = scale_cfg(npes).with_trace();
-        let out = Launcher::new(&cfg, coop(2)).run(move |ctx| {
+        let out = Launcher::new(&cfg, coop(workers)).run(move |ctx| {
             let (n, me, world) = (ctx.n_pes(), ctx.my_pe(), ctx.world());
             let sets = [world, subsets[0], subsets[1], subsets[2], subsets[3]];
             let rsrc = ctx.shmalloc::<u64>(NR);
@@ -317,16 +330,18 @@ fn unaligned_and_overlapping_sets_take_the_cell_pass() {
             let go = ctx.shmalloc::<u64>(1);
             ctx.barrier_all();
 
-            // Two sets, one leader, different member counts.
+            // Two sets, one place to meet, PEs of `head` held back.
             let head = sets[1];
-            let held = head.start + head.size - 1;
             if me == n - 1 {
                 std::thread::sleep(std::time::Duration::from_millis(300));
-                ctx.put(&go, 0, &[1u64], held);
+                for &(pe, _) in held {
+                    ctx.put(&go, 0, &[1u64], pe);
+                }
             }
             if head.rank_of(me).is_some() {
-                if me == held {
+                if let Some(&(_, ms)) = held.iter().find(|h| h.0 == me) {
                     ctx.wait_until(&go, 0, Cmp::Ne, 0u64);
+                    std::thread::sleep(std::time::Duration::from_millis(ms));
                 }
                 ctx.local_write(&rsrc, 0, &[me as u64 + 1; NR]);
                 ctx.sum_to_all(&rdst, &rsrc, NR, head);
@@ -392,12 +407,14 @@ fn unaligned_and_overlapping_sets_take_the_cell_pass() {
                 }
             }
         });
-        // Finalization is an explicit ring barrier on every engine;
-        // an empty job measures exactly that.
-        let idle = Launcher::new(&cfg, coop(2)).run(|_| {});
-        let (ran, idle) = (shard_sends(&out, block), shard_sends(&idle, block));
-        assert!(ran.1 > idle.1, "npes={npes}: the two leaders must have talked");
-        assert_eq!(ran.0, idle.0, "npes={npes}: the collectives sent inside a shard");
+        // Finalization takes the cell pass too, so an empty job sends
+        // its shutdowns and nothing else.
+        let idle = Launcher::new(&cfg, coop(workers)).run(|_| {});
+        assert_eq!(
+            shard_sends(&out, block),
+            shard_sends(&idle, block),
+            "npes={npes}: no collective sent a token inside or across shards"
+        );
     }
 }
 

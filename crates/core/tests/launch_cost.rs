@@ -91,9 +91,9 @@ fn concurrent_first_requests_start_each_service_context_once() {
 /// launch sends one `TAG_SHUTDOWN` per PE (traced even though no service
 /// context started to receive it) plus whatever that barrier sends:
 /// where PEs share a worker it is the counter-cell pass, silent inside a
-/// shard and a leaders' exchange across shards, where the ring walked
-/// 2n tokens (8 PEs: 24 sends on one worker and on two); with one PE
-/// per worker it is still the ring.
+/// shard and across shards alike (the leaders meet on a root cell),
+/// where the ring walked 2n tokens (8 PEs: 24 sends on one worker and on
+/// two); with one PE per worker it is still the ring.
 #[test]
 fn finalize_takes_the_cell_pass_where_pes_share_a_worker() {
     let sends = |npes, workers| {
@@ -102,7 +102,7 @@ fn finalize_takes_the_cell_pass_where_pes_share_a_worker() {
         trace.iter().filter(|e| e.kind == TraceKind::UdnSend).count()
     };
     assert_eq!(sends(8, 1), 8, "one shard: the shutdowns alone");
-    assert_eq!(sends(8, 2), 8 + 2, "two shards: and the two leaders' exchange");
+    assert_eq!(sends(8, 2), 8, "two shards: the shutdowns alone");
     assert_eq!(sends(8, 8), 8 + 2 * 8, "one PE per worker: and the ring");
 }
 

@@ -81,8 +81,8 @@ fn watchdog_names_the_cell_and_the_pe_that_never_arrived() {
     // 72 PEs on 4 workers (shards of 18). One seeded non-leader sits in
     // a flag wait instead of entering `sum_to_all`: its leader parks on
     // its own cell short of one arrival, the shard's members park on
-    // that cell behind it, and the other leaders wait in the leader
-    // exchange. The report must say all of that, and how to rerun it.
+    // that cell behind it, and the other leaders wait on the root cell,
+    // keyed by PE 0. The report must say all of that, and how to rerun it.
     const SHARD: usize = 18;
     let pick = (SEED % (4 * (SHARD as u64 - 1))) as usize;
     let missing = pick / (SHARD - 1) * SHARD + 1 + pick % (SHARD - 1);
@@ -110,6 +110,6 @@ fn watchdog_names_the_cell_and_the_pe_that_never_arrived() {
     let sibling = if missing == leader + 1 { leader + 2 } else { leader + 1 };
     assert!(line(sibling).contains(&on_cell), "member not parked on its leader's cell:\n{report}");
     assert!(line(missing).contains("flag-wait@"), "the missing PE is not named as waiting elsewhere:\n{report}");
-    assert!(line((leader + SHARD) % 72).contains("recv(q0)"), "other leaders not in the leader exchange:\n{report}");
+    assert!(line((leader + SHARD) % 72).contains("cell-wait@PE0"), "other leaders not on the root cell:\n{report}");
     assert!(report.contains(&format!("--seed {SEED:#x}")), "no reproducer in:\n{report}");
 }

@@ -111,7 +111,8 @@ echo "== counted-work gate (one full-size traced run against the traced line of 
 # PEs behind one gate is one counter-cell pass inside the one shard and
 # sends no channel token at all (it was the ring's 2n = 64 while the
 # pass was fenced in past 64 PEs) — and `sync.udn_sends_per_barrier_256`
-# is 8, the four shard leaders' dissemination. The one ratio gate is
+# is 0 too: the four shard leaders meet on a root cell, not by channel
+# tokens (it was 8, their dissemination). The one ratio gate is
 # host time over host time inside one run: at 256 PEs an 8-word reduce
 # rides the same counter-cell pass as the barrier, so it may cost at
 # most two of them whatever the host's speed (it cost 4.5 before the
