@@ -158,32 +158,23 @@ impl ShmemCtx {
     /// algorithm `how` stands for. The one selection site: barrier,
     /// reduce, broadcast and `fcollect` each call it once per
     /// collective, and it reads nothing but its input — what the fabric
-    /// offers, the set's stride and size, how many worker shards the
-    /// set touches, and whether the algorithm was asked for by name.
+    /// offers, the set's stride and size, and whether the algorithm was
+    /// asked for by name.
     ///
     /// * An algorithm asked for by name is what runs
     ///   ([`Configured::Flat`]; `Dissemination` up to [`FLAT_MAX`]):
     ///   the figures, the ablations and the stress generator's
     ///   algorithm coverage depend on getting what they configured.
     /// * With cells on offer and a contiguous set, a default takes the
-    ///   pass past [`FLAT_MAX`], and below that **when some member
-    ///   shares a worker with its leader** (`nc < set.size`). That was
-    ///   the measured crossover while leaders met by channel messages:
-    ///   with one PE per worker that pass lost to the ring. With the
-    ///   root cell, where every rank of such a set meets leader 0, the
-    ///   re-measured block-of-one rows have the pass ahead too
-    ///   (EXPERIMENTS.md, "One transport inside the cell pass"), so the
-    ///   condition no longer marks a crossover; ROADMAP item 3 tracks
-    ///   dropping it.
+    ///   pass at every size.
     /// * Everywhere else — fabrics without [`Locality`] (native, timed;
     ///   coop with locality off) and strided sets — the configured flat
     ///   algorithm runs at every size.
     pub(crate) fn select(&self, set: ActiveSet, rank: usize, how: Configured) -> Option<Cluster<'_>> {
-        let past_flat = set.size > FLAT_MAX;
-        if how == Configured::Flat || (how == Configured::FlatInRange && !past_flat) {
+        if how == Configured::Flat || (how == Configured::FlatInRange && set.size <= FLAT_MAX) {
             return None;
         }
-        self.cluster_for(set, rank).filter(|cl| past_flat || cl.nc < set.size)
+        self.cluster_for(set, rank)
     }
 
     /// `rank`'s place in the *set ∩ shard* clustering of `set`, when the

@@ -5,10 +5,9 @@
 //! `ShmemCtx` setup, service-context wiring, result collection) exists
 //! once per clock domain — [`run_wall`](super::wall) for the wall-clock
 //! engines, `run_coop_lps` here for the virtual-time ones — and the
-//! cross-cutting planes — [`JobWatch`]/[`TimedWatch`] probes, the
-//! launch's armed [`FaultPlan`](crate::fault::FaultPlan), per-PE
-//! introspection, and trace collection — compose uniformly over any
-//! backend.
+//! cross-cutting planes — supervision, the launch's armed
+//! [`FaultPlan`](crate::fault::FaultPlan), per-PE introspection, and
+//! trace collection — compose uniformly over any backend.
 //!
 //! ## The contract
 //!
@@ -23,8 +22,11 @@
 //!    virtual-time backends run every context as a desim LP);
 //! 2. **a fabric factory** — the per-context [`Fabric`] wiring the
 //!    protocol code to the engine's cost/transport model;
-//! 3. **a watch binding** — how the backend attaches the launcher's
-//!    [`WatchPlane`] so liveness detection and fault diagnosis work.
+//! 3. **a supervision hook** — where a watched launch runs: a wall-clock
+//!    backend hands out the `Resident` whose lanes it detaches onto
+//!    ([`EngineBackend::resident`]) and publishes its probes to the
+//!    supervisor; a virtual-time backend runs every launch under the
+//!    scheduler's drained-queue observer instead.
 //!
 //! There are four backends over two fabrics.
 //! [`NativeBackend`](super::wall::NativeBackend) and
@@ -35,7 +37,7 @@
 //! credit-tracked UDN queue model, per-LP probes and trace plumbing of
 //! [`CoopCore`]/[`CoopLp`] below. Another
 //! backend means implementing [`EngineBackend::execute`] — the
-//! launcher, watchdogs, fault plane and trace plumbing come with it.
+//! launcher, fault plane and trace plumbing come with it.
 
 use std::sync::Arc;
 
@@ -48,9 +50,11 @@ use crate::fabric::{BlockedOn, Fabric, PeProbe, ProtoMsg, Q_SERVICE};
 use crate::fault::LaunchFaults;
 use udn::packet::PayloadVec;
 use crate::runtime::RuntimeConfig;
+use crate::engine::timed::{TimedFabric, TimedShared};
+use crate::engine::wall::Resident;
 use crate::service::service_loop;
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
-use crate::watch::{JobWatch, TimedWatch};
+use crate::watch::TimedWatch;
 
 /// Extra coop channel carrying queue-space credits: a sender blocked on
 /// a full modeled UDN queue parks in `recv(CH_CREDIT)` and is granted a
@@ -88,8 +92,8 @@ struct QueueState {
 
 /// Launch-wide observability state shared by every LP of a cooperative
 /// (timed or multichip) run: per-LP probes, the trace sink, the fault
-/// plan, and the modeled UDN queue occupancy with its credit waiters. The coop
-/// watchdog ([`TimedWatch`]) attaches to this — which is why every coop
+/// plan, and the modeled UDN queue occupancy with its credit waiters. The
+/// drained-queue observer attaches to this — which is why every coop
 /// backend gets liveness diagnosis without engine-specific code.
 pub struct CoopCore {
     /// Total PEs in the job (across all chips for multichip).
@@ -100,7 +104,8 @@ pub struct CoopCore {
     pub pes_per_chip: usize,
     /// Per-LP probes (`0..npes` the PEs, `npes..2*npes` their service
     /// contexts) — the same introspection the native engine gives the
-    /// watchdog, read by [`TimedWatch`] at deadlock-detection time.
+    /// supervisor, read by the drained-queue observer at
+    /// deadlock-detection time.
     pub probes: Vec<Arc<PeProbe>>,
     /// Optional operation trace (see `crate::trace`).
     pub trace: Option<Arc<TraceSink>>,
@@ -405,20 +410,6 @@ pub struct EngineOutcome<R> {
     pub threads_spawned: usize,
 }
 
-/// The liveness plane a launch composes in, matching the backend's
-/// clock domain: wall-clock engines take a [`JobWatch`] (an external
-/// watchdog thread polls and aborts), virtual-time engines take a
-/// [`TimedWatch`] (the scheduler's own drained-queue detector fires the
-/// instant no LP can ever run again).
-pub enum WatchPlane<'a> {
-    /// No liveness plane attached.
-    None,
-    /// Wall-clock watchdog (native and coop engines).
-    Wall(&'a JobWatch),
-    /// Virtual-time (timed/multichip) drained-queue watchdog.
-    Virtual(Arc<TimedWatch>),
-}
-
 /// One execution engine, as consumed by the generic
 /// [`Launcher`](crate::runtime::Launcher). See the module docs for the
 /// contract.
@@ -439,55 +430,59 @@ pub trait EngineBackend {
     }
 
     /// Run `f` on every PE and collect the outcome. The backend must
-    /// honor `watch` (attach it before any PE starts), `cfg.trace`, and
-    /// `faults` — the launch's armed plan, which every context of this
-    /// launch and no other reads.
-    fn execute<R, F>(
-        &self,
-        cfg: &RuntimeConfig,
-        watch: &WatchPlane<'_>,
-        faults: Option<&Arc<LaunchFaults>>,
-        f: F,
-    ) -> EngineOutcome<R>
+    /// honor `cfg.trace` and `faults` — the launch's armed plan, which
+    /// every context of this launch and no other reads.
+    fn execute<R, F>(&self, cfg: &RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync;
+
+    /// The `Resident` whose lanes a watched launch of this backend runs
+    /// detached on while [`Launcher::run_watched`](crate::Launcher::run_watched)
+    /// supervises it from the calling thread: the one its PEs attach to,
+    /// or one for that launch alone. `None` (the default) for a backend
+    /// whose launches supervise themselves — the virtual-time ones,
+    /// whose scheduler proves a wedge the instant it happens.
+    fn resident(&self) -> Option<Arc<Resident>> {
+        None
+    }
 }
 
 /// The shared PE/service-LP scaffolding of every cooperative backend:
-/// runs `2 * npes` LPs (PEs then service contexts), builds each LP's
-/// fabric through `make_fabric`, gives PE LPs a [`ShmemCtx`] (finalized
-/// on return) and service LPs the service loop, and folds the results
-/// into an [`EngineOutcome`].
-#[allow(clippy::too_many_arguments)]
-fn run_coop_lps<R, F, G>(
-    npes: usize,
-    layout: crate::ctx::Layout,
-    algos: crate::ctx::Algorithms,
-    private_bytes: usize,
-    mode: desim::coop::SchedMode,
-    observer: Option<Arc<dyn desim::coop::CoopObserver>>,
-    make_fabric: G,
-    f: F,
-    sink: Option<Arc<TraceSink>>,
-) -> EngineOutcome<R>
+/// runs the `2 * npes` LPs of `shared`'s chips (PEs then service
+/// contexts) under the drained-queue observer, gives PE LPs a
+/// [`ShmemCtx`] (finalized on return) and service LPs the service loop,
+/// and folds the results into an [`EngineOutcome`]. A launch the
+/// scheduler proves wedged unwinds with the observer's per-PE report
+/// (which [`Launcher::run_watched`](crate::Launcher::run_watched)
+/// returns as `Err`) instead of the scheduler's bare panic.
+fn run_coop_lps<R, F>(shared: &Arc<TimedShared>, cfg: &RuntimeConfig, f: F) -> EngineOutcome<R>
 where
     R: Send,
     F: Fn(&ShmemCtx) -> R + Send + Sync,
-    G: Fn(usize, CoopHandle<ProtoMsg>) -> Box<dyn Fabric> + Send + Sync,
 {
-    let out = desim::coop::run_mode(2 * npes, TIMED_CHANNELS, mode, observer, move |h| {
-        let lp = h.id();
-        let fab = make_fabric(lp, h);
-        if lp < npes {
-            let ctx = ShmemCtx::new(fab, layout, algos, private_bytes);
-            let r = f(&ctx);
-            ctx.finalize();
-            Some(r)
-        } else {
-            service_loop(fab.as_ref());
-            None
-        }
+    let npes = shared.npes;
+    let layout = crate::ctx::Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
+    let watch = TimedWatch::new(shared.core.clone());
+    let observer: Arc<dyn desim::coop::CoopObserver> = watch.clone();
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        desim::coop::run_mode(2 * npes, TIMED_CHANNELS, cfg.timed_mode.sched_mode(), Some(observer), |h| {
+            let lp = h.id();
+            let fab: Box<dyn Fabric> = Box::new(TimedFabric::for_lp(shared.clone(), lp, h));
+            if lp < npes {
+                let ctx = ShmemCtx::new(fab, layout, cfg.algos, cfg.private_bytes);
+                let r = f(&ctx);
+                ctx.finalize();
+                Some(r)
+            } else {
+                service_loop(fab.as_ref());
+                None
+            }
+        })
+    }));
+    let out = run.unwrap_or_else(|payload| match watch.stalled() {
+        Some(stalled) => std::panic::resume_unwind(Box::new(stalled)),
+        None => std::panic::resume_unwind(payload),
     });
 
     let mut values = Vec::with_capacity(npes);
@@ -499,25 +494,8 @@ where
         }
     }
     let makespan = clocks.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    EngineOutcome { values, clocks, makespan, trace: sink.map(|s| s.take()), threads_spawned: 2 * npes }
-}
-
-/// Attach a coop watch (if any) and hand its observer to the scheduler.
-fn coop_observer(
-    watch: &WatchPlane<'_>,
-    core: &Arc<CoopCore>,
-) -> Option<Arc<dyn desim::coop::CoopObserver>> {
-    match watch {
-        WatchPlane::None => None,
-        WatchPlane::Virtual(w) => {
-            w.attach(core.clone());
-            Some(w.clone() as Arc<dyn desim::coop::CoopObserver>)
-        }
-        WatchPlane::Wall(_) => panic!(
-            "a JobWatch polls wall time and cannot observe a virtual-time engine; \
-             attach a TimedWatch instead"
-        ),
-    }
+    let trace = shared.core.trace.as_ref().map(|s| s.take());
+    EngineOutcome { values, clocks, makespan, trace, threads_spawned: 2 * npes }
 }
 
 /// The timed engine: the same protocol code under the virtual-time
@@ -530,18 +508,12 @@ impl EngineBackend for TimedBackend {
         "timed"
     }
 
-    fn execute<R, F>(
-        &self,
-        cfg: &RuntimeConfig,
-        watch: &WatchPlane<'_>,
-        faults: Option<&Arc<LaunchFaults>>,
-        f: F,
-    ) -> EngineOutcome<R>
+    fn execute<R, F>(&self, cfg: &RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        MultiChipBackend { chips: 1 }.execute(cfg, watch, faults, f)
+        MultiChipBackend { chips: 1 }.execute(cfg, faults, f)
     }
 }
 
@@ -569,34 +541,39 @@ impl EngineBackend for MultiChipBackend {
         );
     }
 
-    fn execute<R, F>(
-        &self,
-        cfg: &RuntimeConfig,
-        watch: &WatchPlane<'_>,
-        faults: Option<&Arc<LaunchFaults>>,
-        f: F,
-    ) -> EngineOutcome<R>
+    fn execute<R, F>(&self, cfg: &RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        use crate::engine::timed::{TimedFabric, TimedShared};
-        let npes = self.total_pes(cfg);
-        let layout = crate::ctx::Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
-        // One lane per LP: PEs, then their interrupt-service contexts.
-        let sink = cfg.trace.then(|| Arc::new(TraceSink::with_lanes(2 * npes)));
-        let shared = TimedShared::new(cfg, self.chips, sink.clone(), faults.cloned());
-        let observer = coop_observer(watch, &shared.core);
-        run_coop_lps(
-            npes,
-            layout,
-            cfg.algos,
-            cfg.private_bytes,
-            cfg.timed_mode.sched_mode(),
-            observer,
-            |lp, h| Box::new(TimedFabric::for_lp(shared.clone(), lp, h)),
-            f,
-            sink,
-        )
+        run_coop_lps(&TimedShared::new(cfg, self.chips, faults.cloned()), cfg, f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::TraceKind;
+
+    /// A put to a static symbol is served by the target's
+    /// interrupt-service context (LP `npes + pe`), so its Copy/Wait/
+    /// UdnSend events need a lane of their own: a sink sized `npes` sent
+    /// every one of them through the overflow mutex.
+    #[test]
+    fn service_contexts_trace_into_their_own_lanes() {
+        let cfg = RuntimeConfig::new(4)
+            .with_partition_bytes(1 << 20)
+            .with_private_bytes(1 << 14)
+            .with_trace();
+        let shared = TimedShared::new(&cfg, 1, None);
+        let sink = shared.core.trace.clone().expect("a traced launch has a sink");
+        let out = run_coop_lps(&shared, &cfg, |ctx| {
+            let s = ctx.static_sym::<u64>(64);
+            ctx.put(&s, 0, &[ctx.my_pe() as u64; 64], (ctx.my_pe() + 1) % ctx.n_pes());
+            ctx.barrier_all();
+            sink.overflow_len()
+        });
+        assert_eq!(out.values, vec![0; 4], "events that took the overflow path, per PE");
+        assert!(out.trace.unwrap().iter().any(|e| e.kind == TraceKind::Copy));
     }
 }

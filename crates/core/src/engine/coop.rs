@@ -25,8 +25,8 @@
 //!   very context that would satisfy them.
 //! * While queued for admission a context publishes
 //!   [`BlockedOn::Descheduled`]: runnable, just not scheduled. The
-//!   wall-clock watchdog must not treat that as a livelock symptom —
-//!   see [`crate::watch`] and `JobWatch::oversubscription`.
+//!   wall-clock supervisor must not treat that as a livelock symptom,
+//!   and scales its stall window by the launch's oversubscription.
 //! * A context parked on a [`SyncCell`] is in no gate rotation at all;
 //!   the notify that satisfies it queues it on its gate on its behalf,
 //!   so it is woken exactly once, by its admission.
@@ -48,7 +48,7 @@ use substrate::sync::Mutex;
 use tmc::common::CommonMemory;
 
 use crate::ctx::ShmemCtx;
-use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
+use crate::engine::backend::{EngineBackend, EngineOutcome};
 use crate::engine::wall::{run_wall, Admission, Resident, WallFabric};
 use crate::fabric::{BlockedOn, CellKey, Fabric, Locality, PeProbe};
 use crate::fault::LaunchFaults;
@@ -472,13 +472,7 @@ impl EngineBackend for CoopBackend {
         Gated::NAME
     }
 
-    fn execute<R, F>(
-        &self,
-        cfg: &crate::runtime::RuntimeConfig,
-        watch: &WatchPlane<'_>,
-        faults: Option<&Arc<LaunchFaults>>,
-        f: F,
-    ) -> EngineOutcome<R>
+    fn execute<R, F>(&self, cfg: &crate::runtime::RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
@@ -494,7 +488,11 @@ impl EngineBackend for CoopBackend {
                 &own
             }
         };
-        run_wall(GateSet::new(cfg.npes, block), block, resident, cfg, watch, faults, f)
+        run_wall(GateSet::new(cfg.npes, block), block, resident, cfg, faults, f)
+    }
+
+    fn resident(&self) -> Option<Arc<Resident>> {
+        Some(self.resident.clone().unwrap_or_else(|| Arc::new(Resident::for_one_launch())))
     }
 }
 

@@ -100,25 +100,21 @@ pub struct TimedShared {
     /// Regions not listed default to hash-for-home (what TSHMEM uses
     /// for common memory).
     pub homing_overrides: Mutex<Vec<(usize, usize, Homing)>>,
-    /// The observability core shared with the watchdog: probes, trace
-    /// sink, and the modeled UDN queue state (see [`CoopCore`]);
-    /// `core.chips > 1` drives the per-chip labels in stall reports.
+    /// The observability core shared with the drained-queue observer:
+    /// probes, trace sink, and the modeled UDN queue state (see
+    /// [`CoopCore`]); `core.chips > 1` adds the chip map to stall
+    /// reports.
     pub core: Arc<CoopCore>,
 }
 
 impl TimedShared {
     /// State for `chips` devices of `cfg.npes` PEs each, joined pairwise
-    /// by 10 Gbps XAUI mPIPE links. `trace` enables operation tracing
-    /// (cross-chip transfers appear as [`TraceKind::Link`] events);
-    /// `cfg.udn_queue_packets` bounds the modeled UDN demux queues,
-    /// giving the same finite-buffer backpressure semantics as a
+    /// by 10 Gbps XAUI mPIPE links. `cfg.trace` enables operation
+    /// tracing (cross-chip transfers appear as [`TraceKind::Link`]
+    /// events); `cfg.udn_queue_packets` bounds the modeled UDN demux
+    /// queues, giving the same finite-buffer backpressure semantics as a
     /// bounded native fabric; `faults` is the launch's armed plan.
-    pub fn new(
-        cfg: &RuntimeConfig,
-        chips: usize,
-        trace: Option<Arc<TraceSink>>,
-        faults: Option<Arc<LaunchFaults>>,
-    ) -> Arc<Self> {
+    pub fn new(cfg: &RuntimeConfig, chips: usize, faults: Option<Arc<LaunchFaults>>) -> Arc<Self> {
         assert!(chips >= 1);
         let area = cfg.area();
         let pes_per_chip = cfg.npes;
@@ -128,6 +124,8 @@ impl TimedShared {
             area.tiles()
         );
         let npes = chips * pes_per_chip;
+        // One lane per LP: PEs, then their interrupt-service contexts.
+        let trace = cfg.trace.then(|| Arc::new(TraceSink::with_lanes(2 * npes)));
         let link_timings = MpipeTimings::xaui_10g();
         let mut links = HashMap::new();
         for a in 0..chips {

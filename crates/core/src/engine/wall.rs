@@ -42,7 +42,7 @@ use tmc::task::Lanes;
 use udn::fabric::{UdnEndpoint, UdnFabric};
 
 use crate::ctx::ShmemCtx;
-use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
+use crate::engine::backend::{EngineBackend, EngineOutcome};
 use crate::fabric::{self, BlockedOn, Fabric, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth, Q_SERVICE};
 use crate::fault::LaunchFaults;
 use crate::runtime::RuntimeConfig;
@@ -280,8 +280,8 @@ impl ShardedArena {
     }
 }
 
-/// Shared state of one wall-clock launch — what a
-/// [`JobWatch`](crate::watch::JobWatch) attaches to.
+/// Shared state of one wall-clock launch — what a supervisor of the
+/// launch watches.
 pub struct WallShared {
     pub arena: ShardedArena,
     /// Every tile's UDN endpoint. Contexts receive from their PE's entry
@@ -909,17 +909,17 @@ impl Resident {
 }
 
 /// The one wall-clock launch body: build the shared state for `block`
-/// PEs per arena shard over memory checked out of `resident`, start
-/// every PE's main context under `gate` on its lanes, run `f` under
-/// `faults`, and tear down — joining the interrupt-service contexts the
-/// job's requests started and, on clean completion, retiring the memory
-/// with its dirty extent.
+/// PEs per arena shard over memory checked out of `resident`, publish it
+/// to the launch's supervisor if it has one, start every PE's main
+/// context under `gate` on its lanes, run `f` under `faults`, and tear
+/// down — joining the interrupt-service contexts the job's requests
+/// started and, on clean completion, retiring the memory with its dirty
+/// extent.
 pub(crate) fn run_wall<P, R, F>(
     gate: P,
     block: usize,
     resident: &Resident,
     cfg: &RuntimeConfig,
-    watch: &WatchPlane<'_>,
     faults: Option<&Arc<LaunchFaults>>,
     f: F,
 ) -> EngineOutcome<R>
@@ -928,31 +928,23 @@ where
     R: Send,
     F: Fn(&ShmemCtx) -> R + Send + Sync,
 {
-    let job_watch = match watch {
-        WatchPlane::None => None,
-        WatchPlane::Wall(w) => Some(*w),
-        WatchPlane::Virtual(_) => panic!(
-            "a TimedWatch is the virtual-time scheduler's observer and cannot watch \
-             the {} engine; attach a JobWatch instead",
-            P::NAME
-        ),
-    };
+    let watch = crate::watch::take_watch();
     let npes = cfg.npes;
     let layout = cfg.layout();
     let endpoints = match cfg.udn_queue_packets {
         Some(p) => UdnFabric::new_bounded(npes, p),
         None => UdnFabric::new(npes),
     };
-    // The watch needs a sink for "last event per PE" stall dumps even
-    // when the caller did not ask for a trace.
+    // The supervisor needs a sink for "last event per PE" stall dumps
+    // even when the caller did not ask for a trace.
     let running = gate.running_contexts(npes);
-    let sink = (cfg.trace || job_watch.is_some()).then(|| Arc::new(TraceSink::with_lanes(running)));
+    let sink = (cfg.trace || watch.is_some()).then(|| Arc::new(TraceSink::with_lanes(running)));
     let geometry = Geometry::of(cfg, block);
     let SegmentSet { shards, privates } = resident.sets.checkout(geometry);
     let arena = ShardedArena::from_shards(shards, block, cfg.partition_bytes);
     let shared = WallShared::new(cfg, endpoints, arena, privates, running, sink.clone(), faults.cloned());
-    if let Some(w) = job_watch {
-        w.attach(shared.clone());
+    if let Some(w) = watch {
+        let _ = w.set(shared.clone());
     }
 
     let (tiles, lanes_spawned) = resident.lanes.run(npes, |pe| {
@@ -1000,8 +992,8 @@ where
         values: tiles.into_iter().map(|(value, _)| value).collect(),
         clocks: Vec::new(),
         makespan: desim::time::SimTime::ZERO,
-        // Only a caller-requested trace is returned; the watch-only
-        // sink stays with the watch.
+        // Only a caller-requested trace is returned; the
+        // supervisor's sink stays with the supervisor.
         trace: cfg.trace.then(|| sink.expect("sink exists when tracing").take()),
         threads_spawned,
     }
@@ -1055,17 +1047,15 @@ impl EngineBackend for NativeBackend {
         Free::NAME
     }
 
-    fn execute<R, F>(
-        &self,
-        cfg: &RuntimeConfig,
-        watch: &WatchPlane<'_>,
-        faults: Option<&Arc<LaunchFaults>>,
-        f: F,
-    ) -> EngineOutcome<R>
+    fn execute<R, F>(&self, cfg: &RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        run_wall(Free, cfg.npes, &Resident::for_one_launch(), cfg, watch, faults, f)
+        run_wall(Free, cfg.npes, &Resident::for_one_launch(), cfg, faults, f)
+    }
+
+    fn resident(&self) -> Option<Arc<Resident>> {
+        Some(Arc::new(Resident::for_one_launch()))
     }
 }

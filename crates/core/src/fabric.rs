@@ -238,9 +238,9 @@ pub const STASH_SNAPSHOT_CAP: usize = 16;
 /// operations (useful work); `spins` counts retries that changed
 /// nothing — failed `cswap` attempts, `wait_until`/`flag_wait_ge`
 /// polls, lock-acquisition backoff steps. A deadlocked job shows both
-/// totals flat across the watchdog's window; a **livelocked** job shows
-/// `spins` climbing while `ops` stays flat — the distinction
-/// `JobWatch::diagnose_delta` reports. `blocked` and `stash` snapshot
+/// totals flat across the supervisor's window; a **livelocked** job
+/// shows `spins` climbing while `ops` stays flat — the distinction a
+/// wall-clock stall report's `classification:` line draws. `blocked` and `stash` snapshot
 /// what the PE is waiting on and which out-of-order protocol messages
 /// it has parked.
 #[derive(Default)]

@@ -58,8 +58,8 @@
 //! The virtual-time fabric ([`engine::timed`]) serves the other two,
 //! which differ only in their chip count: [`TimedBackend`] runs one
 //! chip with calibrated Tilera costs and regenerates the paper's
-//! figures; [`MultiChipBackend`] joins several by mPIPE links. Liveness watchdogs,
-//! per-launch fault plans, per-PE probes and trace collection compose
+//! figures; [`MultiChipBackend`] joins several by mPIPE links. Supervision
+//! ([`Launcher::run_watched`]), per-launch fault plans, per-PE probes and trace collection compose
 //! uniformly over any engine (see [`engine::backend`]).
 
 pub mod active_set;
@@ -81,13 +81,11 @@ pub mod sync;
 pub mod team;
 pub mod trace;
 pub mod types;
-pub mod watch;
+mod watch;
 
 pub use active_set::ActiveSet;
 pub use ctx::{Algorithms, BarrierAlgo, BroadcastAlgo, HomingHint, ReduceAlgo, ShmemCtx, Stats};
-pub use engine::backend::{
-    EngineBackend, EngineOutcome, MultiChipBackend, TimedBackend, WatchPlane,
-};
+pub use engine::backend::{EngineBackend, EngineOutcome, MultiChipBackend, TimedBackend};
 pub use engine::coop::CoopBackend;
 pub use engine::wall::{NativeBackend, Resident};
 pub use fabric::{BlockedOn, PeProbe};
@@ -99,7 +97,6 @@ pub use server::{
     Scheduler, Server, ServerConfig, ServerStats, ShedPolicy, SubmitError,
 };
 pub use team::Team;
-pub use watch::{JobWatch, PeCounters, TimedWatch};
 pub use symm::{AddrClass, Bits, Sym};
 pub use sync::pt2pt::Cmp;
 pub use types::{Complex32, Complex64, Reducible, ReduceOp};
@@ -109,7 +106,7 @@ pub mod prelude {
     pub use crate::active_set::ActiveSet;
     pub use crate::ctx::{Algorithms, BarrierAlgo, BroadcastAlgo, HomingHint, ReduceAlgo, ShmemCtx};
     pub use crate::rma::SignalOp;
-    pub use crate::engine::backend::{EngineOutcome, MultiChipBackend, TimedBackend, WatchPlane};
+    pub use crate::engine::backend::{EngineOutcome, MultiChipBackend, TimedBackend};
     pub use crate::engine::coop::CoopBackend;
     pub use crate::engine::wall::NativeBackend;
     pub use crate::runtime::{launch, Launcher, RuntimeConfig};

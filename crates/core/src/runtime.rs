@@ -9,21 +9,24 @@
 //!
 //! One generic [`Launcher`] drives every engine: pick an
 //! [`EngineBackend`] (native, coop, timed, multichip — see
-//! [`crate::engine::backend`]), optionally compose in a liveness plane
-//! ([`WatchPlane`]) and a fault plan ([`FaultPlan`]), and `run`.
+//! [`crate::engine::backend`]), optionally hand it a fault plan
+//! ([`FaultPlan`]), and `run` it — or `run_watched` it, supervised.
 //! [`launch`] is the one convenience wrapper, for the common native
 //! case.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 use tile_arch::area::TestArea;
 use tile_arch::device::Device;
 
 use crate::ctx::{Algorithms, Layout, ShmemCtx};
-use crate::engine::backend::{EngineBackend, EngineOutcome, WatchPlane};
+use crate::engine::backend::{EngineBackend, EngineOutcome};
 use crate::engine::coop::CoopBackend;
 use crate::engine::wall::NativeBackend;
 use crate::fault::{FaultPlan, LaunchFaults};
+use crate::watch::{self, Stalled};
 
 /// Scheduling discipline for the virtual-time (desim-backed) engines.
 ///
@@ -217,54 +220,41 @@ impl RuntimeConfig {
     }
 }
 
-/// The one launcher behind every engine: a config, a backend, an
-/// optional liveness plane and an optional fault plan.
+/// The one launcher behind every engine: a config, a backend and an
+/// optional fault plan.
 ///
 /// ```ignore
 /// let out = Launcher::new(&cfg, TimedBackend)
-///     .with_watch(WatchPlane::Virtual(watch.clone()))
-///     .run_watched(|ctx| ...)?;
+///     .with_faults(FaultPlan::from_seed(7, cfg.npes))
+///     .run_watched(Duration::from_secs(2), |ctx| ...)?;
 /// ```
 ///
 /// The launcher owns the engine-independent steps — config validation,
-/// backend validation, watch composition, panic-vs-stall-report
+/// backend validation, supervision, panic-vs-stall-report
 /// classification — while the backend owns the spawn model and fabric
 /// wiring (see [`EngineBackend`]). Cross-cutting planes compose here
 /// uniformly: a fault plan ([`with_faults`](Self::with_faults)) applies
-/// to this launcher's launch and no other, `cfg.trace` flows to every
-/// backend's sink, and the watch plane is checked against the backend's
-/// clock domain.
-pub struct Launcher<'w, B: EngineBackend> {
+/// to this launcher's launch and no other, and `cfg.trace` flows to every
+/// backend's sink.
+pub struct Launcher<B: EngineBackend> {
     cfg: RuntimeConfig,
     backend: B,
-    watch: WatchPlane<'w>,
     faults: Option<Arc<LaunchFaults>>,
 }
 
-impl<'w, B: EngineBackend> Launcher<'w, B> {
+impl<B: EngineBackend> Launcher<B> {
     pub fn new(cfg: &RuntimeConfig, backend: B) -> Self {
         Self {
             cfg: *cfg,
             backend,
-            watch: WatchPlane::None,
             faults: None,
         }
-    }
-
-    /// Compose in a liveness plane. The plane must match the backend's
-    /// clock domain ([`JobWatch`](crate::watch::JobWatch) for wall-clock
-    /// engines, [`TimedWatch`](crate::watch::TimedWatch) for
-    /// virtual-time engines); a mismatch panics at
-    /// `run` with a message naming the right watch.
-    pub fn with_watch(mut self, watch: WatchPlane<'w>) -> Self {
-        self.watch = watch;
-        self
     }
 
     /// Hand the launch a fault plan — a seeded one
     /// ([`FaultPlan::from_seed`]) or hand-built (`[Fault::EagerNbi]`).
     /// It is armed here, with its own budgets and counters: concurrent
-    /// launches never see it, and the watch reports of this one name it.
+    /// launches never see it, and the stall reports of this one name it.
     pub fn with_faults(self, plan: impl Into<FaultPlan>) -> Self {
         self.with_armed_faults(Some(Arc::new(LaunchFaults::new(plan.into()))))
     }
@@ -285,43 +275,63 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
     /// Validate and execute: run `f` on every PE.
     ///
     /// # Panics
-    /// Propagates application panics; with a virtual-time watch attached, a
-    /// detected deadlock also surfaces as a panic carrying the stall
-    /// report (use [`run_watched`](Self::run_watched) to get it as
-    /// `Err` instead).
+    /// Propagates application panics. A virtual-time launch its
+    /// scheduler proves wedged unwinds too, with its stall report as a
+    /// `String`; use [`run_watched`](Self::run_watched) to get the
+    /// report as `Err`.
     pub fn run<R, F>(&self, f: F) -> EngineOutcome<R>
+    where
+        R: Send,
+        F: Fn(&ShmemCtx) -> R + Send + Sync,
+    {
+        catch_unwind(AssertUnwindSafe(|| self.execute(f))).unwrap_or_else(|payload| match payload.downcast::<Stalled>() {
+            Ok(stalled) => resume_unwind(Box::new(stalled.0)),
+            Err(payload) => resume_unwind(payload),
+        })
+    }
+
+    /// Validate and hand the launch to the backend; a virtual-time wedge
+    /// unwinds as [`Stalled`].
+    fn execute<R, F>(&self, f: F) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
         self.cfg.validate();
         self.backend.validate(&self.cfg);
-        self.backend.execute(&self.cfg, &self.watch, self.faults.as_ref(), f)
+        self.backend.execute(&self.cfg, self.faults.as_ref(), f)
     }
 
-    /// [`run`](Self::run), converting a watch-diagnosed stall into
-    /// `Err(report)`: when the attached
-    /// [`TimedWatch`](crate::watch::TimedWatch) fired (the desim
-    /// scheduler proved no LP can ever run again), the per-PE diagnosis
-    /// is returned instead of the panic. Panics that are *not* detected
+    /// [`run`](Self::run), supervised: a launch that wedges returns
+    /// `Err` with its per-PE stall report instead of hanging or
+    /// panicking, alike on every engine. Panics that are *not* detected
     /// stalls (application asserts, poisoned PEs) still propagate.
-    pub fn run_watched<R, F>(&self, f: F) -> Result<EngineOutcome<R>, String>
+    ///
+    /// * On a wall-clock engine the launch runs detached on a lane of
+    ///   the backend's [`Resident`](crate::Resident) — the server's for a
+    ///   job, otherwise one of its own — while this thread polls its
+    ///   progress. When no PE or service context completes useful work
+    ///   for `stall`, scaled by the launch's oversubscription, the report
+    ///   is rendered, the launch aborted, and `Err` returned after a
+    ///   bounded grace for it to unwind: a context wedged past every
+    ///   abort checkpoint leaks with its lane instead of hanging the
+    ///   caller.
+    /// * On a virtual-time engine `stall` is unused: the scheduler's
+    ///   drained-queue observer reports the instant no LP can ever run
+    ///   again.
+    pub fn run_watched<R, F>(self, stall: Duration, f: F) -> Result<EngineOutcome<R>, String>
     where
-        R: Send,
-        F: Fn(&ShmemCtx) -> R + Send + Sync,
+        B: Send + 'static,
+        R: Send + 'static,
+        F: Fn(&ShmemCtx) -> R + Send + Sync + 'static,
     {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run(f)));
-        match result {
-            Ok(out) => Ok(out),
-            Err(payload) => {
-                if let WatchPlane::Virtual(w) = &self.watch {
-                    if let Some(report) = w.stall_report() {
-                        return Err(report);
-                    }
-                }
-                std::panic::resume_unwind(payload)
-            }
+        if let Some(resident) = self.backend.resident() {
+            return watch::supervise(&resident, stall, move || self.execute(f));
         }
+        catch_unwind(AssertUnwindSafe(|| self.execute(f))).or_else(|payload| match payload.downcast::<Stalled>() {
+            Ok(stalled) => Err(stalled.0),
+            Err(payload) => resume_unwind(payload),
+        })
     }
 }
 
@@ -329,7 +339,8 @@ impl<'w, B: EngineBackend> Launcher<'w, B> {
 /// time). Returns each PE's result, indexed by PE.
 ///
 /// Shorthand for `Launcher::new(cfg, NativeBackend).run(f).values`;
-/// every other engine, and any watch, goes through the [`Launcher`].
+/// every other engine, and any supervised launch, goes through the
+/// [`Launcher`].
 ///
 /// # Panics
 /// Propagates application panics (other PEs may be aborted mid-protocol).

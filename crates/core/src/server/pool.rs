@@ -12,29 +12,29 @@
 //!                           or shutdown)                              └─────── attempts exhausted ──▶ Evicted
 //! ```
 //!
-//! Isolation boundaries: every job runs as its own cooperative launch —
-//! its own recycled arena shards and private segments (scrubbed to the
-//! previous tenant's dirty extent at checkout, see [`super::arena`]),
-//! its own UDN fabric, its own trace lanes, its own [`JobWatch`], its own
-//! fault plan (armed once per job, see [`JobSpec::faults`]). What a
-//! job does *not* get for itself is threads: the server keeps one
-//! [`Resident`] for its lifetime, and a job's runner, its launch and its
-//! PEs run on that handle's lanes ([`tmc::task::Lanes`]) — a lane that
-//! unwound or never finished is never reused, and a reused one carries
-//! nothing of a tenant but thread-locals, affinity and a name, which
-//! tenants of one address space share anyway. A tenant panic is caught
-//! at the launch boundary
-//! ([`std::panic::catch_unwind`] around the `Launcher`), poisons only
-//! that job, and is reported as [`JobOutcome::Faulted`] while the pool
-//! keeps serving. A wedged job is diagnosed with the same per-PE stall
-//! report the stress watchdog renders, aborted, its worker-slot lease
-//! reclaimed, and retried with exponential backoff up to
+//! Isolation boundaries: every job runs as its own supervised
+//! cooperative launch ([`Launcher::run_watched`]) — its own recycled
+//! arena shards and private segments (scrubbed to the previous tenant's
+//! dirty extent at checkout, see [`super::arena`]), its own UDN fabric,
+//! its own trace lanes, its own supervision, its own fault plan (armed
+//! once per job, see [`JobSpec::faults`]). What a job does *not* get for
+//! itself is threads: the server keeps one [`Resident`] for its
+//! lifetime, and a job's runner, its launch and its PEs run on that
+//! handle's lanes ([`tmc::task::Lanes`]) — a lane that unwound or never
+//! finished is never reused, and a reused one carries nothing of a
+//! tenant but thread-locals, affinity and a name, which tenants of one
+//! address space share anyway. A tenant panic is caught at the launch
+//! boundary ([`std::panic::catch_unwind`] around `run_watched`), poisons
+//! only that job, and is reported as [`JobOutcome::Faulted`] while the
+//! pool keeps serving. A wedged job is diagnosed with the per-PE stall
+//! report every supervised launch renders, aborted, its worker-slot
+//! lease reclaimed, and retried with exponential backoff up to
 //! [`ServerConfig::max_attempts`].
 //!
 //! What eviction cannot reclaim: a PE lane wedged outside every fabric
 //! abort checkpoint (e.g. parked in a fault-injected raw channel send)
-//! leaks until process exit, exactly as in the stress watchdog — and
-//! with it the launch lane that waits for it. They stay in
+//! leaks until process exit, as after any supervised launch — and with
+//! it the launch lane that waits for it. They stay in
 //! [`ServerStats::lanes_live`] and are never handed another task. The
 //! pool's accounting unit is the worker-slot *lease*, not the OS
 //! thread, so capacity recovers even when threads leak.
@@ -45,24 +45,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use substrate::channel::{self, Receiver, RecvTimeoutError, Sender};
+use substrate::channel::{self, Receiver, Sender};
 use substrate::sync::{Condvar, Mutex};
 
-use crate::engine::backend::WatchPlane;
 use crate::engine::coop::CoopBackend;
 use crate::engine::wall::Resident;
 use crate::fault::LaunchFaults;
 use crate::runtime::Launcher;
 use crate::server::job::{JobId, JobOutcome, JobReport, JobSpec, SubmitError};
 use crate::server::scheduler::{FairScheduler, QueuedJob, RoundRobin, Scheduler};
-use crate::watch::{classify_stall, scaled_stall, JobWatch};
-
-/// Watchdog poll cadence while a job runs.
-const POLL: Duration = Duration::from_millis(20);
-/// How long an evicted job gets to finish unwinding after `abort()`
-/// before the runner moves on (threads wedged past every abort
-/// checkpoint leak; see module docs).
-const ABORT_GRACE: Duration = Duration::from_secs(1);
 
 /// What to do with a submission that finds the bounded queue full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,8 +77,8 @@ pub struct ServerConfig {
     pub max_npes: usize,
     /// Per-job symmetric-heap quota (bytes per partition).
     pub max_partition_bytes: usize,
-    /// Base per-job stall window; the effective window is
-    /// `scaled_stall(stall, oversubscription)` of the job's own launch.
+    /// Base per-job stall window; the supervisor scales it by the
+    /// oversubscription of the job's own launch.
     pub stall: Duration,
     /// Total launch attempts per job (1 = never retry a wedge).
     pub max_attempts: u32,
@@ -431,11 +422,13 @@ impl Inner {
 }
 
 /// Worker slots a job of `npes` PEs leases out of `slots`: one per two
-/// PEs, so no job runs with every PE alone on its worker and every
-/// collective — `finalize` included — can take the counter-cell pass
-/// (DESIGN.md §8). Never more than exist, so even an `npes > 2 · slots`
-/// job can always eventually run. Public only so `examples/launch_attr`
-/// can assemble a server job with the server's own geometry.
+/// PEs. The rule was made when only PEs sharing a worker took the
+/// counter-cell pass; every geometry takes it now, so the rule only
+/// sets how many PEs share a gate, and whether one PE per worker would
+/// serve a job better is unmeasured (DESIGN.md §8). Never more than
+/// exist, so even an `npes > 2 · slots` job can always eventually run.
+/// Public only so `examples/launch_attr` can assemble a server job with
+/// the server's own geometry.
 #[doc(hidden)]
 pub fn lease_for(npes: usize, slots: usize) -> usize {
     npes.div_ceil(2).clamp(1, slots)
@@ -597,9 +590,7 @@ fn acquire_slots(inner: &Inner, lease: usize) -> bool {
 }
 
 /// Launch the job once as its own supervised cooperative launch; see the
-/// module docs for the isolation contract. Mirrors the stress crate's
-/// `watch_wall` watchdog: detached launch, diagnose *before* abort,
-/// bounded unwind grace.
+/// module docs for the isolation contract.
 fn attempt_launch(
     inner: &Arc<Inner>,
     id: JobId,
@@ -607,79 +598,18 @@ fn attempt_launch(
     faults: Option<Arc<LaunchFaults>>,
     lease: usize,
 ) -> Attempt {
-    let watch = Arc::new(JobWatch::new());
-    let (tx, rx) = channel::bounded::<std::thread::Result<()>>(1);
-    let cfg = spec.cfg;
-    let body = spec.body.clone();
-    let w = Arc::clone(&watch);
     let backend = CoopBackend {
         workers: lease,
         resident: Some(inner.resident.clone()),
     };
-    // The tenant's panic is caught inside the task: it unwinds the PE
-    // lanes it crossed, not the lane the launch itself runs on.
-    inner.resident.lanes.spawn(
-        move || {
-            catch_unwind(AssertUnwindSafe(|| {
-                Launcher::new(&cfg, backend)
-                    .with_watch(WatchPlane::Wall(&w))
-                    .with_armed_faults(faults)
-                    .run(|ctx| body(ctx));
-            }))
-        },
-        move |r| {
-            let _ = tx.try_send(r.and_then(|caught| caught));
-        },
-    );
-
-    let mut last_ops = 0u64;
-    let mut baseline = watch.counters();
-    let mut last_change = Instant::now();
-    loop {
-        match rx.recv_timeout(POLL) {
-            Ok(Ok(())) => return Attempt::Completed,
-            // `&*payload`, not `&payload`: coercing the Box itself into
-            // `dyn Any` would make every downcast miss.
-            Ok(Err(payload)) => return Attempt::Panicked(panic_message(&*payload)),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                return Attempt::Panicked("launch thread exited without reporting".into());
-            }
-        }
-        let ops = watch.total_ops();
-        let window = scaled_stall(inner.cfg.stall, watch.oversubscription());
-        if ops != last_ops || baseline.is_empty() {
-            last_ops = ops;
-            baseline = watch.counters();
-            last_change = Instant::now();
-        } else if last_change.elapsed() >= window {
-            // Diagnose BEFORE aborting: abort unparks the blocked PEs
-            // and would destroy the evidence.
-            let now = watch.counters();
-            let blocked = watch.blocked_states();
-            let npes = now.len() / 2;
-            let class = classify_stall(now.iter().enumerate().take(npes).map(|(i, n)| {
-                let b = baseline.get(i).copied().unwrap_or_default();
-                let descheduled = matches!(
-                    blocked.get(i),
-                    Some(crate::fabric::BlockedOn::Descheduled)
-                );
-                (
-                    n.ops.saturating_sub(b.ops),
-                    n.spins.saturating_sub(b.spins),
-                    descheduled,
-                )
-            }));
-            let report = format!(
-                "server watchdog: job {id} made no useful fabric progress for {:.1}s\n\
-                 classification: {class}\n{}",
-                window.as_secs_f64(),
-                watch.diagnose_delta(Some(&baseline))
-            );
-            watch.abort();
-            let _ = rx.recv_timeout(ABORT_GRACE);
-            return Attempt::Wedged(report);
-        }
+    let body = spec.body.clone();
+    let launcher = Launcher::new(&spec.cfg, backend).with_armed_faults(faults);
+    match catch_unwind(AssertUnwindSafe(|| launcher.run_watched(inner.cfg.stall, move |ctx| body(ctx)))) {
+        Ok(Ok(_)) => Attempt::Completed,
+        Ok(Err(report)) => Attempt::Wedged(format!("{report}server job {id}\n")),
+        // `&*payload`, not `&payload`: coercing the Box itself into
+        // `dyn Any` would make every downcast miss.
+        Err(payload) => Attempt::Panicked(panic_message(&*payload)),
     }
 }
 

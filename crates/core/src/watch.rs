@@ -1,15 +1,14 @@
-//! Job-level watchdog hooks for both clock domains.
+//! Supervision of one launch, in either clock domain — what
+//! [`Launcher::run_watched`](crate::Launcher::run_watched) runs.
 //!
-//! A [`JobWatch`] is handed to a wall-clock launch
-//! ([`WatchPlane::Wall`](crate::WatchPlane::Wall)) and is populated
-//! with the launch's shared state before any PE starts. An
-//! external watchdog thread can then poll [`JobWatch::counters`] for
-//! forward progress and, when *useful* work stops moving, call
-//! [`JobWatch::diagnose_delta`] to capture what every PE (and every
-//! service thread) was doing — which protocol wait it is parked in, how
-//! full its demux queues are, what its stash holds, and the last trace
-//! event it recorded — before calling [`JobWatch::abort`] to tear the
-//! job down.
+//! A wall-clock launch runs detached on a lane of its `Resident`, and
+//! [`supervise`] watches it from the calling thread: the launch body
+//! publishes its shared state in the launch's [`JobWatch`] before any PE
+//! starts, and the supervisor polls it for forward progress. When
+//! *useful* work stops moving for the stall window it renders what every
+//! PE (and every service context) was doing — which protocol wait it is
+//! parked in, how full its demux queues are, what its stash holds, and
+//! the last trace event it recorded — and only then aborts the launch.
 //!
 //! Useful work and spinning are split: a probe's `ops` counts
 //! state-changing operations only, while failed `cswap` retries and
@@ -17,26 +16,129 @@
 //! **deadlock** (both flat) from a **livelock** (spins climbing, ops
 //! flat) — the latter looked like progress to the PR-2 watchdog.
 //!
-//! The virtual-time engines get [`TimedWatch`] instead: there is no wall-clock
-//! stall under virtual time, so the watchdog is the desim scheduler's
-//! own deadlock detector (`desim::coop::CoopObserver`) — it fires the
-//! instant the virtual event queue drains while LPs are parked, and
-//! renders the same per-PE diagnosis format.
+//! A virtual-time launch has no wall-clock stall, so its backend
+//! attaches a [`TimedWatch`] to the desim scheduler's own deadlock
+//! detector (`desim::coop::CoopObserver`): it fires the instant the
+//! virtual event queue drains while LPs are parked, and renders the same
+//! per-PE diagnosis format.
 //!
-//! All reads are racy snapshots by design: the native watchdog fires
-//! only after a multi-second stall window, at which point the states
-//! are stable; the timed observer runs with the scheduler lock held.
+//! All reads are racy snapshots by design: the wall-clock supervisor
+//! reports only after a stall window in which nothing moved, at which
+//! point the states are stable; the timed observer runs with the
+//! scheduler lock held.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
+use substrate::channel::{self, RecvTimeoutError};
 use substrate::sync::Mutex;
 use udn::NUM_QUEUES;
 
 use crate::engine::backend::CoopCore;
-use crate::engine::wall::WallShared;
+use crate::engine::wall::{Resident, WallShared};
 use crate::fabric::{BlockedOn, PeProbe};
-use crate::trace::TraceEvent;
+
+/// How often the supervisor samples a wall-clock launch's progress.
+const POLL: Duration = Duration::from_millis(20);
+/// How long an aborted launch gets to unwind before the supervisor
+/// returns without it: a context wedged past every abort checkpoint (in
+/// a fault-injected raw channel send) leaks until process exit, and with
+/// it the lane the launch runs on.
+const ABORT_GRACE: Duration = Duration::from_secs(1);
+
+/// Where a supervised wall-clock launch publishes its shared state.
+pub(crate) type JobWatch = OnceLock<Arc<WallShared>>;
+
+thread_local! {
+    /// The watch of the supervised launch this lane is starting, until
+    /// the launch body takes it ([`take_watch`]).
+    static WATCH: Cell<Option<Arc<JobWatch>>> = const { Cell::new(None) };
+}
+
+/// The watch of the supervised launch being started on this thread, if
+/// any: the wall-clock launch body takes it before any PE starts. So a
+/// backend's `execute` must run `run_wall` on the thread it was called
+/// on; [`supervise`] fails loudly otherwise.
+pub(crate) fn take_watch() -> Option<Arc<JobWatch>> {
+    WATCH.take()
+}
+
+/// Run `launch` on this thread with `watch` waiting for its launch body.
+fn attached<T>(watch: Arc<JobWatch>, launch: impl FnOnce() -> T) -> std::thread::Result<T> {
+    WATCH.set(Some(watch));
+    let result = catch_unwind(AssertUnwindSafe(launch));
+    // A launch that failed validation never took it; the lane may run
+    // another task next.
+    WATCH.set(None);
+    result
+}
+
+/// Run the wall-clock launch `launch` detached on a lane of `resident`
+/// and supervise it from this thread: its value once it returns, its
+/// panic re-raised here, or — when it made no useful progress for
+/// `stall` scaled by its oversubscription — `Err` with the stall report,
+/// after the launch was aborted and given [`ABORT_GRACE`] to unwind.
+///
+/// Detached on purpose: a wedged launch's PEs may never be joined. The
+/// launch's panic is caught on its lane, so it unwinds the PE lanes it
+/// crossed and not the one the launch runs on, which stays reusable.
+pub(crate) fn supervise<T: Send + 'static>(
+    resident: &Resident,
+    stall: Duration,
+    launch: impl FnOnce() -> T + Send + 'static,
+) -> Result<T, String> {
+    let watch = Arc::new(JobWatch::new());
+    let (tx, rx) = channel::bounded::<std::thread::Result<T>>(1);
+    let w = watch.clone();
+    resident.lanes.spawn(
+        move || attached(w, launch),
+        move |r| {
+            let _ = tx.try_send(r.and_then(|caught| caught));
+        },
+    );
+
+    let mut last_ops = 0u64;
+    // Counter snapshot from the last moment useful work moved — the
+    // baseline the stall window's deltas (and the livelock-vs-deadlock
+    // call) are measured against.
+    let mut baseline = Vec::new();
+    let mut last_change = Instant::now();
+    loop {
+        match rx.recv_timeout(POLL) {
+            Ok(Ok(value)) => return Ok(value),
+            Ok(Err(payload)) => resume_unwind(payload),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => panic!("watched launch ended without reporting"),
+        }
+        // Before the launch attaches nothing can stall. Its body attaches
+        // first thing, on the lane it was started on; one that has not
+        // within the window (at least the grace) built its state
+        // elsewhere, and could never be watched.
+        let Some(shared) = watch.get() else {
+            assert!(
+                last_change.elapsed() < stall.max(ABORT_GRACE),
+                "watched launch never attached to its supervisor"
+            );
+            continue;
+        };
+        let ops = probes(shared).map(|p| p.ops()).sum();
+        let window = scaled_stall(stall, shared.oversubscription);
+        if ops != last_ops || baseline.is_empty() {
+            last_ops = ops;
+            baseline = counters(shared);
+            last_change = Instant::now();
+        } else if last_change.elapsed() >= window {
+            // Diagnose BEFORE aborting: abort unparks the blocked PEs
+            // and would destroy the evidence.
+            let report = stall_report(shared, window, &baseline);
+            shared.abort();
+            let _ = rx.recv_timeout(ABORT_GRACE);
+            return Err(report);
+        }
+    }
+}
 
 /// Wall-clock stall window scaled by the engine's oversubscription
 /// factor (runnable contexts per worker thread). A descheduled coop PE
@@ -45,7 +147,7 @@ use crate::trace::TraceEvent;
 /// between counter movements than a fully parallel native run — the
 /// unscaled window fired spuriously on exactly those runs. Capped at
 /// 64× so a true deadlock on a 1024-PE job still reports in minutes.
-pub fn scaled_stall(stall: Duration, oversubscription: usize) -> Duration {
+fn scaled_stall(stall: Duration, oversubscription: usize) -> Duration {
     stall * oversubscription.clamp(1, 64) as u32
 }
 
@@ -56,7 +158,7 @@ pub fn scaled_stall(stall: Duration, oversubscription: usize) -> Duration {
 /// oversubscribed stall into a "deadlock" verdict (and starve the
 /// livelock detector of its "everyone is spinning" signal), so only a
 /// PE that is *scheduled* yet moved nothing counts as frozen.
-pub fn classify_stall<I: IntoIterator<Item = (u64, u64, bool)>>(deltas: I) -> &'static str {
+fn classify_stall<I: IntoIterator<Item = (u64, u64, bool)>>(deltas: I) -> &'static str {
     let mut spun = 0u64;
     let mut frozen = false;
     for (du, ds, descheduled) in deltas {
@@ -75,10 +177,10 @@ pub fn classify_stall<I: IntoIterator<Item = (u64, u64, bool)>>(deltas: I) -> &'
 }
 
 /// One probe's counter snapshot (useful ops vs spin retries).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PeCounters {
-    pub ops: u64,
-    pub spins: u64,
+#[derive(Clone, Copy)]
+struct PeCounters {
+    ops: u64,
+    spins: u64,
 }
 
 fn snapshot(probe: &PeProbe) -> PeCounters {
@@ -88,269 +190,160 @@ fn snapshot(probe: &PeProbe) -> PeCounters {
     }
 }
 
-struct Watched {
-    shared: Arc<WallShared>,
+/// Every probe of a wall-clock launch: indices `0..npes` the PE main
+/// contexts, `npes..2*npes` their service contexts.
+fn probes(shared: &WallShared) -> impl Iterator<Item = &Arc<PeProbe>> {
+    shared.probes.iter().chain(&shared.service_probes)
 }
 
-impl Watched {
-    /// Every probe: indices `0..npes` the PE main contexts,
-    /// `npes..2*npes` their service contexts.
-    fn all_probes(&self) -> impl Iterator<Item = &Arc<PeProbe>> {
-        self.shared.probes.iter().chain(&self.shared.service_probes)
-    }
+fn counters(shared: &WallShared) -> Vec<PeCounters> {
+    probes(shared).map(|p| snapshot(p)).collect()
+}
 
-    fn last_events(&self) -> Vec<Option<TraceEvent>> {
-        match &self.shared.trace {
-            Some(sink) => sink.last_per_pe(self.shared.npes),
-            None => vec![None; self.shared.npes],
+/// The wall-clock stall report: a header, the stall's classification
+/// against `baseline` (captured when useful work last moved), and the
+/// per-PE diagnosis.
+fn stall_report(shared: &WallShared, window: Duration, baseline: &[PeCounters]) -> String {
+    let now = counters(shared);
+    let (ops, spins) = now.iter().fold((0, 0), |(o, s), c| (o + c.ops, s + c.spins));
+    let class = classify_stall(shared.probes.iter().zip(&now).zip(baseline).map(|((probe, n), b)| {
+        (
+            n.ops.saturating_sub(b.ops),
+            n.spins.saturating_sub(b.spins),
+            matches!(probe.blocked(), BlockedOn::Descheduled),
+        )
+    }));
+    format!(
+        "watchdog: no useful fabric progress for {:.1}s (useful ops {ops}, spin retries {spins})\n\
+         classification: {class}\n{}",
+        window.as_secs_f64(),
+        diagnose(shared, baseline)
+    )
+}
+
+/// Render a per-PE stall diagnosis: blocked state, useful/spin counters
+/// with their deltas since `baseline`, demux queue occupancy, stash
+/// contents, service-context state, last trace event, and the launch's
+/// fault plan if it has one. Probes that spun without completing any
+/// useful work in the window are called out as livelock suspects.
+fn diagnose(shared: &WallShared, baseline: &[PeCounters]) -> String {
+    use std::fmt::Write as _;
+    let npes = shared.npes;
+    let last = match &shared.trace {
+        Some(sink) => sink.last_per_pe(npes),
+        None => vec![None; npes], // cold: once per stall report
+    };
+    let mut out = String::new();
+    let mut suspects: Vec<String> = Vec::new();
+    let _ = writeln!(out, "per-PE stall diagnosis ({npes} PEs):");
+    for (pe, last_ev) in last.iter().enumerate() {
+        let probe = &shared.probes[pe];
+        let now = snapshot(probe);
+        let occ: Vec<usize> = (0..NUM_QUEUES).map(|q| shared.endpoints[pe].queue_len(q)).collect();
+        let _ = write!(
+            out,
+            "  PE {pe}: {} | useful={} spins={}",
+            probe.blocked(),
+            now.ops,
+            now.spins
+        );
+        let (du, ds) = (now.ops.saturating_sub(baseline[pe].ops), now.spins.saturating_sub(baseline[pe].spins));
+        let _ = write!(out, " (+{du} useful / +{ds} spins in window)");
+        // A descheduled context is runnable but waiting for a worker
+        // slot (coop M:N engine) — spinning without useful work is
+        // expected there, not a livelock sign.
+        if du == 0 && ds > 0 && !matches!(probe.blocked(), BlockedOn::Descheduled) {
+            suspects.push(format!("PE {pe} ({})", probe.blocked()));
         }
+        let _ = write!(out, " | queue occupancy {occ:?}");
+        let stash = probe.stash();
+        if stash.is_empty() {
+            let _ = write!(out, " | stash empty");
+        } else {
+            let _ = write!(out, " | stash ");
+            for (i, (tag, src)) in stash.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                let _ = write!(out, "{sep}(tag {tag:#x} from PE {src})");
+            }
+            let hidden = probe.stash_total().saturating_sub(stash.len());
+            if hidden > 0 {
+                let _ = write!(out, " (+{hidden} more)");
+            }
+        }
+        match last_ev {
+            Some(e) => {
+                let _ = writeln!(out, " | last event {} @{:.0}ns", e.kind.name(), e.start.ns_f64());
+            }
+            None => {
+                let _ = writeln!(out, " | no events recorded");
+            }
+        }
+        // The PE's interrupt-service context, attributed separately.
+        let svc = &shared.service_probes[pe];
+        let snow = snapshot(svc);
+        let _ = write!(
+            out,
+            "  PE {pe} svc: {} | useful={} spins={}",
+            svc.blocked(),
+            snow.ops,
+            snow.spins
+        );
+        let base = baseline[npes + pe];
+        let (du, ds) = (snow.ops.saturating_sub(base.ops), snow.spins.saturating_sub(base.spins));
+        let _ = write!(out, " (+{du} useful / +{ds} spins in window)");
+        if du == 0 && ds > 0 && !matches!(svc.blocked(), BlockedOn::Descheduled) {
+            suspects.push(format!("PE {pe} svc ({})", svc.blocked()));
+        }
+        let _ = writeln!(out);
     }
+    if !suspects.is_empty() {
+        let _ = writeln!(
+            out,
+            "livelock suspects (spinning, no useful work in window): {}",
+            suspects.join(", ")
+        );
+    }
+    if let Some(faults) = &shared.faults {
+        let _ = writeln!(out, "active {}", faults.describe());
+    }
+    out
 }
 
-/// Observation handle over one wall-clock launch, native or coop (see
-/// module docs).
+/// The payload a virtual-time launch unwinds with when its scheduler
+/// proved it wedged: the stall report, which
+/// [`Launcher::run_watched`](crate::Launcher::run_watched) returns as
+/// `Err`.
+pub(crate) struct Stalled(pub(crate) String);
+
+/// The deadlock observer every virtual-time launch (timed and
+/// multichip) runs under.
 ///
-/// Create it empty, hand it to the launcher, and poll from another
-/// thread; before attachment every accessor reports "no progress yet".
-#[derive(Default)]
-pub struct JobWatch {
-    inner: Mutex<Option<Watched>>,
-}
-
-impl JobWatch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn attach(&self, shared: Arc<WallShared>) {
-        *self.inner.lock() = Some(Watched { shared });
-    }
-
-    /// Whether a launch has attached itself yet.
-    pub fn attached(&self) -> bool {
-        self.inner.lock().is_some()
-    }
-
-    /// Runnable contexts per worker thread of the attached launch: 1
-    /// for the native engine (and before attachment), `ceil(2N / M)`
-    /// for a cooperative M:N launch. Watchdog stall windows should be
-    /// scaled by this factor.
-    pub fn oversubscription(&self) -> usize {
-        self.inner
-            .lock()
-            .as_ref()
-            .map_or(1, |w| w.shared.oversubscription)
-    }
-
-    /// Sum of completed *useful* fabric operations across all PEs and
-    /// their service threads — the watchdog's forward-progress signal.
-    /// Monotone while the job runs; spins do not move it.
-    pub fn total_ops(&self) -> u64 {
-        self.inner
-            .lock()
-            .as_ref()
-            .map_or(0, |w| w.all_probes().map(|p| p.ops()).sum())
-    }
-
-    /// Sum of spin retries across all PEs and service threads.
-    pub fn total_spins(&self) -> u64 {
-        self.inner
-            .lock()
-            .as_ref()
-            .map_or(0, |w| w.all_probes().map(|p| p.spins()).sum())
-    }
-
-    /// Per-probe counter snapshot: indices `0..npes` are the PE main
-    /// threads, `npes..2*npes` their service threads. Empty before
-    /// attachment. Feed a saved snapshot back to
-    /// [`diagnose_delta`](Self::diagnose_delta) to name the probes that
-    /// spun without useful work across the window.
-    pub fn counters(&self) -> Vec<PeCounters> {
-        match self.inner.lock().as_ref() {
-            Some(w) => w.all_probes().map(|p| snapshot(p)).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Per-main-PE blocked states (indices `0..npes`). Empty before
-    /// attachment. The coop engine publishes [`BlockedOn::Descheduled`]
-    /// while a context is queued for worker admission — runnable, not
-    /// wedged — which stall classifiers must not count as frozen.
-    pub fn blocked_states(&self) -> Vec<BlockedOn> {
-        match self.inner.lock().as_ref() {
-            Some(w) => w.shared.probes.iter().map(|p| p.blocked()).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Flag the job aborted: every PE parked in a protocol wait panics
-    /// at its next abort check instead of hanging forever.
-    pub fn abort(&self) {
-        if let Some(w) = self.inner.lock().as_ref() {
-            w.shared.abort();
-        }
-    }
-
-    /// Last recorded trace event per PE (`None` where a PE recorded
-    /// nothing), for the stall dump.
-    pub fn last_events(&self) -> Vec<Option<TraceEvent>> {
-        self.inner.lock().as_ref().map_or_else(Vec::new, Watched::last_events)
-    }
-
-    /// Render a per-PE stall diagnosis: blocked state, useful/spin
-    /// counters, demux queue occupancy, stash contents, service-thread
-    /// state, last trace event, and the launch's fault plan if it has
-    /// one.
-    pub fn diagnose(&self) -> String {
-        self.diagnose_delta(None)
-    }
-
-    /// [`diagnose`](Self::diagnose), additionally classifying against a
-    /// counter `baseline` captured at the start of the stall window:
-    /// each line shows the in-window deltas, and probes that spun
-    /// without completing any useful work are called out as livelock
-    /// suspects.
-    pub fn diagnose_delta(&self, baseline: Option<&[PeCounters]>) -> String {
-        use std::fmt::Write as _;
-        let guard = self.inner.lock();
-        let Some(w) = guard.as_ref() else {
-            return "watchdog: job not attached yet".to_string();
-        };
-        let last = w.last_events();
-        let npes = w.shared.npes;
-        let mut out = String::new();
-        let mut suspects: Vec<String> = Vec::new();
-        let _ = writeln!(out, "per-PE stall diagnosis ({npes} PEs):");
-        for (pe, last_ev) in last.iter().enumerate() {
-            let probe = &w.shared.probes[pe];
-            let now = snapshot(probe);
-            let occ: Vec<usize> = (0..NUM_QUEUES)
-                .map(|q| w.shared.endpoints[pe].queue_len(q))
-                .collect();
-            let _ = write!(
-                out,
-                "  PE {pe}: {} | useful={} spins={}",
-                probe.blocked(),
-                now.ops,
-                now.spins
-            );
-            if let Some(base) = baseline.and_then(|b| b.get(pe)) {
-                let du = now.ops.saturating_sub(base.ops);
-                let ds = now.spins.saturating_sub(base.spins);
-                let _ = write!(out, " (+{du} useful / +{ds} spins in window)");
-                // A descheduled context is runnable but waiting for a
-                // worker slot (coop M:N engine) — spinning without
-                // useful work is expected there, not a livelock sign.
-                if du == 0 && ds > 0 && !matches!(probe.blocked(), BlockedOn::Descheduled) {
-                    suspects.push(format!("PE {pe} ({})", probe.blocked()));
-                }
-            }
-            let _ = write!(out, " | queue occupancy {occ:?}");
-            let stash = probe.stash();
-            if stash.is_empty() {
-                let _ = write!(out, " | stash empty");
-            } else {
-                let _ = write!(out, " | stash ");
-                for (i, (tag, src)) in stash.iter().enumerate() {
-                    let sep = if i == 0 { "" } else { ", " };
-                    let _ = write!(out, "{sep}(tag {tag:#x} from PE {src})");
-                }
-                let hidden = probe.stash_total().saturating_sub(stash.len());
-                if hidden > 0 {
-                    let _ = write!(out, " (+{hidden} more)");
-                }
-            }
-            match last_ev {
-                Some(e) => {
-                    let _ = writeln!(
-                        out,
-                        " | last event {} @{:.0}ns",
-                        e.kind.name(),
-                        e.start.ns_f64()
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, " | no events recorded");
-                }
-            }
-            // The PE's interrupt-service thread, attributed separately.
-            let svc = &w.shared.service_probes[pe];
-            let snow = snapshot(svc);
-            let _ = write!(
-                out,
-                "  PE {pe} svc: {} | useful={} spins={}",
-                svc.blocked(),
-                snow.ops,
-                snow.spins
-            );
-            if let Some(base) = baseline.and_then(|b| b.get(npes + pe)) {
-                let du = snow.ops.saturating_sub(base.ops);
-                let ds = snow.spins.saturating_sub(base.spins);
-                let _ = write!(out, " (+{du} useful / +{ds} spins in window)");
-                if du == 0 && ds > 0 && !matches!(svc.blocked(), BlockedOn::Descheduled) {
-                    suspects.push(format!("PE {pe} svc ({})", svc.blocked()));
-                }
-            }
-            let _ = writeln!(out);
-        }
-        if !suspects.is_empty() {
-            let _ = writeln!(
-                out,
-                "livelock suspects (spinning, no useful work in window): {}",
-                suspects.join(", ")
-            );
-        }
-        if let Some(faults) = &w.shared.faults {
-            let _ = writeln!(out, "active {}", faults.describe());
-        }
-        out
-    }
-}
-
-/// Deadlock watchdog for both cooperative engines (timed and
-/// multichip).
-///
-/// Hand one to the launcher as
-/// [`WatchPlane::Virtual`](crate::WatchPlane::Virtual). Under virtual time a
-/// wedged job does not stall a wall clock — the desim scheduler itself
-/// detects the moment no LP can ever run again — so this watch
-/// implements [`desim::coop::CoopObserver`]: when the scheduler's
-/// deadlock detector fires, it renders the same per-PE diagnosis as the
-/// native [`JobWatch`] (blocked state, useful/spin counters, modeled
-/// queue occupancy, virtual clocks; on a multi-chip job each PE is also
-/// labeled with its chip) and stores it for the launch wrapper to
-/// return as an error instead of a raw panic.
-#[derive(Default)]
-pub struct TimedWatch {
-    core: Mutex<Option<Arc<CoopCore>>>,
+/// Under virtual time a wedged job does not stall a wall clock — the
+/// desim scheduler itself detects the moment no LP can ever run again —
+/// so this implements [`desim::coop::CoopObserver`]: when the
+/// scheduler's deadlock detector fires, it renders the same per-PE
+/// diagnosis as the wall-clock supervisor (blocked state, useful/spin
+/// counters, modeled queue occupancy, virtual clocks; on a multi-chip
+/// job a map of the PEs to their chips) and keeps it for the launch to
+/// unwind with as [`Stalled`] instead of a raw panic.
+pub(crate) struct TimedWatch {
+    core: Arc<CoopCore>,
     report: Mutex<Option<String>>,
 }
 
 impl TimedWatch {
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new(core: Arc<CoopCore>) -> Arc<Self> {
+        Arc::new(Self { core, report: Mutex::new(None) })
     }
 
-    pub(crate) fn attach(&self, core: Arc<CoopCore>) {
-        *self.core.lock() = Some(core);
-    }
-
-    /// The stored deadlock diagnosis, once the observer has fired.
-    pub fn stall_report(&self) -> Option<String> {
-        self.report.lock().clone()
-    }
-
-    /// The attached job's live trace sink, when it runs traced.
-    pub fn trace_sink(&self) -> Option<Arc<crate::trace::TraceSink>> {
-        self.core.lock().as_ref()?.trace.clone()
+    /// The stall the observer diagnosed, if it fired.
+    pub(crate) fn stalled(&self) -> Option<Stalled> {
+        self.report.lock().take().map(Stalled)
     }
 
     fn render(&self, lps: &[desim::coop::LpStall]) -> String {
         use std::fmt::Write as _;
-        let guard = self.core.lock();
-        let Some(core) = guard.as_ref() else {
-            return "timed watchdog: job not attached yet".to_string();
-        };
+        let core = &self.core;
         let npes = core.npes;
         let mut out = String::new();
         let _ = writeln!(
@@ -359,21 +352,17 @@ impl TimedWatch {
         );
         let _ = writeln!(out, "per-PE stall diagnosis ({npes} PEs):");
         for pe in 0..npes {
-            let chip = match core.chip_of(pe) {
-                Some(c) => format!(" (chip {c})"),
-                None => String::new(),
-            };
             for (lp, label) in [(pe, ""), (npes + pe, " svc")] {
                 let probe = &core.probes[lp];
                 let now = snapshot(probe);
                 let occ = core.queue_occupancy(lp);
                 let _ = write!(
                     out,
-                    "  PE {pe}{chip}{label}: {} | useful={} spins={} | queue occupancy {:?}",
+                    "  PE {pe}{label}: {} | useful={} spins={} | queue occupancy {:?}",
                     probe.blocked(),
                     now.ops,
                     now.spins,
-                    occ.to_vec()
+                    occ
                 );
                 match lps.get(lp) {
                     Some(s) if s.done => {
@@ -392,6 +381,14 @@ impl TimedWatch {
                 }
             }
         }
+        // The per-PE lines read alike on every engine; a multichip job
+        // maps its PEs to their chips here.
+        if core.chips > 1 {
+            let map: Vec<String> = (0..npes)
+                .filter_map(|pe| core.chip_of(pe).map(|chip| format!("PE {pe} (chip {chip})")))
+                .collect();
+            let _ = writeln!(out, "chips: {}", map.join(", "));
+        }
         if let Some(faults) = &core.faults {
             let _ = writeln!(out, "active {}", faults.describe());
         }
@@ -404,5 +401,70 @@ impl desim::coop::CoopObserver for TimedWatch {
         let report = self.render(lps);
         *self.report.lock() = Some(report.clone());
         Some(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prelude::*;
+
+    #[test]
+    fn descheduled_pes_do_not_count_as_frozen() {
+        // Pre-fix, a parked-but-runnable coop PE (zero deltas, queued
+        // for a worker slot) forced the frozen path and misreported
+        // oversubscribed livelocks as deadlocks.
+        let oversubscribed = [(0, 5, false), (0, 0, true), (0, 0, true)];
+        assert!(classify_stall(oversubscribed).starts_with("livelock"));
+        let really_frozen = [(0, 5, false), (0, 0, false)];
+        assert!(classify_stall(really_frozen).starts_with("deadlock (at least one PE frozen"));
+        let silent = [(0, 0, true), (0, 0, true)];
+        assert!(classify_stall(silent).starts_with("deadlock (no useful work"));
+    }
+
+    #[test]
+    fn stall_window_scales_with_oversubscription_and_caps() {
+        let base = Duration::from_secs(2);
+        assert_eq!(scaled_stall(base, 0), base);
+        assert_eq!(scaled_stall(base, 1), base);
+        assert_eq!(scaled_stall(base, 8), base * 8);
+        assert_eq!(scaled_stall(base, 128), base * 64);
+    }
+
+    /// The window a supervised coop launch is judged by: 2 · 8 contexts
+    /// on 2 workers make it eight stall periods long.
+    #[test]
+    fn a_coop_launch_is_supervised_over_its_scaled_window() {
+        let cfg = RuntimeConfig::new(8).with_partition_bytes(1 << 20);
+        let watch = Arc::new(JobWatch::new());
+        let out = attached(watch.clone(), || {
+            Launcher::new(&cfg, CoopBackend { workers: 2, ..Default::default() }).run(|ctx| {
+                ctx.barrier_all();
+                ctx.my_pe()
+            })
+        })
+        .expect("a clean launch");
+        assert_eq!(out.values, (0..8).collect::<Vec<_>>());
+        let shared = watch.get().expect("the launch body attached its state");
+        assert_eq!(shared.oversubscription, 8);
+        assert_eq!(scaled_stall(Duration::from_secs(1), shared.oversubscription), Duration::from_secs(8));
+        assert!(probes(shared).map(|p| p.ops()).sum::<u64>() > 0);
+        assert!(take_watch().is_none(), "the launch took the watch");
+    }
+
+    /// A launch that never attaches is reported, not polled forever.
+    #[test]
+    fn a_launch_that_never_attaches_fails_loudly() {
+        let (tx, rx) = channel::bounded::<()>(1);
+        let resident = Resident::for_one_launch();
+        let supervised = catch_unwind(AssertUnwindSafe(|| {
+            supervise(&resident, Duration::from_millis(10), move || {
+                let _ = rx.recv();
+            })
+        }));
+        drop(tx);
+        let payload = supervised.expect_err("the supervisor gave up on the launch");
+        let message = crate::engine::wall::panic_text(&*payload).unwrap_or_default();
+        assert!(message.contains("never attached"), "{message}");
     }
 }

@@ -1,5 +1,6 @@
 //! A panicking PE must abort the whole job (with the original panic
-//! surfacing) rather than leaving peers blocked in protocol waits.
+//! surfacing) rather than leaving peers blocked in protocol waits, and
+//! a wedged job must fail its supervised launch alike on every engine.
 
 use tshmem::prelude::*;
 use tshmem::EngineBackend;
@@ -34,6 +35,52 @@ fn abort_message<B: EngineBackend>(
 fn aborts_alike(npes: usize, message: &str, body: impl Fn(&ShmemCtx) + Send + Sync) {
     assert_eq!(abort_message(NativeBackend, npes, &body), message, "native");
     assert_eq!(abort_message(coop(2), npes, &body), message, "coop");
+}
+
+/// The wedge: PE 0 joins a barrier no other PE runs, and the others
+/// finalize without it.
+fn barrier_for_one(ctx: &ShmemCtx) {
+    ctx.barrier_all();
+    if ctx.my_pe() == 0 {
+        ctx.barrier_dissemination_explicit(ctx.world());
+    }
+}
+
+/// The report `barrier_for_one` ends in, supervised on `backend` with
+/// `per_chip` PEs per chip and a plan aboard.
+fn wedge_report<B: EngineBackend + Send + 'static>(backend: B, per_chip: usize) -> String {
+    Launcher::new(&cfg(per_chip), backend)
+        .with_faults([tshmem::Fault::EagerNbi])
+        .run_watched(std::time::Duration::from_millis(200), barrier_for_one)
+        .expect_err("a barrier one PE runs alone must wedge the launch")
+}
+
+/// Supervision is the launcher's, not the engine's: on the two wall
+/// clocks the supervisor's poll and on the two virtual ones the
+/// scheduler's drained queue end the same wedge in the same report.
+#[test]
+fn a_wedge_fails_alike_on_every_engine() {
+    let reports = [
+        ("native", wedge_report(NativeBackend, 4)),
+        ("coop", wedge_report(coop(2), 4)),
+        ("timed", wedge_report(TimedBackend, 4)),
+        ("multichip", wedge_report(MultiChipBackend { chips: 2 }, 2)),
+    ];
+    for (engine, report) in &reports {
+        assert!(report.contains("per-PE stall diagnosis (4 PEs)"), "{engine}: no diagnosis in:\n{report}");
+        assert!(report.contains("PE 0: recv(q0)"), "{engine}: PE 0 not parked in its barrier:\n{report}");
+        assert!(report.contains("active fault plan seed 0x0: [EagerNbi]"), "{engine}: plan not named in:\n{report}");
+    }
+    for (engine, report) in &reports[..2] {
+        assert!(report.contains("classification: deadlock"), "{engine}: not classified deadlock:\n{report}");
+    }
+}
+
+/// Unwatched, a virtual-time wedge unwinds with its report as a string.
+#[test]
+fn an_unwatched_virtual_time_wedge_unwinds_with_its_report() {
+    let message = abort_message(TimedBackend, 4, &barrier_for_one);
+    assert!(message.contains("PE 0: recv(q0)"), "PE 0 not parked in its barrier:\n{message}");
 }
 
 #[test]

@@ -3,7 +3,6 @@
 //! host's core count.
 
 use tshmem::prelude::*;
-use tshmem::JobWatch;
 
 fn coop(workers: usize) -> CoopBackend {
     CoopBackend { workers, ..Default::default() }
@@ -56,19 +55,6 @@ fn coop_bounded_udn_and_trace() {
     let native = launch(&cfg, deposit_and_sum);
     let coop = Launcher::new(&cfg, coop(2)).run(deposit_and_sum).values;
     assert_eq!(coop, native);
-}
-
-#[test]
-fn coop_watch_reports_oversubscription() {
-    let cfg = RuntimeConfig::new(8).with_partition_bytes(1 << 20);
-    let watch = JobWatch::new();
-    assert_eq!(watch.oversubscription(), 1, "unattached watch defaults to 1");
-    let out = Launcher::new(&cfg, coop(2)).with_watch(WatchPlane::Wall(&watch)).run(deposit_and_sum).values;
-    assert_eq!(out, vec![36; 8]);
-    assert!(watch.attached());
-    // 2 * 8 contexts over 2 workers.
-    assert_eq!(watch.oversubscription(), 8);
-    assert!(watch.total_ops() > 0);
 }
 
 #[test]
@@ -185,9 +171,9 @@ fn selection_is_pinned_by_exact_send_counts() {
         "32/4 fcollect"
     );
 
-    // One PE per worker: nobody shares a worker with its leader, so the
-    // default stays the ring's 2n.
-    assert_eq!(sends_per_call(&cfg(8), || coop(8), barrier_all), 16, "8/8 barrier_all");
+    // One PE per worker: every PE leads a cluster of one, and the eight
+    // leaders meet on the root cell — no token there either.
+    assert_eq!(sends_per_call(&cfg(8), || coop(8), barrier_all), 0, "8/8 barrier_all");
 
     // An algorithm asked for by name is what runs: n·⌈log₂ n⌉.
     let dissem = Algorithms { barrier: BarrierAlgo::Dissemination, ..Default::default() };

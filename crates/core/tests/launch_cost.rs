@@ -2,8 +2,8 @@
 //! started by the first request addressed to them, so the threads a
 //! launch spawns are its PEs plus the PEs that were ever the target of a
 //! redirected (static-variable) transfer — an exact count under a fixed
-//! program, on both admission policies. Its teardown sends no token walk
-//! where the PEs share workers.
+//! program, on both admission policies. Its teardown on the coop engine
+//! sends no token walk.
 
 use tshmem::prelude::*;
 use tshmem::trace::TraceKind;
@@ -89,11 +89,11 @@ fn concurrent_first_requests_start_each_service_context_once() {
 
 /// `finalize` synchronises on the default barrier's transport. A no-op
 /// launch sends one `TAG_SHUTDOWN` per PE (traced even though no service
-/// context started to receive it) plus whatever that barrier sends:
-/// where PEs share a worker it is the counter-cell pass, silent inside a
-/// shard and across shards alike (the leaders meet on a root cell),
-/// where the ring walked 2n tokens (8 PEs: 24 sends on one worker and on
-/// two); with one PE per worker it is still the ring.
+/// context started to receive it) plus whatever that barrier sends: on
+/// the coop engine it is the counter-cell pass at every PEs-per-worker
+/// geometry, silent inside a shard and across shards alike (the leaders
+/// meet on a root cell), where the ring walks 2n tokens (8 PEs: 24
+/// sends in all).
 #[test]
 fn finalize_takes_the_cell_pass_where_pes_share_a_worker() {
     let sends = |npes, workers| {
@@ -103,7 +103,7 @@ fn finalize_takes_the_cell_pass_where_pes_share_a_worker() {
     };
     assert_eq!(sends(8, 1), 8, "one shard: the shutdowns alone");
     assert_eq!(sends(8, 2), 8, "two shards: the shutdowns alone");
-    assert_eq!(sends(8, 8), 8 + 2 * 8, "one PE per worker: and the ring");
+    assert_eq!(sends(8, 8), 8, "one PE per worker: the shutdowns alone");
 }
 
 /// One redirected get on the native engine interrupts one tile.

@@ -3,7 +3,6 @@
 
 use tshmem::prelude::*;
 use tshmem::types::ReduceOp;
-use tshmem::TimedWatch;
 
 fn cfg(pes_per_chip: usize) -> RuntimeConfig {
     RuntimeConfig::new(pes_per_chip)
@@ -187,19 +186,15 @@ fn multichip_records_a_trace_with_link_events() {
         .all(|e| e.peer < 2 && e.bytes > 0));
 }
 
-/// Two chips of `per_chip` PEs under the drained-queue watchdog.
-fn two_chips_watched(
-    per_chip: usize,
-    watch: &std::sync::Arc<TimedWatch>,
-) -> Launcher<'static, MultiChipBackend> {
+/// Two chips of `per_chip` PEs. Their `run_watched` is the drained-queue
+/// watchdog, which needs no stall window.
+fn two_chips(per_chip: usize) -> Launcher<MultiChipBackend> {
     Launcher::new(&cfg(per_chip), MultiChipBackend { chips: 2 })
-        .with_watch(WatchPlane::Virtual(watch.clone()))
 }
 
 #[test]
 fn multichip_watched_completes_clean_jobs() {
-    let watch = std::sync::Arc::new(TimedWatch::new());
-    let out = two_chips_watched(2, &watch).run_watched(|ctx| {
+    let out = two_chips(2).run_watched(std::time::Duration::ZERO, |ctx| {
         let v = ctx.shmalloc::<i64>(8);
         ctx.local_write(&v, 0, &[ctx.my_pe() as i64; 8]);
         ctx.barrier_all();
@@ -207,7 +202,6 @@ fn multichip_watched_completes_clean_jobs() {
     })
     .expect("clean job must not trip the watchdog");
     assert_eq!(out.values.len(), 4);
-    assert!(watch.stall_report().is_none());
 }
 
 #[test]
@@ -215,8 +209,7 @@ fn multichip_watched_diagnoses_mismatched_barrier() {
     // PE 3 (on chip 1) skips the second barrier: the job can never
     // finish, the coop scheduler's drained-queue detector fires, and
     // the report labels each PE with its chip.
-    let watch = std::sync::Arc::new(TimedWatch::new());
-    let err = match two_chips_watched(2, &watch).run_watched(|ctx| {
+    let err = match two_chips(2).run_watched(std::time::Duration::ZERO, |ctx| {
         ctx.barrier_all();
         if ctx.my_pe() != 3 {
             ctx.barrier_all(); // PE 3 bails out instead

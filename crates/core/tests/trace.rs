@@ -90,23 +90,3 @@ fn disabled_trace_costs_nothing_and_returns_none() {
         traced.clocks.iter().map(|c| c.ps()).collect::<Vec<_>>()
     );
 }
-
-#[test]
-fn service_contexts_trace_into_their_own_lanes() {
-    // A put to a static symbol is served by the target's interrupt-
-    // service context (LP `npes + pe`), so its Copy/Wait/UdnSend events
-    // need a lane of their own: a sink sized `npes` sent every one of
-    // them through the overflow mutex.
-    let watch = std::sync::Arc::new(tshmem::TimedWatch::new());
-    let live = watch.clone();
-    let out = Launcher::new(&cfg(4), TimedBackend)
-        .with_watch(WatchPlane::Virtual(watch))
-        .run(move |ctx| {
-            let s = ctx.static_sym::<u64>(64);
-            ctx.put(&s, 0, &[ctx.my_pe() as u64; 64], (ctx.my_pe() + 1) % ctx.n_pes());
-            ctx.barrier_all();
-            live.trace_sink().expect("traced job attached").overflow_len()
-        });
-    assert_eq!(out.values, vec![0; 4], "events that took the overflow path, per PE");
-    assert!(out.trace.unwrap().iter().any(|e| e.kind == TraceKind::Copy));
-}

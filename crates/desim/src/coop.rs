@@ -530,7 +530,8 @@ where
 /// [`run`] with a deadlock observer: when the simulation deadlocks,
 /// `observer.on_deadlock` is invoked once with a per-LP stall snapshot
 /// and any text it returns is appended to the poison/panic message —
-/// the hook a `TimedWatch` uses to render a per-PE diagnosis.
+/// the hook the virtual-time engines' drained-queue observer uses to
+/// render a per-PE diagnosis.
 pub fn run_observed<M, R, F>(
     n: usize,
     channels: usize,

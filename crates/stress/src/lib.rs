@@ -9,11 +9,10 @@
 //! queue depth and checks the final heap/private state against a
 //! sequentially-computed oracle ([`oracle::oracle`]).
 //!
-//! [`run::run_watched`] adds a wall-clock progress watchdog: when the
-//! fabric op counter stops moving, it dumps a per-PE diagnosis (which
-//! queue each PE is blocked on, queue occupancy, protocol stash
-//! contents, last trace event) plus the reproducing seed, then aborts
-//! the job.
+//! [`run::run`] makes that launch supervised on any engine: when the
+//! job wedges, it returns the engine's per-PE diagnosis (which queue
+//! each PE is blocked on, queue occupancy, protocol stash contents,
+//! last trace event) plus the reproducing seed, and the job is aborted.
 //!
 //! Failing programs shrink through `substrate::proptest_mini`
 //! ([`program::ProgramStrategy`]); `cargo run -p stress -- --seed N`
@@ -26,9 +25,5 @@ pub mod serve;
 
 pub use oracle::{oracle, Model};
 pub use program::{gen_program, AuxOp, Draw, Program, ProgramStrategy, RngDraw};
-pub use run::{
-    build_cfg, classify_stall, resolve_coop_workers, run_coop, run_multichip, run_multichip_mode,
-    run_on_ctx, run_plain, run_timed, run_timed_mode, run_watched, scaled_stall, watch_closure,
-    watch_closure_coop, Outcome,
-};
+pub use run::{build_cfg, resolve_coop_workers, run, run_on_ctx, watch_closure, Engine, Outcome};
 pub use serve::{serve, Sched, ServeOpts, ServeSummary};

@@ -9,9 +9,10 @@
 //! ```
 //!
 //! `--depth 0` (default) means unbounded queues. `--engine timed` runs
-//! the same program on the virtual-time engine under its desim deadlock
-//! watchdog. `--fault-plan S` hands the launch the seeded fault plan
-//! `S` (replayable: the same seed draws the same faults). `--canary`
+//! the same program on the virtual-time engine, where the desim
+//! scheduler's drained queue is the watchdog. `--fault-plan S` hands the
+//! launch the seeded fault plan `S` (replayable: the same seed draws the
+//! same faults). `--canary`
 //! adds `Fault::BlockingProtocolSends` to it — the plain blocking
 //! protocol sends behind the dissemination-barrier deadlock — so
 //! watchdog reports can be reproduced on demand.
@@ -20,19 +21,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use stress::program::{gen_program, RngDraw};
-use stress::run::{
-    resolve_coop_workers, run_coop, run_multichip_mode, run_timed_mode, run_watched, Outcome,
-};
+use stress::run::{resolve_coop_workers, run, Engine, Outcome};
 use tshmem::{Fault, FaultPlan, TimedMode};
 use stress::serve::{serve, Sched, ServeOpts};
-
-#[derive(PartialEq)]
-enum Engine {
-    Native,
-    Timed,
-    Multichip,
-    Coop,
-}
 
 struct Args {
     seed: u64,
@@ -41,10 +32,8 @@ struct Args {
     depth: Option<usize>,
     stall_secs: u64,
     engine: Engine,
-    cycle_box: bool,
     fault_plan: Option<u64>,
     canary: bool,
-    workers: usize,
     serve: Option<ServeOpts>,
 }
 
@@ -68,12 +57,14 @@ fn parse_args() -> Args {
         depth: None,
         stall_secs: 5,
         engine: Engine::Native,
-        cycle_box: false,
         fault_plan: None,
         canary: false,
-        workers: 0,
         serve: None,
     };
+    // `--workers` and `--cycle-box` refine whichever `--engine` is given,
+    // in any order; the engine is assembled once parsing is done.
+    let mut workers = 0;
+    let mut cycle_box = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = || {
@@ -88,7 +79,7 @@ fn parse_args() -> Args {
             // `--npes` is the alias the scaling docs use; both spellings
             // set the same field.
             "--pes" | "--npes" => args.pes = parse_num(&val()) as usize,
-            "--workers" => args.workers = parse_num(&val()) as usize,
+            "--workers" => workers = parse_num(&val()) as usize,
             "--depth" => {
                 let d = parse_num(&val()) as usize;
                 args.depth = (d > 0).then_some(d);
@@ -97,16 +88,16 @@ fn parse_args() -> Args {
             "--engine" => {
                 args.engine = match val().as_str() {
                     "native" => Engine::Native,
-                    "timed" => Engine::Timed,
-                    "multichip" => Engine::Multichip,
-                    "coop" => Engine::Coop,
+                    "timed" => Engine::Timed(TimedMode::EventDriven),
+                    "multichip" => Engine::Multichip(TimedMode::EventDriven),
+                    "coop" => Engine::Coop { workers: 0 },
                     other => {
                         eprintln!("unknown engine: {other} (native|timed|multichip|coop)");
                         std::process::exit(2);
                     }
                 }
             }
-            "--cycle-box" => args.cycle_box = true,
+            "--cycle-box" => cycle_box = true,
             "--fault-plan" => args.fault_plan = Some(parse_num(&val())),
             "--canary" => args.canary = true,
             "--serve" => {
@@ -186,11 +177,16 @@ fn parse_args() -> Args {
     // drawing runs. The multichip engine splits the job across
     // exactly 2 simulated chips with npes/2 PEs on each, so an odd PE
     // count cannot be laid out.
-    if args.cycle_box && !matches!(args.engine, Engine::Timed | Engine::Multichip) {
-        eprintln!("--cycle-box selects a virtual-time scheduling discipline; it needs --engine timed or --engine multichip");
-        std::process::exit(2);
+    if cycle_box {
+        match &mut args.engine {
+            Engine::Timed(mode) | Engine::Multichip(mode) => *mode = TimedMode::cycle_box(),
+            _ => {
+                eprintln!("--cycle-box selects a virtual-time scheduling discipline; it needs --engine timed or --engine multichip");
+                std::process::exit(2);
+            }
+        }
     }
-    if args.engine == Engine::Multichip && !args.pes.is_multiple_of(2) {
+    if matches!(args.engine, Engine::Multichip(_)) && !args.pes.is_multiple_of(2) {
         eprintln!(
             "--engine multichip splits the PE count evenly across 2 chips; \
              --pes {} is odd — pick an even PE count",
@@ -204,13 +200,14 @@ fn parse_args() -> Args {
     // the auto-size here, at parse time, with the same rule the backend
     // applies (host parallelism, at least 2, at most one worker per
     // PE), announce it, and bake the concrete M into the hint.
-    if args.engine == Engine::Coop && args.workers == 0 {
-        args.workers = resolve_coop_workers(0, args.pes);
-        eprintln!(
-            "--workers not given (or 0): auto-sized the coop worker pool to {} \
-             from host parallelism; pass --workers M to pin it",
-            args.workers
-        );
+    if let Engine::Coop { workers: w } = &mut args.engine {
+        *w = resolve_coop_workers(workers, args.pes);
+        if workers == 0 {
+            eprintln!(
+                "--workers not given (or 0): auto-sized the coop worker pool to {w} \
+                 from host parallelism; pass --workers M to pin it"
+            );
+        }
     }
     args
 }
@@ -253,7 +250,7 @@ fn main() -> ExitCode {
     // (stall windows scale with oversubscription), so the seed line
     // carries it whenever the coop engine runs.
     let workers = match args.engine {
-        Engine::Coop => format!(" workers={}", args.workers),
+        Engine::Coop { workers } => format!(" workers={workers}"),
         _ => String::new(),
     };
     eprintln!(
@@ -280,12 +277,12 @@ fn main() -> ExitCode {
         // The scheduling discipline is part of the replay identity: the
         // two modes reach the same final state along different
         // schedules, so the hint must pin the one that failed.
-        let cb = if args.cycle_box { " --cycle-box" } else { "" };
+        let cb = |mode| if mode == TimedMode::EventDriven { "" } else { " --cycle-box" };
         let engine = match args.engine {
             Engine::Native => String::new(),
-            Engine::Timed => format!(" --engine timed{cb}"),
-            Engine::Multichip => format!(" --engine multichip{cb}"),
-            Engine::Coop => format!(" --engine coop --workers {}", args.workers),
+            Engine::Timed(mode) => format!(" --engine timed{}", cb(mode)),
+            Engine::Multichip(mode) => format!(" --engine multichip{}", cb(mode)),
+            Engine::Coop { workers } => format!(" --engine coop --workers {workers}"),
         };
         let fp = match args.fault_plan {
             Some(s) => format!(" --fault-plan {s:#x}"),
@@ -296,19 +293,10 @@ fn main() -> ExitCode {
             args.seed, args.case, args.pes, depth
         )
     };
-    let timed_mode = if args.cycle_box {
-        TimedMode::cycle_box()
-    } else {
-        TimedMode::EventDriven
-    };
-    let (faults, stall) = (plan.as_ref(), Duration::from_secs(args.stall_secs));
-    let outcome = match args.engine {
-        Engine::Native => run_watched(&prog, args.depth, faults, stall, &hint),
-        Engine::Timed => run_timed_mode(&prog, args.depth, faults, timed_mode, &hint),
-        // Odd PE counts were rejected in parse_args, before anything ran.
-        Engine::Multichip => run_multichip_mode(&prog, args.depth, faults, timed_mode, &hint),
-        Engine::Coop => run_coop(&prog, args.depth, faults, args.workers, stall, &hint),
-    };
+    // Odd multichip PE counts were rejected in parse_args, before
+    // anything ran.
+    let stall = Duration::from_secs(args.stall_secs);
+    let outcome = run(&prog, args.depth, plan.as_ref(), &args.engine, stall, &hint);
     match outcome {
         Outcome::Completed => {
             println!("completed: final state matched the sequential oracle on every PE");

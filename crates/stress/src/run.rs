@@ -1,26 +1,23 @@
-//! Program execution, oracle verification, and the stall watchdog.
+//! Program execution, oracle verification, and supervised launches.
 //!
 //! [`run_on_ctx`] executes a [`Program`] on one PE and asserts its view
-//! of the final state against [`crate::oracle::oracle`]. [`run_watched`]
-//! wraps a launch in a wall-clock watchdog: the job runs on a detached
-//! thread with a [`JobWatch`] attached, the watchdog polls the
-//! fabric progress counter, and if it stops moving for the stall window
-//! the watchdog captures a per-PE diagnosis (blocked state, queue
-//! occupancy, stash, last trace event, the launch's fault plan), aborts
-//! the job, and returns [`Outcome::Stalled`] with the report and a
-//! replay hint.
+//! of the final state against [`crate::oracle::oracle`]. [`run`] makes
+//! one supervised launch of a program on any [`Engine`]
+//! ([`Launcher::run_watched`]), and [`watch_closure`] one of a
+//! hand-built closure: a launch that wedges comes back as
+//! [`Outcome::Stalled`] with the engine's per-PE stall report (blocked
+//! state, queue occupancy, stash, last trace event, the launch's fault
+//! plan) and a replay hint appended.
 //!
 //! Every runner takes the fault plan of the one launch it makes
 //! (`None` for a clean run), so runs with different plans may share a
 //! process and run side by side.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use substrate::channel::{self, RecvTimeoutError};
 use tshmem::prelude::*;
-use tshmem::{BlockedOn, EngineBackend, FaultPlan, JobWatch, TimedMode, TimedWatch};
+use tshmem::{EngineBackend, FaultPlan, TimedMode};
 
 use crate::oracle::{oracle, Model};
 use crate::program::{
@@ -28,9 +25,9 @@ use crate::program::{
     Step, TeamKind, CHAIN_W, COLL_L, NCTRS, NSIG, SLOTS_PER_PE, STAT_SLOTS_PER_PE,
 };
 
-/// Result of a watched run. Verification failures (oracle mismatches,
-/// internal asserts) propagate as panics so `pt::check` can shrink them;
-/// only watchdog-detected stalls are reified.
+/// Result of a supervised run. Verification failures (oracle
+/// mismatches, internal asserts) propagate as panics so `pt::check` can
+/// shrink them; only detected stalls are reified.
 #[derive(Debug)]
 pub enum Outcome {
     Completed,
@@ -490,43 +487,72 @@ pub fn run_on_ctx_shared(prog: &Program, ctx: &ShmemCtx, shared_model: &OnceLock
     ctx.barrier_all();
 }
 
-/// Run `prog` without a watchdog (panics surface directly).
-pub fn run_plain(prog: &Program, depth: Option<usize>) {
-    let cfg = build_cfg(prog, depth);
-    let cell = OnceLock::new();
-    tshmem::launch(&cfg, |ctx| run_on_ctx_shared(prog, ctx, &cell));
+/// The engine a stress launch runs on — the replay CLI's `--engine`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    Native,
+    /// The coop M:N engine on this many workers (`0` = sized from the
+    /// host; see [`resolve_coop_workers`]).
+    Coop { workers: usize },
+    /// The timed engine under this scheduling discipline.
+    Timed(TimedMode),
+    /// Two simulated chips joined by an mPIPE link, under this
+    /// scheduling discipline.
+    Multichip(TimedMode),
 }
 
-/// How often the watchdog samples the progress counter.
-const POLL: Duration = Duration::from_millis(50);
-
-/// Run `prog` under the stall watchdog, with fault plan `faults`.
+/// Run `prog` supervised on `engine` under fault plan `faults`.
 ///
-/// `stall` is the wall-clock window with zero *useful* fabric progress
-/// (spin retries do not count) after which the job is declared wedged.
-/// `replay_hint` is appended to the stall report so the failure names
-/// its own reproducer.
-pub fn run_watched(
+/// On the wall-clock engines `stall` is the window with zero *useful*
+/// fabric progress (spin retries do not count) after which the job is
+/// declared wedged, scaled by the launch's oversubscription; the
+/// virtual-time engines report the instant their event queue drains
+/// and ignore it. `replay_hint` is appended to the stall report so the
+/// failure names its own reproducer.
+///
+/// On [`Engine::Multichip`] half the PEs run on each chip, so
+/// `prog.npes` must be even, and a drawn `TmcSpin` barrier is remapped
+/// to `Dissemination` (with a note on stderr): the TMC spin barrier is
+/// a single-chip hardware primitive and the multichip backend rejects
+/// it.
+pub fn run(
     prog: &Program,
     depth: Option<usize>,
     faults: Option<&FaultPlan>,
+    engine: &Engine,
     stall: Duration,
     replay_hint: &str,
 ) -> Outcome {
+    let mut cfg = build_cfg(prog, depth);
+    if let Engine::Multichip(_) = engine {
+        assert!(
+            prog.npes.is_multiple_of(2),
+            "multichip stress runs split PEs across 2 chips; need an even PE count (got {})",
+            prog.npes
+        );
+        // MultiChipBackend interprets cfg.npes as PEs *per chip*.
+        cfg.npes = prog.npes / 2;
+        if cfg.algos.barrier == BarrierAlgo::TmcSpin {
+            eprintln!(
+                "note: program drew the TmcSpin barrier, which cannot span chips; \
+                 running with Dissemination instead"
+            );
+            cfg.algos.barrier = BarrierAlgo::Dissemination;
+        }
+    }
     let prog = Arc::new(prog.clone());
-    let cfg = build_cfg(&prog, depth);
-    let p = Arc::clone(&prog);
     let cell = OnceLock::new();
-    watch_wall(cfg, None, faults, stall, format!("replay: {replay_hint}\n"), move |ctx| {
-        run_on_ctx_shared(&p, ctx, &cell)
-    })
+    let trailer = format!("replay: {replay_hint}\n");
+    launch(&cfg, engine, faults, stall, trailer, move |ctx| run_on_ctx_shared(&prog, ctx, &cell))
 }
 
-/// Run an arbitrary per-PE closure under the same native stall
-/// watchdog as [`run_watched`] — for hand-built liveness canaries that
-/// are not expressible as a [`Program`].
+/// Run an arbitrary per-PE closure supervised on `engine`, as [`run`]
+/// runs a program — for hand-built liveness canaries that are not
+/// expressible as a [`Program`]. `cfg` goes to the backend as given:
+/// on [`Engine::Multichip`] its `npes` is per chip.
 pub fn watch_closure<F>(
     cfg: &RuntimeConfig,
+    engine: &Engine,
     faults: Option<&FaultPlan>,
     stall: Duration,
     label: &str,
@@ -535,143 +561,37 @@ pub fn watch_closure<F>(
 where
     F: Fn(&ShmemCtx) + Send + Sync + 'static,
 {
-    watch_wall(*cfg, None, faults, stall, format!("scenario: {label}\n"), f)
+    launch(cfg, engine, faults, stall, format!("scenario: {label}\n"), f)
 }
 
-/// Run `prog` on the **coop** M:N engine under the wall-clock watchdog,
-/// with the stall window scaled by the oversubscription factor (see
-/// [`scaled_stall`]). `workers == 0` lets the backend size the pool
-/// from the host.
-pub fn run_coop(
-    prog: &Program,
-    depth: Option<usize>,
-    faults: Option<&FaultPlan>,
-    workers: usize,
-    stall: Duration,
-    replay_hint: &str,
-) -> Outcome {
-    let prog = Arc::new(prog.clone());
-    let cfg = build_cfg(&prog, depth);
-    let p = Arc::clone(&prog);
-    let cell = OnceLock::new();
-    watch_wall(cfg, Some(workers), faults, stall, format!("replay: {replay_hint}\n"), move |ctx| {
-        run_on_ctx_shared(&p, ctx, &cell)
-    })
-}
-
-/// Coop variant of [`watch_closure`], for oversubscription liveness
-/// canaries.
-pub fn watch_closure_coop<F>(
-    cfg: &RuntimeConfig,
-    faults: Option<&FaultPlan>,
-    workers: usize,
-    stall: Duration,
-    label: &str,
-    f: F,
-) -> Outcome
+/// The one supervised launch behind [`run`] and [`watch_closure`].
+fn launch<F>(cfg: &RuntimeConfig, engine: &Engine, faults: Option<&FaultPlan>, stall: Duration, trailer: String, f: F) -> Outcome
 where
     F: Fn(&ShmemCtx) + Send + Sync + 'static,
 {
-    watch_wall(*cfg, Some(workers), faults, stall, format!("scenario: {label}\n"), f)
-}
-
-/// Run `prog` on the **timed** engine under its deadlock watchdog.
-///
-/// There is no wall-clock stall window: the desim scheduler detects the
-/// instant the virtual event queue drains with LPs still parked, and
-/// the attached [`TimedWatch`] renders the per-PE diagnosis. Oracle
-/// mismatches still propagate as panics.
-pub fn run_timed(
-    prog: &Program,
-    depth: Option<usize>,
-    faults: Option<&FaultPlan>,
-    replay_hint: &str,
-) -> Outcome {
-    run_timed_mode(prog, depth, faults, TimedMode::EventDriven, replay_hint)
-}
-
-/// [`run_timed`] with an explicit scheduling discipline — cycle-box
-/// replays pass [`TimedMode::cycle_box`] here, and the replay hint is
-/// expected to carry `--cycle-box` so the seed line reproduces the same
-/// schedule.
-pub fn run_timed_mode(
-    prog: &Program,
-    depth: Option<usize>,
-    faults: Option<&FaultPlan>,
-    mode: TimedMode,
-    replay_hint: &str,
-) -> Outcome {
-    run_virtual(prog, depth, faults, mode, 1, replay_hint)
-}
-
-/// Run `prog` on the **multichip** engine — two simulated chips joined
-/// by an mPIPE link, half the PEs on each — under the same desim
-/// drained-queue deadlock watchdog as [`run_timed`].
-///
-/// `npes` must be even. A configured `TmcSpin` barrier is remapped to
-/// `Dissemination` (with a note on stderr): the TMC spin barrier is a
-/// single-chip hardware primitive and the multichip backend rejects it.
-pub fn run_multichip(
-    prog: &Program,
-    depth: Option<usize>,
-    faults: Option<&FaultPlan>,
-    replay_hint: &str,
-) -> Outcome {
-    run_multichip_mode(prog, depth, faults, TimedMode::EventDriven, replay_hint)
-}
-
-/// [`run_multichip`] with an explicit scheduling discipline.
-pub fn run_multichip_mode(
-    prog: &Program,
-    depth: Option<usize>,
-    faults: Option<&FaultPlan>,
-    mode: TimedMode,
-    replay_hint: &str,
-) -> Outcome {
-    run_virtual(prog, depth, faults, mode, 2, replay_hint)
-}
-
-/// The one virtual-time launch: `prog`'s PEs split evenly over `chips`
-/// simulated devices (one chip is the timed engine).
-fn run_virtual(
-    prog: &Program,
-    depth: Option<usize>,
-    faults: Option<&FaultPlan>,
-    mode: TimedMode,
-    chips: usize,
-    replay_hint: &str,
-) -> Outcome {
-    assert!(
-        prog.npes.is_multiple_of(chips),
-        "multichip stress runs split PEs across {chips} chips; need an even PE count (got {})",
-        prog.npes
-    );
-    let mut cfg = build_cfg(prog, depth).with_timed_mode(mode);
-    // MultiChipBackend interprets cfg.npes as PEs *per chip*.
-    cfg.npes = prog.npes / chips;
-    if chips > 1 && cfg.algos.barrier == BarrierAlgo::TmcSpin {
-        eprintln!(
-            "note: program drew the TmcSpin barrier, which cannot span chips; \
-             running with Dissemination instead"
-        );
-        cfg.algos.barrier = BarrierAlgo::Dissemination;
-    }
-    let watch = Arc::new(TimedWatch::new());
-    let cell = OnceLock::new();
-    match with_plan(Launcher::new(&cfg, MultiChipBackend { chips }), faults)
-        .with_watch(WatchPlane::Virtual(watch))
-        .run_watched(|ctx| run_on_ctx_shared(prog, ctx, &cell))
+    fn on<B, F>(cfg: &RuntimeConfig, backend: B, faults: Option<&FaultPlan>, stall: Duration, f: F) -> Result<(), String>
+    where
+        B: EngineBackend + Send + 'static,
+        F: Fn(&ShmemCtx) + Send + Sync + 'static,
     {
-        Ok(_) => Outcome::Completed,
-        Err(report) => Outcome::Stalled(format!("{report}replay: {replay_hint}\n")),
+        let launcher = Launcher::new(cfg, backend);
+        let launcher = match faults {
+            Some(plan) => launcher.with_faults(plan.clone()),
+            None => launcher,
+        };
+        launcher.run_watched(stall, f).map(|_| ())
+    }
+    let result = match *engine {
+        Engine::Native => on(cfg, NativeBackend, faults, stall, f),
+        Engine::Coop { workers } => on(cfg, CoopBackend { workers, ..Default::default() }, faults, stall, f),
+        Engine::Timed(mode) => on(&cfg.with_timed_mode(mode), TimedBackend, faults, stall, f),
+        Engine::Multichip(mode) => on(&cfg.with_timed_mode(mode), MultiChipBackend { chips: 2 }, faults, stall, f),
+    };
+    match result {
+        Ok(()) => Outcome::Completed,
+        Err(report) => Outcome::Stalled(format!("{report}{trailer}")),
     }
 }
-
-// The stall-window scaling and livelock/deadlock classification moved
-// into the core watch module so the server layer's per-tenant
-// supervision shares one implementation; re-exported here for the
-// existing stress API surface.
-pub use tshmem::watch::{classify_stall, scaled_stall};
 
 /// Resolve a `--workers` request to the concrete coop pool size, with
 /// the same rule the backend applies for `0` (auto): host parallelism,
@@ -686,134 +606,4 @@ pub fn resolve_coop_workers(requested: usize, pes: usize) -> usize {
     // replay hints and benchmark rows can never drift from what a
     // launch actually runs on.
     tshmem::resolve_coop_workers(0, pes.max(1))
-}
-
-/// `launcher` with `plan` attached, if there is one.
-fn with_plan<'w, B: EngineBackend>(launcher: Launcher<'w, B>, plan: Option<&FaultPlan>) -> Launcher<'w, B> {
-    match plan {
-        Some(plan) => launcher.with_faults(plan.clone()),
-        None => launcher,
-    }
-}
-
-/// Shared wall-clock watchdog over a native (`workers == None`) or coop
-/// launch. The effective stall window is re-derived every poll from the
-/// attached job's oversubscription factor, so it is correct even before
-/// the launch attaches (factor 1) and under `workers == 0` auto-sizing.
-fn watch_wall<F>(
-    cfg: RuntimeConfig,
-    workers: Option<usize>,
-    faults: Option<&FaultPlan>,
-    stall: Duration,
-    trailer: String,
-    f: F,
-) -> Outcome
-where
-    F: Fn(&ShmemCtx) + Send + Sync + 'static,
-{
-    let watch = Arc::new(JobWatch::new());
-    let (tx, rx) = channel::bounded::<std::thread::Result<()>>(1);
-    let w = Arc::clone(&watch);
-    let faults = faults.cloned();
-    // Detached on purpose: if the job truly deadlocks, its PE threads
-    // can never be joined. `abort()` unwedges every PE parked in a
-    // fabric wait; threads stuck in plain (fault-injected) channel
-    // sends leak, parked, until process exit.
-    std::thread::Builder::new()
-        .name("stress-job".into())
-        .spawn(move || {
-            let plane = WatchPlane::Wall(&w);
-            let r = catch_unwind(AssertUnwindSafe(|| match workers {
-                None => {
-                    with_plan(Launcher::new(&cfg, NativeBackend), faults.as_ref()).with_watch(plane).run(f);
-                }
-                Some(workers) => {
-                    let backend = CoopBackend { workers, ..Default::default() };
-                    with_plan(Launcher::new(&cfg, backend), faults.as_ref()).with_watch(plane).run(f);
-                }
-            }));
-            let _ = tx.try_send(r.map(|_| ()));
-        })
-        .expect("spawn stress job thread");
-
-    let mut last_ops = 0u64;
-    // Counter snapshot from the last moment useful work moved — the
-    // baseline the stall window's deltas (and the livelock-vs-deadlock
-    // call) are measured against.
-    let mut baseline = watch.counters();
-    let mut last_change = Instant::now();
-    loop {
-        match rx.recv_timeout(POLL) {
-            Ok(Ok(())) => return Outcome::Completed,
-            // A verification failure inside the job: re-raise it here so
-            // the property harness sees (and shrinks) it.
-            Ok(Err(payload)) => resume_unwind(payload),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                panic!("stress job thread exited without reporting")
-            }
-        }
-        let ops = watch.total_ops();
-        let window = scaled_stall(stall, watch.oversubscription());
-        if ops != last_ops || baseline.is_empty() {
-            last_ops = ops;
-            baseline = watch.counters();
-            last_change = Instant::now();
-        } else if last_change.elapsed() >= window {
-            // Diagnose BEFORE aborting: abort unparks the blocked PEs
-            // and would destroy the evidence.
-            let now = watch.counters();
-            let blocked = watch.blocked_states();
-            let npes = now.len() / 2;
-            let class = classify_stall(now.iter().enumerate().take(npes).map(|(i, n)| {
-                let b = baseline.get(i).copied().unwrap_or_default();
-                let descheduled = matches!(blocked.get(i), Some(BlockedOn::Descheduled));
-                (
-                    n.ops.saturating_sub(b.ops),
-                    n.spins.saturating_sub(b.spins),
-                    descheduled,
-                )
-            }));
-            let mut report = format!(
-                "stress watchdog: no useful fabric progress for {:.1}s \
-                 (useful ops {ops}, spin retries {})\nclassification: {class}\n{}",
-                window.as_secs_f64(),
-                watch.total_spins(),
-                watch.diagnose_delta(Some(&baseline))
-            );
-            report.push_str(&trailer);
-            watch.abort();
-            // Grace period for the abort panic to unwind the job; a job
-            // wedged outside any abort checkpoint just leaks.
-            let _ = rx.recv_timeout(Duration::from_secs(2));
-            return Outcome::Stalled(report);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn descheduled_pes_do_not_count_as_frozen() {
-        // Pre-fix, a parked-but-runnable coop PE (zero deltas, queued
-        // for a worker slot) forced the frozen path and misreported
-        // oversubscribed livelocks as deadlocks.
-        let oversubscribed = [(0, 5, false), (0, 0, true), (0, 0, true)];
-        assert!(classify_stall(oversubscribed).starts_with("livelock"));
-        let really_frozen = [(0, 5, false), (0, 0, false)];
-        assert!(classify_stall(really_frozen).starts_with("deadlock (at least one PE frozen"));
-        let silent = [(0, 0, true), (0, 0, true)];
-        assert!(classify_stall(silent).starts_with("deadlock (no useful work"));
-    }
-
-    #[test]
-    fn stall_window_scales_with_oversubscription_and_caps() {
-        let base = Duration::from_secs(2);
-        assert_eq!(scaled_stall(base, 0), base);
-        assert_eq!(scaled_stall(base, 1), base);
-        assert_eq!(scaled_stall(base, 8), base * 8);
-        assert_eq!(scaled_stall(base, 128), base * 64);
-    }
 }

@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use stress::program::{gen_program, RngDraw};
-use stress::run::{run_coop, watch_closure_coop, Outcome};
+use stress::run::{run, watch_closure, Engine, Outcome};
 use tshmem::prelude::*;
 
 const SEED: u64 = 0x7453484d454d5031;
@@ -29,7 +29,7 @@ fn coop_smoke_64_pes() {
     // a lock and a cswap ring.
     let prog = gen_program(&mut RngDraw::new(SEED, 11), 64);
     let hint = format!("--seed {SEED:#x} --case 11 --npes 64 --depth 0 --engine coop --workers 3");
-    assert_completed(run_coop(&prog, None, None, 3, Duration::from_secs(5), &hint), "64 PEs / 3 workers");
+    assert_completed(run(&prog, None, None, &Engine::Coop { workers: 3 }, Duration::from_secs(5), &hint), "64 PEs / 3 workers");
 }
 
 #[test]
@@ -43,7 +43,7 @@ fn coop_smoke_256_pes_no_spurious_stall_report() {
     // train and a world lock.
     let prog = gen_program(&mut RngDraw::new(SEED, 7), 256);
     let hint = format!("--seed {SEED:#x} --case 7 --npes 256 --depth 0 --engine coop --workers 4");
-    assert_completed(run_coop(&prog, None, None, 4, Duration::from_secs(1), &hint), "256 PEs / 4 workers");
+    assert_completed(run(&prog, None, None, &Engine::Coop { workers: 4 }, Duration::from_secs(1), &hint), "256 PEs / 4 workers");
 }
 
 #[test]
@@ -62,7 +62,7 @@ fn coop_smoke_1024_pes() {
     // scale and measure the box, not the engine.
     let prog = gen_program(&mut RngDraw::new(SEED, 8), 1024);
     let hint = format!("--seed {SEED:#x} --case 8 --npes 1024 --depth 0 --engine coop --workers 4");
-    assert_completed(run_coop(&prog, None, None, 4, Duration::from_secs(2), &hint), "1024 PEs / 4 workers");
+    assert_completed(run(&prog, None, None, &Engine::Coop { workers: 4 }, Duration::from_secs(2), &hint), "1024 PEs / 4 workers");
 }
 
 #[test]
@@ -73,7 +73,7 @@ fn coop_smoke_bounded_queues() {
     // collectives.
     let prog = gen_program(&mut RngDraw::new(SEED, 2), 64);
     let hint = format!("--seed {SEED:#x} --case 2 --npes 64 --depth 2 --engine coop --workers 2");
-    assert_completed(run_coop(&prog, Some(2), None, 2, Duration::from_secs(5), &hint), "64 PEs depth 2");
+    assert_completed(run(&prog, Some(2), None, &Engine::Coop { workers: 2 }, Duration::from_secs(5), &hint), "64 PEs depth 2");
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn watchdog_names_the_cell_and_the_pe_that_never_arrived() {
     let leader = missing / SHARD * SHARD;
     let label = format!("cell wedge --seed {SEED:#x}: PE {missing} skips a 72-PE sum_to_all on 4 workers");
     let cfg = RuntimeConfig::for_scale(72);
-    let outcome = watch_closure_coop(&cfg, None, 4, Duration::from_millis(100), &label, move |ctx| {
+    let outcome = watch_closure(&cfg, &Engine::Coop { workers: 4 }, None, Duration::from_millis(100), &label, move |ctx| {
         let src = ctx.shmalloc::<u64>(1);
         let dst = ctx.shmalloc::<u64>(1);
         let never = ctx.shmalloc::<u64>(1);

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | RMA fast paths | default vs `[Fault::GeneralRmaPaths]`, native and timed | all |
 //! | nbi completion | lazy (default) vs `[Fault::EagerNbi]`, four engines | all but `cswap_retries` (native) |
-//! | admission | native (`Free`) vs coop (`Gated`) with a worker per PE and with one worker | API counts; puts/gets too with a worker per PE |
+//! | admission | native (`Free`) vs coop (`Gated`) with a worker per PE and with one worker | API counts; puts/gets too with a worker per PE and named algorithms |
 //! | virtual-time disciplines | event-driven vs cycle-box, timed and multichip | — (final state) |
 //!
 //! Final-state equality is enforced inside [`run_on_ctx`], which asserts
@@ -23,11 +23,8 @@
 use std::sync::Barrier;
 use std::time::Duration;
 
-use stress::program::{gen_program, Program, RngDraw};
-use stress::run::{
-    build_cfg, run_coop, run_multichip, run_multichip_mode, run_on_ctx, run_timed, run_timed_mode,
-    run_watched, Outcome,
-};
+use stress::program::{gen_program, CollKind, Program, RngDraw, Step, TeamKind};
+use stress::run::{build_cfg, run, run_on_ctx, Engine, Outcome};
 use tshmem::prelude::*;
 use tshmem::{EngineBackend, Fault, FaultPlan, Stats, TimedMode};
 
@@ -126,10 +123,10 @@ fn eager_and_lazy_nbi_completion_converge_on_every_engine() {
             let prog = program(0x4eb1, case, 4);
             let hint = format!("--seed 0x4eb1 --case {case} --pes 4 ({mode})");
             let stall = Duration::from_secs(20);
-            assert_completed(run_watched(&prog, None, plan, stall, &hint), &format!("native case {case} {mode}"));
-            assert_completed(run_timed(&prog, None, plan, &hint), &format!("timed case {case} {mode}"));
-            assert_completed(run_multichip(&prog, None, plan, &hint), &format!("multichip case {case} {mode}"));
-            assert_completed(run_coop(&prog, None, plan, 2, stall, &hint), &format!("coop case {case} {mode}"));
+            assert_completed(run(&prog, None, plan, &Engine::Native, stall, &hint), &format!("native case {case} {mode}"));
+            assert_completed(run(&prog, None, plan, &Engine::Timed(TimedMode::EventDriven), Duration::ZERO, &hint), &format!("timed case {case} {mode}"));
+            assert_completed(run(&prog, None, plan, &Engine::Multichip(TimedMode::EventDriven), Duration::ZERO, &hint), &format!("multichip case {case} {mode}"));
+            assert_completed(run(&prog, None, plan, &Engine::Coop { workers: 2 }, stall, &hint), &format!("coop case {case} {mode}"));
         }
     }
 }
@@ -183,22 +180,35 @@ fn eager_nbi_reaches_only_its_own_launch() {
 /// must reach the oracle and report equal API-level `Stats`.
 ///
 /// Raw `puts`/`gets` also count the copies a collective makes on the
-/// caller's behalf, and who makes them depends on the transport: with
-/// several PEs behind one gate the coop engine's default collectives
-/// take the counter-cell pass (`ShmemCtx::select`), where a leader does
-/// its whole cluster's copies. So they are compared only where both
-/// sides run the same transport — one PE per worker, which the
-/// selection function leaves on the flat algorithms the native engine
-/// runs. `redirected`/`locality_hits` are never compared (gated
-/// admission turns same-worker redirects into direct copies).
+/// caller's behalf, and who makes them depends on the transport: the
+/// coop engine's default collectives take the counter-cell pass
+/// (`ShmemCtx::select`) at every PEs-per-worker geometry, where a leader
+/// does copies for its cluster and leader 0 for the other leaders. An
+/// algorithm asked for by name runs on both engines, though, so with a
+/// worker per PE the program is run once more with every algorithm
+/// named, and there `puts`/`gets` must agree too — unless it draws an
+/// `fcollect`, which has no named algorithm. `redirected`/`locality_hits`
+/// are never compared (gated admission turns same-worker redirects into
+/// direct copies).
 #[test]
 fn free_and_gated_admission_agree_on_state_and_api_stats() {
     const SEED: u64 = 0x57414C4C45513136;
     let api_counts = |s: &Stats| [s.atomics, s.barriers, s.quiets, s.fences, s.collectives];
     let copy_counts = |s: &Stats| [s.puts, s.gets];
+    let named = Algorithms {
+        barrier: BarrierAlgo::RootBroadcast,
+        broadcast: BroadcastAlgo::Push,
+        reduce: ReduceAlgo::RecursiveDoubling,
+    };
     for case in 0..8 {
         for npes in [2usize, 5, 8] {
             let prog = program(SEED, case, npes);
+            let draws_fcollect = prog.steps.iter().any(|s| {
+                matches!(
+                    s,
+                    Step::Coll { kind: CollKind::Fcollect, .. } | Step::TeamColl { kind: TeamKind::Fcollect, .. }
+                )
+            });
             for depth in [Some(2), None] {
                 let cfg = build_cfg(&prog, depth);
                 let native = stats_on(NativeBackend, &cfg, &prog, None);
@@ -211,15 +221,21 @@ fn free_and_gated_admission_agree_on_state_and_api_stats() {
                             "seed {SEED:#x} case {case} npes {npes} depth {depth:?} PE {pe}: \
                              native and coop({workers} workers) counted different operations"
                         );
-                        if workers == npes {
-                            assert_eq!(
-                                copy_counts(a),
-                                copy_counts(b),
-                                "seed {SEED:#x} case {case} npes {npes} depth {depth:?} PE {pe}: \
-                                 native and coop(one PE per worker) made different copies"
-                            );
-                        }
                     }
+                }
+                if draws_fcollect {
+                    continue;
+                }
+                let cfg = cfg.with_algos(named);
+                let native = stats_on(NativeBackend, &cfg, &prog, None);
+                let gated = stats_on(CoopBackend { workers: npes, ..Default::default() }, &cfg, &prog, None);
+                for (pe, (a, b)) in native.iter().zip(&gated).enumerate() {
+                    assert_eq!(
+                        copy_counts(a),
+                        copy_counts(b),
+                        "seed {SEED:#x} case {case} npes {npes} depth {depth:?} PE {pe}: \
+                         native and coop(one PE per worker) made different copies under named algorithms"
+                    );
                 }
             }
         }
@@ -249,7 +265,7 @@ fn event_driven_and_cycle_box_converge_to_the_oracle() {
         for (mode, flag) in [(TimedMode::EventDriven, ""), (TimedMode::cycle_box(), " --cycle-box")] {
             let hint = cycle_box_hint(case, npes, depth, &format!("timed{flag}"));
             assert_completed(
-                run_timed_mode(&prog, depth, None, mode, &hint),
+                run(&prog, depth, None, &Engine::Timed(mode), Duration::ZERO, &hint),
                 &format!("case {case} npes {npes} mode{flag}"),
             );
         }
@@ -264,10 +280,10 @@ fn cycle_box_is_deterministic_and_tick_width_does_not_change_state() {
     let prog = program(CYCLE_BOX_SEED, 4, 7);
     let hint = cycle_box_hint(4, 7, None, "timed --cycle-box");
     for _ in 0..2 {
-        assert_completed(run_timed_mode(&prog, None, None, TimedMode::cycle_box(), &hint), "7 PEs cycle-box");
+        assert_completed(run(&prog, None, None, &Engine::Timed(TimedMode::cycle_box()), Duration::ZERO, &hint), "7 PEs cycle-box");
     }
     assert_completed(
-        run_timed_mode(&prog, None, None, TimedMode::CycleBox { tick_ns: 50_000 }, &hint),
+        run(&prog, None, None, &Engine::Timed(TimedMode::CycleBox { tick_ns: 50_000 }), Duration::ZERO, &hint),
         "7 PEs coarse cycle-box",
     );
 }
@@ -277,7 +293,7 @@ fn multichip_cycle_box_converges() {
     let prog = program(CYCLE_BOX_SEED, 5, 8);
     let hint = cycle_box_hint(5, 8, None, "multichip --cycle-box");
     assert_completed(
-        run_multichip_mode(&prog, None, None, TimedMode::cycle_box(), &hint),
+        run(&prog, None, None, &Engine::Multichip(TimedMode::cycle_box()), Duration::ZERO, &hint),
         "8 PEs multichip cycle-box",
     );
 }

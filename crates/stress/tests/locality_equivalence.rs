@@ -23,7 +23,7 @@
 use std::time::Duration;
 
 use stress::program::{coll_steps, gen_program, CollKind, Program, RngDraw, Step, COLL_L};
-use stress::run::{build_cfg, run_on_ctx, watch_closure_coop, Outcome};
+use stress::run::{build_cfg, run_on_ctx, watch_closure, Engine, Outcome};
 use tshmem::prelude::*;
 use tshmem::Stats;
 
@@ -129,7 +129,7 @@ fn locality_on_and_off_agree_on_state_and_api_stats() {
     // after its 8 s window.
     let cfg = RuntimeConfig::new(16).with_partition_bytes(1 << 20).with_private_bytes(1 << 16);
     let stall = Duration::from_millis(250);
-    let outcome = watch_closure_coop(&cfg, None, 1, stall, "mid-launch locality flip", |ctx| {
+    let outcome = watch_closure(&cfg, &Engine::Coop { workers: 1 }, None, stall, "mid-launch locality flip", |ctx| {
         let src = ctx.shmalloc::<u64>(1);
         let dst = ctx.shmalloc::<u64>(1);
         let entered = ctx.shmalloc::<u64>(1);

@@ -3,7 +3,8 @@
 use std::time::Duration;
 
 use stress::program::{CollKind, Program, Step, COLL_L};
-use stress::run::{run_timed, run_watched, Outcome};
+use stress::run::{run, Engine, Outcome};
+use tshmem::TimedMode;
 
 fn vals_for(size: usize, salt: u64) -> Vec<Vec<u64>> {
     (0..size)
@@ -37,7 +38,7 @@ fn disjoint_set_collects_interleave() {
     }
     let prog = Program { npes, temp_bytes: 64, algos: (3, 0, 0), steps };
     for depth in [1usize, 8] {
-        match run_watched(&prog, Some(depth), None, Duration::from_secs(10), "scenario: disjoint collects")
+        match run(&prog, Some(depth), None, &Engine::Native, Duration::from_secs(10), "scenario: disjoint collects")
         {
             Outcome::Completed => {}
             Outcome::Stalled(report) => panic!("depth {depth}:\n{report}"),
@@ -72,7 +73,7 @@ fn overlapping_set_collectives() {
         idx += 1;
     }
     let prog = Program { npes, temp_bytes: 64, algos: (0, 0, 0), steps };
-    match run_watched(&prog, Some(1), None, Duration::from_secs(10), "scenario: overlapping collects") {
+    match run(&prog, Some(1), None, &Engine::Native, Duration::from_secs(10), "scenario: overlapping collects") {
         Outcome::Completed => {}
         Outcome::Stalled(report) => panic!("{report}"),
     }
@@ -120,14 +121,14 @@ fn collect_gather_fence_holds_on_both_engines() {
     // Native engine: both a depth-1 bottleneck (every gather message
     // waits for credit, maximizing reordering windows) and a deep queue.
     for depth in [1usize, 8] {
-        match run_watched(&prog, Some(depth), None, Duration::from_secs(10), "scenario: collect fence") {
+        match run(&prog, Some(depth), None, &Engine::Native, Duration::from_secs(10), "scenario: collect fence") {
             Outcome::Completed => {}
             Outcome::Stalled(report) => panic!("native depth {depth}:\n{report}"),
         }
     }
     // Timed engine: bounded and unbounded virtual-time schedules.
     for depth in [Some(1usize), None] {
-        match run_timed(&prog, depth, None, "scenario: collect fence (timed)") {
+        match run(&prog, depth, None, &Engine::Timed(TimedMode::EventDriven), Duration::ZERO, "scenario: collect fence (timed)") {
             Outcome::Completed => {}
             Outcome::Stalled(report) => panic!("timed depth {depth:?}:\n{report}"),
         }

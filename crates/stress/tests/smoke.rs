@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use stress::program::{gen_program, ProgramStrategy, RngDraw};
-use stress::run::{run_watched, Outcome};
+use stress::run::{run, Engine, Outcome};
 use substrate::proptest_mini as pt;
 
 fn sweep(npes: usize) {
@@ -23,7 +23,7 @@ fn sweep(npes: usize) {
                 "cargo run -p stress -- --seed {seed:#x} --case <case reported above> \
                  --pes {npes} --depth {depth}"
             );
-            match run_watched(&prog, Some(depth), None, Duration::from_secs(10), &hint) {
+            match run(&prog, Some(depth), None, &Engine::Native, Duration::from_secs(10), &hint) {
                 Outcome::Completed => {}
                 Outcome::Stalled(report) => panic!("{report}"),
             }
@@ -59,7 +59,7 @@ fn sweep_8_pes() {
 #[test]
 fn heap_churn_both_modes_verified_on_both_engines() {
     use stress::program::Step;
-    use stress::run::run_timed;
+    use tshmem::TimedMode;
     let mut need_refresh = true;
     let mut need_grow = true;
     let mut seed = 0u64;
@@ -83,11 +83,11 @@ fn heap_churn_both_modes_verified_on_both_engines() {
         need_refresh &= !has_refresh;
         need_grow &= !has_grow;
         let hint = format!("cargo run -p stress -- --seed {seed:#x} --case 0 --pes 4 --depth 2");
-        match run_watched(&prog, Some(2), None, Duration::from_secs(10), &hint) {
+        match run(&prog, Some(2), None, &Engine::Native, Duration::from_secs(10), &hint) {
             Outcome::Completed => {}
             Outcome::Stalled(report) => panic!("{report}"),
         }
-        match run_timed(&prog, Some(2), None, &hint) {
+        match run(&prog, Some(2), None, &Engine::Timed(TimedMode::EventDriven), Duration::ZERO, &hint) {
             Outcome::Completed => {}
             Outcome::Stalled(report) => panic!("{report}"),
         }

@@ -5,8 +5,10 @@
 //! disciplines reach the same final state along different schedules, so
 //! a failure replays only under the mode that produced it.
 
+use std::time::Duration;
+
 use stress::program::{gen_program, RngDraw};
-use stress::run::{run_timed_mode, Outcome};
+use stress::run::{run, Engine, Outcome};
 use tshmem::TimedMode;
 
 const SEED: u64 = 0x7453484d454d5039;
@@ -29,7 +31,7 @@ fn program_256() -> stress::Program {
 fn timed_smoke_256_pes_event_driven() {
     let hint = format!("cargo run -p stress -- --seed {SEED:#x} --case 10 --npes 256 --depth 0 --engine timed");
     assert_completed(
-        run_timed_mode(&program_256(), None, None, TimedMode::EventDriven, &hint),
+        run(&program_256(), None, None, &Engine::Timed(TimedMode::EventDriven), Duration::ZERO, &hint),
         "256 PEs event-driven",
     );
 }
@@ -38,7 +40,7 @@ fn timed_smoke_256_pes_event_driven() {
 fn timed_smoke_256_pes_cycle_box() {
     let hint = format!("cargo run -p stress -- --seed {SEED:#x} --case 10 --npes 256 --depth 0 --engine timed --cycle-box");
     assert_completed(
-        run_timed_mode(&program_256(), None, None, TimedMode::cycle_box(), &hint),
+        run(&program_256(), None, None, &Engine::Timed(TimedMode::cycle_box()), Duration::ZERO, &hint),
         "256 PEs cycle-box",
     );
 }
@@ -59,7 +61,7 @@ fn timed_smoke_bounded_queues_both_modes() {
             "cargo run -p stress -- --seed {SEED:#x} --case 8 --npes 64 --depth 2 --engine timed{flag}"
         );
         assert_completed(
-            run_timed_mode(&prog, Some(2), None, mode, &hint),
+            run(&prog, Some(2), None, &Engine::Timed(mode), Duration::ZERO, &hint),
             "64 PEs depth 2",
         );
     }

@@ -29,7 +29,7 @@
 //! 2 and 8 PEs on 2 slots (leased as the server does, one per two PEs:
 //! 1 worker and 2): the client's submit, the dispatcher's hop,
 //! the runner, the launch and the way back, assembled from the pieces
-//! `Server`, `attempt_launch` and `run_wall` put together, in
+//! `Server`, `Launcher::run_watched` and `run_wall` put together, in
 //! microseconds:
 //!
 //! * **to-runner** — `submit` to the runner's first instruction (queue,
@@ -62,7 +62,7 @@ use tshmem::prelude::*;
 use tshmem::server::arena::Geometry;
 use tshmem::server::pool::lease_for;
 use tshmem::trace::TraceSink;
-use tshmem::{JobSpec, JobWatch, Server, ServerConfig};
+use tshmem::{JobSpec, Server, ServerConfig};
 use udn::fabric::UdnFabric;
 
 const LAUNCHES: usize = 15;
@@ -223,10 +223,10 @@ fn server_row(npes: usize, slots: usize) {
             .send(Box::new(move || {
                 let lanes = res.clone();
                 lanes.lanes.spawn(
-                    // The runner: start the launch, watch it, resolve.
+                    // The runner: detach the launch onto a lane and
+                    // poll it, as `run_watched` does, then resolve.
                     move || {
                         mark(&m);
-                        let _watch = JobWatch::new();
                         let (tx, rx) = channel::bounded::<bool>(1);
                         let (launch_res, launch_marks) = (res.clone(), m.clone());
                         res.lanes.spawn(

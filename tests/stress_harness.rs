@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use stress::program::ProgramStrategy;
-use stress::run::{run_watched, Outcome};
+use stress::run::{run, Engine, Outcome};
 use substrate::proptest_mini as pt;
 
 #[test]
@@ -24,7 +24,7 @@ fn stress_harness_smoke_sweep() {
                     "cargo run -p stress -- --seed {seed:#x} --case <case reported above> \
                      --pes {npes} --depth {depth}"
                 );
-                match run_watched(&prog, Some(depth), None, Duration::from_secs(10), &hint) {
+                match run(&prog, Some(depth), None, &Engine::Native, Duration::from_secs(10), &hint) {
                     Outcome::Completed => {}
                     Outcome::Stalled(report) => panic!("{report}"),
                 }
@@ -39,7 +39,7 @@ fn stress_harness_unbounded_queues() {
     // the non-stress tests run under.
     let cfg = pt::Config { max_shrink_iters: 32, ..pt::Config::with_cases(3) };
     pt::check(cfg, ProgramStrategy { npes: 3 }, |prog| {
-        match run_watched(&prog, None, None, Duration::from_secs(10), "unbounded smoke") {
+        match run(&prog, None, None, &Engine::Native, Duration::from_secs(10), "unbounded smoke") {
             Outcome::Completed => {}
             Outcome::Stalled(report) => panic!("{report}"),
         }

@@ -1,25 +1,22 @@
 //! Watchdog canaries: a fault reintroduced on purpose must be *caught*
-//! — diagnosed per PE with a reproducer — by the watchdog of the
-//! engine it runs on, and a seeded plan of the tolerated class must
-//! never be. Every fault rides on the one launch it is handed to
-//! (`Launcher::with_faults`), so these run in parallel with each other
-//! and with clean launches.
+//! — diagnosed per PE with a reproducer — by the supervised launch
+//! (`Launcher::run_watched`) on the engine it runs on, and a seeded plan
+//! of the tolerated class must never be. Every fault rides on the one
+//! launch it is handed to (`Launcher::with_faults`), so these run in
+//! parallel with each other and with clean launches.
 //!
 //! A genuinely deadlocked native job leaks its PE threads (parked in
 //! pre-fix blocking sends that no abort flag can reach) until the
 //! process exits; they hold no plan another launch could see.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Duration;
 
 use stress::program::{fault_plan_seed, gen_program, RngDraw};
-use stress::run::{
-    run_coop, run_multichip, run_timed, run_watched, watch_closure, Outcome,
-};
+use stress::run::{run, watch_closure, Engine, Outcome};
 use substrate::proptest_mini as pt;
 use tshmem::prelude::*;
-use tshmem::{Fault, FaultPlan, TimedWatch};
+use tshmem::{Fault, FaultPlan, TimedMode};
 
 /// Seeds whose generated programs chain enough dissemination barriers
 /// that, at 8 PEs and queue depth 1, overlapping rounds form a cycle of
@@ -54,7 +51,7 @@ fn hunt(run: impl Fn(&stress::Program, &str) -> Outcome) -> Option<(u64, String)
 #[test]
 fn watchdog_reports_seeded_deadlock() {
     let plan = blocking_sends();
-    let caught = hunt(|prog, hint| run_watched(prog, Some(1), Some(&plan), Duration::from_secs(2), hint));
+    let caught = hunt(|prog, hint| run(prog, Some(1), Some(&plan), &Engine::Native, Duration::from_secs(2), hint));
     let Some((seed, report)) = caught else {
         panic!(
             "fault-injected dissemination barriers at queue depth 1 never deadlocked \
@@ -82,7 +79,7 @@ fn watchdog_reports_seeded_deadlock() {
     // Without the plan the same program completes and verifies — the
     // deadlock came from the injected fault, not the program.
     let prog = gen_program(&mut RngDraw::new(seed, 0), 8);
-    match run_watched(&prog, Some(1), None, Duration::from_secs(10), "n/a") {
+    match run(&prog, Some(1), None, &Engine::Native, Duration::from_secs(10), "n/a") {
         Outcome::Completed => {}
         Outcome::Stalled(report) => panic!("unexpected stall without fault:\n{report}"),
     }
@@ -96,8 +93,8 @@ fn a_plan_wedges_only_the_launch_it_was_handed() {
     let plan = blocking_sends();
     let caught = hunt(|prog, hint| {
         std::thread::scope(|s| {
-            let clean = s.spawn(|| run_coop(prog, Some(1), None, 4, Duration::from_millis(300), "clean twin"));
-            let faulted = run_coop(prog, Some(1), Some(&plan), 4, Duration::from_millis(300), hint);
+            let clean = s.spawn(|| run(prog, Some(1), None, &Engine::Coop { workers: 4 }, Duration::from_millis(300), "clean twin"));
+            let faulted = run(prog, Some(1), Some(&plan), &Engine::Coop { workers: 4 }, Duration::from_millis(300), hint);
             match clean.join().expect("clean launch panicked") {
                 Outcome::Completed => faulted,
                 Outcome::Stalled(report) => panic!("the clean twin stalled:\n{report}"),
@@ -111,8 +108,8 @@ fn a_plan_wedges_only_the_launch_it_was_handed() {
 
 /// Wedge a virtual-time job and assert the desim scheduler's deadlock
 /// detector fires **the instant the event queue drains**, with the
-/// attached [`TimedWatch`] rendering the same per-PE diagnosis the
-/// native watchdog produces. Under virtual time there is no wall clock
+/// drained-queue observer rendering the same per-PE diagnosis the
+/// wall-clock supervisor produces. Under virtual time there is no wall clock
 /// to stall, so the scheduler itself is the watchdog. The plan's
 /// blocking sends put the wedged PE's barrier traffic on the
 /// credit-blocked bounded-queue path, and a deliberately mismatched
@@ -123,11 +120,8 @@ fn desim_watchdog_catches_timed_deadlock_and_names_the_parked_pe() {
         .with_partition_bytes(1 << 20)
         .with_private_bytes(1 << 16)
         .with_bounded_udn(1);
-    let watch = Arc::new(TimedWatch::new());
-    let launcher = Launcher::new(&cfg, TimedBackend)
-        .with_watch(WatchPlane::Virtual(watch.clone()))
-        .with_faults(blocking_sends());
-    let result = launcher.run_watched(|ctx| {
+    let launcher = Launcher::new(&cfg, TimedBackend).with_faults(blocking_sends());
+    let result = launcher.run_watched(Duration::ZERO, |ctx| {
         ctx.barrier_all();
         // Deliberate bug: PE 0 joins a barrier no other PE runs. Its
         // extra invocation collides with the other PEs' finalize-time
@@ -159,8 +153,6 @@ fn desim_watchdog_catches_timed_deadlock_and_names_the_parked_pe() {
     // Useful-work counters rendered (spins stay zero: parked, not spinning).
     assert!(report.contains("useful="), "no counters in:\n{report}");
     assert!(report.contains("active fault plan seed 0x0: [BlockingProtocolSends]"), "plan not named in:\n{report}");
-    // The stored report is also available through the watch handle.
-    assert_eq!(watch.stall_report().as_deref(), Some(report.as_str()));
 }
 
 /// Poison a lock word so every PE's `set_lock` cswap fails forever: the
@@ -175,7 +167,7 @@ fn useful_work_watchdog_classifies_lock_pingpong_as_livelock() {
     let cfg = RuntimeConfig::new(4)
         .with_partition_bytes(1 << 20)
         .with_private_bytes(1 << 16);
-    let outcome = watch_closure(&cfg, None, Duration::from_secs(2), "poisoned-lock livelock", |ctx| {
+    let outcome = watch_closure(&cfg, &Engine::Native, None, Duration::from_secs(2), "poisoned-lock livelock", |ctx| {
         let lock = ctx.shmalloc::<i64>(1);
         ctx.local_fill(&lock, 0i64);
         ctx.barrier_all();
@@ -217,10 +209,9 @@ fn chip_cfg(pes_per_chip: usize) -> RuntimeConfig {
         .with_private_bytes(1 << 14)
 }
 
-/// Two chips of `per_chip` PEs under the drained-queue watchdog.
-fn two_chips_watched(per_chip: usize, watch: &Arc<TimedWatch>) -> Launcher<'static, MultiChipBackend> {
+/// Two chips of `per_chip` PEs.
+fn two_chips(per_chip: usize) -> Launcher<MultiChipBackend> {
     Launcher::new(&chip_cfg(per_chip), MultiChipBackend { chips: 2 })
-        .with_watch(WatchPlane::Virtual(watch.clone()))
 }
 
 /// A small job whose first fabric activity crosses the chip boundary.
@@ -276,10 +267,9 @@ fn duplicated_link_frame_trips_the_sequence_check() {
 #[test]
 fn dropped_link_frame_wedges_and_the_report_replays_identically() {
     let drop_report = || {
-        let watch = Arc::new(TimedWatch::new());
-        match two_chips_watched(2, &watch)
+        match two_chips(2)
             .with_faults([Fault::DropLinkPacket { nth: 1 }])
-            .run_watched(cross_chip_job)
+            .run_watched(Duration::ZERO, cross_chip_job)
         {
             Ok(_) => panic!("dropped link frame was not caught"),
             Err(report) => report,
@@ -301,8 +291,7 @@ fn dropped_link_frame_wedges_and_the_report_replays_identically() {
 /// shows the bailed PE as finished, and names no plan.
 #[test]
 fn cross_chip_stalls_carry_chip_labels() {
-    let watch = Arc::new(TimedWatch::new());
-    let report = match two_chips_watched(3, &watch).run_watched(|ctx| {
+    let report = match two_chips(3).run_watched(Duration::ZERO, |ctx| {
         ctx.barrier_all();
         if ctx.my_pe() != 4 {
             ctx.barrier_all(); // PE 4 bails out instead
@@ -321,7 +310,6 @@ fn cross_chip_stalls_carry_chip_labels() {
         "bailed PE not shown finished:\n{report}"
     );
     assert!(!report.contains("fault plan"), "a launch without a plan names one:\n{report}");
-    assert_eq!(watch.stall_report().as_deref(), Some(report.as_str()));
 }
 
 // --- the tolerated class, and a stall pinned on the faulted component ------
@@ -336,7 +324,7 @@ fn service_handler_stall_is_attributed_to_the_handler() {
     let cfg = RuntimeConfig::new(4)
         .with_partition_bytes(1 << 20)
         .with_private_bytes(1 << 16);
-    let outcome = watch_closure(&cfg, Some(&plan), Duration::from_secs(2), "stalled service handler", |ctx| {
+    let outcome = watch_closure(&cfg, &Engine::Native, Some(&plan), Duration::from_secs(2), "stalled service handler", |ctx| {
         let statv = ctx.static_sym::<u64>(4);
         ctx.local_fill(&statv, 0u64);
         ctx.barrier_all();
@@ -370,13 +358,13 @@ fn service_handler_stall_is_attributed_to_the_handler() {
 /// workers, so every injected delay also crosses the
 /// gate-release-around-sleep path.
 fn run_on(engine: &str, prog: &stress::Program, plan: &FaultPlan, hint: &str) -> Outcome {
-    let stall = Duration::from_secs(20);
-    match engine {
-        "native" => run_watched(prog, Some(2), Some(plan), stall, hint),
-        "timed" => run_timed(prog, Some(2), Some(plan), hint),
-        "coop" => run_coop(prog, Some(2), Some(plan), 2, stall, hint),
-        _ => run_multichip(prog, Some(2), Some(plan), hint),
-    }
+    let engine = match engine {
+        "native" => Engine::Native,
+        "timed" => Engine::Timed(TimedMode::EventDriven),
+        "coop" => Engine::Coop { workers: 2 },
+        _ => Engine::Multichip(TimedMode::EventDriven),
+    };
+    run(prog, Some(2), Some(plan), &engine, Duration::from_secs(20), hint)
 }
 
 const ENGINES: [&str; 4] = ["native", "timed", "multichip", "coop"];
@@ -435,7 +423,7 @@ fn smoke_seeds_survive_seeded_fault_plans() {
                 "cargo run -p stress -- --seed {seed:#x} --case {case} --pes {npes} \
                  --depth 2 --fault-plan {plan_seed:#x}"
             );
-            if let Outcome::Stalled(report) = run_watched(&prog, Some(2), Some(&plan), Duration::from_secs(20), &hint) {
+            if let Outcome::Stalled(report) = run(&prog, Some(2), Some(&plan), &Engine::Native, Duration::from_secs(20), &hint) {
                 panic!("case {case} on {npes} PEs stalled under tolerated {}:\n{report}", plan.describe());
             }
         }

@@ -56,13 +56,13 @@ print("OK: %s correct, %d attempted, 0 failed" % (os.environ["W"], r["attempted"
 '
 done
 
-echo "== stress harness replay demo (seeded, watchdog armed) =="
+echo "== stress harness replay demo (seeded, supervised launch) =="
 cargo run -q --offline -p stress -- --seed 0x2 --pes 4 --depth 2
 
-echo "== fault matrix (3 canned plans x four engines, watchdog armed) =="
+echo "== fault matrix (3 canned plans x four engines, supervised launches) =="
 # Every seeded fault plan must either be tolerated (exit 0: the run
-# converges to the oracle) or be caught by the watchdog with a diagnosis
-# (exit 2). Any other exit — especially a hang — fails the gate. The
+# converges to the oracle) or be caught by the launch's supervision with
+# a diagnosis (exit 2). Any other exit — especially a hang — fails the gate. The
 # coop rows run 4 PEs on 2 workers, so injected delays also cross the
 # gate-release-around-sleep path.
 for plan in 0x11 0x21 0x31; do
@@ -161,7 +161,7 @@ echo "== server PanicPe canary (one-shot caught-class fault) =="
 cargo run -q --offline --release -p stress -- \
     --serve --jobs 8 --panic-pe 1 --seed 0x55
 
-echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + backend / hier / server + arena / lanes / desim) =="
+echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + backend / hier / server + arena + supervisor / lanes / desim) =="
 # The RMA and barrier hot paths are allocation-free by design, and the
 # wall fabric, its M:N admission gate, the virtual-time fabric
 # (engine/timed.rs) with the CoopLp send/recv path every simulated
@@ -172,7 +172,10 @@ echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + ba
 # segment set, so the two places that pay for a cold one — spawning a
 # lane thread (tmc/src/task.rs) and allocating a fresh set
 # (server/arena.rs) — are held to the same rule: a `thread::Builder` or
-# `CommonMemory::new(` there needs its `// cold:` too.
+# `CommonMemory::new(` there needs its `// cold:` too. So are the server
+# pool and the supervisor every server job runs under (core/src/watch.rs:
+# `Launcher::run_watched` detaches the launch onto a lane and polls it),
+# so that a thread spawned per job there must say why.
 python3 - <<'PYEOF'
 import re, sys
 bad = []
@@ -181,7 +184,7 @@ for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
              "crates/core/src/engine/timed.rs", "crates/core/src/engine/backend.rs",
              "crates/core/src/collectives/hier.rs",
              "crates/core/src/server/pool.rs", "crates/core/src/server/arena.rs",
-             "crates/tmc/src/task.rs",
+             "crates/core/src/watch.rs", "crates/tmc/src/task.rs",
              "crates/desim/src/events.rs", "crates/desim/src/coop.rs"):
     lines = open(path).read().splitlines()
     # The diet covers runtime code only: stop at the unit-test module.
@@ -191,7 +194,7 @@ for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
             break
     for i, line in enumerate(lines):
         pattern = r'\.to_vec\(\)|vec!\['
-        if path.endswith(("server/arena.rs", "tmc/src/task.rs", "server/pool.rs")):
+        if path.endswith(("server/arena.rs", "tmc/src/task.rs", "server/pool.rs", "core/src/watch.rs")):
             pattern += r'|thread::Builder|CommonMemory::new\('
         if re.search(pattern, line) and "// cold:" not in line:
             context = lines[max(0, i - 2) : i]
