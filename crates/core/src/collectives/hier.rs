@@ -24,11 +24,6 @@ use crate::fabric::{CellKey, Locality};
 use crate::symm::{Bits, Sym};
 use crate::types::{Reducible, ReduceOp};
 
-/// Largest set a default algorithm serves flat on a fabric with sync
-/// cells when no member shares a worker with its leader; past it
-/// [`ShmemCtx::select`] puts every contiguous set on the cell pass.
-const FLAT_MAX: usize = 64;
-
 /// Arrival-counter and release-epoch words of a sync cell.
 const ARRIVALS: usize = 0;
 const EPOCH: usize = 1;
@@ -41,10 +36,7 @@ pub(crate) enum Configured {
     /// `fcollect` has): nobody asked for it by name, so the library
     /// picks the transport.
     Default,
-    /// `Dissemination`: a flat algorithm asked for by name, which past
-    /// [`FLAT_MAX`] takes the cell pass like the default.
-    FlatInRange,
-    /// Any other algorithm asked for by name: honoured at every size.
+    /// Any other algorithm, asked for by name: honoured at every size.
     Flat,
 }
 
@@ -52,8 +44,9 @@ impl From<BarrierAlgo> for Configured {
     fn from(a: BarrierAlgo) -> Self {
         match a {
             BarrierAlgo::Ring => Self::Default,
-            BarrierAlgo::Dissemination => Self::FlatInRange,
-            BarrierAlgo::RootBroadcast | BarrierAlgo::TmcSpin => Self::Flat,
+            BarrierAlgo::Dissemination | BarrierAlgo::RootBroadcast | BarrierAlgo::TmcSpin => {
+                Self::Flat
+            }
         }
     }
 }
@@ -161,17 +154,17 @@ impl ShmemCtx {
     /// offers, the set's stride and size, and whether the algorithm was
     /// asked for by name.
     ///
-    /// * An algorithm asked for by name is what runs
-    ///   ([`Configured::Flat`]; `Dissemination` up to [`FLAT_MAX`]):
-    ///   the figures, the ablations and the stress generator's
-    ///   algorithm coverage depend on getting what they configured.
+    /// * An algorithm asked for by name is what runs, at every size
+    ///   ([`Configured::Flat`]): the figures, the ablations and the
+    ///   stress generator's algorithm coverage depend on getting what
+    ///   they configured.
     /// * With cells on offer and a contiguous set, a default takes the
     ///   pass at every size.
     /// * Everywhere else — fabrics without [`Locality`] (native, timed;
     ///   coop with locality off) and strided sets — the configured flat
     ///   algorithm runs at every size.
     pub(crate) fn select(&self, set: ActiveSet, rank: usize, how: Configured) -> Option<Cluster<'_>> {
-        if how == Configured::Flat || (how == Configured::FlatInRange && set.size <= FLAT_MAX) {
+        if how == Configured::Flat {
             return None;
         }
         self.cluster_for(set, rank)

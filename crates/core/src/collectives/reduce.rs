@@ -73,6 +73,7 @@ impl ShmemCtx {
         let root_pe = set.pe_at(0);
         if rank == 0 {
             // Fold every remote contribution into a local accumulator.
+            // cold: two buffers once per call, reused by every contribution.
             let mut acc = self.local_read(source, 0, nreduce);
             let mut buf = vec![unsafe { std::mem::zeroed::<T>() }; nreduce];
             for r in 1..set.size {
@@ -240,6 +241,9 @@ impl ShmemCtx {
         }
     }
 
+    /// Fold `temp[..n]` into `dest[done..done + n]` through the context's
+    /// scratch, allocation-free: read the chunk, read the accumulator,
+    /// write the accumulator back.
     fn combine_from_temp<T: Reducible>(
         &self,
         op: ReduceOp,
@@ -248,13 +252,23 @@ impl ShmemCtx {
         n: usize,
         temp: &Sym<T>,
     ) {
-        let chunk = self.local_read(temp, 0, n);
-        let mut acc = self.local_read(dest, done, n);
-        for (a, b) in acc.iter_mut().zip(&chunk) {
-            *a = T::reduce(op, *a, *b);
-        }
-        self.compute(n as f64 * REDUCE_CYCLES_PER_ELEMENT * 0.5);
-        self.local_write(dest, done, &acc);
+        let size = std::mem::size_of::<T>();
+        self.with_scratch(2 * n * size, |buf| {
+            let (chunk, acc) = buf.split_at_mut(n * size);
+            self.local_read_bytes(temp, 0, chunk);
+            self.local_read_bytes(dest, done, acc);
+            for i in (0..n * size).step_by(size) {
+                // SAFETY: both halves hold `n` whole `T`s, and `T: Bits`
+                // is plain data; the scratch is bytes, so unaligned.
+                unsafe {
+                    let a = acc.as_mut_ptr().add(i).cast::<T>();
+                    let b = chunk.as_ptr().add(i).cast::<T>();
+                    a.write_unaligned(T::reduce(op, a.read_unaligned(), b.read_unaligned()));
+                }
+            }
+            self.compute(n as f64 * REDUCE_CYCLES_PER_ELEMENT * 0.5);
+            self.local_write_bytes(dest, done, acc);
+        });
     }
 
     // --- convenience wrappers (the OpenSHMEM `*_to_all` names) ---------

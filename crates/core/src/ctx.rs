@@ -448,26 +448,36 @@ impl ShmemCtx {
     /// Write `src` into this PE's copy of `sym` starting at element
     /// `index`.
     pub fn local_write<T: Bits>(&self, sym: &Sym<T>, index: usize, src: &[T]) {
-        let bytes = byte_view(src);
-        let off = sym.elem_offset(index);
         assert!(index + src.len() <= sym.len(), "local_write out of bounds");
-        match sym.class() {
-            AddrClass::Dynamic => self.fab.arena_write(self.go(self.my_pe(), off), bytes),
-            AddrClass::Static => self.fab.private_write(off, bytes),
-        }
+        self.local_write_bytes(sym, index, byte_view(src));
     }
 
     /// Read this PE's copy of `sym` into a new `Vec`.
     pub fn local_read<T: Bits>(&self, sym: &Sym<T>, index: usize, len: usize) -> Vec<T> {
         assert!(index + len <= sym.len(), "local_read out of bounds");
         let mut out = vec![unsafe { std::mem::zeroed() }; len];
+        self.local_read_bytes(sym, index, byte_view_mut(&mut out));
+        out
+    }
+
+    /// [`local_write`](Self::local_write) of raw bytes; bounds are the
+    /// caller's.
+    pub(crate) fn local_write_bytes<T: Bits>(&self, sym: &Sym<T>, index: usize, bytes: &[u8]) {
         let off = sym.elem_offset(index);
-        let bytes = byte_view_mut(&mut out);
+        match sym.class() {
+            AddrClass::Dynamic => self.fab.arena_write(self.go(self.my_pe(), off), bytes),
+            AddrClass::Static => self.fab.private_write(off, bytes),
+        }
+    }
+
+    /// [`local_read`](Self::local_read) into raw bytes; bounds are the
+    /// caller's.
+    pub(crate) fn local_read_bytes<T: Bits>(&self, sym: &Sym<T>, index: usize, bytes: &mut [u8]) {
+        let off = sym.elem_offset(index);
         match sym.class() {
             AddrClass::Dynamic => self.fab.arena_read(self.go(self.my_pe(), off), bytes),
             AddrClass::Static => self.fab.private_read(off, bytes),
         }
-        out
     }
 
     /// Fill this PE's copy of `sym` with `value`.

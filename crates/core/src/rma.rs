@@ -12,7 +12,13 @@
 //!
 //! Redirection interrupts the remote tile over the UDN ([`crate::service`]);
 //! the temp-assisted cases pay one extra shared-memory copy — exactly the
-//! cost ladder of Figure 7.
+//! cost ladder of Figure 7. A caller's local slice is private memory the
+//! remote tile cannot address, so it classifies as static.
+//!
+//! A blocking call and its `_nbi` twin take the same path — one class
+//! dispatch per direction, one redirect, one temp chunker — and differ
+//! only in when they complete: a blocking call before it returns, a
+//! deferred one at [`quiet`](ShmemCtx::quiet).
 
 use crate::ctx::{byte_view, byte_view_mut, ShmemCtx};
 use crate::fabric::{Locality, ProtoMsg, Q_REPLY, Q_SERVICE, RmwOp, RmwWidth};
@@ -50,6 +56,76 @@ impl PendingOp {
     }
 }
 
+/// When a transfer completes — the one difference between a blocking
+/// call and its `_nbi` twin.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Completion {
+    /// Before the call returns.
+    Now,
+    /// At the next [`quiet`](ShmemCtx::quiet) or internal drain. A
+    /// dynamic-target put captures its source and writes at completion;
+    /// a redirected request is sent now and its reply awaited then.
+    AtQuiet,
+}
+
+/// One end of a contiguous transfer: a caller's slice (read by a put,
+/// written by a get), or a byte offset into the arena (global) or into a
+/// private segment.
+enum End<'a> {
+    Read(&'a [u8]),
+    Write(&'a mut [u8]),
+    Arena(usize),
+    Private(usize),
+}
+
+impl End<'_> {
+    fn class(&self) -> AddrClass {
+        match self {
+            End::Arena(_) => AddrClass::Dynamic,
+            _ => AddrClass::Static,
+        }
+    }
+
+    /// The offset of a symmetric end.
+    fn off(&self) -> usize {
+        match self {
+            End::Arena(off) | End::Private(off) => *off,
+            End::Read(_) | End::Write(_) => unreachable!("a slice has no offset"),
+        }
+    }
+
+    /// The `n` bytes at byte `at` of this end.
+    fn sub(&mut self, at: usize, n: usize) -> End<'_> {
+        match self {
+            End::Read(b) => End::Read(&b[at..at + n]),
+            End::Write(b) => End::Write(&mut b[at..at + n]),
+            End::Arena(off) => End::Arena(*off + at),
+            End::Private(off) => End::Private(*off + at),
+        }
+    }
+}
+
+/// One service request: `count` elements of `esize` bytes, `stride`
+/// bytes apart from `priv_off` in the remote private segment and packed
+/// from `arena` in the arena. A contiguous request (`TAG_SPUT`,
+/// `TAG_SGET`) is one element; a strided batch (`TAG_SPUTS`,
+/// `TAG_SGETS`) covers a whole temp-staged chunk with one interrupt.
+#[derive(Clone, Copy)]
+struct Request {
+    tag: u16,
+    priv_off: usize,
+    stride: usize,
+    esize: usize,
+    count: usize,
+    arena: usize,
+}
+
+impl Request {
+    fn span(tag: u16, priv_off: usize, arena: usize, len: usize) -> Self {
+        Request { tag, priv_off, stride: len, esize: len, count: 1, arena }
+    }
+}
+
 /// How `put_signal` updates the signal word after delivering the
 /// payload (`SHMEM_SIGNAL_SET` / `SHMEM_SIGNAL_ADD`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,47 +160,12 @@ impl ShmemCtx {
     /// equivalent of static/stack memory — the remote tile cannot read
     /// it directly).
     pub fn put<T: Bits>(&self, target: &Sym<T>, index: usize, src: &[T], pe: usize) {
-        self.check_pe(pe);
-        self.flush_pending_dest(pe);
-        assert!(index + src.len() <= target.len(), "put out of bounds");
-        let bytes = byte_view(src);
-        {
-            let mut s = self.stats.borrow_mut();
-            s.puts += 1;
-            s.put_bytes += bytes.len() as u64;
-        }
-        let toff = target.elem_offset(index);
-        match target.class() {
-            AddrClass::Dynamic => self.fab.arena_write(self.go(pe, toff), bytes),
-            AddrClass::Static if pe == self.my_pe() => self.fab.private_write(toff, bytes),
-            AddrClass::Static => self.put_static_via_temp(pe, toff, bytes),
-        }
+        self.put_slice(target, index, src, pe, Completion::Now);
     }
 
     /// Get `source[index..]` on PE `pe` into a local buffer.
     pub fn get<T: Bits>(&self, dst: &mut [T], source: &Sym<T>, index: usize, pe: usize) {
-        self.check_pe(pe);
-        self.flush_pending_dest(pe);
-        assert!(index + dst.len() <= source.len(), "get out of bounds");
-        {
-            let mut s = self.stats.borrow_mut();
-            s.gets += 1;
-            s.get_bytes += std::mem::size_of_val(dst) as u64;
-        }
-        self.get_body(dst, source, index, pe);
-    }
-
-    /// Class dispatch shared by [`get`](Self::get) and
-    /// [`get_nbi`](Self::get_nbi) (which differ only in counters and
-    /// pending-set bookkeeping).
-    fn get_body<T: Bits>(&self, dst: &mut [T], source: &Sym<T>, index: usize, pe: usize) {
-        let soff = source.elem_offset(index);
-        let bytes = byte_view_mut(dst);
-        match source.class() {
-            AddrClass::Dynamic => self.fab.arena_read(self.go(pe, soff), bytes),
-            AddrClass::Static if pe == self.my_pe() => self.fab.private_read(soff, bytes),
-            AddrClass::Static => self.get_static_via_temp(pe, soff, bytes),
-        }
+        self.get_slice(dst, source, index, pe, Completion::Now);
     }
 
     /// Symmetric-to-symmetric put: `target[toff..toff+n]` on PE `pe`
@@ -139,55 +180,7 @@ impl ShmemCtx {
         n: usize,
         pe: usize,
     ) {
-        self.check_pe(pe);
-        self.flush_pending_dest(pe);
-        assert!(toff + n <= target.len(), "put_sym target out of bounds");
-        assert!(soff + n <= source.len(), "put_sym source out of bounds");
-        let len = n * std::mem::size_of::<T>();
-        if len == 0 {
-            return;
-        }
-        {
-            let mut s = self.stats.borrow_mut();
-            s.puts += 1;
-            s.put_bytes += len as u64;
-        }
-        let t = target.elem_offset(toff);
-        let s = source.elem_offset(soff);
-        let me = self.my_pe();
-        match (target.class(), source.class()) {
-            // dynamic-dynamic: plain shared-memory copy.
-            (AddrClass::Dynamic, AddrClass::Dynamic) => {
-                self.fab.arena_copy(self.go(pe, t), self.go(me, s), len);
-            }
-            // dynamic-static: the local tile can read its own private
-            // source and write the remote arena directly.
-            (AddrClass::Dynamic, AddrClass::Static) => {
-                self.bounce_private_to_arena(self.go(pe, t), s, len);
-            }
-            // static target on ourselves: direct private access.
-            (AddrClass::Static, _) if pe == me => match source.class() {
-                AddrClass::Dynamic => {
-                    self.bounce_arena_to_private(t, self.go(me, s), len);
-                }
-                AddrClass::Static => {
-                    self.with_scratch(len, |buf| {
-                        self.fab.private_read(s, buf);
-                        self.fab.private_write(t, buf);
-                    });
-                }
-            },
-            // static-dynamic: redirect — the remote tile reads our arena
-            // partition into its private target.
-            (AddrClass::Static, AddrClass::Dynamic) => {
-                self.redirect(pe, TAG_SPUT, t, self.go(me, s), len);
-            }
-            // static-static: copy to the shared temp first, then
-            // redirect (the extra-copy penalty of Figure 7).
-            (AddrClass::Static, AddrClass::Static) => {
-                self.put_static_from_private(pe, t, s, len);
-            }
-        }
+        self.sym_transfer(true, target, toff, source, soff, n, pe, Completion::Now);
     }
 
     /// Symmetric-to-symmetric get: `target[toff..]` on this PE receives
@@ -201,53 +194,7 @@ impl ShmemCtx {
         n: usize,
         pe: usize,
     ) {
-        self.check_pe(pe);
-        self.flush_pending_dest(pe);
-        assert!(toff + n <= target.len(), "get_sym target out of bounds");
-        assert!(soff + n <= source.len(), "get_sym source out of bounds");
-        let len = n * std::mem::size_of::<T>();
-        if len == 0 {
-            return;
-        }
-        {
-            let mut s = self.stats.borrow_mut();
-            s.gets += 1;
-            s.get_bytes += len as u64;
-        }
-        let t = target.elem_offset(toff);
-        let s = source.elem_offset(soff);
-        let me = self.my_pe();
-        match (target.class(), source.class()) {
-            (AddrClass::Dynamic, AddrClass::Dynamic) => {
-                self.fab.arena_copy(self.go(me, t), self.go(pe, s), len);
-            }
-            // static-dynamic get: local private target, readable arena
-            // source — direct.
-            (AddrClass::Static, AddrClass::Dynamic) => {
-                self.bounce_arena_to_private(t, self.go(pe, s), len);
-            }
-            (_, AddrClass::Static) if pe == me => match target.class() {
-                AddrClass::Dynamic => {
-                    self.bounce_private_to_arena(self.go(me, t), s, len);
-                }
-                AddrClass::Static => {
-                    self.with_scratch(len, |buf| {
-                        self.fab.private_read(s, buf);
-                        self.fab.private_write(t, buf);
-                    });
-                }
-            },
-            // dynamic-static get: redirect — remote puts its private
-            // source straight into our arena target.
-            (AddrClass::Dynamic, AddrClass::Static) => {
-                self.redirect(pe, TAG_SGET, s, self.go(me, t), len);
-            }
-            // static-static get: redirect into our temp, then copy to
-            // our private target.
-            (AddrClass::Static, AddrClass::Static) => {
-                self.get_static_to_private(pe, t, s, len);
-            }
-        }
+        self.sym_transfer(false, target, toff, source, soff, n, pe, Completion::Now);
     }
 
     // --- strided (`shmem_T_iput` / `shmem_T_iget`) ----------------------
@@ -336,9 +283,13 @@ impl ShmemCtx {
                     );
                 }
             }
-            AddrClass::Static => {
-                self.iput_static_via_temp(pe, target, tidx, tst, gathered);
-            }
+            AddrClass::Static => self.temp_chunks(nelems, esize, Completion::Now, |done, n, temp| {
+                // Stage the gathered batch; the remote scatters it.
+                self.fab.arena_write(temp, byte_view(&gathered[done..done + n]));
+                let priv_off = target.elem_offset(tidx + done * tst);
+                let r = Request { tag: TAG_SPUTS, priv_off, stride: tst * esize, esize, count: n, arena: temp };
+                self.redirect(pe, r, Completion::Now);
+            }),
         }
     }
 
@@ -427,9 +378,26 @@ impl ShmemCtx {
                     dst[i * dst_stride] = tmp[0];
                 }
             }
-            AddrClass::Static => {
-                self.iget_static_via_temp(dst, dst_stride, source, sidx, sst, nelems, pe);
-            }
+            AddrClass::Static => self.temp_chunks(nelems, esize, Completion::Now, |done, n, temp| {
+                // The remote gathers the batch into our temp; scatter it.
+                let priv_off = source.elem_offset(sidx + done * sst);
+                let r = Request { tag: TAG_SGETS, priv_off, stride: sst * esize, esize, count: n, arena: temp };
+                self.redirect(pe, r, Completion::Now);
+                if dst_stride == 1 && self.rma_fast_paths {
+                    // Contiguous destination: drain the temp straight into
+                    // the caller's buffer, no staging copy.
+                    self.fab
+                        .arena_read(temp, byte_view_mut(&mut dst[done..done + n]));
+                } else {
+                    self.with_scratch(n * esize, |buf| {
+                        self.fab.arena_read(temp, buf);
+                        for i in 0..n {
+                            byte_view_mut(std::slice::from_mut(&mut dst[(done + i) * dst_stride]))
+                                .copy_from_slice(&buf[i * esize..(i + 1) * esize]);
+                        }
+                    });
+                }
+            }),
         }
     }
 
@@ -453,293 +421,6 @@ impl ShmemCtx {
         }
     }
 
-    // --- redirection internals -------------------------------------------
-
-    /// The locality capability when `pe` is a *distinct* co-resident
-    /// peer — on the coop engine, a PE multiplexed on the same worker,
-    /// whose private segment is directly addressable while we hold the
-    /// shared admission gate. Redirected traffic to such a peer
-    /// degrades to the handler's one memcpy done locally (the POSH
-    /// same-address-space argument), skipping the interrupt round trip
-    /// entirely.
-    #[inline]
-    fn local_peer(&self, pe: usize) -> Option<&dyn Locality> {
-        if pe == self.my_pe() {
-            return None;
-        }
-        self.fab.locality().filter(|loc| loc.co_resident(pe))
-    }
-
-    /// Perform a redirected request's effect directly on a co-resident
-    /// peer (the service handler's single memcpy, executed by us).
-    /// `TAG_SPUT` moves arena bytes into the peer's private segment;
-    /// `TAG_SGET` moves the peer's private bytes into the arena.
-    // cold: no allocation on this path.
-    fn redirect_local(
-        &self,
-        peer: &dyn Locality,
-        pe: usize,
-        tag: u16,
-        priv_off: usize,
-        arena_global: usize,
-        len: usize,
-    ) {
-        self.stats.borrow_mut().locality_hits += 1;
-        self.fab.quiet(); // same visibility point as the channel path
-        match tag {
-            TAG_SPUT => peer.peer_arena_to_private(pe, priv_off, arena_global, len),
-            _ => peer.peer_private_to_arena(pe, arena_global, priv_off, len),
-        }
-    }
-
-    /// Send a service request and await its completion reply. The reply
-    /// wait matches by token: with nbi requests in flight, `TAG_SDONE`
-    /// replies from different pipelined requests interleave on
-    /// `Q_REPLY`, so a positional receive would steal another op's
-    /// completion.
-    fn redirect(&self, pe: usize, tag: u16, priv_off: usize, arena_global: usize, len: usize) {
-        if let Some(peer) = self.local_peer(pe) {
-            self.redirect_local(peer, pe, tag, priv_off, arena_global, len);
-            return;
-        }
-        self.stats.borrow_mut().redirected += 1;
-        let token = self.next_token();
-        self.fab.quiet(); // our arena-side data must be visible first
-        self.fab
-            .udn_send(pe, Q_SERVICE, tag, &encode_request(priv_off, arena_global, len, token));
-        self.await_sdone(token);
-    }
-
-    /// Block until the `TAG_SDONE` reply carrying `token` arrives,
-    /// stashing any other reply that lands first.
-    fn await_sdone(&self, token: u64) {
-        let reply = self.recv_matching(Q_REPLY, |m: &ProtoMsg| {
-            m.tag == TAG_SDONE && m.payload.first() == Some(&token)
-        });
-        debug_assert_eq!(reply.payload[0], token);
-    }
-
-    /// Send a **strided** service request (one interrupt covers a whole
-    /// temp-staged batch) and await its completion reply.
-    #[allow(clippy::too_many_arguments)]
-    fn redirect_strided(
-        &self,
-        pe: usize,
-        tag: u16,
-        priv_base: usize,
-        stride_bytes: usize,
-        esize: usize,
-        count: usize,
-        arena_global: usize,
-    ) {
-        if let Some(peer) = self.local_peer(pe) {
-            // The strided handler's scatter/gather, executed locally
-            // against the co-resident peer's private segment (same
-            // stride collapse as the handler). cold: no allocation.
-            self.stats.borrow_mut().locality_hits += 1;
-            self.fab.quiet();
-            if stride_bytes == esize {
-                match tag {
-                    TAG_SPUTS => {
-                        peer.peer_arena_to_private(pe, priv_base, arena_global, count * esize)
-                    }
-                    _ => peer.peer_private_to_arena(pe, arena_global, priv_base, count * esize),
-                }
-            } else {
-                for i in 0..count {
-                    let p = priv_base + i * stride_bytes;
-                    let a = arena_global + i * esize;
-                    match tag {
-                        TAG_SPUTS => peer.peer_arena_to_private(pe, p, a, esize),
-                        _ => peer.peer_private_to_arena(pe, a, p, esize),
-                    }
-                }
-            }
-            return;
-        }
-        self.stats.borrow_mut().redirected += 1;
-        let token = self.next_token();
-        self.fab.quiet(); // our arena-side data must be visible first
-        self.fab.udn_send(
-            pe,
-            Q_SERVICE,
-            tag,
-            &encode_strided_request(priv_base, stride_bytes, esize, count, arena_global, token),
-        );
-        self.await_sdone(token);
-    }
-
-    /// Strided put to a remote static target: stage gathered elements in
-    /// the shared temp, then let the remote scatter each batch.
-    fn iput_static_via_temp<T: Bits>(
-        &self,
-        pe: usize,
-        target: &Sym<T>,
-        tidx: usize,
-        tst: usize,
-        gathered: &[T],
-    ) {
-        // Blocking use of the shared temp: in-flight nbi chunks own bump-
-        // allocated slices of it, so complete them before reusing it.
-        self.drain_pending();
-        let me = self.my_pe();
-        let esize = std::mem::size_of::<T>();
-        let temp = self.go(me, self.layout.temp_off);
-        let batch = (self.layout.temp_bytes / esize).max(1);
-        let mut done = 0;
-        while done < gathered.len() {
-            let n = (gathered.len() - done).min(batch);
-            self.fab
-                .arena_write(temp, byte_view(&gathered[done..done + n]));
-            self.redirect_strided(
-                pe,
-                TAG_SPUTS,
-                target.elem_offset(tidx + done * tst),
-                tst * esize,
-                esize,
-                n,
-                temp,
-            );
-            done += n;
-        }
-    }
-
-    /// Strided get from a remote static source: the remote gathers each
-    /// batch into our shared temp, which we scatter into `dst`.
-    #[allow(clippy::too_many_arguments)]
-    fn iget_static_via_temp<T: Bits>(
-        &self,
-        dst: &mut [T],
-        dst_stride: usize,
-        source: &Sym<T>,
-        sidx: usize,
-        sst: usize,
-        nelems: usize,
-        pe: usize,
-    ) {
-        self.drain_pending(); // temp reuse — see iput_static_via_temp
-        let me = self.my_pe();
-        let esize = std::mem::size_of::<T>();
-        let temp = self.go(me, self.layout.temp_off);
-        let batch = (self.layout.temp_bytes / esize).max(1);
-        let mut done = 0;
-        while done < nelems {
-            let n = (nelems - done).min(batch);
-            self.redirect_strided(
-                pe,
-                TAG_SGETS,
-                source.elem_offset(sidx + done * sst),
-                sst * esize,
-                esize,
-                n,
-                temp,
-            );
-            if dst_stride == 1 && self.rma_fast_paths {
-                // Contiguous destination: drain the temp straight into
-                // the caller's buffer, no staging copy.
-                self.fab
-                    .arena_read(temp, byte_view_mut(&mut dst[done..done + n]));
-            } else {
-                self.with_scratch(n * esize, |buf| {
-                    self.fab.arena_read(temp, buf);
-                    for i in 0..n {
-                        byte_view_mut(std::slice::from_mut(&mut dst[(done + i) * dst_stride]))
-                            .copy_from_slice(&buf[i * esize..(i + 1) * esize]);
-                    }
-                });
-            }
-            done += n;
-        }
-    }
-
-    /// put with static target, arbitrary local bytes: chunk through the
-    /// shared temp buffer.
-    fn put_static_via_temp(&self, pe: usize, priv_dst: usize, bytes: &[u8]) {
-        if let Some(peer) = self.local_peer(pe) {
-            // Co-resident target: skip the temp bounce entirely — one
-            // memcpy into the peer's private segment instead of
-            // stage + interrupt + handler copy. cold: no allocation.
-            self.stats.borrow_mut().locality_hits += 1;
-            self.fab.quiet();
-            peer.peer_private_write(pe, priv_dst, bytes);
-            return;
-        }
-        self.drain_pending(); // temp reuse — see iput_static_via_temp
-        let me = self.my_pe();
-        let temp = self.layout.temp_off;
-        let cap = self.layout.temp_bytes;
-        let mut done = 0;
-        while done < bytes.len() {
-            let n = (bytes.len() - done).min(cap);
-            self.fab.arena_write(self.go(me, temp), &bytes[done..done + n]);
-            self.redirect(pe, TAG_SPUT, priv_dst + done, self.go(me, temp), n);
-            done += n;
-        }
-    }
-
-    /// get with static source into arbitrary local bytes: redirect into
-    /// our temp, then read out.
-    fn get_static_via_temp(&self, pe: usize, priv_src: usize, bytes: &mut [u8]) {
-        if let Some(peer) = self.local_peer(pe) {
-            // Co-resident source: one memcpy out of the peer's private
-            // segment, no temp bounce. cold: no allocation.
-            self.stats.borrow_mut().locality_hits += 1;
-            self.fab.quiet();
-            peer.peer_private_read(pe, priv_src, bytes);
-            return;
-        }
-        self.drain_pending(); // temp reuse — see iput_static_via_temp
-        let me = self.my_pe();
-        let temp = self.layout.temp_off;
-        let cap = self.layout.temp_bytes;
-        let mut done = 0;
-        while done < bytes.len() {
-            let n = (bytes.len() - done).min(cap);
-            self.redirect(pe, TAG_SGET, priv_src + done, self.go(me, temp), n);
-            self.fab.arena_read(self.go(me, temp), &mut bytes[done..done + n]);
-            done += n;
-        }
-    }
-
-    /// static-static put: private source -> shared temp -> remote private.
-    fn put_static_from_private(&self, pe: usize, priv_dst: usize, priv_src: usize, len: usize) {
-        self.drain_pending(); // temp reuse — see iput_static_via_temp
-        let me = self.my_pe();
-        let temp = self.layout.temp_off;
-        let cap = self.layout.temp_bytes;
-        let mut done = 0;
-        while done < len {
-            let n = (len - done).min(cap);
-            self.fab.private_to_arena(self.go(me, temp), priv_src + done, n);
-            self.redirect(pe, TAG_SPUT, priv_dst + done, self.go(me, temp), n);
-            done += n;
-        }
-    }
-
-    /// static-static get: remote private -> my shared temp -> my private.
-    fn get_static_to_private(&self, pe: usize, priv_dst: usize, priv_src: usize, len: usize) {
-        self.drain_pending(); // temp reuse — see iput_static_via_temp
-        let me = self.my_pe();
-        let temp = self.layout.temp_off;
-        let cap = self.layout.temp_bytes;
-        let mut done = 0;
-        while done < len {
-            let n = (len - done).min(cap);
-            self.redirect(pe, TAG_SGET, priv_src + done, self.go(me, temp), n);
-            self.fab.arena_to_private(priv_dst + done, self.go(me, temp), n);
-            done += n;
-        }
-    }
-
-    /// Large private->arena transfer in one memcpy.
-    fn bounce_private_to_arena(&self, arena_dst_global: usize, priv_src: usize, len: usize) {
-        self.fab.private_to_arena(arena_dst_global, priv_src, len);
-    }
-
-    /// Large arena->private transfer in one memcpy.
-    fn bounce_arena_to_private(&self, priv_dst: usize, arena_src_global: usize, len: usize) {
-        self.fab.arena_to_private(priv_dst, arena_src_global, len);
-    }
 
     // --- non-blocking transfers (`shmem_put_nbi` / `shmem_get_nbi`) -----
 
@@ -752,24 +433,7 @@ impl ShmemCtx {
     /// service requests immediately and defer only the completion-reply
     /// waits, pipelining multiple requests through the remote handler.
     pub fn put_nbi<T: Bits>(&self, target: &Sym<T>, index: usize, src: &[T], pe: usize) {
-        self.check_pe(pe);
-        assert!(index + src.len() <= target.len(), "put_nbi out of bounds");
-        let bytes = byte_view(src);
-        {
-            let mut s = self.stats.borrow_mut();
-            s.nbi_puts += 1;
-            s.put_bytes += bytes.len() as u64;
-        }
-        let toff = target.elem_offset(index);
-        match target.class() {
-            AddrClass::Dynamic => self.stage_put_nbi(pe, self.go(pe, toff), bytes),
-            // A local private write has no remote completion to defer.
-            AddrClass::Static if pe == self.my_pe() => self.fab.private_write(toff, bytes),
-            AddrClass::Static => self.put_static_via_temp_nbi(pe, toff, bytes),
-        }
-        if self.nbi_eager {
-            self.drain_pending();
-        }
+        self.put_slice(target, index, src, pe, Completion::AtQuiet);
     }
 
     /// `shmem_get_nbi`: get into a local buffer. The destination is a
@@ -778,15 +442,7 @@ impl ShmemCtx {
     /// counts as an nbi get and participates in the fence/quiet
     /// ordering model.
     pub fn get_nbi<T: Bits>(&self, dst: &mut [T], source: &Sym<T>, index: usize, pe: usize) {
-        self.check_pe(pe);
-        self.flush_pending_dest(pe);
-        assert!(index + dst.len() <= source.len(), "get_nbi out of bounds");
-        {
-            let mut s = self.stats.borrow_mut();
-            s.nbi_gets += 1;
-            s.get_bytes += std::mem::size_of_val(dst) as u64;
-        }
-        self.get_body(dst, source, index, pe);
+        self.get_slice(dst, source, index, pe, Completion::AtQuiet);
     }
 
     /// Symmetric-to-symmetric non-blocking put (the deferred counterpart
@@ -801,59 +457,7 @@ impl ShmemCtx {
         n: usize,
         pe: usize,
     ) {
-        self.check_pe(pe);
-        assert!(toff + n <= target.len(), "put_sym_nbi target out of bounds");
-        assert!(soff + n <= source.len(), "put_sym_nbi source out of bounds");
-        let len = n * std::mem::size_of::<T>();
-        if len == 0 {
-            return;
-        }
-        {
-            let mut s = self.stats.borrow_mut();
-            s.nbi_puts += 1;
-            s.put_bytes += len as u64;
-        }
-        let t = target.elem_offset(toff);
-        let s = source.elem_offset(soff);
-        let me = self.my_pe();
-        match (target.class(), source.class()) {
-            (AddrClass::Dynamic, AddrClass::Dynamic) => {
-                let off = self.stage_reserve(len);
-                {
-                    let mut stage = self.nbi_stage.borrow_mut();
-                    self.fab.arena_read(self.go(me, s), &mut stage[off..off + len]);
-                }
-                self.push_staged(pe, self.go(pe, t), off, len);
-            }
-            (AddrClass::Dynamic, AddrClass::Static) => {
-                let off = self.stage_reserve(len);
-                {
-                    let mut stage = self.nbi_stage.borrow_mut();
-                    self.fab.private_read(s, &mut stage[off..off + len]);
-                }
-                self.push_staged(pe, self.go(pe, t), off, len);
-            }
-            // Local static target: completes at issue.
-            (AddrClass::Static, _) if pe == me => match source.class() {
-                AddrClass::Dynamic => self.bounce_arena_to_private(t, self.go(me, s), len),
-                AddrClass::Static => self.with_scratch(len, |buf| {
-                    self.fab.private_read(s, buf);
-                    self.fab.private_write(t, buf);
-                }),
-            },
-            // static-dynamic: the remote handler reads our arena source
-            // directly, so the request needs no staging at all — send it
-            // now, await the reply at quiet.
-            (AddrClass::Static, AddrClass::Dynamic) => {
-                self.redirect_nbi(pe, TAG_SPUT, t, self.go(me, s), len);
-            }
-            (AddrClass::Static, AddrClass::Static) => {
-                self.put_static_from_private_nbi(pe, t, s, len);
-            }
-        }
-        if self.nbi_eager {
-            self.drain_pending();
-        }
+        self.sym_transfer(true, target, toff, source, soff, n, pe, Completion::AtQuiet);
     }
 
     /// Symmetric-to-symmetric non-blocking get. The dynamic-target,
@@ -871,47 +475,303 @@ impl ShmemCtx {
         n: usize,
         pe: usize,
     ) {
-        self.check_pe(pe);
-        self.flush_pending_dest(pe);
-        assert!(toff + n <= target.len(), "get_sym_nbi target out of bounds");
-        assert!(soff + n <= source.len(), "get_sym_nbi source out of bounds");
+        self.sym_transfer(false, target, toff, source, soff, n, pe, Completion::AtQuiet);
+    }
+
+    // --- the one contiguous path ----------------------------------------
+
+    fn put_slice<T: Bits>(&self, target: &Sym<T>, index: usize, src: &[T], pe: usize, c: Completion) {
+        self.enter(true, pe, c);
+        assert!(index + src.len() <= target.len(), "put out of bounds");
+        let bytes = byte_view(src);
+        self.transfer(true, pe, self.end(target, index, pe), End::Read(bytes), bytes.len(), c);
+    }
+
+    fn get_slice<T: Bits>(&self, dst: &mut [T], source: &Sym<T>, index: usize, pe: usize, c: Completion) {
+        self.enter(false, pe, c);
+        assert!(index + dst.len() <= source.len(), "get out of bounds");
+        let bytes = byte_view_mut(dst);
+        let len = bytes.len();
+        self.transfer(false, pe, End::Write(bytes), self.end(source, index, pe), len, c);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn sym_transfer<T: Bits>(
+        &self,
+        put: bool,
+        target: &Sym<T>,
+        toff: usize,
+        source: &Sym<T>,
+        soff: usize,
+        n: usize,
+        pe: usize,
+        c: Completion,
+    ) {
+        self.enter(put, pe, c);
+        let op = if put { "put_sym" } else { "get_sym" };
+        assert!(toff + n <= target.len(), "{op} target out of bounds");
+        assert!(soff + n <= source.len(), "{op} source out of bounds");
         let len = n * std::mem::size_of::<T>();
         if len == 0 {
             return;
         }
+        let me = self.my_pe();
+        let (tpe, spe) = if put { (pe, me) } else { (me, pe) };
+        self.transfer(put, pe, self.end(target, toff, tpe), self.end(source, soff, spe), len, c);
+    }
+
+    /// Element `index` of `sym` on PE `pe` as a transfer end.
+    fn end<T: Bits>(&self, sym: &Sym<T>, index: usize, pe: usize) -> End<'static> {
+        let off = sym.elem_offset(index);
+        match sym.class() {
+            AddrClass::Dynamic => End::Arena(self.go(pe, off)),
+            AddrClass::Static => End::Private(off),
+        }
+    }
+
+    /// Check `pe` and keep program order with earlier nbi traffic to it:
+    /// every call flushes that traffic but a deferred put, which is what
+    /// queues.
+    fn enter(&self, put: bool, pe: usize, c: Completion) {
+        self.check_pe(pe);
+        if !put || c == Completion::Now {
+            self.flush_pending_dest(pe);
+        }
+    }
+
+    /// Count one put or get of `len` bytes and run it through its
+    /// direction's class dispatch. Under [`Fault::EagerNbi`] a deferred
+    /// op is drained at its tail.
+    ///
+    /// [`Fault::EagerNbi`]: crate::fault::Fault::EagerNbi
+    fn transfer(&self, put: bool, pe: usize, target: End<'_>, source: End<'_>, len: usize, c: Completion) {
         {
             let mut s = self.stats.borrow_mut();
-            s.nbi_gets += 1;
-            s.get_bytes += len as u64;
+            match (put, c) {
+                (true, Completion::Now) => s.puts += 1,
+                (true, Completion::AtQuiet) => s.nbi_puts += 1,
+                (false, Completion::Now) => s.gets += 1,
+                (false, Completion::AtQuiet) => s.nbi_gets += 1,
+            }
+            if put {
+                s.put_bytes += len as u64;
+            } else {
+                s.get_bytes += len as u64;
+            }
         }
-        let t = target.elem_offset(toff);
-        let s = source.elem_offset(soff);
-        let me = self.my_pe();
-        match (target.class(), source.class()) {
-            (AddrClass::Dynamic, AddrClass::Static) if pe != me => {
-                self.redirect_nbi(pe, TAG_SGET, s, self.go(me, t), len);
-            }
-            (AddrClass::Dynamic, AddrClass::Dynamic) => {
-                self.fab.arena_copy(self.go(me, t), self.go(pe, s), len);
-            }
-            (AddrClass::Static, AddrClass::Dynamic) => {
-                self.bounce_arena_to_private(t, self.go(pe, s), len);
-            }
-            (_, AddrClass::Static) if pe == me => match target.class() {
-                AddrClass::Dynamic => self.bounce_private_to_arena(self.go(me, t), s, len),
-                AddrClass::Static => self.with_scratch(len, |buf| {
-                    self.fab.private_read(s, buf);
-                    self.fab.private_write(t, buf);
-                }),
-            },
-            (AddrClass::Static, AddrClass::Static) => {
-                self.get_static_to_private(pe, t, s, len);
-            }
-            // pe == me dynamic-static handled above; nothing else remains.
-            (AddrClass::Dynamic, AddrClass::Static) => unreachable!(),
+        if put {
+            self.put_to(pe, target, source, len, c);
+        } else {
+            self.get_from(pe, target, source, len, c);
         }
-        if self.nbi_eager {
+        if c == Completion::AtQuiet && self.nbi_eager {
             self.drain_pending();
+        }
+    }
+
+    /// Figure 7 for a put: `source` is this PE's, `target` is on `pe`.
+    fn put_to(&self, pe: usize, target: End<'_>, source: End<'_>, len: usize, c: Completion) {
+        let remote = pe != self.my_pe();
+        match (target.class(), source.class()) {
+            // dynamic target, deferred: capture the source now, write
+            // the target with a single `arena_write` at completion.
+            (AddrClass::Dynamic, _) if c == Completion::AtQuiet => {
+                let mut stage = self.nbi_stage.borrow_mut();
+                let stage_off = stage.len();
+                stage.resize(stage_off + len, 0);
+                self.copy(End::Write(&mut stage[stage_off..]), source, len);
+                drop(stage);
+                let dest_global = target.off();
+                self.pending.borrow_mut().push(PendingOp::StagedPut { pe, dest_global, stage_off, len });
+            }
+            // static-dynamic: redirect — the remote tile reads our arena
+            // source into its private target.
+            (AddrClass::Static, AddrClass::Dynamic) if remote => {
+                self.redirect(pe, Request::span(TAG_SPUT, target.off(), source.off(), len), c);
+            }
+            // static-static: copy to our shared temp first, then
+            // redirect (the extra-copy penalty of Figure 7).
+            (AddrClass::Static, AddrClass::Static) if remote => {
+                self.via_temp(pe, TAG_SPUT, target.off(), source, len, c);
+            }
+            // A dynamic target, or a static one on ourselves, is directly
+            // addressable: one local copy.
+            _ => self.copy(target, source, len),
+        }
+    }
+
+    /// Figure 7 for a get: `target` is this PE's, `source` is on `pe`.
+    fn get_from(&self, pe: usize, target: End<'_>, source: End<'_>, len: usize, c: Completion) {
+        let remote = pe != self.my_pe();
+        match (target.class(), source.class()) {
+            // dynamic-static: redirect — the remote tile puts its private
+            // source straight into our arena target.
+            (AddrClass::Dynamic, AddrClass::Static) if remote => {
+                self.redirect(pe, Request::span(TAG_SGET, source.off(), target.off(), len), c);
+            }
+            // static-static: redirect into our temp, then copy out. The
+            // copy needs each reply, so this completes now either way.
+            (AddrClass::Static, AddrClass::Static) if remote => {
+                self.via_temp(pe, TAG_SGET, source.off(), target, len, Completion::Now);
+            }
+            // A dynamic source, or a static one on ourselves, is directly
+            // addressable: one local copy.
+            _ => self.copy(target, source, len),
+        }
+    }
+
+    /// One local copy between two directly addressable ends.
+    fn copy(&self, dst: End<'_>, src: End<'_>, len: usize) {
+        match (dst, src) {
+            (End::Arena(d), End::Read(s)) => self.fab.arena_write(d, s),
+            (End::Arena(d), End::Arena(s)) => self.fab.arena_copy(d, s, len),
+            (End::Arena(d), End::Private(s)) => self.fab.private_to_arena(d, s, len),
+            (End::Private(d), End::Read(s)) => self.fab.private_write(d, s),
+            (End::Private(d), End::Arena(s)) => self.fab.arena_to_private(d, s, len),
+            (End::Private(d), End::Private(s)) => self.with_scratch(len, |buf| {
+                self.fab.private_read(s, buf);
+                self.fab.private_write(d, buf);
+            }),
+            (End::Write(d), End::Read(s)) => d.copy_from_slice(s),
+            (End::Write(d), End::Arena(s)) => self.fab.arena_read(s, d),
+            (End::Write(d), End::Private(s)) => self.fab.private_read(s, d),
+            (End::Read(_), _) | (_, End::Write(_)) => {
+                unreachable!("a transfer reads its source and writes its target")
+            }
+        }
+    }
+
+    // --- redirection internals -------------------------------------------
+
+    /// Take the co-resident bypass to `pe` if there is one: the locality
+    /// capability when `pe` is a *distinct* co-resident peer — on the
+    /// coop engine, a PE multiplexed on the same worker, whose private
+    /// segment is directly addressable while we hold the shared
+    /// admission gate. Redirected traffic to such a peer degrades to the
+    /// handler's one memcpy done locally (the POSH same-address-space
+    /// argument), skipping the interrupt round trip entirely. Taking it
+    /// counts a locality hit and fences, the same visibility point as
+    /// the channel path.
+    fn local_peer(&self, pe: usize) -> Option<&dyn Locality> {
+        if pe == self.my_pe() {
+            return None;
+        }
+        let peer = self.fab.locality().filter(|loc| loc.co_resident(pe))?;
+        self.stats.borrow_mut().locality_hits += 1;
+        self.fab.quiet();
+        Some(peer)
+    }
+
+    /// Send one service request to `pe` — `Now` awaits its completion
+    /// reply, `AtQuiet` queues the wait — or, to a co-resident peer, do
+    /// the handler's copy ourselves (with the same stride collapse).
+    /// A bypassed request completes at issue either way: the nbi
+    /// contract permits early completion (the eager/lazy equivalence
+    /// suite is the standing proof), and a bypassed op can never overlap
+    /// a staged dynamic-target put, so no ordering is lost.
+    fn redirect(&self, pe: usize, r: Request, c: Completion) {
+        if let Some(peer) = self.local_peer(pe) {
+            // cold: no allocation on this path.
+            let (runs, size) = if r.stride == r.esize {
+                (1, r.count * r.esize)
+            } else {
+                (r.count, r.esize)
+            };
+            for i in 0..runs {
+                let (p, a) = (r.priv_off + i * r.stride, r.arena + i * r.esize);
+                match r.tag {
+                    TAG_SPUT | TAG_SPUTS => peer.peer_arena_to_private(pe, p, a, size),
+                    _ => peer.peer_private_to_arena(pe, a, p, size),
+                }
+            }
+            return;
+        }
+        self.stats.borrow_mut().redirected += 1;
+        let token = self.next_token();
+        self.fab.quiet(); // our arena-side data must be visible first
+        if let TAG_SPUTS | TAG_SGETS = r.tag {
+            let req = encode_strided_request(r.priv_off, r.stride, r.esize, r.count, r.arena, token);
+            self.fab.udn_send(pe, Q_SERVICE, r.tag, &req);
+        } else {
+            let req = encode_request(r.priv_off, r.arena, r.esize, token);
+            self.fab.udn_send(pe, Q_SERVICE, r.tag, &req);
+        }
+        match c {
+            Completion::Now => self.await_sdone(token),
+            Completion::AtQuiet => self.pending.borrow_mut().push(PendingOp::AwaitReply { pe, token }),
+        }
+    }
+
+    /// Block until the `TAG_SDONE` reply carrying `token` arrives,
+    /// stashing any other reply that lands first: with nbi requests in
+    /// flight, replies from different pipelined requests interleave on
+    /// `Q_REPLY`, so a positional receive would steal another op's
+    /// completion.
+    fn await_sdone(&self, token: u64) {
+        let reply = self.recv_matching(Q_REPLY, |m: &ProtoMsg| {
+            m.tag == TAG_SDONE && m.payload.first() == Some(&token)
+        });
+        debug_assert_eq!(reply.payload[0], token);
+    }
+
+    /// The temp-assisted cases: `len` bytes between `local` (a caller's
+    /// slice or our own private segment) and the static object at
+    /// `priv_off` on `pe`, chunked through our shared temp — staged
+    /// before each `TAG_SPUT` request, read out after each `TAG_SGET`
+    /// reply. A slice to or from a co-resident peer skips the temp: one
+    /// memcpy.
+    fn via_temp(&self, pe: usize, tag: u16, priv_off: usize, mut local: End<'_>, len: usize, c: Completion) {
+        let peer = match local {
+            End::Read(_) | End::Write(_) => self.local_peer(pe),
+            End::Arena(_) | End::Private(_) => None,
+        };
+        if let Some(peer) = peer {
+            // cold: no allocation on this path.
+            match local {
+                End::Read(b) => peer.peer_private_write(pe, priv_off, b),
+                End::Write(b) => peer.peer_private_read(pe, priv_off, b),
+                End::Arena(_) | End::Private(_) => unreachable!(),
+            }
+            return;
+        }
+        self.temp_chunks(len, 1, c, |done, n, temp| {
+            let r = Request::span(tag, priv_off + done, temp, n);
+            if tag == TAG_SPUT {
+                self.copy(End::Arena(temp), local.sub(done, n), n);
+                self.redirect(pe, r, c);
+            } else {
+                self.redirect(pe, r, c);
+                self.copy(local.sub(done, n), End::Arena(temp), n);
+            }
+        });
+    }
+
+    /// The one temp chunker: `each(done, n, temp)` over `count` units of
+    /// `unit` bytes, at most a temp's worth per chunk, with `temp` the
+    /// chunk's global arena offset. A blocking caller first drains the
+    /// pending ops (in-flight nbi chunks own slices of the temp) and
+    /// reuses the temp's start for every chunk; a deferred one takes
+    /// slices from the bump cursor and drains only when the temp is
+    /// exhausted.
+    fn temp_chunks(&self, count: usize, unit: usize, c: Completion, mut each: impl FnMut(usize, usize, usize)) {
+        if c == Completion::Now {
+            self.drain_pending();
+        }
+        let cap = self.layout.temp_bytes;
+        let batch = (cap / unit).max(1);
+        let mut done = 0;
+        while done < count {
+            let used = self.nbi_temp_used.get(); // 0 under `Now`: drained
+            if used == cap {
+                self.drain_pending(); // resets the bump cursor
+                continue;
+            }
+            let n = (count - done).min(batch - used / unit);
+            if c == Completion::AtQuiet {
+                self.nbi_temp_used.set(used + n * unit);
+            }
+            each(done, n, self.go(self.my_pe(), self.layout.temp_off + used));
+            done += n;
         }
     }
 
@@ -1020,102 +880,6 @@ impl ShmemCtx {
                 self.fab.arena_write(dest_global, &stage[stage_off..stage_off + len]);
             }
             PendingOp::AwaitReply { token, .. } => self.await_sdone(token),
-        }
-    }
-
-    /// Reserve `len` bytes in the stage buffer, returning the offset.
-    fn stage_reserve(&self, len: usize) -> usize {
-        let mut stage = self.nbi_stage.borrow_mut();
-        let off = stage.len();
-        stage.resize(off + len, 0);
-        off
-    }
-
-    fn push_staged(&self, pe: usize, dest_global: usize, stage_off: usize, len: usize) {
-        self.pending.borrow_mut().push(PendingOp::StagedPut {
-            pe,
-            dest_global,
-            stage_off,
-            len,
-        });
-    }
-
-    /// Capture `bytes` and queue a deferred dynamic-target put.
-    fn stage_put_nbi(&self, pe: usize, dest_global: usize, bytes: &[u8]) {
-        let off = self.stage_reserve(bytes.len());
-        self.nbi_stage.borrow_mut()[off..off + bytes.len()].copy_from_slice(bytes);
-        self.push_staged(pe, dest_global, off, bytes.len());
-    }
-
-    /// Send a redirected service request and queue its completion-reply
-    /// wait instead of blocking on it — the pipelined counterpart of
-    /// [`redirect`](Self::redirect).
-    fn redirect_nbi(&self, pe: usize, tag: u16, priv_off: usize, arena_global: usize, len: usize) {
-        if let Some(peer) = self.local_peer(pe) {
-            // Completes at issue — the OpenSHMEM nbi contract permits
-            // early completion (the eager/lazy equivalence suite is the
-            // standing proof), and a bypassed op can never overlap a
-            // staged dynamic-target put, so no ordering is lost.
-            self.redirect_local(peer, pe, tag, priv_off, arena_global, len);
-            return;
-        }
-        self.stats.borrow_mut().redirected += 1;
-        let token = self.next_token();
-        self.fab.quiet(); // our arena-side data must be visible first
-        self.fab
-            .udn_send(pe, Q_SERVICE, tag, &encode_request(priv_off, arena_global, len, token));
-        self.pending.borrow_mut().push(PendingOp::AwaitReply { pe, token });
-    }
-
-    /// Non-blocking static-target put of arbitrary local bytes: chunks
-    /// bump-allocate slices of the shared temp so several chunks can be
-    /// in flight at once; only on temp exhaustion does the train stall
-    /// for a full drain.
-    fn put_static_via_temp_nbi(&self, pe: usize, priv_dst: usize, bytes: &[u8]) {
-        if let Some(peer) = self.local_peer(pe) {
-            // Single-copy completion at issue (see redirect_nbi), no
-            // temp bump allocation. cold: no allocation.
-            self.stats.borrow_mut().locality_hits += 1;
-            self.fab.quiet();
-            peer.peer_private_write(pe, priv_dst, bytes);
-            return;
-        }
-        let me = self.my_pe();
-        let cap = self.layout.temp_bytes;
-        let mut done = 0;
-        while done < bytes.len() {
-            let used = self.nbi_temp_used.get();
-            if used == cap {
-                self.drain_pending(); // resets the bump cursor
-                continue;
-            }
-            let n = (bytes.len() - done).min(cap - used);
-            let temp = self.layout.temp_off + used;
-            self.nbi_temp_used.set(used + n);
-            self.fab.arena_write(self.go(me, temp), &bytes[done..done + n]);
-            self.redirect_nbi(pe, TAG_SPUT, priv_dst + done, self.go(me, temp), n);
-            done += n;
-        }
-    }
-
-    /// Non-blocking static-static put: private source staged through
-    /// bump-allocated temp chunks, requests pipelined.
-    fn put_static_from_private_nbi(&self, pe: usize, priv_dst: usize, priv_src: usize, len: usize) {
-        let me = self.my_pe();
-        let cap = self.layout.temp_bytes;
-        let mut done = 0;
-        while done < len {
-            let used = self.nbi_temp_used.get();
-            if used == cap {
-                self.drain_pending();
-                continue;
-            }
-            let n = (len - done).min(cap - used);
-            let temp = self.layout.temp_off + used;
-            self.nbi_temp_used.set(used + n);
-            self.fab.private_to_arena(self.go(me, temp), priv_src + done, n);
-            self.redirect_nbi(pe, TAG_SPUT, priv_dst + done, self.go(me, temp), n);
-            done += n;
         }
     }
 }

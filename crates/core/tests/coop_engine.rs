@@ -186,13 +186,20 @@ fn selection_is_pinned_by_exact_send_counts() {
     // A fabric without sync cells selects what it always did.
     assert_eq!(sends_per_call(&cfg(36), || TimedBackend, barrier_all), 72, "timed 36 barrier_all");
 
-    // Without cells for the set, the configured flat algorithm runs at
-    // every size: past 64 PEs on a fabric without them, on a strided
-    // set of more than 64 members, and under the clustered barrier's
-    // own name — each the ring's 2n. (129–160 members: a message tree
-    // over five clusters of ≤ 32 would send 2n + 5, so these counts
-    // tell the two apart; at 65–128 both send 2n.)
+    // An algorithm asked for by name runs at every size — Dissemination
+    // at 96 PEs sends 96·⌈log₂ 96⌉ — and so, without cells for the set,
+    // does the configured flat default: past 64 PEs on a fabric without
+    // them, on a strided set of more than 64 members, and under the
+    // clustered barrier's own name — each the ring's 2n. (129–160
+    // members: a message tree over five clusters of ≤ 32 would send
+    // 2n + 5, so these counts tell the two apart; at 65–128 both send
+    // 2n.)
     let scale = |npes| RuntimeConfig::for_scale(npes).with_partition_bytes(64 * 1024);
+    assert_eq!(
+        sends_per_call(&scale(96).with_algos(dissem), || coop(2), barrier_all),
+        672,
+        "96/2 dissemination"
+    );
     assert_eq!(sends_per_call(&scale(130), || TimedBackend, barrier_all), 260, "timed 130 barrier_all");
     let evens = ActiveSet::new(0, 1, 129);
     let strided_barrier = move |ctx: &ShmemCtx, _: &Sym<u64>, _: &Sym<u64>| {

@@ -5,7 +5,7 @@
 //! heap of LP wake times. `Sim`'s callers are this crate's tests, the
 //! root `substrate_props` suite and the benchmark's `desim.events.*`
 //! probe, so neither core below can move a timed workload (ROADMAP
-//! item 4 decides whether they stay).
+//! item 12 decides whether they stay).
 //!
 //! # Event-core contract
 //!

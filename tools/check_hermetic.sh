@@ -161,11 +161,12 @@ echo "== server PanicPe canary (one-shot caught-class fault) =="
 cargo run -q --offline --release -p stress -- \
     --serve --jobs 8 --panic-pe 1 --seed 0x55
 
-echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + backend / hier / server + arena + supervisor / lanes / desim) =="
+echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + backend / hier + reduce / server + arena + supervisor / lanes / desim) =="
 # The RMA and barrier hot paths are allocation-free by design, and the
 # wall fabric, its M:N admission gate, the virtual-time fabric
 # (engine/timed.rs) with the CoopLp send/recv path every simulated
-# message crosses (engine/backend.rs), the cell pass, and the
+# message crosses (engine/backend.rs), the cell pass, the reduce's
+# per-chunk fold, and the
 # timed-engine event core stay on that diet: any `to_vec()` or `vec![` there must carry a
 # `// cold:` justification on the same line or one of the two lines
 # above it. A warm server job attaches to resident lanes and a recycled
@@ -182,7 +183,7 @@ bad = []
 for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
              "crates/core/src/engine/wall.rs", "crates/core/src/engine/coop.rs",
              "crates/core/src/engine/timed.rs", "crates/core/src/engine/backend.rs",
-             "crates/core/src/collectives/hier.rs",
+             "crates/core/src/collectives/hier.rs", "crates/core/src/collectives/reduce.rs",
              "crates/core/src/server/pool.rs", "crates/core/src/server/arena.rs",
              "crates/core/src/watch.rs", "crates/tmc/src/task.rs",
              "crates/desim/src/events.rs", "crates/desim/src/coop.rs"):
