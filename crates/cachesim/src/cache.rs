@@ -49,7 +49,7 @@ impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
         Self {
             cfg,
-            sets: vec![Vec::with_capacity(cfg.assoc); cfg.sets()],
+            sets: vec![Vec::with_capacity(cfg.assoc); cfg.sets()], // cold: once per tile hierarchy
             hits: 0,
             misses: 0,
         }

@@ -17,17 +17,48 @@
 //! a broadcast source re-referenced by every reader stays on chip while
 //! the readers' streaming destination writes flow through, which is what
 //! the real LRU-ish L2s do.
+//!
+//! The residency map is keyed by line index and hashed with
+//! [`LineHasher`], one multiply per probe instead of SipHash. The map is
+//! never iterated (CLOCK order lives in the FIFO), so the hasher cannot
+//! change which lines are resident or which one is evicted.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+
+/// Fibonacci hashing of a line index: one multiply by 2^64/φ, rotated so
+/// the well-mixed high half of the product lands in the low bits the map
+/// indexes its buckets by. Line indices are keys the simulator chose, not
+/// adversarial input, so no keyed hash is needed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Residency directory for on-chip (remote-L2) lines.
 #[derive(Clone, Debug)]
-pub struct DdcDirectory {
+pub struct DdcDirectory<S = BuildHasherDefault<LineHasher>> {
     capacity_lines: usize,
     /// CLOCK order (front = next eviction candidate).
     fifo: VecDeque<u64>,
     /// line -> referenced bit (second chance).
-    resident: HashMap<u64, bool>,
+    resident: HashMap<u64, bool, S>,
     hits: u64,
     misses: u64,
 }
@@ -36,11 +67,17 @@ impl DdcDirectory {
     /// Directory with `capacity_bytes` of effective on-chip capacity,
     /// tracked at `line_bytes` granularity.
     pub fn new(capacity_bytes: usize, line_bytes: usize) -> Self {
+        Self::with_hasher(capacity_bytes, line_bytes)
+    }
+}
+
+impl<S: BuildHasher + Default> DdcDirectory<S> {
+    fn with_hasher(capacity_bytes: usize, line_bytes: usize) -> Self {
         let capacity_lines = (capacity_bytes / line_bytes).max(1);
         Self {
             capacity_lines,
             fifo: VecDeque::with_capacity(capacity_lines),
-            resident: HashMap::with_capacity(capacity_lines * 2),
+            resident: HashMap::with_capacity_and_hasher(capacity_lines * 2, S::default()),
             hits: 0,
             misses: 0,
         }
@@ -228,5 +265,35 @@ mod tests {
             }
             assert!(d.resident_lines() <= 16);
         }
+    }
+
+    /// The one-multiply hasher changes nothing the simulator can see:
+    /// over a seeded stream of accesses and installs (reuse, streaming
+    /// and strided lines, several evictions' worth), a directory hashed
+    /// with SipHash returns the same hit/miss sequence and residency.
+    #[test]
+    fn line_hasher_matches_siphash_residency() {
+        use std::collections::hash_map::RandomState;
+        let mut fast = DdcDirectory::new(64 * 256, 64);
+        let mut sip = DdcDirectory::<RandomState>::with_hasher(64 * 256, 64);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..200_000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let line = match (x >> 60) % 4 {
+                0 => (x >> 20) % 300,          // hot set just past capacity
+                1 => i,                        // streaming
+                2 => ((x >> 20) % 512) << 10,  // strided, shared low bits
+                _ => (x >> 8) % 100_000,       // scattered
+            };
+            if (x >> 40).is_multiple_of(3) {
+                fast.install(line);
+                sip.install(line);
+            } else {
+                assert_eq!(fast.access(line), sip.access(line), "access {i} of line {line}");
+            }
+            assert_eq!(fast.resident_lines(), sip.resident_lines());
+        }
+        assert_eq!((fast.hits(), fast.misses()), (sip.hits(), sip.misses()));
+        assert!(fast.hits() > 0 && fast.misses() > 0);
     }
 }

@@ -408,6 +408,10 @@ pub struct EngineOutcome<R> {
     /// some request started; on the virtual-time engines one per LP.
     /// Exact under a fixed program.
     pub threads_spawned: usize,
+    /// Token handoffs between LPs on the virtual-time engines (the
+    /// scheduler's context switches; exact under a fixed program), 0 on
+    /// the wall-clock engines.
+    pub handoffs: u64,
 }
 
 /// One execution engine, as consumed by the generic
@@ -495,7 +499,7 @@ where
     }
     let makespan = clocks.iter().copied().fold(SimTime::ZERO, SimTime::max);
     let trace = shared.core.trace.as_ref().map(|s| s.take());
-    EngineOutcome { values, clocks, makespan, trace, threads_spawned: 2 * npes }
+    EngineOutcome { values, clocks, makespan, trace, threads_spawned: 2 * npes, handoffs: out.handoffs }
 }
 
 /// The timed engine: the same protocol code under the virtual-time

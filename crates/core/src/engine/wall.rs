@@ -996,6 +996,7 @@ where
         // supervisor's sink stays with the supervisor.
         trace: cfg.trace.then(|| sink.expect("sink exists when tracing").take()),
         threads_spawned,
+        handoffs: 0,
     }
 }
 

@@ -337,3 +337,23 @@ fn virtual_time_clocks_are_pinned() {
     assert_eq!(pin(8, TimedBackend), (76_670_507, 2_273_017_736_154_821_990));
     assert_eq!(pin(4, MultiChipBackend { chips: 2 }), (310_461_662, 15_375_880_346_346_212_606));
 }
+
+/// The scheduler's work is a count: a 36-PE timed program of 100
+/// default `barrier_all`s takes exactly this many token handoffs between
+/// LPs. The count depends on which LP the scheduler picks, not on how it
+/// wakes that LP's thread, and the wall-clock engines report none.
+#[test]
+fn a_timed_barrier_program_costs_a_pinned_number_of_handoffs() {
+    let run = || {
+        Launcher::new(&cfg(36), TimedBackend)
+            .run(|ctx| {
+                for _ in 0..100 {
+                    ctx.barrier_all();
+                }
+            })
+            .handoffs
+    };
+    assert_eq!(run(), 7480);
+    assert_eq!(run(), 7480, "exact across runs");
+    assert_eq!(Launcher::new(&cfg(2), NativeBackend).run(|ctx| ctx.barrier_all()).handoffs, 0);
+}

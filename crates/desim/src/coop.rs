@@ -28,8 +28,15 @@
 //! (same trick as a lazy-deletion Dijkstra heap). Mailboxes are binary
 //! heaps ordered by `(arrival, seq)`, so `recv` pops the earliest
 //! message in O(log m) and the effective-clock probe is an O(1) peek.
-//! Condvar notifies are waiter-gated: an LP that has not parked yet is
-//! granted the token by a flag check alone, with no futex syscall.
+//!
+//! A handoff wakes the next LP the way the coop engine's admission gate
+//! does (`Gate::release` in `tshmem`'s `engine/coop.rs`): the granter
+//! picks `next` under the scheduler lock and drops it, *then* sets
+//! `next`'s grant flag (Release) and unparks its thread, and parks on
+//! its own flag. The wakee never wakes into a lock its granter still
+//! holds, so a handoff between LPs pinned to one CPU costs one context
+//! switch, not a switch there and back. A poison (panic or deadlock) is
+//! published under the lock and then wakes every LP the same way.
 //!
 //! # Scheduling modes
 //!
@@ -69,9 +76,11 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, Ordering as AtomicOrdering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
 
-use substrate::sync::{Condvar, Mutex};
+use substrate::sync::{Mutex, MutexGuard};
 
 use crate::time::SimTime;
 
@@ -173,10 +182,6 @@ impl<M> Mailbox<M> {
 struct LpState<M> {
     clock: u64,
     status: Status,
-    /// Whether the LP's thread is parked in a condvar wait. Grants to
-    /// unparked LPs skip the notify: they observe `running == id` at
-    /// their next wait-condition check.
-    parked: bool,
     boxes: Vec<Mailbox<M>>,
 }
 
@@ -187,10 +192,10 @@ struct SchedState<M> {
     /// validates by recomputation and discards mismatches.
     runq: BinaryHeap<Reverse<(u64, usize)>>,
     mode: SchedMode,
-    /// LP currently holding the execution token.
-    running: usize,
     finished: usize,
     seq: u64,
+    /// Grants of the token to a different LP.
+    handoffs: u64,
     /// Set when an LP panicked or a deadlock was detected.
     poisoned: Option<String>,
 }
@@ -280,18 +285,57 @@ impl<M> SchedState<M> {
 
 struct Shared<M> {
     state: Mutex<SchedState<M>>,
-    cvs: Vec<Condvar>,
+    /// Per-LP grant flags: set (Release) by the LP handing it the token
+    /// or by a poison, consumed (Acquire) by the LP's own `park`.
+    granted: Vec<AtomicBool>,
+    /// Each LP's thread, registered by the LP before it first parks.
+    threads: Vec<OnceLock<Thread>>,
     observer: Option<Arc<dyn CoopObserver>>,
 }
 
 impl<M> Shared<M> {
-    /// Grant the token to `next`, waking its thread only if it already
-    /// parked (waiter-gated notify). Callers hold the lock.
-    fn grant(&self, guard: &mut SchedState<M>, next: usize) {
-        guard.running = next;
-        if guard.lps[next].parked {
-            self.cvs[next].notify_one();
+    /// Register the calling thread as LP `id`'s, before its first `park`.
+    fn register(&self, id: usize) {
+        let _ = self.threads[id].set(thread::current());
+        // Pairs with the fence in `wake`: either the waker sees this
+        // handle, or this LP's first `park` sees the waker's flag.
+        fence(AtomicOrdering::SeqCst);
+    }
+
+    /// Grant LP `id` the token (or deliver a poison): publish its flag,
+    /// then unpark its thread. Callers have dropped the scheduler lock,
+    /// so the wakee never blocks on a lock its granter holds. A grant
+    /// that finds no handle yet only sets the flag, which the LP's first
+    /// `park` consumes.
+    fn wake(&self, id: usize) {
+        self.granted[id].store(true, AtomicOrdering::Release);
+        fence(AtomicOrdering::SeqCst);
+        if let Some(t) = self.threads[id].get() {
+            t.unpark();
         }
+    }
+
+    /// Block until LP `id` is granted the token (or poisoned).
+    fn park(&self, id: usize) {
+        while !self.granted[id].swap(false, AtomicOrdering::Acquire) {
+            thread::park();
+        }
+    }
+
+    /// Poison the run with `msg`, then wake every LP to see it.
+    fn poison(&self, mut guard: MutexGuard<'_, SchedState<M>>, msg: String) {
+        guard.poisoned = Some(msg);
+        drop(guard);
+        (0..self.granted.len()).for_each(|id| self.wake(id));
+    }
+
+    /// Poison a run no LP can continue: `msg`, then the observer's report.
+    fn deadlock(&self, guard: MutexGuard<'_, SchedState<M>>, mut msg: String) {
+        if let Some(extra) = self.observer.as_ref().and_then(|o| o.on_deadlock(&guard.stalls())) {
+            msg.push('\n');
+            msg.push_str(&extra);
+        }
+        self.poison(guard, msg);
     }
 
     /// Hand the token to the next LP (which may be `self_id` again).
@@ -299,66 +343,39 @@ impl<M> Shared<M> {
     /// the token back at `self_id`.
     fn reschedule<'a>(
         &'a self,
-        mut guard: substrate::sync::MutexGuard<'a, SchedState<M>>,
+        mut guard: MutexGuard<'a, SchedState<M>>,
         self_id: usize,
-    ) -> substrate::sync::MutexGuard<'a, SchedState<M>> {
+    ) -> MutexGuard<'a, SchedState<M>> {
         // Publish ourselves before picking: if we still hold the minimum
         // effective clock we pop our own entry and keep the token with
         // no syscall at all.
         guard.push_runnable(self_id);
-        loop {
-            if let Some(msg) = &guard.poisoned {
-                let msg = msg.clone();
-                drop(guard);
-                panic!("coop scheduler poisoned: {msg}");
-            }
+        if guard.poisoned.is_none() {
             match guard.pop_next() {
-                Some(next) if next == self_id => {
-                    guard.running = self_id;
-                    return guard;
-                }
+                Some(next) if next == self_id => return guard,
                 Some(next) => {
-                    self.grant(&mut guard, next);
-                    // Park until granted back (or poisoned). Spurious
-                    // wakes just re-park.
-                    loop {
-                        guard.lps[self_id].parked = true;
-                        self.cvs[self_id].wait(&mut guard);
-                        guard.lps[self_id].parked = false;
-                        if guard.poisoned.is_some() {
-                            break; // outer loop panics with the message
-                        }
-                        if guard.running == self_id {
-                            return guard;
-                        }
-                    }
+                    guard.handoffs += 1;
+                    drop(guard);
+                    self.wake(next);
+                    self.park(self_id);
+                    guard = self.state.lock();
                 }
                 None => {
-                    if guard.finished == guard.lps.len() {
-                        // Everyone done; nothing to schedule. We only get
-                        // here from a finished LP's final yield.
-                        guard.running = usize::MAX;
-                        return guard;
-                    }
                     let blocked: Vec<usize> = (0..guard.lps.len())
                         .filter(|&i| matches!(guard.lps[i].status, Status::BlockedRecv(_)))
                         .collect();
-                    let mut msg =
-                        format!("deadlock: no runnable LP; blocked LPs: {blocked:?}");
-                    if let Some(obs) = &self.observer {
-                        if let Some(extra) = obs.on_deadlock(&guard.stalls()) {
-                            msg.push('\n');
-                            msg.push_str(&extra);
-                        }
-                    }
-                    guard.poisoned = Some(msg);
-                    for cv in &self.cvs {
-                        cv.notify_all();
-                    }
-                    let msg = guard.poisoned.clone().unwrap();
-                    drop(guard);
-                    panic!("coop scheduler poisoned: {msg}");
+                    let msg = format!("deadlock: no runnable LP; blocked LPs: {blocked:?}");
+                    self.deadlock(guard, msg);
+                    guard = self.state.lock();
                 }
+            }
+        }
+        match &guard.poisoned {
+            None => guard,
+            Some(msg) => {
+                let msg = msg.clone();
+                drop(guard);
+                panic!("coop scheduler poisoned: {msg}");
             }
         }
     }
@@ -508,6 +525,9 @@ pub struct CoopResult<R> {
     pub clocks: Vec<SimTime>,
     /// The maximum final clock (the simulated makespan).
     pub makespan: SimTime,
+    /// Grants of the token to a different LP: the context switches the
+    /// run cost. Exact under a fixed program and [`SchedMode`].
+    pub handoffs: u64,
 }
 
 /// Run `n` LPs, each executing `f(handle)`, under virtual time.
@@ -568,15 +588,14 @@ where
             .map(|_| LpState {
                 clock: 0,
                 status: Status::Ready,
-                parked: false,
                 boxes: (0..channels).map(|_| Mailbox::new()).collect(),
             })
             .collect(),
         runq: BinaryHeap::with_capacity(2 * n),
         mode,
-        running: 0,
         finished: 0,
         seq: 0,
+        handoffs: 0,
         poisoned: None,
     };
     // LP 0 starts holding the token; everyone else is published at
@@ -586,7 +605,8 @@ where
     }
     let shared = Arc::new(Shared {
         state: Mutex::new(state),
-        cvs: (0..n).map(|_| Condvar::new()).collect(),
+        granted: (0..n).map(|_| AtomicBool::new(false)).collect(),
+        threads: (0..n).map(|_| OnceLock::new()).collect(),
         observer,
     });
     let f = &f;
@@ -639,10 +659,12 @@ where
         panic::resume_unwind(p);
     }
     let makespan = clocks.iter().copied().fold(SimTime::ZERO, SimTime::max);
+    let handoffs = shared.state.lock().handoffs;
     CoopResult {
         values: values.into_iter().map(|v| v.unwrap()).collect(),
         clocks,
         makespan,
+        handoffs,
     }
 }
 
@@ -664,15 +686,11 @@ where
 {
     // Wait for the token before starting (LP 0 starts holding it by
     // construction; the rest are granted by runq pops).
-    {
-        let mut g = shared.state.lock();
-        while g.running != id {
-            if g.poisoned.is_some() {
-                return Err((Box::new("poisoned before start"), false));
-            }
-            g.lps[id].parked = true;
-            shared.cvs[id].wait(&mut g);
-            g.lps[id].parked = false;
+    shared.register(id);
+    if id != 0 {
+        shared.park(id);
+        if shared.state.lock().poisoned.is_some() {
+            return Err((Box::new("poisoned before start"), false));
         }
     }
 
@@ -693,35 +711,22 @@ where
             // Hand the token onward.
             match g.pop_next() {
                 Some(next) => {
-                    shared.grant(&mut g, next);
+                    g.handoffs += 1;
+                    drop(g);
+                    shared.wake(next);
                 }
                 None if g.finished < g.lps.len() => {
-                    let mut msg = String::from("deadlock after LP finish");
-                    if let Some(obs) = &shared.observer {
-                        if let Some(extra) = obs.on_deadlock(&g.stalls()) {
-                            msg.push('\n');
-                            msg.push_str(&extra);
-                        }
-                    }
-                    g.poisoned = Some(msg);
-                    for cv in &shared.cvs {
-                        cv.notify_all();
-                    }
+                    shared.deadlock(g, String::from("deadlock after LP finish"));
                 }
                 None => {}
             }
-            drop(g);
             Ok((r, clk))
         }
         Err(p) => {
+            // A bystander unwinding from an earlier poison keeps its message.
             let original = g.poisoned.is_none();
-            if original {
-                g.poisoned = Some(format!("LP {id} panicked"));
-            }
-            for cv in &shared.cvs {
-                cv.notify_all();
-            }
-            drop(g);
+            let msg = g.poisoned.take().unwrap_or_else(|| format!("LP {id} panicked"));
+            shared.poison(g, msg);
             Err((p, original))
         }
     }
@@ -1117,5 +1122,183 @@ mod tests {
         let p = r.expect_err("deadlock must panic");
         let msg = p.downcast_ref::<String>().expect("string panic payload");
         assert!(msg.contains("deadlock"), "got: {msg}");
+    }
+
+    /// The resume log of a seeded 72-LP program: every LP appends
+    /// `(id, now)` after each scheduler call. Each step sends one message
+    /// around a ring on channel 0 (varied latency), then `advance`s,
+    /// `recv`s a ring message it is owed, `try_recv`s, `yield_now`s or
+    /// sends on channel 1 to a random LP. An LP only blocks for ring
+    /// message `r + 1` after its predecessor's step `r`, so no cycle of
+    /// waits closes; the tail drains the ring.
+    fn resume_log(mode: SchedMode) -> (Vec<(usize, u64)>, u64) {
+        use std::sync::Mutex as StdMutex;
+        const N: usize = 72;
+        const STEPS: u64 = 24;
+        let log = StdMutex::new(Vec::new());
+        let out = run_mode::<u64, _, _>(N, 2, mode, None, |h| {
+            let id = h.id();
+            let mut x = (id as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15);
+            let mut next = || {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x >> 33
+            };
+            let note = |h: &CoopHandle<u64>| log.lock().unwrap().push((h.id(), h.now().ps()));
+            let mut got = 0u64;
+            for step in 0..STEPS {
+                h.send((id + 1) % N, 0, step, SimTime::from_ps(next() % 90_000));
+                match next() % 5 {
+                    0 => h.advance(SimTime::from_ps(next() % 70_000)),
+                    1 if got < step => {
+                        h.recv(0);
+                        got += 1;
+                    }
+                    1 => h.advance(SimTime::from_ps(1_000)),
+                    2 => {
+                        got += u64::from(h.try_recv(0).is_some());
+                        h.try_recv(1);
+                    }
+                    3 => h.yield_now(),
+                    _ => {
+                        let dest = next() as usize % N;
+                        h.send(dest, 1, step, SimTime::from_ps(next() % 40_000));
+                    }
+                }
+                note(&h);
+            }
+            while got < STEPS {
+                h.recv(0);
+                got += 1;
+                note(&h);
+            }
+        });
+        (log.into_inner().unwrap(), out.handoffs)
+    }
+
+    fn fold(log: &[(usize, u64)]) -> u64 {
+        log.iter().fold(0xcbf29ce484222325u64, |h, &(id, t)| {
+            (h ^ (id as u64).wrapping_mul(0x100000001b3) ^ t.rotate_left(17)).wrapping_mul(0x100000001b3)
+        })
+    }
+
+    /// The schedule pin: the exact order and clocks in which 72 LPs
+    /// resume, under both modes. It depends only on which LP the
+    /// scheduler chooses, never on how the chosen LP's thread is woken,
+    /// so it holds across any change to the wake path.
+    #[test]
+    fn the_resume_order_of_a_seeded_72_lp_program_is_pinned() {
+        let (ed, ed_handoffs) = resume_log(SchedMode::EventDriven);
+        let (cb, cb_handoffs) = resume_log(SchedMode::CycleBox { tick: SimTime::from_ns(50) });
+        assert_eq!((ed.len(), fold(&ed), ed_handoffs), (2920, 0xcddc865c45f96c30, 1079));
+        assert_eq!((cb.len(), fold(&cb), cb_handoffs), (2921, 0xb88e04588e14185e, 417));
+    }
+
+    /// One LP of 72 panics while the other 71 are parked in `recv`:
+    /// every thread unwinds (the scope joins them all) and the panic
+    /// reported is the original one, not a bystander's "poisoned".
+    #[test]
+    fn a_panic_among_72_parked_lps_unwinds_every_thread() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const N: usize = 72;
+        struct Unwound<'a>(&'a AtomicUsize);
+        impl Drop for Unwound<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        let unwound = AtomicUsize::new(0);
+        let r = panic::catch_unwind(AssertUnwindSafe(|| {
+            run::<u8, _, _>(N, 1, |h| {
+                let _guard = Unwound(&unwound);
+                if h.id() == N - 1 {
+                    h.advance(SimTime::from_ns(1));
+                    panic!("boom from the last LP");
+                }
+                let _ = h.recv(0);
+            })
+        }));
+        let p = r.expect_err("the panic must propagate");
+        assert_eq!(p.downcast_ref::<&str>(), Some(&"boom from the last LP"));
+        assert_eq!(unwound.load(Ordering::Relaxed), N, "every LP unwound");
+    }
+
+    /// Counts observer calls and checks the snapshot covers every LP.
+    struct CountingObs {
+        calls: std::sync::atomic::AtomicUsize,
+        done: usize,
+    }
+    impl CoopObserver for CountingObs {
+        fn on_deadlock(&self, lps: &[LpStall]) -> Option<String> {
+            self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(lps.len(), 72);
+            assert_eq!(lps.iter().filter(|l| l.done).count(), self.done);
+            assert!(lps.iter().all(|l| l.done || l.blocked_on == Some(0)));
+            Some(format!("observer saw {} LPs", lps.len()))
+        }
+    }
+
+    fn deadlock_72(done: usize, f: impl Fn(CoopHandle<u8>) + Send + Sync) -> (String, usize) {
+        let obs = Arc::new(CountingObs { calls: Default::default(), done });
+        let r = panic::catch_unwind(AssertUnwindSafe(|| {
+            run_observed::<u8, _, _>(72, 1, Some(obs.clone()), f)
+        }));
+        let p = r.expect_err("deadlock must panic");
+        let msg = p.downcast_ref::<String>().expect("string panic payload").clone();
+        (msg, obs.calls.load(std::sync::atomic::Ordering::Relaxed))
+    }
+
+    /// 72 LPs all block in `recv`: the observer fires exactly once, with
+    /// every LP in its snapshot.
+    #[test]
+    fn a_72_lp_deadlock_fires_the_observer_once() {
+        let (msg, calls) = deadlock_72(0, |h| {
+            let _ = h.recv(0);
+        });
+        assert_eq!(calls, 1);
+        assert!(msg.contains("deadlock") && msg.contains("observer saw 72 LPs"), "{msg}");
+    }
+
+    /// The last runnable LP returns while the other 71 are blocked: the
+    /// finishing LP's hand-on finds no one and reports the deadlock once.
+    #[test]
+    fn a_deadlock_after_an_lp_finishes_is_reported_once() {
+        let (msg, calls) = deadlock_72(1, |h| {
+            if h.id() == 0 {
+                h.advance(SimTime::from_ns(1)); // let the others block first
+            } else {
+                let _ = h.recv(0);
+            }
+        });
+        assert_eq!(calls, 1);
+        assert!(msg.contains("deadlock after LP finish") && msg.contains("observer saw 72 LPs"), "{msg}");
+    }
+
+    /// 20 000 back-to-back handoffs between two LPs on unpinned threads,
+    /// 20 times over: a grant regularly lands before its wakee has parked,
+    /// and none may be lost (a lost one hangs the test).
+    #[test]
+    fn back_to_back_handoffs_between_two_lps_lose_no_grant() {
+        const ROUNDS: u64 = 10_000;
+        for _ in 0..20 {
+            let out = run::<u64, _, _>(2, 1, |h| {
+                let mut sum = 0;
+                for k in 0..ROUNDS {
+                    if h.id() == 0 {
+                        h.send(1, 0, k, SimTime::ZERO);
+                        sum += h.recv(0);
+                    } else {
+                        let v = h.recv(0);
+                        h.send(0, 0, v + 1, SimTime::ZERO);
+                        sum += v;
+                    }
+                }
+                sum
+            });
+            let s = ROUNDS * (ROUNDS - 1) / 2;
+            assert_eq!(out.values, vec![s + ROUNDS, s]);
+            assert_eq!(out.handoffs, 2 * ROUNDS);
+        }
     }
 }

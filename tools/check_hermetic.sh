@@ -15,9 +15,8 @@
 # or fails on which of its speed levels the host is at (benchmark/NOISE.md),
 # so `tshmem-benchmark compare` lives in tools/bench.sh. The two
 # measurement steps gate what repeats exactly: the simulated figures and
-# the counted work. On the 2-vCPU host the figure gate takes 6-10 minutes
-# (fig12, fig11 and fig9 are three quarters of it) and the counted-work
-# gate 11-16 s.
+# the counted work. On the 2-vCPU host the figure gate takes 5-8
+# minutes (322-475 s measured) and the counted-work gate 11-16 s.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -161,13 +160,15 @@ echo "== server PanicPe canary (one-shot caught-class fault) =="
 cargo run -q --offline --release -p stress -- \
     --serve --jobs 8 --panic-pe 1 --seed 0x55
 
-echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + backend / hier + reduce / server + arena + supervisor / lanes / desim) =="
+echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + backend / hier + reduce / server + arena + supervisor / lanes / desim / cachesim) =="
 # The RMA and barrier hot paths are allocation-free by design, and the
 # wall fabric, its M:N admission gate, the virtual-time fabric
 # (engine/timed.rs) with the CoopLp send/recv path every simulated
 # message crosses (engine/backend.rs), the cell pass, the reduce's
-# per-chunk fold, and the
-# timed-engine event core stay on that diet: any `to_vec()` or `vec![` there must carry a
+# per-chunk fold, the
+# timed-engine event core and scheduler, and the cache simulator every
+# simulated copy runs through (cachesim: the tile caches, the copy-cost
+# model, the DDC directory and the memory system) stay on that diet: any `to_vec()` or `vec![` there must carry a
 # `// cold:` justification on the same line or one of the two lines
 # above it. A warm server job attaches to resident lanes and a recycled
 # segment set, so the two places that pay for a cold one — spawning a
@@ -186,7 +187,9 @@ for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
              "crates/core/src/collectives/hier.rs", "crates/core/src/collectives/reduce.rs",
              "crates/core/src/server/pool.rs", "crates/core/src/server/arena.rs",
              "crates/core/src/watch.rs", "crates/tmc/src/task.rs",
-             "crates/desim/src/events.rs", "crates/desim/src/coop.rs"):
+             "crates/desim/src/events.rs", "crates/desim/src/coop.rs",
+             "crates/cachesim/src/cache.rs", "crates/cachesim/src/copymodel.rs",
+             "crates/cachesim/src/ddc.rs", "crates/cachesim/src/memsys.rs"):
     lines = open(path).read().splitlines()
     # The diet covers runtime code only: stop at the unit-test module.
     for i, line in enumerate(lines):
