@@ -399,7 +399,7 @@ impl Locality for WallFabric<Gated> {
     fn sync_cell_notify(&self, cell: CellKey, word: usize) {
         let mut w = self.gate.cell(cell).waiters[word].lock();
         for (ctx, thread) in w.drain(..) {
-            self.gate.requeue(ctx, thread, self.shared.probe_of(ctx));
+            self.gate.requeue(ctx, thread, &self.shared.instruments.probes[ctx]);
         }
     }
 
@@ -500,6 +500,7 @@ impl EngineBackend for CoopBackend {
 mod tests {
     use super::*;
     use crate::engine::wall::{ShardedArena, WallShared};
+    use crate::fabric::Instruments;
     use crate::server::arena::{ArenaPool, Geometry};
 
     type CoopFabric = WallFabric<Gated>;
@@ -725,11 +726,11 @@ mod tests {
         assert_eq!(shared.waiters(0), 1);
         assert!(!shared.granted[1].load(Ordering::Acquire));
         assert!(!waiter.is_finished());
-        assert_eq!(wall.probes[1].blocked(), BlockedOn::Descheduled);
+        assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Descheduled);
         notifier.gate_release();
         assert_eq!(waiter.join().unwrap().expect("waiter admitted"), 1);
         assert!(shared.is_holding(1), "the wake-up is the gate grant");
-        assert_eq!(wall.probes[1].blocked(), BlockedOn::Running);
+        assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Running);
     }
 
     #[test]
@@ -787,8 +788,7 @@ mod tests {
             ShardedArena::from_shards(set.shards, block, 4096),
             set.privates,
             gate.workers,
-            None,
-            None,
+            Instruments::new(npes, None, None),
         );
         (wall, gate)
     }

@@ -14,10 +14,14 @@
 //!   mPIPE links, it is the **multichip** engine (the paper's Section
 //!   VI future work).
 //!
+//! Each fabric's module holds the whole fabric, its backends included.
 //! All are instantiations of one contract: [`backend`] defines
-//! [`backend::EngineBackend`], consumed by the generic
-//! [`Launcher`](crate::runtime::Launcher), so liveness watchdogs, the
-//! fault plane, per-PE probes, and trace collection apply uniformly.
+//! [`backend::EngineBackend`] and [`backend::EngineOutcome`], consumed
+//! by the generic [`Launcher`](crate::runtime::Launcher). Both fabrics
+//! hold one set of launch instruments
+//! ([`Instruments`](crate::fabric::Instruments): per-context probes,
+//! trace sink, fault plan), so liveness watchdogs, the fault plane and
+//! trace collection apply uniformly.
 
 pub mod backend;
 pub mod coop;

@@ -43,7 +43,7 @@ use udn::fabric::{UdnEndpoint, UdnFabric};
 
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome};
-use crate::fabric::{self, BlockedOn, Fabric, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth, Q_SERVICE};
+use crate::fabric::{self, BlockedOn, Fabric, Instruments, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth, Q_SERVICE};
 use crate::fault::LaunchFaults;
 use crate::runtime::RuntimeConfig;
 use crate::server::arena::{ArenaPool, Geometry, SegmentSet};
@@ -297,14 +297,12 @@ pub struct WallShared {
     /// Set when any PE panics, so PEs blocked in protocol waits abort
     /// instead of hanging the job (SHMEM jobs are all-or-nothing).
     pub aborted: AtomicBool,
-    /// Per-PE progress/blocked-state probes (watchdog introspection).
-    pub probes: Vec<Arc<PeProbe>>,
-    /// Per-PE probes for the interrupt-service contexts, so a stall
-    /// inside a redirected-RMA handler is attributed to the handler
-    /// rather than showing up only as its clients' reply waits. A
-    /// context that was never started reads as what it would be doing
-    /// if it had been: parked in its `Q_SERVICE` receive.
-    pub service_probes: Vec<Arc<PeProbe>>,
+    /// Every context's probe, the trace sink and the fault plan. The
+    /// service contexts have probes of their own, so a stall inside a
+    /// redirected-RMA handler is attributed to the handler rather than
+    /// showing up only as its clients' reply waits. The trace sink has
+    /// one lock-free lane per context that can run at once.
+    pub instruments: Instruments,
     /// Completed once PE `i`'s interrupt-service context has been
     /// started — by the first request addressed to it (see
     /// [`WallFabric::listening`]).
@@ -312,9 +310,6 @@ pub struct WallShared {
     /// The service contexts started so far; the launch joins them on
     /// clean completion and detaches them otherwise.
     service_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Wall-clock operation trace, when enabled; one lock-free lane per
-    /// context that can run at once.
-    pub trace: Option<Arc<TraceSink>>,
     /// Send-side fabric handle for abort wakeups (can reach every tile).
     pub waker: udn::fabric::UdnSender,
     /// Contexts per running context (`1` under [`Free`],
@@ -322,8 +317,6 @@ pub struct WallShared {
     /// scales its wall-clock window by this — a descheduled-but-runnable
     /// PE progresses this many times slower without being any less live.
     pub oversubscription: usize,
-    /// The fault plan this launch was handed, armed for it alone.
-    pub faults: Option<Arc<LaunchFaults>>,
     /// [`crate::fault::coop_locality`] as it read when the launch began:
     /// every PE of one launch takes the same transports.
     pub(crate) locality: bool,
@@ -332,24 +325,18 @@ pub struct WallShared {
 impl WallShared {
     /// The shared state of a launch of `cfg` over `endpoints`, `arena`
     /// and the PEs' private segments, of whose `2 * npes` contexts
-    /// `running` can run at once, under fault plan `faults`.
+    /// `running` can run at once, with `instruments`.
     pub fn new(
         cfg: &RuntimeConfig,
         endpoints: Vec<UdnEndpoint>,
         arena: ShardedArena,
         privates: Vec<Arc<CommonMemory>>,
         running: usize,
-        trace: Option<Arc<TraceSink>>,
-        faults: Option<Arc<LaunchFaults>>,
+        instruments: Instruments,
     ) -> Arc<Self> {
         let npes = cfg.npes;
         assert_eq!(endpoints.len(), npes, "one UDN endpoint per PE");
         assert_eq!(privates.len(), npes, "one private segment per PE");
-        let idle_service = || {
-            let probe = PeProbe::new();
-            probe.set_blocked(BlockedOn::Recv { queue: Q_SERVICE });
-            Arc::new(probe)
-        };
         Arc::new(Self {
             arena,
             privates,
@@ -359,15 +346,12 @@ impl WallShared {
             start: FastClock::new(),
             spin_barriers: Mutex::new(HashMap::new()),
             aborted: AtomicBool::new(false),
-            probes: (0..npes).map(|_| Arc::new(PeProbe::new())).collect(),
-            service_probes: (0..npes).map(|_| idle_service()).collect(),
+            instruments,
             service_started: (0..npes).map(|_| Once::new()).collect(),
             service_threads: Mutex::new(Vec::new()),
-            trace,
             waker: endpoints[0].sender(),
             endpoints,
             oversubscription: (2 * npes).div_ceil(running),
-            faults,
             locality: crate::fault::coop_locality(),
         })
     }
@@ -386,12 +370,6 @@ impl WallShared {
                 let _ = self.waker.try_send(tile, q, TAG_ABORT, &[]);
             }
         }
-    }
-
-    /// The probe of context `ctx` (main contexts first, then service).
-    pub(crate) fn probe_of(&self, ctx: usize) -> &Arc<PeProbe> {
-        let probes = if ctx < self.npes { &self.probes } else { &self.service_probes };
-        &probes[ctx % self.npes]
     }
 }
 
@@ -450,7 +428,7 @@ pub struct WallFabric<P: Admission> {
 
 impl<P: Admission> WallFabric<P> {
     fn new(shared: Arc<WallShared>, gate: P, pe: usize, ctx: usize) -> Self {
-        let probe = shared.probe_of(ctx).clone();
+        let probe = shared.instruments.probes[ctx].clone();
         let lane = gate.lane(ctx);
         Self {
             shared,
@@ -551,29 +529,22 @@ impl<P: Admission> WallFabric<P> {
         &self.shared.privates[self.pe]
     }
 
-    /// Count one completed (state-changing) fabric operation toward the
-    /// stall watchdog, tick the fault plane's op clock, and serve any
-    /// `SlowPe` or `PanicPe` fault targeting this PE. An injected crash
-    /// fires while admitted; the launch scaffold's cleanup releases the
-    /// slot, so siblings keep running while the job is torn down.
+    /// Count one completed (state-changing) fabric operation
+    /// ([`Instruments::progress`]) and serve a `SlowPe` delay asleep. An
+    /// injected crash fires while admitted; the launch scaffold's cleanup
+    /// releases the slot, so siblings keep running while the job is torn
+    /// down.
     #[inline]
     pub(crate) fn progress(&self) {
-        self.probe.bump();
-        if let Some(faults) = &self.shared.faults {
-            faults.note_op();
-            if faults.panic_pe_now(self.pe) {
-                panic!("PE {}: injected PanicPe fault (crashing-tenant model)", self.pe);
-            }
-            if let Some(us) = faults.slow_pe_delay_us(self.pe) {
-                self.sleep_checking_abort(us);
-            }
+        if let Some(us) = self.shared.instruments.progress(&self.probe, self.pe) {
+            self.sleep_checking_abort(us);
         }
     }
 
     /// Serve a `DelayProtocolSends` fault on the send being made now.
     #[inline]
     fn delay_protocol_send(&self) {
-        if let Some(us) = self.shared.faults.as_ref().and_then(|f| f.protocol_send_delay_us()) {
+        if let Some(us) = self.shared.instruments.faults.as_ref().and_then(|f| f.protocol_send_delay_us()) {
             self.sleep_checking_abort(us);
         }
     }
@@ -610,7 +581,7 @@ impl<P: Admission> WallFabric<P> {
 
     /// Record an instantaneous wall-clock trace event.
     pub(crate) fn trace(&self, kind: TraceKind, peer: usize, bytes: u64) {
-        if let Some(sink) = &self.shared.trace {
+        if let Some(sink) = &self.shared.instruments.trace {
             let now = desim::time::SimTime::from_ns(self.shared.start.now_ns());
             sink.record_lane(
                 self.lane,
@@ -680,7 +651,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
         // A `ClampQueueDepth` fault squeezes the *effective* queue depth
         // below the fabric's real bound, forcing the draining-send
         // backpressure path mid-run.
-        if let Some(depth) = self.shared.faults.as_ref().and_then(|f| f.clamp_queue_depth()) {
+        if let Some(depth) = self.shared.instruments.faults.as_ref().and_then(|f| f.clamp_queue_depth()) {
             if self.udn().dest_queue_len(dest, queue) >= depth {
                 return false;
             }
@@ -847,7 +818,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
     }
 
     fn faults(&self) -> Option<&LaunchFaults> {
-        self.shared.faults.as_deref()
+        self.shared.instruments.faults.as_deref()
     }
 
     fn quiet(&self) {
@@ -942,14 +913,15 @@ where
     let geometry = Geometry::of(cfg, block);
     let SegmentSet { shards, privates } = resident.sets.checkout(geometry);
     let arena = ShardedArena::from_shards(shards, block, cfg.partition_bytes);
-    let shared = WallShared::new(cfg, endpoints, arena, privates, running, sink.clone(), faults.cloned());
+    let instruments = Instruments::new(npes, sink.clone(), faults.cloned());
+    let shared = WallShared::new(cfg, endpoints, arena, privates, running, instruments);
     if let Some(w) = watch {
         let _ = w.set(shared.clone());
     }
 
     let (tiles, lanes_spawned) = resident.lanes.run(npes, |pe| {
         let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe);
-        admitted(&gate, pe, &shared.probes[pe], || {
+        admitted(&gate, pe, &shared.instruments.probes[pe], || {
             let ctx = ShmemCtx::new(P::erase(fab), layout, cfg.algos, cfg.private_bytes);
             // If any PE panics, flag the job and wake everything parked
             // in a blocking receive — peers and service contexts alike

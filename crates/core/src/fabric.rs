@@ -22,9 +22,13 @@
 //! can call it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use substrate::sync::Mutex;
 use tmc::common::CommonMemory;
+
+use crate::fault::LaunchFaults;
+use crate::trace::TraceSink;
 
 /// UDN demux queue assignments (the hardware provides four).
 pub const Q_BARRIER: usize = 0;
@@ -240,7 +244,7 @@ pub const STASH_SNAPSHOT_CAP: usize = 16;
 /// polls, lock-acquisition backoff steps. A deadlocked job shows both
 /// totals flat across the supervisor's window; a **livelocked** job
 /// shows `spins` climbing while `ops` stays flat — the distinction a
-/// wall-clock stall report's `classification:` line draws. `blocked` and `stash` snapshot
+/// stall report's `classification:` line draws. `blocked` and `stash` snapshot
 /// what the PE is waiting on and which out-of-order protocol messages
 /// it has parked.
 #[derive(Default)]
@@ -312,6 +316,51 @@ impl PeProbe {
     /// Total stash depth at the last snapshot.
     pub fn stash_total(&self) -> usize {
         self.stash_total.load(Ordering::Relaxed)
+    }
+}
+
+/// A launch's instruments, one set per launch on either fabric: what a
+/// stall report reads and what every completed fabric op ticks.
+pub struct Instruments {
+    pub npes: usize,
+    /// One probe per context: `0..npes` the PEs' main contexts,
+    /// `npes..2*npes` their interrupt-service contexts. A service context
+    /// that has not run reads as what it would be doing if it had: parked
+    /// in its `Q_SERVICE` receive.
+    pub probes: Vec<Arc<PeProbe>>,
+    /// Optional operation trace (see `crate::trace`).
+    pub trace: Option<Arc<TraceSink>>,
+    /// The fault plan this launch was handed, armed for it alone.
+    pub faults: Option<Arc<LaunchFaults>>,
+}
+
+impl Instruments {
+    pub fn new(npes: usize, trace: Option<Arc<TraceSink>>, faults: Option<Arc<LaunchFaults>>) -> Self {
+        let probes = (0..2 * npes)
+            .map(|ctx| {
+                let probe = PeProbe::new();
+                if ctx >= npes {
+                    probe.set_blocked(BlockedOn::Recv { queue: Q_SERVICE });
+                }
+                Arc::new(probe)
+            })
+            .collect();
+        Self { npes, probes, trace, faults }
+    }
+
+    /// Count one completed (state-changing) op of a context of PE `pe`
+    /// on its `probe`, tick the fault plan's op clock, and fire a
+    /// `PanicPe` fault targeting `pe`. Returns the `SlowPe` delay (µs)
+    /// this op must serve, which each fabric serves on its own clock.
+    #[inline]
+    pub fn progress(&self, probe: &PeProbe, pe: usize) -> Option<u64> {
+        probe.bump();
+        let faults = self.faults.as_deref()?;
+        faults.note_op();
+        if faults.panic_pe_now(pe) {
+            panic!("PE {pe}: injected PanicPe fault (crashing-tenant model)");
+        }
+        faults.slow_pe_delay_us(pe)
     }
 }
 

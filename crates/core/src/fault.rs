@@ -21,10 +21,12 @@
 //! A [`FaultPlan`] is a value, and its lifetime is one launch:
 //! `Launcher::with_faults` arms it as a [`LaunchFaults`] — the faults,
 //! their one-shot budgets and the op, send, frame and completion
-//! counters their triggers key off — which the launch's shared state
-//! (`WallShared`, `CoopCore`) holds behind an `Arc`. Every hook is a
-//! method on it and takes no lock; a launch without a plan pays one
-//! `None` check. A server job's plan (`JobSpec::with_faults`) is armed
+//! counters their triggers key off — which the launch's
+//! [`Instruments`](crate::fabric::Instruments) hold behind an `Arc`, the
+//! one set both fabrics keep. Every hook is a method on it and takes no
+//! lock; a launch without a plan pays one `None` check. The op-progress
+//! hooks (`PanicPe`, `SlowPe`) run in one place,
+//! `Instruments::progress`, so every fault fires on all four engines. A server job's plan (`JobSpec::with_faults`) is armed
 //! once for the job, so a `PanicPe` budget is spent once across its
 //! eviction retries. Two launches in flight at once — two tests, two
 //! tenants — never see each other's plan, and every stall report names

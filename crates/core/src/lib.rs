@@ -85,8 +85,9 @@ mod watch;
 
 pub use active_set::ActiveSet;
 pub use ctx::{Algorithms, BarrierAlgo, BroadcastAlgo, HomingHint, ReduceAlgo, ShmemCtx, Stats};
-pub use engine::backend::{EngineBackend, EngineOutcome, MultiChipBackend, TimedBackend};
+pub use engine::backend::{EngineBackend, EngineOutcome};
 pub use engine::coop::CoopBackend;
+pub use engine::timed::{MultiChipBackend, TimedBackend};
 pub use engine::wall::{NativeBackend, Resident};
 pub use fabric::{BlockedOn, PeProbe};
 pub use fault::{Fault, FaultPlan, LaunchFaults};
@@ -106,8 +107,9 @@ pub mod prelude {
     pub use crate::active_set::ActiveSet;
     pub use crate::ctx::{Algorithms, BarrierAlgo, BroadcastAlgo, HomingHint, ReduceAlgo, ShmemCtx};
     pub use crate::rma::SignalOp;
-    pub use crate::engine::backend::{EngineOutcome, MultiChipBackend, TimedBackend};
+    pub use crate::engine::backend::EngineOutcome;
     pub use crate::engine::coop::CoopBackend;
+    pub use crate::engine::timed::{MultiChipBackend, TimedBackend};
     pub use crate::engine::wall::NativeBackend;
     pub use crate::runtime::{launch, Launcher, RuntimeConfig};
     pub use crate::symm::{AddrClass, Sym};

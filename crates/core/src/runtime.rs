@@ -95,8 +95,7 @@ pub struct RuntimeConfig {
     /// bound with credit-blocked sends, so finite-buffer deadlocks
     /// reproduce under virtual time too.
     pub udn_queue_packets: Option<usize>,
-    /// Virtual-time engines: record an operation trace (see
-    /// [`crate::trace`]).
+    /// Record an operation trace on any engine (see [`crate::trace`]).
     pub trace: bool,
     /// Scheduling discipline for the virtual-time engines (see
     /// [`TimedMode`]). Ignored by the native and coop engines.
@@ -172,7 +171,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Record a virtual-time operation trace (timed/multichip engines).
+    /// Record an operation trace on any engine: virtual-time events on
+    /// the timed and multichip engines, wall-clock stamps on the native
+    /// and coop engines; returned in `EngineOutcome::trace`.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
         self

@@ -19,8 +19,10 @@
 //! A virtual-time launch has no wall-clock stall, so its backend
 //! attaches a [`TimedWatch`] to the desim scheduler's own deadlock
 //! detector (`desim::coop::CoopObserver`): it fires the instant the
-//! virtual event queue drains while LPs are parked, and renders the same
-//! per-PE diagnosis format.
+//! virtual event queue drains while LPs are parked. Both write their
+//! report through one renderer over the launch's [`Instruments`]; a
+//! drained virtual-time queue proves no LP can run again, so its
+//! classification is always deadlock.
 //!
 //! All reads are racy snapshots by design: the wall-clock supervisor
 //! reports only after a stall window in which nothing moved, at which
@@ -36,9 +38,9 @@ use substrate::channel::{self, RecvTimeoutError};
 use substrate::sync::Mutex;
 use udn::NUM_QUEUES;
 
-use crate::engine::backend::CoopCore;
+use crate::engine::timed::TimedShared;
 use crate::engine::wall::{Resident, WallShared};
-use crate::fabric::{BlockedOn, PeProbe};
+use crate::fabric::{BlockedOn, Instruments};
 
 /// How often the supervisor samples a wall-clock launch's progress.
 const POLL: Duration = Duration::from_millis(20);
@@ -123,7 +125,7 @@ pub(crate) fn supervise<T: Send + 'static>(
             );
             continue;
         };
-        let ops = probes(shared).map(|p| p.ops()).sum();
+        let ops = shared.instruments.probes.iter().map(|p| p.ops()).sum();
         let window = scaled_stall(stall, shared.oversubscription);
         if ops != last_ops || baseline.is_empty() {
             last_ops = ops;
@@ -132,7 +134,7 @@ pub(crate) fn supervise<T: Send + 'static>(
         } else if last_change.elapsed() >= window {
             // Diagnose BEFORE aborting: abort unparks the blocked PEs
             // and would destroy the evidence.
-            let report = stall_report(shared, window, &baseline);
+            let report = wall_report(shared, window, &baseline);
             shared.abort();
             let _ = rx.recv_timeout(ABORT_GRACE);
             return Err(report);
@@ -183,118 +185,100 @@ struct PeCounters {
     spins: u64,
 }
 
-fn snapshot(probe: &PeProbe) -> PeCounters {
-    PeCounters {
-        ops: probe.ops(),
-        spins: probe.spins(),
-    }
-}
-
-/// Every probe of a wall-clock launch: indices `0..npes` the PE main
-/// contexts, `npes..2*npes` their service contexts.
-fn probes(shared: &WallShared) -> impl Iterator<Item = &Arc<PeProbe>> {
-    shared.probes.iter().chain(&shared.service_probes)
-}
-
+/// Every context's counters: `0..npes` the PE main contexts,
+/// `npes..2*npes` their service contexts.
 fn counters(shared: &WallShared) -> Vec<PeCounters> {
-    probes(shared).map(|p| snapshot(p)).collect()
+    shared.instruments.probes.iter().map(|p| PeCounters { ops: p.ops(), spins: p.spins() }).collect()
 }
 
-/// The wall-clock stall report: a header, the stall's classification
-/// against `baseline` (captured when useful work last moved), and the
-/// per-PE diagnosis.
-fn stall_report(shared: &WallShared, window: Duration, baseline: &[PeCounters]) -> String {
+/// The wall-clock stall report: the stall's classification against
+/// `baseline` (captured when useful work last moved), and each
+/// context's counter deltas since then.
+fn wall_report(shared: &WallShared, window: Duration, baseline: &[PeCounters]) -> String {
     let now = counters(shared);
     let (ops, spins) = now.iter().fold((0, 0), |(o, s), c| (o + c.ops, s + c.spins));
-    let class = classify_stall(shared.probes.iter().zip(&now).zip(baseline).map(|((probe, n), b)| {
-        (
-            n.ops.saturating_sub(b.ops),
-            n.spins.saturating_sub(b.spins),
-            matches!(probe.blocked(), BlockedOn::Descheduled),
-        )
-    }));
-    format!(
-        "watchdog: no useful fabric progress for {:.1}s (useful ops {ops}, spin retries {spins})\n\
-         classification: {class}\n{}",
-        window.as_secs_f64(),
-        diagnose(shared, baseline)
-    )
+    let deltas: Vec<(u64, u64)> = now
+        .iter()
+        .zip(baseline)
+        .map(|(n, b)| (n.ops.saturating_sub(b.ops), n.spins.saturating_sub(b.spins)))
+        .collect();
+    let descheduled = |ctx: usize| matches!(shared.instruments.probes[ctx].blocked(), BlockedOn::Descheduled);
+    let class = classify_stall((0..shared.npes).map(|pe| (deltas[pe].0, deltas[pe].1, descheduled(pe))));
+    let header = format!(
+        "watchdog: no useful fabric progress for {:.1}s (useful ops {ops}, spin retries {spins})",
+        window.as_secs_f64()
+    );
+    let occupancy = |pe: usize| std::array::from_fn(|q| shared.endpoints[pe].queue_len(q));
+    stall_report(&header, class, &shared.instruments, occupancy, |ctx| {
+        // A descheduled context is runnable but waiting for a worker
+        // slot (coop M:N engine) — spinning without useful work is
+        // expected there, not a livelock sign.
+        let (du, ds) = deltas[ctx];
+        (format!(" (+{du} useful / +{ds} spins in window)"), du == 0 && ds > 0 && !descheduled(ctx))
+    })
 }
 
-/// Render a per-PE stall diagnosis: blocked state, useful/spin counters
-/// with their deltas since `baseline`, demux queue occupancy, stash
-/// contents, service-context state, last trace event, and the launch's
-/// fault plan if it has one. Probes that spun without completing any
-/// useful work in the window are called out as livelock suspects.
-fn diagnose(shared: &WallShared, baseline: &[PeCounters]) -> String {
+/// The one stall report, on either fabric: `header`, the stall's
+/// `class`, then two lines per PE — its main context's blocked state,
+/// useful/spin counters, the caller's `note` on it, demux-queue
+/// `occupancy`, stash contents and last trace event; its service
+/// context's state, counters and note — then the livelock suspects and
+/// the launch's fault plan if it has one. `note(ctx)` returns the text a
+/// context's line carries past its counters and whether it is a livelock
+/// suspect (spun without completing useful work in the window).
+fn stall_report(
+    header: &str,
+    class: &str,
+    inst: &Instruments,
+    occupancy: impl Fn(usize) -> [usize; NUM_QUEUES],
+    note: impl Fn(usize) -> (String, bool),
+) -> String {
     use std::fmt::Write as _;
-    let npes = shared.npes;
-    let last = match &shared.trace {
+    let npes = inst.npes;
+    let last = match &inst.trace {
         Some(sink) => sink.last_per_pe(npes),
         None => vec![None; npes], // cold: once per stall report
     };
     let mut out = String::new();
     let mut suspects: Vec<String> = Vec::new();
-    let _ = writeln!(out, "per-PE stall diagnosis ({npes} PEs):");
+    let _ = writeln!(out, "{header}\nclassification: {class}\nper-PE stall diagnosis ({npes} PEs):");
     for (pe, last_ev) in last.iter().enumerate() {
-        let probe = &shared.probes[pe];
-        let now = snapshot(probe);
-        let occ: Vec<usize> = (0..NUM_QUEUES).map(|q| shared.endpoints[pe].queue_len(q)).collect();
-        let _ = write!(
-            out,
-            "  PE {pe}: {} | useful={} spins={}",
-            probe.blocked(),
-            now.ops,
-            now.spins
-        );
-        let (du, ds) = (now.ops.saturating_sub(baseline[pe].ops), now.spins.saturating_sub(baseline[pe].spins));
-        let _ = write!(out, " (+{du} useful / +{ds} spins in window)");
-        // A descheduled context is runnable but waiting for a worker
-        // slot (coop M:N engine) — spinning without useful work is
-        // expected there, not a livelock sign.
-        if du == 0 && ds > 0 && !matches!(probe.blocked(), BlockedOn::Descheduled) {
-            suspects.push(format!("PE {pe} ({})", probe.blocked()));
-        }
-        let _ = write!(out, " | queue occupancy {occ:?}");
-        let stash = probe.stash();
-        if stash.is_empty() {
-            let _ = write!(out, " | stash empty");
-        } else {
-            let _ = write!(out, " | stash ");
-            for (i, (tag, src)) in stash.iter().enumerate() {
-                let sep = if i == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}(tag {tag:#x} from PE {src})");
+        for (ctx, label) in [(pe, ""), (npes + pe, " svc")] {
+            let probe = &inst.probes[ctx];
+            let (text, suspect) = note(ctx);
+            let _ = write!(
+                out,
+                "  PE {pe}{label}: {} | useful={} spins={}{text}",
+                probe.blocked(),
+                probe.ops(),
+                probe.spins()
+            );
+            if suspect {
+                suspects.push(format!("PE {pe}{label} ({})", probe.blocked()));
             }
-            let hidden = probe.stash_total().saturating_sub(stash.len());
-            if hidden > 0 {
-                let _ = write!(out, " (+{hidden} more)");
+            if ctx == pe {
+                let _ = write!(out, " | queue occupancy {:?}", occupancy(pe));
+                let stash = probe.stash();
+                if stash.is_empty() {
+                    let _ = write!(out, " | stash empty");
+                } else {
+                    let _ = write!(out, " | stash ");
+                    for (i, (tag, src)) in stash.iter().enumerate() {
+                        let sep = if i == 0 { "" } else { ", " };
+                        let _ = write!(out, "{sep}(tag {tag:#x} from PE {src})");
+                    }
+                    let hidden = probe.stash_total().saturating_sub(stash.len());
+                    if hidden > 0 {
+                        let _ = write!(out, " (+{hidden} more)");
+                    }
+                }
+                let _ = match last_ev {
+                    Some(e) => write!(out, " | last event {} @{:.0}ns", e.kind.name(), e.start.ns_f64()),
+                    None => write!(out, " | no events recorded"),
+                };
             }
+            let _ = writeln!(out);
         }
-        match last_ev {
-            Some(e) => {
-                let _ = writeln!(out, " | last event {} @{:.0}ns", e.kind.name(), e.start.ns_f64());
-            }
-            None => {
-                let _ = writeln!(out, " | no events recorded");
-            }
-        }
-        // The PE's interrupt-service context, attributed separately.
-        let svc = &shared.service_probes[pe];
-        let snow = snapshot(svc);
-        let _ = write!(
-            out,
-            "  PE {pe} svc: {} | useful={} spins={}",
-            svc.blocked(),
-            snow.ops,
-            snow.spins
-        );
-        let base = baseline[npes + pe];
-        let (du, ds) = (snow.ops.saturating_sub(base.ops), snow.spins.saturating_sub(base.spins));
-        let _ = write!(out, " (+{du} useful / +{ds} spins in window)");
-        if du == 0 && ds > 0 && !matches!(svc.blocked(), BlockedOn::Descheduled) {
-            suspects.push(format!("PE {pe} svc ({})", svc.blocked()));
-        }
-        let _ = writeln!(out);
     }
     if !suspects.is_empty() {
         let _ = writeln!(
@@ -303,7 +287,7 @@ fn diagnose(shared: &WallShared, baseline: &[PeCounters]) -> String {
             suspects.join(", ")
         );
     }
-    if let Some(faults) = &shared.faults {
+    if let Some(faults) = &inst.faults {
         let _ = writeln!(out, "active {}", faults.describe());
     }
     out
@@ -321,84 +305,53 @@ pub(crate) struct Stalled(pub(crate) String);
 /// Under virtual time a wedged job does not stall a wall clock — the
 /// desim scheduler itself detects the moment no LP can ever run again —
 /// so this implements [`desim::coop::CoopObserver`]: when the
-/// scheduler's deadlock detector fires, it renders the same per-PE
-/// diagnosis as the wall-clock supervisor (blocked state, useful/spin
-/// counters, modeled queue occupancy, virtual clocks; on a multi-chip
-/// job a map of the PEs to their chips) and keeps it for the launch to
-/// unwind with as [`Stalled`] instead of a raw panic.
+/// scheduler's deadlock detector fires, it renders the same stall report
+/// as the wall-clock supervisor, each context noted with its parked
+/// channel and virtual clock (on a multi-chip job followed by a map of
+/// the PEs to their chips), and keeps it for the launch to unwind with
+/// as [`Stalled`] instead of a raw panic.
 pub(crate) struct TimedWatch {
-    core: Arc<CoopCore>,
+    shared: Arc<TimedShared>,
     report: Mutex<Option<String>>,
 }
 
 impl TimedWatch {
-    pub(crate) fn new(core: Arc<CoopCore>) -> Arc<Self> {
-        Arc::new(Self { core, report: Mutex::new(None) })
+    pub(crate) fn new(shared: Arc<TimedShared>) -> Arc<Self> {
+        Arc::new(Self { shared, report: Mutex::new(None) })
     }
 
     /// The stall the observer diagnosed, if it fired.
     pub(crate) fn stalled(&self) -> Option<Stalled> {
         self.report.lock().take().map(Stalled)
     }
-
-    fn render(&self, lps: &[desim::coop::LpStall]) -> String {
-        use std::fmt::Write as _;
-        let core = &self.core;
-        let npes = core.npes;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "timed watchdog: virtual event queue drained with unfinished LPs parked"
-        );
-        let _ = writeln!(out, "per-PE stall diagnosis ({npes} PEs):");
-        for pe in 0..npes {
-            for (lp, label) in [(pe, ""), (npes + pe, " svc")] {
-                let probe = &core.probes[lp];
-                let now = snapshot(probe);
-                let occ = core.queue_occupancy(lp);
-                let _ = write!(
-                    out,
-                    "  PE {pe}{label}: {} | useful={} spins={} | queue occupancy {:?}",
-                    probe.blocked(),
-                    now.ops,
-                    now.spins,
-                    occ
-                );
-                match lps.get(lp) {
-                    Some(s) if s.done => {
-                        let _ = writeln!(out, " | finished @{:.0}ns", s.clock.ns_f64());
-                    }
-                    Some(s) => {
-                        let parked = match s.blocked_on {
-                            Some(ch) => format!("parked on ch{ch}"),
-                            None => "runnable".to_string(),
-                        };
-                        let _ = writeln!(out, " | {} @{:.0}ns", parked, s.clock.ns_f64());
-                    }
-                    None => {
-                        let _ = writeln!(out);
-                    }
-                }
-            }
-        }
-        // The per-PE lines read alike on every engine; a multichip job
-        // maps its PEs to their chips here.
-        if core.chips > 1 {
-            let map: Vec<String> = (0..npes)
-                .filter_map(|pe| core.chip_of(pe).map(|chip| format!("PE {pe} (chip {chip})")))
-                .collect();
-            let _ = writeln!(out, "chips: {}", map.join(", "));
-        }
-        if let Some(faults) = &core.faults {
-            let _ = writeln!(out, "active {}", faults.describe());
-        }
-        out
-    }
 }
 
 impl desim::coop::CoopObserver for TimedWatch {
     fn on_deadlock(&self, lps: &[desim::coop::LpStall]) -> Option<String> {
-        let report = self.render(lps);
+        let shared = &self.shared;
+        let mut report = stall_report(
+            "timed watchdog: virtual event queue drained with unfinished LPs parked",
+            "deadlock (no LP can run again)",
+            &shared.instruments,
+            |pe| shared.queue_occupancy(pe),
+            |lp| {
+                let text = match lps.get(lp) {
+                    Some(s) if s.done => format!(" | finished @{:.0}ns", s.clock.ns_f64()),
+                    Some(s) => match s.blocked_on {
+                        Some(ch) => format!(" | parked on ch{ch} @{:.0}ns", s.clock.ns_f64()),
+                        None => format!(" | runnable @{:.0}ns", s.clock.ns_f64()),
+                    },
+                    None => String::new(),
+                };
+                (text, false)
+            },
+        );
+        if shared.chips > 1 {
+            let map: Vec<String> = (0..shared.npes)
+                .map(|pe| format!("PE {pe} (chip {})", pe / shared.pes_per_chip))
+                .collect();
+            report.push_str(&format!("chips: {}\n", map.join(", ")));
+        }
         *self.report.lock() = Some(report.clone());
         Some(report)
     }
@@ -448,7 +401,7 @@ mod tests {
         let shared = watch.get().expect("the launch body attached its state");
         assert_eq!(shared.oversubscription, 8);
         assert_eq!(scaled_stall(Duration::from_secs(1), shared.oversubscription), Duration::from_secs(8));
-        assert!(probes(shared).map(|p| p.ops()).sum::<u64>() > 0);
+        assert!(shared.instruments.probes.iter().map(|p| p.ops()).sum::<u64>() > 0);
         assert!(take_watch().is_none(), "the launch took the watch");
     }
 

@@ -13,14 +13,11 @@ fn coop(workers: usize) -> CoopBackend {
     CoopBackend { workers, ..Default::default() }
 }
 
-/// Run `body` on `backend` and return the panic message the job dies of.
-fn abort_message<B: EngineBackend>(
-    backend: B,
-    npes: usize,
-    body: &(impl Fn(&ShmemCtx) + Send + Sync),
-) -> String {
+/// Run `body` under `launcher` and return the panic message the job
+/// dies of.
+fn abort_message<B: EngineBackend>(launcher: Launcher<B>, body: &(impl Fn(&ShmemCtx) + Send + Sync)) -> String {
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Launcher::new(&cfg(npes), backend).run(|ctx| body(ctx));
+        launcher.run(|ctx| body(ctx));
     }))
     .expect_err("the aborted job must report the panic");
     match payload.downcast::<String>() {
@@ -33,8 +30,8 @@ fn abort_message<B: EngineBackend>(
 /// job must die of `body` with the same message (the lowest panicking
 /// PE's) under free admission and under the gate.
 fn aborts_alike(npes: usize, message: &str, body: impl Fn(&ShmemCtx) + Send + Sync) {
-    assert_eq!(abort_message(NativeBackend, npes, &body), message, "native");
-    assert_eq!(abort_message(coop(2), npes, &body), message, "coop");
+    assert_eq!(abort_message(Launcher::new(&cfg(npes), NativeBackend), &body), message, "native");
+    assert_eq!(abort_message(Launcher::new(&cfg(npes), coop(2)), &body), message, "coop");
 }
 
 /// The wedge: PE 0 joins a barrier no other PE runs, and the others
@@ -70,16 +67,41 @@ fn a_wedge_fails_alike_on_every_engine() {
         assert!(report.contains("per-PE stall diagnosis (4 PEs)"), "{engine}: no diagnosis in:\n{report}");
         assert!(report.contains("PE 0: recv(q0)"), "{engine}: PE 0 not parked in its barrier:\n{report}");
         assert!(report.contains("active fault plan seed 0x0: [EagerNbi]"), "{engine}: plan not named in:\n{report}");
-    }
-    for (engine, report) in &reports[..2] {
         assert!(report.contains("classification: deadlock"), "{engine}: not classified deadlock:\n{report}");
+        let pe0 = report.lines().find(|l| l.starts_with("  PE 0: ")).expect("PE 0's line");
+        assert!(pe0.contains("| queue occupancy ["), "{engine}: no occupancy on PE 0's line:\n{report}");
+        assert!(pe0.contains("| stash"), "{engine}: no stash on PE 0's line:\n{report}");
     }
+}
+
+/// An injected crash fires on every engine: the op clock and the
+/// `PanicPe` check are one hook both fabrics run on every completed op.
+/// Under virtual time the crash is the job's only panic; on the wall
+/// fabric PE 0, parked in a barrier, aborts first, as in [`aborts_alike`].
+#[test]
+fn an_injected_pe_crash_fires_on_every_engine() {
+    let crash = || tshmem::FaultPlan::from([tshmem::Fault::PanicPe { pe: 1, after_ops: 8 }]);
+    let body = |ctx: &ShmemCtx| {
+        for _ in 0..8 {
+            ctx.barrier_all();
+        }
+    };
+    let crashed = "PE 1: injected PanicPe fault (crashing-tenant model)";
+    let timed = Launcher::new(&cfg(2), TimedBackend).with_faults(crash());
+    assert_eq!(abort_message(timed, &body), crashed, "timed");
+    let multichip = Launcher::new(&cfg(1), MultiChipBackend { chips: 2 }).with_faults(crash());
+    assert_eq!(abort_message(multichip, &body), crashed, "multichip");
+    let aborted = "PE 0: aborting — another PE panicked";
+    let native = Launcher::new(&cfg(2), NativeBackend).with_faults(crash());
+    assert_eq!(abort_message(native, &body), aborted, "native");
+    let coop = Launcher::new(&cfg(2), coop(2)).with_faults(crash());
+    assert_eq!(abort_message(coop, &body), aborted, "coop");
 }
 
 /// Unwatched, a virtual-time wedge unwinds with its report as a string.
 #[test]
 fn an_unwatched_virtual_time_wedge_unwinds_with_its_report() {
-    let message = abort_message(TimedBackend, 4, &barrier_for_one);
+    let message = abort_message(Launcher::new(&cfg(4), TimedBackend), &barrier_for_one);
     assert!(message.contains("PE 0: recv(q0)"), "PE 0 not parked in its barrier:\n{message}");
 }
 

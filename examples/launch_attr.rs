@@ -6,8 +6,8 @@
 //! the phases:
 //!
 //! * **fabric** — `UdnFabric::new`: the sender table and every receiver;
-//! * **memory** — `ShardedArena::new` + `WallShared::new`: arena shards,
-//!   private segments, probes;
+//! * **memory** — `ShardedArena::new` + `Instruments::new` +
+//!   `WallShared::new`: arena shards, private segments, probes;
 //! * **handout** — one `WallFabric` per PE (contexts index the launch's
 //!   endpoints in place, so this is reference counts only);
 //! * **spawn** — from the first `thread::spawn` until the last PE is
@@ -58,6 +58,7 @@ use substrate::channel;
 use tshmem::ctx::Layout;
 use tshmem::engine::coop::GateSet;
 use tshmem::engine::wall::{Admission, Free, Resident, ShardedArena, WallFabric, WallShared};
+use tshmem::fabric::Instruments;
 use tshmem::prelude::*;
 use tshmem::server::arena::Geometry;
 use tshmem::server::pool::lease_for;
@@ -89,7 +90,7 @@ fn phases<P: Admission>(gate: P, block: usize, cfg: &RuntimeConfig) -> [f64; 7] 
     resident.lanes.close();
     let set = resident.sets.checkout(Geometry::of(cfg, block));
     let arena = ShardedArena::from_shards(set.shards, block, cfg.partition_bytes);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates, gate.running_contexts(npes), None, None);
+    let shared = WallShared::new(cfg, endpoints, arena, set.privates, gate.running_contexts(npes), Instruments::new(npes, None, None));
     marks.push(Instant::now());
     let fabrics: Vec<_> = (0..npes)
         .map(|pe| Mutex::new(Some(WallFabric::new_probed(shared.clone(), gate.clone(), pe))))
@@ -97,7 +98,7 @@ fn phases<P: Admission>(gate: P, block: usize, cfg: &RuntimeConfig) -> [f64; 7] 
     marks.push(Instant::now());
     let (spans, _) = resident.lanes.run(npes, |pe| {
         let fab = fabrics[pe].lock().unwrap().take().expect("one fabric per PE");
-        gate.acquire(pe, Some(&shared.probes[pe]));
+        gate.acquire(pe, Some(&shared.instruments.probes[pe]));
         let entered = Instant::now();
         let ctx = ShmemCtx::new(P::erase(fab), layout, cfg.algos, cfg.private_bytes);
         ctx.finalize();
@@ -179,11 +180,12 @@ fn job_launch(resident: &Resident, cfg: &RuntimeConfig, slots: usize, marks: &Ma
     let endpoints = UdnFabric::new(npes);
     let sink = Arc::new(TraceSink::with_lanes(gate.running_contexts(npes)));
     let arena = ShardedArena::from_shards(set.shards.clone(), block, cfg.partition_bytes);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates.clone(), gate.running_contexts(npes), Some(sink), None);
+    let instruments = Instruments::new(npes, Some(sink), None);
+    let shared = WallShared::new(cfg, endpoints, arena, set.privates.clone(), gate.running_contexts(npes), instruments);
     mark(marks);
     let (spans, _) = resident.lanes.run(npes, |pe| {
         let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe);
-        gate.acquire(pe, Some(&shared.probes[pe]));
+        gate.acquire(pe, Some(&shared.instruments.probes[pe]));
         let entered = Instant::now();
         let ctx = ShmemCtx::new(Admission::erase(fab), layout, cfg.algos, cfg.private_bytes);
         job_body(&ctx);

@@ -160,12 +160,12 @@ echo "== server PanicPe canary (one-shot caught-class fault) =="
 cargo run -q --offline --release -p stress -- \
     --serve --jobs 8 --panic-pe 1 --seed 0x55
 
-echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed + backend / hier + reduce / server + arena + supervisor / lanes / desim / cachesim) =="
+echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed / fabric / hier + reduce / server + arena + supervisor / lanes / desim / cachesim) =="
 # The RMA and barrier hot paths are allocation-free by design, and the
-# wall fabric, its M:N admission gate, the virtual-time fabric
-# (engine/timed.rs) with the CoopLp send/recv path every simulated
-# message crosses (engine/backend.rs), the cell pass, the reduce's
-# per-chunk fold, the
+# wall fabric, its M:N admission gate, the virtual-time fabric with
+# the send/recv path every simulated message crosses (engine/timed.rs),
+# the progress hook every fabric op of either fabric runs (fabric.rs),
+# the cell pass, the reduce's per-chunk fold, the
 # timed-engine event core and scheduler, and the cache simulator every
 # simulated copy runs through (cachesim: the tile caches, the copy-cost
 # model, the DDC directory and the memory system) stay on that diet: any `to_vec()` or `vec![` there must carry a
@@ -183,7 +183,7 @@ import re, sys
 bad = []
 for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
              "crates/core/src/engine/wall.rs", "crates/core/src/engine/coop.rs",
-             "crates/core/src/engine/timed.rs", "crates/core/src/engine/backend.rs",
+             "crates/core/src/engine/timed.rs", "crates/core/src/fabric.rs",
              "crates/core/src/collectives/hier.rs", "crates/core/src/collectives/reduce.rs",
              "crates/core/src/server/pool.rs", "crates/core/src/server/arena.rs",
              "crates/core/src/watch.rs", "crates/tmc/src/task.rs",
