@@ -46,6 +46,7 @@ use crate::engine::wall::Resident;
 use crate::fault::LaunchFaults;
 use crate::runtime::RuntimeConfig;
 use crate::trace::TraceEvent;
+use crate::watch::JobWatch;
 
 /// What a launch returns, uniformly across backends.
 #[derive(Debug)]
@@ -92,8 +93,17 @@ pub trait EngineBackend {
 
     /// Run `f` on every PE and collect the outcome. The backend must
     /// honor `cfg.trace` and `faults` — the launch's armed plan, which
-    /// every context of this launch and no other reads.
-    fn execute<R, F>(&self, cfg: &RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
+    /// every context of this launch and no other reads. A wall-clock
+    /// backend publishes its launch's shared state in `watch`, when
+    /// [`Launcher::run_watched`](crate::Launcher::run_watched) supervises
+    /// it; a virtual-time backend ignores it.
+    fn execute<R, F>(
+        &self,
+        cfg: &RuntimeConfig,
+        faults: Option<&Arc<LaunchFaults>>,
+        watch: Option<&JobWatch>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync;

@@ -13,16 +13,19 @@
 //! Scheduling contract (DESIGN.md §6):
 //!
 //! * Every context (PE main + interrupt-service) is still a real OS
-//!   thread; worker `w = pe / ceil(npes / workers)` owns an admission
-//!   `Gate`, and a context may touch the fabric only while holding
-//!   its worker's gate.
+//!   thread; worker `w = pe / ceil(npes / workers)` is one domain of
+//!   the cooperative handoff core ([`substrate::baton`]) over a FIFO of
+//!   context ids — its admission gate — and a context may touch the
+//!   fabric only while holding its worker's gate. The core is the one
+//!   the virtual-time scheduler runs on; the FIFO is this engine's
+//!   ordering policy, and an empty queue leaves the gate free.
 //! * A context **releases** its gate around every genuine wait — a
 //!   parked receive, a blocking send into a full queue, an injected
 //!   fault delay — so siblings of the same worker run meanwhile.
-//! * A context **yields** its gate (release + requeue at the FIFO tail)
-//!   from `wait_pause` whenever siblings are queued, so spin waits
-//!   (flag polls, lock backoff, the TMC spin barrier) cannot starve the
-//!   very context that would satisfy them.
+//! * A context **yields** its gate (requeue at the FIFO tail, hand the
+//!   gate to the head) from `wait_pause` whenever siblings are queued,
+//!   so spin waits (flag polls, lock backoff, the TMC spin barrier)
+//!   cannot starve the very context that would satisfy them.
 //! * While queued for admission a context publishes
 //!   [`BlockedOn::Descheduled`]: runnable, just not scheduled. The
 //!   wall-clock supervisor must not treat that as a livelock symptom,
@@ -40,10 +43,11 @@
 //! single-writer guarantee each lane needs.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::time::Duration;
 
+use substrate::baton::Baton;
 use substrate::sync::Mutex;
 use tmc::common::CommonMemory;
 
@@ -53,34 +57,7 @@ use crate::engine::wall::{run_wall, Admission, Resident, WallFabric};
 use crate::fabric::{BlockedOn, CellKey, Fabric, Locality, PeProbe};
 use crate::fault::LaunchFaults;
 use crate::trace::TraceKind;
-
-/// FIFO admission gate: at most one holder at a time, waiters queued in
-/// arrival order and admitted by direct handoff (the releaser picks the
-/// next holder and unparks it; `held` never clears while waiters queue,
-/// so barging is impossible and admission is starvation-free).
-struct Gate {
-    inner: Mutex<GateInner>,
-    /// Queued-waiter count, readable without the lock: `wait_pause`
-    /// polls it on every spin to decide whether to yield the gate.
-    waiters: AtomicUsize,
-}
-
-struct GateInner {
-    held: bool,
-    queue: VecDeque<(usize, Thread)>,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(GateInner {
-                held: false,
-                queue: VecDeque::new(),
-            }),
-            waiters: AtomicUsize::new(0),
-        }
-    }
-}
+use crate::watch::JobWatch;
 
 /// One cache line of locality-collective state, keyed by the cluster it
 /// serves ([`CellKey`]: the members an active set has inside one worker
@@ -94,28 +71,20 @@ impl Gate {
 /// park and one wake per member per pass, and a released cluster never
 /// stampedes the context that released it.
 #[repr(align(64))]
+#[derive(Default)]
 pub struct SyncCell {
     pub words: [AtomicU64; 2],
-    /// Parked waiters `(context id, thread)` per word — separate lists
-    /// so the last-arrival notify aimed at the leader (word 0) does not
-    /// requeue a cluster of members parked on the epoch (word 1).
-    waiters: [Mutex<Vec<(usize, Thread)>>; 2],
-}
-
-impl Default for SyncCell {
-    fn default() -> Self {
-        Self {
-            words: Default::default(),
-            waiters: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
-        }
-    }
+    /// Parked waiters' context ids per word — separate lists so the
+    /// last-arrival notify aimed at the leader (word 0) does not requeue
+    /// a cluster of members parked on the epoch (word 1).
+    waiters: [Mutex<Vec<usize>>; 2],
 }
 
 /// The cells of every PE range one PE starts, by range length − 1.
 type CellRow = Box<[OnceLock<Box<SyncCell>>]>;
 
-/// Gated admission — the coop engine: one FIFO `Gate` per worker, at
-/// most one running context each. The handle is shared by every context
+/// Gated admission — the coop engine: one FIFO gate per worker, at most
+/// one running context each. The handle is shared by every context
 /// of a launch.
 pub type Gated = Arc<GateSet>;
 
@@ -132,14 +101,9 @@ pub struct GateSet {
     /// away before the launch does, so finding one afterwards is two
     /// acquire loads and no arithmetic ([`GateSet::cell`]).
     sync_cells: Vec<OnceLock<CellRow>>,
-    gates: Vec<Gate>,
-    /// Per-context direct-handoff flags, indexed by context id
+    /// The gates: one domain per worker over a FIFO of context ids
     /// (`pe` for main contexts, `npes + pe` for service contexts).
-    granted: Vec<AtomicBool>,
-    /// Whether each context currently holds its gate — consulted by the
-    /// panic-cleanup path, which must release only if the panic fired
-    /// inside a gate-held region.
-    holding: Vec<AtomicBool>,
+    baton: Baton<VecDeque<usize>>,
 }
 
 impl GateSet {
@@ -151,9 +115,7 @@ impl GateSet {
             workers,
             block,
             sync_cells: (0..npes).map(|_| OnceLock::new()).collect(),
-            gates: (0..workers).map(|_| Gate::new()).collect(),
-            granted: (0..2 * npes).map(|_| AtomicBool::new(false)).collect(),
-            holding: (0..2 * npes).map(|_| AtomicBool::new(false)).collect(),
+            baton: Baton::new(2 * npes, (0..workers).map(|_| VecDeque::new())),
         })
     }
 
@@ -183,31 +145,19 @@ impl GateSet {
 
     /// Queue parked context `ctx` for admission on its worker's gate on
     /// its behalf (the notify half of a cell wait): it joins the FIFO
-    /// tail exactly as if it had called [`Admission::acquire`] now, so
-    /// admission order, one-holder exclusivity and the Release/Acquire
-    /// handoff are the gate's own. From here on the context is runnable
-    /// but unscheduled, which is what its `probe` must say.
-    fn requeue(&self, ctx: usize, thread: Thread, probe: &PeProbe) {
+    /// tail exactly as if it had called [`Admission::acquire`] now — or,
+    /// when a notifier on another worker finds the gate free, is granted
+    /// it. From here on the context is runnable but unscheduled, which
+    /// is what its `probe` must say.
+    fn requeue(&self, ctx: usize, probe: &PeProbe) {
         probe.set_blocked(BlockedOn::Descheduled);
-        let g = &self.gates[self.worker_of(ctx)];
-        {
-            let mut inner = g.inner.lock();
-            if inner.held {
-                inner.queue.push_back((ctx, thread));
-                g.waiters.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            // Only a notifier on another worker finds the gate free.
-            inner.held = true;
-        }
-        self.granted[ctx].store(true, Ordering::Release);
-        thread.unpark();
+        self.baton.lock(self.worker_of(ctx)).make_ready(ctx);
     }
 
     /// Queued siblings on `ctx`'s worker gate.
     #[inline]
     fn waiters(&self, ctx: usize) -> usize {
-        self.gates[self.worker_of(ctx)].waiters.load(Ordering::Relaxed)
+        self.baton.queued(self.worker_of(ctx))
     }
 }
 
@@ -233,67 +183,46 @@ impl Admission for Gated {
         self.worker_of(ctx)
     }
 
-    /// Acquire the worker gate for `ctx`, parking until admitted. The
-    /// prior blocked state is restored on admission.
+    /// Acquire the worker gate for `ctx`, parking until admitted. While
+    /// queued, `probe` reads `Descheduled`; the prior blocked state is
+    /// restored on admission.
     fn acquire(&self, ctx: usize, probe: Option<&PeProbe>) {
-        let g = &self.gates[self.worker_of(ctx)];
-        {
-            let mut inner = g.inner.lock();
-            if !inner.held {
-                inner.held = true;
-                self.holding[ctx].store(true, Ordering::Relaxed);
-                return;
+        let mut prior = None;
+        self.baton.acquire(self.worker_of(ctx), ctx, || {
+            if let Some(p) = probe {
+                prior = Some(p.blocked());
+                p.set_blocked(BlockedOn::Descheduled);
             }
-            inner.queue.push_back((ctx, std::thread::current()));
-            g.waiters.fetch_add(1, Ordering::Relaxed);
-        }
-        let prior = probe.map(|p| {
-            let b = p.blocked();
-            p.set_blocked(BlockedOn::Descheduled);
-            b
         });
-        while !self.granted[ctx].swap(false, Ordering::Acquire) {
-            std::thread::park();
-        }
-        self.holding[ctx].store(true, Ordering::Relaxed);
         if let (Some(p), Some(b)) = (probe, prior) {
             p.set_blocked(b);
         }
     }
 
     /// Release the worker gate held by `ctx`, handing it directly to the
-    /// longest-queued waiter (if any). The Release store pairs with the
-    /// waiter's Acquire swap, so everything the holder wrote — arena
-    /// stores, trace-lane appends — is visible to the next holder.
+    /// longest-queued waiter (if any). The grant's Release store pairs
+    /// with the waiter's Acquire swap, so everything the holder wrote —
+    /// arena stores, trace-lane appends — is visible to the next holder.
     fn release(&self, ctx: usize) {
-        self.holding[ctx].store(false, Ordering::Relaxed);
-        let g = &self.gates[self.worker_of(ctx)];
-        let next = {
-            let mut inner = g.inner.lock();
-            match inner.queue.pop_front() {
-                Some(n) => {
-                    g.waiters.fetch_sub(1, Ordering::Relaxed);
-                    Some(n)
-                }
-                None => {
-                    inner.held = false;
-                    None
-                }
-            }
-        };
-        if let Some((c, t)) = next {
-            self.granted[c].store(true, Ordering::Release);
-            t.unpark();
-        }
+        let _ = self.baton.lock(self.worker_of(ctx)).release();
     }
 
     fn is_holding(&self, ctx: usize) -> bool {
-        self.holding[ctx].load(Ordering::Relaxed)
+        self.baton.lock(self.worker_of(ctx)).holder() == Some(ctx)
     }
 
+    /// Queued siblings go first: requeue at the tail, hand the gate to
+    /// the head, and park until admitted again.
     #[inline]
-    fn contended(&self, ctx: usize) -> bool {
-        self.waiters(ctx) > 0
+    fn yield_if_contended(&self, ctx: usize, probe: &PeProbe) -> bool {
+        if self.waiters(ctx) == 0 {
+            return false;
+        }
+        let prior = probe.blocked();
+        probe.set_blocked(BlockedOn::Descheduled);
+        let _ = self.baton.lock(self.worker_of(ctx)).yield_now(ctx);
+        probe.set_blocked(prior);
+        true
     }
 
     fn locality(fab: &WallFabric<Self>) -> Option<&dyn Locality> {
@@ -361,7 +290,7 @@ impl Locality for WallFabric<Gated> {
                 // change here or it sees us there.
                 let unchanged = cell.words[word].load(Ordering::Acquire) == old;
                 if unchanged {
-                    w.push((self.ctx, std::thread::current()));
+                    w.push(self.ctx);
                 }
                 unchanged
             };
@@ -373,11 +302,10 @@ impl Locality for WallFabric<Gated> {
             // The notifier queues us on our gate, so the wake-up we
             // park for is the grant itself (same handoff flag as
             // `acquire`). The timeout only bounds abort latency.
-            while !self.gate.granted[self.ctx].swap(false, Ordering::Acquire) {
-                std::thread::park_timeout(std::time::Duration::from_millis(250));
+            while !self.gate.baton.park_timeout(self.ctx, Some(Duration::from_millis(250))) {
                 if self.shared.aborted.load(Ordering::Acquire) {
                     let mut w = cell.waiters[word].lock();
-                    if let Some(i) = w.iter().position(|(c, _)| *c == self.ctx) {
+                    if let Some(i) = w.iter().position(|&c| c == self.ctx) {
                         // Still listed: no notifier has seen us, so no
                         // gate will ever be granted to this context.
                         w.remove(i);
@@ -390,7 +318,6 @@ impl Locality for WallFabric<Gated> {
                     // context.
                 }
             }
-            self.gate.holding[self.ctx].store(true, Ordering::Relaxed);
             self.set_blocked(BlockedOn::Running);
             self.abort_check();
         }
@@ -398,8 +325,8 @@ impl Locality for WallFabric<Gated> {
 
     fn sync_cell_notify(&self, cell: CellKey, word: usize) {
         let mut w = self.gate.cell(cell).waiters[word].lock();
-        for (ctx, thread) in w.drain(..) {
-            self.gate.requeue(ctx, thread, &self.shared.instruments.probes[ctx]);
+        for ctx in w.drain(..) {
+            self.gate.requeue(ctx, &self.shared.instruments.probes[ctx]);
         }
     }
 
@@ -472,7 +399,13 @@ impl EngineBackend for CoopBackend {
         Gated::NAME
     }
 
-    fn execute<R, F>(&self, cfg: &crate::runtime::RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
+    fn execute<R, F>(
+        &self,
+        cfg: &crate::runtime::RuntimeConfig,
+        faults: Option<&Arc<LaunchFaults>>,
+        watch: Option<&JobWatch>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
@@ -488,7 +421,7 @@ impl EngineBackend for CoopBackend {
                 &own
             }
         };
-        run_wall(GateSet::new(cfg.npes, block), block, resident, cfg, faults, f)
+        run_wall(GateSet::new(cfg.npes, block), block, resident, cfg, faults, watch, f)
     }
 
     fn resident(&self) -> Option<Arc<Resident>> {
@@ -612,34 +545,10 @@ mod tests {
         assert_eq!(order.lock().len(), 200);
     }
 
-    // A lane outlives its job, so a `Thread` kept in a gate queue or a
-    // cell's waiter list can unpark it in a later one, and a PE can find
-    // a token waiting at its first park. Every wait re-checks its own
-    // flag, so a stray token costs one more look and admits nobody.
-
-    #[test]
-    fn a_leftover_unpark_admits_no_queued_context() {
-        let (_, shared) = gate_fixture(2, 2);
-        shared.acquire(0, None);
-        let gate = shared.clone();
-        let queued = std::thread::spawn(move || {
-            // The token is there before the first park.
-            std::thread::current().unpark();
-            gate.acquire(1, None);
-            gate.is_holding(1) && !gate.is_holding(0)
-        });
-        while shared.waiters(0) == 0 {
-            std::thread::yield_now();
-        }
-        for _ in 0..3 {
-            queued.thread().unpark();
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            assert!(!shared.is_holding(1), "admitted by a stray unpark");
-            assert!(!queued.is_finished());
-        }
-        shared.release(0);
-        assert!(queued.join().unwrap(), "admitted by the hand-off, after the holder let go");
-    }
+    // A lane outlives its job, so an unpark meant for one park can land
+    // on a later one. Every wait re-checks its own grant flag, so a
+    // stray token costs one more look and admits nobody (the gate's own
+    // case is the handoff core's test).
 
     #[test]
     fn a_leftover_unpark_wakes_no_cell_waiter() {
@@ -724,7 +633,7 @@ mod tests {
         // before we let go of the gate, and its probe says so.
         assert!(shared.cell(PAIR).waiters[1].lock().is_empty());
         assert_eq!(shared.waiters(0), 1);
-        assert!(!shared.granted[1].load(Ordering::Acquire));
+        assert!(!shared.baton.is_granted(1));
         assert!(!waiter.is_finished());
         assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Descheduled);
         notifier.gate_release();
@@ -748,7 +657,7 @@ mod tests {
         notifier.sync_cell_notify(PAIR, 1);
         assert_eq!(shared.waiters(0), 0);
         notifier.gate_release();
-        assert!(!shared.gates[0].inner.lock().held);
+        assert_eq!(shared.baton.lock(0).holder(), None);
     }
 
     #[test]

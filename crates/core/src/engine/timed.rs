@@ -64,7 +64,7 @@ use crate::fault::LaunchFaults;
 use crate::runtime::RuntimeConfig;
 use crate::service::service_loop;
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
-use crate::watch::TimedWatch;
+use crate::watch::{JobWatch, TimedWatch};
 
 /// Extra coop channel carrying queue-space credits: a sender blocked on
 /// a full modeled UDN queue parks in `recv(CH_CREDIT)` and is granted a
@@ -895,12 +895,18 @@ impl EngineBackend for TimedBackend {
         "timed"
     }
 
-    fn execute<R, F>(&self, cfg: &RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
+    fn execute<R, F>(
+        &self,
+        cfg: &RuntimeConfig,
+        faults: Option<&Arc<LaunchFaults>>,
+        _watch: Option<&JobWatch>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        MultiChipBackend { chips: 1 }.execute(cfg, faults, f)
+        MultiChipBackend { chips: 1 }.execute(cfg, faults, None, f)
     }
 }
 
@@ -928,7 +934,13 @@ impl EngineBackend for MultiChipBackend {
         );
     }
 
-    fn execute<R, F>(&self, cfg: &RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
+    fn execute<R, F>(
+        &self,
+        cfg: &RuntimeConfig,
+        faults: Option<&Arc<LaunchFaults>>,
+        _watch: Option<&JobWatch>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,

@@ -49,6 +49,7 @@ use crate::runtime::RuntimeConfig;
 use crate::server::arena::{ArenaPool, Geometry, SegmentSet};
 use crate::service::{service_loop, TAG_ABORT, TAG_SHUTDOWN};
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
+use crate::watch::JobWatch;
 
 /// Cheap wall-clock for trace timestamps: the invariant TSC scaled to
 /// nanoseconds (one `rdtsc` is ~2x cheaper than `clock_gettime` here,
@@ -160,9 +161,11 @@ pub trait Admission: Clone + Send + Sync + 'static {
     /// exits — consulted by the panic-cleanup path.
     fn is_holding(&self, ctx: usize) -> bool;
 
-    /// Whether other contexts are waiting for `ctx`'s admission slot, so
-    /// a spinning `ctx` should yield it.
-    fn contended(&self, ctx: usize) -> bool;
+    /// When other contexts wait for `ctx`'s admission slot, let them go
+    /// first and wait to be admitted again (`probe` reads
+    /// [`BlockedOn::Descheduled`] meanwhile): a spin wait must not
+    /// starve the very context that would satisfy it. Whether it yielded.
+    fn yield_if_contended(&self, ctx: usize, probe: &PeProbe) -> bool;
 
     /// The locality capability of a fabric under this policy, if any.
     fn locality(fab: &WallFabric<Self>) -> Option<&dyn Locality>;
@@ -217,7 +220,7 @@ impl Admission for Free {
     }
 
     #[inline(always)]
-    fn contended(&self, _ctx: usize) -> bool {
+    fn yield_if_contended(&self, _ctx: usize, _probe: &PeProbe) -> bool {
         false
     }
 
@@ -507,17 +510,9 @@ impl<P: Admission> WallFabric<P> {
         self.gate.release(self.ctx);
     }
 
-    /// When siblings queue for our admission slot, release it and
-    /// requeue behind them: a spin wait must not starve the very
-    /// context that would satisfy it.
     #[inline]
     fn yield_if_contended(&self) -> bool {
-        let contended = self.gate.contended(self.ctx);
-        if contended {
-            self.gate_release();
-            self.gate_acquire();
-        }
-        contended
+        self.gate.yield_if_contended(self.ctx, &self.probe)
     }
 
     #[inline]
@@ -892,6 +887,7 @@ pub(crate) fn run_wall<P, R, F>(
     resident: &Resident,
     cfg: &RuntimeConfig,
     faults: Option<&Arc<LaunchFaults>>,
+    watch: Option<&JobWatch>,
     f: F,
 ) -> EngineOutcome<R>
 where
@@ -899,7 +895,6 @@ where
     R: Send,
     F: Fn(&ShmemCtx) -> R + Send + Sync,
 {
-    let watch = crate::watch::take_watch();
     let npes = cfg.npes;
     let layout = cfg.layout();
     let endpoints = match cfg.udn_queue_packets {
@@ -1020,12 +1015,18 @@ impl EngineBackend for NativeBackend {
         Free::NAME
     }
 
-    fn execute<R, F>(&self, cfg: &RuntimeConfig, faults: Option<&Arc<LaunchFaults>>, f: F) -> EngineOutcome<R>
+    fn execute<R, F>(
+        &self,
+        cfg: &RuntimeConfig,
+        faults: Option<&Arc<LaunchFaults>>,
+        watch: Option<&JobWatch>,
+        f: F,
+    ) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        run_wall(Free, cfg.npes, &Resident::for_one_launch(), cfg, faults, f)
+        run_wall(Free, cfg.npes, &Resident::for_one_launch(), cfg, faults, watch, f)
     }
 
     fn resident(&self) -> Option<Arc<Resident>> {

@@ -26,7 +26,7 @@ use crate::engine::backend::{EngineBackend, EngineOutcome};
 use crate::engine::coop::CoopBackend;
 use crate::engine::wall::NativeBackend;
 use crate::fault::{FaultPlan, LaunchFaults};
-use crate::watch::{self, Stalled};
+use crate::watch::{self, JobWatch, Stalled};
 
 /// Scheduling discipline for the virtual-time (desim-backed) engines.
 ///
@@ -285,22 +285,23 @@ impl<B: EngineBackend> Launcher<B> {
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        catch_unwind(AssertUnwindSafe(|| self.execute(f))).unwrap_or_else(|payload| match payload.downcast::<Stalled>() {
+        catch_unwind(AssertUnwindSafe(|| self.execute(None, f))).unwrap_or_else(|payload| match payload.downcast::<Stalled>() {
             Ok(stalled) => resume_unwind(Box::new(stalled.0)),
             Err(payload) => resume_unwind(payload),
         })
     }
 
-    /// Validate and hand the launch to the backend; a virtual-time wedge
-    /// unwinds as [`Stalled`].
-    fn execute<R, F>(&self, f: F) -> EngineOutcome<R>
+    /// Validate and hand the launch, with its supervisor's `watch` if it
+    /// has one, to the backend; a virtual-time wedge unwinds as
+    /// [`Stalled`].
+    fn execute<R, F>(&self, watch: Option<&JobWatch>, f: F) -> EngineOutcome<R>
     where
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
         self.cfg.validate();
         self.backend.validate(&self.cfg);
-        self.backend.execute(&self.cfg, self.faults.as_ref(), f)
+        self.backend.execute(&self.cfg, self.faults.as_ref(), watch, f)
     }
 
     /// [`run`](Self::run), supervised: a launch that wedges returns
@@ -327,9 +328,9 @@ impl<B: EngineBackend> Launcher<B> {
         F: Fn(&ShmemCtx) -> R + Send + Sync + 'static,
     {
         if let Some(resident) = self.backend.resident() {
-            return watch::supervise(&resident, stall, move || self.execute(f));
+            return watch::supervise(&resident, stall, move |w| self.execute(Some(w), f));
         }
-        catch_unwind(AssertUnwindSafe(|| self.execute(f))).or_else(|payload| match payload.downcast::<Stalled>() {
+        catch_unwind(AssertUnwindSafe(|| self.execute(None, f))).or_else(|payload| match payload.downcast::<Stalled>() {
             Ok(stalled) => Err(stalled.0),
             Err(payload) => resume_unwind(payload),
         })

@@ -2,9 +2,10 @@
 //! [`Launcher::run_watched`](crate::Launcher::run_watched) runs.
 //!
 //! A wall-clock launch runs detached on a lane of its `Resident`, and
-//! [`supervise`] watches it from the calling thread: the launch body
-//! publishes its shared state in the launch's [`JobWatch`] before any PE
-//! starts, and the supervisor polls it for forward progress. When
+//! [`supervise`] watches it from the calling thread: it hands the launch
+//! a [`JobWatch`], the launch body publishes its shared state there
+//! before any PE starts, and the supervisor polls it for forward
+//! progress. When
 //! *useful* work stops moving for the stall window it renders what every
 //! PE (and every service context) was doing — which protocol wait it is
 //! parked in, how full its demux queues are, what its stash holds, and
@@ -29,7 +30,6 @@
 //! point the states are stable; the timed observer runs with the
 //! scheduler lock held.
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -50,35 +50,13 @@ const POLL: Duration = Duration::from_millis(20);
 /// it the lane the launch runs on.
 const ABORT_GRACE: Duration = Duration::from_secs(1);
 
-/// Where a supervised wall-clock launch publishes its shared state.
-pub(crate) type JobWatch = OnceLock<Arc<WallShared>>;
+/// Where a supervised wall-clock launch publishes its shared state:
+/// handed to the backend with the launch, and on to its launch body.
+pub type JobWatch = OnceLock<Arc<WallShared>>;
 
-thread_local! {
-    /// The watch of the supervised launch this lane is starting, until
-    /// the launch body takes it ([`take_watch`]).
-    static WATCH: Cell<Option<Arc<JobWatch>>> = const { Cell::new(None) };
-}
-
-/// The watch of the supervised launch being started on this thread, if
-/// any: the wall-clock launch body takes it before any PE starts. So a
-/// backend's `execute` must run `run_wall` on the thread it was called
-/// on; [`supervise`] fails loudly otherwise.
-pub(crate) fn take_watch() -> Option<Arc<JobWatch>> {
-    WATCH.take()
-}
-
-/// Run `launch` on this thread with `watch` waiting for its launch body.
-fn attached<T>(watch: Arc<JobWatch>, launch: impl FnOnce() -> T) -> std::thread::Result<T> {
-    WATCH.set(Some(watch));
-    let result = catch_unwind(AssertUnwindSafe(launch));
-    // A launch that failed validation never took it; the lane may run
-    // another task next.
-    WATCH.set(None);
-    result
-}
-
-/// Run the wall-clock launch `launch` detached on a lane of `resident`
-/// and supervise it from this thread: its value once it returns, its
+/// Run the wall-clock launch `launch` detached on a lane of `resident`,
+/// handing it the watch it publishes its state in, and supervise it from
+/// this thread: its value once it returns, its
 /// panic re-raised here, or — when it made no useful progress for
 /// `stall` scaled by its oversubscription — `Err` with the stall report,
 /// after the launch was aborted and given [`ABORT_GRACE`] to unwind.
@@ -89,13 +67,13 @@ fn attached<T>(watch: Arc<JobWatch>, launch: impl FnOnce() -> T) -> std::thread:
 pub(crate) fn supervise<T: Send + 'static>(
     resident: &Resident,
     stall: Duration,
-    launch: impl FnOnce() -> T + Send + 'static,
+    launch: impl FnOnce(&JobWatch) -> T + Send + 'static,
 ) -> Result<T, String> {
     let watch = Arc::new(JobWatch::new());
     let (tx, rx) = channel::bounded::<std::thread::Result<T>>(1);
     let w = watch.clone();
     resident.lanes.spawn(
-        move || attached(w, launch),
+        move || catch_unwind(AssertUnwindSafe(|| launch(&w))),
         move |r| {
             let _ = tx.try_send(r.and_then(|caught| caught));
         },
@@ -114,15 +92,9 @@ pub(crate) fn supervise<T: Send + 'static>(
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => panic!("watched launch ended without reporting"),
         }
-        // Before the launch attaches nothing can stall. Its body attaches
-        // first thing, on the lane it was started on; one that has not
-        // within the window (at least the grace) built its state
-        // elsewhere, and could never be watched.
+        // Before the launch body publishes its state no PE has started,
+        // so nothing can stall.
         let Some(shared) = watch.get() else {
-            assert!(
-                last_change.elapsed() < stall.max(ABORT_GRACE),
-                "watched launch never attached to its supervisor"
-            );
             continue;
         };
         let ops = shared.instruments.probes.iter().map(|p| p.ops()).sum();
@@ -361,6 +333,7 @@ impl desim::coop::CoopObserver for TimedWatch {
 mod tests {
     use super::*;
     use crate::prelude::*;
+    use crate::EngineBackend;
 
     #[test]
     fn descheduled_pes_do_not_count_as_frozen() {
@@ -389,35 +362,16 @@ mod tests {
     #[test]
     fn a_coop_launch_is_supervised_over_its_scaled_window() {
         let cfg = RuntimeConfig::new(8).with_partition_bytes(1 << 20);
-        let watch = Arc::new(JobWatch::new());
-        let out = attached(watch.clone(), || {
-            Launcher::new(&cfg, CoopBackend { workers: 2, ..Default::default() }).run(|ctx| {
-                ctx.barrier_all();
-                ctx.my_pe()
-            })
-        })
-        .expect("a clean launch");
+        let watch = JobWatch::new();
+        let backend = CoopBackend { workers: 2, ..Default::default() };
+        let out = backend.execute(&cfg, None, Some(&watch), |ctx| {
+            ctx.barrier_all();
+            ctx.my_pe()
+        });
         assert_eq!(out.values, (0..8).collect::<Vec<_>>());
         let shared = watch.get().expect("the launch body attached its state");
         assert_eq!(shared.oversubscription, 8);
         assert_eq!(scaled_stall(Duration::from_secs(1), shared.oversubscription), Duration::from_secs(8));
         assert!(shared.instruments.probes.iter().map(|p| p.ops()).sum::<u64>() > 0);
-        assert!(take_watch().is_none(), "the launch took the watch");
-    }
-
-    /// A launch that never attaches is reported, not polled forever.
-    #[test]
-    fn a_launch_that_never_attaches_fails_loudly() {
-        let (tx, rx) = channel::bounded::<()>(1);
-        let resident = Resident::for_one_launch();
-        let supervised = catch_unwind(AssertUnwindSafe(|| {
-            supervise(&resident, Duration::from_millis(10), move || {
-                let _ = rx.recv();
-            })
-        }));
-        drop(tx);
-        let payload = supervised.expect_err("the supervisor gave up on the launch");
-        let message = crate::engine::wall::panic_text(&*payload).unwrap_or_default();
-        assert!(message.contains("never attached"), "{message}");
     }
 }

@@ -29,14 +29,15 @@
 //! heaps ordered by `(arrival, seq)`, so `recv` pops the earliest
 //! message in O(log m) and the effective-clock probe is an O(1) peek.
 //!
-//! A handoff wakes the next LP the way the coop engine's admission gate
-//! does (`Gate::release` in `tshmem`'s `engine/coop.rs`): the granter
-//! picks `next` under the scheduler lock and drops it, *then* sets
-//! `next`'s grant flag (Release) and unparks its thread, and parks on
-//! its own flag. The wakee never wakes into a lock its granter still
-//! holds, so a handoff between LPs pinned to one CPU costs one context
-//! switch, not a switch there and back. A poison (panic or deadlock) is
-//! published under the lock and then wakes every LP the same way.
+//! The run is one domain of [`substrate::baton`], the handoff core the
+//! coop engine's admission gate runs on too, with this scheduler's state
+//! as its run queue: a push keys an LP by its effective clock, a pop
+//! discards stale entries. So a handoff is the core's — pick `next`
+//! under the scheduler lock, drop it, grant `next`, park on our own flag
+//! — and a handoff between LPs pinned to one CPU costs one context
+//! switch, not a switch there and back. An empty queue is a deadlock:
+//! the run is poisoned (panic or deadlock) under the lock, and then the
+//! core wakes every LP to see it.
 //!
 //! # Scheduling modes
 //!
@@ -76,11 +77,9 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock};
-use std::thread::{self, Thread};
+use std::sync::Arc;
 
-use substrate::sync::{Mutex, MutexGuard};
+use substrate::baton::{Baton, Held, RunQueue, Yield};
 
 use crate::time::SimTime;
 
@@ -194,8 +193,6 @@ struct SchedState<M> {
     mode: SchedMode,
     finished: usize,
     seq: u64,
-    /// Grants of the token to a different LP.
-    handoffs: u64,
     /// Set when an LP panicked or a deadlock was detected.
     poisoned: Option<String>,
 }
@@ -241,29 +238,6 @@ impl<M> SchedState<M> {
         }
     }
 
-    /// Publish `id` to the run queue under its current effective clock.
-    /// No-op for LPs that cannot run (done, or blocked with an empty
-    /// mailbox — the sender that fills the mailbox publishes them).
-    fn push_runnable(&mut self, id: usize) {
-        if let Some(e) = self.effective(id) {
-            let k = self.mode.key(e);
-            self.runq.push(Reverse((k, id)));
-        }
-    }
-
-    /// Pop the next grantable LP: the minimum `(key, id)` entry whose
-    /// key still matches the LP's current effective clock. Stale
-    /// entries (the LP ran, blocked differently, or finished since the
-    /// push) are discarded. Returns `None` when no LP can run.
-    fn pop_next(&mut self) -> Option<usize> {
-        while let Some(Reverse((k, id))) = self.runq.pop() {
-            if self.effective(id).map(|e| self.mode.key(e)) == Some(k) {
-                return Some(id);
-            }
-        }
-        None
-    }
-
     /// Per-LP stall snapshot for the deadlock observer.
     fn stalls(&self) -> Vec<LpStall> {
         self.lps
@@ -283,54 +257,60 @@ impl<M> SchedState<M> {
     }
 }
 
+/// The run queue of the run's one domain.
+impl<M> RunQueue for SchedState<M> {
+    /// Publish `id` under its current effective clock. No-op for LPs
+    /// that cannot run (done, or blocked with an empty mailbox — the
+    /// sender that fills the mailbox publishes them).
+    fn push(&mut self, id: usize) {
+        if let Some(e) = self.effective(id) {
+            let k = self.mode.key(e);
+            self.runq.push(Reverse((k, id)));
+        }
+    }
+
+    /// The minimum `(key, id)` entry whose key still matches the LP's
+    /// current effective clock. Stale entries (the LP ran, blocked
+    /// differently, or finished since the push) are discarded. `None`
+    /// when no LP can run.
+    fn pop(&mut self) -> Option<usize> {
+        while let Some(Reverse((k, id))) = self.runq.pop() {
+            if self.effective(id).map(|e| self.mode.key(e)) == Some(k) {
+                return Some(id);
+            }
+        }
+        None
+    }
+
+    fn count(&self) -> usize {
+        self.runq.len()
+    }
+}
+
+/// The run's one domain.
+const RUN: usize = 0;
+
+type Guard<'a, M> = Held<'a, SchedState<M>>;
+
 struct Shared<M> {
-    state: Mutex<SchedState<M>>,
-    /// Per-LP grant flags: set (Release) by the LP handing it the token
-    /// or by a poison, consumed (Acquire) by the LP's own `park`.
-    granted: Vec<AtomicBool>,
-    /// Each LP's thread, registered by the LP before it first parks.
-    threads: Vec<OnceLock<Thread>>,
+    baton: Baton<SchedState<M>>,
     observer: Option<Arc<dyn CoopObserver>>,
 }
 
 impl<M> Shared<M> {
-    /// Register the calling thread as LP `id`'s, before its first `park`.
-    fn register(&self, id: usize) {
-        let _ = self.threads[id].set(thread::current());
-        // Pairs with the fence in `wake`: either the waker sees this
-        // handle, or this LP's first `park` sees the waker's flag.
-        fence(AtomicOrdering::SeqCst);
-    }
-
-    /// Grant LP `id` the token (or deliver a poison): publish its flag,
-    /// then unpark its thread. Callers have dropped the scheduler lock,
-    /// so the wakee never blocks on a lock its granter holds. A grant
-    /// that finds no handle yet only sets the flag, which the LP's first
-    /// `park` consumes.
-    fn wake(&self, id: usize) {
-        self.granted[id].store(true, AtomicOrdering::Release);
-        fence(AtomicOrdering::SeqCst);
-        if let Some(t) = self.threads[id].get() {
-            t.unpark();
-        }
-    }
-
-    /// Block until LP `id` is granted the token (or poisoned).
-    fn park(&self, id: usize) {
-        while !self.granted[id].swap(false, AtomicOrdering::Acquire) {
-            thread::park();
-        }
+    fn lock(&self) -> Guard<'_, M> {
+        self.baton.lock(RUN)
     }
 
     /// Poison the run with `msg`, then wake every LP to see it.
-    fn poison(&self, mut guard: MutexGuard<'_, SchedState<M>>, msg: String) {
+    fn poison(&self, mut guard: Guard<'_, M>, msg: String) {
         guard.poisoned = Some(msg);
         drop(guard);
-        (0..self.granted.len()).for_each(|id| self.wake(id));
+        self.baton.wake_all();
     }
 
     /// Poison a run no LP can continue: `msg`, then the observer's report.
-    fn deadlock(&self, guard: MutexGuard<'_, SchedState<M>>, mut msg: String) {
+    fn deadlock(&self, guard: Guard<'_, M>, mut msg: String) {
         if let Some(extra) = self.observer.as_ref().and_then(|o| o.on_deadlock(&guard.stalls())) {
             msg.push('\n');
             msg.push_str(&extra);
@@ -341,34 +321,23 @@ impl<M> Shared<M> {
     /// Hand the token to the next LP (which may be `self_id` again).
     /// Must be called with the lock held; returns holding the lock, with
     /// the token back at `self_id`.
-    fn reschedule<'a>(
-        &'a self,
-        mut guard: MutexGuard<'a, SchedState<M>>,
-        self_id: usize,
-    ) -> MutexGuard<'a, SchedState<M>> {
-        // Publish ourselves before picking: if we still hold the minimum
-        // effective clock we pop our own entry and keep the token with
-        // no syscall at all.
-        guard.push_runnable(self_id);
+    fn reschedule<'a>(&'a self, mut guard: Guard<'a, M>, self_id: usize) -> Guard<'a, M> {
+        // The yield publishes us before picking: if we still hold the
+        // minimum effective clock we pop our own entry and keep the
+        // token with no syscall at all.
         if guard.poisoned.is_none() {
-            match guard.pop_next() {
-                Some(next) if next == self_id => return guard,
-                Some(next) => {
-                    guard.handoffs += 1;
-                    drop(guard);
-                    self.wake(next);
-                    self.park(self_id);
-                    guard = self.state.lock();
-                }
-                None => {
+            guard = match guard.yield_now(self_id) {
+                Yield::Kept(guard) => return guard,
+                Yield::Passed => self.lock(),
+                Yield::Empty(guard) => {
                     let blocked: Vec<usize> = (0..guard.lps.len())
                         .filter(|&i| matches!(guard.lps[i].status, Status::BlockedRecv(_)))
                         .collect();
                     let msg = format!("deadlock: no runnable LP; blocked LPs: {blocked:?}");
                     self.deadlock(guard, msg);
-                    guard = self.state.lock();
+                    self.lock()
                 }
-            }
+            };
         }
         match &guard.poisoned {
             None => guard,
@@ -407,33 +376,30 @@ impl<M: Send> CoopHandle<M> {
 
     /// This LP's current virtual clock.
     pub fn now(&self) -> SimTime {
-        let g = self.shared.state.lock();
+        let g = self.shared.lock();
         SimTime::from_ps(g.lps[self.id].clock)
     }
 
     /// Advance this LP's clock by `dt` and yield to the scheduler.
     pub fn advance(&self, dt: SimTime) {
-        let mut g = self.shared.state.lock();
+        let mut g = self.shared.lock();
         g.lps[self.id].clock += dt.ps();
-        let g = self.shared.reschedule(g, self.id);
-        drop(g);
+        self.shared.reschedule(g, self.id);
     }
 
     /// Advance this LP's clock to at least `t` and yield.
     pub fn advance_to(&self, t: SimTime) {
-        let mut g = self.shared.state.lock();
+        let mut g = self.shared.lock();
         let c = &mut g.lps[self.id].clock;
         *c = (*c).max(t.ps());
-        let g = self.shared.reschedule(g, self.id);
-        drop(g);
+        self.shared.reschedule(g, self.id);
     }
 
     /// Yield without advancing time (lets equal-clock LPs with smaller
     /// ids run).
     pub fn yield_now(&self) {
-        let g = self.shared.state.lock();
-        let g = self.shared.reschedule(g, self.id);
-        drop(g);
+        let g = self.shared.lock();
+        self.shared.reschedule(g, self.id);
     }
 
     /// Send `msg` to LP `dest` on `channel`; it arrives at
@@ -443,7 +409,7 @@ impl<M: Send> CoopHandle<M> {
     ///
     /// [`advance`]: CoopHandle::advance
     pub fn send(&self, dest: usize, channel: usize, msg: M, latency: SimTime) {
-        let mut g = self.shared.state.lock();
+        let mut g = self.shared.lock();
         assert!(dest < g.lps.len(), "send to unknown LP {dest}");
         assert!(channel < self.channels, "send on unknown channel {channel}");
         let arrival = g.lps[self.id].clock + latency.ps();
@@ -455,13 +421,13 @@ impl<M: Send> CoopHandle<M> {
         // A blocked receiver just became runnable (or got an earlier
         // wake-up time): publish it under the new effective clock. Its
         // older runq entries, if any, go stale and are discarded lazily.
-        if let Status::BlockedRecv(ch) = dst.status {
-            if ch == channel && old_min.is_none_or(|m| arrival < m) {
-                g.push_runnable(dest);
-            }
-        }
         // The sender keeps the token: its effective clock is still the
         // minimum (arrival >= our clock for latency >= 0).
+        if let Status::BlockedRecv(ch) = dst.status {
+            if ch == channel && old_min.is_none_or(|m| arrival < m) {
+                g.make_ready(dest);
+            }
+        }
     }
 
     /// Blocking receive on `channel`: returns the earliest-arriving
@@ -469,7 +435,7 @@ impl<M: Send> CoopHandle<M> {
     /// in the future.
     pub fn recv(&self, channel: usize) -> M {
         assert!(channel < self.channels, "recv on unknown channel {channel}");
-        let mut g = self.shared.state.lock();
+        let mut g = self.shared.lock();
         g.lps[self.id].status = Status::BlockedRecv(channel);
         let mut g = self.shared.reschedule(g, self.id);
         // We were resumed: the scheduler guarantees the mailbox is
@@ -487,7 +453,7 @@ impl<M: Send> CoopHandle<M> {
     /// Non-blocking receive: a message whose arrival time is ≤ now, if
     /// any. (Messages "in flight" with future arrivals are not visible.)
     pub fn try_recv(&self, channel: usize) -> Option<M> {
-        let mut g = self.shared.state.lock();
+        let mut g = self.shared.lock();
         let now = g.lps[self.id].clock;
         let mb = &mut g.lps[self.id].boxes[channel];
         match mb.min_arrival() {
@@ -498,7 +464,7 @@ impl<M: Send> CoopHandle<M> {
 
     /// Whether a message is available right now (arrival ≤ now).
     pub fn poll(&self, channel: usize) -> bool {
-        let g = self.shared.state.lock();
+        let g = self.shared.lock();
         let now = g.lps[self.id].clock;
         g.lps[self.id].boxes[channel]
             .min_arrival()
@@ -511,7 +477,7 @@ impl<M: Send> CoopHandle<M> {
     /// is uncontended; this is about atomicity with respect to scheduling,
     /// not mutual exclusion between LPs.
     pub fn with_global<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _g = self.shared.state.lock();
+        let _g = self.shared.lock();
         f()
     }
 }
@@ -595,20 +561,15 @@ where
         mode,
         finished: 0,
         seq: 0,
-        handoffs: 0,
         poisoned: None,
     };
     // LP 0 starts holding the token; everyone else is published at
     // clock 0 so the first handoffs find them.
     for id in 1..n {
-        state.push_runnable(id);
+        state.push(id);
     }
-    let shared = Arc::new(Shared {
-        state: Mutex::new(state),
-        granted: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        threads: (0..n).map(|_| OnceLock::new()).collect(),
-        observer,
-    });
+    let shared = Arc::new(Shared { baton: Baton::new(n, [state]), observer });
+    shared.baton.acquire(RUN, 0, || unreachable!("a new run is free"));
     let f = &f;
 
     // Scoped threads: all LPs are joined before `scope` returns, so `f`
@@ -659,7 +620,7 @@ where
         panic::resume_unwind(p);
     }
     let makespan = clocks.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    let handoffs = shared.state.lock().handoffs;
+    let handoffs = shared.lock().handoffs();
     CoopResult {
         values: values.into_iter().map(|v| v.unwrap()).collect(),
         clocks,
@@ -686,10 +647,9 @@ where
 {
     // Wait for the token before starting (LP 0 starts holding it by
     // construction; the rest are granted by runq pops).
-    shared.register(id);
     if id != 0 {
-        shared.park(id);
-        if shared.state.lock().poisoned.is_some() {
+        shared.baton.park(id);
+        if shared.lock().poisoned.is_some() {
             return Err((Box::new("poisoned before start"), false));
         }
     }
@@ -702,23 +662,17 @@ where
     };
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(handle)));
 
-    let mut g = shared.state.lock();
+    let mut g = shared.lock();
     let clk = SimTime::from_ps(g.lps[id].clock);
     g.lps[id].status = Status::Done;
     g.finished += 1;
     match result {
         Ok(r) => {
             // Hand the token onward.
-            match g.pop_next() {
-                Some(next) => {
-                    g.handoffs += 1;
-                    drop(g);
-                    shared.wake(next);
-                }
-                None if g.finished < g.lps.len() => {
+            if let Err(g) = g.release() {
+                if g.finished < g.lps.len() {
                     shared.deadlock(g, String::from("deadlock after LP finish"));
                 }
-                None => {}
             }
             Ok((r, clk))
         }
@@ -1273,32 +1227,5 @@ mod tests {
         });
         assert_eq!(calls, 1);
         assert!(msg.contains("deadlock after LP finish") && msg.contains("observer saw 72 LPs"), "{msg}");
-    }
-
-    /// 20 000 back-to-back handoffs between two LPs on unpinned threads,
-    /// 20 times over: a grant regularly lands before its wakee has parked,
-    /// and none may be lost (a lost one hangs the test).
-    #[test]
-    fn back_to_back_handoffs_between_two_lps_lose_no_grant() {
-        const ROUNDS: u64 = 10_000;
-        for _ in 0..20 {
-            let out = run::<u64, _, _>(2, 1, |h| {
-                let mut sum = 0;
-                for k in 0..ROUNDS {
-                    if h.id() == 0 {
-                        h.send(1, 0, k, SimTime::ZERO);
-                        sum += h.recv(0);
-                    } else {
-                        let v = h.recv(0);
-                        h.send(0, 0, v + 1, SimTime::ZERO);
-                        sum += v;
-                    }
-                }
-                sum
-            });
-            let s = ROUNDS * (ROUNDS - 1) / 2;
-            assert_eq!(out.values, vec![s + ROUNDS, s]);
-            assert_eq!(out.handoffs, 2 * ROUNDS);
-        }
     }
 }

@@ -8,6 +8,9 @@
 //! external crates. That keeps tier-1 (`cargo build --release &&
 //! cargo test -q`) fully offline-reproducible.
 //!
+//! * [`baton`] — the cooperative handoff core: at most one running
+//!   context per domain, handed on by grant flag and unpark, ordered by
+//!   a pluggable run queue (FIFO admission, or a virtual-time key).
 //! * [`sync`] — `Mutex`/`Condvar`/`RwLock` over `std::sync` with
 //!   poison-free, `parking_lot`-style APIs (`lock()` returns the guard
 //!   directly; `Condvar::wait` takes `&mut MutexGuard`).
@@ -22,6 +25,7 @@
 //! * [`smallvec`] — an inline small-vector for protocol-sized payloads
 //!   (UDN packets keep ≤ 6 words inline; no allocator on the hot path).
 
+pub mod baton;
 pub mod channel;
 pub mod proptest_mini;
 pub mod rng;

@@ -160,13 +160,15 @@ echo "== server PanicPe canary (one-shot caught-class fault) =="
 cargo run -q --offline --release -p stress -- \
     --serve --jobs 8 --panic-pe 1 --seed 0x55
 
-echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed / fabric / hier + reduce / server + arena + supervisor / lanes / desim / cachesim) =="
+echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed / fabric / hier + reduce / server + arena + supervisor / lanes / desim / handoff core / cachesim) =="
 # The RMA and barrier hot paths are allocation-free by design, and the
 # wall fabric, its M:N admission gate, the virtual-time fabric with
 # the send/recv path every simulated message crosses (engine/timed.rs),
 # the progress hook every fabric op of either fabric runs (fabric.rs),
 # the cell pass, the reduce's per-chunk fold, the
-# timed-engine event core and scheduler, and the cache simulator every
+# timed-engine event core and scheduler, the handoff core both the
+# admission gate and that scheduler run on (substrate/src/baton.rs:
+# every grant, park and yield), and the cache simulator every
 # simulated copy runs through (cachesim: the tile caches, the copy-cost
 # model, the DDC directory and the memory system) stay on that diet: any `to_vec()` or `vec![` there must carry a
 # `// cold:` justification on the same line or one of the two lines
@@ -188,6 +190,7 @@ for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
              "crates/core/src/server/pool.rs", "crates/core/src/server/arena.rs",
              "crates/core/src/watch.rs", "crates/tmc/src/task.rs",
              "crates/desim/src/events.rs", "crates/desim/src/coop.rs",
+             "crates/substrate/src/baton.rs",
              "crates/cachesim/src/cache.rs", "crates/cachesim/src/copymodel.rs",
              "crates/cachesim/src/ddc.rs", "crates/cachesim/src/memsys.rs"):
     lines = open(path).read().splitlines()
