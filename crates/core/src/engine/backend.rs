@@ -63,8 +63,9 @@ pub struct EngineOutcome<R> {
     /// OS threads this launch created: on the wall-clock engines the PE
     /// lanes it had to spawn (all of them for a plain launch, none for a
     /// launch over a warm `Resident`) plus the interrupt-service contexts
-    /// some request started; on the virtual-time engines one per LP.
-    /// Exact under a fixed program.
+    /// some request started; on the virtual-time engines none — their
+    /// LPs are stacks on the launching thread. Exact under a fixed
+    /// program.
     pub threads_spawned: usize,
     /// Token handoffs between LPs on the virtual-time engines (the
     /// scheduler's context switches; exact under a fixed program), 0 on

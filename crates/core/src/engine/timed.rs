@@ -882,7 +882,7 @@ where
     }
     let makespan = clocks.iter().copied().fold(SimTime::ZERO, SimTime::max);
     let trace = shared.instruments.trace.as_ref().map(|s| s.take());
-    EngineOutcome { values, clocks, makespan, trace, threads_spawned: 2 * npes, handoffs: out.handoffs }
+    EngineOutcome { values, clocks, makespan, trace, threads_spawned: 0, handoffs: out.handoffs }
 }
 
 /// The timed engine: the same protocol code under the virtual-time

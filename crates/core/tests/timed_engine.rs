@@ -341,7 +341,7 @@ fn virtual_time_clocks_are_pinned() {
 /// The scheduler's work is a count: a 36-PE timed program of 100
 /// default `barrier_all`s takes exactly this many token handoffs between
 /// LPs. The count depends on which LP the scheduler picks, not on how it
-/// wakes that LP's thread, and the wall-clock engines report none.
+/// resumes that LP, and the wall-clock engines report none.
 #[test]
 fn a_timed_barrier_program_costs_a_pinned_number_of_handoffs() {
     let run = || {
@@ -356,4 +356,6 @@ fn a_timed_barrier_program_costs_a_pinned_number_of_handoffs() {
     assert_eq!(run(), 7480);
     assert_eq!(run(), 7480, "exact across runs");
     assert_eq!(Launcher::new(&cfg(2), NativeBackend).run(|ctx| ctx.barrier_all()).handoffs, 0);
+    // The 72 LPs are stacks on the launching thread: no OS thread spawned.
+    assert_eq!(Launcher::new(&cfg(36), TimedBackend).run(|ctx| ctx.barrier_all()).threads_spawned, 0);
 }

@@ -1,9 +1,10 @@
 //! Virtual-time cooperative scheduler.
 //!
 //! Each simulated processing element (LP — *logical process*) runs as a
-//! real OS thread with its own virtual clock, but **exactly one LP
-//! executes at any instant** and the scheduler always hands control to
-//! the LP with the smallest *effective clock*:
+//! stack of its own, with its own virtual clock, on the thread that
+//! started the run; **exactly one LP executes at any instant** and the
+//! scheduler always hands control to the LP with the smallest
+//! *effective clock*:
 //!
 //! * a runnable LP's effective clock is its own clock;
 //! * an LP blocked on `recv` becomes runnable when its mailbox is
@@ -34,10 +35,14 @@
 //! as its run queue: a push keys an LP by its effective clock, a pop
 //! discards stale entries. So a handoff is the core's — pick `next`
 //! under the scheduler lock, drop it, grant `next`, park on our own flag
-//! — and a handoff between LPs pinned to one CPU costs one context
-//! switch, not a switch there and back. An empty queue is a deadlock:
-//! the run is poisoned (panic or deadlock) under the lock, and then the
-//! core wakes every LP to see it.
+//! — over [`Stacks`]: the LPs are stacks carried by the thread that
+//! called [`run_mode`], so the grant puts `next` on the carrier's ready
+//! ring and the park is one user-space switch to it — no OS thread is
+//! spawned, woken or parked. An empty queue is a deadlock: the run is
+//! poisoned (panic or deadlock) under the lock, and then the core wakes
+//! every LP to see it. No LP may switch while it unwinds (the carrier
+//! aborts if one tries), so a panic reaches its LP's `catch_unwind`
+//! before any other LP runs.
 //!
 //! # Scheduling modes
 //!
@@ -45,12 +50,12 @@
 //! order described above. [`SchedMode::CycleBox`] partitions virtual
 //! time into fixed-width tick boxes: within a box, runnable LPs execute
 //! in id order, each running until its effective clock leaves the box.
-//! A spinning LP therefore keeps its OS thread (and the scheduler's
-//! cache lines) until the box drains, trading exact event interleaving
-//! for far fewer cross-thread handoffs. Cross-LP message *order within
-//! one box* may differ from event-driven order — the same reordering a
-//! real mesh exhibits — so protocol outcomes converge while per-LP
-//! clocks may differ by bounded amounts.
+//! A spinning LP therefore keeps the CPU (and the scheduler's cache
+//! lines) until the box drains, trading exact event interleaving for far
+//! fewer handoffs. Cross-LP message *order within one box* may differ
+//! from event-driven order — the same reordering a real mesh exhibits —
+//! so protocol outcomes converge while per-LP clocks may differ by
+//! bounded amounts.
 //!
 //! # Example
 //!
@@ -74,12 +79,13 @@
 //! assert_eq!(out.values[0], SimTime::from_ns(42));
 //! ```
 
+use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use substrate::baton::{Baton, Held, RunQueue, Yield};
+use substrate::baton::{Baton, Held, RunQueue, Stacks, Yield};
 
 use crate::time::SimTime;
 
@@ -290,10 +296,10 @@ impl<M> RunQueue for SchedState<M> {
 /// The run's one domain.
 const RUN: usize = 0;
 
-type Guard<'a, M> = Held<'a, SchedState<M>>;
+type Guard<'a, M> = Held<'a, SchedState<M>, Stacks>;
 
 struct Shared<M> {
-    baton: Baton<SchedState<M>>,
+    baton: Baton<SchedState<M>, Stacks>,
     observer: Option<Arc<dyn CoopObserver>>,
 }
 
@@ -570,34 +576,21 @@ where
     }
     let shared = Arc::new(Shared { baton: Baton::new(n, [state]), observer });
     shared.baton.acquire(RUN, 0, || unreachable!("a new run is free"));
-    let f = &f;
 
-    // Scoped threads: all LPs are joined before `scope` returns, so `f`
-    // and any state it borrows only need to outlive the scope — callers
-    // can pass closures capturing stack references (the generic
-    // `Launcher` relies on this to give every engine one bound set).
-    let outcomes: Vec<LpOutcome<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|id| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("coop-lp-{id}"))
-                    .spawn_scoped(scope, move || lp_main(id, n, channels, shared, f))
-                    .expect("spawn LP thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("LP thread itself must not die"))
-            .collect()
-    });
+    // Every LP is a stack on this thread: LP 0 starts holding the token,
+    // the rest start when first granted, and `run` returns once all have
+    // finished. So `f` and what it borrows need only outlive this call —
+    // the generic `Launcher` relies on that to give every engine one
+    // bound set.
+    let outcomes: Vec<Cell<Option<LpOutcome<R>>>> = (0..n).map(|_| Cell::new(None)).collect();
+    shared.baton.run(0, &|id| outcomes[id].set(Some(lp_main(id, n, channels, shared.clone(), &f))));
 
     let mut values: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut clocks = vec![SimTime::ZERO; n]; // cold: once per run, after all LPs joined
+    let mut clocks = vec![SimTime::ZERO; n]; // cold: once per run, after all LPs finished
     let mut original_panic: Option<Box<dyn std::any::Any + Send>> = None;
     let mut secondary_panic: Option<Box<dyn std::any::Any + Send>> = None;
     for (id, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
+        match outcome.into_inner().expect("every LP finished") {
             Ok((r, clk)) => {
                 values[id] = Some(r);
                 clocks[id] = clk;
@@ -645,13 +638,10 @@ where
     R: Send,
     F: Fn(CoopHandle<M>) -> R + Send + Sync,
 {
-    // Wait for the token before starting (LP 0 starts holding it by
-    // construction; the rest are granted by runq pops).
-    if id != 0 {
-        shared.baton.park(id);
-        if shared.lock().poisoned.is_some() {
-            return Err((Box::new("poisoned before start"), false));
-        }
+    // LP 0 starts holding the token; the rest start when granted — by a
+    // runq pop, or by the wake of a run poisoned before they ran.
+    if id != 0 && shared.lock().poisoned.is_some() {
+        return Err((Box::new("poisoned before start"), false));
     }
 
     let handle = CoopHandle {
@@ -1137,7 +1127,7 @@ mod tests {
 
     /// The schedule pin: the exact order and clocks in which 72 LPs
     /// resume, under both modes. It depends only on which LP the
-    /// scheduler chooses, never on how the chosen LP's thread is woken,
+    /// scheduler chooses, never on how the chosen LP is resumed,
     /// so it holds across any change to the wake path.
     #[test]
     fn the_resume_order_of_a_seeded_72_lp_program_is_pinned() {
@@ -1147,8 +1137,65 @@ mod tests {
         assert_eq!((cb.len(), fold(&cb), cb_handoffs), (2921, 0xb88e04588e14185e, 417));
     }
 
+    /// Two runs on two OS threads at once each reproduce the pin: each
+    /// carries its LPs on its own thread, and the two share nothing.
+    #[test]
+    fn two_runs_on_two_threads_at_once_each_reproduce_the_pin() {
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    resume_log(SchedMode::EventDriven)
+                })
+            })
+            .collect();
+        for r in runs {
+            let (log, handoffs) = r.join().unwrap();
+            assert_eq!((log.len(), fold(&log), handoffs), (2920, 0xcddc865c45f96c30, 1079));
+        }
+    }
+
+    /// Every LP runs on the thread that called `run`: a run spawns no
+    /// OS thread.
+    #[test]
+    fn every_lp_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let out = run::<u8, _, _>(8, 1, |h| {
+            h.advance(SimTime::from_ns(1 + h.id() as u64));
+            std::thread::current().id() == me
+        });
+        assert_eq!(out.values, vec![true; 8]);
+    }
+
+    /// An LP walks its own stack, then panics: the walk ends at the LP's
+    /// stack base — its entry, above which lies a null return address —
+    /// without crashing, and the run reports the LP's own panic.
+    #[test]
+    fn a_backtrace_in_an_lp_ends_at_its_stack_base_and_its_panic_is_reported() {
+        use std::backtrace::{Backtrace, BacktraceStatus};
+        let r = panic::catch_unwind(AssertUnwindSafe(|| {
+            run::<u8, _, _>(4, 1, |h| {
+                if h.id() == 2 {
+                    h.advance(SimTime::from_ns(1));
+                    let bt = Backtrace::force_capture();
+                    assert_eq!(bt.status(), BacktraceStatus::Captured);
+                    let frames = bt.to_string();
+                    let last = frames.lines().rfind(|l| l.trim_start().chars().next().is_some_and(|c| c.is_ascii_digit()));
+                    panic!("LP 2 walked to {}", last.unwrap_or("nothing").trim());
+                }
+                let _ = h.recv(0);
+            })
+        }));
+        let p = r.expect_err("the panic must propagate");
+        let msg = p.downcast_ref::<String>().expect("string panic payload");
+        // `substrate::stack::entry`, or `entry` where only line tables name it.
+        assert!(msg.starts_with("LP 2 walked to") && msg.ends_with("entry"), "{msg}");
+    }
+
     /// One LP of 72 panics while the other 71 are parked in `recv`:
-    /// every thread unwinds (the scope joins them all) and the panic
+    /// every LP unwinds (the carrier resumes each one) and the panic
     /// reported is the original one, not a bystander's "poisoned".
     #[test]
     fn a_panic_among_72_parked_lps_unwinds_every_thread() {

@@ -1,19 +1,27 @@
 //! One cooperative handoff core: at most one running context per
 //! *domain*, handed on by the context that lets it go.
 //!
-//! Contexts are OS threads numbered `0..contexts`. A domain is one lock
-//! over its holder and its [`RunQueue`] — the policy: a FIFO of context
-//! ids for the coop engine's per-worker admission gates, the `(key, id)`
-//! heap of a desim run. Every operation picks under the lock, drops the
-//! lock, then grants, then parks. A grant sets the wakee's flag
-//! (Release) and unparks its thread; a context parks on its own flag
-//! (Acquire swap), so the next holder sees everything the last one wrote
-//! and never wakes into a lock its granter still holds, and a stray
-//! unpark admits nobody. A context registers its thread at its first
-//! park; a SeqCst fence on each side makes a grant that finds no handle
-//! yet leave only the flag, which that park takes. What an empty queue
-//! means is the policy's call: [`Held::release`] frees the domain and
-//! hands the lock back, [`Held::yield_now`] reports [`Yield::Empty`].
+//! Contexts are numbered `0..contexts`. A domain is one lock over its
+//! holder and its [`RunQueue`] — the policy: a FIFO of context ids for
+//! the coop engine's per-worker admission gates, the `(key, id)` heap of
+//! a desim run. Every operation picks under the lock, drops the lock,
+//! then grants, then parks. A grant sets the wakee's flag (Release) and
+//! wakes it; a context parks on its own flag (Acquire swap), so the next
+//! holder sees everything the last one wrote and never wakes into a lock
+//! its granter still holds, and a stray wake admits nobody. What an
+//! empty queue means is the policy's call: [`Held::release`] frees the
+//! domain and hands the lock back, [`Held::yield_now`] reports
+//! [`Yield::Empty`].
+//!
+//! How a context waits is the second parameter, [`Wait`]:
+//! * [`Threads`] — each context is an OS thread. A grant unparks the
+//!   wakee's thread, registered at its first park; a SeqCst fence on
+//!   each side makes a grant that finds no handle yet leave only the
+//!   flag, which that park takes.
+//! * [`Stacks`] — every context is a stack on one carrier thread
+//!   ([`stack::Carrier`]). A grant puts the wakee on the carrier's ready
+//!   ring, and a park switches to the next ready stack, or back to the
+//!   carrier loop: "grant next, then park self" is one user-space switch.
 
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
@@ -22,6 +30,7 @@ use std::sync::OnceLock;
 use std::thread::{self, Thread};
 use std::time::Duration;
 
+use crate::stack;
 use crate::sync::{Mutex, MutexGuard};
 
 /// The ordering policy of a domain: which queued context runs next.
@@ -49,6 +58,83 @@ impl RunQueue for VecDeque<usize> {
     }
 }
 
+/// How a context of a [`Baton`] waits for its grant flag.
+pub trait Wait {
+    fn new(contexts: usize) -> Self;
+    /// `ctx`'s flag was just set: make it see the flag.
+    fn wake(&self, ctx: usize);
+    /// Wait until `granted`, `ctx`'s flag, is set, and take it.
+    fn park(&self, ctx: usize, granted: &AtomicBool);
+}
+
+/// Every context is an OS thread.
+pub struct Threads {
+    threads: Box<[OnceLock<Thread>]>,
+}
+
+impl Threads {
+    /// Take `granted`, parking once first — for at most about `timeout`
+    /// if given — if it is not there yet. Whether it was taken.
+    #[inline]
+    fn park_timeout(&self, ctx: usize, granted: &AtomicBool, timeout: Option<Duration>) -> bool {
+        if self.threads[ctx].get().is_none() {
+            let _ = self.threads[ctx].set(thread::current());
+            fence(Ordering::SeqCst); // pairs with the one in `wake`
+        }
+        let take = || granted.swap(false, Ordering::Acquire);
+        take() || {
+            match timeout {
+                Some(t) => thread::park_timeout(t),
+                None => thread::park(),
+            }
+            take()
+        }
+    }
+}
+
+impl Wait for Threads {
+    fn new(contexts: usize) -> Self {
+        Self { threads: (0..contexts).map(|_| OnceLock::new()).collect() }
+    }
+
+    #[inline]
+    fn wake(&self, ctx: usize) {
+        fence(Ordering::SeqCst);
+        if let Some(t) = self.threads[ctx].get() {
+            t.unpark();
+        }
+    }
+
+    #[inline]
+    fn park(&self, ctx: usize, granted: &AtomicBool) {
+        while !self.park_timeout(ctx, granted, None) {}
+    }
+}
+
+/// Every context is a stack on one carrier thread: the one in
+/// [`Baton::run`].
+pub struct Stacks {
+    carrier: stack::Carrier,
+}
+
+impl Wait for Stacks {
+    fn new(contexts: usize) -> Self {
+        Self { carrier: stack::Carrier::new(contexts) }
+    }
+
+    #[inline]
+    fn wake(&self, ctx: usize) {
+        self.carrier.ready(ctx);
+    }
+
+    #[inline]
+    fn park(&self, ctx: usize, granted: &AtomicBool) {
+        while !granted.swap(false, Ordering::Acquire) {
+            self.carrier.suspend(ctx);
+        }
+    }
+}
+
 struct Turn<Q> {
     holder: Option<usize>,
     queue: Q,
@@ -62,14 +148,15 @@ struct Domain<Q> {
     queued: AtomicUsize,
 }
 
-/// The handoff core: `contexts` contexts over one domain per queue.
-pub struct Baton<Q> {
+/// The handoff core: `contexts` contexts over one domain per queue,
+/// waiting as `W` says.
+pub struct Baton<Q, W = Threads> {
     domains: Box<[Domain<Q>]>,
     granted: Box<[AtomicBool]>,
-    threads: Box<[OnceLock<Thread>]>,
+    wait: W,
 }
 
-impl<Q: RunQueue> Baton<Q> {
+impl<Q: RunQueue, W: Wait> Baton<Q, W> {
     /// `contexts` contexts; one free domain per queue in `queues`.
     pub fn new(contexts: usize, queues: impl IntoIterator<Item = Q>) -> Self {
         let domain = |queue: Q| Domain {
@@ -79,12 +166,12 @@ impl<Q: RunQueue> Baton<Q> {
         Self {
             domains: queues.into_iter().map(domain).collect(),
             granted: (0..contexts).map(|_| AtomicBool::new(false)).collect(),
-            threads: (0..contexts).map(|_| OnceLock::new()).collect(),
+            wait: W::new(contexts),
         }
     }
 
     #[inline]
-    pub fn lock(&self, dom: usize) -> Held<'_, Q> {
+    pub fn lock(&self, dom: usize) -> Held<'_, Q, W> {
         let d = &self.domains[dom];
         Held { baton: self, dom: d, turn: d.turn.lock() }
     }
@@ -117,24 +204,7 @@ impl<Q: RunQueue> Baton<Q> {
 
     /// Block until `ctx` is granted (or woken by [`wake_all`](Self::wake_all)).
     pub fn park(&self, ctx: usize) {
-        while !self.park_timeout(ctx, None) {}
-    }
-
-    /// Take `ctx`'s grant, parking once first — for at most about
-    /// `timeout` if given — if it is not there yet. Whether it was taken.
-    pub fn park_timeout(&self, ctx: usize, timeout: Option<Duration>) -> bool {
-        if self.threads[ctx].get().is_none() {
-            let _ = self.threads[ctx].set(thread::current());
-            fence(Ordering::SeqCst); // pairs with the one in `grant`
-        }
-        let take = || self.granted[ctx].swap(false, Ordering::Acquire);
-        take() || {
-            match timeout {
-                Some(t) => thread::park_timeout(t),
-                None => thread::park(),
-            }
-            take()
-        }
+        self.wait.park(ctx, &self.granted[ctx]);
     }
 
     /// Grant every context, holder or not: each returns from its park (a
@@ -145,45 +215,64 @@ impl<Q: RunQueue> Baton<Q> {
 
     fn grant(&self, ctx: usize) {
         self.granted[ctx].store(true, Ordering::Release);
-        fence(Ordering::SeqCst);
-        if let Some(t) = self.threads[ctx].get() {
-            t.unpark();
-        }
+        self.wait.wake(ctx);
+    }
+}
+
+impl<Q: RunQueue> Baton<Q, Threads> {
+    /// Take `ctx`'s grant, parking once first — for at most about
+    /// `timeout` if given — if it is not there yet. Whether it was taken.
+    pub fn park_timeout(&self, ctx: usize, timeout: Option<Duration>) -> bool {
+        self.wait.park_timeout(ctx, &self.granted[ctx], timeout)
+    }
+}
+
+impl<Q: RunQueue> Baton<Q, Stacks> {
+    /// Carry every context on the calling thread: start `first` — which
+    /// must hold its domain or be granted — and then each context as it
+    /// is granted, until none is; context `ctx` runs `body(ctx)`. A
+    /// context starts by taking the grant that started it. Panics as
+    /// [`stack::Carrier::run`] does.
+    pub fn run(&self, first: usize, body: &dyn Fn(usize)) {
+        self.wait.carrier.run(first, &|ctx| {
+            self.granted[ctx].store(false, Ordering::Relaxed);
+            body(ctx);
+        });
     }
 }
 
 /// A locked domain, dereferencing to its queue. An operation that hands
 /// the domain on consumes it, so the lock is dropped before the grant.
-pub struct Held<'a, Q> {
-    baton: &'a Baton<Q>,
+pub struct Held<'a, Q, W = Threads> {
+    baton: &'a Baton<Q, W>,
     dom: &'a Domain<Q>,
     turn: MutexGuard<'a, Turn<Q>>,
 }
 
-impl<Q> Deref for Held<'_, Q> {
+impl<Q, W> Deref for Held<'_, Q, W> {
     type Target = Q;
     fn deref(&self) -> &Q {
         &self.turn.queue
     }
 }
 
-impl<Q> DerefMut for Held<'_, Q> {
+impl<Q, W> DerefMut for Held<'_, Q, W> {
     fn deref_mut(&mut self) -> &mut Q {
         &mut self.turn.queue
     }
 }
 
 /// What [`Held::yield_now`] did.
-pub enum Yield<'a, Q> {
+pub enum Yield<'a, Q, W = Threads> {
     /// The yielder came out next; it still holds the domain.
-    Kept(Held<'a, Q>),
+    Kept(Held<'a, Q, W>),
     /// It granted the next context, parked, and was granted back.
     Passed,
     /// Nobody can run, the yielder included; the lock is still held.
-    Empty(Held<'a, Q>),
+    Empty(Held<'a, Q, W>),
 }
 
-impl<'a, Q: RunQueue> Held<'a, Q> {
+impl<'a, Q: RunQueue, W: Wait> Held<'a, Q, W> {
     pub fn holder(&self) -> Option<usize> {
         self.turn.holder
     }
@@ -220,7 +309,7 @@ impl<'a, Q: RunQueue> Held<'a, Q> {
 
     /// Queue `ctx`, the holder, and pop the next: if that is someone
     /// else, grant it and park until granted back.
-    pub fn yield_now(mut self, ctx: usize) -> Yield<'a, Q> {
+    pub fn yield_now(mut self, ctx: usize) -> Yield<'a, Q, W> {
         self.push(ctx);
         match self.pop() {
             Some(next) if next == ctx => Yield::Kept(self),
@@ -410,5 +499,34 @@ mod tests {
     #[test]
     fn back_to_back_handoffs_between_two_contexts_lose_no_grant_keyed() {
         back_to_back_handoffs_between_two_contexts_lose_no_grant(|| Keyed::new(2));
+    }
+
+    /// The same yields with the contexts as stacks: both run on the
+    /// calling thread, a yield that passes switches to the other, and
+    /// every grant is counted.
+    #[test]
+    fn two_stacked_contexts_alternate_on_one_thread_and_lose_no_grant() {
+        const ROUNDS: u64 = 1_000;
+        let baton: Baton<VecDeque<usize>, Stacks> = Baton::new(2, [VecDeque::from([1])]);
+        baton.acquire(0, 0, || unreachable!("the domain is free"));
+        let me = thread::current().id();
+        let grants = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        baton.run(0, &|ctx| {
+            assert_eq!(thread::current().id(), me);
+            let mut passed = 0;
+            for _ in 0..ROUNDS {
+                match baton.lock(0).yield_now(ctx) {
+                    Yield::Passed => passed += 1,
+                    Yield::Kept(_) => {}
+                    Yield::Empty(_) => unreachable!("the yielder can always run"),
+                }
+                assert_eq!(baton.lock(0).holder(), Some(ctx));
+            }
+            grants[ctx].store(passed + usize::from(baton.lock(0).release().is_ok()), Ordering::Relaxed);
+        });
+        let grants: u64 = grants.iter().map(|g| g.load(Ordering::Relaxed) as u64).sum();
+        let held = baton.lock(0);
+        assert_eq!((held.holder(), held.handoffs()), (None, grants));
+        assert!(grants >= 2 * ROUNDS - 1, "the two alternate: {grants}");
     }
 }

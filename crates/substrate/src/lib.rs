@@ -9,8 +9,13 @@
 //! cargo test -q`) fully offline-reproducible.
 //!
 //! * [`baton`] — the cooperative handoff core: at most one running
-//!   context per domain, handed on by grant flag and unpark, ordered by
-//!   a pluggable run queue (FIFO admission, or a virtual-time key).
+//!   context per domain, handed on by grant flag, ordered by a pluggable
+//!   run queue (FIFO admission, or a virtual-time key); a context is an
+//!   OS thread woken by unpark, or a stack switched to.
+//! * [`stack`] — contexts as stacks on one carrier thread, and the
+//!   user-space switch between them.
+//! * [`pages`] — fresh zero pages from the kernel (`mmap`), for common
+//!   memory and stacks.
 //! * [`sync`] — `Mutex`/`Condvar`/`RwLock` over `std::sync` with
 //!   poison-free, `parking_lot`-style APIs (`lock()` returns the guard
 //!   directly; `Condvar::wait` takes `&mut MutexGuard`).
@@ -27,7 +32,9 @@
 
 pub mod baton;
 pub mod channel;
+pub mod pages;
 pub mod proptest_mini;
 pub mod rng;
 pub mod smallvec;
+pub mod stack;
 pub mod sync;

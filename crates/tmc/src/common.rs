@@ -41,6 +41,8 @@ mod pages {
     use std::alloc::{handle_alloc_error, Layout};
     use std::ptr::NonNull;
 
+    use substrate::pages;
+
     use super::ALIGN;
 
     /// `len` zero bytes at a fresh [`ALIGN`]-aligned base.
@@ -49,7 +51,7 @@ mod pages {
             // Aligned, and never dereferenced.
             return NonNull::new(std::ptr::without_provenance_mut(ALIGN)).expect("ALIGN is non-zero");
         }
-        sys::map(len).unwrap_or_else(|| handle_alloc_error(layout(len)))
+        pages::map(len).unwrap_or_else(|| handle_alloc_error(layout(len)))
     }
 
     /// Give back what [`map`] returned for `len`.
@@ -59,71 +61,15 @@ mod pages {
     pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
         if len > 0 {
             // SAFETY: the caller's contract, and `len > 0` means `map`
-            // got `base` from `sys::map(len)`.
-            unsafe { sys::unmap(base, len) }
+            // got `base` from `pages::map(len)`.
+            unsafe { pages::unmap(base, len) }
         }
     }
 
     /// The allocation `len` bytes stand for: what an out-of-memory report
-    /// names, and what a heap-backed segment is.
+    /// names.
     fn layout(len: usize) -> Layout {
         Layout::from_size_align(len, ALIGN).expect("common-memory segment size overflows")
-    }
-
-    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-    mod sys {
-        use std::ptr::NonNull;
-
-        const PROT_READ: i32 = 0x1;
-        const PROT_WRITE: i32 = 0x2;
-        const MAP_PRIVATE: i32 = 0x02;
-        const MAP_ANONYMOUS: i32 = 0x20;
-
-        // The libc symbols std already links, declared here so the crate
-        // needs nothing from outside the repository.
-        extern "C" {
-            fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
-            fn munmap(addr: *mut u8, len: usize) -> i32;
-        }
-
-        /// An anonymous private mapping: the kernel's zero pages until
-        /// written, page-aligned. `None` if the kernel refuses.
-        pub fn map(len: usize) -> Option<NonNull<u8>> {
-            // SAFETY: a fresh anonymous mapping at an address of the
-            // kernel's choosing aliases nothing.
-            let p = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0) };
-            // MAP_FAILED is `(void *) -1`.
-            NonNull::new(p).filter(|p| p.as_ptr() as usize != usize::MAX)
-        }
-
-        /// # Safety
-        /// `base` came from `map(len)` and nothing uses it afterwards.
-        pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
-            // SAFETY: the caller's contract. `munmap` fails only on
-            // arguments `map` never returns, and a `Drop` has no one to
-            // report to anyway.
-            unsafe { munmap(base.as_ptr(), len) };
-        }
-    }
-
-    #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    mod sys {
-        use std::ptr::NonNull;
-
-        use super::layout;
-
-        /// A zeroed heap allocation. `None` if the allocator refuses.
-        pub fn map(len: usize) -> Option<NonNull<u8>> {
-            // SAFETY: `len > 0`, so the layout has a non-zero size.
-            NonNull::new(unsafe { std::alloc::alloc_zeroed(layout(len)) })
-        }
-
-        /// # Safety
-        /// `base` came from `map(len)` and nothing uses it afterwards.
-        pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
-            // SAFETY: the caller's contract: allocated with this layout.
-            unsafe { std::alloc::dealloc(base.as_ptr(), layout(len)) }
-        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! Launch attribution: where the time of a no-op launch goes (ROADMAP
-//! item 3, EXPERIMENTS.md "What a launch costs").
+//! item 8, EXPERIMENTS.md "What a launch costs").
 //!
 //! A launch is assembled here by hand from the same public pieces
 //! `run_wall` puts together, in the same order, with a timestamp between

@@ -15,8 +15,8 @@
 # or fails on which of its speed levels the host is at (benchmark/NOISE.md),
 # so `tshmem-benchmark compare` lives in tools/bench.sh. The two
 # measurement steps gate what repeats exactly: the simulated figures and
-# the counted work. On the 2-vCPU host the figure gate takes 5-8
-# minutes (322-475 s measured) and the counted-work gate 11-16 s.
+# the counted work. On the 2-vCPU host the figure gate takes about two
+# minutes (102-130 s measured) and the counted-work gate 11-16 s.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -160,7 +160,7 @@ echo "== server PanicPe canary (one-shot caught-class fault) =="
 cargo run -q --offline --release -p stress -- \
     --serve --jobs 8 --panic-pe 1 --seed 0x55
 
-echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed / fabric / hier + reduce / server + arena + supervisor / lanes / desim / handoff core / cachesim) =="
+echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed / fabric / hier + reduce / server + arena + supervisor / lanes / desim / handoff core + stacks / cachesim) =="
 # The RMA and barrier hot paths are allocation-free by design, and the
 # wall fabric, its M:N admission gate, the virtual-time fabric with
 # the send/recv path every simulated message crosses (engine/timed.rs),
@@ -168,7 +168,9 @@ echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed / fa
 # the cell pass, the reduce's per-chunk fold, the
 # timed-engine event core and scheduler, the handoff core both the
 # admission gate and that scheduler run on (substrate/src/baton.rs:
-# every grant, park and yield), and the cache simulator every
+# every grant, park and yield), the stacks that scheduler's LPs run
+# on (substrate/src/stack.rs: every ready, suspend and switch), and the
+# cache simulator every
 # simulated copy runs through (cachesim: the tile caches, the copy-cost
 # model, the DDC directory and the memory system) stay on that diet: any `to_vec()` or `vec![` there must carry a
 # `// cold:` justification on the same line or one of the two lines
@@ -190,7 +192,7 @@ for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
              "crates/core/src/server/pool.rs", "crates/core/src/server/arena.rs",
              "crates/core/src/watch.rs", "crates/tmc/src/task.rs",
              "crates/desim/src/events.rs", "crates/desim/src/coop.rs",
-             "crates/substrate/src/baton.rs",
+             "crates/substrate/src/baton.rs", "crates/substrate/src/stack.rs",
              "crates/cachesim/src/cache.rs", "crates/cachesim/src/copymodel.rs",
              "crates/cachesim/src/ddc.rs", "crates/cachesim/src/memsys.rs"):
     lines = open(path).read().splitlines()
@@ -233,8 +235,9 @@ echo "OK: no external imports"
 
 echo "== FFI allowlist (every extern block declares only the libc symbols std already links) =="
 # "std + in-tree only" stays reviewable with foreign declarations in the
-# tree: common memory maps its pages, the benchmark pins CPUs and reads
-# its peak RSS. Any other symbol in an `extern` block fails, named with
+# tree: common memory and context stacks map their pages (one shim,
+# substrate/src/pages.rs), the benchmark pins CPUs and reads its peak
+# RSS. Any other symbol in an `extern` block fails, named with
 # its file:line.
 python3 - <<'PYEOF'
 import os, re, sys
