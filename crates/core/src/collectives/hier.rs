@@ -160,9 +160,9 @@ impl ShmemCtx {
     ///   they configured.
     /// * With cells on offer and a contiguous set, a default takes the
     ///   pass at every size.
-    /// * Everywhere else — fabrics without [`Locality`] (native, timed;
-    ///   coop with locality off) and strided sets — the configured flat
-    ///   algorithm runs at every size.
+    /// * Everywhere else — fabrics without [`Locality`] (timed,
+    ///   multichip; native and coop with locality off) and strided sets —
+    ///   the configured flat algorithm runs at every size.
     pub(crate) fn select(&self, set: ActiveSet, rank: usize, how: Configured) -> Option<Cluster<'_>> {
         if how == Configured::Flat {
             return None;

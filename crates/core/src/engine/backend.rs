@@ -12,9 +12,9 @@
 //!    interrupt-service contexts come to run (the wall-clock backends
 //!    run each PE on a real thread — a lane of the launch's `Resident`,
 //!    spawned only when none is idle — and spawn one per service context
-//!    when its first request arrives, admitted freely or through a
-//!    per-worker gate; the
-//!    virtual-time backends run every context as a desim LP);
+//!    when its first request arrives, every context admitted through
+//!    a gate; the virtual-time backends run every context as
+//!    a desim LP);
 //! 2. **a fabric factory** — the per-context
 //!    [`Fabric`](crate::fabric::Fabric) wiring the protocol code to the
 //!    engine's cost/transport model;
@@ -26,8 +26,8 @@
 //!
 //! There are four backends over two fabrics.
 //! [`NativeBackend`](super::wall::NativeBackend) and
-//! [`CoopBackend`](super::coop::CoopBackend) are the two admission
-//! policies of the wall fabric;
+//! [`CoopBackend`](super::coop::CoopBackend) are the wall fabric with a
+//! worker per PE and with M workers;
 //! [`TimedBackend`](super::timed::TimedBackend) and
 //! [`MultiChipBackend`](super::timed::MultiChipBackend) are the
 //! virtual-time fabric on one chip and on several. Both fabrics hold

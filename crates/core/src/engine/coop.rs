@@ -1,14 +1,13 @@
 //! The cooperative M:N engine: N PEs (up to 1024) multiplexed over M
-//! worker threads, wall-clock time — the wall fabric
-//! ([`super::wall`]) under [`Gated`] admission.
+//! worker threads, wall-clock time — the wall fabric ([`super::wall`])
+//! with fewer workers than PEs, and the admission gate both wall-clock
+//! engines run under.
 //!
-//! The native engine lets one OS thread per PE run freely, which caps
-//! realistic runs at roughly the host's core count. This policy keeps
-//! the same data plane — real shared memory, real UDN channels, real
-//! wall time — but admits at most one *running* context per worker
-//! through a FIFO admission gate, so a 1024-PE job is M runnable
-//! threads plus N−M parked ones instead of N busy-spinning threads
-//! thrashing the scheduler.
+//! A thread per running PE caps realistic runs at roughly the host's
+//! core count. This engine keeps the same data plane — real shared
+//! memory, real UDN channels, real wall time — but spreads the PEs over
+//! M workers, so a 1024-PE job is M runnable threads plus N−M parked
+//! ones instead of N busy-spinning threads thrashing the scheduler.
 //!
 //! Scheduling contract (DESIGN.md §6):
 //!
@@ -53,8 +52,8 @@ use tmc::common::CommonMemory;
 
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome};
-use crate::engine::wall::{run_wall, Admission, Resident, WallFabric};
-use crate::fabric::{BlockedOn, CellKey, Fabric, Locality, PeProbe};
+use crate::engine::wall::{run_wall, Resident, WallFabric};
+use crate::fabric::{BlockedOn, CellKey, Locality, PeProbe};
 use crate::fault::LaunchFaults;
 use crate::trace::TraceKind;
 use crate::watch::JobWatch;
@@ -83,9 +82,9 @@ pub struct SyncCell {
 /// The cells of every PE range one PE starts, by range length − 1.
 type CellRow = Box<[OnceLock<Box<SyncCell>>]>;
 
-/// Gated admission — the coop engine: one FIFO gate per worker, at most
-/// one running context each. The handle is shared by every context
-/// of a launch.
+/// The admission gates of one wall-clock launch: one FIFO gate per
+/// worker, at most one running context each. The handle is shared by
+/// every context of the launch.
 pub type Gated = Arc<GateSet>;
 
 /// Per-launch gate state.
@@ -94,6 +93,10 @@ pub struct GateSet {
     pub workers: usize,
     /// PEs per worker (`ceil(npes / workers)`).
     pub block: usize,
+    /// Gate domains, each one running context and one trace lane: the
+    /// `workers` PE gates, then on the native geometry
+    /// ([`GateSet::native`]) one gate per interrupt-service context.
+    pub domains: usize,
     /// Sync cells by key: row `first` has one slot per range length a
     /// cluster or root starting at PE `first` can have (it ends with the
     /// job at the latest). Rows and cells are created on first use — a
@@ -101,29 +104,49 @@ pub struct GateSet {
     /// away before the launch does, so finding one afterwards is two
     /// acquire loads and no arithmetic ([`GateSet::cell`]).
     sync_cells: Vec<OnceLock<CellRow>>,
-    /// The gates: one domain per worker over a FIFO of context ids
-    /// (`pe` for main contexts, `npes + pe` for service contexts).
+    /// The gates: one domain each over a FIFO of context ids (`pe` for
+    /// main contexts, `npes + pe` for service contexts).
     baton: Baton<VecDeque<usize>>,
 }
 
 impl GateSet {
-    /// Gates for `npes` PEs sharded `block` to a worker.
+    /// Gates for `npes` PEs sharded `block` to a worker; a PE's service
+    /// context shares its PE's gate.
     pub fn new(npes: usize, block: usize) -> Gated {
+        Self::build(npes, block, false)
+    }
+
+    /// The native geometry: a worker per PE, and a gate of its own for
+    /// each PE's interrupt-service context, so a request is served while
+    /// its target PE computes or spins on raw loads that never enter the
+    /// runtime — the paper's handler is an interrupt, and it preempts
+    /// the task (§IV-B2).
+    pub fn native(npes: usize) -> Gated {
+        Self::build(npes, 1, true)
+    }
+
+    fn build(npes: usize, block: usize, service_gates: bool) -> Gated {
         let workers = npes.div_ceil(block);
+        let domains = workers + if service_gates { npes } else { 0 };
         Arc::new(GateSet {
             npes,
             workers,
             block,
+            domains,
             sync_cells: (0..npes).map(|_| OnceLock::new()).collect(),
-            baton: Baton::new(2 * npes, (0..workers).map(|_| VecDeque::new())),
+            baton: Baton::new(2 * npes, (0..domains).map(|_| VecDeque::new())),
         })
     }
 
-    /// The worker that owns context `ctx`. A PE's service context runs
-    /// on the same worker as its main context.
+    /// The gate domain of context `ctx`: its PE's worker, or a service
+    /// context's own gate on the native geometry.
     #[inline]
-    fn worker_of(&self, ctx: usize) -> usize {
-        (ctx % self.npes) / self.block
+    pub(crate) fn domain_of(&self, ctx: usize) -> usize {
+        if ctx >= self.npes && self.domains > self.workers {
+            self.workers + ctx - self.npes
+        } else {
+            (ctx % self.npes) / self.block
+        }
     }
 
     /// The sync cell of `key`, created if this is its first use.
@@ -145,50 +168,27 @@ impl GateSet {
 
     /// Queue parked context `ctx` for admission on its worker's gate on
     /// its behalf (the notify half of a cell wait): it joins the FIFO
-    /// tail exactly as if it had called [`Admission::acquire`] now — or,
+    /// tail exactly as if it had called [`GateSet::acquire`] now — or,
     /// when a notifier on another worker finds the gate free, is granted
     /// it. From here on the context is runnable but unscheduled, which
     /// is what its `probe` must say.
     fn requeue(&self, ctx: usize, probe: &PeProbe) {
         probe.set_blocked(BlockedOn::Descheduled);
-        self.baton.lock(self.worker_of(ctx)).make_ready(ctx);
+        self.baton.lock(self.domain_of(ctx)).make_ready(ctx);
     }
 
     /// Queued siblings on `ctx`'s worker gate.
     #[inline]
     fn waiters(&self, ctx: usize) -> usize {
-        self.baton.queued(self.worker_of(ctx))
-    }
-}
-
-impl Admission for Gated {
-    const NAME: &'static str = "coop";
-    const SHARDED: bool = true;
-    const YIELD_AFTER: u32 = 64;
-    const ABORT_CHECK_EVERY: u32 = 64;
-
-    /// The gate is still held during the opportunistic polls; yielding
-    /// the thread would only idle the worker.
-    #[inline(always)]
-    fn poll_pause() {
-        std::hint::spin_loop();
-    }
-
-    fn running_contexts(&self, _npes: usize) -> usize {
-        self.workers
-    }
-
-    #[inline]
-    fn lane(&self, ctx: usize) -> usize {
-        self.worker_of(ctx)
+        self.baton.queued(self.domain_of(ctx))
     }
 
     /// Acquire the worker gate for `ctx`, parking until admitted. While
     /// queued, `probe` reads `Descheduled`; the prior blocked state is
     /// restored on admission.
-    fn acquire(&self, ctx: usize, probe: Option<&PeProbe>) {
+    pub fn acquire(&self, ctx: usize, probe: Option<&PeProbe>) {
         let mut prior = None;
-        self.baton.acquire(self.worker_of(ctx), ctx, || {
+        self.baton.acquire(self.domain_of(ctx), ctx, || {
             if let Some(p) = probe {
                 prior = Some(p.blocked());
                 p.set_blocked(BlockedOn::Descheduled);
@@ -203,45 +203,41 @@ impl Admission for Gated {
     /// longest-queued waiter (if any). The grant's Release store pairs
     /// with the waiter's Acquire swap, so everything the holder wrote —
     /// arena stores, trace-lane appends — is visible to the next holder.
-    fn release(&self, ctx: usize) {
-        let _ = self.baton.lock(self.worker_of(ctx)).release();
+    pub fn release(&self, ctx: usize) {
+        let _ = self.baton.lock(self.domain_of(ctx)).release();
     }
 
-    fn is_holding(&self, ctx: usize) -> bool {
-        self.baton.lock(self.worker_of(ctx)).holder() == Some(ctx)
+    /// Whether `ctx` holds its worker's gate — the panic-cleanup path
+    /// releases only a held one.
+    pub(crate) fn is_holding(&self, ctx: usize) -> bool {
+        self.baton.lock(self.domain_of(ctx)).holder() == Some(ctx)
     }
 
     /// Queued siblings go first: requeue at the tail, hand the gate to
-    /// the head, and park until admitted again.
+    /// the head, and park until admitted again (`probe` reads
+    /// `Descheduled` meanwhile). A spin wait must not starve the very
+    /// context that would satisfy it. Whether it yielded.
     #[inline]
-    fn yield_if_contended(&self, ctx: usize, probe: &PeProbe) -> bool {
+    pub(crate) fn yield_if_contended(&self, ctx: usize, probe: &PeProbe) -> bool {
         if self.waiters(ctx) == 0 {
             return false;
         }
         let prior = probe.blocked();
         probe.set_blocked(BlockedOn::Descheduled);
-        let _ = self.baton.lock(self.worker_of(ctx)).yield_now(ctx);
+        let _ = self.baton.lock(self.domain_of(ctx)).yield_now(ctx);
         probe.set_blocked(prior);
         true
     }
-
-    fn locality(fab: &WallFabric<Self>) -> Option<&dyn Locality> {
-        fab.shared.locality.then_some(fab)
-    }
-
-    fn erase(fab: WallFabric<Self>) -> Box<dyn Fabric> {
-        Box::new(fab)
-    }
 }
 
-impl WallFabric<Gated> {
+impl WallFabric {
     fn debug_assert_reachable(&self, pe: usize) {
         debug_assert!(self.gate.co_resident(self.pe, pe));
         debug_assert!(self.gate.is_holding(self.ctx));
     }
 }
 
-impl Locality for WallFabric<Gated> {
+impl Locality for WallFabric {
     fn co_resident(&self, pe: usize) -> bool {
         self.gate.co_resident(self.pe, pe)
     }
@@ -346,7 +342,7 @@ impl Locality for WallFabric<Gated> {
 
     fn peer_private_to_arena(&self, pe: usize, arena_dst: usize, priv_src: usize, len: usize) {
         self.debug_assert_reachable(pe);
-        let (shard, local) = self.shared.arena.shard::<Gated>(arena_dst);
+        let (shard, local) = self.shared.arena.shard(arena_dst);
         CommonMemory::copy_between(shard, local, &self.shared.privates[pe], priv_src, len);
         self.trace(TraceKind::Copy, pe, len as u64);
         self.progress();
@@ -354,7 +350,7 @@ impl Locality for WallFabric<Gated> {
 
     fn peer_arena_to_private(&self, pe: usize, priv_dst: usize, arena_src: usize, len: usize) {
         self.debug_assert_reachable(pe);
-        let (shard, local) = self.shared.arena.shard::<Gated>(arena_src);
+        let (shard, local) = self.shared.arena.shard(arena_src);
         CommonMemory::copy_between(&self.shared.privates[pe], priv_dst, shard, local, len);
         self.trace(TraceKind::Copy, pe, len as u64);
         self.progress();
@@ -396,7 +392,7 @@ impl CoopBackend {
 
 impl EngineBackend for CoopBackend {
     fn name(&self) -> &'static str {
-        Gated::NAME
+        "coop"
     }
 
     fn execute<R, F>(
@@ -413,15 +409,7 @@ impl EngineBackend for CoopBackend {
         // Ceil block; the worker count is then re-derived from it, which
         // trims the trailing empty workers the rounding would leave.
         let block = cfg.npes.div_ceil(self.resolved_workers(cfg.npes));
-        let own;
-        let resident = match &self.resident {
-            Some(kept) => &**kept,
-            None => {
-                own = Resident::for_one_launch();
-                &own
-            }
-        };
-        run_wall(GateSet::new(cfg.npes, block), block, resident, cfg, faults, watch, f)
+        run_wall(GateSet::new(cfg.npes, block), self.resident.as_deref(), cfg, faults, watch, f)
     }
 
     fn resident(&self) -> Option<Arc<Resident>> {
@@ -436,7 +424,7 @@ mod tests {
     use crate::fabric::Instruments;
     use crate::server::arena::{ArenaPool, Geometry};
 
-    type CoopFabric = WallFabric<Gated>;
+    type CoopFabric = WallFabric;
 
     #[test]
     fn sharded_arena_locates_and_copies_across_shards() {
@@ -447,19 +435,19 @@ mod tests {
         assert_eq!(a.shards[0].len(), 128);
         assert_eq!(a.shards[2].len(), 64);
         // PE 3's partition starts at global 192 = shard 1, local 64.
-        let (shard, local) = a.shard::<Gated>(192);
+        let (shard, local) = a.shard(192);
         assert!(std::ptr::eq(shard, &*a.shards[1]));
         assert_eq!(local, 64);
         // Write in PE 0's partition, copy into PE 4's (cross-shard).
         a.shards[0].write_bytes(8, &[1, 2, 3, 4]);
-        a.copy::<Gated>(4 * 64 + 16, 8, 4);
+        a.copy(4 * 64 + 16, 8, 4);
         let mut out = [0u8; 4];
-        let (shard, local) = a.shard::<Gated>(4 * 64 + 16);
+        let (shard, local) = a.shard(4 * 64 + 16);
         shard.read_bytes(local, &mut out);
         assert_eq!(out, [1, 2, 3, 4]);
         // Same-shard copy.
-        a.copy::<Gated>(64 + 8, 8, 4);
-        let (shard, local) = a.shard::<Gated>(64 + 8);
+        a.copy(64 + 8, 8, 4);
+        let (shard, local) = a.shard(64 + 8);
         shard.read_bytes(local, &mut out);
         assert_eq!(out, [1, 2, 3, 4]);
     }
@@ -517,6 +505,22 @@ mod tests {
                 assert_eq!(shared.co_resident(a, b), a == b, "({a},{b})");
             }
         }
+    }
+
+    /// On the native geometry a PE's service context is admitted while
+    /// its PE holds its own gate; on a worker per PE it would queue.
+    #[test]
+    fn native_service_contexts_have_gates_of_their_own() {
+        let native = GateSet::native(3);
+        assert_eq!((native.workers, native.domains), (3, 6));
+        assert_eq!((native.domain_of(1), native.domain_of(3 + 1)), (1, 4));
+        native.acquire(1, None);
+        native.acquire(3 + 1, None);
+        assert!(native.is_holding(1) && native.is_holding(3 + 1));
+        native.release(3 + 1);
+        native.release(1);
+        let shared = GateSet::new(3, 1);
+        assert_eq!((shared.domains, shared.domain_of(3 + 1)), (3, 1));
     }
 
     #[test]

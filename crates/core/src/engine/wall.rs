@@ -1,5 +1,5 @@
 //! The wall-clock engine: real threads, real shared memory, real UDN
-//! channels, wall time — one data plane under two admission policies.
+//! channels, wall time — one data plane under one admission policy.
 //!
 //! Every context (PE main + interrupt-service) is a real OS thread
 //! running the same [`WallFabric`]. A launch starts the PE contexts on
@@ -8,26 +8,24 @@
 //! PE's interrupt-service context is started by the first request sent
 //! to it (the paper's handler is an interrupt — nothing runs on the far
 //! tile until one arrives), so a job that never redirects a transfer
-//! runs `npes` threads, not `2 * npes`. What differs between the native
-//! engine and the cooperative M:N engine is only *admission*: when a
-//! context may touch the fabric and how it waits. That is the
-//! [`Admission`] policy, a type parameter, so each instantiation is
-//! compiled with its own hooks inlined:
+//! runs `npes` threads, not `2 * npes`. A context may touch the fabric
+//! only while it holds its FIFO admission gate ([`GateSet`]); the two
+//! wall-clock engines differ only in how their contexts map to gates:
 //!
-//! * [`Free`] (the native engine, [`NativeBackend`]) admits every
-//!   context always. Each gate hook is an empty inline function, the
-//!   arena is one shard addressed without division, and every context
-//!   owns a trace lane.
-//! * [`Gated`](super::coop::Gated) (the coop engine,
-//!   [`CoopBackend`](super::coop::CoopBackend)) admits one running
-//!   context per worker through a FIFO gate, shards the arena and the
-//!   trace lanes per worker, and offers the [`Locality`] capability.
+//! * [`NativeBackend`] runs a worker per PE — the paper's one task per
+//!   tile — and gives each PE's service context a gate of its own, so
+//!   a request is served while its target PE runs, as the paper's
+//!   interrupt preempts the task ([`GateSet::native`]).
+//! * [`CoopBackend`](super::coop::CoopBackend) multiplexes N PEs (up to
+//!   1024) over M workers in contiguous blocks.
 //!
-//! A policy may decide when a context runs, how long it spins before it
-//! yields or parks, and how often a waiter checks for job abort. It may
-//! not decide what an operation does or what it counts: every byte
-//! moved, every probe bump, trace event and fault-plane tick below is
-//! policy-independent (DESIGN.md §6).
+//! The arena is sharded per worker and the trace lanes per gate, and
+//! both engines offer the [`Locality`] capability. The gate may decide when
+//! a context runs, how long it spins before it yields or parks, and how
+//! often a waiter checks for job abort. It may not decide what an
+//! operation does or what it counts: every byte moved, every probe
+//! bump, trace event and fault-plane tick below is the same on every
+//! geometry (DESIGN.md §6).
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -43,6 +41,7 @@ use udn::fabric::{UdnEndpoint, UdnFabric};
 
 use crate::ctx::ShmemCtx;
 use crate::engine::backend::{EngineBackend, EngineOutcome};
+use crate::engine::coop::{GateSet, Gated};
 use crate::fabric::{self, BlockedOn, Fabric, Instruments, Locality, PeProbe, ProtoMsg, RmwOp, RmwWidth, Q_SERVICE};
 use crate::fault::LaunchFaults;
 use crate::runtime::RuntimeConfig;
@@ -118,129 +117,12 @@ impl Default for FastClock {
     }
 }
 
-/// When a context may touch the fabric, and how it paces its waits —
-/// the one thing the wall-clock engines differ in (see the module
-/// docs for what a policy may and may not decide).
-///
-/// The value is the policy's per-launch state handle, cloned into every
-/// context's fabric: zero-sized for [`Free`], a shared gate set for
-/// [`Gated`](super::coop::Gated). Context ids are `pe` for a PE's main
-/// context and `npes + pe` for its interrupt-service context.
-pub trait Admission: Clone + Send + Sync + 'static {
-    /// Engine name, for diagnostics and thread names.
-    const NAME: &'static str;
-    /// Whether the arena has more than one shard. `false` compiles the
-    /// shard arithmetic out of every access.
-    const SHARDED: bool;
-    /// Failed polls of one wait before `wait_pause` yields the thread
-    /// instead of spinning.
-    const YIELD_AFTER: u32;
-    /// A polling wait checks the abort flag every this many polls.
-    const ABORT_CHECK_EVERY: u32;
-
-    /// Pause between the opportunistic polls that precede a parked
-    /// receive.
-    fn poll_pause();
-
-    /// How many of the job's `2 * npes` contexts can run at once. Each
-    /// gets a single-writer trace lane, and the ratio of contexts to
-    /// this is the oversubscription a stall watchdog scales by.
-    fn running_contexts(&self, npes: usize) -> usize;
-
-    /// The trace lane context `ctx` writes to.
-    fn lane(&self, ctx: usize) -> usize;
-
-    /// Block until `ctx` is admitted. While it queues, `probe` (if any)
-    /// reads [`BlockedOn::Descheduled`].
-    fn acquire(&self, ctx: usize, probe: Option<&PeProbe>);
-
-    /// Give up `ctx`'s admission (around a genuine wait, or at exit).
-    fn release(&self, ctx: usize);
-
-    /// Whether `ctx` is currently admitted *and* must release before it
-    /// exits — consulted by the panic-cleanup path.
-    fn is_holding(&self, ctx: usize) -> bool;
-
-    /// When other contexts wait for `ctx`'s admission slot, let them go
-    /// first and wait to be admitted again (`probe` reads
-    /// [`BlockedOn::Descheduled`] meanwhile): a spin wait must not
-    /// starve the very context that would satisfy it. Whether it yielded.
-    fn yield_if_contended(&self, ctx: usize, probe: &PeProbe) -> bool;
-
-    /// The locality capability of a fabric under this policy, if any.
-    fn locality(fab: &WallFabric<Self>) -> Option<&dyn Locality>;
-
-    /// Erase a context's fabric to the trait object protocol code runs
-    /// on. Each policy implements this itself (as `Box::new(fab)`)
-    /// rather than the launch body doing it generically: the launch
-    /// body is generic over the job closure and so is compiled in the
-    /// caller's crate, and the coercion would drag a private copy of
-    /// the whole data plane there with it. From a non-generic function
-    /// it is compiled once, here.
-    fn erase(fab: WallFabric<Self>) -> Box<dyn Fabric>;
-}
-
-/// Free admission — the native engine: one thread per context, each
-/// always admitted, the OS scheduler the only arbiter.
-#[derive(Clone, Copy, Default)]
-pub struct Free;
-
-impl Admission for Free {
-    const NAME: &'static str = "native";
-    const SHARDED: bool = false;
-    const YIELD_AFTER: u32 = 1024;
-    const ABORT_CHECK_EVERY: u32 = 65536;
-
-    /// In a protocol round trip the reply usually arrives within a
-    /// scheduler quantum, and a yield is cheaper than a condvar park
-    /// plus futex wake — especially when PEs outnumber cores.
-    #[inline(always)]
-    fn poll_pause() {
-        std::thread::yield_now();
-    }
-
-    fn running_contexts(&self, npes: usize) -> usize {
-        2 * npes
-    }
-
-    #[inline(always)]
-    fn lane(&self, ctx: usize) -> usize {
-        ctx
-    }
-
-    #[inline(always)]
-    fn acquire(&self, _ctx: usize, _probe: Option<&PeProbe>) {}
-
-    #[inline(always)]
-    fn release(&self, _ctx: usize) {}
-
-    #[inline(always)]
-    fn is_holding(&self, _ctx: usize) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn yield_if_contended(&self, _ctx: usize, _probe: &PeProbe) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn locality(_fab: &WallFabric<Self>) -> Option<&dyn Locality> {
-        None
-    }
-
-    fn erase(fab: WallFabric<Self>) -> Box<dyn Fabric> {
-        Box::new(fab)
-    }
-}
-
 /// The symmetric-heap arena in per-worker shards: shard `w` is one
 /// contiguous allocation holding the partitions of PEs
 /// `[w*block, min(npes, (w+1)*block))`. Global offsets locate their
 /// shard by pure arithmetic — every single access stays inside one PE's
 /// partition (the `ShmemCtx::go` contract), so only the explicit
-/// arena-to-arena copy ever has to consider two shards. Under an
-/// unsharded policy there is one shard and no arithmetic at all.
+/// arena-to-arena copy ever has to consider two shards.
 pub struct ShardedArena {
     pub(crate) shards: Vec<Arc<CommonMemory>>,
     /// Bytes per shard (the last shard may be shorter).
@@ -260,21 +142,17 @@ impl ShardedArena {
 
     /// The shard holding global offset `off`, and `off` within it.
     #[inline]
-    pub(crate) fn shard<P: Admission>(&self, off: usize) -> (&CommonMemory, usize) {
-        if P::SHARDED {
-            let w = off / self.span;
-            (&self.shards[w], off - w * self.span)
-        } else {
-            (&self.shards[0], off)
-        }
+    pub(crate) fn shard(&self, off: usize) -> (&CommonMemory, usize) {
+        let w = off / self.span;
+        (&self.shards[w], off - w * self.span)
     }
 
-    pub(crate) fn copy<P: Admission>(&self, dst: usize, src: usize, len: usize) {
+    pub(crate) fn copy(&self, dst: usize, src: usize, len: usize) {
         if len == 0 {
             return;
         }
-        let (d, dlocal) = self.shard::<P>(dst);
-        let (s, slocal) = self.shard::<P>(src);
+        let (d, dlocal) = self.shard(dst);
+        let (s, slocal) = self.shard(src);
         if std::ptr::eq(d, s) {
             d.copy_within(dlocal, slocal, len);
         } else {
@@ -315,10 +193,11 @@ pub struct WallShared {
     service_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Send-side fabric handle for abort wakeups (can reach every tile).
     pub waker: udn::fabric::UdnSender,
-    /// Contexts per running context (`1` under [`Free`],
-    /// `ceil(2 * npes / workers)` under the gate). A stall watchdog
-    /// scales its wall-clock window by this — a descheduled-but-runnable
-    /// PE progresses this many times slower without being any less live.
+    /// Contexts per running context, `ceil(2 * npes / domains)`: `1` on
+    /// the native engine, whose every context has a gate of its own. A
+    /// stall watchdog scales its wall-clock window by this — a
+    /// descheduled-but-runnable PE progresses this many times slower
+    /// without being any less live.
     pub oversubscription: usize,
     /// [`crate::fault::coop_locality`] as it read when the launch began:
     /// every PE of one launch takes the same transports.
@@ -376,6 +255,12 @@ impl WallShared {
     }
 }
 
+/// Failed polls of one wait before [`Fabric::wait_pause`] yields the
+/// thread instead of spinning.
+const YIELD_AFTER: u32 = 64;
+/// A polling wait checks the abort flag every this many polls.
+const ABORT_CHECK_EVERY: u32 = 64;
+
 /// A sense-reversing counter barrier whose waiters poll through
 /// [`Fabric::wait_pause`] — the TMC spin barrier of Figure 5, except
 /// that a waiter yields its admission between polls and notices a job
@@ -414,9 +299,9 @@ impl SpinBarrier {
 /// Per-context wall-clock fabric. A PE's main context and its
 /// interrupt-service context share the PE's endpoint queues; the
 /// service context consumes only `Q_SERVICE`.
-pub struct WallFabric<P: Admission> {
+pub struct WallFabric {
     pub(crate) shared: Arc<WallShared>,
-    pub(crate) gate: P,
+    pub(crate) gate: Gated,
     pub(crate) pe: usize,
     /// Context id: `pe` for the main context, `npes + pe` for the
     /// interrupt-service context.
@@ -424,15 +309,15 @@ pub struct WallFabric<P: Admission> {
     /// This context's own probe — the service context must not
     /// overwrite the main context's blocked state.
     probe: Arc<PeProbe>,
-    /// The trace lane this context writes; the policy keeps it
-    /// single-writer.
+    /// The trace lane this context writes: its gate's, which that gate
+    /// keeps single-writer.
     lane: usize,
 }
 
-impl<P: Admission> WallFabric<P> {
-    fn new(shared: Arc<WallShared>, gate: P, pe: usize, ctx: usize) -> Self {
+impl WallFabric {
+    fn new(shared: Arc<WallShared>, gate: Gated, pe: usize, ctx: usize) -> Self {
         let probe = shared.instruments.probes[ctx].clone();
-        let lane = gate.lane(ctx);
+        let lane = gate.domain_of(ctx);
         Self {
             shared,
             gate,
@@ -444,12 +329,12 @@ impl<P: Admission> WallFabric<P> {
     }
 
     /// A fabric for the PE's **main context**.
-    pub fn new_probed(shared: Arc<WallShared>, gate: P, pe: usize) -> Self {
+    pub fn new_probed(shared: Arc<WallShared>, gate: Gated, pe: usize) -> Self {
         Self::new(shared, gate, pe, pe)
     }
 
     /// A fabric for the PE's **interrupt-service context**.
-    pub fn new_service(shared: Arc<WallShared>, gate: P, pe: usize) -> Self {
+    pub fn new_service(shared: Arc<WallShared>, gate: Gated, pe: usize) -> Self {
         let ctx = shared.npes + pe;
         Self::new(shared, gate, pe, ctx)
     }
@@ -491,10 +376,9 @@ impl<P: Admission> WallFabric<P> {
         self.shared.service_started[dest].call_once(|| {
             let fab = Self::new_service(self.shared.clone(), self.gate.clone(), dest);
             let (gate, ctx, probe) = (self.gate.clone(), fab.ctx, fab.probe.clone());
-            let fab = P::erase(fab);
             let thread = std::thread::Builder::new()
-                .name(format!("{}-svc-{dest}", P::NAME)) // cold: once per serviced PE
-                .spawn(move || admitted(&gate, ctx, &probe, || service_loop(&*fab)))
+                .name(format!("svc-{dest}")) // cold: once per serviced PE
+                .spawn(move || admitted(&gate, ctx, &probe, || service_loop(&fab)))
                 .expect("spawn service thread");
             self.shared.service_threads.lock().push(thread); // cold: once per serviced PE
         });
@@ -517,7 +401,7 @@ impl<P: Admission> WallFabric<P> {
 
     #[inline]
     fn arena(&self, off: usize) -> (&CommonMemory, usize) {
-        self.shared.arena.shard::<P>(off)
+        self.shared.arena.shard(off)
     }
 
     fn private(&self) -> &CommonMemory {
@@ -557,7 +441,7 @@ impl<P: Admission> WallFabric<P> {
     /// Sleep `micros` µs with admission released (siblings run
     /// meanwhile), in abort-checking chunks so an injected stall cannot
     /// outlive a job teardown. A panic here fires while not admitted,
-    /// which the cleanup path tolerates (`Admission::is_holding`).
+    /// which the cleanup path tolerates ([`GateSet::is_holding`]).
     fn sleep_checking_abort(&self, micros: u64) {
         self.gate_release();
         let mut left = Duration::from_micros(micros);
@@ -607,7 +491,7 @@ impl<P: Admission> WallFabric<P> {
     }
 }
 
-impl<P: Admission> Fabric for WallFabric<P> {
+impl Fabric for WallFabric {
     fn pe(&self) -> usize {
         self.pe
     }
@@ -669,7 +553,9 @@ impl<P: Admission> Fabric for WallFabric<P> {
             if let Some(p) = self.udn().try_recv(queue) {
                 return self.accept(p);
             }
-            P::poll_pause();
+            // The gate is still held: yielding the thread would only
+            // idle the worker.
+            std::hint::spin_loop();
         }
         // Park on the queue's condvar with admission released — the
         // sender that will satisfy this receive may be queued behind
@@ -695,7 +581,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
     }
 
     fn arena_copy(&self, dst: usize, src: usize, len: usize) {
-        self.shared.arena.copy::<P>(dst, src, len);
+        self.shared.arena.copy(dst, src, len);
         self.trace(TraceKind::Copy, usize::MAX, len as u64);
         self.progress();
     }
@@ -794,7 +680,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
     }
 
     fn locality(&self) -> Option<&dyn Locality> {
-        P::locality(self)
+        self.shared.locality.then_some(self)
     }
 
     fn tmc_spin_barrier(&self, set: (usize, u32, usize)) {
@@ -824,7 +710,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
         self.probe.spin();
         // Check the abort flag occasionally so polling waits can't hang
         // a job whose peer died.
-        if attempt > 0 && attempt.is_multiple_of(P::ABORT_CHECK_EVERY) {
+        if attempt > 0 && attempt.is_multiple_of(ABORT_CHECK_EVERY) {
             self.abort_check();
         }
         // The context that will satisfy this wait may be queued behind
@@ -833,7 +719,7 @@ impl<P: Admission> Fabric for WallFabric<P> {
         if attempt >= 4 && self.yield_if_contended() {
             return;
         }
-        if attempt > P::YIELD_AFTER {
+        if attempt > YIELD_AFTER {
             std::thread::yield_now();
         } else {
             std::hint::spin_loop();
@@ -874,28 +760,34 @@ impl Resident {
     }
 }
 
-/// The one wall-clock launch body: build the shared state for `block`
-/// PEs per arena shard over memory checked out of `resident`, publish it
-/// to the launch's supervisor if it has one, start every PE's main
-/// context under `gate` on its lanes, run `f` under `faults`, and tear
-/// down — joining the interrupt-service contexts the job's requests
-/// started and, on clean completion, retiring the memory with its dirty
-/// extent.
-pub(crate) fn run_wall<P, R, F>(
-    gate: P,
-    block: usize,
-    resident: &Resident,
+/// The one wall-clock launch body: build the shared state, an arena
+/// shard per worker of `gate`, over memory checked out of `resident`
+/// (or one for this launch alone), publish it to the launch's
+/// supervisor if it has one, start every PE's main context under `gate`
+/// on its lanes, run `f` under `faults`, and tear down — joining the
+/// interrupt-service contexts the job's requests started and, on clean
+/// completion, retiring the memory with its dirty extent.
+pub(crate) fn run_wall<R, F>(
+    gate: Gated,
+    resident: Option<&Resident>,
     cfg: &RuntimeConfig,
     faults: Option<&Arc<LaunchFaults>>,
     watch: Option<&JobWatch>,
     f: F,
 ) -> EngineOutcome<R>
 where
-    P: Admission,
     R: Send,
     F: Fn(&ShmemCtx) -> R + Send + Sync,
 {
     let npes = cfg.npes;
+    let own;
+    let resident = match resident {
+        Some(kept) => kept,
+        None => {
+            own = Resident::for_one_launch();
+            &own
+        }
+    };
     let layout = cfg.layout();
     let endpoints = match cfg.udn_queue_packets {
         Some(p) => UdnFabric::new_bounded(npes, p),
@@ -903,13 +795,12 @@ where
     };
     // The supervisor needs a sink for "last event per PE" stall dumps
     // even when the caller did not ask for a trace.
-    let running = gate.running_contexts(npes);
-    let sink = (cfg.trace || watch.is_some()).then(|| Arc::new(TraceSink::with_lanes(running)));
-    let geometry = Geometry::of(cfg, block);
+    let sink = (cfg.trace || watch.is_some()).then(|| Arc::new(TraceSink::with_lanes(gate.domains)));
+    let geometry = Geometry::of(cfg, gate.block);
     let SegmentSet { shards, privates } = resident.sets.checkout(geometry);
-    let arena = ShardedArena::from_shards(shards, block, cfg.partition_bytes);
+    let arena = ShardedArena::from_shards(shards, gate.block, cfg.partition_bytes);
     let instruments = Instruments::new(npes, sink.clone(), faults.cloned());
-    let shared = WallShared::new(cfg, endpoints, arena, privates, running, instruments);
+    let shared = WallShared::new(cfg, endpoints, arena, privates, gate.domains, instruments);
     if let Some(w) = watch {
         let _ = w.set(shared.clone());
     }
@@ -917,7 +808,7 @@ where
     let (tiles, lanes_spawned) = resident.lanes.run(npes, |pe| {
         let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe);
         admitted(&gate, pe, &shared.instruments.probes[pe], || {
-            let ctx = ShmemCtx::new(P::erase(fab), layout, cfg.algos, cfg.private_bytes);
+            let ctx = ShmemCtx::new(Box::new(fab), layout, cfg.algos, cfg.private_bytes);
             // If any PE panics, flag the job and wake everything parked
             // in a blocking receive — peers and service contexts alike
             // (SHMEM jobs are all-or-nothing) — then re-raise the
@@ -997,7 +888,7 @@ fn name_pe(pe: usize, payload: Box<dyn Any + Send>) -> Box<dyn Any + Send> {
 /// it ends. A panic can fire while not admitted (parked receive,
 /// fault-delay sleep): release only a held slot, or the handoff chain
 /// double-frees.
-fn admitted<P: Admission, T>(gate: &P, ctx: usize, probe: &PeProbe, body: impl FnOnce() -> T) -> T {
+fn admitted<T>(gate: &GateSet, ctx: usize, probe: &PeProbe, body: impl FnOnce() -> T) -> T {
     gate.acquire(ctx, Some(probe));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
     if gate.is_holding(ctx) {
@@ -1006,13 +897,14 @@ fn admitted<P: Admission, T>(gate: &P, ctx: usize, probe: &PeProbe, body: impl F
     result.unwrap_or_else(|p| std::panic::resume_unwind(p))
 }
 
-/// The native engine: one real thread per context, real shared memory,
-/// wall-clock time — the wall fabric under [`Free`] admission.
+/// The native engine: the paper's one task per tile — the wall fabric
+/// on [`GateSet::native`], a gate per PE and one per interrupt-service
+/// context.
 pub struct NativeBackend;
 
 impl EngineBackend for NativeBackend {
     fn name(&self) -> &'static str {
-        Free::NAME
+        "native"
     }
 
     fn execute<R, F>(
@@ -1026,7 +918,7 @@ impl EngineBackend for NativeBackend {
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        run_wall(Free, cfg.npes, &Resident::for_one_launch(), cfg, faults, watch, f)
+        run_wall(GateSet::native(cfg.npes), None, cfg, faults, watch, f)
     }
 
     fn resident(&self) -> Option<Arc<Resident>> {

@@ -6,8 +6,9 @@
 //! executed by two fabrics:
 //!
 //! * [`crate::engine::wall`] moves real bytes between real threads and
-//!   measures wall time, under free admission (the native engine) or a
-//!   per-worker gate (the cooperative M:N engine);
+//!   measures wall time, under a per-worker admission gate — a worker
+//!   per PE (the native engine) or M for N PEs (the cooperative M:N
+//!   engine);
 //! * [`crate::engine::timed`] moves the same real bytes under the
 //!   cooperative virtual-time scheduler, charging the calibrated Tilera
 //!   costs (UDN wire latency, cache-classified copy cycles, contention)
@@ -455,10 +456,10 @@ pub trait Fabric: Send {
     /// Raw pointer into this PE's private segment.
     fn private_raw(&self, off: usize, len: usize) -> *mut u8;
 
-    /// The locality capability, when this engine multiplexes PEs on
-    /// shared workers and the same-worker fast paths are enabled.
-    /// `None` (the default: native, timed, multichip) disables every
-    /// locality fast path and the counter-cell collectives.
+    /// The locality capability, when this engine runs PEs on workers
+    /// (the wall fabric) and the same-worker fast paths are enabled.
+    /// `None` (the default: timed, multichip) disables every locality
+    /// fast path and the counter-cell collectives.
     fn locality(&self) -> Option<&dyn Locality> {
         None
     }
@@ -526,10 +527,10 @@ pub trait Fabric: Send {
     fn faults(&self) -> Option<&crate::fault::LaunchFaults>;
 }
 
-/// What an engine that multiplexes PEs on shared workers (the M:N coop
-/// engine) offers beyond [`Fabric`]: direct access to a co-resident
-/// PE's memory and the sync cells under the clustered collectives. Reached only through
-/// [`Fabric::locality`], so code for an engine without a worker
+/// What the wall fabric's worker topology (native and coop engines)
+/// offers beyond [`Fabric`]: direct access to a co-resident PE's memory
+/// and the sync cells under the clustered collectives. Reached only
+/// through [`Fabric::locality`], so code for an engine without a worker
 /// topology cannot call any of it.
 pub trait Locality {
     /// Whether `pe`'s memory is directly addressable from this context

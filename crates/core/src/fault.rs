@@ -50,10 +50,11 @@ use substrate::rng::KeyedRng;
 
 static COOP_LOCALITY_OFF: AtomicBool = AtomicBool::new(false);
 
-/// Disable the coop engine's locality awareness (same-worker RMA fast
-/// paths, co-resident recv hints, the counter-cell collectives) for
-/// launches started from now on, so every transfer takes the
-/// engine-agnostic channel/protocol path. **Equivalence testing and
+/// Disable the wall-clock fabric's locality awareness (same-worker RMA
+/// fast paths, co-resident recv hints, the counter-cell collectives)
+/// for launches started from now on — native and coop launches alike,
+/// since both run under the one admission gate — so every transfer
+/// takes the engine-agnostic channel/protocol path. **Equivalence testing and
 /// the locality ablation only**: the locality-aware and locality-blind
 /// paths must produce identical memory state and identical API-level
 /// `Stats`, and the locality suite proves it by running the same seeded
@@ -62,7 +63,7 @@ pub fn set_coop_locality(on: bool) {
     COOP_LOCALITY_OFF.store(!on, Ordering::Release);
 }
 
-/// Whether launches started now get coop locality awareness (the
+/// Whether wall-clock launches started now get locality awareness (the
 /// default).
 pub fn coop_locality() -> bool {
     !COOP_LOCALITY_OFF.load(Ordering::Acquire)

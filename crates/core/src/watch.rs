@@ -374,4 +374,16 @@ mod tests {
         assert_eq!(scaled_stall(Duration::from_secs(1), shared.oversubscription), Duration::from_secs(8));
         assert!(shared.instruments.probes.iter().map(|p| p.ops()).sum::<u64>() > 0);
     }
+
+    /// Every native context has a gate of its own, so a native launch
+    /// is judged over one stall period.
+    #[test]
+    fn a_native_launch_is_supervised_over_its_own_window() {
+        let cfg = RuntimeConfig::new(4).with_partition_bytes(1 << 20);
+        let watch = JobWatch::new();
+        let out = NativeBackend.execute(&cfg, None, Some(&watch), |ctx| ctx.my_pe());
+        assert_eq!(out.values, (0..4).collect::<Vec<_>>());
+        let shared = watch.get().expect("the launch body attached its state");
+        assert_eq!(shared.oversubscription, 1);
+    }
 }

@@ -26,9 +26,9 @@ fn abort_message<B: EngineBackend>(launcher: Launcher<B>, body: &(impl Fn(&Shmem
     }
 }
 
-/// The abort path is the wall fabric's, not the admission policy's: the
-/// job must die of `body` with the same message (the lowest panicking
-/// PE's) under free admission and under the gate.
+/// The abort path is the wall fabric's, not the geometry's: the job must
+/// die of `body` with the same message (the lowest panicking PE's) with
+/// a worker per PE and with two workers.
 fn aborts_alike(npes: usize, message: &str, body: impl Fn(&ShmemCtx) + Send + Sync) {
     assert_eq!(abort_message(Launcher::new(&cfg(npes), NativeBackend), &body), message, "native");
     assert_eq!(abort_message(Launcher::new(&cfg(npes), coop(2)), &body), message, "coop");

@@ -172,8 +172,10 @@ fn selection_is_pinned_by_exact_send_counts() {
     );
 
     // One PE per worker: every PE leads a cluster of one, and the eight
-    // leaders meet on the root cell — no token there either.
+    // leaders meet on the root cell — no token there either. The native
+    // engine is that geometry.
     assert_eq!(sends_per_call(&cfg(8), || coop(8), barrier_all), 0, "8/8 barrier_all");
+    assert_eq!(sends_per_call(&cfg(8), || NativeBackend, barrier_all), 0, "native 8 barrier_all");
 
     // An algorithm asked for by name is what runs: n·⌈log₂ n⌉.
     let dissem = Algorithms { barrier: BarrierAlgo::Dissemination, ..Default::default() };
@@ -209,8 +211,8 @@ fn selection_is_pinned_by_exact_send_counts() {
     };
     assert_eq!(sends_per_call(&scale(258), || coop(2), strided_barrier), 258, "258/2 stride-2 barrier of 129");
     assert_eq!(
-        sends_per_call(&cfg(8), || NativeBackend, |ctx, _, _| ctx.barrier_hier_explicit(ctx.world())),
+        sends_per_call(&cfg(8), || TimedBackend, |ctx, _, _| ctx.barrier_hier_explicit(ctx.world())),
         16,
-        "native 8 barrier_hier_explicit"
+        "timed 8 barrier_hier_explicit"
     );
 }

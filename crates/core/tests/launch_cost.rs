@@ -2,7 +2,7 @@
 //! started by the first request addressed to them, so the threads a
 //! launch spawns are its PEs plus the PEs that were ever the target of a
 //! redirected (static-variable) transfer — an exact count under a fixed
-//! program, on both admission policies. Its teardown on the coop engine
+//! program, on both wall-clock engines. Its teardown on the coop engine
 //! sends no token walk.
 
 use tshmem::prelude::*;

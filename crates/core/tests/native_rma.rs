@@ -356,3 +356,40 @@ fn single_pe_job_works() {
     });
     assert_eq!(out, vec![8]);
 }
+
+/// A PE's interrupt-service context does not wait for its PE: a static
+/// put and get to PE 1 are served while PE 1 spins on raw loads through
+/// `shmem_ptr`, which never enter the runtime and so never yield — the
+/// paper's handler is an interrupt, and it preempts the task (§IV-B2).
+#[test]
+fn static_transfers_are_served_while_the_target_spins_on_raw_loads() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let out = launch(&cfg(2), |ctx| {
+            let flag = ctx.shmalloc::<u64>(1);
+            let statv = ctx.static_sym::<u64>(4);
+            if ctx.my_pe() == 0 {
+                ctx.put(&statv, 0, &[1, 2, 3, 4], 1);
+                let mut back = [0u64; 4];
+                ctx.get(&mut back, &statv, 0, 1);
+                ctx.p(&flag, 0, 1, 1);
+                back.to_vec()
+            } else {
+                let raw = ctx.ptr(&flag, 1).expect("a dynamic object is addressable");
+                // SAFETY: the flag is a live, aligned u64 of PE 1's
+                // partition, written only through the runtime's copies.
+                let flag = unsafe { AtomicU64::from_ptr(raw) };
+                while flag.load(Ordering::Acquire) == 0 {
+                    std::hint::spin_loop();
+                }
+                ctx.local_read(&statv, 0, 4)
+            }
+        });
+        let _ = done.send(out);
+    });
+    let out = finished
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("PE 1's service context never ran while PE 1 spun on a raw load");
+    assert_eq!(out, vec![vec![1, 2, 3, 4]; 2]);
+}

@@ -260,7 +260,7 @@ fn alltoalls_strided_layout() {
 
 /// `Stats::quiets` counts the program's `shmem_quiet` calls only: the
 /// completion drain inside `alltoall` / `alltoalls` is the library's
-/// own, on either admission policy.
+/// own, on either wall-clock engine.
 #[test]
 fn alltoall_drains_without_counting_a_quiet() {
     fn body(ctx: &ShmemCtx) -> (u64, u64) {

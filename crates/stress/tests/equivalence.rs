@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | RMA fast paths | default vs `[Fault::GeneralRmaPaths]`, native and timed | all |
 //! | nbi completion | lazy (default) vs `[Fault::EagerNbi]`, four engines | all but `cswap_retries` (native) |
-//! | admission | native (`Free`) vs coop (`Gated`) with a worker per PE and with one worker | API counts; puts/gets too with a worker per PE and named algorithms |
+//! | admission geometry | native vs coop with a worker per PE and with one worker | API counts; puts/gets too under named algorithms |
 //! | virtual-time disciplines | event-driven vs cycle-box, timed and multichip | — (final state) |
 //!
 //! Final-state equality is enforced inside [`run_on_ctx`], which asserts
@@ -18,7 +18,8 @@
 //! other. `Stats` are compared here.
 //!
 //! The locality arms stay in `locality_equivalence.rs`; they are also
-//! the cell-pass-vs-flat-algorithm comparison.
+//! the cell-pass-vs-flat-algorithm comparison. Native against timed is
+//! in `native_timed_equivalence.rs`, with locality off.
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -59,9 +60,10 @@ fn assert_completed(outcome: Outcome, label: &str) {
 /// The RMA fast paths (unit-stride batched `iput`/`iget`, contiguous-
 /// source borrows, direct temp drains) are pure optimizations: the same
 /// program under `[GeneralRmaPaths]` must leave identical state and
-/// identical per-PE `Stats` on the native and timed engines. Seeds
-/// 0x5EFA and 0x5EFC: the first two of the 0x5EED.. scan whose programs
-/// draw both unit-stride and strided `iput`/`iget`.
+/// identical per-PE `Stats` on the native and timed engines (and the
+/// two engines agree with each other: `native_timed_equivalence.rs`).
+/// Seeds 0x5EFA and 0x5EFC: the first two of the 0x5EED.. scan whose
+/// programs draw both unit-stride and strided `iput`/`iget`.
 #[test]
 fn fast_and_general_rma_paths_agree_on_state_and_stats() {
     let general = FaultPlan::from([Fault::GeneralRmaPaths]);
@@ -74,8 +76,6 @@ fn fast_and_general_rma_paths_agree_on_state_and_stats() {
         let timed_gen = stats_on(TimedBackend, &cfg, &prog, Some(&general));
         assert_eq!(native_fast, native_gen, "seed {seed:#x}: native stats diverged between fast and general paths");
         assert_eq!(timed_fast, timed_gen, "seed {seed:#x}: timed stats diverged between fast and general paths");
-        // And the engines agree with each other on the logical op counts.
-        assert_eq!(native_fast, timed_fast, "seed {seed:#x}: native and timed stats diverged");
     }
 }
 
@@ -169,51 +169,61 @@ fn eager_nbi_reaches_only_its_own_launch() {
     assert_eq!((lazy, eager), (1, 0), "pending put_nbi ops after fence (default launch, eager launch)");
 }
 
-// --- admission policy -----------------------------------------------------
+// --- admission geometry -----------------------------------------------------
 
-/// The native engine and the coop engine are one wall-clock data plane,
-/// and the admission policy may decide only *when* a context touches
-/// the fabric — never what an operation does or counts (DESIGN.md §6).
-/// So the same program on `NativeBackend`, on `CoopBackend` with a
-/// worker per PE (every gate uncontended by other PEs) and on
-/// `CoopBackend` with one worker (every context behind a single gate)
-/// must reach the oracle and report equal API-level `Stats`.
+/// Every collective asked for by name, so each engine runs the same
+/// algorithm instead of the transport its fabric selects by default.
+const NAMED: Algorithms = Algorithms {
+    barrier: BarrierAlgo::RootBroadcast,
+    broadcast: BroadcastAlgo::Push,
+    reduce: ReduceAlgo::RecursiveDoubling,
+};
+
+/// Whether `prog` draws an `fcollect`, the one collective without a
+/// named algorithm: it takes the counter-cell pass wherever the fabric
+/// offers one, and who copies what there depends on the geometry.
+fn draws_fcollect(prog: &Program) -> bool {
+    prog.steps.iter().any(|s| {
+        matches!(
+            s,
+            Step::Coll { kind: CollKind::Fcollect, .. } | Step::TeamColl { kind: TeamKind::Fcollect, .. }
+        )
+    })
+}
+
+/// Both wall-clock engines are one data plane under one admission gate,
+/// and the gate may decide only *when* a context touches the fabric —
+/// never what an operation does or counts (DESIGN.md §6). So the same
+/// program on `NativeBackend` (a gate per PE and one per service
+/// context), on `CoopBackend` with a worker per PE (a PE's two contexts
+/// behind one gate) and on `CoopBackend` with one worker (every context
+/// behind a single gate) must reach the oracle and report equal
+/// API-level `Stats`.
 ///
 /// Raw `puts`/`gets` also count the copies a collective makes on the
-/// caller's behalf, and who makes them depends on the transport: the
-/// coop engine's default collectives take the counter-cell pass
-/// (`ShmemCtx::select`) at every PEs-per-worker geometry, where a leader
-/// does copies for its cluster and leader 0 for the other leaders. An
-/// algorithm asked for by name runs on both engines, though, so with a
-/// worker per PE the program is run once more with every algorithm
-/// named, and there `puts`/`gets` must agree too — unless it draws an
-/// `fcollect`, which has no named algorithm. `redirected`/`locality_hits`
-/// are never compared (gated admission turns same-worker redirects into
-/// direct copies).
+/// caller's behalf, and who makes them depends on the geometry: the
+/// default collectives take the counter-cell pass (`ShmemCtx::select`),
+/// where a leader does copies for its cluster and leader 0 for the
+/// other leaders. An algorithm asked for by name runs at every
+/// geometry, though, so the program is run once more with every
+/// algorithm named, and there `puts`/`gets` must agree too — unless it
+/// draws an `fcollect`, which has no named algorithm.
+/// `redirected`/`locality_hits` are never compared (one worker turns
+/// every redirect into a direct copy).
 #[test]
-fn free_and_gated_admission_agree_on_state_and_api_stats() {
+fn a_worker_per_pe_and_one_worker_agree_on_state_and_api_stats() {
     const SEED: u64 = 0x57414C4C45513136;
     let api_counts = |s: &Stats| [s.atomics, s.barriers, s.quiets, s.fences, s.collectives];
     let copy_counts = |s: &Stats| [s.puts, s.gets];
-    let named = Algorithms {
-        barrier: BarrierAlgo::RootBroadcast,
-        broadcast: BroadcastAlgo::Push,
-        reduce: ReduceAlgo::RecursiveDoubling,
-    };
     for case in 0..8 {
         for npes in [2usize, 5, 8] {
             let prog = program(SEED, case, npes);
-            let draws_fcollect = prog.steps.iter().any(|s| {
-                matches!(
-                    s,
-                    Step::Coll { kind: CollKind::Fcollect, .. } | Step::TeamColl { kind: TeamKind::Fcollect, .. }
-                )
-            });
+            let coop = |workers| CoopBackend { workers, ..Default::default() };
             for depth in [Some(2), None] {
                 let cfg = build_cfg(&prog, depth);
                 let native = stats_on(NativeBackend, &cfg, &prog, None);
                 for workers in [npes, 1] {
-                    let gated = stats_on(CoopBackend { workers, ..Default::default() }, &cfg, &prog, None);
+                    let gated = stats_on(coop(workers), &cfg, &prog, None);
                     for (pe, (a, b)) in native.iter().zip(&gated).enumerate() {
                         assert_eq!(
                             api_counts(a),
@@ -223,19 +233,21 @@ fn free_and_gated_admission_agree_on_state_and_api_stats() {
                         );
                     }
                 }
-                if draws_fcollect {
+                if draws_fcollect(&prog) {
                     continue;
                 }
-                let cfg = cfg.with_algos(named);
+                let cfg = cfg.with_algos(NAMED);
                 let native = stats_on(NativeBackend, &cfg, &prog, None);
-                let gated = stats_on(CoopBackend { workers: npes, ..Default::default() }, &cfg, &prog, None);
-                for (pe, (a, b)) in native.iter().zip(&gated).enumerate() {
-                    assert_eq!(
-                        copy_counts(a),
-                        copy_counts(b),
-                        "seed {SEED:#x} case {case} npes {npes} depth {depth:?} PE {pe}: \
-                         native and coop(one PE per worker) made different copies under named algorithms"
-                    );
+                for workers in [npes, 1] {
+                    let gated = stats_on(coop(workers), &cfg, &prog, None);
+                    for (pe, (a, b)) in native.iter().zip(&gated).enumerate() {
+                        assert_eq!(
+                            copy_counts(a),
+                            copy_counts(b),
+                            "seed {SEED:#x} case {case} npes {npes} depth {depth:?} PE {pe}: \
+                             native and coop({workers} workers) made different copies under named algorithms"
+                        );
+                    }
                 }
             }
         }

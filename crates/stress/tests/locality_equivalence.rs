@@ -1,5 +1,6 @@
 //! Locality-on vs locality-off equivalence on seeded programs under
-//! the coop engine.
+//! the wall-clock admission gate: the coop engine, and with a worker
+//! per PE the native engine's geometry.
 //!
 //! The same-worker fast paths (direct peer copies and the counter-cell
 //! pass under the default collectives) are pure transport
@@ -86,11 +87,15 @@ fn locality_on_and_off_agree_on_state_and_api_stats() {
     //   broadcast and fcollect appended: the three payload collectives
     //   on the fused cell pass against the ring, naive reduce, pull
     //   broadcast and root-gather `fcollect`.
+    // case 4: 8 PEs / 8 workers — the native engine's geometry: no
+    //   co-resident peer, so no RMA bypass, but every contiguous
+    //   collective a root cell over eight clusters of one.
     let cases = [
         (0u64, 24usize, 3usize, None, None),
         (1, 16, 4, Some(2), None),
         (2, 96, 2, None, None),
         (3, 100, 3, None, Some(Algorithms::default())),
+        (4, 8, 8, None, None),
     ];
     let mut hits_on = 0u64;
     for (case, npes, workers, depth, algos) in cases {

@@ -56,8 +56,8 @@ use std::time::{Duration, Instant};
 
 use substrate::channel;
 use tshmem::ctx::Layout;
-use tshmem::engine::coop::GateSet;
-use tshmem::engine::wall::{Admission, Free, Resident, ShardedArena, WallFabric, WallShared};
+use tshmem::engine::coop::{GateSet, Gated};
+use tshmem::engine::wall::{Resident, ShardedArena, WallFabric, WallShared};
 use tshmem::fabric::Instruments;
 use tshmem::prelude::*;
 use tshmem::server::arena::Geometry;
@@ -79,8 +79,8 @@ fn cfg(npes: usize) -> RuntimeConfig {
 }
 
 /// One hand-assembled no-op launch under `gate`; milliseconds per phase.
-fn phases<P: Admission>(gate: P, block: usize, cfg: &RuntimeConfig) -> [f64; 7] {
-    let npes = cfg.npes;
+fn phases(gate: Gated, cfg: &RuntimeConfig) -> [f64; 7] {
+    let (npes, block) = (cfg.npes, gate.block);
     let layout = Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
     let mut marks = vec![Instant::now()];
     let endpoints = UdnFabric::new(npes);
@@ -90,7 +90,7 @@ fn phases<P: Admission>(gate: P, block: usize, cfg: &RuntimeConfig) -> [f64; 7] 
     resident.lanes.close();
     let set = resident.sets.checkout(Geometry::of(cfg, block));
     let arena = ShardedArena::from_shards(set.shards, block, cfg.partition_bytes);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates, gate.running_contexts(npes), Instruments::new(npes, None, None));
+    let shared = WallShared::new(cfg, endpoints, arena, set.privates, gate.domains, Instruments::new(npes, None, None));
     marks.push(Instant::now());
     let fabrics: Vec<_> = (0..npes)
         .map(|pe| Mutex::new(Some(WallFabric::new_probed(shared.clone(), gate.clone(), pe))))
@@ -100,7 +100,7 @@ fn phases<P: Admission>(gate: P, block: usize, cfg: &RuntimeConfig) -> [f64; 7] 
         let fab = fabrics[pe].lock().unwrap().take().expect("one fabric per PE");
         gate.acquire(pe, Some(&shared.instruments.probes[pe]));
         let entered = Instant::now();
-        let ctx = ShmemCtx::new(P::erase(fab), layout, cfg.algos, cfg.private_bytes);
+        let ctx = ShmemCtx::new(Box::new(fab), layout, cfg.algos, cfg.private_bytes);
         ctx.finalize();
         drop(ctx);
         gate.release(pe);
@@ -178,16 +178,16 @@ fn job_launch(resident: &Resident, cfg: &RuntimeConfig, slots: usize, marks: &Ma
     let set = resident.sets.checkout(geometry);
     mark(marks);
     let endpoints = UdnFabric::new(npes);
-    let sink = Arc::new(TraceSink::with_lanes(gate.running_contexts(npes)));
+    let sink = Arc::new(TraceSink::with_lanes(gate.domains));
     let arena = ShardedArena::from_shards(set.shards.clone(), block, cfg.partition_bytes);
     let instruments = Instruments::new(npes, Some(sink), None);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates.clone(), gate.running_contexts(npes), instruments);
+    let shared = WallShared::new(cfg, endpoints, arena, set.privates.clone(), gate.domains, instruments);
     mark(marks);
     let (spans, _) = resident.lanes.run(npes, |pe| {
         let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe);
         gate.acquire(pe, Some(&shared.instruments.probes[pe]));
         let entered = Instant::now();
-        let ctx = ShmemCtx::new(Admission::erase(fab), layout, cfg.algos, cfg.private_bytes);
+        let ctx = ShmemCtx::new(Box::new(fab), layout, cfg.algos, cfg.private_bytes);
         job_body(&ctx);
         ctx.finalize();
         drop(ctx);
@@ -307,7 +307,7 @@ fn main() {
             "coop",
             npes,
             workers,
-            || phases(GateSet::new(npes, block), block, &cfg),
+            || phases(GateSet::new(npes, block), &cfg),
             || Launcher::new(&cfg, CoopBackend { workers, ..Default::default() }).run(|_| ()).threads_spawned,
         );
     }
@@ -317,7 +317,7 @@ fn main() {
             "native",
             npes,
             npes,
-            || phases(Free, npes, &cfg),
+            || phases(GateSet::native(npes), &cfg),
             || Launcher::new(&cfg, NativeBackend).run(|_| ()).threads_spawned,
         );
     }

@@ -86,13 +86,14 @@ echo "== locality equivalence suite (coop fast paths on vs off) =="
 # this named step keeps the ablation gate visible.
 cargo test -q --offline -p stress --test locality_equivalence
 
-echo "== equivalence suites (RMA fast paths, nbi completion, admission, virtual-time disciplines) =="
+echo "== equivalence suites (RMA fast paths, nbi completion, admission geometry, virtual-time disciplines, native vs timed) =="
 # Each suite runs one seeded program two ways — a per-launch reference
 # arm (`[Fault::GeneralRmaPaths]`, `[Fault::EagerNbi]`) or another
 # config or backend — and requires the oracle's final state on both and
-# equal Stats. Also inside the workspace pass; named here like the
-# locality step.
-cargo test -q --offline -p stress --test equivalence
+# equal Stats. Native vs timed is its own binary: it turns the
+# process-wide locality knob off. Also inside the workspace pass; named
+# here like the locality step.
+cargo test -q --offline -p stress --test equivalence --test native_timed_equivalence
 
 echo "== figure gate (regenerate Tables I-III, Figs. 3-14 and the ablations; any changed byte fails) =="
 # Every artifact is computed under virtual time, so it is a pure function
