@@ -1,26 +1,24 @@
-//! The cooperative M:N engine: N PEs (up to 1024) multiplexed over M
-//! worker threads, wall-clock time — the wall fabric ([`super::wall`])
-//! with fewer workers than PEs, and the admission gate both wall-clock
-//! engines run under.
-//!
-//! A thread per running PE caps realistic runs at roughly the host's
-//! core count. This engine keeps the same data plane — real shared
-//! memory, real UDN channels, real wall time — but spreads the PEs over
-//! M workers, so a 1024-PE job is M runnable threads plus N−M parked
-//! ones instead of N busy-spinning threads thrashing the scheduler.
+//! The cooperative M:N engine — N PEs (up to 1024) over M worker
+//! threads on the wall fabric ([`super::wall`]) — and the admission gate
+//! both wall-clock engines run under. A 1024-PE job is M runnable
+//! threads, not N busy-spinning ones.
 //!
 //! Scheduling contract (DESIGN.md §6):
 //!
-//! * Every context (PE main + interrupt-service) is still a real OS
-//!   thread; worker `w = pe / ceil(npes / workers)` is one domain of
-//!   the cooperative handoff core ([`substrate::baton`]) over a FIFO of
+//! * Every context (PE main + interrupt-service) is a real OS thread;
+//!   worker `w = pe / ceil(npes / workers)` is one domain of the
+//!   cooperative handoff core ([`substrate::baton`]) over a FIFO of
 //!   context ids — its admission gate — and a context may touch the
 //!   fabric only while holding its worker's gate. The core is the one
 //!   the virtual-time scheduler runs on; the FIFO is this engine's
 //!   ordering policy, and an empty queue leaves the gate free.
-//! * A context **releases** its gate around every genuine wait — a
-//!   parked receive, a blocking send into a full queue, an injected
-//!   fault delay — so siblings of the same worker run meanwhile.
+//! * Every genuine wait is one **baton park** with the gate released,
+//!   so siblings run meanwhile. A receive on an empty queue, a send into
+//!   a full one and a [`SyncCell`] wait list the context (`Waiters`),
+//!   re-check and park; the send, receive or notify that ends the wait
+//!   queues it on its gate, so it is woken once, by its admission. An
+//!   injected fault delay is a timed park. Nothing else blocks a
+//!   context's thread.
 //! * A context **yields** its gate (requeue at the FIFO tail, hand the
 //!   gate to the head) from `wait_pause` whenever siblings are queued,
 //!   so spin waits (flag polls, lock backoff, the TMC spin barrier)
@@ -29,22 +27,19 @@
 //!   [`BlockedOn::Descheduled`]: runnable, just not scheduled. The
 //!   wall-clock supervisor must not treat that as a livelock symptom,
 //!   and scales its stall window by the launch's oversubscription.
-//! * A context parked on a [`SyncCell`] is in no gate rotation at all;
-//!   the notify that satisfies it queues it on its gate on its behalf,
-//!   so it is woken exactly once, by its admission.
+//! * An abort is a flag plus the baton's `wake_all`, and every return
+//!   from a park checks the flag before it touches the fabric, so each
+//!   context unwinds without a gate it does not hold (`GateSet::abort`).
 //!
-//! The symmetric heap is sharded **per worker**
-//! ([`ShardedArena`](super::wall::ShardedArena)): one arena allocation
-//! per worker covering its PEs' partitions, located by pure offset
-//! arithmetic — no locks, no allocation on any access. The trace sink
-//! likewise runs one lock-free lane per worker; the gate's
-//! one-running-context-per-worker invariant is exactly the
-//! single-writer guarantee each lane needs.
+//! The symmetric heap is one arena shard per worker
+//! ([`ShardedArena`](super::wall::ShardedArena)), located by pure offset
+//! arithmetic, and the trace sink one lock-free lane per gate: one
+//! running context per gate is the single-writer guarantee a lane needs.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use substrate::baton::Baton;
 use substrate::sync::Mutex;
@@ -63,20 +58,30 @@ use crate::watch::JobWatch;
 /// shard): word 0 counts arrivals, word 1 is the release epoch. Backs
 /// the counter-cell pass of the clustered collectives
 /// (`Locality::sync_cell_add` / `sync_cell_wait_change`); padded to a
-/// line so neighboring clusters' cells never false-share. `waiters`
-/// holds contexts parked in `sync_cell_wait_change` with their gate
-/// released — `sync_cell_notify` moves them onto their worker's gate
-/// FIFO, so the wake-up a waiter parks for *is* its gate grant: one
-/// park and one wake per member per pass, and a released cluster never
-/// stampedes the context that released it.
+/// line so neighboring clusters' cells never false-share. A notify
+/// queues the word's parked members on their gates: one park and one
+/// wake per member per pass, and a released cluster never stampedes the
+/// context that released it.
 #[repr(align(64))]
 #[derive(Default)]
 pub struct SyncCell {
     pub words: [AtomicU64; 2],
-    /// Parked waiters' context ids per word — separate lists so the
-    /// last-arrival notify aimed at the leader (word 0) does not requeue
-    /// a cluster of members parked on the epoch (word 1).
-    waiters: [Mutex<Vec<usize>>; 2],
+    /// Parked waiters per word — separate lists so the last-arrival
+    /// notify aimed at the leader (word 0) does not requeue a cluster of
+    /// members parked on the epoch (word 1).
+    waiters: [Waiters; 2],
+}
+
+/// Contexts parked until what they wait for changes — a cell word, or a
+/// demux queue empty for its consumer or full for its senders — each
+/// listed by [`WallFabric::park_on`] and made ready on its gate by the
+/// [`WallFabric::wake`] that follows the change.
+#[derive(Default)]
+pub(crate) struct Waiters {
+    /// What a waker reads without the lock: the listed contexts plus a
+    /// lister between counting itself in and its re-check.
+    count: AtomicUsize,
+    list: Mutex<VecDeque<usize>>,
 }
 
 /// The cells of every PE range one PE starts, by range length − 1.
@@ -107,6 +112,8 @@ pub struct GateSet {
     /// The gates: one domain each over a FIFO of context ids (`pe` for
     /// main contexts, `npes + pe` for service contexts).
     baton: Baton<VecDeque<usize>>,
+    /// Set by [`GateSet::abort`].
+    aborted: AtomicBool,
 }
 
 impl GateSet {
@@ -135,6 +142,7 @@ impl GateSet {
             domains,
             sync_cells: (0..npes).map(|_| OnceLock::new()).collect(),
             baton: Baton::new(2 * npes, (0..domains).map(|_| VecDeque::new())),
+            aborted: AtomicBool::new(false),
         })
     }
 
@@ -166,36 +174,22 @@ impl GateSet {
         a / self.block == b / self.block
     }
 
-    /// Queue parked context `ctx` for admission on its worker's gate on
-    /// its behalf (the notify half of a cell wait): it joins the FIFO
-    /// tail exactly as if it had called [`GateSet::acquire`] now — or,
-    /// when a notifier on another worker finds the gate free, is granted
-    /// it. From here on the context is runnable but unscheduled, which
-    /// is what its `probe` must say.
-    fn requeue(&self, ctx: usize, probe: &PeProbe) {
-        probe.set_blocked(BlockedOn::Descheduled);
-        self.baton.lock(self.domain_of(ctx)).make_ready(ctx);
-    }
-
-    /// Queued siblings on `ctx`'s worker gate.
-    #[inline]
-    fn waiters(&self, ctx: usize) -> usize {
-        self.baton.queued(self.domain_of(ctx))
-    }
-
     /// Acquire the worker gate for `ctx`, parking until admitted. While
     /// queued, `probe` reads `Descheduled`; the prior blocked state is
-    /// restored on admission.
+    /// restored on admission. Unwinds if it parked and the job was aborted.
     pub fn acquire(&self, ctx: usize, probe: Option<&PeProbe>) {
-        let mut prior = None;
+        let (prior, mut parked) = (probe.map(|p| p.blocked()), false);
         self.baton.acquire(self.domain_of(ctx), ctx, || {
+            parked = true;
             if let Some(p) = probe {
-                prior = Some(p.blocked());
                 p.set_blocked(BlockedOn::Descheduled);
             }
         });
-        if let (Some(p), Some(b)) = (probe, prior) {
-            p.set_blocked(b);
+        if parked {
+            if let (Some(p), Some(b)) = (probe, prior) {
+                p.set_blocked(b);
+            }
+            self.abort_check(ctx);
         }
     }
 
@@ -216,53 +210,138 @@ impl GateSet {
     /// Queued siblings go first: requeue at the tail, hand the gate to
     /// the head, and park until admitted again (`probe` reads
     /// `Descheduled` meanwhile). A spin wait must not starve the very
-    /// context that would satisfy it. Whether it yielded.
+    /// context that would satisfy it. Whether it yielded; unwinds if
+    /// the job was aborted meanwhile.
     #[inline]
     pub(crate) fn yield_if_contended(&self, ctx: usize, probe: &PeProbe) -> bool {
-        if self.waiters(ctx) == 0 {
+        if self.baton.queued(self.domain_of(ctx)) == 0 {
             return false;
         }
         let prior = probe.blocked();
         probe.set_blocked(BlockedOn::Descheduled);
         let _ = self.baton.lock(self.domain_of(ctx)).yield_now(ctx);
         probe.set_blocked(prior);
+        self.abort_check(ctx);
         true
+    }
+
+    /// Abort the job: set the flag and grant every context, parked or not
+    /// (`Baton::wake_all`). Every return from a park checks the flag, so a
+    /// parked context unwinds at once, and a running one — or one started
+    /// later — at its next park, which takes the grant left for it.
+    pub(crate) fn abort(&self) {
+        self.aborted.store(true, Ordering::Release);
+        self.baton.wake_all();
+    }
+
+    /// Unwind context `ctx` if the job was aborted.
+    pub(crate) fn abort_check(&self, ctx: usize) {
+        if self.aborted.load(Ordering::Acquire) {
+            panic!("PE {}: aborting — another PE panicked", ctx % self.npes)
+        }
     }
 }
 
+/// The one way a wall-clock context waits: parked on the baton with its
+/// gate released, until a grant admits it or an abort unwinds it.
 impl WallFabric {
+    /// List this context on `waiters` unless `over()`, read once the
+    /// listing is visible to every waker, says the wait is over; listed,
+    /// release the gate and park until a [`wake`](Self::wake). Whether it
+    /// parked. The lister counts itself in before `over()` reads and a
+    /// waker changes what it waits for before it reads the count — SeqCst
+    /// on both sides, or ordered by the channel lock both take — so one
+    /// sees the other. A waiter found before it has let its gate go is
+    /// queued on that gate and handed it back in turn.
+    pub(crate) fn park_on(&self, waiters: &Waiters, blocked: BlockedOn, over: impl FnOnce() -> bool) -> bool {
+        self.set_blocked(blocked);
+        let mut list = waiters.list.lock();
+        waiters.count.fetch_add(1, Ordering::SeqCst);
+        let listed = !over();
+        if listed {
+            list.push_back(self.ctx);
+        } else {
+            waiters.count.fetch_sub(1, Ordering::SeqCst);
+        }
+        drop(list);
+        if listed {
+            self.gate_release();
+            self.shared.gate.baton.park(self.ctx);
+            self.shared.gate.abort_check(self.ctx);
+        }
+        self.set_blocked(BlockedOn::Running);
+        listed
+    }
+
+    /// Make the contexts listed on `waiters` ready on their gates, in
+    /// listing order, after the change that ends their wait: each joins
+    /// its gate's FIFO as [`GateSet::acquire`] would, or is granted a
+    /// free gate. One atomic load when none is listed. A grant can switch
+    /// to its wakee, which may list itself again at once, so only those
+    /// counted up front are taken off, and each is made ready unlocked.
+    #[inline]
+    pub(crate) fn wake(&self, waiters: &Waiters) {
+        let gate = &self.shared.gate;
+        for _ in 0..waiters.count.load(Ordering::SeqCst) {
+            let ctx = {
+                let mut list = waiters.list.lock();
+                let Some(ctx) = list.pop_front() else { break };
+                waiters.count.fetch_sub(1, Ordering::SeqCst);
+                ctx
+            };
+            self.shared.instruments.probes[ctx].set_blocked(BlockedOn::Descheduled);
+            gate.baton.lock(gate.domain_of(ctx)).make_ready(ctx);
+        }
+    }
+
+    /// Serve an injected delay of `micros` µs in a timed park with the
+    /// gate released. Only an abort grants a context in a timed park.
+    pub(crate) fn delay(&self, micros: u64) {
+        let deadline = Instant::now() + Duration::from_micros(micros);
+        self.gate_release();
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            if self.shared.gate.baton.park_timeout(self.ctx, Some(left)) {
+                break;
+            }
+        }
+        self.shared.gate.abort_check(self.ctx);
+        self.gate_acquire();
+    }
+
     fn debug_assert_reachable(&self, pe: usize) {
-        debug_assert!(self.gate.co_resident(self.pe, pe));
-        debug_assert!(self.gate.is_holding(self.ctx));
+        debug_assert!(self.shared.gate.co_resident(self.pe, pe));
+        debug_assert!(self.shared.gate.is_holding(self.ctx));
     }
 }
 
 impl Locality for WallFabric {
     fn co_resident(&self, pe: usize) -> bool {
-        self.gate.co_resident(self.pe, pe)
+        self.shared.gate.co_resident(self.pe, pe)
     }
 
     fn topology_block(&self) -> usize {
-        self.gate.block
+        self.shared.gate.block
     }
 
     fn sync_cell_add(&self, cell: CellKey, word: usize, delta: u64) -> u64 {
-        // AcqRel: the add publishes this PE's pre-barrier writes
-        // (Release) and, on the leader's consuming sub, carries every
-        // member's release sequence forward (Acquire) — the cells form
-        // the barrier's happens-before spine without the gate edge.
-        let v = self.gate.cell(cell).words[word].fetch_add(delta, Ordering::AcqRel);
+        // The add publishes this PE's pre-barrier writes (Release) and,
+        // on the leader's consuming sub, carries every member's release
+        // sequence forward (Acquire) — the cells form the barrier's
+        // happens-before spine without the gate edge. SeqCst, because a
+        // notify reads the waiter count after it and a waiter re-checks
+        // the word after counting itself in (`WallFabric::park_on`).
+        let v = self.shared.gate.cell(cell).words[word].fetch_add(delta, Ordering::SeqCst);
         self.progress();
         v
     }
 
     fn sync_cell_load(&self, cell: CellKey, word: usize) -> u64 {
-        self.gate.cell(cell).words[word].load(Ordering::Acquire)
+        self.shared.gate.cell(cell).words[word].load(Ordering::Acquire)
     }
 
     fn sync_cell_wait_change(&self, cell: CellKey, word: usize, old: u64) -> u64 {
         let pe = cell.first;
-        let cell = self.gate.cell(cell);
+        let cell = self.shared.gate.cell(cell);
         loop {
             // One yield-free check, then park. Gate-yielding "just in
             // case" polls are a net loss here: a waiter that yields
@@ -274,56 +353,14 @@ impl Locality for WallFabric {
             if cur != old {
                 return cur;
             }
-            // Park with the gate released: a parked waiter costs its
-            // worker nothing — it is in no gate rotation until a notify
-            // requeues it.
-            self.set_blocked(BlockedOn::CellWait { pe });
-            self.gate_release();
-            let listed = {
-                let mut w = cell.waiters[word].lock();
-                // Re-check under the list lock: a notifier changes the
-                // word before it drains the list, so either we see the
-                // change here or it sees us there.
-                let unchanged = cell.words[word].load(Ordering::Acquire) == old;
-                if unchanged {
-                    w.push(self.ctx);
-                }
-                unchanged
-            };
-            if !listed {
-                self.gate_acquire();
-                self.set_blocked(BlockedOn::Running);
-                continue;
-            }
-            // The notifier queues us on our gate, so the wake-up we
-            // park for is the grant itself (same handoff flag as
-            // `acquire`). The timeout only bounds abort latency.
-            while !self.gate.baton.park_timeout(self.ctx, Some(Duration::from_millis(250))) {
-                if self.shared.aborted.load(Ordering::Acquire) {
-                    let mut w = cell.waiters[word].lock();
-                    if let Some(i) = w.iter().position(|&c| c == self.ctx) {
-                        // Still listed: no notifier has seen us, so no
-                        // gate will ever be granted to this context.
-                        w.remove(i);
-                        drop(w);
-                        self.abort_check();
-                    }
-                    // Otherwise a notifier already owns our entry: keep
-                    // waiting for the grant it queues and abort once
-                    // admitted, so the gate is never handed to a dead
-                    // context.
-                }
-            }
-            self.set_blocked(BlockedOn::Running);
-            self.abort_check();
+            self.park_on(&cell.waiters[word], BlockedOn::CellWait { pe }, || {
+                cell.words[word].load(Ordering::SeqCst) != old
+            });
         }
     }
 
     fn sync_cell_notify(&self, cell: CellKey, word: usize) {
-        let mut w = self.gate.cell(cell).waiters[word].lock();
-        for ctx in w.drain(..) {
-            self.gate.requeue(ctx, &self.shared.instruments.probes[ctx]);
-        }
+        self.wake(&self.shared.gate.cell(cell).waiters[word]);
     }
 
     fn peer_private_write(&self, pe: usize, off: usize, src: &[u8]) {
@@ -421,7 +458,7 @@ impl EngineBackend for CoopBackend {
 mod tests {
     use super::*;
     use crate::engine::wall::{ShardedArena, WallShared};
-    use crate::fabric::Instruments;
+    use crate::fabric::{Fabric, Instruments};
     use crate::server::arena::{ArenaPool, Geometry};
 
     type CoopFabric = WallFabric;
@@ -563,7 +600,7 @@ mod tests {
             waiter.thread().unpark();
             std::thread::sleep(std::time::Duration::from_millis(5));
             assert!(!waiter.is_finished(), "woken by a stray unpark");
-            assert_eq!(shared.cell(PAIR).waiters[1].lock().len(), 1);
+            assert_eq!(shared.cell(PAIR).waiters[1].list.lock().len(), 1);
             assert!(!shared.is_holding(1));
         }
         let notifier = fabs.pop().unwrap();
@@ -597,7 +634,7 @@ mod tests {
     /// Main-context fabrics over a fixture launch.
     fn fabrics(wall: &Arc<WallShared>, shared: &Gated) -> Vec<CoopFabric> {
         (0..shared.npes)
-            .map(|pe| CoopFabric::new_probed(wall.clone(), shared.clone(), pe))
+            .map(|pe| CoopFabric::new(wall.clone(), pe))
             .collect()
     }
 
@@ -606,7 +643,7 @@ mod tests {
 
     /// Park context 1 on word `EPOCH` of [`PAIR`]'s cell (both on one
     /// worker) and return once it is listed there, gate released.
-    /// The thread yields what the wait returned, or the panic payload.
+    /// Its thread yields what the wait returned, or the panic payload.
     fn park_on_cell(
         shared: &Gated,
         waiter: CoopFabric,
@@ -618,10 +655,16 @@ mod tests {
                 waiter.sync_cell_wait_change(PAIR, EPOCH, 0)
             }))
         });
-        while shared.cell(PAIR).waiters[EPOCH].lock().is_empty() {
+        parked(shared, 1, &shared.cell(PAIR).waiters[EPOCH]);
+        t
+    }
+
+    /// Wait until context `ctx` is listed on `waiters` with its gate
+    /// released: it lists itself while still admitted.
+    fn parked(shared: &Gated, ctx: usize, waiters: &Waiters) {
+        while !waiters.list.lock().contains(&ctx) || shared.is_holding(ctx) {
             std::thread::yield_now();
         }
-        t
     }
 
     #[test]
@@ -635,8 +678,8 @@ mod tests {
         notifier.sync_cell_notify(PAIR, 1);
         // Moved from the cell to the gate FIFO, not woken: it cannot run
         // before we let go of the gate, and its probe says so.
-        assert!(shared.cell(PAIR).waiters[1].lock().is_empty());
-        assert_eq!(shared.waiters(0), 1);
+        assert!(shared.cell(PAIR).waiters[1].list.lock().is_empty());
+        assert_eq!(shared.baton.queued(0), 1);
         assert!(!shared.baton.is_granted(1));
         assert!(!waiter.is_finished());
         assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Descheduled);
@@ -647,21 +690,45 @@ mod tests {
     }
 
     #[test]
-    fn aborted_cell_waiter_delists_itself_and_is_never_granted() {
+    fn an_aborted_cell_waiter_unwinds_without_the_gate() {
         let (wall, shared) = gate_fixture(2, 2);
         let mut fabs = fabrics(&wall, &shared);
         let waiter = park_on_cell(&shared, fabs.pop().unwrap());
-        wall.aborted.store(true, Ordering::Release);
-        assert!(waiter.join().unwrap().is_err(), "parked waiter must unwind on abort");
+        shared.abort();
+        let payload = waiter.join().unwrap().expect_err("a parked waiter must unwind on abort");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "PE 1: aborting — another PE panicked");
         assert!(!shared.is_holding(1), "it unwound without the gate");
-        assert!(shared.cell(PAIR).waiters[1].lock().is_empty());
-        // A late notify finds nobody: no gate is queued for the dead.
-        let notifier = fabs.pop().unwrap();
-        notifier.gate_acquire();
-        notifier.sync_cell_notify(PAIR, 1);
-        assert_eq!(shared.waiters(0), 0);
-        notifier.gate_release();
-        assert_eq!(shared.baton.lock(0).holder(), None);
+        assert_eq!(shared.baton.lock(0).holder(), None, "and handed it to nobody");
+    }
+
+    /// A receive on an empty queue and a send into a full one park on the
+    /// baton, and the send or receive that ends the wait queues the
+    /// parked context on its gate: the wake-up is the grant, as for a
+    /// cell wait.
+    #[test]
+    fn a_send_and_a_receive_queue_the_context_parked_on_the_other() {
+        const Q: usize = crate::fabric::Q_BARRIER;
+        let (wall, shared) = fixture(2, 2, udn::fabric::UdnFabric::new_bounded(2, 1));
+        let mut fabs = fabrics(&wall, &shared);
+        let (receiver, sender) = (fabs.pop().unwrap(), fabs.pop().unwrap());
+        let t = std::thread::spawn(move || {
+            receiver.gate_acquire();
+            let word = receiver.udn_recv(Q).payload[0];
+            receiver.gate_release();
+            word
+        });
+        parked(&shared, 1, &wall.not_empty[1][Q]);
+        assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Recv { queue: Q });
+        sender.gate_acquire();
+        sender.udn_send(1, Q, 0, &[1]);
+        assert_eq!(shared.baton.queued(0), 1);
+        assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Descheduled);
+        // One packet fills the queue: this send parks, its gate going to
+        // the receiver, whose receive frees the slot and queues it back.
+        sender.udn_send(1, Q, 0, &[2]);
+        assert_eq!(t.join().unwrap(), 1);
+        assert!(shared.is_holding(0), "the wake-up is the gate grant");
+        assert_eq!(wall.endpoints[1].try_recv(Q).expect("sent").payload[0], 2);
     }
 
     #[test]
@@ -673,17 +740,21 @@ mod tests {
         notifier.gate_acquire();
         notifier.sync_cell_add(PAIR, 1, 1);
         notifier.sync_cell_notify(PAIR, 1);
-        wall.aborted.store(true, Ordering::Release);
+        shared.aborted.store(true, Ordering::Release);
         // Queued: it must take the grant it is owed before it dies, so
         // the handoff chain behind it keeps moving (the launch scaffold
         // releases the gate of a context that died holding it).
         notifier.gate_release();
         assert!(waiter.join().unwrap().is_err());
         assert!(shared.is_holding(1));
-        assert_eq!(shared.waiters(0), 0);
+        assert_eq!(shared.baton.queued(0), 0);
     }
 
     fn gate_fixture(npes: usize, block: usize) -> (Arc<WallShared>, Gated) {
+        fixture(npes, block, udn::fabric::UdnFabric::new(npes))
+    }
+
+    fn fixture(npes: usize, block: usize, endpoints: Vec<udn::fabric::UdnEndpoint>) -> (Arc<WallShared>, Gated) {
         let gate = GateSet::new(npes, block);
         let cfg = crate::runtime::RuntimeConfig::new(npes)
             .with_partition_bytes(4096)
@@ -697,10 +768,10 @@ mod tests {
         });
         let wall = WallShared::new(
             &cfg,
-            udn::fabric::UdnFabric::new(npes),
+            endpoints,
             ShardedArena::from_shards(set.shards, block, 4096),
             set.privates,
-            gate.workers,
+            gate.clone(),
             Instruments::new(npes, None, None),
         );
         (wall, gate)

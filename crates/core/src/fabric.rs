@@ -505,10 +505,10 @@ pub trait Fabric: Send {
     fn now_ns(&self) -> f64;
 
     /// Stall this context for `micros` engine-native microseconds — the
-    /// fault plan's delay primitive (`crate::fault`). The
-    /// native engine sleeps in abort-checking chunks so an injected
-    /// stall cannot outlive a job teardown; the timed engine advances
-    /// virtual time. Engines without fault support keep this no-op.
+    /// fault plan's delay primitive (`crate::fault`). The wall-clock
+    /// engines serve it in a timed park an abort ends at once; the
+    /// timed engine advances virtual time. Engines without fault
+    /// support keep this no-op.
     fn inject_delay_us(&self, micros: u64) {
         let _ = micros;
     }

@@ -32,8 +32,8 @@
 //! [`ServerConfig::max_attempts`].
 //!
 //! What eviction cannot reclaim: a PE lane wedged outside every fabric
-//! abort checkpoint (e.g. parked in a fault-injected raw channel send)
-//! leaks until process exit, as after any supervised launch — and with
+//! abort checkpoint (e.g. spinning on raw loads that never enter the
+//! runtime) leaks until process exit, as after any supervised launch — and with
 //! it the launch lane that waits for it. They stay in
 //! [`ServerStats::lanes_live`] and are never handed another task. The
 //! pool's accounting unit is the worker-slot *lease*, not the OS

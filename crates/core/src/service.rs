@@ -9,12 +9,16 @@
 //! process on the timed engine, and on the wall-clock engines a thread
 //! that — like the interrupt it stands for — does not exist until the
 //! first request addressed to its PE starts it (`engine::wall`), so a
-//! job that never redirects a transfer never runs one.
+//! job that never redirects a transfer never runs one. Between requests
+//! it is parked in its `Q_SERVICE` receive like any wall-clock wait, and
+//! the request's send is what makes it ready.
 //!
 //! The handler also implements the orderly teardown that motivates the
 //! paper's proposed `shmem_finalize()` (Section IV-E): without a shutdown
 //! message the service context would outlive the application and, on real
-//! hardware, leave the UDN engaged.
+//! hardware, leave the UDN engaged. A job abort is not a message: it
+//! ends the park of every context of the job, this one included
+//! (`WallShared::abort`).
 
 use crate::fabric::{BlockedOn, Fabric, Q_REPLY, Q_SERVICE};
 
@@ -31,13 +35,9 @@ pub const TAG_SPUTS: u16 = 4;
 /// Strided get service: gather from YOUR private segment (byte stride)
 /// into a contiguous arena staging run.
 pub const TAG_SGETS: u16 = 5;
-/// Orderly teardown (see `shmem_finalize`).
+/// Orderly teardown (see `shmem_finalize`): the last packet a service
+/// context receives on a job that completes.
 pub const TAG_SHUTDOWN: u16 = 0xFFFE;
-/// Job-abort wakeup: broadcast to every tile's queues when a PE panics
-/// or a watchdog kills the job, so contexts parked in a blocking
-/// protocol receive wake immediately instead of timing out. Never
-/// reaches protocol code — the native receive path panics on it.
-pub const TAG_ABORT: u16 = 0xFFFD;
 
 /// Human name of a service-protocol tag, for watchdog diagnoses
 /// (`BlockedOn::Handler` display).
@@ -49,13 +49,12 @@ pub fn tag_name(tag: u16) -> &'static str {
         TAG_SPUTS => "sputs",
         TAG_SGETS => "sgets",
         TAG_SHUTDOWN => "shutdown",
-        TAG_ABORT => "abort",
         _ => "?",
     }
 }
 
 /// Run the service loop until shutdown. `fab` must be the serviced PE's
-/// service-context fabric (`WallFabric::new_service` on the wall-clock
+/// service-context fabric (`WallFabric::new` with `npes + pe` on the wall-clock
 /// engines; the dedicated service LP's fabric on the timed engine).
 ///
 /// While a request executes, the service probe (when present) publishes

@@ -46,8 +46,8 @@ use crate::fabric::{BlockedOn, Instruments};
 const POLL: Duration = Duration::from_millis(20);
 /// How long an aborted launch gets to unwind before the supervisor
 /// returns without it: a context wedged past every abort checkpoint (in
-/// a fault-injected raw channel send) leaks until process exit, and with
-/// it the lane the launch runs on.
+/// a loop that never enters the runtime) leaks until process exit, and
+/// with it the lane the launch runs on.
 const ABORT_GRACE: Duration = Duration::from_secs(1);
 
 /// Where a supervised wall-clock launch publishes its shared state:

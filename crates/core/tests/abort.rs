@@ -169,7 +169,7 @@ fn peer_panic_aborts_pes_parked_in_finalize() {
 //
 // An abort has nobody to wake where no request ever arrived, and must
 // still reach a context whose start is in flight when the flag goes up:
-// it finds the abort packet queued behind (or instead of) the request.
+// its first park takes the grant the abort left for it.
 
 #[test]
 fn panic_in_a_job_that_never_redirected_a_transfer() {
@@ -195,6 +195,37 @@ fn panic_right_after_the_first_redirected_put_of_the_job() {
         }
         ctx.barrier_all();
     });
+}
+
+/// PE 1 dies at once; PE 0 then redirects more puts at PE 1's static
+/// memory than the bounded queues hold. The service context those
+/// requests start runs after the abort: it meets PE 0's full reply queue
+/// and PE 0 meets its full request queue, and the abort must reach a
+/// sender parked on a full queue, on both wall engines.
+#[test]
+fn peer_panic_aborts_a_sender_parked_on_a_full_queue() {
+    let body = |ctx: &ShmemCtx| {
+        let word = ctx.static_sym::<u64>(1);
+        if ctx.my_pe() == 1 {
+            panic!("PE 1 exploded before serving anything");
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        for i in 0..8 {
+            ctx.put_nbi(&word, 0, &[i], 1);
+        }
+    };
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let cfg = cfg(2).with_bounded_udn(2);
+        let native = abort_message(Launcher::new(&cfg, NativeBackend), &body);
+        let coop = abort_message(Launcher::new(&cfg, coop(2)), &body);
+        let _ = tx.send((native, coop));
+    });
+    let (native, coop) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the aborted job hung: a sender parked on a full queue never unwound");
+    assert_eq!(native, "PE 0: aborting — another PE panicked", "native");
+    assert_eq!(coop, "PE 0: aborting — another PE panicked", "coop");
 }
 
 // --- cell waiters (coop engine, >64 PEs on shard-aligned sets) -----------

@@ -142,10 +142,9 @@ pub fn serve(opts: &ServeOpts) -> ServeSummary {
         // because healthy generated programs at ≤8 PEs make progress at
         // microsecond scale, far inside any stall horizon.
         stall: Duration::from_millis(500),
-        // A deliberate wedge reproduces on retry and each wedged
-        // attempt strands its PE threads until process exit; one
-        // attempt keeps the leak bounded (retry/backoff is covered by
-        // the eviction regression test).
+        // A deliberate wedge reproduces on retry, so one attempt keeps
+        // the run short (retry/backoff is covered by the eviction
+        // regression test).
         max_attempts: 1,
         ..Default::default()
     };

@@ -7,21 +7,20 @@
 //! here would also fit the real device.
 //!
 //! The send side of the fabric is **one table** of `tiles × 4` senders,
-//! built once and shared by reference count: every [`UdnEndpoint`], every
-//! clone of one and every [`UdnSender`] holds the same `Arc`. Building a
+//! built once and shared by reference count: every [`UdnEndpoint`] and
+//! every clone of one holds the same `Arc`. Building a
 //! fabric is therefore linear in tiles, and handing an endpoint to
 //! another context (or dropping it) touches that tile's four receivers
 //! and one reference count, whatever the fabric's size.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use substrate::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use substrate::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 
 use crate::packet::{Header, Packet, MAX_PAYLOAD_WORDS, NUM_QUEUES};
 
-/// One tile's connection to the UDN: its four receive queues plus a
-/// [`UdnSender`] onto every tile's queues.
+/// One tile's connection to the UDN: its four receive queues plus the
+/// fabric's one sender table, onto every tile's queues.
 ///
 /// Cloning shares the underlying queues (MPMC): a PE's main context and
 /// its interrupt-service context receive from the same endpoint, the
@@ -30,18 +29,36 @@ use crate::packet::{Header, Packet, MAX_PAYLOAD_WORDS, NUM_QUEUES};
 #[derive(Clone)]
 pub struct UdnEndpoint {
     rx: Vec<Receiver<Packet>>,
-    tx: UdnSender,
+    tile: usize,
+    /// `table[tile][queue]`, shared by the whole fabric.
+    table: Arc<[[Sender<Packet>; NUM_QUEUES]]>,
 }
 
 impl UdnEndpoint {
     /// This endpoint's tile id.
     pub fn tile(&self) -> usize {
-        self.tx.tile
+        self.tile
     }
 
     /// Number of tiles on the fabric.
     pub fn tiles(&self) -> usize {
-        self.tx.table.len()
+        self.table.len()
+    }
+
+    /// The validated packet and the queue it goes to.
+    fn route(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) -> (&Sender<Packet>, Packet) {
+        assert!(queue < NUM_QUEUES, "queue {queue} out of range");
+        assert!(dest < self.table.len(), "unknown destination tile {dest}");
+        let pkt = Packet::new(
+            Header {
+                dest: dest as u16,
+                src: self.tile as u16,
+                queue: queue as u8,
+                tag,
+            },
+            payload,
+        );
+        (&self.table[dest][queue], pkt)
     }
 
     /// Send `payload` to `dest`'s demux queue `queue` with software tag
@@ -51,7 +68,10 @@ impl UdnEndpoint {
     /// Panics if the payload exceeds the 127-word hardware limit, the
     /// queue index is out of range, or `dest` is unknown.
     pub fn send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) {
-        self.tx.send(dest, queue, tag, payload);
+        let (tx, pkt) = self.route(dest, queue, tag, payload);
+        // The receiver can only have hung up if its PE exited early —
+        // surfacing that as a panic beats silently dropping the packet.
+        tx.send(pkt).expect("UDN destination endpoint dropped");
     }
 
     /// Non-blocking send: `false` when `dest`'s queue is full instead of
@@ -64,7 +84,12 @@ impl UdnEndpoint {
     /// Same validation as [`send`](Self::send); also panics if the
     /// destination endpoint was dropped.
     pub fn try_send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) -> bool {
-        self.tx.try_send(dest, queue, tag, payload)
+        let (tx, pkt) = self.route(dest, queue, tag, payload);
+        match tx.try_send(pkt) {
+            Ok(()) => true,
+            Err(TrySendError::Full(_)) => false,
+            Err(TrySendError::Disconnected(_)) => panic!("UDN destination endpoint dropped"),
+        }
     }
 
     /// Send a buffer larger than one packet by chunking (keeps per-packet
@@ -84,15 +109,6 @@ impl UdnEndpoint {
         self.rx[queue].recv().expect("UDN fabric disconnected")
     }
 
-    /// Blocking receive with a timeout; `None` on timeout.
-    pub fn recv_timeout(&self, queue: usize, timeout: Duration) -> Option<Packet> {
-        match self.rx[queue].recv_timeout(timeout) {
-            Ok(p) => Some(p),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => panic!("UDN fabric disconnected"),
-        }
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self, queue: usize) -> Option<Packet> {
         self.rx[queue].try_recv().ok()
@@ -109,64 +125,12 @@ impl UdnEndpoint {
     /// fault plane to clamp effective queue depth below the fabric's
     /// real bound.
     pub fn dest_queue_len(&self, dest: usize, queue: usize) -> usize {
-        self.tx.table[dest][queue].len()
+        self.table[dest][queue].len()
     }
 
     /// Clone of the receiver for `queue`.
     pub fn queue_receiver(&self, queue: usize) -> Receiver<Packet> {
         self.rx[queue].clone()
-    }
-
-    /// A send-only handle that sends as this tile.
-    pub fn sender(&self) -> UdnSender {
-        self.tx.clone()
-    }
-}
-
-/// Send-only handle to the fabric: a source tile id and a reference to
-/// the fabric's one sender table, so a clone costs one reference count.
-#[derive(Clone)]
-pub struct UdnSender {
-    tile: usize,
-    /// `table[tile][queue]`, shared by the whole fabric.
-    table: Arc<[[Sender<Packet>; NUM_QUEUES]]>,
-}
-
-impl UdnSender {
-    /// The validated packet and the queue it goes to.
-    fn route(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) -> (&Sender<Packet>, Packet) {
-        assert!(queue < NUM_QUEUES, "queue {queue} out of range");
-        assert!(dest < self.table.len(), "unknown destination tile {dest}");
-        let pkt = Packet::new(
-            Header {
-                dest: dest as u16,
-                src: self.tile as u16,
-                queue: queue as u8,
-                tag,
-            },
-            payload,
-        );
-        (&self.table[dest][queue], pkt)
-    }
-
-    /// Non-blocking send; `false` when the destination queue is full.
-    /// Wakeup broadcasts use this so an aborter can never stall on a
-    /// backed-up queue (whose receiver is not parked on empty anyway).
-    pub fn try_send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) -> bool {
-        let (tx, pkt) = self.route(dest, queue, tag, payload);
-        match tx.try_send(pkt) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) => false,
-            Err(TrySendError::Disconnected(_)) => panic!("UDN destination endpoint dropped"),
-        }
-    }
-
-    /// Blocking send (see [`UdnEndpoint::send`]).
-    pub fn send(&self, dest: usize, queue: usize, tag: u16, payload: &[u64]) {
-        let (tx, pkt) = self.route(dest, queue, tag, payload);
-        // The receiver can only have hung up if its PE exited early —
-        // surfacing that as a panic beats silently dropping the packet.
-        tx.send(pkt).expect("UDN destination endpoint dropped");
     }
 }
 
@@ -216,7 +180,8 @@ impl UdnFabric {
             .enumerate()
             .map(|(tile, rx)| UdnEndpoint {
                 rx,
-                tx: UdnSender { tile, table: table.clone() },
+                tile,
+                table: table.clone(),
             })
             .collect()
     }
@@ -225,6 +190,7 @@ impl UdnFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn point_to_point_delivery() {
@@ -289,14 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_times_out() {
-        let eps = UdnFabric::new(2);
-        assert!(eps[1]
-            .recv_timeout(0, Duration::from_millis(10))
-            .is_none());
-    }
-
-    #[test]
     fn cross_thread_delivery() {
         let mut eps = UdnFabric::new(2);
         let e1 = eps.pop().unwrap();
@@ -313,7 +271,7 @@ mod tests {
     #[test]
     fn sender_handle_sends_from_service_thread() {
         let eps = UdnFabric::new(2);
-        let s = eps[0].sender();
+        let s = eps[0].clone();
         std::thread::spawn(move || s.send(1, 3, 2, &[5]))
             .join()
             .unwrap();
@@ -326,14 +284,13 @@ mod tests {
         // keeps the one sender it was built with.
         let eps = UdnFabric::new(256);
         let clones: Vec<_> = eps.iter().flat_map(|e| [e.clone(), e.clone()]).collect();
-        let waker = eps[0].sender();
-        for queues in eps[0].tx.table.iter() {
+        for queues in eps[0].table.iter() {
             for q in queues {
                 assert_eq!(q.handles(), 1, "one sender per queue per fabric");
             }
         }
         // One surviving endpoint keeps the whole send side alive...
-        drop((clones, waker));
+        drop(clones);
         let mut eps = eps;
         let last = eps.swap_remove(7);
         drop(eps);
@@ -348,7 +305,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown destination")]
     fn sender_handle_validates_the_destination() {
-        UdnFabric::new(2)[0].sender().send(2, 0, 0, &[]);
+        UdnFabric::new(2)[0].send(2, 0, 0, &[]);
     }
 
     #[test]

@@ -90,10 +90,10 @@ fn phases(gate: Gated, cfg: &RuntimeConfig) -> [f64; 7] {
     resident.lanes.close();
     let set = resident.sets.checkout(Geometry::of(cfg, block));
     let arena = ShardedArena::from_shards(set.shards, block, cfg.partition_bytes);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates, gate.domains, Instruments::new(npes, None, None));
+    let shared = WallShared::new(cfg, endpoints, arena, set.privates, gate.clone(), Instruments::new(npes, None, None));
     marks.push(Instant::now());
     let fabrics: Vec<_> = (0..npes)
-        .map(|pe| Mutex::new(Some(WallFabric::new_probed(shared.clone(), gate.clone(), pe))))
+        .map(|pe| Mutex::new(Some(WallFabric::new(shared.clone(), pe))))
         .collect();
     marks.push(Instant::now());
     let (spans, _) = resident.lanes.run(npes, |pe| {
@@ -181,10 +181,10 @@ fn job_launch(resident: &Resident, cfg: &RuntimeConfig, slots: usize, marks: &Ma
     let sink = Arc::new(TraceSink::with_lanes(gate.domains));
     let arena = ShardedArena::from_shards(set.shards.clone(), block, cfg.partition_bytes);
     let instruments = Instruments::new(npes, Some(sink), None);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates.clone(), gate.domains, instruments);
+    let shared = WallShared::new(cfg, endpoints, arena, set.privates.clone(), gate.clone(), instruments);
     mark(marks);
     let (spans, _) = resident.lanes.run(npes, |pe| {
-        let fab = WallFabric::new_probed(shared.clone(), gate.clone(), pe);
+        let fab = WallFabric::new(shared.clone(), pe);
         gate.acquire(pe, Some(&shared.instruments.probes[pe]));
         let entered = Instant::now();
         let ctx = ShmemCtx::new(Box::new(fab), layout, cfg.algos, cfg.private_bytes);

@@ -5,9 +5,9 @@
 //! launch it is handed to (`Launcher::with_faults`), so these run in
 //! parallel with each other and with clean launches.
 //!
-//! A genuinely deadlocked native job leaks its PE threads (parked in
-//! pre-fix blocking sends that no abort flag can reach) until the
-//! process exits; they hold no plan another launch could see.
+//! A genuinely deadlocked job's PEs park in pre-fix blocking sends into
+//! full queues; the supervisor's abort unwinds them there like any other
+//! wall-clock wait, and they hold no plan another launch could see.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;

@@ -219,6 +219,37 @@ if bad:
 print("OK: hot-path allocations all carry `// cold:` justifications")
 PYEOF
 
+echo "== one wait (wall + coop: every wall-clock wait is a baton park) =="
+# A wall-clock context waits in exactly one way: parked on its grant
+# flag in the gates' handoff core (substrate/src/baton.rs), woken by the
+# grant that admits it or by an abort's `wake_all`. Contexts that are
+# stacks rather than threads (ROADMAP item 13) need every wait to be such
+# a park — a stack cannot block its carrier thread — and an abort reaches
+# only the waits it can grant. So the runtime code of the wall fabric and
+# its gate may not block a thread any other way: no channel receive with
+# a timeout, no sleep, no timed park on a constant poll interval, no
+# blocking endpoint send or receive. Fails naming file:line.
+python3 - <<'PYEOF'
+import re, sys
+WAITS = re.compile(r'recv_timeout\(|thread::sleep|park_timeout\([^;]*(Duration::|\b[A-Z][A-Z0-9_]+\b)|\.(send|recv)\(')
+bad = []
+for path in ("crates/core/src/engine/wall.rs", "crates/core/src/engine/coop.rs"):
+    lines = open(path).read().splitlines()
+    for i, line in enumerate(lines):
+        if line.lstrip().startswith("#[cfg(test)]"):
+            lines = lines[:i]
+            break
+    for i, line in enumerate(lines):
+        if WAITS.search(line.split("//")[0]):
+            bad.append(f"{path}:{i + 1}: {line.strip()}")
+if bad:
+    print("FAIL: a wall-clock wait that is not a baton park:", file=sys.stderr)
+    for b in bad:
+        print("  " + b, file=sys.stderr)
+    sys.exit(1)
+print("OK: every wall-clock wait is a baton park")
+PYEOF
+
 echo "== external-import scan (every source tree) =="
 # Every source tree must be std + substrate only.
 pattern='use (parking_lot|crossbeam|rand|proptest|criterion)'
