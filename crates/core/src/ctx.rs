@@ -203,10 +203,6 @@ pub struct ShmemCtx {
     /// Capacity is retained across drains, so a steady-state nbi train
     /// allocates only on its high-water mark.
     pub(crate) pending: RefCell<Vec<crate::rma::PendingOp>>,
-    /// Source bytes captured at issue time for deferred dynamic-target
-    /// nbi puts. Entries reference `[off, off+len)` ranges; cleared (but
-    /// capacity kept) on every full drain.
-    pub(crate) nbi_stage: RefCell<Vec<u8>>,
     /// Bump allocator over the shared temp region for in-flight
     /// redirected nbi chunks. Reset to 0 on every full drain; blocking
     /// temp users drain first, so the two never overlap.
@@ -255,7 +251,6 @@ impl ShmemCtx {
             stats: RefCell::new(Stats::default()),
             scratch: RefCell::new(Vec::new()),
             pending: RefCell::new(Vec::new()),
-            nbi_stage: RefCell::new(Vec::new()),
             nbi_temp_used: Cell::new(0),
             rma_fast_paths,
             nbi_eager,

@@ -31,10 +31,9 @@
 //!   from a park checks the flag before it touches the fabric, so each
 //!   context unwinds without a gate it does not hold (`GateSet::abort`).
 //!
-//! The symmetric heap is one arena shard per worker
-//! ([`ShardedArena`](super::wall::ShardedArena)), located by pure offset
-//! arithmetic, and the trace sink one lock-free lane per gate: one
-//! running context per gate is the single-writer guarantee a lane needs.
+//! The trace sink is one lock-free lane per gate: one running context
+//! per gate is the single-writer guarantee a lane needs. The symmetric
+//! heap is one arena for the launch, whatever its geometry.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -166,9 +165,9 @@ impl GateSet {
     }
 
     /// Whether PEs `a` and `b` are multiplexed on the same worker —
-    /// they share an admission gate (so at most one of their contexts
-    /// runs at a time) and one arena shard. Pure geometry: the block
-    /// sharding assigns PE `p` to worker `p / block`.
+    /// they share an admission gate, so at most one of their contexts
+    /// runs at a time. Pure geometry: the block sharding assigns PE `p`
+    /// to worker `p / block`.
     #[inline]
     pub fn co_resident(&self, a: usize, b: usize) -> bool {
         a / self.block == b / self.block
@@ -379,16 +378,14 @@ impl Locality for WallFabric {
 
     fn peer_private_to_arena(&self, pe: usize, arena_dst: usize, priv_src: usize, len: usize) {
         self.debug_assert_reachable(pe);
-        let (shard, local) = self.shared.arena.shard(arena_dst);
-        CommonMemory::copy_between(shard, local, &self.shared.privates[pe], priv_src, len);
+        CommonMemory::copy_between(&self.shared.arena, arena_dst, &self.shared.privates[pe], priv_src, len);
         self.trace(TraceKind::Copy, pe, len as u64);
         self.progress();
     }
 
     fn peer_arena_to_private(&self, pe: usize, priv_dst: usize, arena_src: usize, len: usize) {
         self.debug_assert_reachable(pe);
-        let (shard, local) = self.shared.arena.shard(arena_src);
-        CommonMemory::copy_between(&self.shared.privates[pe], priv_dst, shard, local, len);
+        CommonMemory::copy_between(&self.shared.privates[pe], priv_dst, &self.shared.arena, arena_src, len);
         self.trace(TraceKind::Copy, pe, len as u64);
         self.progress();
     }
@@ -412,17 +409,16 @@ pub struct CoopBackend {
     pub resident: Option<Arc<Resident>>,
 }
 
+/// What an automatic worker or slot count (`0`) resolves to: the host's
+/// parallelism, floored at 2.
+pub(crate) fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(2, |n| n.get()).max(2)
+}
+
 impl CoopBackend {
     /// The worker count a job with `npes` PEs actually runs on.
     pub fn resolved_workers(&self, npes: usize) -> usize {
-        let m = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .max(2)
-        } else {
-            self.workers
-        };
+        let m = if self.workers == 0 { host_parallelism() } else { self.workers };
         m.clamp(1, npes)
     }
 }
@@ -457,37 +453,11 @@ impl EngineBackend for CoopBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::wall::{ShardedArena, WallShared};
+    use crate::engine::wall::WallShared;
     use crate::fabric::{Fabric, Instruments};
     use crate::server::arena::{ArenaPool, Geometry};
 
     type CoopFabric = WallFabric;
-
-    #[test]
-    fn sharded_arena_locates_and_copies_across_shards() {
-        // 5 PEs, 2 per shard, 64-byte partitions -> shards of 2,2,1 PEs.
-        let g = Geometry { npes: 5, block: 2, partition_bytes: 64, heap_bytes: 64, private_bytes: 0 };
-        let a = ShardedArena::from_shards(ArenaPool::new().checkout(g).shards, 2, 64);
-        assert_eq!(a.shards.len(), 3);
-        assert_eq!(a.shards[0].len(), 128);
-        assert_eq!(a.shards[2].len(), 64);
-        // PE 3's partition starts at global 192 = shard 1, local 64.
-        let (shard, local) = a.shard(192);
-        assert!(std::ptr::eq(shard, &*a.shards[1]));
-        assert_eq!(local, 64);
-        // Write in PE 0's partition, copy into PE 4's (cross-shard).
-        a.shards[0].write_bytes(8, &[1, 2, 3, 4]);
-        a.copy(4 * 64 + 16, 8, 4);
-        let mut out = [0u8; 4];
-        let (shard, local) = a.shard(4 * 64 + 16);
-        shard.read_bytes(local, &mut out);
-        assert_eq!(out, [1, 2, 3, 4]);
-        // Same-shard copy.
-        a.copy(64 + 8, 8, 4);
-        let (shard, local) = a.shard(64 + 8);
-        shard.read_bytes(local, &mut out);
-        assert_eq!(out, [1, 2, 3, 4]);
-    }
 
     #[test]
     fn resolved_workers_bounds() {
@@ -758,22 +728,10 @@ mod tests {
         let gate = GateSet::new(npes, block);
         let cfg = crate::runtime::RuntimeConfig::new(npes)
             .with_partition_bytes(4096)
-            .with_private_bytes(64);
-        let set = ArenaPool::new().checkout(Geometry {
-            npes,
-            block,
-            partition_bytes: 4096,
-            heap_bytes: 4096,
-            private_bytes: 64,
-        });
-        let wall = WallShared::new(
-            &cfg,
-            endpoints,
-            ShardedArena::from_shards(set.shards, block, 4096),
-            set.privates,
-            gate.clone(),
-            Instruments::new(npes, None, None),
-        );
+            .with_private_bytes(64)
+            .with_temp_bytes(1024);
+        let set = ArenaPool::new().checkout(Geometry::of(&cfg));
+        let wall = WallShared::new(&cfg, endpoints, set, gate.clone(), Instruments::new(npes, None, None));
         (wall, gate)
     }
 }

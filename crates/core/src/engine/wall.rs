@@ -18,20 +18,24 @@
 //! * [`CoopBackend`](super::coop::CoopBackend) multiplexes N PEs (up to
 //!   1024) over M workers in contiguous blocks.
 //!
-//! Both offer the [`Locality`] capability. The gate may decide when a
-//! context runs and how long it spins before it yields or parks, never
-//! what an operation does or what it counts: every byte moved, every
-//! probe bump, trace event and fault-plane tick below is the same on
-//! every geometry (DESIGN.md §6).
+//! Whatever the geometry, the symmetric heap is one arena — the TMC
+//! common-memory region, partitioned per PE, as on the virtual-time
+//! fabric — and a global offset is an offset into it. Both engines
+//! offer the [`Locality`] capability. The gate may decide when a context
+//! runs and how long it spins before it yields or parks, never what an
+//! operation does or what it counts: every byte moved, every probe bump,
+//! trace event and fault-plane tick below is the same on every geometry
+//! (DESIGN.md §6).
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use substrate::sync::Mutex;
+use tmc::barrier::SpinBarrier;
 use tmc::common::CommonMemory;
 use tmc::task::Lanes;
 use udn::fabric::{UdnEndpoint, UdnFabric};
@@ -115,54 +119,12 @@ impl Default for FastClock {
     }
 }
 
-/// The symmetric-heap arena in per-worker shards: shard `w` is one
-/// contiguous allocation holding the partitions of PEs
-/// `[w*block, min(npes, (w+1)*block))`. Global offsets locate their
-/// shard by pure arithmetic — every single access stays inside one PE's
-/// partition (the `ShmemCtx::go` contract), so only the explicit
-/// arena-to-arena copy ever has to consider two shards.
-pub struct ShardedArena {
-    pub(crate) shards: Vec<Arc<CommonMemory>>,
-    /// Bytes per shard (the last shard may be shorter).
-    span: usize,
-}
-
-impl ShardedArena {
-    /// Wrap the shards of a set checked out of an [`ArenaPool`] — the
-    /// pool guarantees shapes match the launch geometry and that no
-    /// byte of a previous tenant is left in them.
-    pub fn from_shards(shards: Vec<Arc<CommonMemory>>, block: usize, partition_bytes: usize) -> Self {
-        Self {
-            shards,
-            span: block * partition_bytes,
-        }
-    }
-
-    /// The shard holding global offset `off`, and `off` within it.
-    #[inline]
-    pub(crate) fn shard(&self, off: usize) -> (&CommonMemory, usize) {
-        let w = off / self.span;
-        (&self.shards[w], off - w * self.span)
-    }
-
-    pub(crate) fn copy(&self, dst: usize, src: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let (d, dlocal) = self.shard(dst);
-        let (s, slocal) = self.shard(src);
-        if std::ptr::eq(d, s) {
-            d.copy_within(dlocal, slocal, len);
-        } else {
-            CommonMemory::copy_between(d, dlocal, s, slocal, len);
-        }
-    }
-}
-
 /// Shared state of one wall-clock launch — what a supervisor of the
 /// launch watches.
 pub struct WallShared {
-    pub arena: ShardedArena,
+    /// The symmetric heap: one arena, partition `pe` at
+    /// `pe * partition_bytes`, as on the virtual-time fabric.
+    pub arena: Arc<CommonMemory>,
     /// Every tile's UDN endpoint. Contexts receive from their PE's entry
     /// in place; nothing is handed out per context.
     pub(crate) endpoints: Vec<UdnEndpoint>,
@@ -171,7 +133,9 @@ pub struct WallShared {
     pub partition_bytes: usize,
     pub device: tile_arch::device::Device,
     pub start: FastClock,
-    /// Lazily-created TMC spin barriers, one per distinct active set.
+    /// Lazily-created TMC spin barriers, one per distinct active set;
+    /// a waiter polls through [`Fabric::wait_pause`], so it yields its
+    /// admission between polls and notices a job abort.
     pub spin_barriers: Mutex<HashMap<(usize, u32, usize), Arc<SpinBarrier>>>,
     /// The launch's admission gates, which every wait parks on.
     pub(crate) gate: Gated,
@@ -205,14 +169,13 @@ pub struct WallShared {
 }
 
 impl WallShared {
-    /// The shared state of a launch of `cfg` over `endpoints`, `arena`
-    /// and the PEs' private segments, its `2 * npes` contexts admitted
-    /// by `gate`, with `instruments`.
+    /// The shared state of a launch of `cfg` over `endpoints` and the
+    /// memory `set`, its `2 * npes` contexts admitted by `gate`, with
+    /// `instruments`.
     pub fn new(
         cfg: &RuntimeConfig,
         endpoints: Vec<UdnEndpoint>,
-        arena: ShardedArena,
-        privates: Vec<Arc<CommonMemory>>,
+        SegmentSet { arena, privates }: SegmentSet,
         gate: Gated,
         instruments: Instruments,
     ) -> Arc<Self> {
@@ -253,41 +216,6 @@ impl WallShared {
 const YIELD_AFTER: u32 = 64;
 /// A polling wait checks the abort flag every this many polls.
 const ABORT_CHECK_EVERY: u32 = 64;
-
-/// A sense-reversing counter barrier whose waiters poll through
-/// [`Fabric::wait_pause`] — the TMC spin barrier of Figure 5, except
-/// that a waiter yields its admission between polls and notices a job
-/// abort, so it stays selectable under M:N oversubscription and cannot
-/// outlive a dead peer.
-pub struct SpinBarrier {
-    size: usize,
-    count: AtomicUsize,
-    sense: AtomicUsize,
-}
-
-impl SpinBarrier {
-    fn new(size: usize) -> Self {
-        Self {
-            size,
-            count: AtomicUsize::new(0),
-            sense: AtomicUsize::new(0),
-        }
-    }
-
-    fn wait(&self, fab: &impl Fabric) {
-        let s = self.sense.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.size {
-            self.count.store(0, Ordering::Relaxed);
-            self.sense.store(s.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut attempt = 0u32;
-            while self.sense.load(Ordering::Acquire) == s {
-                fab.wait_pause(attempt);
-                attempt = attempt.wrapping_add(1);
-            }
-        }
-    }
-}
 
 /// Per-context wall-clock fabric. A PE's main context and its
 /// interrupt-service context share the PE's endpoint queues; the
@@ -380,11 +308,6 @@ impl WallFabric {
     #[inline]
     fn yield_if_contended(&self) -> bool {
         self.shared.gate.yield_if_contended(self.ctx, &self.probe)
-    }
-
-    #[inline]
-    fn arena(&self, off: usize) -> (&CommonMemory, usize) {
-        self.shared.arena.shard(off)
     }
 
     fn private(&self) -> &CommonMemory {
@@ -541,38 +464,33 @@ impl Fabric for WallFabric {
     }
 
     fn arena_copy(&self, dst: usize, src: usize, len: usize) {
-        self.shared.arena.copy(dst, src, len);
+        self.shared.arena.copy_within(dst, src, len);
         self.trace(TraceKind::Copy, usize::MAX, len as u64);
         self.progress();
     }
 
     fn arena_write(&self, dst: usize, src: &[u8]) {
-        let (shard, local) = self.arena(dst);
-        shard.write_bytes(local, src);
+        self.shared.arena.write_bytes(dst, src);
         self.trace(TraceKind::Copy, usize::MAX, src.len() as u64);
         self.progress();
     }
 
     fn arena_read(&self, src: usize, dst: &mut [u8]) {
-        let (shard, local) = self.arena(src);
-        shard.read_bytes(local, dst);
+        self.shared.arena.read_bytes(src, dst);
         self.trace(TraceKind::Copy, usize::MAX, dst.len() as u64);
         self.progress();
     }
 
     fn arena_read_u64(&self, off: usize) -> u64 {
-        let (shard, local) = self.arena(off);
-        shard.atomic_u64(local).load(Ordering::Acquire)
+        self.shared.arena.atomic_u64(off).load(Ordering::Acquire)
     }
 
     fn arena_read_u32(&self, off: usize) -> u32 {
-        let (shard, local) = self.arena(off);
-        shard.atomic_u32(local).load(Ordering::Acquire)
+        self.shared.arena.atomic_u32(off).load(Ordering::Acquire)
     }
 
     fn arena_write_u64(&self, off: usize, v: u64) {
-        let (shard, local) = self.arena(off);
-        shard.atomic_u64(local).store(v, Ordering::Release);
+        self.shared.arena.atomic_u64(off).store(v, Ordering::Release);
         // A flag store is a state change (useful work); atomic *loads*
         // stay uncounted so polling can never masquerade as progress.
         self.progress();
@@ -581,16 +499,14 @@ impl Fabric for WallFabric {
     fn arena_rmw(&self, off: usize, op: RmwOp, operand: u64, width: RmwWidth) -> u64 {
         self.trace(TraceKind::Atomic, usize::MAX, width.bytes() as u64);
         self.progress();
-        let (shard, local) = self.arena(off);
-        fabric::rmw(shard, local, op, operand, width)
+        fabric::rmw(&self.shared.arena, off, op, operand, width)
     }
 
     fn arena_cswap(&self, off: usize, cond: u64, new: u64, width: RmwWidth) -> u64 {
         // Only a *successful* exchange is useful work (and worth a trace
         // event); a failed retry is a spin, or a livelocked CAS loop
         // would look live to the watchdog while flooding the trace sink.
-        let (shard, local) = self.arena(off);
-        let old = fabric::cswap(shard, local, cond, new, width);
+        let old = fabric::cswap(&self.shared.arena, off, cond, new, width);
         if old == cond {
             self.trace(TraceKind::Atomic, usize::MAX, width.bytes() as u64);
             self.progress();
@@ -617,22 +533,19 @@ impl Fabric for WallFabric {
     }
 
     fn private_to_arena(&self, arena_dst: usize, priv_src: usize, len: usize) {
-        let (shard, local) = self.arena(arena_dst);
-        CommonMemory::copy_between(shard, local, self.private(), priv_src, len);
+        CommonMemory::copy_between(&self.shared.arena, arena_dst, self.private(), priv_src, len);
         self.trace(TraceKind::Copy, usize::MAX, len as u64);
         self.progress();
     }
 
     fn arena_to_private(&self, priv_dst: usize, arena_src: usize, len: usize) {
-        let (shard, local) = self.arena(arena_src);
-        CommonMemory::copy_between(self.private(), priv_dst, shard, local, len);
+        CommonMemory::copy_between(self.private(), priv_dst, &self.shared.arena, arena_src, len);
         self.trace(TraceKind::Copy, usize::MAX, len as u64);
         self.progress();
     }
 
     fn arena_raw(&self, off: usize, len: usize) -> *mut u8 {
-        let (shard, local) = self.arena(off);
-        shard.raw(local, len)
+        self.shared.arena.raw(off, len)
     }
 
     fn private_raw(&self, off: usize, len: usize) -> *mut u8 {
@@ -650,7 +563,7 @@ impl Fabric for WallFabric {
                 .or_insert_with(|| Arc::new(SpinBarrier::new(set.2)))
                 .clone()
         };
-        b.wait(self);
+        b.wait_with(|attempt| self.wait_pause(attempt));
         self.progress();
     }
 
@@ -720,13 +633,13 @@ impl Resident {
     }
 }
 
-/// The one wall-clock launch body: build the shared state, an arena
-/// shard per worker of `gate`, over memory checked out of `resident`
-/// (or one for this launch alone), publish it to the launch's
-/// supervisor if it has one, start every PE's main context under `gate`
-/// on its lanes, run `f` under `faults`, and tear down — joining the
-/// interrupt-service contexts the job's requests started and, on clean
-/// completion, retiring the memory with its dirty extent.
+/// The one wall-clock launch body: build the shared state over memory
+/// checked out of `resident` (or one for this launch alone), publish it
+/// to the launch's supervisor if it has one, start every PE's main
+/// context under `gate` on its lanes, run `f` under `faults`, and tear
+/// down — joining the interrupt-service contexts the job's requests
+/// started and, on clean completion, retiring the memory with its dirty
+/// extent.
 pub(crate) fn run_wall<R, F>(
     gate: Gated,
     resident: Option<&Resident>,
@@ -756,11 +669,10 @@ where
     // The supervisor needs a sink for "last event per PE" stall dumps
     // even when the caller did not ask for a trace.
     let sink = (cfg.trace || watch.is_some()).then(|| Arc::new(TraceSink::with_lanes(gate.domains)));
-    let geometry = Geometry::of(cfg, gate.block);
-    let SegmentSet { shards, privates } = resident.sets.checkout(geometry);
-    let arena = ShardedArena::from_shards(shards, gate.block, cfg.partition_bytes);
+    let geometry = Geometry::of(cfg);
+    let set = resident.sets.checkout(geometry);
     let instruments = Instruments::new(npes, sink.clone(), faults.cloned());
-    let shared = WallShared::new(cfg, endpoints, arena, privates, gate.clone(), instruments);
+    let shared = WallShared::new(cfg, endpoints, set, gate.clone(), instruments);
     if let Some(w) = watch {
         let _ = w.set(shared.clone());
     }
@@ -802,7 +714,7 @@ where
     let (heap_extent, static_extent) =
         tiles.iter().fold((0, 0), |(h, s), (_, (heap, statics))| (h.max(*heap), s.max(*statics)));
     let set = SegmentSet {
-        shards: shared.arena.shards.clone(),
+        arena: shared.arena.clone(),
         privates: shared.privates.clone(),
     };
     resident.sets.check_in(geometry, set, heap_extent, static_extent);

@@ -17,8 +17,9 @@
 //!
 //! A blocking call and its `_nbi` twin take the same path — one class
 //! dispatch per direction, one redirect, one temp chunker — and differ
-//! only in when they complete: a blocking call before it returns, a
-//! deferred one at [`quiet`](ShmemCtx::quiet).
+//! only in when a redirected request completes: a blocking call awaits
+//! its reply before it returns, a deferred one at
+//! [`quiet`](ShmemCtx::quiet). Every local copy completes at issue.
 
 use crate::ctx::{byte_view, byte_view_mut, ShmemCtx};
 use crate::fabric::{Locality, ProtoMsg, Q_REPLY, Q_SERVICE, RmwOp, RmwWidth};
@@ -29,31 +30,15 @@ use crate::symm::{AddrClass, Bits, Sym};
 
 /// One outstanding non-blocking operation, tracked per context and
 /// completed by [`ShmemCtx::quiet`] (or the internal drain every
-/// barrier-entering operation performs).
+/// barrier-entering operation performs): a redirected request already
+/// queued at `pe`'s service context, whose completion only awaits the
+/// `TAG_SDONE` reply carrying `token`. Multiple requests pipeline
+/// through the remote handler, which is where the nbi overlap win comes
+/// from; the only ops that wait on another context are these.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum PendingOp {
-    /// A dynamic-target nbi put whose source bytes were captured into
-    /// the context's stage buffer at issue; applied with a single
-    /// `arena_write` at completion.
-    StagedPut {
-        pe: usize,
-        dest_global: usize,
-        stage_off: usize,
-        len: usize,
-    },
-    /// A redirected nbi request already queued at `pe`'s service
-    /// context; completion only awaits the `TAG_SDONE` reply carrying
-    /// `token`. Multiple requests pipeline through the remote handler,
-    /// which is where the nbi overlap win comes from.
-    AwaitReply { pe: usize, token: u64 },
-}
-
-impl PendingOp {
-    fn pe(&self) -> usize {
-        match self {
-            PendingOp::StagedPut { pe, .. } | PendingOp::AwaitReply { pe, .. } => *pe,
-        }
-    }
+pub(crate) struct PendingOp {
+    pe: usize,
+    token: u64,
 }
 
 /// When a transfer completes — the one difference between a blocking
@@ -62,9 +47,10 @@ impl PendingOp {
 enum Completion {
     /// Before the call returns.
     Now,
-    /// At the next [`quiet`](ShmemCtx::quiet) or internal drain. A
-    /// dynamic-target put captures its source and writes at completion;
-    /// a redirected request is sent now and its reply awaited then.
+    /// At the next [`quiet`](ShmemCtx::quiet) or internal drain: a
+    /// redirected request is sent now and its reply awaited then. A
+    /// local copy — a put into the heap among them — has nothing to
+    /// overlap and completes at issue.
     AtQuiet,
 }
 
@@ -425,13 +411,13 @@ impl ShmemCtx {
     // --- non-blocking transfers (`shmem_put_nbi` / `shmem_get_nbi`) -----
 
     /// `shmem_put_nbi`: start a put of `src` into `target[index..]` on
-    /// PE `pe` and return immediately. The source slice is captured at
-    /// issue (OpenSHMEM forbids reuse before completion, so capturing is
-    /// always observationally valid); completion is deferred to
-    /// [`quiet`](Self::quiet). Dynamic targets stage the bytes locally
-    /// and apply them at drain; static targets send their redirected
-    /// service requests immediately and defer only the completion-reply
-    /// waits, pipelining multiple requests through the remote handler.
+    /// PE `pe` and return without awaiting the remote handler. A dynamic
+    /// target is directly addressable, so the put is one copy and is
+    /// complete when the call returns (the OpenSHMEM nbi contract permits
+    /// early completion); a remote static target sends its redirected
+    /// service requests now and defers only their completion-reply waits
+    /// to [`quiet`](Self::quiet), pipelining the requests through the
+    /// remote handler.
     pub fn put_nbi<T: Bits>(&self, target: &Sym<T>, index: usize, src: &[T], pe: usize) {
         self.put_slice(target, index, src, pe, Completion::AtQuiet);
     }
@@ -530,8 +516,8 @@ impl ShmemCtx {
     }
 
     /// Check `pe` and keep program order with earlier nbi traffic to it:
-    /// every call flushes that traffic but a deferred put, which is what
-    /// queues.
+    /// every call flushes that traffic but a deferred put, which may
+    /// queue.
     fn enter(&self, put: bool, pe: usize, c: Completion) {
         self.check_pe(pe);
         if !put || c == Completion::Now {
@@ -573,17 +559,6 @@ impl ShmemCtx {
     fn put_to(&self, pe: usize, target: End<'_>, source: End<'_>, len: usize, c: Completion) {
         let remote = pe != self.my_pe();
         match (target.class(), source.class()) {
-            // dynamic target, deferred: capture the source now, write
-            // the target with a single `arena_write` at completion.
-            (AddrClass::Dynamic, _) if c == Completion::AtQuiet => {
-                let mut stage = self.nbi_stage.borrow_mut();
-                let stage_off = stage.len();
-                stage.resize(stage_off + len, 0);
-                self.copy(End::Write(&mut stage[stage_off..]), source, len);
-                drop(stage);
-                let dest_global = target.off();
-                self.pending.borrow_mut().push(PendingOp::StagedPut { pe, dest_global, stage_off, len });
-            }
             // static-dynamic: redirect — the remote tile reads our arena
             // source into its private target.
             (AddrClass::Static, AddrClass::Dynamic) if remote => {
@@ -667,8 +642,7 @@ impl ShmemCtx {
     /// the handler's copy ourselves (with the same stride collapse).
     /// A bypassed request completes at issue either way: the nbi
     /// contract permits early completion (the eager/lazy equivalence
-    /// suite is the standing proof), and a bypassed op can never overlap
-    /// a staged dynamic-target put, so no ordering is lost.
+    /// suite is the standing proof), like every local copy.
     fn redirect(&self, pe: usize, r: Request, c: Completion) {
         if let Some(peer) = self.local_peer(pe) {
             // cold: no allocation on this path.
@@ -698,7 +672,7 @@ impl ShmemCtx {
         }
         match c {
             Completion::Now => self.await_sdone(token),
-            Completion::AtQuiet => self.pending.borrow_mut().push(PendingOp::AwaitReply { pe, token }),
+            Completion::AtQuiet => self.pending.borrow_mut().push(PendingOp { pe, token }),
         }
     }
 
@@ -822,7 +796,7 @@ impl ShmemCtx {
     }
 
     /// Complete **all** outstanding nbi operations in issue order, then
-    /// reset the staging buffers. Called by [`quiet`](Self::quiet),
+    /// reset the temp's bump cursor. Called by [`quiet`](Self::quiet),
     /// barrier entry, and blocking users of the shared temp.
     pub(crate) fn drain_pending(&self) {
         if !self.pending.borrow().is_empty() {
@@ -833,7 +807,6 @@ impl ShmemCtx {
             // Hand the drained vec back so its capacity is reused.
             *self.pending.borrow_mut() = ops;
         }
-        self.nbi_stage.borrow_mut().clear();
         self.nbi_temp_used.set(0);
     }
 
@@ -842,7 +815,7 @@ impl ShmemCtx {
     /// calls this on entry so mixed blocking/non-blocking traffic to one
     /// destination retains program order.
     pub(crate) fn flush_pending_dest(&self, pe: usize) {
-        if !self.pending.borrow().iter().any(|op| op.pe() == pe) {
+        if !self.pending.borrow().iter().any(|op| op.pe == pe) {
             return;
         }
         // cold: rare path — only when blocking traffic interleaves with
@@ -852,7 +825,7 @@ impl ShmemCtx {
             let mut pending = self.pending.borrow_mut();
             let mut i = 0;
             while i < pending.len() {
-                if pending[i].pe() == pe {
+                if pending[i].pe == pe {
                     todo.push(pending.remove(i));
                 } else {
                     i += 1;
@@ -862,9 +835,6 @@ impl ShmemCtx {
         for op in todo {
             self.complete_op(op);
         }
-        // Staged bytes of the flushed ops stay in the stage buffer (ops
-        // behind them still reference their own ranges); the buffer is
-        // reclaimed wholesale at the next full drain.
     }
 
     /// Complete one pending op. Consulted by the fault plane first: a
@@ -874,12 +844,6 @@ impl ShmemCtx {
         if let Some(us) = self.fab.faults().and_then(|f| f.nbi_completion_delay_us()) {
             self.fab.inject_delay_us(us);
         }
-        match op {
-            PendingOp::StagedPut { dest_global, stage_off, len, .. } => {
-                let stage = self.nbi_stage.borrow();
-                self.fab.arena_write(dest_global, &stage[stage_off..stage_off + len]);
-            }
-            PendingOp::AwaitReply { token, .. } => self.await_sdone(token),
-        }
+        self.await_sdone(op.token);
     }
 }

@@ -1,15 +1,15 @@
-//! Recycling pool for the memory of a launch: symmetric-heap arena
-//! shards and private segments.
+//! Recycling pool for the memory of a launch: the symmetric-heap arena
+//! and the private segments.
 //!
-//! A job's memory is a [`SegmentSet`]: one `CommonMemory` shard per coop
-//! worker covering that worker's PE partitions
-//! ([`ShardedArena`](crate::engine::wall::ShardedArena)), and one private
-//! (static-variable) segment per PE. A fresh set is zero pages
-//! (`CommonMemory::new` maps, it does not `memset`), but it still costs a
-//! mapping per segment, a page fault per page the job touches and an
-//! unmapping at the end; so whoever keeps an [`ArenaPool`] warm — the
-//! server — gets the set of a cleanly completed job back, its pages
-//! resident, for the next job of the same [`Geometry`].
+//! A job's memory is a [`SegmentSet`]: one `CommonMemory` arena holding
+//! every PE's partition — the TMC common-memory region of the paper,
+//! partitioned per PE — and one private (static-variable) segment per
+//! PE. A fresh set is zero pages (`CommonMemory::new` maps, it does not
+//! `memset`), but it still costs a mapping per segment, a page fault per
+//! page the job touches and an unmapping at the end; so whoever keeps
+//! an [`ArenaPool`] warm — the server — gets the set of a cleanly
+//! completed job back, its pages resident, for the next job of the same
+//! [`Geometry`].
 //!
 //! **Isolation contract:** a retired set still holds the previous
 //! tenant's bytes, so every checkout scrubs it — to its *dirty extent*,
@@ -60,8 +60,6 @@ pub const POISON: u8 = 0xA5;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Geometry {
     pub npes: usize,
-    /// PEs per shard (`ceil(npes / workers)`).
-    pub block: usize,
     pub partition_bytes: usize,
     /// The `shmalloc` region at the bottom of each partition; the
     /// internal region is `[heap_bytes, partition_bytes)`.
@@ -70,36 +68,28 @@ pub struct Geometry {
 }
 
 impl Geometry {
-    /// The geometry of a launch of `cfg` with `block` PEs per shard.
-    pub fn of(cfg: &RuntimeConfig, block: usize) -> Self {
+    /// The geometry of a launch of `cfg`.
+    pub fn of(cfg: &RuntimeConfig) -> Self {
         Self {
             npes: cfg.npes,
-            block,
             partition_bytes: cfg.partition_bytes,
             heap_bytes: cfg.layout().heap_bytes,
             private_bytes: cfg.private_bytes,
         }
     }
 
-    /// Per-shard byte lengths (the last shard may cover fewer PEs).
-    fn shard_lens(self) -> impl Iterator<Item = usize> {
-        (0..self.npes.div_ceil(self.block)).map(move |w| {
-            let pes = ((w + 1) * self.block).min(self.npes) - w * self.block;
-            pes * self.partition_bytes
-        })
-    }
-
     fn fits(self, set: &SegmentSet) -> bool {
-        set.shards.iter().map(|s| s.len()).eq(self.shard_lens())
+        set.arena.len() == self.npes * self.partition_bytes
             && set.privates.len() == self.npes
             && set.privates.iter().all(|p| p.len() == self.private_bytes)
     }
 }
 
 /// The memory of one launch.
+#[derive(Clone)]
 pub struct SegmentSet {
-    /// Arena shards, one per worker.
-    pub shards: Vec<Arc<CommonMemory>>,
+    /// The symmetric-heap arena: partition `pe` at `pe * partition_bytes`.
+    pub arena: Arc<CommonMemory>,
     /// Private (static-variable) segments, one per PE.
     pub privates: Vec<Arc<CommonMemory>>,
 }
@@ -172,19 +162,17 @@ impl ArenaPool {
             self.fresh.fetch_add(1, Ordering::Relaxed);
             // Only when no retired set matches: a warm server allocates
             // once per geometry and job width in flight.
-            let shard = |len| CommonMemory::new(len, Homing::HashForHome); // cold: see above
             let private = |pe| CommonMemory::new(g.private_bytes, Homing::Local(pe)); // cold: see above
             return SegmentSet {
-                shards: g.shard_lens().map(shard).collect(),
+                arena: CommonMemory::new(g.npes * g.partition_bytes, Homing::HashForHome), // cold: see above
                 privates: (0..g.npes).map(private).collect(),
             };
         };
         // Scrub outside the pool lock: a memset must not serialize
         // concurrent checkouts.
         let heap_fill = if cfg!(debug_assertions) { POISON } else { 0 };
-        let shards = set.shards.iter().map(|s| scrub(s, g.partition_bytes, heap_extent, g.heap_bytes, heap_fill));
         let privates = set.privates.iter().map(|p| scrub(p, g.private_bytes, static_extent, g.private_bytes, 0));
-        let scrubbed: usize = shards.chain(privates).sum();
+        let scrubbed = scrub(&set.arena, g.partition_bytes, heap_extent, g.heap_bytes, heap_fill) + privates.sum::<usize>();
         self.scrubbed_bytes.fetch_add(scrubbed as u64, Ordering::Relaxed);
         self.recycled.fetch_add(1, Ordering::Relaxed);
         set
@@ -211,9 +199,9 @@ impl ArenaPool {
     }
 }
 
-/// Scrub every `stride`-byte unit of `segment` (a partition of a shard,
-/// or a whole private segment): `fill` over its first `extent` bytes,
-/// zero over `[tail, stride)`. Returns the bytes written.
+/// Scrub every `stride`-byte unit of `segment` (a partition of the
+/// arena, or a whole private segment): `fill` over its first `extent`
+/// bytes, zero over `[tail, stride)`. Returns the bytes written.
 fn scrub(segment: &CommonMemory, stride: usize, extent: usize, tail: usize, fill: u8) -> usize {
     let units = segment.len().checked_div(stride).unwrap_or(0);
     for base in (0..units).map(|u| u * stride) {
@@ -233,10 +221,9 @@ mod tests {
     const HEAP: usize = 192;
     const PRIV: usize = 64;
 
-    /// 3 PEs, 2 per shard: shards of 2 and 1 partitions.
+    /// 3 PEs: an arena of 3 partitions.
     const G: Geometry = Geometry {
         npes: 3,
-        block: 2,
         partition_bytes: PART,
         heap_bytes: HEAP,
         private_bytes: PRIV,
@@ -255,15 +242,15 @@ mod tests {
         let pool = ArenaPool::new();
         let set = pool.checkout(G);
         assert_eq!(pool.stats(), ArenaPoolStats { fresh: 1, recycled: 0, scrubbed_bytes: 0 });
-        assert_eq!(set.shards.iter().map(|s| s.len()).collect::<Vec<_>>(), [2 * PART, PART]);
+        assert_eq!(set.arena.len(), 3 * PART);
         assert_eq!(set.privates.iter().map(|p| p.len()).collect::<Vec<_>>(), [PRIV; 3]);
         // A tenant whose handles reached 48 heap bytes and 16 static
         // bytes writes a secret at the very end of each reach, in the
-        // second partition of shard 0, and dirties the internal region.
-        set.shards[0].write_bytes(PART + 42, b"secret");
-        set.shards[0].write_bytes(PART + HEAP + 4, b"flags");
+        // second partition, and dirties the internal region.
+        set.arena.write_bytes(PART + 42, b"secret");
+        set.arena.write_bytes(PART + HEAP + 4, b"flags");
         set.privates[2].write_bytes(10, b"static");
-        let ptrs: Vec<*const u8> = set.shards.iter().chain(&set.privates).map(|s| s.raw(0, 1) as *const u8).collect();
+        let ptrs: Vec<*const u8> = std::iter::once(&set.arena).chain(&set.privates).map(|s| s.raw(0, 1) as *const u8).collect();
         pool.check_in(G, set, 48, 16);
 
         let again = pool.checkout(G);
@@ -271,15 +258,15 @@ mod tests {
         let scrubbed = 3 * (48 + PART - HEAP) + 3 * 16;
         assert_eq!(pool.stats(), ArenaPoolStats { fresh: 1, recycled: 1, scrubbed_bytes: scrubbed as u64 });
         // Same allocations back...
-        for (s, p) in again.shards.iter().chain(&again.privates).zip(&ptrs) {
+        for (s, p) in std::iter::once(&again.arena).chain(&again.privates).zip(&ptrs) {
             assert!(std::ptr::eq(s.raw(0, 1) as *const u8, *p));
         }
         // ...scrubbed: the heap extent zeroed or poisoned, beyond it
         // untouched (still the zeros it was handed out with); internal
         // region and static extent always zeroed.
-        assert_eq!(read::<6>(&again.shards[0], PART + 42), [HEAP_CLEAN; 6], "heap bytes leaked through recycling");
-        assert_eq!(read::<8>(&again.shards[0], PART + 44), [HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, 0, 0, 0, 0]);
-        assert_eq!(read::<5>(&again.shards[0], PART + HEAP + 4), [0; 5], "internal flag region must be zeroed");
+        assert_eq!(read::<6>(&again.arena, PART + 42), [HEAP_CLEAN; 6], "heap bytes leaked through recycling");
+        assert_eq!(read::<8>(&again.arena, PART + 44), [HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, 0, 0, 0, 0]);
+        assert_eq!(read::<5>(&again.arena, PART + HEAP + 4), [0; 5], "internal flag region must be zeroed");
         assert_eq!(read::<6>(&again.privates[2], 10), [0; 6], "static bytes leaked through recycling");
 
         // The extents are this job's, not the largest ever seen: a job
@@ -296,11 +283,11 @@ mod tests {
     fn the_scrub_reaches_exactly_as_far_as_the_extent() {
         let pool = ArenaPool::new();
         let set = pool.checkout(G);
-        set.shards[1].write_bytes(40, &[7; 8]);
+        set.arena.write_bytes(2 * PART + 40, &[7; 8]);
         set.privates[0].write_bytes(8, &[7; 8]);
         pool.check_in(G, set, 47, 15);
         let set = pool.checkout(G);
-        assert_eq!(read::<8>(&set.shards[1], 40), [HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, 7]);
+        assert_eq!(read::<8>(&set.arena, 2 * PART + 40), [HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, HEAP_CLEAN, 7]);
         assert_eq!(read::<8>(&set.privates[0], 8), [0, 0, 0, 0, 0, 0, 0, 7]);
     }
 
@@ -308,7 +295,6 @@ mod tests {
     fn a_set_of_another_geometry_is_not_matched() {
         for other in [
             Geometry { npes: 4, ..G },
-            Geometry { block: 3, ..G },
             Geometry { partition_bytes: 2 * PART, ..G },
             Geometry { heap_bytes: HEAP - 8, ..G },
             Geometry { private_bytes: 2 * PRIV, ..G },
@@ -323,7 +309,7 @@ mod tests {
 
     #[test]
     fn a_set_that_lacks_the_claimed_shape_is_dropped() {
-        for claimed in [Geometry { npes: 4, block: 4, ..G }, Geometry { private_bytes: 2 * PRIV, ..G }] {
+        for claimed in [Geometry { npes: 4, ..G }, Geometry { private_bytes: 2 * PRIV, ..G }] {
             let pool = ArenaPool::new();
             let set = pool.checkout(G);
             pool.check_in(claimed, set, 0, 0);
@@ -333,8 +319,8 @@ mod tests {
     }
 
     /// A fresh set is zero pages, not a `memset`: checking out the
-    /// `coll_hier256` launch's memory (256 PEs on 4 workers: four 16 MiB
-    /// shards and 256 × 64 KiB privates) makes under 1 MiB resident, it
+    /// `coll_hier256` launch's memory (256 PEs: one 64 MiB arena and
+    /// 256 × 64 KiB privates) makes under 1 MiB resident, it
     /// reads zero, and a write lands. Smallest of three tries, as in
     /// `tmc::common`'s test of one segment.
     #[cfg(target_os = "linux")]
@@ -346,20 +332,20 @@ mod tests {
             kib.trim().trim_end_matches("kB").trim().parse::<usize>().expect("a kB count") * 1024
         };
         let cfg = RuntimeConfig::for_scale(256);
-        let g = Geometry::of(&cfg, 64);
+        let g = Geometry::of(&cfg);
         let grew = (0..3)
             .map(|_| {
                 let before = resident_anon();
                 let set = ArenaPool::new().checkout(g);
-                assert_eq!(set.shards.iter().map(|s| s.len()).collect::<Vec<_>>(), [16 << 20; 4]);
-                for seg in set.shards.iter().chain(&set.privates) {
+                assert_eq!(set.arena.len(), 64 << 20);
+                for seg in std::iter::once(&set.arena).chain(&set.privates) {
                     for off in (0..seg.len()).step_by(seg.len() / 4) {
                         assert_eq!(read::<8>(seg, off), [0; 8]);
                     }
                 }
                 let grew = resident_anon().saturating_sub(before);
-                set.shards[3].write_bytes(5 << 20, b"touched");
-                assert_eq!(&read::<7>(&set.shards[3], 5 << 20), b"touched");
+                set.arena.write_bytes(53 << 20, b"touched");
+                assert_eq!(&read::<7>(&set.arena, 53 << 20), b"touched");
                 grew
             })
             .min()

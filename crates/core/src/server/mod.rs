@@ -19,7 +19,7 @@
 //!   the CFS-style [`FairScheduler`].
 //! * [`job`] — [`JobSpec`] / [`JobOutcome`] / [`SubmitError`] /
 //!   [`JobReport`].
-//! * [`arena`] — the [`ArenaPool`] recycling arena shards and private
+//! * [`arena`] — the [`ArenaPool`] recycling the arena and private
 //!   segments between tenants (scrubbed to their dirty extent at
 //!   checkout).
 //!

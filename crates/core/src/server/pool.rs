@@ -14,7 +14,7 @@
 //!
 //! Isolation boundaries: every job runs as its own supervised
 //! cooperative launch ([`Launcher::run_watched`]) — its own recycled
-//! arena shards and private segments (scrubbed to the previous tenant's
+//! arena and private segments (scrubbed to the previous tenant's
 //! dirty extent at checkout, see [`super::arena`]), its own UDN fabric,
 //! its own trace lanes, its own supervision, its own fault plan (armed
 //! once per job, see [`JobSpec::faults`]). What a job does *not* get for
@@ -104,15 +104,11 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     fn resolved_slots(&self) -> usize {
-        let m = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .max(2)
+        if self.workers == 0 {
+            crate::engine::coop::host_parallelism()
         } else {
             self.workers
-        };
-        m.max(1)
+        }
     }
 }
 

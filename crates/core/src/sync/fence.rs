@@ -14,7 +14,7 @@
 //! separately so tests can assert the difference.
 //!
 //! Per-destination ordering without a drain holds by construction:
-//! staged dynamic-target puts are applied in issue order at drain,
+//! a put into the heap is one copy, done at issue in program order,
 //! redirected static-target requests are sent at issue and serviced by
 //! the remote handler in arrival order, and the two kinds target
 //! disjoint memory (arena vs private), so same-location writes to one

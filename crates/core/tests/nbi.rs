@@ -16,18 +16,19 @@ fn cfg(npes: usize) -> RuntimeConfig {
 /// The satellite negative test: `shmem_fence` orders but must NOT
 /// complete pending non-blocking operations — only `shmem_quiet` does.
 /// Before the fix, fence aliased quiet and this distinction was
-/// unobservable.
+/// unobservable. The put targets a remote static object, the one put
+/// that defers: its redirected request's reply is awaited at quiet.
 #[test]
 fn fence_after_put_nbi_leaves_op_pending() {
     launch(&cfg(2), |ctx| {
         let me = ctx.my_pe();
-        let buf = ctx.shmalloc::<u64>(8);
+        let buf = ctx.static_sym::<u64>(8);
         ctx.local_fill(&buf, 0u64);
         ctx.barrier_all();
         if me == 0 {
             let s0 = ctx.stats();
             ctx.put_nbi(&buf, 0, &[7u64, 8, 9], 1);
-            assert_eq!(ctx.pending_nbi_ops(), 1, "put_nbi to a remote heap must defer");
+            assert_eq!(ctx.pending_nbi_ops(), 1, "put_nbi to a remote static object must defer");
             ctx.fence();
             assert_eq!(
                 ctx.pending_nbi_ops(),
@@ -50,17 +51,18 @@ fn fence_after_put_nbi_leaves_op_pending() {
 
 /// A blocking RMA to the same destination flushes the pending nbi ops
 /// to that PE first (program order per destination), and a later nbi op
-/// in the same train overwrites an earlier one at drain.
+/// in the same train overwrites an earlier one.
 #[test]
 fn pending_ops_complete_in_issue_order() {
     launch(&cfg(2), |ctx| {
         let me = ctx.my_pe();
-        let buf = ctx.shmalloc::<u64>(4);
+        let buf = ctx.static_sym::<u64>(4);
         ctx.local_fill(&buf, 0u64);
         ctx.barrier_all();
         if me == 0 {
             ctx.put_nbi(&buf, 0, &[1u64], 1);
             ctx.put_nbi(&buf, 0, &[2u64], 1);
+            assert_eq!(ctx.pending_nbi_ops(), 2);
             // Blocking get from PE 1 must observe the *second* put.
             let mut got = [0u64];
             ctx.get(&mut got, &buf, 0, 1);
@@ -115,6 +117,29 @@ fn get_sym_nbi_defers_the_redirect_reply() {
         }
         ctx.barrier_all();
     });
+}
+
+/// A put into the heap is one copy and completes when issued, nbi or
+/// not: nothing is left pending on any engine, and the bytes are at the
+/// target after the barrier.
+#[test]
+fn heap_put_nbi_completes_at_issue_on_every_engine() {
+    fn body(ctx: &ShmemCtx) {
+        let (me, n) = (ctx.my_pe(), ctx.n_pes());
+        let buf = ctx.shmalloc::<u64>(n);
+        ctx.local_fill(&buf, 0u64);
+        ctx.barrier_all();
+        ctx.put_nbi(&buf, me, &[me as u64 + 1], (me + 1) % n);
+        assert_eq!(ctx.pending_nbi_ops(), 0, "a heap-target put_nbi left an op pending");
+        ctx.barrier_all();
+        let prev = (me + n - 1) % n;
+        assert_eq!(ctx.local_read(&buf, prev, 1)[0], prev as u64 + 1);
+    }
+    Launcher::new(&cfg(2), NativeBackend).run(body);
+    for workers in [1, 2] {
+        Launcher::new(&cfg(2), CoopBackend { workers, ..Default::default() }).run(body);
+    }
+    Launcher::new(&cfg(2), TimedBackend).run(body);
 }
 
 /// The satellite pin: indexed `wait_until` at a non-zero element, on
@@ -370,13 +395,13 @@ fn sub_team_collective_leaves_non_members_alone() {
 }
 
 /// Teams work on the timed engine too (same protocol code, virtual
-/// time), including nbi completion at quiet.
+/// time), including a remote static put's completion at quiet.
 #[test]
 fn timed_engine_runs_nbi_and_teams() {
     Launcher::new(&cfg(4), TimedBackend).run(|ctx| {
         let me = ctx.my_pe();
         let npes = ctx.n_pes();
-        let buf = ctx.shmalloc::<u64>(npes);
+        let buf = ctx.static_sym::<u64>(npes);
         ctx.local_fill(&buf, 0u64);
         ctx.barrier_all();
         ctx.put_nbi(&buf, me, &[me as u64 + 1], (me + 1) % npes);

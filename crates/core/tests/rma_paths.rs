@@ -199,7 +199,7 @@ fn timed_two_pes() {
     let out = Launcher::new(&cfg(), TimedBackend).run(table);
     assert_eq!(out.values, pinned(40, 0));
     let clocks: Vec<u64> = out.clocks.iter().map(|c| c.ps()).collect();
-    assert_eq!(clocks, [2_009_129_763, 2_009_107_752]);
+    assert_eq!(clocks, [1_936_670_635, 1_936_648_624]);
 }
 
 /// The eager reference arm (every nbi op drained at its tail) has its
@@ -209,5 +209,5 @@ fn timed_two_pes_eager_nbi() {
     let out = Launcher::new(&cfg(), TimedBackend).with_faults([Fault::EagerNbi]).run(table);
     assert_eq!(out.values, pinned(40, 0));
     let clocks: Vec<u64> = out.clocks.iter().map(|c| c.ps()).collect();
-    assert_eq!(clocks, [2_028_481_966, 2_028_459_955]);
+    assert_eq!(clocks, [1_938_620_824, 1_938_598_813]);
 }

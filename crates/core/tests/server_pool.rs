@@ -504,6 +504,10 @@ fn lanes_a_faulted_job_unwound_are_never_reused() {
     let report = server
         .submit(JobSpec::new(small_cfg(2), move |ctx| {
             ids.lock().push(std::thread::current().id());
+            // Both PEs are in the body before PE 1 panics: on one worker
+            // PE 0 may otherwise still be queued for the gate and unwind
+            // there without recording its lane.
+            ctx.barrier_all();
             if ctx.my_pe() == 1 {
                 panic!("hostile tenant payload");
             }

@@ -133,8 +133,8 @@ fn eager_and_lazy_nbi_completion_converge_on_every_engine() {
 
 /// The eager arm belongs to the launch it was handed: with an eager and
 /// a default launch in flight at once, the default one still holds its
-/// `put_nbi` after `fence` (fence orders, it does not complete) and the
-/// eager one holds none.
+/// `put_nbi` to a remote static object after `fence` (fence orders, it
+/// does not complete) and the eager one holds none.
 #[test]
 fn eager_nbi_reaches_only_its_own_launch() {
     let cfg = RuntimeConfig::new(2).with_partition_bytes(1 << 20);
@@ -147,7 +147,7 @@ fn eager_nbi_reaches_only_its_own_launch() {
         };
         launcher
             .run(|ctx| {
-                let x = ctx.shmalloc::<u64>(4);
+                let x = ctx.static_sym::<u64>(4);
                 let mut pending = 0;
                 if ctx.my_pe() == 0 {
                     ctx.put_nbi(&x, 0, &[1u64, 2, 3, 4], 1);

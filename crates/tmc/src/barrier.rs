@@ -44,6 +44,14 @@ impl SpinBarrier {
     /// Returns `true` for exactly one participant per round (the last
     /// arriver), mirroring `std::sync::Barrier`'s leader flag.
     pub fn wait(&self) -> bool {
+        self.wait_with(|_| std::hint::spin_loop())
+    }
+
+    /// [`wait`](Self::wait), calling `pause(attempt)` between polls
+    /// (`attempt` counts the failed polls of this wait) — a caller that
+    /// shares its core can yield there, or unwind out of the wait.
+    #[inline]
+    pub fn wait_with(&self, mut pause: impl FnMut(u32)) -> bool {
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
             // Last arriver: reset and release the generation.
@@ -51,8 +59,10 @@ impl SpinBarrier {
             self.generation.store(gen.wrapping_add(1), Ordering::Release);
             true
         } else {
+            let mut attempt = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
-                std::hint::spin_loop();
+                pause(attempt);
+                attempt = attempt.wrapping_add(1);
             }
             false
         }

@@ -6,8 +6,9 @@
 //! the phases:
 //!
 //! * **fabric** — `UdnFabric::new`: the sender table and every receiver;
-//! * **memory** — `ShardedArena::new` + `Instruments::new` +
-//!   `WallShared::new`: arena shards, private segments, probes;
+//! * **memory** — `ArenaPool::checkout` + `Instruments::new` +
+//!   `WallShared::new`: the arena (one mapping), private segments,
+//!   probes;
 //! * **handout** — one `WallFabric` per PE (contexts index the launch's
 //!   endpoints in place, so this is reference counts only);
 //! * **spawn** — from the first `thread::spawn` until the last PE is
@@ -57,7 +58,7 @@ use std::time::{Duration, Instant};
 use substrate::channel;
 use tshmem::ctx::Layout;
 use tshmem::engine::coop::{GateSet, Gated};
-use tshmem::engine::wall::{Resident, ShardedArena, WallFabric, WallShared};
+use tshmem::engine::wall::{Resident, WallFabric, WallShared};
 use tshmem::fabric::Instruments;
 use tshmem::prelude::*;
 use tshmem::server::arena::Geometry;
@@ -80,7 +81,7 @@ fn cfg(npes: usize) -> RuntimeConfig {
 
 /// One hand-assembled no-op launch under `gate`; milliseconds per phase.
 fn phases(gate: Gated, cfg: &RuntimeConfig) -> [f64; 7] {
-    let (npes, block) = (cfg.npes, gate.block);
+    let npes = cfg.npes;
     let layout = Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
     let mut marks = vec![Instant::now()];
     let endpoints = UdnFabric::new(npes);
@@ -88,9 +89,8 @@ fn phases(gate: Gated, cfg: &RuntimeConfig) -> [f64; 7] {
     // As a plain launch makes it: lanes closed from the start.
     let resident = Resident::default();
     resident.lanes.close();
-    let set = resident.sets.checkout(Geometry::of(cfg, block));
-    let arena = ShardedArena::from_shards(set.shards, block, cfg.partition_bytes);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates, gate.clone(), Instruments::new(npes, None, None));
+    let set = resident.sets.checkout(Geometry::of(cfg));
+    let shared = WallShared::new(cfg, endpoints, set, gate.clone(), Instruments::new(npes, None, None));
     marks.push(Instant::now());
     let fabrics: Vec<_> = (0..npes)
         .map(|pe| Mutex::new(Some(WallFabric::new(shared.clone(), pe))))
@@ -174,14 +174,13 @@ fn job_launch(resident: &Resident, cfg: &RuntimeConfig, slots: usize, marks: &Ma
     let block = npes.div_ceil(lease_for(npes, slots));
     let gate = GateSet::new(npes, block);
     let layout = Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
-    let geometry = Geometry::of(cfg, block);
+    let geometry = Geometry::of(cfg);
     let set = resident.sets.checkout(geometry);
     mark(marks);
     let endpoints = UdnFabric::new(npes);
     let sink = Arc::new(TraceSink::with_lanes(gate.domains));
-    let arena = ShardedArena::from_shards(set.shards.clone(), block, cfg.partition_bytes);
     let instruments = Instruments::new(npes, Some(sink), None);
-    let shared = WallShared::new(cfg, endpoints, arena, set.privates.clone(), gate.clone(), instruments);
+    let shared = WallShared::new(cfg, endpoints, set.clone(), gate.clone(), instruments);
     mark(marks);
     let (spans, _) = resident.lanes.run(npes, |pe| {
         let fab = WallFabric::new(shared.clone(), pe);

@@ -173,7 +173,9 @@ echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed / fa
 # on (substrate/src/stack.rs: every ready, suspend and switch), and the
 # cache simulator every
 # simulated copy runs through (cachesim: the tile caches, the copy-cost
-# model, the DDC directory and the memory system) stay on that diet: any `to_vec()` or `vec![` there must carry a
+# model, the DDC directory and the memory system) stay on that diet: any `to_vec()`, `vec![` or
+# `Vec::resize` (`.resize(` with arguments — a buffer grown per call, as
+# the nbi stage once grew one per op in rma.rs unseen) there must carry a
 # `// cold:` justification on the same line or one of the two lines
 # above it. A warm server job attaches to resident lanes and a recycled
 # segment set, so the two places that pay for a cold one — spawning a
@@ -203,7 +205,7 @@ for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
             lines = lines[:i]
             break
     for i, line in enumerate(lines):
-        pattern = r'\.to_vec\(\)|vec!\['
+        pattern = r'\.to_vec\(\)|vec!\[|\.resize\([^)]'
         if path.endswith(("server/arena.rs", "tmc/src/task.rs", "server/pool.rs", "core/src/watch.rs")):
             pattern += r'|thread::Builder|CommonMemory::new\('
         if re.search(pattern, line) and "// cold:" not in line:
