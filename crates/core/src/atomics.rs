@@ -43,6 +43,7 @@ const fn mask(w: RmwWidth) -> u64 {
 impl ShmemCtx {
     fn atomic_off<T: Bits>(&self, var: &Sym<T>, index: usize, pe: usize) -> usize {
         self.check_pe(pe);
+        self.complete_fenced(pe);
         assert_eq!(
             var.class(),
             AddrClass::Dynamic,

@@ -203,6 +203,9 @@ pub struct ShmemCtx {
     /// Capacity is retained across drains, so a steady-state nbi train
     /// allocates only on its high-water mark.
     pub(crate) pending: RefCell<Vec<crate::rma::PendingOp>>,
+    /// `fence` calls so far: a pending op records the epoch it was issued
+    /// in, and a later put or AMO to its PE completes it first.
+    pub(crate) fence_epoch: Cell<u64>,
     /// Bump allocator over the shared temp region for in-flight
     /// redirected nbi chunks. Reset to 0 on every full drain; blocking
     /// temp users drain first, so the two never overlap.
@@ -251,6 +254,7 @@ impl ShmemCtx {
             stats: RefCell::new(Stats::default()),
             scratch: RefCell::new(Vec::new()),
             pending: RefCell::new(Vec::new()),
+            fence_epoch: Cell::new(0),
             nbi_temp_used: Cell::new(0),
             rma_fast_paths,
             nbi_eager,

@@ -10,11 +10,12 @@
 //!
 //! 1. **a spawn model** — how `total_pes` contexts plus their
 //!    interrupt-service contexts come to run (the wall-clock backends
-//!    run each PE on a real thread — a lane of the launch's `Resident`,
-//!    spawned only when none is idle — and spawn one per service context
-//!    when its first request arrives, every context admitted through
-//!    a gate; the virtual-time backends run every context as
-//!    a desim LP);
+//!    run every context as a stack on its admission gate's carrier
+//!    thread: each PE gate's carrier on a lane of the launch's
+//!    `Resident`, spawned only when none is idle, and on the native
+//!    geometry each service gate's carrier on a thread of its own once
+//!    a first request reaches it; the virtual-time backends run every
+//!    context as a desim LP, a stack on the launching thread);
 //! 2. **a fabric factory** — the per-context
 //!    [`Fabric`](crate::fabric::Fabric) wiring the protocol code to the
 //!    engine's cost/transport model;
@@ -60,12 +61,12 @@ pub struct EngineOutcome<R> {
     pub makespan: SimTime,
     /// Operation trace, when enabled with `RuntimeConfig::with_trace`.
     pub trace: Option<Vec<TraceEvent>>,
-    /// OS threads this launch created: on the wall-clock engines the PE
-    /// lanes it had to spawn (all of them for a plain launch, none for a
-    /// launch over a warm `Resident`) plus the interrupt-service contexts
-    /// some request started; on the virtual-time engines none — their
-    /// LPs are stacks on the launching thread. Exact under a fixed
-    /// program.
+    /// OS threads this launch created: on the wall-clock engines the
+    /// lanes its PE gates' carriers had to spawn (all of them for a plain
+    /// launch, none for a launch over a warm `Resident`) plus, on the
+    /// native geometry, the service gates' carriers some request
+    /// started; on the virtual-time engines none — their LPs are stacks
+    /// on the launching thread. Exact under a fixed program.
     pub threads_spawned: usize,
     /// Token handoffs between LPs on the virtual-time engines (the
     /// scheduler's context switches; exact under a fixed program), 0 on

@@ -5,24 +5,28 @@
 //!
 //! Scheduling contract (DESIGN.md §6):
 //!
-//! * Every context (PE main + interrupt-service) is a real OS thread;
-//!   worker `w = pe / ceil(npes / workers)` is one domain of the
+//! * Worker `w = pe / ceil(npes / workers)` is one domain of the
 //!   cooperative handoff core ([`substrate::baton`]) over a FIFO of
-//!   context ids — its admission gate — and a context may touch the
-//!   fabric only while holding its worker's gate. The core is the one
-//!   the virtual-time scheduler runs on; the FIFO is this engine's
-//!   ordering policy, and an empty queue leaves the gate free.
+//!   context ids — its admission gate — and one carrier thread, the
+//!   worker's lane, on which its PEs' main and interrupt-service
+//!   contexts run as stacks. A context may touch the fabric only while
+//!   holding its worker's gate. The core is the one the virtual-time
+//!   scheduler runs on; the FIFO is this engine's ordering policy, and
+//!   an empty queue leaves the gate free.
 //! * Every genuine wait is one **baton park** with the gate released,
-//!   so siblings run meanwhile. A receive on an empty queue, a send into
-//!   a full one and a [`SyncCell`] wait list the context (`Waiters`),
-//!   re-check and park; the send, receive or notify that ends the wait
-//!   queues it on its gate, so it is woken once, by its admission. An
-//!   injected fault delay is a timed park. Nothing else blocks a
-//!   context's thread.
+//!   so siblings run meanwhile: handing the gate to a sibling and
+//!   parking is one switch of stacks on the lane. A receive on an empty
+//!   queue, a send into a full one and a [`SyncCell`] wait list the
+//!   context (`Waiters`), re-check and park; the send, receive or notify
+//!   that ends the wait queues it on its gate, so it is woken once, by
+//!   its admission. An injected fault delay is a park until a deadline,
+//!   which the lane's idle park honours. Nothing else blocks a lane.
 //! * A context **yields** its gate (requeue at the FIFO tail, hand the
 //!   gate to the head) from `wait_pause` whenever siblings are queued,
-//!   so spin waits (flag polls, lock backoff, the TMC spin barrier)
-//!   cannot starve the very context that would satisfy them.
+//!   and otherwise lets the lane's other runnable stacks (a context
+//!   past its delay, one just started) run first, so spin waits (flag
+//!   polls, lock backoff, the TMC spin barrier) cannot starve the very
+//!   context that would satisfy them.
 //! * While queued for admission a context publishes
 //!   [`BlockedOn::Descheduled`]: runnable, just not scheduled. The
 //!   wall-clock supervisor must not treat that as a livelock symptom,
@@ -41,6 +45,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use substrate::baton::Baton;
+use substrate::stack;
 use substrate::sync::Mutex;
 use tmc::common::CommonMemory;
 
@@ -87,8 +92,9 @@ pub(crate) struct Waiters {
 type CellRow = Box<[OnceLock<Box<SyncCell>>]>;
 
 /// The admission gates of one wall-clock launch: one FIFO gate per
-/// worker, at most one running context each. The handle is shared by
-/// every context of the launch.
+/// worker, at most one running context each, and one carrier thread
+/// each that runs its contexts as stacks. The handle is shared by every
+/// context of the launch.
 pub type Gated = Arc<GateSet>;
 
 /// Per-launch gate state.
@@ -109,7 +115,8 @@ pub struct GateSet {
     /// acquire loads and no arithmetic ([`GateSet::cell`]).
     sync_cells: Vec<OnceLock<CellRow>>,
     /// The gates: one domain each over a FIFO of context ids (`pe` for
-    /// main contexts, `npes + pe` for service contexts).
+    /// main contexts, `npes + pe` for service contexts), whose members
+    /// run as stacks on its carrier.
     baton: Baton<VecDeque<usize>>,
     /// Set by [`GateSet::abort`].
     aborted: AtomicBool,
@@ -117,30 +124,33 @@ pub struct GateSet {
 
 impl GateSet {
     /// Gates for `npes` PEs sharded `block` to a worker; a PE's service
-    /// context shares its PE's gate.
-    pub fn new(npes: usize, block: usize) -> Gated {
-        Self::build(npes, block, false)
+    /// context shares its PE's gate and carrier. Stacks come from
+    /// `stacks`.
+    pub fn new(npes: usize, block: usize, stacks: &Arc<stack::Pool>) -> Gated {
+        Self::build(npes, block, false, stacks)
     }
 
     /// The native geometry: a worker per PE, and a gate of its own for
     /// each PE's interrupt-service context, so a request is served while
     /// its target PE computes or spins on raw loads that never enter the
     /// runtime — the paper's handler is an interrupt, and it preempts
-    /// the task (§IV-B2).
-    pub fn native(npes: usize) -> Gated {
-        Self::build(npes, 1, true)
+    /// the task (§IV-B2). Every domain has one context, so its carrier's
+    /// idle park is the context's park, a futex.
+    pub fn native(npes: usize, stacks: &Arc<stack::Pool>) -> Gated {
+        Self::build(npes, 1, true, stacks)
     }
 
-    fn build(npes: usize, block: usize, service_gates: bool) -> Gated {
+    fn build(npes: usize, block: usize, service_gates: bool, stacks: &Arc<stack::Pool>) -> Gated {
         let workers = npes.div_ceil(block);
         let domains = workers + if service_gates { npes } else { 0 };
+        let home = |ctx: usize| (domain(npes, workers, block, domains, ctx), ctx < npes);
         Arc::new(GateSet {
             npes,
             workers,
             block,
             domains,
             sync_cells: (0..npes).map(|_| OnceLock::new()).collect(),
-            baton: Baton::new(2 * npes, (0..domains).map(|_| VecDeque::new())),
+            baton: Baton::new(2 * npes, (0..domains).map(|_| VecDeque::new()), home, stacks),
             aborted: AtomicBool::new(false),
         })
     }
@@ -149,11 +159,36 @@ impl GateSet {
     /// context's own gate on the native geometry.
     #[inline]
     pub(crate) fn domain_of(&self, ctx: usize) -> usize {
-        if ctx >= self.npes && self.domains > self.workers {
-            self.workers + ctx - self.npes
-        } else {
-            (ctx % self.npes) / self.block
+        domain(self.npes, self.workers, self.block, self.domains, ctx)
+    }
+
+    /// Queue every PE's main context on its worker's gate — the first
+    /// of each holding it, ready to start on its carrier, the rest
+    /// `Descheduled` behind it — before any carrier runs.
+    pub fn admit(&self, probes: &[Arc<PeProbe>]) {
+        for (pe, probe) in probes[..self.npes].iter().enumerate() {
+            let w = pe / self.block;
+            if pe == w * self.block {
+                self.baton.start(w, pe);
+            } else {
+                probe.set_blocked(BlockedOn::Descheduled);
+                self.baton.lock(w).make_ready(pe);
+            }
         }
+    }
+
+    /// Queue `ctx` on its gate, or grant it the gate if it is free: it
+    /// runs — or starts — once admitted.
+    #[inline]
+    pub(crate) fn make_ready(&self, ctx: usize) {
+        self.baton.lock(self.domain_of(ctx)).make_ready(ctx);
+    }
+
+    /// Carry the contexts of domain `dom` on the calling thread until
+    /// each that started has finished (and each main one has started),
+    /// context `ctx` running `body(ctx)`.
+    pub fn run(&self, dom: usize, body: &dyn Fn(usize)) {
+        self.baton.run(dom, body);
     }
 
     /// The sync cell of `key`, created if this is its first use.
@@ -208,13 +243,19 @@ impl GateSet {
 
     /// Queued siblings go first: requeue at the tail, hand the gate to
     /// the head, and park until admitted again (`probe` reads
-    /// `Descheduled` meanwhile). A spin wait must not starve the very
-    /// context that would satisfy it. Whether it yielded; unwinds if
-    /// the job was aborted meanwhile.
+    /// `Descheduled` meanwhile). With none queued, the carrier's other
+    /// runnable stacks — a context past its delay or one just started,
+    /// which will queue for the gate — run first, the gate kept. A spin
+    /// wait must not starve the very context that would satisfy it.
+    /// Whether it yielded; unwinds if the job was aborted meanwhile.
     #[inline]
     pub(crate) fn yield_if_contended(&self, ctx: usize, probe: &PeProbe) -> bool {
         if self.baton.queued(self.domain_of(ctx)) == 0 {
-            return false;
+            let ran = self.baton.run_others(ctx);
+            if ran {
+                self.abort_check(ctx);
+            }
+            return ran;
         }
         let prior = probe.blocked();
         probe.set_blocked(BlockedOn::Descheduled);
@@ -226,8 +267,10 @@ impl GateSet {
 
     /// Abort the job: set the flag and grant every context, parked or not
     /// (`Baton::wake_all`). Every return from a park checks the flag, so a
-    /// parked context unwinds at once, and a running one — or one started
-    /// later — at its next park, which takes the grant left for it.
+    /// parked context unwinds at once, and a running one at its next
+    /// park, which takes the grant left for it; a context that starts
+    /// afterwards — a main one the wake starts, or a service context a
+    /// late request starts — checks it before anything else.
     pub(crate) fn abort(&self) {
         self.aborted.store(true, Ordering::Release);
         self.baton.wake_all();
@@ -238,6 +281,16 @@ impl GateSet {
         if self.aborted.load(Ordering::Acquire) {
             panic!("PE {}: aborting — another PE panicked", ctx % self.npes)
         }
+    }
+}
+
+/// The gate domain of context `ctx` in a launch of `npes` PEs over
+/// `workers` workers of `block` PEs, with `domains` gates in all.
+fn domain(npes: usize, workers: usize, block: usize, domains: usize, ctx: usize) -> usize {
+    if ctx >= npes && domains > workers {
+        workers + ctx - npes
+    } else {
+        (ctx % npes) / block
     }
 }
 
@@ -280,7 +333,6 @@ impl WallFabric {
     /// counted up front are taken off, and each is made ready unlocked.
     #[inline]
     pub(crate) fn wake(&self, waiters: &Waiters) {
-        let gate = &self.shared.gate;
         for _ in 0..waiters.count.load(Ordering::SeqCst) {
             let ctx = {
                 let mut list = waiters.list.lock();
@@ -289,20 +341,18 @@ impl WallFabric {
                 ctx
             };
             self.shared.instruments.probes[ctx].set_blocked(BlockedOn::Descheduled);
-            gate.baton.lock(gate.domain_of(ctx)).make_ready(ctx);
+            self.shared.gate.make_ready(ctx);
         }
     }
 
-    /// Serve an injected delay of `micros` µs in a timed park with the
-    /// gate released. Only an abort grants a context in a timed park.
+    /// Serve an injected delay of `micros` µs parked until its deadline
+    /// with the gate released: the carrier runs the siblings meanwhile,
+    /// or idles no longer than the deadline. Only an abort grants a
+    /// context in a timed park.
     pub(crate) fn delay(&self, micros: u64) {
         let deadline = Instant::now() + Duration::from_micros(micros);
         self.gate_release();
-        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
-            if self.shared.gate.baton.park_timeout(self.ctx, Some(left)) {
-                break;
-            }
-        }
+        self.shared.gate.baton.park_until(self.ctx, deadline);
         self.shared.gate.abort_check(self.ctx);
         self.gate_acquire();
     }
@@ -442,7 +492,8 @@ impl EngineBackend for CoopBackend {
         // Ceil block; the worker count is then re-derived from it, which
         // trims the trailing empty workers the rounding would leave.
         let block = cfg.npes.div_ceil(self.resolved_workers(cfg.npes));
-        run_wall(GateSet::new(cfg.npes, block), self.resident.as_deref(), cfg, faults, watch, f)
+        let gate = |stacks: &Arc<stack::Pool>| GateSet::new(cfg.npes, block, stacks);
+        run_wall(gate, self.resident.as_deref(), cfg, faults, watch, f)
     }
 
     fn resident(&self) -> Option<Arc<Resident>> {
@@ -518,7 +569,7 @@ mod tests {
     /// its PE holds its own gate; on a worker per PE it would queue.
     #[test]
     fn native_service_contexts_have_gates_of_their_own() {
-        let native = GateSet::native(3);
+        let native = GateSet::native(3, &Arc::default());
         assert_eq!((native.workers, native.domains), (3, 6));
         assert_eq!((native.domain_of(1), native.domain_of(3 + 1)), (1, 4));
         native.acquire(1, None);
@@ -526,59 +577,34 @@ mod tests {
         assert!(native.is_holding(1) && native.is_holding(3 + 1));
         native.release(3 + 1);
         native.release(1);
-        let shared = GateSet::new(3, 1);
+        let shared = GateSet::new(3, 1, &Arc::default());
         assert_eq!((shared.domains, shared.domain_of(3 + 1)), (3, 1));
     }
 
+    /// Two contexts of one worker pass its gate back and forth on its
+    /// carrier: each release hands it to the other, queued behind, and
+    /// each acquire queues behind the other and parks.
     #[test]
     fn gate_admits_fifo_and_hands_off_directly() {
         use std::sync::atomic::AtomicUsize;
-        let (_, shared) = gate_fixture(4, 2); // 4 contexts, 2 per worker
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let running = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for ctx in [0usize, 1] {
-                let shared = shared.clone();
-                let order = order.clone();
-                let running = running.clone();
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        shared.acquire(ctx, None);
-                        let now = running.fetch_add(1, Ordering::AcqRel);
-                        assert_eq!(now, 0, "two holders on one worker gate");
-                        order.lock().push(ctx);
-                        running.fetch_sub(1, Ordering::AcqRel);
-                        shared.release(ctx);
-                    }
-                });
+        let (_, shared) = gate_fixture(4, 2); // 4 PEs, 2 per worker
+        let order = Mutex::new(Vec::new());
+        let running = AtomicUsize::new(0);
+        carry(&shared, 0, 1, &|ctx| {
+            for _ in 0..100 {
+                let now = running.fetch_add(1, Ordering::AcqRel);
+                assert_eq!(now, 0, "two holders on one worker gate");
+                order.lock().push(ctx);
+                running.fetch_sub(1, Ordering::AcqRel);
+                shared.release(ctx);
+                shared.acquire(ctx, None);
             }
+            shared.release(ctx);
         });
-        assert_eq!(order.lock().len(), 200);
-    }
-
-    // A lane outlives its job, so an unpark meant for one park can land
-    // on a later one. Every wait re-checks its own grant flag, so a
-    // stray token costs one more look and admits nobody (the gate's own
-    // case is the handoff core's test).
-
-    #[test]
-    fn a_leftover_unpark_wakes_no_cell_waiter() {
-        let (wall, shared) = gate_fixture(2, 2);
-        let mut fabs = fabrics(&wall, &shared);
-        let waiter = park_on_cell(&shared, fabs.pop().unwrap());
-        for _ in 0..3 {
-            waiter.thread().unpark();
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            assert!(!waiter.is_finished(), "woken by a stray unpark");
-            assert_eq!(shared.cell(PAIR).waiters[1].list.lock().len(), 1);
-            assert!(!shared.is_holding(1));
-        }
-        let notifier = fabs.pop().unwrap();
-        notifier.gate_acquire();
-        notifier.sync_cell_add(PAIR, 1, 1);
-        notifier.sync_cell_notify(PAIR, 1);
-        notifier.gate_release();
-        assert_eq!(waiter.join().unwrap().expect("waiter admitted"), 1);
+        let order = order.into_inner();
+        assert_eq!(order.len(), 200);
+        assert!(order.iter().enumerate().all(|(i, &ctx)| ctx == i % 2), "{order:?}");
+        assert_eq!(shared.baton.lock(0).holder(), None);
     }
 
     #[test]
@@ -611,63 +637,69 @@ mod tests {
     /// The two-PE cluster led by PE 0 that the cell tests park on.
     const PAIR: CellKey = CellKey { first: 0, count: 2 };
 
-    /// Park context 1 on word `EPOCH` of [`PAIR`]'s cell (both on one
-    /// worker) and return once it is listed there, gate released.
-    /// Its thread yields what the wait returned, or the panic payload.
-    fn park_on_cell(
-        shared: &Gated,
-        waiter: CoopFabric,
-    ) -> std::thread::JoinHandle<std::thread::Result<u64>> {
-        const EPOCH: usize = 1;
-        let t = std::thread::spawn(move || {
-            waiter.gate_acquire();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                waiter.sync_cell_wait_change(PAIR, EPOCH, 0)
-            }))
-        });
-        parked(shared, 1, &shared.cell(PAIR).waiters[EPOCH]);
-        t
+    /// The cell word the waiters park on.
+    const EPOCH: usize = 1;
+
+    /// Carry the contexts of worker 0 on this thread: `first` starts
+    /// holding the gate, `then` queued behind it, each running
+    /// `body(ctx)` as a stack.
+    fn carry(gate: &Gated, first: usize, then: usize, body: &dyn Fn(usize)) {
+        gate.baton.start(0, first);
+        gate.make_ready(then);
+        gate.run(0, body);
     }
 
-    /// Wait until context `ctx` is listed on `waiters` with its gate
-    /// released: it lists itself while still admitted.
-    fn parked(shared: &Gated, ctx: usize, waiters: &Waiters) {
-        while !waiters.list.lock().contains(&ctx) || shared.is_holding(ctx) {
-            std::thread::yield_now();
-        }
+    /// Unwind message of `f`, which must panic.
+    fn unwound(f: impl FnOnce() -> u64) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("it unwinds");
+        *payload.downcast::<String>().expect("a formatted panic")
     }
 
     #[test]
     fn cell_notify_queues_the_waiter_on_the_gate_behind_the_notifier() {
         let (wall, shared) = gate_fixture(2, 2);
-        let mut fabs = fabrics(&wall, &shared);
-        let waiter = park_on_cell(&shared, fabs.pop().unwrap());
-        let notifier = fabs.pop().unwrap();
-        notifier.gate_acquire();
-        notifier.sync_cell_add(PAIR, 1, 1);
-        notifier.sync_cell_notify(PAIR, 1);
-        // Moved from the cell to the gate FIFO, not woken: it cannot run
-        // before we let go of the gate, and its probe says so.
-        assert!(shared.cell(PAIR).waiters[1].list.lock().is_empty());
-        assert_eq!(shared.baton.queued(0), 1);
-        assert!(!shared.baton.is_granted(1));
-        assert!(!waiter.is_finished());
-        assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Descheduled);
-        notifier.gate_release();
-        assert_eq!(waiter.join().unwrap().expect("waiter admitted"), 1);
-        assert!(shared.is_holding(1), "the wake-up is the gate grant");
-        assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Running);
+        let fabs = fabrics(&wall, &shared);
+        let got = std::cell::Cell::new(None);
+        carry(&shared, 1, 0, &|ctx| {
+            let fab = &fabs[ctx];
+            if ctx == 1 {
+                got.set(Some(fab.sync_cell_wait_change(PAIR, EPOCH, 0)));
+                assert!(shared.is_holding(1), "the wake-up is the gate grant");
+                assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Running);
+                fab.gate_release();
+                return;
+            }
+            // The waiter listed itself and handed us the gate.
+            assert_eq!(shared.cell(PAIR).waiters[EPOCH].list.lock().len(), 1);
+            assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::CellWait { pe: 0 });
+            fab.sync_cell_add(PAIR, EPOCH, 1);
+            fab.sync_cell_notify(PAIR, EPOCH);
+            // Moved from the cell to the gate FIFO, not woken: it cannot
+            // run before we let go of the gate, and its probe says so.
+            assert!(shared.cell(PAIR).waiters[EPOCH].list.lock().is_empty());
+            assert_eq!(shared.baton.queued(0), 1);
+            assert!(!shared.baton.is_granted(1));
+            assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Descheduled);
+            fab.gate_release();
+        });
+        assert_eq!(got.get(), Some(1), "the waiter saw the change");
     }
 
     #[test]
     fn an_aborted_cell_waiter_unwinds_without_the_gate() {
         let (wall, shared) = gate_fixture(2, 2);
-        let mut fabs = fabrics(&wall, &shared);
-        let waiter = park_on_cell(&shared, fabs.pop().unwrap());
-        shared.abort();
-        let payload = waiter.join().unwrap().expect_err("a parked waiter must unwind on abort");
-        assert_eq!(payload.downcast_ref::<String>().unwrap(), "PE 1: aborting — another PE panicked");
-        assert!(!shared.is_holding(1), "it unwound without the gate");
+        let fabs = fabrics(&wall, &shared);
+        carry(&shared, 1, 0, &|ctx| {
+            let fab = &fabs[ctx];
+            if ctx == 1 {
+                let msg = unwound(|| fab.sync_cell_wait_change(PAIR, EPOCH, 0));
+                assert_eq!(msg, "PE 1: aborting — another PE panicked");
+                assert!(!shared.is_holding(1), "it unwound without the gate");
+            } else {
+                shared.abort();
+                fab.gate_release();
+            }
+        });
         assert_eq!(shared.baton.lock(0).holder(), None, "and handed it to nobody");
     }
 
@@ -679,45 +711,49 @@ mod tests {
     fn a_send_and_a_receive_queue_the_context_parked_on_the_other() {
         const Q: usize = crate::fabric::Q_BARRIER;
         let (wall, shared) = fixture(2, 2, udn::fabric::UdnFabric::new_bounded(2, 1));
-        let mut fabs = fabrics(&wall, &shared);
-        let (receiver, sender) = (fabs.pop().unwrap(), fabs.pop().unwrap());
-        let t = std::thread::spawn(move || {
-            receiver.gate_acquire();
-            let word = receiver.udn_recv(Q).payload[0];
-            receiver.gate_release();
-            word
+        let fabs = fabrics(&wall, &shared);
+        carry(&shared, 1, 0, &|ctx| {
+            let fab = &fabs[ctx];
+            if ctx == 1 {
+                assert_eq!(fab.udn_recv(Q).payload[0], 1);
+                fab.gate_release();
+                return;
+            }
+            assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Recv { queue: Q });
+            fab.udn_send(1, Q, 0, &[1]);
+            assert_eq!(shared.baton.queued(0), 1);
+            assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Descheduled);
+            // One packet fills the queue: this send parks, its gate going
+            // to the receiver, whose receive frees the slot and queues it
+            // back.
+            fab.udn_send(1, Q, 0, &[2]);
+            assert!(shared.is_holding(0), "the wake-up is the gate grant");
+            fab.gate_release();
         });
-        parked(&shared, 1, &wall.not_empty[1][Q]);
-        assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Recv { queue: Q });
-        sender.gate_acquire();
-        sender.udn_send(1, Q, 0, &[1]);
-        assert_eq!(shared.baton.queued(0), 1);
-        assert_eq!(wall.instruments.probes[1].blocked(), BlockedOn::Descheduled);
-        // One packet fills the queue: this send parks, its gate going to
-        // the receiver, whose receive frees the slot and queues it back.
-        sender.udn_send(1, Q, 0, &[2]);
-        assert_eq!(t.join().unwrap(), 1);
-        assert!(shared.is_holding(0), "the wake-up is the gate grant");
         assert_eq!(wall.endpoints[1].try_recv(Q).expect("sent").payload[0], 2);
     }
 
     #[test]
     fn cell_waiter_already_queued_on_the_gate_aborts_on_admission() {
         let (wall, shared) = gate_fixture(2, 2);
-        let mut fabs = fabrics(&wall, &shared);
-        let waiter = park_on_cell(&shared, fabs.pop().unwrap());
-        let notifier = fabs.pop().unwrap();
-        notifier.gate_acquire();
-        notifier.sync_cell_add(PAIR, 1, 1);
-        notifier.sync_cell_notify(PAIR, 1);
-        shared.aborted.store(true, Ordering::Release);
-        // Queued: it must take the grant it is owed before it dies, so
-        // the handoff chain behind it keeps moving (the launch scaffold
-        // releases the gate of a context that died holding it).
-        notifier.gate_release();
-        assert!(waiter.join().unwrap().is_err());
-        assert!(shared.is_holding(1));
-        assert_eq!(shared.baton.queued(0), 0);
+        let fabs = fabrics(&wall, &shared);
+        carry(&shared, 1, 0, &|ctx| {
+            let fab = &fabs[ctx];
+            if ctx == 1 {
+                unwound(|| fab.sync_cell_wait_change(PAIR, EPOCH, 0));
+                assert!(shared.is_holding(1));
+                assert_eq!(shared.baton.queued(0), 0);
+                fab.gate_release();
+                return;
+            }
+            fab.sync_cell_add(PAIR, EPOCH, 1);
+            fab.sync_cell_notify(PAIR, EPOCH);
+            shared.aborted.store(true, Ordering::Release);
+            // Queued: it must take the grant it is owed before it dies, so
+            // the handoff chain behind it keeps moving (the launch scaffold
+            // releases the gate of a context that died holding it).
+            fab.gate_release();
+        });
     }
 
     fn gate_fixture(npes: usize, block: usize) -> (Arc<WallShared>, Gated) {
@@ -725,7 +761,7 @@ mod tests {
     }
 
     fn fixture(npes: usize, block: usize, endpoints: Vec<udn::fabric::UdnEndpoint>) -> (Arc<WallShared>, Gated) {
-        let gate = GateSet::new(npes, block);
+        let gate = GateSet::new(npes, block, &Arc::default());
         let cfg = crate::runtime::RuntimeConfig::new(npes)
             .with_partition_bytes(4096)
             .with_private_bytes(64)

@@ -1,13 +1,12 @@
 //! Execution engines: four backends over two fabrics.
 //!
-//! * [`wall`] — the wall-clock fabric: one real thread per context,
-//!   real shared memory, wall time, every context admitted through a
-//!   FIFO gate ([`coop::GateSet`]). With a gate per PE and one per
-//!   interrupt-service context it is the **native** engine a downstream
-//!   application runs on; with M workers
-//!   for N PEs it is the **cooperative M:N** engine ([`coop`]) for
-//!   256–1024-PE scaling runs an order of magnitude past the host's
-//!   core count.
+//! * [`wall`] — the wall-clock fabric: real shared memory, wall time,
+//!   every context admitted through a FIFO gate ([`coop::GateSet`]) and
+//!   run as a stack on that gate's carrier thread. With a gate per PE
+//!   and one per interrupt-service context it is the **native** engine a
+//!   downstream application runs on; with M workers for N PEs it is the
+//!   **cooperative M:N** engine ([`coop`]) for 256–1024-PE scaling runs
+//!   an order of magnitude past the host's core count.
 //! * [`timed`] — the virtual-time fabric: the same protocol code under
 //!   the cooperative scheduler with calibrated Tilera costs,
 //!   parameterised by a chip count. On one chip it is the **timed**

@@ -1,22 +1,26 @@
-//! The wall-clock engine: real threads, real shared memory, real UDN
-//! channels, wall time — one data plane under one admission policy.
+//! The wall-clock engine: real shared memory, real UDN channels, wall
+//! time, real threads carrying the contexts — one data plane under one
+//! admission policy.
 //!
-//! Every context (PE main + interrupt-service) is a real OS thread
-//! running the same [`WallFabric`]. A launch starts the PE contexts on
-//! the lanes of the [`Resident`] it attaches to — its own for a plain
-//! launch, the server's for a job — and a PE's interrupt-service context
-//! is started by the first request sent to it (the paper's handler is an
-//! interrupt: nothing runs on the far tile until one arrives). A context
-//! may touch the fabric only while it holds its FIFO admission gate
-//! ([`GateSet`]), and waits only parked on it; the two wall-clock
-//! engines differ only in how their contexts map to gates:
+//! Every context (PE main + interrupt-service) runs the same
+//! [`WallFabric`] as a stack on the carrier thread of its FIFO admission
+//! gate ([`GateSet`]). A launch runs each PE gate's carrier on a lane of
+//! the [`Resident`] it attaches to — its own for a plain launch, the
+//! server's for a job — and takes the stacks from the same `Resident`;
+//! a PE's interrupt-service context is started by the first request
+//! sent to it (the paper's handler is an interrupt: nothing runs on the
+//! far tile until one arrives). A context may touch the fabric only
+//! while it holds its gate, and waits only parked on it; the two
+//! wall-clock engines differ only in how their contexts map to gates:
 //!
-//! * [`NativeBackend`] runs a worker per PE — the paper's one task per
-//!   tile — and gives each PE's service context a gate of its own, so
-//!   a request is served while its target PE runs, as the paper's
-//!   interrupt preempts the task ([`GateSet::native`]).
+//! * [`NativeBackend`] runs a gate per PE — the paper's one task per
+//!   tile — and gives each PE's service context a gate and a thread of
+//!   its own, so a request is served while its target PE runs, as the
+//!   paper's interrupt preempts the task ([`GateSet::native`]). One
+//!   context per gate: a park is its carrier thread's idle park.
 //! * [`CoopBackend`](super::coop::CoopBackend) multiplexes N PEs (up to
-//!   1024) over M workers in contiguous blocks.
+//!   1024) and their service contexts over M worker gates in contiguous
+//!   blocks, a handoff between two of them one switch of stacks.
 //!
 //! Whatever the geometry, the symmetric heap is one arena — the TMC
 //! common-memory region, partitioned per PE, as on the virtual-time
@@ -29,11 +33,13 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use substrate::stack;
 use substrate::sync::Mutex;
 use tmc::barrier::SpinBarrier;
 use tmc::common::CommonMemory;
@@ -154,8 +160,10 @@ pub struct WallShared {
     /// started — by the first request addressed to it (see
     /// [`WallFabric::listening`]).
     service_started: Vec<Once>,
-    /// The service contexts started so far; the launch joins them on
-    /// clean completion and detaches them otherwise.
+    /// The carrier threads of the service gates started so far (the
+    /// native geometry's; a coop service context runs on its worker's
+    /// carrier). The launch joins them on clean completion and detaches
+    /// them otherwise.
     service_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Contexts per running context, `ceil(2 * npes / domains)`: `1` on
     /// the native engine, whose every context has a gate of its own. A
@@ -275,21 +283,28 @@ impl WallFabric {
         true
     }
 
-    /// Start `dest`'s interrupt-service context: one thread consuming
-    /// only `Q_SERVICE` of that PE's endpoint, which waits in that
-    /// receive with admission released and is admitted only while
-    /// serving a request. Concurrent first requesters start exactly one
-    /// (the losers wait out the spawn); a context started after
-    /// [`WallShared::abort`] unwinds at its first park, which takes the
-    /// grant the abort left for it.
+    /// Start `dest`'s interrupt-service context, which consumes only
+    /// `Q_SERVICE` of that PE's endpoint, waits in that receive with its
+    /// gate released and holds it only while serving a request: make it
+    /// ready on its gate, where it starts once admitted — on a coop
+    /// worker's carrier, a stack beside its PE; on the native geometry
+    /// its gate's own carrier, which this starts on a thread.
+    /// Concurrent first requesters start exactly one (the losers wait
+    /// out the start); a context started after [`WallShared::abort`]
+    /// unwinds before it serves anything.
     #[cold]
     fn start_service(&self, dest: usize) {
         self.shared.service_started[dest].call_once(|| {
-            let fab = Self::new(self.shared.clone(), self.shared.npes + dest);
-            let (shared, ctx) = (self.shared.clone(), fab.ctx);
+            let (gate, ctx) = (&self.shared.gate, self.shared.npes + dest);
+            gate.make_ready(ctx);
+            let dom = gate.domain_of(ctx);
+            if dom < gate.workers {
+                return;
+            }
+            let shared = self.shared.clone();
             let thread = std::thread::Builder::new()
                 .name(format!("svc-{dest}")) // cold: once per serviced PE
-                .spawn(move || admitted(&shared, ctx, || service_loop(&fab)))
+                .spawn(move || shared.gate.run(dom, &|ctx| serve(&shared, ctx)))
                 .expect("spawn service thread");
             self.shared.service_threads.lock().push(thread); // cold: once per serviced PE
         });
@@ -613,13 +628,15 @@ impl Fabric for WallFabric {
 }
 
 /// What outlives a launch when something keeps it warm: the memory of
-/// cleanly completed jobs and the lanes their PEs ran on. The server
-/// holds one for its lifetime, so a job only attaches; a plain launch
-/// makes an empty one of its own, so there is one launch body.
+/// cleanly completed jobs, the lanes their gates' carriers ran on and
+/// the stacks their contexts ran on. The server holds one for its
+/// lifetime, so a job only attaches; a plain launch makes an empty one
+/// of its own, so there is one launch body.
 #[derive(Default)]
 pub struct Resident {
     pub sets: ArenaPool,
     pub lanes: Lanes,
+    pub stacks: Arc<stack::Pool>,
 }
 
 impl Resident {
@@ -633,15 +650,15 @@ impl Resident {
     }
 }
 
-/// The one wall-clock launch body: build the shared state over memory
-/// checked out of `resident` (or one for this launch alone), publish it
-/// to the launch's supervisor if it has one, start every PE's main
-/// context under `gate` on its lanes, run `f` under `faults`, and tear
-/// down — joining the interrupt-service contexts the job's requests
-/// started and, on clean completion, retiring the memory with its dirty
-/// extent.
+/// The one wall-clock launch body: build the gates over stacks kept in
+/// `resident` (or one for this launch alone) and the shared state over
+/// memory checked out of it, publish that to the launch's supervisor if
+/// it has one, queue every PE's main context on its gate, carry each PE
+/// gate's contexts on a lane, run `f` under `faults`, and tear down —
+/// joining the service carriers the job's requests started and, on clean
+/// completion, retiring the memory with its dirty extent.
 pub(crate) fn run_wall<R, F>(
-    gate: Gated,
+    gate: impl FnOnce(&Arc<stack::Pool>) -> Gated,
     resident: Option<&Resident>,
     cfg: &RuntimeConfig,
     faults: Option<&Arc<LaunchFaults>>,
@@ -661,6 +678,7 @@ where
             &own
         }
     };
+    let gate = gate(&resident.stacks);
     let layout = cfg.layout();
     let endpoints = match cfg.udn_queue_packets {
         Some(p) => UdnFabric::new_bounded(npes, p),
@@ -676,39 +694,73 @@ where
     if let Some(w) = watch {
         let _ = w.set(shared.clone());
     }
+    gate.admit(&shared.instruments.probes);
 
-    let (tiles, lanes_spawned) = resident.lanes.run(npes, |pe| {
+    // Each PE's value and dirty extent, or the panic it died of: a lane
+    // carries a worker's PEs, so the job's panic is picked per PE.
+    type Outcome<R> = Mutex<Option<std::thread::Result<(R, (usize, usize))>>>;
+    let outcomes: Vec<Outcome<R>> = (0..npes).map(|_| Mutex::new(None)).collect();
+    let pe_main = |pe: usize| {
         let fab = WallFabric::new(shared.clone(), pe);
-        admitted(&shared, pe, || {
-            let ctx = ShmemCtx::new(Box::new(fab), layout, cfg.algos, cfg.private_bytes);
-            // If any PE panics, abort the job — its peers and service
-            // contexts unwind wherever they wait (SHMEM jobs are
-            // all-or-nothing) — then re-raise the original panic, saying
-            // whose it was.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&ctx))) {
-                Ok(r) => {
-                    ctx.finalize();
-                    // Read here, after the closure has returned — not in
-                    // `finalize`, which a tenant may call early.
-                    (r, ctx.dirty_extent())
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            admitted(&shared, pe, || {
+                let ctx = ShmemCtx::new(Box::new(fab), layout, cfg.algos, cfg.private_bytes);
+                // If any PE panics, abort the job — its peers and service
+                // contexts unwind wherever they wait (SHMEM jobs are
+                // all-or-nothing) — then re-raise the original panic,
+                // saying whose it was.
+                match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+                    Ok(r) => {
+                        ctx.finalize();
+                        // Read here, after the closure has returned — not
+                        // in `finalize`, which a tenant may call early.
+                        (r, ctx.dirty_extent())
+                    }
+                    Err(p) => {
+                        shared.abort();
+                        resume_unwind(name_pe(pe, p));
+                    }
                 }
-                Err(p) => {
-                    shared.abort();
-                    std::panic::resume_unwind(name_pe(pe, p));
-                }
-            }
+            })
+        }));
+        let unwound = outcome.is_err();
+        *outcomes[pe].lock() = Some(outcome);
+        if unwound {
+            // The lane unwinds too: one that carried a panic is retired.
+            resume_unwind(Box::new(()));
+        }
+    };
+    let carried = catch_unwind(AssertUnwindSafe(|| {
+        resident.lanes.run(gate.workers, |dom| {
+            gate.run(dom, &|ctx| if ctx < npes { pe_main(ctx) } else { serve(&shared, ctx) })
         })
-    });
+    }));
+    let lanes_spawned = match carried {
+        Ok((_, spawned)) => spawned,
+        // The lowest PE that panicked names the job's panic, whatever lane
+        // carried it; a service context's, if no PE did. The service
+        // carriers of a failed launch are detached.
+        Err(lane) => {
+            let pe = outcomes.into_iter().find_map(|o| o.into_inner().and_then(Result::err));
+            resume_unwind(pe.unwrap_or(lane))
+        }
+    };
 
-    // Reached only on clean completion (a PE panic unwinds out of
-    // `Lanes::run` above, detaching whatever service contexts exist).
-    // Every PE is past its `finalize` barrier, so the started set is
-    // final and each member has been sent its shutdown.
+    // Reached only on clean completion. Every PE is past its `finalize`
+    // barrier, so the started set is final and each member has been sent
+    // its shutdown.
     let service_threads = std::mem::take(&mut *shared.service_threads.lock());
     let threads_spawned = lanes_spawned + service_threads.len();
     for t in service_threads {
         t.join().expect("service thread panicked");
     }
+    let tiles: Vec<(R, (usize, usize))> = outcomes
+        .into_iter()
+        .map(|o| match o.into_inner().expect("every PE ran") {
+            Ok(tile) => tile,
+            Err(p) => resume_unwind(p),
+        })
+        .collect();
     // Retire the memory for recycling, dirty as far as any PE's handles
     // reached.
     let (heap_extent, static_extent) =
@@ -756,24 +808,33 @@ fn name_pe(pe: usize, payload: Box<dyn Any + Send>) -> Box<dyn Any + Send> {
     }
 }
 
-/// Run `body` as context `ctx` of `shared`'s launch, admitted, and give
-/// the slot back however it ends. A panic can fire while not admitted
-/// (an abort ends a park without admitting): release only a held slot,
-/// or the handoff chain double-frees.
+/// Run interrupt-service context `ctx` of `shared`'s launch until its
+/// shutdown or the job's abort.
+fn serve(shared: &Arc<WallShared>, ctx: usize) {
+    let fab = WallFabric::new(shared.clone(), ctx);
+    admitted(shared, ctx, || service_loop(&fab));
+}
+
+/// Run `body` as context `ctx` of `shared`'s launch, which starts holding
+/// its gate — or, started by an abort, without it, and unwinds at once —
+/// and give the gate back however it ends. A panic can fire while not
+/// admitted (an abort ends a park without admitting): release only a
+/// held gate, or the handoff chain double-frees.
 fn admitted<T>(shared: &WallShared, ctx: usize, body: impl FnOnce() -> T) -> T {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.gate.acquire(ctx, Some(&shared.instruments.probes[ctx]));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        shared.instruments.probes[ctx].set_blocked(BlockedOn::Running);
+        shared.gate.abort_check(ctx);
         body()
     }));
     if shared.gate.is_holding(ctx) {
         shared.gate.release(ctx);
     }
-    result.unwrap_or_else(|p| std::panic::resume_unwind(p))
+    result.unwrap_or_else(|p| resume_unwind(p))
 }
 
 /// The native engine: the paper's one task per tile — the wall fabric
-/// on [`GateSet::native`], a gate per PE and one per interrupt-service
-/// context.
+/// on [`GateSet::native`], a gate and a carrier thread per PE and per
+/// interrupt-service context.
 pub struct NativeBackend;
 
 impl EngineBackend for NativeBackend {
@@ -792,7 +853,7 @@ impl EngineBackend for NativeBackend {
         R: Send,
         F: Fn(&ShmemCtx) -> R + Send + Sync,
     {
-        run_wall(GateSet::native(cfg.npes), None, cfg, faults, watch, f)
+        run_wall(|stacks| GateSet::native(cfg.npes, stacks), None, cfg, faults, watch, f)
     }
 
     fn resident(&self) -> Option<Arc<Resident>> {

@@ -5,10 +5,10 @@
 //! classes, the collectives — are written once against [`Fabric`] and
 //! executed by two fabrics:
 //!
-//! * [`crate::engine::wall`] moves real bytes between real threads and
-//!   measures wall time, under a per-worker admission gate — a worker
-//!   per PE (the native engine) or M for N PEs (the cooperative M:N
-//!   engine);
+//! * [`crate::engine::wall`] moves real bytes between contexts carried
+//!   as stacks by real threads and measures wall time, under a
+//!   per-worker admission gate — a worker per PE (the native engine) or
+//!   M for N PEs (the cooperative M:N engine);
 //! * [`crate::engine::timed`] moves the same real bytes under the
 //!   cooperative virtual-time scheduler, charging the calibrated Tilera
 //!   costs (UDN wire latency, cache-classified copy cycles, contention)

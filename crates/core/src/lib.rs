@@ -50,11 +50,12 @@
 //!
 //! Protocol code is written once against [`fabric::Fabric`] and runs on
 //! four backends behind one [`runtime::Launcher`], over two fabrics.
-//! The wall-clock fabric ([`engine::wall`] — real threads, real shared
-//! memory, wall time) serves two of them, which differ only in which
-//! admission gates admit their contexts: [`NativeBackend`] runs a worker
-//! per PE, the paper's one task per tile, and a gate per interrupt
-//! handler ([`runtime::launch`] is its shorthand), and [`CoopBackend`]
+//! The wall-clock fabric ([`engine::wall`] — every context a stack on
+//! its admission gate's carrier thread, real shared memory, wall time)
+//! serves two of them, which differ only in which gates admit their
+//! contexts: [`NativeBackend`] runs a gate and a thread per PE, the
+//! paper's one task per tile, and one per interrupt handler
+//! ([`runtime::launch`] is its shorthand), and [`CoopBackend`]
 //! multiplexes PEs M:N over worker threads for 256–1024-PE scaling runs.
 //! The virtual-time fabric ([`engine::timed`]) serves the other two,
 //! which differ only in their chip count: [`TimedBackend`] runs one

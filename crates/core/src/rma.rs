@@ -39,6 +39,8 @@ use crate::symm::{AddrClass, Bits, Sym};
 pub(crate) struct PendingOp {
     pe: usize,
     token: u64,
+    /// The [`fence`](ShmemCtx::fence) epoch it was issued in.
+    epoch: u64,
 }
 
 /// When a transfer completes — the one difference between a blocking
@@ -517,11 +519,14 @@ impl ShmemCtx {
 
     /// Check `pe` and keep program order with earlier nbi traffic to it:
     /// every call flushes that traffic but a deferred put, which may
-    /// queue.
+    /// queue behind what was issued since the last `fence` and completes
+    /// only what came before it.
     fn enter(&self, put: bool, pe: usize, c: Completion) {
         self.check_pe(pe);
         if !put || c == Completion::Now {
             self.flush_pending_dest(pe);
+        } else {
+            self.complete_fenced(pe);
         }
     }
 
@@ -672,7 +677,10 @@ impl ShmemCtx {
         }
         match c {
             Completion::Now => self.await_sdone(token),
-            Completion::AtQuiet => self.pending.borrow_mut().push(PendingOp { pe, token }),
+            Completion::AtQuiet => {
+                let epoch = self.fence_epoch.get();
+                self.pending.borrow_mut().push(PendingOp { pe, token, epoch });
+            }
         }
     }
 
@@ -815,17 +823,32 @@ impl ShmemCtx {
     /// calls this on entry so mixed blocking/non-blocking traffic to one
     /// destination retains program order.
     pub(crate) fn flush_pending_dest(&self, pe: usize) {
-        if !self.pending.borrow().iter().any(|op| op.pe == pe) {
+        self.flush_dest(pe, u64::MAX);
+    }
+
+    /// Complete the ops pending to `pe` that a [`fence`](Self::fence)
+    /// issued since orders before the put or AMO to `pe` about to be
+    /// issued, leaving the ones since the last fence pending. With
+    /// nothing pending, one look at an empty list.
+    pub(crate) fn complete_fenced(&self, pe: usize) {
+        self.flush_dest(pe, self.fence_epoch.get());
+    }
+
+    /// Complete, in issue order, the ops pending to `pe` issued in an
+    /// epoch before `before`.
+    fn flush_dest(&self, pe: usize, before: u64) {
+        let due = |op: &PendingOp| op.pe == pe && op.epoch < before;
+        if !self.pending.borrow().iter().any(due) {
             return;
         }
-        // cold: rare path — only when blocking traffic interleaves with
-        // an unfinished nbi train to the same destination.
+        // cold: rare path — only when fenced or blocking traffic
+        // interleaves with an unfinished nbi train to the same destination.
         let mut todo: Vec<PendingOp> = Vec::new();
         {
             let mut pending = self.pending.borrow_mut();
             let mut i = 0;
             while i < pending.len() {
-                if pending[i].pe == pe {
+                if due(&pending[i]) {
                     todo.push(pending.remove(i));
                 } else {
                     i += 1;

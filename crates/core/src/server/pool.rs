@@ -18,9 +18,10 @@
 //! dirty extent at checkout, see [`super::arena`]), its own UDN fabric,
 //! its own trace lanes, its own supervision, its own fault plan (armed
 //! once per job, see [`JobSpec::faults`]). What a job does *not* get for
-//! itself is threads: the server keeps one [`Resident`] for its
-//! lifetime, and a job's runner, its launch and its PEs run on that
-//! handle's lanes ([`tmc::task::Lanes`]) — a lane that unwound or never
+//! itself is threads or stacks: the server keeps one [`Resident`] for
+//! its lifetime, and a job's runner, its launch and its workers'
+//! carriers — each running its PEs as stacks from the handle's pool —
+//! run on that handle's lanes ([`tmc::task::Lanes`]) — a lane that unwound or never
 //! finished is never reused, and a reused one carries nothing of a
 //! tenant but thread-locals, affinity and a name, which tenants of one
 //! address space share anyway. A tenant panic is caught at the launch
@@ -31,10 +32,11 @@
 //! lease reclaimed, and retried with exponential backoff up to
 //! [`ServerConfig::max_attempts`].
 //!
-//! What eviction cannot reclaim: a PE lane wedged outside every fabric
-//! abort checkpoint (e.g. spinning on raw loads that never enter the
-//! runtime) leaks until process exit, as after any supervised launch — and with
-//! it the launch lane that waits for it. They stay in
+//! What eviction cannot reclaim: a worker lane whose PE is wedged
+//! outside every fabric abort checkpoint (e.g. spinning on raw loads
+//! that never enter the runtime) leaks until process exit, as after any
+//! supervised launch, with the PEs carried beside it — and with it the
+//! launch lane that waits for it. They stay in
 //! [`ServerStats::lanes_live`] and are never handed another task. The
 //! pool's accounting unit is the worker-slot *lease*, not the OS
 //! thread, so capacity recovers even when threads leak.
@@ -132,12 +134,13 @@ pub struct ServerStats {
     /// Bytes written scrubbing recycled sets — their dirty extents and
     /// internal regions, not their length.
     pub scrubbed_bytes: u64,
-    /// Runner, launch and PE tasks that needed a new thread.
+    /// Runner, launch and worker-carrier tasks that needed a new thread.
     pub lanes_spawned: u64,
     /// ... and those that ran on an idle lane.
     pub lanes_reused: u64,
-    /// Lanes that ended because their task unwound (a panicking tenant
-    /// PE and the siblings its abort took down).
+    /// Lanes that ended because their task unwound (the carrier of a
+    /// panicking tenant PE, and those of the siblings its abort took
+    /// down).
     pub lanes_retired: u64,
     /// Lane threads that have not ended. After [`Server::shutdown`]:
     /// the lanes stuck in a task that never finishes.

@@ -4,21 +4,26 @@
 //!
 //! `shmem_quiet()` blocks until all outstanding puts by this PE — the
 //! blocking ones *and* the non-blocking (`_nbi`) ones — are complete
-//! and visible. `shmem_fence()` is strictly weaker: it orders puts per
-//! destination PE but does **not** complete outstanding non-blocking
-//! operations. The paper's TSHMEM aliased fence to quiet (both were
-//! `tmc_mem_fence()`), which was harmless when every op was blocking;
-//! with `put_nbi` in the surface, that alias would silently destroy the
+//! and visible. `shmem_fence()` is strictly weaker: the puts, nbi puts
+//! and AMOs this PE issues to one PE before it are delivered before
+//! those it issues to that PE after it, whatever their addresses; but it
+//! does **not** complete outstanding non-blocking operations. The
+//! paper's TSHMEM aliased fence to quiet (both were `tmc_mem_fence()`),
+//! which was harmless when every op was blocking; with `put_nbi` in the
+//! surface, that alias would silently destroy the
 //! communication/computation overlap nbi exists to provide. The two
 //! entry points now diverge, and `Stats { fences, quiets }` counts them
 //! separately so tests can assert the difference.
 //!
-//! Per-destination ordering without a drain holds by construction:
-//! a put into the heap is one copy, done at issue in program order,
-//! redirected static-target requests are sent at issue and serviced by
-//! the remote handler in arrival order, and the two kinds target
-//! disjoint memory (arena vs private), so same-location writes to one
-//! PE always retire in program order.
+//! Ordering without a drain: a put into the heap, an AMO and a
+//! co-resident bypass are done at issue, in program order; a redirected
+//! static-target request is sent at issue and served by the remote
+//! handler later, in arrival order, and may be left pending. So `fence`
+//! starts a new epoch, each pending op records the epoch it was issued
+//! in, and the next put, nbi put or AMO to a PE first completes the ops
+//! pending to that PE from earlier epochs — nothing else, and nothing at
+//! the fence itself. A flag written after `fence` therefore lands after
+//! the data written before it, in whichever memory either lives.
 
 use crate::ctx::ShmemCtx;
 
@@ -40,12 +45,14 @@ impl ShmemCtx {
         self.fab.quiet();
     }
 
-    /// `shmem_fence`: ordering of puts per destination PE. Does **not**
-    /// complete outstanding non-blocking operations — after a
+    /// `shmem_fence`: the puts, nbi puts and AMOs issued to a PE before
+    /// it are delivered before those issued to that PE after it. Does
+    /// **not** complete outstanding non-blocking operations — after a
     /// `put_nbi` + `fence`, the op is still pending until
-    /// [`quiet`](Self::quiet).
+    /// [`quiet`](Self::quiet) or the next put or AMO to its PE.
     pub fn fence(&self) {
         self.fab.quiet();
+        self.fence_epoch.set(self.fence_epoch.get() + 1);
         self.stats.borrow_mut().fences += 1;
     }
 }

@@ -216,3 +216,38 @@ fn selection_is_pinned_by_exact_send_counts() {
         "timed 8 barrier_hier_explicit"
     );
 }
+
+/// A PE serving an injected delay has given its gate up and sits on no
+/// queue: when the delay ends it must get the gate back even from a
+/// sibling on its worker that spins on a flag it is about to set, with
+/// nobody queued behind that sibling. The spin lets the worker's other
+/// runnable stacks run, so the delayed PE queues, and the spinner hands
+/// the gate over.
+#[test]
+fn a_delayed_pe_gets_back_in_past_a_sibling_spinning_on_its_worker() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cfg = RuntimeConfig::new(2).with_partition_bytes(1 << 20);
+        let out = Launcher::new(&cfg, coop(1))
+            .with_faults([tshmem::Fault::SlowPe { pe: 1, every: 1, micros: 500 }])
+            .run(|ctx| {
+                let flag = ctx.shmalloc::<u64>(1);
+                ctx.local_write(&flag, 0, &[0]);
+                ctx.barrier_all();
+                for round in 1..=20 {
+                    if ctx.my_pe() == 1 {
+                        ctx.p(&flag, 0, round, 0);
+                    } else {
+                        ctx.wait_until(&flag, 0, Cmp::Ge, round);
+                    }
+                }
+                ctx.barrier_all();
+                ctx.local_read(&flag, 0, 1)[0]
+            });
+        let _ = tx.send(out.values[0]);
+    });
+    let got = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the delayed PE never got its gate back from the spinning sibling");
+    assert_eq!(got, 20);
+}

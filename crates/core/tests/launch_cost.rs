@@ -1,9 +1,12 @@
 //! A launch pays for what the job uses: interrupt-service contexts are
-//! started by the first request addressed to them, so the threads a
-//! launch spawns are its PEs plus the PEs that were ever the target of a
-//! redirected (static-variable) transfer — an exact count under a fixed
-//! program, on both wall-clock engines. Its teardown on the coop engine
-//! sends no token walk.
+//! started by the first request addressed to them. Every context is a
+//! stack on its gate's carrier thread, so the threads a launch spawns
+//! are one per gate it runs: on the coop engine its workers, whose
+//! carriers run the service contexts too; on the native engine its PEs
+//! plus the PEs that were ever the target of a redirected
+//! (static-variable) transfer, each service gate's carrier on a thread
+//! of its own — an exact count under a fixed program. Its teardown on
+//! the coop engine sends no token walk.
 
 use tshmem::prelude::*;
 use tshmem::trace::TraceKind;
@@ -55,14 +58,16 @@ fn a_collective_only_job_starts_no_service_context() {
     let n = NPES as u64;
     let sums = (0..4).map(|k| n * (n - 1) / 2 + n * k).sum::<u64>();
     assert_eq!(out.values, vec![(sums, n - 1, n - 1); NPES]);
-    assert_eq!(out.threads_spawned, NPES);
+    assert_eq!(out.threads_spawned, 4, "one carrier per worker");
 }
 
 /// The start race: after one barrier every PE puts into a static slab on
 /// every peer, all walking the peers in the same order, so each
 /// destination's first requests arrive together from contexts on other
 /// workers (co-resident peers are written directly, without a request).
-/// Exactly one context per PE starts, and every request is served.
+/// Exactly one context per PE starts, and every request is served; the
+/// service contexts are stacks on their workers' carriers, so no thread
+/// is spawned for them.
 #[test]
 fn concurrent_first_requests_start_each_service_context_once() {
     const NPES: usize = 64;
@@ -84,7 +89,7 @@ fn concurrent_first_requests_start_each_service_context_once() {
     });
     // 16 PEs per worker: 48 of each PE's 63 puts cross a shard.
     assert_eq!(out.values, vec![48; NPES]);
-    assert_eq!(out.threads_spawned, NPES + NPES);
+    assert_eq!(out.threads_spawned, 4, "one carrier per worker, none per service context");
 }
 
 /// `finalize` synchronises on the default barrier's transport. A no-op

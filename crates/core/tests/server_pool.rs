@@ -371,29 +371,32 @@ fn warm_scrub(npes: usize) -> u64 {
 }
 
 /// A job pays for what it touches: a sequential stream of 2-PE jobs
-/// runs on the four lanes of its first job (runner, launch, two PEs)
-/// however long it is, and scrubs 8 bytes of heap per PE.
+/// runs on the three lanes of its first job (runner, launch, and the
+/// carrier of the one worker its two PEs are stacks on) however long it
+/// is, and scrubs 8 bytes of heap per PE.
 #[test]
-fn a_sequential_stream_runs_on_four_lanes_and_scrubs_what_it_dirtied() {
+fn a_sequential_stream_runs_on_three_lanes_and_scrubs_what_it_dirtied() {
     let server = Server::fair(ServerConfig { workers: 2, ..Default::default() });
     for _ in 0..100 {
         assert!(server.submit(ring_spec(2)).expect("admitted").wait().outcome.is_completed());
     }
     let stats = server.stats();
-    assert_eq!((stats.lanes_spawned, stats.lanes_reused), (4, 396));
+    assert_eq!((stats.lanes_spawned, stats.lanes_reused), (3, 297));
     assert_eq!((stats.arenas_fresh, stats.arenas_recycled), (1, 99));
     assert_eq!(stats.scrubbed_bytes, 99 * warm_scrub(2));
-    assert_eq!((stats.lanes_retired, stats.lanes_live), (0, 4));
+    assert_eq!((stats.lanes_retired, stats.lanes_live), (0, 3));
     let stats = server.shutdown();
-    assert_eq!((stats.lanes_spawned, stats.lanes_live), (4, 0), "shutdown ends every idle lane");
+    assert_eq!((stats.lanes_spawned, stats.lanes_live), (3, 0), "shutdown ends every idle lane");
 }
 
 /// The benchmark's stream — 2 slots, 8 jobs in flight, one 8-PE job in
 /// five. A 2-PE job leases one slot, so two of them run side by side,
 /// but an 8-PE job leases both and runs alone; and every lane of a job
-/// is idle again before its slots are. So ten lanes — the widest job's,
-/// more than two narrow jobs' eight — carry the whole stream, and it
-/// allocates three sets: one per narrow job in flight and one 8-PE set.
+/// is idle again before its slots are. A job's lanes are its runner,
+/// its launch and one carrier per leased worker, so six lanes — two
+/// narrow jobs' side by side, more than the widest job's four — carry
+/// the whole stream, and it allocates three sets: one per narrow job in
+/// flight and one 8-PE set.
 #[test]
 fn a_closed_loop_stream_runs_on_the_lanes_of_its_widest_job() {
     let server = Server::fair(ServerConfig { workers: 2, ..Default::default() });
@@ -412,8 +415,8 @@ fn a_closed_loop_stream_runs_on_the_lanes_of_its_widest_job() {
         assert!(h.wait().outcome.is_completed());
     }
     let stats = server.shutdown();
-    assert_eq!(stats.lanes_spawned, 2 + 8);
-    assert_eq!(stats.lanes_reused, narrow * 4 + wide * 10 - 10);
+    assert_eq!(stats.lanes_spawned, 3 + 3);
+    assert_eq!(stats.lanes_reused, narrow * 3 + wide * 4 - 6);
     assert_eq!((stats.arenas_fresh, stats.arenas_recycled), (3, narrow + wide - 3));
     assert_eq!(stats.scrubbed_bytes, (narrow - 2) * warm_scrub(2) + (wide - 1) * warm_scrub(8));
     assert_eq!((stats.lanes_retired, stats.lanes_live), (0, 0));
@@ -467,8 +470,10 @@ fn two_narrow_jobs_share_the_pool_and_a_wide_one_waits_for_both_slots() {
     assert!(wide_ran.load(Ordering::SeqCst));
 }
 
-/// `threads_spawned` is what *this launch* created: the PEs of the first
-/// launch over a kept `Resident`, nothing for the ones after it.
+/// `threads_spawned` is what *this launch* created: the worker carriers
+/// of the first launch over a kept `Resident`, nothing for the ones
+/// after it — which map no stack either: the first launch's four are
+/// kept and taken again.
 #[test]
 fn a_warm_resident_launch_spawns_no_thread() {
     let resident = Arc::new(Resident::default());
@@ -476,16 +481,18 @@ fn a_warm_resident_launch_spawns_no_thread() {
         let backend = CoopBackend { workers: 2, resident: Some(resident.clone()) };
         Launcher::new(&small_cfg(4), backend).run(|ctx| ctx.my_pe()).threads_spawned
     };
-    assert_eq!(launch(), 4);
+    assert_eq!(launch(), 2);
+    assert_eq!(resident.stacks.kept(), 4);
     assert_eq!(launch(), 0);
     assert_eq!(launch(), 0);
-    assert_eq!(resident.lanes.stats().live, 4);
+    assert_eq!(resident.lanes.stats().live, 2);
+    assert_eq!(resident.stacks.kept(), 4, "a warm launch maps no stack");
 }
 
 /// The trust rule of the lanes: after a `Faulted` job — one PE panics,
-/// its sibling unwinds through the abort — no later job ever runs on a
-/// thread that unwound, exactly those lanes are retired, and the pool
-/// keeps serving on the rest.
+/// its sibling unwinds through the abort, both stacks on their worker's
+/// one carrier lane — no later job ever runs on a thread that unwound,
+/// exactly that lane is retired, and the pool keeps serving on the rest.
 #[test]
 fn lanes_a_faulted_job_unwound_are_never_reused() {
     let server = Server::round_robin(ServerConfig { workers: 2, ..Default::default() });
@@ -524,8 +531,8 @@ fn lanes_a_faulted_job_unwound_are_never_reused() {
         other => panic!("hostile job should fault, got {other:?}"),
     }
     let unwound: HashSet<ThreadId> = unwound.lock().iter().copied().collect();
-    assert_eq!(unwound.len(), 2);
-    assert_eq!(server.stats().lanes_retired, 2, "both PE lanes unwound; the launch lane caught it");
+    assert_eq!(unwound.len(), 1, "both PEs on their worker's carrier");
+    assert_eq!(server.stats().lanes_retired, 1, "the carrier lane unwound; the launch lane caught it");
 
     seen.lock().clear();
     for _ in 0..50 {
@@ -535,8 +542,9 @@ fn lanes_a_faulted_job_unwound_are_never_reused() {
     assert!(seen.lock().iter().all(|id| !unwound.contains(id)), "a job ran on an unwound lane");
     let stats = server.shutdown();
     assert_eq!((stats.completed, stats.faulted), (51, 1));
-    // Runner + launch + 2 PEs, and the two that replaced the unwound.
-    assert_eq!((stats.lanes_spawned, stats.lanes_retired, stats.lanes_live), (6, 2, 0));
+    // Runner + launch + the worker's carrier, and the one that replaced
+    // the unwound carrier.
+    assert_eq!((stats.lanes_spawned, stats.lanes_retired, stats.lanes_live), (4, 1, 0));
 }
 
 /// A 2-PE job with enough fabric ops that a `PanicPe { after_ops: 8 }`
@@ -577,12 +585,12 @@ fn injected_pe_panic_faults_the_job_and_pool_survives() {
         }
         other => panic!("PanicPe job must fault, got {other:?}"),
     }
-    // PE 1 panicked and PE 0 unwound through the abort: both lanes are
-    // gone for good, and the counters have settled by the time the
-    // report is out.
+    // PE 1 panicked and PE 0 unwound through the abort: the carrier lane
+    // both ran on is gone for good, and the counters have settled by the
+    // time the report is out.
     let unwound: HashSet<ThreadId> = seen.lock().drain(..).collect();
-    assert_eq!(unwound.len(), 2);
-    assert_eq!(server.stats().lanes_retired, 2);
+    assert_eq!(unwound.len(), 1);
+    assert_eq!(server.stats().lanes_retired, 1);
 
     // The same workload without the plan completes.
     for _ in 0..50 {
@@ -594,7 +602,7 @@ fn injected_pe_panic_faults_the_job_and_pool_survives() {
     let stats = server.shutdown();
     assert_eq!((stats.faulted, stats.completed), (1, 50));
     assert_eq!(stats.evicted, 0, "a caught panic must not look like a wedge");
-    assert_eq!((stats.lanes_retired, stats.lanes_live), (2, 0));
+    assert_eq!((stats.lanes_retired, stats.lanes_live), (1, 0));
 }
 
 /// A plan rides on its job, not on the server: with one tenant's

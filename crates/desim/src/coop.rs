@@ -35,8 +35,9 @@
 //! as its run queue: a push keys an LP by its effective clock, a pop
 //! discards stale entries. So a handoff is the core's — pick `next`
 //! under the scheduler lock, drop it, grant `next`, park on our own flag
-//! — over [`Stacks`]: the LPs are stacks carried by the thread that
-//! called [`run_mode`], so the grant puts `next` on the carrier's ready
+//! — on the domain's carrier ([`substrate::stack::Carrier`]): the LPs
+//! are stacks carried by the thread that called [`run_mode`], so the
+//! grant puts `next` on the carrier's ready
 //! ring and the park is one user-space switch to it — no OS thread is
 //! spawned, woken or parked. An empty queue is a deadlock: the run is
 //! poisoned (panic or deadlock) under the lock, and then the core wakes
@@ -85,7 +86,7 @@ use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use substrate::baton::{Baton, Held, RunQueue, Stacks, Yield};
+use substrate::baton::{Baton, Held, RunQueue, Yield};
 
 use crate::time::SimTime;
 
@@ -296,10 +297,10 @@ impl<M> RunQueue for SchedState<M> {
 /// The run's one domain.
 const RUN: usize = 0;
 
-type Guard<'a, M> = Held<'a, SchedState<M>, Stacks>;
+type Guard<'a, M> = Held<'a, SchedState<M>>;
 
 struct Shared<M> {
-    baton: Baton<SchedState<M>, Stacks>,
+    baton: Baton<SchedState<M>>,
     observer: Option<Arc<dyn CoopObserver>>,
 }
 
@@ -574,8 +575,9 @@ where
     for id in 1..n {
         state.push(id);
     }
-    let shared = Arc::new(Shared { baton: Baton::new(n, [state]), observer });
-    shared.baton.acquire(RUN, 0, || unreachable!("a new run is free"));
+    let baton = Baton::new(n, [state], |_| (RUN, true), &Arc::default());
+    let shared = Arc::new(Shared { baton, observer });
+    shared.baton.start(RUN, 0);
 
     // Every LP is a stack on this thread: LP 0 starts holding the token,
     // the rest start when first granted, and `run` returns once all have
@@ -583,7 +585,7 @@ where
     // the generic `Launcher` relies on that to give every engine one
     // bound set.
     let outcomes: Vec<Cell<Option<LpOutcome<R>>>> = (0..n).map(|_| Cell::new(None)).collect();
-    shared.baton.run(0, &|id| outcomes[id].set(Some(lp_main(id, n, channels, shared.clone(), &f))));
+    shared.baton.run(RUN, &|id| outcomes[id].set(Some(lp_main(id, n, channels, shared.clone(), &f))));
 
     let mut values: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut clocks = vec![SimTime::ZERO; n]; // cold: once per run, after all LPs finished

@@ -6,9 +6,10 @@
 //!   1 GHz TILE-Gx and the 700 MHz TILEPro clock grids).
 //! * [`Sim`] — a classic closure-based event queue for open-loop models.
 //! * [`coop`] — a **virtual-time cooperative scheduler**: each simulated
-//!   processing element runs as a real thread with its own virtual clock,
-//!   but exactly one runs at any instant and the scheduler always resumes
-//!   the thread with the smallest effective clock. Blocking protocol code
+//!   processing element runs as a stack of its own, with its own virtual
+//!   clock, on the thread that started the run; exactly one runs at any
+//!   instant and the scheduler always resumes the one with the smallest
+//!   effective clock. Blocking protocol code
 //!   (token barriers, collectives) therefore executes unchanged under
 //!   simulated time, deterministically.
 //! * [`resource`] — busy-until FIFO servers used to model contended

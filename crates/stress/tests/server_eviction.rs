@@ -6,8 +6,9 @@
 //! wedges parks PEs in pre-fix blocking sends into full queues, and the
 //! eviction's abort unwinds them there, so no lane is left
 //! (`lanes_live`). Phase 3 wedges one PE in a loop that never enters
-//! the runtime: no abort reaches it, and the server counts its lane and
-//! the launch lane waiting on it (`lanes_live`) until it returns.
+//! the runtime: no abort reaches it, nor the PE carried as a stack on
+//! the same worker lane, and the server counts that lane and the launch
+//! lane waiting on it (`lanes_live`) until it returns.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -104,10 +105,11 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
     assert_eq!(stats.evicted, 1);
 
     // The pool survives: a healthy job right after completes clean —
-    // on none of the lanes the two evicted attempts unwound.
+    // on none of the lanes the two evicted attempts unwound. An attempt's
+    // four PEs are stacks on the carrier lanes of its two workers.
     let evicted_on: HashSet<ThreadId> = evicted_on.lock().unwrap().iter().copied().collect();
-    assert_eq!(evicted_on.len(), 8, "two attempts of four PEs, no lane of the first reused by the second");
-    assert_eq!(stats.lanes_retired, 8);
+    assert_eq!(evicted_on.len(), 4, "two attempts of two worker lanes, no lane of the first reused by the second");
+    assert_eq!(stats.lanes_retired, 4);
     let healthy_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
     let seen = healthy_on.clone();
     let healthy = server
@@ -221,14 +223,15 @@ fn wedged_job_is_diagnosed_evicted_retried_and_given_up() {
         }
         other => panic!("a PE wedged outside the runtime must evict, got {other:?}"),
     }
-    // What the server cannot get back is counted, not hidden: the PE
-    // still in its loop, and the launch lane that waits for it (the
-    // blocked scope join of the job's launch). Everything else is gone.
+    // What the server cannot get back is counted, not hidden: the worker
+    // lane PE 0 still loops on — PE 1, a stack on the same lane, cannot
+    // run to meet the abort either — and the launch lane that waits for
+    // it (the blocked join of the job's launch). Everything else is gone.
     let wedged = 4 - ended.load(Ordering::SeqCst);
-    assert_eq!(wedged, 1, "only PE 0 is out of the abort's reach");
-    assert_eq!(server.shutdown().lanes_live, wedged as u64 + 1);
+    assert_eq!(wedged, 2, "only PE 0 and PE 1, on its worker's lane, are out of the abort's reach");
+    assert_eq!(server.shutdown().lanes_live, 1 + 1);
     // Released, PE 0 enters the runtime, meets the abort at its first
-    // park and unwinds.
+    // park and unwinds, and PE 1 after it.
     release.store(true, Ordering::Release);
     let deadline = Instant::now() + Duration::from_secs(10);
     while ended.load(Ordering::SeqCst) < 4 && Instant::now() < deadline {

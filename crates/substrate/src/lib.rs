@@ -10,10 +10,11 @@
 //!
 //! * [`baton`] — the cooperative handoff core: at most one running
 //!   context per domain, handed on by grant flag, ordered by a pluggable
-//!   run queue (FIFO admission, or a virtual-time key); a context is an
-//!   OS thread woken by unpark, or a stack switched to.
-//! * [`stack`] — contexts as stacks on one carrier thread, and the
-//!   user-space switch between them.
+//!   run queue (FIFO admission, or a virtual-time key); every context is
+//!   a stack on its domain's carrier thread.
+//! * [`stack`] — contexts as stacks on one carrier thread, the
+//!   user-space switch between them, the carrier's cross-thread inbox and
+//!   deadline-bounded idle park, and the pool stacks are kept in.
 //! * [`pages`] — fresh zero pages from the kernel (`mmap`), for common
 //!   memory and stacks.
 //! * [`sync`] — `Mutex`/`Condvar`/`RwLock` over `std::sync` with

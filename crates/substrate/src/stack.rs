@@ -3,20 +3,27 @@
 //! switch of the stack pointer — no kernel wake, no park.
 //!
 //! A [`Carrier`] owns the contexts and a ring of the ready ones. Its
-//! [`run`](Carrier::run) starts the first context on a fresh stack;
-//! from then on a context makes another ready with
+//! [`run`](Carrier::run) starts each context made ready on a stack of
+//! its own; from then on a context makes another ready with
 //! [`ready`](Carrier::ready) and gives the CPU up with
 //! [`suspend`](Carrier::suspend), which switches straight to the next
-//! ready context, or back to the carrier loop when none is. `run`
-//! returns once no context is ready; by then every context has
-//! finished, or `run` panics naming the ones left suspended.
+//! ready context. A ready from another thread goes to the carrier's
+//! inbox instead, and unparks the carrier thread if it idles: with
+//! nothing ready the thread parks — in the suspending context, or in
+//! the carrier loop once no started context is left to run — bounded by
+//! the earliest deadline of a [`suspend_until`](Carrier::suspend_until),
+//! until a ready, a [`wake_all`](Carrier::wake_all) or that deadline
+//! comes. `run` returns
+//! once every context it started has finished and every *main* context
+//! (the first `mains` of them) has started.
 //!
-//! Every stack is 2 MiB of fresh pages ([`crate::pages`]), the lowest
-//! mapped again inaccessible as a guard. A context starts in `entry`,
-//! which runs its body under `catch_unwind` above a null return
-//! address: no unwind crosses a switch, and a backtrace walk ends at the
-//! stack base. A panic a body lets escape is resumed by `run` once every
-//! context is done.
+//! Stacks come from a [`Pool`]: 2 MiB of fresh pages ([`crate::pages`])
+//! each, the lowest mapped again inaccessible as a guard, and given back
+//! to the pool when the carrier is dropped, so a pool kept across runs
+//! maps a stack once. A context starts in `entry`, which runs its body
+//! under `catch_unwind` above a null return address: no unwind crosses
+//! a switch, and a backtrace walk ends at the stack base. A panic a body
+//! lets escape is resumed by `run` once every context is done.
 //!
 //! The panic count and every other thread-local of std belong to the
 //! carrier thread, which all contexts share, so a context must never
@@ -30,13 +37,17 @@
 
 use std::alloc::{handle_alloc_error, Layout};
 use std::any::Any;
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
+use std::time::Instant;
 
 use crate::pages;
+use crate::sync::Mutex;
 
 #[cfg(not(all(target_arch = "x86_64", unix)))]
 compile_error!(
@@ -54,6 +65,10 @@ thread_local! {
 struct Stack {
     base: NonNull<u8>,
 }
+
+// SAFETY: a stack is a mapping it owns alone; which thread unmaps it
+// does not matter.
+unsafe impl Send for Stack {}
 
 impl Stack {
     /// The size of std's default thread stack.
@@ -107,6 +122,26 @@ impl Drop for Stack {
     }
 }
 
+/// Stacks kept for reuse: a context takes one when it starts, and its
+/// carrier gives it back when dropped. Keep a pool across runs — as a
+/// server keeps its lanes — and a warm run maps no stack.
+#[derive(Default)]
+pub struct Pool {
+    free: Mutex<Vec<Stack>>,
+}
+
+impl Pool {
+    fn take(&self) -> Stack {
+        let kept = self.free.lock().pop();
+        kept.unwrap_or_else(Stack::new)
+    }
+
+    /// Stacks kept, none of them in use.
+    pub fn kept(&self) -> usize {
+        self.free.lock().len()
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum State {
     /// Not started: no stack yet.
@@ -121,16 +156,23 @@ enum State {
 struct Context {
     state: Cell<State>,
     sp: Cell<usize>,
-    stack: OnceCell<Stack>,
+    stack: Cell<Option<Stack>>,
 }
 
 /// `n` contexts run as stacks on the thread that calls
 /// [`run`](Self::run), one at a time.
 pub struct Carrier {
     contexts: Box<[Context]>,
+    /// Contexts `0..mains` must start before `run` returns.
+    mains: usize,
     /// Contexts made ready, in order; an entry for one that is running
     /// or finished by the time it comes up is skipped.
     ready: RefCell<VecDeque<usize>>,
+    /// `(deadline, ctx)` of every context in [`suspend_until`](Self::suspend_until).
+    deadlines: RefCell<Vec<(Instant, usize)>>,
+    /// Started and not finished.
+    live: Cell<usize>,
+    mains_started: Cell<usize>,
     /// The running context; `None` while the carrier loop runs.
     current: Cell<Option<usize>>,
     /// The carrier loop's stack pointer while a context runs.
@@ -139,45 +181,81 @@ pub struct Carrier {
     body: Cell<*const ()>,
     /// The first panic a body let escape.
     escaped: Cell<Option<Box<dyn Any + Send>>>,
+    pool: Arc<Pool>,
     ran: AtomicBool,
+    /// The inbox: per context, whether another thread made it ready
+    /// since the carrier last looked.
+    posted_ready: Box<[AtomicBool]>,
+    door: Door,
+}
+
+/// What a thread that posts to a carrier touches besides the inbox
+/// flag, on a cache line of its own, away from the fields the carrier
+/// thread writes on every switch.
+#[repr(align(64))]
+struct Door {
+    /// Set after a post to the inbox, taken before it is read.
+    posted: AtomicBool,
+    /// Another thread asked for [`wake_all`](Carrier::wake_all).
+    wake_all: AtomicBool,
+    /// The carrier thread parks, or is about to: a post unparks it.
+    idle: AtomicBool,
+    thread: OnceLock<Thread>,
 }
 
 // SAFETY: every cell — each context's state, saved stack pointer and
-// stack, the ready ring, `current`, `home`, `body` and `escaped` — is
-// read and written only on the thread in the carrier's one `run` (`ran`,
-// an atomic, admits one call): `ready` and `suspend`, the entry points
-// besides `new`, `run` and `Drop`, first check that this thread's
-// `CARRIER` is this carrier, which only `run` sets, on its own thread,
-// and the rest is reached only from those. The stacks are mappings the
-// carrier owns, and no context runs once `run` returned; an escaped
+// stack, the ready ring, the deadlines, the counts, `current`, `home`,
+// `body` and `escaped` — is read and written only on the thread in the
+// carrier's one `run` (`ran`, an atomic, admits one call): `suspend`,
+// `suspend_until` and `yield_now` first check that this thread's
+// `CARRIER` is this carrier, which only `run` sets, on its own thread;
+// `ready` and `wake_all` touch the cells only after the same check and
+// otherwise post to the inbox, which is atomics only; the rest is
+// reached only from those, `new` and `Drop`. The stacks are mappings
+// the carrier owns, and no context runs once `run` returned; an escaped
 // panic payload is `Send`.
 unsafe impl Send for Carrier {}
 unsafe impl Sync for Carrier {}
 
 impl Carrier {
-    /// `contexts` contexts, none started; stacks are mapped as they start.
-    pub fn new(contexts: usize) -> Self {
-        let context = |_| Context { state: Cell::new(State::Fresh), sp: Cell::new(0), stack: OnceCell::new() };
+    /// `contexts` contexts, none started, the first `mains` of which
+    /// `run` waits to start; stacks come from `pool` as they start. The
+    /// inbox and the deadline list are allocated here, for every context.
+    pub fn new(contexts: usize, mains: usize, pool: Arc<Pool>) -> Self {
+        assert!(mains <= contexts, "{mains} main contexts of {contexts}");
+        let context = |_| Context { state: Cell::new(State::Fresh), sp: Cell::new(0), stack: Cell::new(None) };
         Self {
             contexts: (0..contexts).map(context).collect(),
+            mains,
             ready: RefCell::new(VecDeque::with_capacity(contexts)),
+            deadlines: RefCell::new(Vec::with_capacity(contexts)),
+            live: Cell::new(0),
+            mains_started: Cell::new(0),
             current: Cell::new(None),
             home: Cell::new(0),
             body: Cell::new(ptr::null()),
             escaped: Cell::new(None),
+            pool,
             ran: AtomicBool::new(false),
+            posted_ready: (0..contexts).map(|_| AtomicBool::new(false)).collect(),
+            door: Door {
+                posted: AtomicBool::new(false),
+                wake_all: AtomicBool::new(false),
+                idle: AtomicBool::new(false),
+                thread: OnceLock::new(),
+            },
         }
     }
 
-    /// Run context `first`, and every context made ready since, each as
-    /// a stack on the calling thread, until no context is ready; context
-    /// `ctx` runs `body(ctx)`. A carrier runs once.
+    /// Run every context made ready — before this call or during it, from
+    /// any thread — each as a stack on the calling thread; context `ctx`
+    /// runs `body(ctx)`. With nothing ready the thread parks until
+    /// something is. Returns once every started context has finished and
+    /// every main one has started. A carrier runs once.
     ///
     /// # Panics
-    /// With the first panic a body let escape; otherwise if a context is
-    /// left suspended with none ready to make it ready again (its stack
-    /// is leaked, not unwound).
-    pub fn run(&self, first: usize, body: &dyn Fn(usize)) {
+    /// With the first panic a body let escape, once that holds.
+    pub fn run(&self, body: &dyn Fn(usize)) {
         assert!(!self.ran.swap(true, Ordering::Relaxed), "a carrier runs once");
         struct Restore(*const Carrier);
         impl Drop for Restore {
@@ -186,45 +264,100 @@ impl Carrier {
             }
         }
         let _outer = Restore(CARRIER.replace(self));
+        let _ = self.door.thread.set(thread::current());
         self.body.set(&body as *const &dyn Fn(usize) as *const ());
-        self.ready.borrow_mut().push_back(first);
-        while let Some(next) = self.pop_ready() {
-            self.switch_to(Some(next));
+        loop {
+            while let Some(next) = self.pop_ready() {
+                self.switch_to(Some(next));
+            }
+            if self.live.get() == 0 && self.mains_started.get() == self.mains {
+                break;
+            }
+            self.idle_park();
         }
         self.body.set(ptr::null());
         if let Some(p) = self.escaped.take() {
             panic::resume_unwind(p);
         }
-        let stuck: Vec<usize> = (0..self.contexts.len()).filter(|&c| self.state(c) == State::Suspended).collect(); // cold: once per run
-        assert!(stuck.is_empty(), "contexts {stuck:?} are suspended and no context is ready to make them ready");
     }
 
-    /// Queue `ctx` to run when the running context suspends — or, from
-    /// the carrier loop, next.
+    /// Queue `ctx` to run: on the carrier thread, when the running
+    /// context suspends — or, from the carrier loop, next; from any other
+    /// thread, through the inbox, unparking the carrier thread if it
+    /// idles.
     #[inline]
     pub fn ready(&self, ctx: usize) {
-        self.check_carrier();
-        self.ready.borrow_mut().push_back(ctx);
+        if self.on_carrier() {
+            self.ready.borrow_mut().push_back(ctx);
+        } else {
+            self.post(&self.posted_ready[ctx]);
+        }
+    }
+
+    /// Make every context that has started and not finished ready, and
+    /// every main context that has not started.
+    pub fn wake_all(&self) {
+        if self.on_carrier() {
+            self.ready_all();
+        } else {
+            self.post(&self.door.wake_all);
+        }
     }
 
     /// Give the CPU up from `ctx`, the running context: switch to the
-    /// next ready context, or to the carrier loop when none is. Returns
-    /// when a switch resumes `ctx`.
+    /// next ready context, or, with none ready, park the carrier thread
+    /// right here until one is. Returns when `ctx` is resumed — at once
+    /// if it is the next ready, without a switch.
     ///
     /// # Aborts
-    /// If `ctx` is unwinding a panic.
+    /// If `ctx` is unwinding a panic and another context is to run.
     #[inline]
     pub fn suspend(&self, ctx: usize) {
         self.check_carrier();
         assert_eq!(self.current.get(), Some(ctx), "only the running context suspends");
-        let next = self.pop_ready();
-        self.switch_to(next);
+        let cx = &self.contexts[ctx];
+        cx.state.set(State::Suspended);
+        loop {
+            match self.pop_ready() {
+                Some(next) if next == ctx => return cx.state.set(State::Running),
+                Some(next) => return self.switch_to(Some(next)),
+                None => self.idle_park(),
+            }
+        }
+    }
+
+    /// [`suspend`](Self::suspend) `ctx`, and make it ready again at
+    /// `deadline` if nothing has by then: the carrier thread, idle, parks
+    /// no longer than the earliest such deadline.
+    pub fn suspend_until(&self, ctx: usize, deadline: Instant) {
+        self.check_carrier();
+        self.deadlines.borrow_mut().push((deadline, ctx));
+        self.suspend(ctx);
+        self.deadlines.borrow_mut().retain(|&(_, c)| c != ctx);
+    }
+
+    /// Let the other contexts with something to run — made ready, from
+    /// the inbox, or past their deadline — run before `ctx` resumes.
+    /// Whether any did.
+    #[inline]
+    pub fn yield_now(&self, ctx: usize) -> bool {
+        self.check_carrier();
+        let others = !self.ready.borrow().is_empty() || self.door.posted.load(Ordering::Relaxed) || self.expired();
+        if others {
+            self.ready.borrow_mut().push_back(ctx);
+            self.suspend(ctx);
+        }
+        others
+    }
+
+    fn on_carrier(&self) -> bool {
+        ptr::eq(CARRIER.get(), self)
     }
 
     fn check_carrier(&self) {
         assert!(
-            ptr::eq(CARRIER.get(), self),
-            "a context of a carrier is readied or suspended only from that carrier's own run"
+            self.on_carrier(),
+            "a context of a carrier suspends only on that carrier's own run"
         );
     }
 
@@ -232,9 +365,93 @@ impl Carrier {
         self.contexts[ctx].state.get()
     }
 
+    /// Raise `flag` of the inbox, then unpark the carrier thread if it
+    /// idles. The flag's Release store pairs with the Acquire swap that
+    /// takes it in [`pop_ready`](Self::pop_ready). The `posted` store and
+    /// the `idle` load here and the `idle` store and the `posted` load in
+    /// [`idle_park`](Self::idle_park) are SeqCst, so one side sees the
+    /// other.
+    fn post(&self, flag: &AtomicBool) {
+        flag.store(true, Ordering::Release);
+        self.door.posted.store(true, Ordering::SeqCst);
+        if self.door.idle.load(Ordering::SeqCst) {
+            if let Some(t) = self.door.thread.get() {
+                t.unpark();
+            }
+        }
+    }
+
+    /// Park the carrier thread until a post, or the earliest deadline. A
+    /// stale unpark token only costs one more pass of the loop.
+    fn idle_park(&self) {
+        self.door.idle.store(true, Ordering::SeqCst);
+        if !self.door.posted.load(Ordering::SeqCst) {
+            let earliest = self.deadlines.borrow().iter().map(|&(d, _)| d).min();
+            match earliest {
+                Some(d) => thread::park_timeout(d.saturating_duration_since(Instant::now())),
+                None => thread::park(),
+            }
+        }
+        self.door.idle.store(false, Ordering::Relaxed);
+    }
+
+    fn ready_all(&self) {
+        let mut ready = self.ready.borrow_mut();
+        for (c, cx) in self.contexts.iter().enumerate() {
+            if cx.state.get() == State::Suspended || (cx.state.get() == State::Fresh && c < self.mains) {
+                ready.push_back(c);
+            }
+        }
+    }
+
+    fn expired(&self) -> bool {
+        let deadlines = self.deadlines.borrow();
+        !deadlines.is_empty() && {
+            let now = Instant::now();
+            deadlines.iter().any(|&(d, _)| d <= now)
+        }
+    }
+
+    /// Move what the inbox holds — in context order — and the contexts
+    /// past their deadline onto the ready ring, then pop the first that
+    /// can run.
+    #[inline]
     fn pop_ready(&self) -> Option<usize> {
+        if self.door.posted.load(Ordering::Relaxed) {
+            self.take_posts();
+        }
+        if !self.deadlines.borrow().is_empty() {
+            self.take_expired();
+        }
         let mut ready = self.ready.borrow_mut();
         std::iter::from_fn(|| ready.pop_front()).find(|&c| matches!(self.state(c), State::Fresh | State::Suspended))
+    }
+
+    #[cold]
+    fn take_posts(&self) {
+        if !self.door.posted.swap(false, Ordering::SeqCst) {
+            return;
+        }
+        let mut ready = self.ready.borrow_mut();
+        for (c, posted) in self.posted_ready.iter().enumerate() {
+            if posted.load(Ordering::Relaxed) && posted.swap(false, Ordering::Acquire) {
+                ready.push_back(c);
+            }
+        }
+        drop(ready);
+        if self.door.wake_all.swap(false, Ordering::Acquire) {
+            self.ready_all();
+        }
+    }
+
+    #[cold]
+    fn take_expired(&self) {
+        let now = Instant::now();
+        let mut ready = self.ready.borrow_mut();
+        self.deadlines.borrow_mut().retain(|&(d, c)| d > now || {
+            ready.push_back(c);
+            false
+        });
     }
 
     /// Switch from what runs now — a context or the carrier loop — to
@@ -261,7 +478,16 @@ impl Carrier {
             Some(ctx) => {
                 let cx = &self.contexts[ctx];
                 let sp = match cx.state.get() {
-                    State::Fresh => cx.stack.get_or_init(Stack::new).fresh_frame(self, ctx),
+                    State::Fresh => {
+                        self.live.set(self.live.get() + 1);
+                        if ctx < self.mains {
+                            self.mains_started.set(self.mains_started.get() + 1);
+                        }
+                        let stack = self.pool.take();
+                        let sp = stack.fresh_frame(self, ctx);
+                        cx.stack.set(Some(stack));
+                        sp
+                    }
                     State::Suspended => cx.sp.get(),
                     s => unreachable!("context {ctx} resumed while {s:?}"),
                 };
@@ -284,11 +510,14 @@ impl Carrier {
 
 impl Drop for Carrier {
     fn drop(&mut self) {
-        // A context left suspended still has live frames: its stack is
-        // leaked, never unmapped under them.
+        // A finished context's stack goes back to the pool. One left
+        // suspended still has live frames: its stack is leaked, never
+        // unmapped or reused under them.
+        let mut free = self.pool.free.lock();
         for cx in self.contexts.iter_mut() {
-            if cx.state.get() == State::Suspended {
-                std::mem::forget(cx.stack.take());
+            match (cx.state.get(), cx.stack.take()) {
+                (State::Finished, Some(stack)) => free.push(stack), // cold: once per context a run started
+                (_, stack) => std::mem::forget(stack),
             }
         }
     }
@@ -303,14 +532,15 @@ extern "C" fn entry(carrier: *const Carrier, ctx: usize) -> ! {
     // `switch_to`).
     let carrier = unsafe { &*carrier };
     // SAFETY: `run` stored a pointer to its `body` argument, which lives
-    // on its frame until it returns; it returns only when no context is
-    // ready, and a context starts only from the ready ring.
+    // on its frame until it returns; it returns only when every started
+    // context has finished, and a context starts only inside `run`.
     let body = unsafe { *carrier.body.get().cast::<&dyn Fn(usize)>() };
     if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| body(ctx))) {
         let first = carrier.escaped.take().unwrap_or(p);
         carrier.escaped.set(Some(first));
     }
     carrier.contexts[ctx].state.set(State::Finished);
+    carrier.live.set(carrier.live.get() - 1);
     carrier.switch_to(None);
     unreachable_resume(ctx)
 }
@@ -369,15 +599,27 @@ unsafe extern "C" fn switch(save: *mut usize, sp: usize) {
 mod tests {
     use super::*;
     use std::sync::Mutex;
+    use std::time::Duration;
+
+    /// `n` contexts, all main, over a pool of their own.
+    fn carrier(n: usize) -> Carrier {
+        Carrier::new(n, n, Arc::default())
+    }
+
+    /// Run `carrier` from context `first`.
+    fn run_from(carrier: &Carrier, first: usize, body: &dyn Fn(usize)) {
+        carrier.ready(first);
+        carrier.run(body);
+    }
 
     /// Three contexts take turns through the ready ring, all on the
     /// calling thread.
     #[test]
     fn contexts_take_turns_in_ready_order_on_the_calling_thread() {
-        let carrier = Carrier::new(3);
+        let carrier = carrier(3);
         let log = Mutex::new(Vec::new());
         let me = std::thread::current().id();
-        carrier.run(0, &|ctx| {
+        run_from(&carrier, 0, &|ctx| {
             assert_eq!(std::thread::current().id(), me);
             for round in 0..3 {
                 log.lock().unwrap().push((ctx, round));
@@ -402,9 +644,9 @@ mod tests {
     fn each_context_keeps_its_registers_and_floating_point_mode() {
         use std::arch::x86_64::{_mm_getcsr, _mm_setcsr};
         const TOWARD_ZERO: u32 = 0x6000;
-        let carrier = Carrier::new(2);
+        let carrier = carrier(2);
         let sums = Mutex::new([0.0f64; 2]);
-        carrier.run(0, &|ctx| {
+        run_from(&carrier, 0, &|ctx| {
             // SAFETY: reading and writing MXCSR's rounding bits has no
             // effect beyond this context's floating-point results.
             let csr = unsafe { _mm_getcsr() };
@@ -443,9 +685,9 @@ mod tests {
                 deep(n - 1) + usize::from(pad[0] & 1)
             }
         }
-        let carrier = Carrier::new(1);
+        let carrier = carrier(1);
         let out = Cell::new(0);
-        carrier.run(0, &|_| out.set(deep(512)));
+        run_from(&carrier, 0, &|_| out.set(deep(512)));
         assert_eq!(out.get(), 256);
     }
 
@@ -453,10 +695,10 @@ mod tests {
     /// contexts finished.
     #[test]
     fn an_escaped_panic_is_resumed_after_every_context_finished() {
-        let carrier = Carrier::new(2);
+        let carrier = carrier(2);
         let finished = Cell::new(false);
         let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            carrier.run(0, &|ctx| {
+            run_from(&carrier, 0, &|ctx| {
                 if ctx == 0 {
                     carrier.ready(1);
                     panic!("boom in 0");
@@ -468,26 +710,108 @@ mod tests {
         assert!(finished.get());
     }
 
-    /// A context left waiting with nothing ready fails the run by name.
+    /// A ready from another thread reaches a carrier that idles with its
+    /// one context suspended: the carrier thread parks, and the ready
+    /// unparks it and resumes the context there.
     #[test]
-    fn a_context_left_suspended_fails_the_run() {
-        let carrier = Carrier::new(2);
-        let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            carrier.run(0, &|ctx| {
-                if ctx == 0 {
-                    carrier.ready(1);
-                }
-                carrier.suspend(ctx);
-            })
-        }));
-        let p = r.unwrap_err();
-        let msg = p.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("[0, 1]"), "{msg}");
+    fn a_context_made_ready_from_another_thread_resumes_on_its_idle_carrier() {
+        let carrier = Arc::new(carrier(1));
+        let (c, steps) = (carrier.clone(), Arc::new(Mutex::new(Vec::new())));
+        let log = steps.clone();
+        let t = thread::spawn(move || {
+            let me = thread::current().id();
+            run_from(&c, 0, &|ctx| {
+                log.lock().unwrap().push("suspended");
+                c.suspend(ctx);
+                assert_eq!(thread::current().id(), me, "resumed on its carrier thread");
+                log.lock().unwrap().push("resumed");
+            });
+        });
+        while !carrier.door.idle.load(Ordering::SeqCst) {
+            thread::yield_now();
+        }
+        assert_eq!(*steps.lock().unwrap(), ["suspended"]);
+        carrier.ready(0);
+        t.join().unwrap();
+        assert_eq!(*steps.lock().unwrap(), ["suspended", "resumed"]);
+    }
+
+    /// `run` does not return while a started context is suspended, nor
+    /// before every main context has started, however long nothing is
+    /// ready; a non-main context that never starts does not hold it.
+    #[test]
+    fn a_carrier_does_not_return_while_a_started_context_is_suspended() {
+        let carrier = Arc::new(Carrier::new(3, 2, Arc::default()));
+        let c = carrier.clone();
+        let t = thread::spawn(move || run_from(&c, 0, &|ctx| c.suspend(ctx)));
+        thread::sleep(Duration::from_millis(30));
+        assert!(!t.is_finished(), "returned with context 0 suspended");
+        carrier.ready(0);
+        thread::sleep(Duration::from_millis(30));
+        assert!(!t.is_finished(), "returned before main context 1 started");
+        carrier.ready(1);
+        thread::sleep(Duration::from_millis(30));
+        assert!(!t.is_finished(), "returned with context 1 suspended");
+        carrier.wake_all();
+        t.join().unwrap();
+        assert_eq!(carrier.state(2), State::Fresh, "the non-main context never started");
+    }
+
+    /// A context in `suspend_until` resumes at its deadline while the
+    /// carrier idles, not before; a `wake_all` from another thread ends
+    /// the same wait early.
+    #[test]
+    fn a_timed_suspend_resumes_at_its_deadline_or_early_on_wake_all() {
+        let carrier = carrier(1);
+        let waited = Cell::new(Duration::ZERO);
+        run_from(&carrier, 0, &|ctx| {
+            let t0 = Instant::now();
+            carrier.suspend_until(ctx, t0 + Duration::from_millis(20));
+            waited.set(t0.elapsed());
+        });
+        assert!(waited.get() >= Duration::from_millis(20), "{:?}", waited.get());
+
+        let carrier = Arc::new(self::carrier(1));
+        let c = carrier.clone();
+        let t = thread::spawn(move || {
+            let waited = Cell::new(Duration::ZERO);
+            run_from(&c, 0, &|ctx| {
+                let t0 = Instant::now();
+                c.suspend_until(ctx, t0 + Duration::from_secs(60));
+                waited.set(t0.elapsed());
+            });
+            waited.get()
+        });
+        while !carrier.door.idle.load(Ordering::SeqCst) {
+            thread::yield_now();
+        }
+        carrier.wake_all();
+        assert!(t.join().unwrap() < Duration::from_secs(30), "wake_all did not end the timed wait");
+    }
+
+    /// A stack a finished context ran on goes back to the pool, and the
+    /// next carrier over that pool starts its context on it.
+    #[test]
+    fn a_pool_kept_across_carriers_maps_each_stack_once() {
+        let pool: Arc<Pool> = Arc::default();
+        let base = || {
+            let carrier = Carrier::new(1, 1, pool.clone());
+            let at = Cell::new(0usize);
+            run_from(&carrier, 0, &|_| {
+                let local = 0u8;
+                at.set(std::hint::black_box(&local) as *const u8 as usize >> 21);
+            });
+            at.get()
+        };
+        let first = base();
+        assert_eq!(pool.kept(), 1);
+        assert_eq!(base(), first, "the second run started on the first run's stack");
+        assert_eq!(pool.kept(), 1);
     }
 
     #[test]
     #[should_panic(expected = "own run")]
-    fn only_the_carrier_thread_readies_a_context() {
-        Carrier::new(1).ready(0);
+    fn only_the_carrier_thread_suspends_a_context() {
+        carrier(1).suspend(0);
     }
 }

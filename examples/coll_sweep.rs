@@ -18,8 +18,9 @@
 //! `coll_sweep --attribute` instead counts what one round costs at the
 //! `coll_flat32` geometry (32 PEs, one worker): UDN sends from the
 //! engine trace (a 2k-round launch minus a k-round one, exact) and the
-//! context switches of the 32 PE threads (`/proc/thread-self/status`
-//! around the timed rounds, summed).
+//! context switches of the worker's one thread, which carries the 32
+//! PEs as stacks (`/proc/thread-self/status` around PE 0's timed
+//! rounds).
 
 use std::time::Instant;
 
@@ -168,9 +169,8 @@ fn attribute() {
     let per_round = (sends(2 * K + 1) - sends(K + 1)) as f64 / K as f64;
     let runs: Vec<(f64, f64, f64)> = (0..LAUNCHES)
         .map(|_| {
-            let pes = run(&cfg, K).values;
-            let sum = |f: fn(&(f64, u64, u64)) -> u64| pes.iter().map(f).sum::<u64>() as f64 / K as f64;
-            (pes[0].0, sum(|p| p.1), sum(|p| p.2))
+            let (ms, voluntary, nonvoluntary) = run(&cfg, K).values[0];
+            (ms, voluntary as f64 / K as f64, nonvoluntary as f64 / K as f64)
         })
         .collect();
     println!("udn_sends_per_round\tvoluntary_cs_per_round\tnonvoluntary_cs_per_round\tround_ms");

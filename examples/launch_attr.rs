@@ -11,11 +11,12 @@
 //!   probes;
 //! * **handout** — one `WallFabric` per PE (contexts index the launch's
 //!   endpoints in place, so this is reference counts only);
-//! * **spawn** — from the first `thread::spawn` until the last PE is
-//!   admitted and inside the job body;
+//! * **spawn** — from the first `thread::spawn` of a gate's carrier
+//!   until the last PE has started on its stack, admitted, and is inside
+//!   the job body;
 //! * **run** — `ShmemCtx::new` + `finalize` (the job body is empty), to
 //!   the last PE's return;
-//! * **join** — the scope's joins, PE threads and any service context;
+//! * **join** — the joins of the carrier lanes and any service carrier;
 //! * **drop** — the last references to fabric, arena and gate.
 //!
 //! The phases are consecutive, so they sum to the hand-assembled launch;
@@ -39,7 +40,7 @@
 //! * **checkout** — `ArenaPool::checkout`: the scrub of the recycled set;
 //! * **shared** — fabric, trace sink, `WallShared` (with the private
 //!   segments, when they are not part of the set);
-//! * **admit** — `Lanes::run` called to the last PE admitted;
+//! * **admit** — `Lanes::run` called to the last PE started, admitted;
 //! * **body** — `ShmemCtx::new`, the job body and `finalize`, to the
 //!   last PE's return;
 //! * **check-in** — the lanes' latch, `check_in`, to the launch's return;
@@ -56,6 +57,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use substrate::channel;
+use substrate::stack::Pool;
 use tshmem::ctx::Layout;
 use tshmem::engine::coop::{GateSet, Gated};
 use tshmem::engine::wall::{Resident, WallFabric, WallShared};
@@ -79,16 +81,34 @@ fn cfg(npes: usize) -> RuntimeConfig {
         .with_private_bytes(64 * 1024)
 }
 
-/// One hand-assembled no-op launch under `gate`; milliseconds per phase.
-fn phases(gate: Gated, cfg: &RuntimeConfig) -> [f64; 7] {
+/// Carry every PE gate of `gate` on a lane of `resident`, PE `pe`
+/// running `body(pe)` as a stack that starts holding its gate and gives
+/// it back on return; `(entered, left)` of every PE's body.
+fn carry(resident: &Resident, gate: &Gated, body: impl Fn(usize) + Sync) -> Vec<(Instant, Instant)> {
+    let spans: Vec<Mutex<Option<(Instant, Instant)>>> = (0..gate.npes).map(|_| Mutex::new(None)).collect();
+    resident.lanes.run(gate.workers, |dom| {
+        gate.run(dom, &|pe| {
+            let entered = Instant::now();
+            body(pe);
+            gate.release(pe);
+            *spans[pe].lock().unwrap() = Some((entered, Instant::now()));
+        })
+    });
+    spans.into_iter().map(|s| s.into_inner().unwrap().expect("every PE ran")).collect()
+}
+
+/// One hand-assembled no-op launch under the gates `gate` builds;
+/// milliseconds per phase.
+fn phases(gate: impl FnOnce(&Arc<Pool>) -> Gated, cfg: &RuntimeConfig) -> [f64; 7] {
     let npes = cfg.npes;
     let layout = Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
-    let mut marks = vec![Instant::now()];
-    let endpoints = UdnFabric::new(npes);
-    marks.push(Instant::now());
     // As a plain launch makes it: lanes closed from the start.
     let resident = Resident::default();
     resident.lanes.close();
+    let gate = gate(&resident.stacks);
+    let mut marks = vec![Instant::now()];
+    let endpoints = UdnFabric::new(npes);
+    marks.push(Instant::now());
     let set = resident.sets.checkout(Geometry::of(cfg));
     let shared = WallShared::new(cfg, endpoints, set, gate.clone(), Instruments::new(npes, None, None));
     marks.push(Instant::now());
@@ -96,15 +116,11 @@ fn phases(gate: Gated, cfg: &RuntimeConfig) -> [f64; 7] {
         .map(|pe| Mutex::new(Some(WallFabric::new(shared.clone(), pe))))
         .collect();
     marks.push(Instant::now());
-    let (spans, _) = resident.lanes.run(npes, |pe| {
+    gate.admit(&shared.instruments.probes);
+    let spans = carry(&resident, &gate, |pe| {
         let fab = fabrics[pe].lock().unwrap().take().expect("one fabric per PE");
-        gate.acquire(pe, Some(&shared.instruments.probes[pe]));
-        let entered = Instant::now();
         let ctx = ShmemCtx::new(Box::new(fab), layout, cfg.algos, cfg.private_bytes);
         ctx.finalize();
-        drop(ctx);
-        gate.release(pe);
-        (entered, Instant::now())
     });
     resident.lanes.close();
     let joined = Instant::now();
@@ -172,7 +188,7 @@ fn mark(marks: &Marks) {
 fn job_launch(resident: &Resident, cfg: &RuntimeConfig, slots: usize, marks: &Marks) {
     let npes = cfg.npes;
     let block = npes.div_ceil(lease_for(npes, slots));
-    let gate = GateSet::new(npes, block);
+    let gate = GateSet::new(npes, block, &resident.stacks);
     let layout = Layout::new(cfg.partition_bytes, npes, cfg.temp_bytes);
     let geometry = Geometry::of(cfg);
     let set = resident.sets.checkout(geometry);
@@ -182,16 +198,11 @@ fn job_launch(resident: &Resident, cfg: &RuntimeConfig, slots: usize, marks: &Ma
     let instruments = Instruments::new(npes, Some(sink), None);
     let shared = WallShared::new(cfg, endpoints, set.clone(), gate.clone(), instruments);
     mark(marks);
-    let (spans, _) = resident.lanes.run(npes, |pe| {
-        let fab = WallFabric::new(shared.clone(), pe);
-        gate.acquire(pe, Some(&shared.instruments.probes[pe]));
-        let entered = Instant::now();
-        let ctx = ShmemCtx::new(Box::new(fab), layout, cfg.algos, cfg.private_bytes);
+    gate.admit(&shared.instruments.probes);
+    let spans = carry(resident, &gate, |pe| {
+        let ctx = ShmemCtx::new(Box::new(WallFabric::new(shared.clone(), pe)), layout, cfg.algos, cfg.private_bytes);
         job_body(&ctx);
         ctx.finalize();
-        drop(ctx);
-        gate.release(pe);
-        (entered, Instant::now())
     });
     marks.lock().unwrap().extend([
         spans.iter().map(|s| s.0).max().expect("npes > 0"),
@@ -306,7 +317,7 @@ fn main() {
             "coop",
             npes,
             workers,
-            || phases(GateSet::new(npes, block), &cfg),
+            || phases(|stacks| GateSet::new(npes, block, stacks), &cfg),
             || Launcher::new(&cfg, CoopBackend { workers, ..Default::default() }).run(|_| ()).threads_spawned,
         );
     }
@@ -316,7 +327,7 @@ fn main() {
             "native",
             npes,
             npes,
-            || phases(GateSet::native(npes), &cfg),
+            || phases(|stacks| GateSet::native(npes, stacks), &cfg),
             || Launcher::new(&cfg, NativeBackend).run(|_| ()).threads_spawned,
         );
     }

@@ -221,21 +221,24 @@ if bad:
 print("OK: hot-path allocations all carry `// cold:` justifications")
 PYEOF
 
-echo "== one wait (wall + coop: every wall-clock wait is a baton park) =="
+echo "== one wait (wall + coop + baton: every wall-clock wait is a baton park) =="
 # A wall-clock context waits in exactly one way: parked on its grant
 # flag in the gates' handoff core (substrate/src/baton.rs), woken by the
-# grant that admits it or by an abort's `wake_all`. Contexts that are
-# stacks rather than threads (ROADMAP item 13) need every wait to be such
-# a park — a stack cannot block its carrier thread — and an abort reaches
-# only the waits it can grant. So the runtime code of the wall fabric and
-# its gate may not block a thread any other way: no channel receive with
-# a timeout, no sleep, no timed park on a constant poll interval, no
-# blocking endpoint send or receive. Fails naming file:line.
+# grant that admits it or by an abort's `wake_all`. Every context is a
+# stack on its gate's carrier thread (substrate/src/stack.rs), and a park
+# suspends the stack: a stack that blocked its carrier thread would stop
+# every sibling on it, and an abort reaches only the waits it can grant.
+# So the runtime code of the wall fabric, its gate and the handoff core
+# may not block a thread any other way: no channel receive with a
+# timeout, no sleep, no timed park at all (an injected delay suspends
+# until a deadline; the one timed wait left is the carrier's idle park,
+# bounded by the earliest such deadline, in stack.rs), no blocking
+# endpoint send or receive. Fails naming file:line.
 python3 - <<'PYEOF'
 import re, sys
-WAITS = re.compile(r'recv_timeout\(|thread::sleep|park_timeout\([^;]*(Duration::|\b[A-Z][A-Z0-9_]+\b)|\.(send|recv)\(')
+WAITS = re.compile(r'recv_timeout\(|thread::sleep|park_timeout\(|\.(send|recv)\(')
 bad = []
-for path in ("crates/core/src/engine/wall.rs", "crates/core/src/engine/coop.rs"):
+for path in ("crates/core/src/engine/wall.rs", "crates/core/src/engine/coop.rs", "crates/substrate/src/baton.rs"):
     lines = open(path).read().splitlines()
     for i, line in enumerate(lines):
         if line.lstrip().startswith("#[cfg(test)]"):
