@@ -4,19 +4,26 @@
 //! Every member sends a distinct `nelems`-element block to every other
 //! member: after the exchange, `dest[i*nelems ..]` on the member with
 //! set-rank `j` holds the block `source[j*nelems ..]` contributed by
-//! the member with set-rank `i`. Unlike collect, no root concentrates
-//! the traffic — each PE pushes its own row directly, staggered from
-//! `rank + 1` so the `n·(n-1)` transfers spread across destinations
-//! instead of all hammering member 0 first (the same rotation the
-//! paper's DDC layout rewards for pull-broadcast).
+//! the member with set-rank `i`.
+//!
+//! Where the selection function (`hier.rs`) picks the counter-cell pass
+//! and both objects are on the symmetric heap, the exchange is one pass
+//! whose root step copies every block (`ShmemCtx::alltoall_cells`).
+//! Everywhere else — fabrics without cells, strided sets, static-class
+//! objects — the flat exchange runs between two barriers: no root
+//! concentrates the traffic, each PE pushes its own row directly,
+//! staggered from `rank + 1` so the `n·(n-1)` transfers spread across
+//! destinations instead of all hammering member 0 first (the same
+//! rotation the paper's DDC layout rewards for pull-broadcast).
 //!
 //! `alltoalls` is the strided variant: element strides `dst`/`sst`
 //! (in elements, per the spec) between consecutive elements of each
-//! block.
+//! block. `alltoall` is its `(1, 1)` case on the pass.
 
 use crate::active_set::ActiveSet;
+use crate::collectives::hier::{Cluster, Configured};
 use crate::ctx::ShmemCtx;
-use crate::symm::{Bits, Sym};
+use crate::symm::{AddrClass, Bits, Sym};
 
 impl ShmemCtx {
     /// `shmem_alltoall`: exchange `nelems`-element blocks between all
@@ -30,6 +37,9 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
+        if let Some(cl) = self.transpose_pass(dest, source, set, rank) {
+            return self.alltoall_cells(dest, source, (1, 1), nelems, &cl);
+        }
         self.sync_set(set); // peers' source buffers are ready after this
         if nelems > 0 {
             for i in 0..set.size {
@@ -73,6 +83,9 @@ impl ShmemCtx {
             .rank_of(self.my_pe())
             .unwrap_or_else(|| panic!("PE {} not in active set", self.my_pe()));
         self.stats.borrow_mut().collectives += 1;
+        if let Some(cl) = self.transpose_pass(dest, source, set, rank) {
+            return self.alltoall_cells(dest, source, (dst, sst), nelems, &cl);
+        }
         self.sync_set(set);
         if nelems > 0 {
             for i in 0..set.size {
@@ -95,5 +108,19 @@ impl ShmemCtx {
             self.complete_puts();
         }
         self.sync_set(set);
+    }
+
+    /// The cell pass `select` gives this exchange, if both objects are
+    /// on the symmetric heap: the root step addresses every rank's copy
+    /// directly, which a remote private segment is not.
+    fn transpose_pass<T: Bits>(
+        &self,
+        dest: &Sym<T>,
+        source: &Sym<T>,
+        set: ActiveSet,
+        rank: usize,
+    ) -> Option<Cluster<'_>> {
+        let heap = dest.class() == AddrClass::Dynamic && source.class() == AddrClass::Dynamic;
+        self.select(set, rank, Configured::Default).filter(|_| heap)
     }
 }

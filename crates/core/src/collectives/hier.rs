@@ -16,7 +16,10 @@
 //! across clusters and releases them; each leader then writes its
 //! members' results and releases its cluster with one epoch bump. The
 //! barrier is the payload-free instance; reduce, broadcast and
-//! `fcollect` hand it an *up*, a *root* and a *down* step.
+//! `fcollect` hand it an *up*, a *root* and a *down* step, and
+//! `alltoall` / `alltoalls` a root step alone: the one point where every
+//! rank has entered and none is released, so leader 0 copies every
+//! block of the transpose there, straight through the one arena.
 
 use crate::active_set::ActiveSet;
 use crate::ctx::{BarrierAlgo, BroadcastAlgo, ReduceAlgo, ShmemCtx};
@@ -145,14 +148,34 @@ impl<'a> Cluster<'a> {
     }
 }
 
+/// Every rank's copy of one dynamic symmetric object of a contiguous
+/// set, addressed through the one arena: rank `r`'s copy starts `r`
+/// partitions past rank 0's ([`ShmemCtx::copies`]).
+#[derive(Clone, Copy)]
+struct Copies<T> {
+    first: *mut T,
+    /// Elements per partition.
+    stride: usize,
+}
+
+impl<T> Copies<T> {
+    /// Rank `r`'s copy.
+    ///
+    /// # Safety
+    /// `r` is a rank of the set the copies were taken for.
+    unsafe fn of(&self, r: usize) -> *mut T {
+        self.first.add(r * self.stride)
+    }
+}
+
 impl ShmemCtx {
     /// The transport of one collective call on `set`: `Some(cluster)`
     /// to run it on the counter-cell pass, or `None` for the flat
     /// algorithm `how` stands for. The one selection site: barrier,
-    /// reduce, broadcast and `fcollect` each call it once per
-    /// collective, and it reads nothing but its input — what the fabric
-    /// offers, the set's stride and size, and whether the algorithm was
-    /// asked for by name.
+    /// reduce, broadcast, `fcollect` and `alltoall` each call it once
+    /// per collective, and it reads nothing but its input — what the
+    /// fabric offers, the set's stride and size, and whether the
+    /// algorithm was asked for by name.
     ///
     /// * An algorithm asked for by name is what runs, at every size
     ///   ([`Configured::Flat`]): the figures, the ablations and the
@@ -267,7 +290,8 @@ impl ShmemCtx {
 
     /// Clustered reduction by name (the scaling probes): the cell pass
     /// wherever the fabric has cells for `set`, otherwise what
-    /// [`ShmemCtx::reduce`] runs.
+    /// [`ShmemCtx::reduce`] runs. Both objects are dynamic, as
+    /// `reduce` requires: the pass copies into every `dest` raw.
     pub fn reduce_hier<T: Reducible>(
         &self,
         op: ReduceOp,
@@ -286,7 +310,8 @@ impl ShmemCtx {
     /// Reduce on the cell pass: each leader folds its parked members'
     /// `source` straight into its own `dest`; leader 0 folds the other
     /// leaders' `dest` into its own and writes the result back into
-    /// theirs; each leader hands its members the result.
+    /// theirs; each leader hands its members the result. Every copy is
+    /// a [`ShmemCtx::copy_parked`].
     pub(crate) fn reduce_cells<T: Reducible>(
         &self,
         op: ReduceOp,
@@ -300,7 +325,7 @@ impl ShmemCtx {
         self.cell_pass(
             cl,
             || {
-                self.put_sym(dest, 0, source, 0, nreduce, me);
+                self.copy_parked(dest, source, nreduce, me);
                 for pe in cl.members() {
                     self.fold_peer_source(op, dest, source, nreduce, pe);
                 }
@@ -310,12 +335,12 @@ impl ShmemCtx {
                     self.fold_peer_source(op, dest, dest, nreduce, pe);
                 }
                 for pe in cl.other_leaders() {
-                    self.put_sym(dest, 0, dest, 0, nreduce, pe);
+                    self.copy_parked(dest, dest, nreduce, pe);
                 }
             },
             || {
                 for pe in cl.members() {
-                    self.put_sym(dest, 0, dest, 0, nreduce, pe);
+                    self.copy_parked(dest, dest, nreduce, pe);
                 }
             },
         );
@@ -336,21 +361,112 @@ impl ShmemCtx {
         if nreduce == 0 {
             return;
         }
-        let theirs = self
-            .ptr(&source.slice(0, nreduce), pe)
-            .expect("reduce operands are dynamic symmetric objects");
-        assert_eq!(theirs as usize % std::mem::align_of::<T>(), 0, "unaligned symmetric data");
+        let theirs = self.parked(source, 0, nreduce, pe);
         self.with_local_mut(&dest.slice(0, nreduce), |acc| {
-            // SAFETY: `ptr` bounds-checked `nreduce` elements inside
+            // SAFETY: `parked` bounds-checked `nreduce` elements inside
             // `pe`'s partition, which is disjoint from ours (`acc`),
-            // and alignment is asserted above; the owner is parked
-            // until it is released, and its arrival on the cell (AcqRel)
+            // and asserted their alignment; the owner is parked until
+            // it is released, and its arrival on the cell (AcqRel)
             // published what it wrote.
             let theirs = unsafe { std::slice::from_raw_parts(theirs.cast_const(), nreduce) };
             for (a, b) in acc.iter_mut().zip(theirs) {
                 *a = T::reduce(op, *a, *b);
             }
         });
+    }
+
+    /// `len` elements of the dynamic object `sym` on PE `pe`, from
+    /// element `at`, as a raw pointer for a step of the cell pass to
+    /// copy through: [`ShmemCtx::ptr`] bounds-checks them inside `pe`'s
+    /// partition, and their alignment is asserted. `pe` is the step's
+    /// own PE or one parked beneath it, so nobody else reads or writes
+    /// them until it is released.
+    fn parked<T: Bits>(&self, sym: &Sym<T>, at: usize, len: usize, pe: usize) -> *mut T {
+        let p = self.ptr(&sym.slice(at, len), pe).expect("cell-pass operands are dynamic symmetric objects");
+        assert_eq!(p as usize % std::mem::align_of::<T>(), 0, "unaligned symmetric data");
+        p
+    }
+
+    /// `dest[..n]` on PE `pe` = `from[..n]` on this PE: one raw copy in
+    /// a step of the cell pass, into a PE parked beneath it (or into
+    /// this PE's own `dest`), in place of a `put_sym` and its RMA entry.
+    fn copy_parked<T: Bits>(&self, dest: &Sym<T>, from: &Sym<T>, n: usize, pe: usize) {
+        if n == 0 {
+            return;
+        }
+        let to = self.parked(dest, 0, n, pe);
+        let from = self.parked(from, 0, n, self.my_pe());
+        // SAFETY: both runs come from `parked`; `ptr::copy` allows them
+        // to overlap.
+        unsafe { std::ptr::copy(from, to, n) };
+    }
+
+    /// `reach` elements of `sym` on every rank of the contiguous `set`,
+    /// for leader 0's root step. The first and the last rank's copies
+    /// come from `parked`, which bounds-checks and aligns them, and they
+    /// lie a whole number of partitions apart in the one arena, so every
+    /// rank's copy between them is in bounds too.
+    fn copies<T: Bits>(&self, sym: &Sym<T>, reach: usize, set: ActiveSet) -> Copies<T> {
+        let first = self.parked(sym, 0, reach, set.pe_at(0));
+        let last = self.parked(sym, 0, reach, set.pe_at(set.size - 1));
+        let stride = self.layout.partition_bytes / std::mem::size_of::<T>();
+        assert_eq!(
+            last as usize - first as usize,
+            (set.size - 1) * stride * std::mem::size_of::<T>(),
+            "a contiguous set's partitions are one run of the arena"
+        );
+        Copies { first, stride }
+    }
+
+    /// `alltoall` / `alltoalls` on the cell pass, with element strides
+    /// `dst` and `sst` (`alltoall` is `(1, 1)`). The whole transpose is
+    /// leader 0's root step: element `k` of `source[j·sst·nelems ..]` on
+    /// rank `i` is copied straight to `dest[i·dst·nelems + k·dst]` on
+    /// rank `j`, one raw copy per element run, for every `(i, j)`.
+    ///
+    /// The root step is the one place this is safe. Every rank of the
+    /// set has entered — its `source` is written and it no longer reads
+    /// its `dest` — and none is released, so none is rewriting its
+    /// `source` or reading its `dest` yet. An up step runs before some
+    /// other cluster has entered, and a down step after leader 0 has
+    /// released the other leaders, whose clusters may already be out.
+    /// The arrivals (AcqRel) publish every rank's `source` to leader 0,
+    /// and the epoch bumps from leader 0 to the leaders to the members
+    /// publish the copies. The up and down steps are empty: in one
+    /// arena every `source` and `dest` is in reach of the root step, so
+    /// each block moves once instead of being gathered and scattered.
+    pub(crate) fn alltoall_cells<T: Bits>(
+        &self,
+        dest: &Sym<T>,
+        source: &Sym<T>,
+        (dst, sst): (usize, usize),
+        nelems: usize,
+        cl: &Cluster,
+    ) {
+        self.complete_puts();
+        let set = cl.set;
+        let transpose = || {
+            if nelems == 0 {
+                return;
+            }
+            let reach = |stride| (set.size * nelems - 1) * stride + 1;
+            let (to, from) = (self.copies(dest, reach(dst), set), self.copies(source, reach(sst), set));
+            for j in 0..set.size {
+                for i in 0..set.size {
+                    // SAFETY: `copies` bounds-checked `reach` elements of
+                    // every rank's object, and block (i, j) lies inside
+                    // them on both sides. Both owners are parked.
+                    unsafe {
+                        let to = to.of(j).add(i * dst * nelems);
+                        let from = from.of(i).add(j * sst * nelems);
+                        for k in 0..nelems {
+                            to.add(k * dst).write(from.add(k * sst).read());
+                        }
+                    }
+                }
+            }
+        };
+        self.cell_pass(cl, || {}, transpose, || {});
     }
 
     /// Clustered broadcast by name (the scaling probes): the cell pass

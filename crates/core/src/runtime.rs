@@ -337,8 +337,9 @@ impl<B: EngineBackend> Launcher<B> {
     }
 }
 
-/// Run `f` on every PE with the **native** engine (real threads, wall
-/// time). Returns each PE's result, indexed by PE.
+/// Run `f` on every PE with the **native** engine (each PE a context on
+/// a carrier thread of its own, wall time). Returns each PE's result,
+/// indexed by PE.
 ///
 /// Shorthand for `Launcher::new(cfg, NativeBackend).run(f).values`;
 /// every other engine, and any supervised launch, goes through the

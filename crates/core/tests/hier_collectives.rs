@@ -280,9 +280,10 @@ fn last_leader_rank(set: ActiveSet, block: usize) -> usize {
 /// Every PE calls the sets it belongs to in one global order, 20 rounds
 /// with changing inputs, every result closed-form.
 ///
-/// It opens with `head` and the world meeting where one key could
-/// serve both, with PEs of `head` held back until the last PE, in the
-/// world but not in `head`, is on its way into the world call:
+/// It opens twice with `head` and the world meeting where one key could
+/// serve both — a sum, then an `alltoall` — with PEs of `head` held
+/// back until the last PE, in the world but not in `head`, is on its
+/// way into the world call:
 /// * on two workers (the shape that once mixed two sets' arrivals,
 ///   scaled down), the two sets meet on the second shard's leader with
 ///   different member counts, and `head`'s last member is held. On a
@@ -298,14 +299,24 @@ fn last_leader_rank(set: ActiveSet, block: usize) -> usize {
 ///   the first leader alone that arrival releases `head`'s root early: a
 ///   wrong sum again.
 ///
+/// An exchange run before every rank of the set had entered would copy
+/// the held member's `source` before it is written, the same way.
+///
 /// The trace must show no collective send at all: inside a shard the
 /// pass moves data by direct copy and wakes by counter, and the leaders
-/// meet on a root cell.
+/// meet on a root cell. `alltoall` and `alltoalls` must make no put and
+/// no get: the transpose is leader 0's raw copies in the root step,
+/// where the flat exchange made a put (and, strided, a get per element)
+/// per member.
 #[test]
 fn unaligned_and_overlapping_sets_take_the_cell_pass() {
     const NR: usize = 3;
     const NB: usize = 2;
     const NF: usize = 2;
+    const NA: usize = 2;
+    // `alltoalls` strides: dest, source.
+    const DST: usize = 2;
+    const SST: usize = 3;
     const ROUNDS: usize = 20;
     // (PEs, workers, [(held-back PE, ms it waits once freed)],
     // [head, tail, inner, straddle]).
@@ -326,31 +337,63 @@ fn unaligned_and_overlapping_sets_take_the_cell_pass() {
             let bdst = ctx.shmalloc::<u64>(NB);
             let fsrc = ctx.shmalloc::<u64>(NF);
             let fdst = ctx.shmalloc::<u64>(NF * n);
+            let asrc = ctx.shmalloc::<u64>(NA * n);
+            let adst = ctx.shmalloc::<u64>(NA * n);
+            let ssrc = ctx.shmalloc::<u64>(SST * NA * n);
+            let sdst = ctx.shmalloc::<u64>(DST * NA * n);
             let table = ctx.shmalloc::<u64>(sets.len());
             let go = ctx.shmalloc::<u64>(1);
+            ctx.local_write(&sdst, 0, &vec![u64::MAX; DST * NA * n]);
             ctx.barrier_all();
+            let copies = || {
+                let s = ctx.stats();
+                (s.puts, s.gets)
+            };
+            // `alltoall` on `set` with `source` block `x` on rank `r`
+            // set to `word(salt, r, x)`; checked against the closed form.
+            let exchange = |set: ActiveSet, salt: u64, what: &str| {
+                let rank = set.rank_of(me).unwrap();
+                let mine: Vec<u64> = (0..NA * set.size).map(|x| word(salt, rank, x)).collect();
+                ctx.local_write(&asrc, 0, &mine);
+                let before = copies();
+                ctx.alltoall(&adst, &asrc, NA, set);
+                assert_eq!(copies(), before, "npes={n} PE {me}: {what} alltoall on {set:?} made a put or get");
+                let want: Vec<u64> = (0..NA * set.size).map(|x| word(salt, x / NA, rank * NA + x % NA)).collect();
+                assert_eq!(ctx.local_read(&adst, 0, NA * set.size), want, "npes={n} PE {me}: {what} alltoall on {set:?}");
+            };
 
-            // Two sets, one place to meet, PEs of `head` held back.
+            // Two sets, one place to meet, PEs of `head` held back: for
+            // a sum, then for an exchange.
             let head = sets[1];
-            if me == n - 1 {
-                std::thread::sleep(std::time::Duration::from_millis(300));
-                for &(pe, _) in held {
-                    ctx.put(&go, 0, &[1u64], pe);
+            for phase in 1..=2u64 {
+                if me == n - 1 {
+                    std::thread::sleep(std::time::Duration::from_millis(300));
+                    for &(pe, _) in held {
+                        ctx.put(&go, 0, &[phase], pe);
+                    }
+                }
+                if head.rank_of(me).is_some() {
+                    if let Some(&(_, ms)) = held.iter().find(|h| h.0 == me) {
+                        ctx.wait_until(&go, 0, Cmp::Ge, phase);
+                        std::thread::sleep(std::time::Duration::from_millis(ms));
+                    }
+                    if phase == 1 {
+                        ctx.local_write(&rsrc, 0, &[me as u64 + 1; NR]);
+                        ctx.sum_to_all(&rdst, &rsrc, NR, head);
+                        let want = (head.size * (head.size + 1) / 2) as u64;
+                        assert_eq!(ctx.local_read(&rdst, 0, NR), [want; NR], "npes={n} PE {me}: held-back sum on {head:?}");
+                    } else {
+                        exchange(head, 0xa1, "held-back");
+                    }
+                }
+                if phase == 1 {
+                    ctx.local_write(&rsrc, 0, &[2; NR]);
+                    ctx.sum_to_all(&rdst, &rsrc, NR, world);
+                    assert_eq!(ctx.local_read(&rdst, 0, NR), [2 * n as u64; NR], "npes={n} PE {me}: world sum after it");
+                } else {
+                    exchange(world, 0xa2, "world");
                 }
             }
-            if head.rank_of(me).is_some() {
-                if let Some(&(_, ms)) = held.iter().find(|h| h.0 == me) {
-                    ctx.wait_until(&go, 0, Cmp::Ne, 0u64);
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                ctx.local_write(&rsrc, 0, &[me as u64 + 1; NR]);
-                ctx.sum_to_all(&rdst, &rsrc, NR, head);
-                let want = (head.size * (head.size + 1) / 2) as u64;
-                assert_eq!(ctx.local_read(&rdst, 0, NR), [want; NR], "npes={n} PE {me}: held-back sum on {head:?}");
-            }
-            ctx.local_write(&rsrc, 0, &[2; NR]);
-            ctx.sum_to_all(&rdst, &rsrc, NR, world);
-            assert_eq!(ctx.local_read(&rdst, 0, NR), [2 * n as u64; NR], "npes={n} PE {me}: world sum after it");
 
             let mut bdst_holds = vec![u64::MAX; NB];
             ctx.local_write(&bdst, 0, &bdst_holds);
@@ -404,6 +447,30 @@ fn unaligned_and_overlapping_sets_take_the_cell_pass() {
                         want,
                         "fcollect: npes={n} PE {me} {set:?} round {round}"
                     );
+
+                    exchange(set, 0xa4 + call as u64, "round");
+
+                    // Element k of the block for rank j is read from
+                    // `source[j·SST·NA + k·SST]` and lands at
+                    // `dest[i·DST·NA + k·DST]` on rank j; the holes
+                    // between are never written.
+                    let salt = 0x5a + call as u64;
+                    let mine: Vec<u64> = (0..SST * NA * set.size).map(|x| word(salt, rank, x)).collect();
+                    ctx.local_write(&ssrc, 0, &mine);
+                    let before = copies();
+                    ctx.alltoalls(&sdst, &ssrc, DST, SST, NA, set);
+                    assert_eq!(copies(), before, "alltoalls: npes={n} PE {me} {set:?} made a put or get");
+                    let want: Vec<u64> = (0..DST * NA * set.size)
+                        .map(|x| match x % DST {
+                            0 => word(salt, x / (DST * NA), rank * SST * NA + x % (DST * NA) / DST * SST),
+                            _ => u64::MAX,
+                        })
+                        .collect();
+                    assert_eq!(
+                        ctx.local_read(&sdst, 0, DST * NA * set.size),
+                        want,
+                        "alltoalls: npes={n} PE {me} {set:?} round {round}"
+                    );
                 }
             }
         });
@@ -415,6 +482,100 @@ fn unaligned_and_overlapping_sets_take_the_cell_pass() {
             shard_sends(&idle, block),
             "npes={npes}: no collective sent a token inside or across shards"
         );
+    }
+}
+
+// --- alltoall on and off the pass -------------------------------------------
+
+/// `alltoall` of `NA`-element blocks on `set` from `source` block `x` on
+/// rank `r` = `word(salt, r, x)`: `Some(puts made)` for a member, after
+/// checking `dest` against the closed form.
+fn exchange_on(ctx: &ShmemCtx, dest: &Sym<u64>, source: &Sym<u64>, nelems: usize, set: ActiveSet, salt: u64) -> usize {
+    let rank = set.rank_of(ctx.my_pe()).expect("a member");
+    let mine: Vec<u64> = (0..nelems * set.size).map(|x| word(salt, rank, x)).collect();
+    ctx.local_write(source, 0, &mine);
+    let before = ctx.stats().puts;
+    ctx.alltoall(dest, source, nelems, set);
+    let puts = (ctx.stats().puts - before) as usize;
+    let want: Vec<u64> = (0..nelems * set.size).map(|x| word(salt, x / nelems, rank * nelems + x % nelems)).collect();
+    assert_eq!(ctx.local_read(dest, 0, nelems * set.size), want, "PE {}: alltoall on {set:?}", ctx.my_pe());
+    puts
+}
+
+/// The shapes at the edge of the pass, on native and on two workers.
+/// A zero-length exchange synchronises and writes nothing; a one-member
+/// set copies the member's own block; both make no put. A strided set
+/// (a `split_strided` team) has no cells and takes the flat exchange:
+/// still correct, with a put per member.
+#[test]
+fn alltoall_edges_and_strided_sets() {
+    const N: usize = 12;
+    const NA: usize = 3;
+    for engine in ["native", "coop(2)"] {
+        let cfg = scale_cfg(N);
+        let body = move |ctx: &ShmemCtx| {
+            let (n, me, world) = (ctx.n_pes(), ctx.my_pe(), ctx.world());
+            let src = ctx.shmalloc::<u64>(NA * n);
+            let dst = ctx.shmalloc::<u64>(NA * n);
+            ctx.local_write(&dst, 0, &vec![7; NA * n]);
+            let before = ctx.stats().puts;
+            ctx.alltoall(&dst, &src, 0, world);
+            ctx.alltoalls(&dst, &src, 2, 3, 0, world);
+            assert_eq!(ctx.local_read(&dst, 0, NA * n), vec![7; NA * n], "{engine} PE {me}: zero-length exchange wrote dest");
+            assert_eq!(ctx.stats().puts, before, "{engine} PE {me}: zero-length exchange made a put");
+
+            let alone = ActiveSet::new(me, 0, 1);
+            assert_eq!(exchange_on(ctx, &dst, &src, NA, alone, 0x1e), 0, "{engine} PE {me}: one-member set");
+            assert_eq!(exchange_on(ctx, &dst, &src, NA, world, 0x3c), 0, "{engine} PE {me}: world");
+
+            // Odd PEs: start 1, stride 2.
+            if let Some(team) = ctx.team_world().split_strided(1, 1, n / 2) {
+                let set = team.active_set();
+                assert_eq!(exchange_on(ctx, &dst, &src, NA, set, 0x5d), set.size, "{engine} PE {me}: strided set");
+            }
+            ctx.barrier_all();
+        };
+        if engine == "native" {
+            Launcher::new(&cfg, NativeBackend).run(body);
+        } else {
+            Launcher::new(&cfg, coop(2)).run(body);
+        }
+    }
+}
+
+/// Back-to-back exchanges whose caller rewrites `source` and reads
+/// `dest` the moment each returns, with no barrier between: a rank
+/// released before leader 0 finished copying would see a stale block,
+/// or have its next `source` copied in place of this one. On native
+/// (each PE its own cluster, so leader 0 copies for every rank) and on
+/// one, two and four workers.
+#[test]
+fn back_to_back_alltoalls_publish_before_release() {
+    const N: usize = 8;
+    const NA: usize = 2;
+    const ROUNDS: usize = 200;
+    let cfg = scale_cfg(N);
+    let body = |ctx: &ShmemCtx| {
+        let (n, world) = (ctx.n_pes(), ctx.world());
+        let src = ctx.shmalloc::<u64>(NA * n);
+        let dst = ctx.shmalloc::<u64>(NA * n);
+        let halves = [ActiveSet::new(0, 0, n / 2), ActiveSet::new(n / 2, 0, n / 2)];
+        let mut puts = 0;
+        for round in 0..ROUNDS {
+            puts += exchange_on(ctx, &dst, &src, NA, world, round as u64);
+            let half = halves[ctx.my_pe() / (n / 2)];
+            puts += exchange_on(ctx, &dst, &src, NA, half, (ROUNDS + round) as u64);
+        }
+        puts
+    };
+    let runs = [
+        ("native", Launcher::new(&cfg, NativeBackend).run(body).values),
+        ("coop(1)", Launcher::new(&cfg, coop(1)).run(body).values),
+        ("coop(2)", Launcher::new(&cfg, coop(2)).run(body).values),
+        ("coop(4)", Launcher::new(&cfg, coop(4)).run(body).values),
+    ];
+    for (engine, puts) in runs {
+        assert_eq!(puts, vec![0; N], "{engine}: the exchanges made puts");
     }
 }
 

@@ -179,9 +179,11 @@ const NAMED: Algorithms = Algorithms {
     reduce: ReduceAlgo::RecursiveDoubling,
 };
 
-/// Whether `prog` draws an `fcollect`, the one collective without a
-/// named algorithm: it takes the counter-cell pass wherever the fabric
-/// offers one, and who copies what there depends on the geometry.
+/// Whether `prog` draws an `fcollect`, which has no named algorithm: it
+/// takes the counter-cell pass wherever the fabric offers one, and who
+/// copies what there depends on the geometry. `alltoall` has no named
+/// algorithm either, but on the pass leader 0 makes every copy raw, so
+/// it counts no put or get on any geometry.
 fn draws_fcollect(prog: &Program) -> bool {
     prog.steps.iter().any(|s| {
         matches!(
@@ -207,7 +209,10 @@ fn draws_fcollect(prog: &Program) -> bool {
 /// other leaders. An algorithm asked for by name runs at every
 /// geometry, though, so the program is run once more with every
 /// algorithm named, and there `puts`/`gets` must agree too — unless it
-/// draws an `fcollect`, which has no named algorithm.
+/// draws an `fcollect`, which has no named algorithm. A contiguous
+/// `alltoall` takes the pass under the named algorithms as well, and
+/// counts no copy there on any geometry; a strided one runs the flat
+/// exchange everywhere.
 /// `redirected`/`locality_hits` are never compared (one worker turns
 /// every redirect into a direct copy).
 #[test]

@@ -161,12 +161,13 @@ echo "== server PanicPe canary (one-shot caught-class fault) =="
 cargo run -q --offline --release -p stress -- \
     --serve --jobs 8 --panic-pe 1 --seed 0x55
 
-echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed / fabric / hier + reduce / server + arena + supervisor / lanes / desim / handoff core + stacks / cachesim) =="
+echo "== hot-path allocation allowlist (rma / barrier / wall + coop / timed / fabric / collectives / server + arena + supervisor / lanes / desim / handoff core + stacks / cachesim) =="
 # The RMA and barrier hot paths are allocation-free by design, and the
 # wall fabric, its M:N admission gate, the virtual-time fabric with
 # the send/recv path every simulated message crosses (engine/timed.rs),
 # the progress hook every fabric op of either fabric runs (fabric.rs),
-# the cell pass, the reduce's per-chunk fold, the
+# the cell pass, the collectives that run on it and off it (reduce
+# with its per-chunk fold, broadcast, collect, alltoall), the
 # timed-engine event core and scheduler, the handoff core both the
 # admission gate and that scheduler run on (substrate/src/baton.rs:
 # every grant, park and yield), the stacks that scheduler's LPs run
@@ -192,6 +193,8 @@ for path in ("crates/core/src/rma.rs", "crates/core/src/sync/barrier.rs",
              "crates/core/src/engine/wall.rs", "crates/core/src/engine/coop.rs",
              "crates/core/src/engine/timed.rs", "crates/core/src/fabric.rs",
              "crates/core/src/collectives/hier.rs", "crates/core/src/collectives/reduce.rs",
+             "crates/core/src/collectives/alltoall.rs", "crates/core/src/collectives/collect.rs",
+             "crates/core/src/collectives/broadcast.rs",
              "crates/core/src/server/pool.rs", "crates/core/src/server/arena.rs",
              "crates/core/src/watch.rs", "crates/tmc/src/task.rs",
              "crates/desim/src/events.rs", "crates/desim/src/coop.rs",
